@@ -3,7 +3,7 @@
 //! tier all run the same kernels from identical machines, so one criterion
 //! report shows what each tier buys on each shape.
 //!
-//! Three shapes bracket the tier's reach:
+//! Three synthetic shapes bracket the tier's reach:
 //!
 //! * `alu_loop` — the headline kernel (one self-chaining branch block):
 //!   the compiled tier should win by a wide margin, and with 11 lockstep
@@ -13,10 +13,19 @@
 //!   bounds the allowed gap);
 //! * `divergent` — a `tasklet_id`-seeded loop where register files differ
 //!   per tasklet: replication is off, but per-tasklet chains still run.
+//!
+//! The paper's own kernels sit next to them (`pim_bench::kernels`):
+//! `ebnn_tier1_{1,6,11,16}t`, the generated eBNN conv-pool program with
+//! one image per tasklet — divergent pcs and register files, WRAM loads
+//! in the inner loop, so the fast tiers live off tasklet-major chunks —
+//! and `yolo_row_11t`, the Algorithm-2 GEMM row with a DMA per multiply
+//! (chunks stand off; burst batching carries it). The ratio gates on
+//! these shapes are in `profiler_overhead.rs`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dpu_sim::asm::assemble;
 use dpu_sim::{Engine, ExecProgram, Machine, Program};
+use pim_bench::kernels::paper_kernel_shapes;
 use pim_bench::snapshot::alu_program;
 
 fn sync_heavy_program() -> Program {
@@ -65,6 +74,20 @@ fn bench_tiers(c: &mut Criterion) {
             g.bench_function(engine.name(), |b| {
                 let mut m = Machine::default();
                 b.iter(|| black_box(m.run_exec_engine(&exec, tasklets, engine).unwrap().cycles));
+            });
+        }
+        g.finish();
+    }
+    for shape in paper_kernel_shapes() {
+        let mut g = c.benchmark_group(format!("engine_tiers/{}", shape.name));
+        g.sample_size(10);
+        for engine in [Engine::Reference, Engine::Superblock, Engine::Compiled] {
+            g.bench_function(engine.name(), |b| {
+                b.iter(|| {
+                    let mut m = shape.staged.clone();
+                    let run = m.run_exec_engine(&shape.exec, shape.tasklets, engine);
+                    black_box(run.unwrap().cycles)
+                });
             });
         }
         g.finish();

@@ -21,11 +21,19 @@
 //! assertion bounds profiled time at 1.5x the unprofiled reference so a
 //! pathological regression in the profiled loop still fails the bench.
 //!
+//! The same bench carries the engine-tier ratio gates: on `alu_loop_11t`
+//! the compiled tier must cost nothing when it has nothing compiled and
+//! never run slower than the superblock engine; on the paper's eBNN
+//! kernel the default tier must beat the reference loop by 2x with 16
+//! images on a DPU (tasklet-major chunks) and must not fall behind it
+//! (>= 0.95x) at the 11-tasklet Fig. 4.7(a) knee.
+//!
 //! `cargo bench --bench profiler_overhead` is therefore a pass/fail
 //! gate; the criterion group reports all three timings for context.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dpu_sim::{CycleAttribution, ExecProgram, Machine};
+use dpu_sim::{CycleAttribution, Engine, ExecProgram, Machine};
+use pim_bench::kernels::{ebnn_tier1, KernelShape};
 use pim_bench::snapshot::alu_program;
 use std::time::{Duration, Instant};
 
@@ -242,6 +250,36 @@ fn bench_profiler_overhead(c: &mut Criterion) {
         "the compiled tier ran slower than the superblock engine on its headline \
          kernel: compiled {min_jit:?} vs superblock {min_sb2:?}"
     );
+
+    // --- Gates 5 and 6: the fast tiers pay on the paper's kernel --------
+    // The default tier against the reference loop on the generated eBNN
+    // program, one image per tasklet. A full DPU (16 tasklets) runs in
+    // tasklet-major chunks and must be at least twice as fast; at the
+    // 11-tasklet knee — exactly `stages` tasklets, which DMA stalls knock
+    // out of round-robin order for good — the fast engine must at least
+    // not lose to the loop it replaces.
+    for (shape, min_speedup) in [(ebnn_tier1(16), 2.0), (ebnn_tier1(11), 0.95)] {
+        let run = |shape: &KernelShape, engine: Engine| {
+            let mut m = shape.staged.clone();
+            black_box(m.run_exec_engine(&shape.exec, shape.tasklets, engine).unwrap().cycles);
+        };
+        let (min_fast, min_ref) = paired_min_time(
+            RUNS,
+            || run(&shape, Engine::default()),
+            || run(&shape, Engine::Reference),
+        );
+        let speedup = min_ref.as_secs_f64() / min_fast.as_secs_f64();
+        println!(
+            "{}: default tier {min_fast:?}, reference {min_ref:?}: {speedup:.2}x (gate >= {min_speedup}x)",
+            shape.name
+        );
+        assert!(
+            speedup >= min_speedup,
+            "{}: the default tier ran at {speedup:.2}x the reference loop \
+             (gate >= {min_speedup}x): default {min_fast:?} vs reference {min_ref:?}",
+            shape.name
+        );
+    }
 }
 
 const BUDGET: u64 = dpu_sim::machine::DEFAULT_CYCLE_BUDGET;

@@ -16,7 +16,8 @@
 //!   `--tolerance` relative error (default 2%), absorbing benign
 //!   float-summation reassociation;
 //! * keys under `obs.steal.` and `obs.pool.` are ignored
-//!   (host-scheduling dependent);
+//!   (host-scheduling dependent), as are keys under `obs.engine.`
+//!   (which simulator mode retired each slot: engine-tier dependent);
 //! * added or removed keys fail the gate, so intentional metric changes
 //!   are re-blessed explicitly with `--write-baseline`.
 //!
@@ -28,9 +29,9 @@ use serde_json::Value;
 const DEFAULT_BASELINE: &str = "baselines/metrics_baseline.json";
 const DEFAULT_TOLERANCE: f64 = 0.02;
 
-/// Key fragments whose leaves are host-scheduling dependent and never
-/// gated.
-const IGNORED_FRAGMENTS: &[&str] = &["obs.steal.", "obs.pool."];
+/// Key fragments whose leaves depend on host scheduling or on the engine
+/// tier executing the launch, and are never gated.
+const IGNORED_FRAGMENTS: &[&str] = &["obs.steal.", "obs.pool.", "obs.engine."];
 
 #[derive(Debug, PartialEq)]
 enum Leaf {

@@ -11,7 +11,8 @@
 //! seconds). Experiment ids: `eq3_4 table3_1 fig3_2 fig4_3 fig4_4 fig4_7a
 //! fig4_7b fig4_7c latencies table5_1 table5_2 fig5_4 fig5_6 table5_3
 //! table5_4 fig5_5 fig5_7 improvements mapping_comparison size_sweep image_limits depth_sweep tier_validation fig4_7a_tier1 alexnet_mapping
-//! table5_4_measured trace_metrics launch_quantiles hot_blocks`.
+//! table5_4_measured trace_metrics launch_quantiles hot_blocks
+//! engine_residency`.
 //!
 //! `--bench-json` instead runs the simulator hot-path scenarios with a
 //! wall-clock harness and writes a machine-readable perf snapshot
@@ -329,6 +330,59 @@ fn main() {
     if want("trace_metrics") {
         emit_trace_metrics(json);
     }
+    if want("engine_residency") {
+        emit_engine_residency(json);
+    }
+}
+
+/// Which simulator execution mode retired the issue slots of the paper's
+/// two kernels, and how the tasklet-major chunks fared, per fast tier —
+/// the `obs.engine.*` counters of `docs/OBSERVABILITY.md`.
+#[allow(clippy::cast_precision_loss)]
+fn emit_engine_residency(json: bool) {
+    use dpu_sim::Engine;
+    use render::kernels::{ebnn_tier1, yolo_row};
+    let mut rows = Vec::new();
+    for shape in [ebnn_tier1(16), ebnn_tier1(11), yolo_row(11)] {
+        for engine in [Engine::Superblock, Engine::Compiled] {
+            let mut m = shape.staged.clone();
+            let before = m.engine_stats();
+            m.run_exec_engine(&shape.exec, shape.tasklets, engine).expect("kernel runs");
+            let stats = m.engine_stats().since(&before);
+            rows.push((format!("{}/{}", shape.name, engine.name()), stats));
+        }
+    }
+    let payload = serde_json::Value::Object(
+        rows.iter()
+            .map(|(name, stats)| {
+                let mut obs = pim_host::LaunchObservation::new();
+                obs.record_engine(stats);
+                (name.clone(), obs.to_json())
+            })
+            .collect(),
+    );
+    emit(json, "engine_residency", &payload, || {
+        let mut s = String::from("Engine residency — issue slots retired per simulator mode\n");
+        for (name, stats) in &rows {
+            let total = stats.slots().max(1) as f64;
+            s.push_str(&format!("  {name} ({} slots)\n", stats.slots()));
+            for (key, value) in stats.named() {
+                let share = if key.starts_with("slots.") {
+                    format!("  {:5.1}%", 100.0 * value as f64 / total)
+                } else {
+                    String::new()
+                };
+                s.push_str(&format!("    obs.engine.{key:<29} {value:>10}{share}\n"));
+            }
+            let wasted = stats.chunk_rolled_back_slots as f64;
+            s.push_str(&format!(
+                "    rolled back: {:.3}% of attempted chunk slots, {:.3}% of all slots\n",
+                100.0 * wasted / (stats.chunk_slots as f64 + wasted).max(1.0),
+                100.0 * wasted / total,
+            ));
+        }
+        s
+    });
 }
 
 fn emit_trace_metrics(json: bool) {
@@ -450,21 +504,22 @@ mod perf_snapshot {
         median(&mut samples)
     }
 
-    /// Like `bench_interpreter` with a pinned engine tier (and the decode
-    /// hoisted out of the timed region, as every launch path does), so the
-    /// snapshot records the tier ladder, not just the ambient default.
-    fn bench_engine(
-        program: &dpu_sim::Program,
-        tasklets: usize,
+    /// One staged kernel on a pinned engine tier, each sample from a fresh
+    /// clone of the staged DPU (and the decode hoisted out of the timed
+    /// region, as every launch path does), so the snapshot records the
+    /// tier ladder, not just the ambient default.
+    fn bench_kernel(
+        shape: &pim_bench::kernels::KernelShape,
         engine: dpu_sim::Engine,
         n: usize,
     ) -> (u128, u64) {
-        let exec = dpu_sim::ExecProgram::compile(program).expect("bench program compiles");
         let mut samples: Vec<Sample> = (0..n)
             .map(|_| {
-                let mut m = Machine::default();
+                let mut m = shape.staged.clone();
                 let start = Instant::now();
-                let res = m.run_exec_engine(&exec, tasklets, engine).expect("bench program runs");
+                let res = m
+                    .run_exec_engine(&shape.exec, shape.tasklets, engine)
+                    .expect("bench kernel runs");
                 Sample { wall_ns: start.elapsed().as_nanos(), instructions: res.instructions }
             })
             .collect();
@@ -537,6 +592,12 @@ mod perf_snapshot {
     pub fn run(path: &str, samples: usize) {
         use dpu_sim::Engine;
         let alu = alu_loop_program();
+        let alu_11t = pim_bench::kernels::KernelShape {
+            name: "alu_loop_11t".to_owned(),
+            staged: Machine::default(),
+            exec: dpu_sim::ExecProgram::compile(&alu).expect("bench program compiles"),
+            tasklets: 11,
+        };
         let scenarios: Vec<(&str, (u128, u64))> = vec![
             ("interpreter/alu_loop_1t", bench_interpreter(&alu, 1, samples)),
             ("interpreter/alu_loop_11t", bench_interpreter(&alu, 11, samples)),
@@ -545,15 +606,15 @@ mod perf_snapshot {
             // tier buys (reference → superblock → compiled).
             (
                 "interpreter/alu_loop_11t_reference",
-                bench_engine(&alu, 11, Engine::Reference, samples),
+                bench_kernel(&alu_11t, Engine::Reference, samples),
             ),
             (
                 "interpreter/alu_loop_11t_superblock",
-                bench_engine(&alu, 11, Engine::Superblock, samples),
+                bench_kernel(&alu_11t, Engine::Superblock, samples),
             ),
             (
                 "interpreter/alu_loop_11t_compiled",
-                bench_engine(&alu, 11, Engine::Compiled, samples),
+                bench_kernel(&alu_11t, Engine::Compiled, samples),
             ),
             ("interpreter/sync_heavy_16t", bench_interpreter(&sync_heavy_program(), 16, samples)),
             ("multi_dpu/skewed_32", bench_skewed_launch(32, samples)),
@@ -563,12 +624,24 @@ mod perf_snapshot {
             // uniform_32 for the scaling ratio (target ≥ 0.8× ideal).
             ("multi_dpu/rank_2560", bench_uniform_launch(2560, samples)),
         ];
+        // The paper's own kernels, per tier: one eBNN image per tasklet at
+        // 1/6/11/16 tasklets and one YOLO GEMM row at 11.
+        let mut scenarios: Vec<(String, (u128, u64))> =
+            scenarios.into_iter().map(|(name, s)| (name.to_owned(), s)).collect();
+        for shape in pim_bench::kernels::paper_kernel_shapes() {
+            for engine in [Engine::Reference, Engine::Superblock, Engine::Compiled] {
+                scenarios.push((
+                    format!("paper_kernel/{}_{}", shape.name, engine.name()),
+                    bench_kernel(&shape, engine, samples),
+                ));
+            }
+        }
         let mut benches: Vec<(String, serde_json::Value)> = Vec::new();
         for (name, (ns, instructions)) in &scenarios {
             let ips = *instructions as f64 / (*ns as f64 / 1e9);
             eprintln!("{name}: {instructions} instrs, median {ns} ns, {ips:.3e} instr/s");
             benches.push((
-                (*name).to_owned(),
+                name.clone(),
                 serde_json::json!({
                     "median_ns": *ns as u64,
                     "instructions": *instructions,

@@ -9,6 +9,7 @@ use pim_model::report::BenchRow;
 use pim_model::ModelReport;
 
 pub mod chaos;
+pub mod kernels;
 pub mod snapshot;
 
 /// Render Table 3.1 (cycles per operation) with relative errors.

@@ -1,0 +1,117 @@
+//! Engine residency counters: which execution mode retired each issue
+//! slot, and how the tasklet-major chunks fared.
+//!
+//! These describe *how the host simulated* a run, not what the simulated
+//! DPU did, so they differ across [`crate::Engine`] tiers by design and
+//! are deliberately kept out of [`crate::RunResult`] (which the identity
+//! suites compare across tiers). A [`crate::Machine`] accumulates them
+//! over its lifetime; hosts read deltas around a launch.
+
+/// Why a tasklet-major chunk was rolled back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ChunkAbort {
+    /// A tasklet reached a scheduling boundary (`mram.*`, `call`,
+    /// `barrier`, `mutex.*`, `perf.*`, `halt`) before its quota.
+    Boundary,
+    /// Two tasklets touched one WRAM word, at least one of them storing.
+    Conflict,
+    /// A `trace` op: the DPU log is ordered across tasklets.
+    Trace,
+    /// A memory fault or an out-of-range pc.
+    Fault,
+}
+
+/// Declares [`EngineStats`] from one list of `field => "metric.suffix"`
+/// pairs, so the struct, its metric names and its arithmetic cannot
+/// drift apart.
+macro_rules! engine_stats {
+    ($( $(#[$doc:meta])* $field:ident => $key:literal, )+) => {
+        /// Issue slots retired per execution mode, plus chunk outcomes.
+        ///
+        /// The six `*_slots` mode counters partition every issued slot of
+        /// every run the machine has executed (reference, traced and
+        /// profiled runs count under `reference_slots` entirely).
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct EngineStats {
+            $( $(#[$doc])* pub $field: u64, )+
+        }
+
+        impl EngineStats {
+            /// Every counter with its stable metric-key suffix (hosts
+            /// publish them as `obs.engine.<suffix>`).
+            #[must_use]
+            pub fn named(&self) -> Vec<(&'static str, u64)> {
+                vec![$( ($key, self.$field), )+]
+            }
+
+            /// Counter-wise `self - earlier`: the runs in between.
+            #[must_use]
+            pub fn since(&self, earlier: &Self) -> Self {
+                Self { $( $field: self.$field - earlier.$field, )+ }
+            }
+        }
+
+        impl std::ops::AddAssign for EngineStats {
+            fn add_assign(&mut self, other: Self) {
+                $( self.$field += other.$field; )+
+            }
+        }
+    };
+}
+
+engine_stats! {
+    /// One `pick`, one dispatch: the reference loops and the fast
+    /// engine's per-slot fallback.
+    reference_slots => "slots.reference",
+    /// Sole-runnable batches (`fast_forward_sole`).
+    sole_slots => "slots.sole",
+    /// Saturated-rotation slots dispatched one at a time, round-robin.
+    rotation_slots => "slots.rotation",
+    /// Saturated-rotation slots retired by committed tasklet-major chunks.
+    chunk_slots => "slots.chunk",
+    /// Whole rounds of subroutine-burst slots retired in one step.
+    burst_batch_slots => "slots.burst_batch",
+    /// Whole lockstep rounds from a single fetch: compiled-chain
+    /// replication, block replay and uniform single-instruction rounds.
+    lockstep_slots => "slots.lockstep",
+    /// Chunks that committed.
+    chunk_commits => "chunk.commits",
+    /// Chunks rolled back at a boundary instruction.
+    chunk_aborts_boundary => "chunk.aborts.boundary",
+    /// Chunks rolled back on a cross-tasklet WRAM overlap.
+    chunk_aborts_conflict => "chunk.aborts.conflict",
+    /// Chunks rolled back at a `trace` op.
+    chunk_aborts_trace => "chunk.aborts.trace",
+    /// Chunks rolled back on a memory fault or out-of-range pc.
+    chunk_aborts_fault => "chunk.aborts.fault",
+    /// Slots executed inside chunks that were then rolled back (host work
+    /// thrown away; those slots retire again through another mode).
+    chunk_rolled_back_slots => "chunk.rolled_back_slots",
+}
+
+impl EngineStats {
+    /// Total issue slots retired, over all modes.
+    #[must_use]
+    pub fn slots(&self) -> u64 {
+        self.reference_slots + self.batched_slots()
+    }
+
+    /// Slots retired by anything other than the per-slot reference path.
+    pub(crate) fn batched_slots(&self) -> u64 {
+        self.sole_slots
+            + self.rotation_slots
+            + self.chunk_slots
+            + self.burst_batch_slots
+            + self.lockstep_slots
+    }
+
+    pub(crate) fn record_abort(&mut self, reason: ChunkAbort, wasted_slots: u64) {
+        match reason {
+            ChunkAbort::Boundary => self.chunk_aborts_boundary += 1,
+            ChunkAbort::Conflict => self.chunk_aborts_conflict += 1,
+            ChunkAbort::Trace => self.chunk_aborts_trace += 1,
+            ChunkAbort::Fault => self.chunk_aborts_fault += 1,
+        }
+        self.chunk_rolled_back_slots += wasted_slots;
+    }
+}

@@ -41,9 +41,11 @@
 #![warn(missing_docs)]
 
 pub mod asm;
+mod chunk;
 pub mod compile;
 pub mod cost;
 pub mod ecc;
+pub mod engine_stats;
 pub mod error;
 pub mod exec;
 pub mod faults;
@@ -58,6 +60,7 @@ pub mod subroutines;
 pub mod system;
 
 pub use compile::{CompiledProgram, DEFAULT_HOT_THRESHOLD};
+pub use engine_stats::EngineStats;
 pub use error::{Error, Result};
 pub use exec::ExecProgram;
 pub use faults::{AttemptFaults, FaultConfig, FaultKind, FaultPlan, InjectedFault};

@@ -18,7 +18,9 @@
 //! single-tasklet issue rate of one instruction per 11 cycles the measured
 //! totals reproduce Table 3.1 within ~1.5 % (see [`crate::subroutines`]).
 
+use crate::chunk::{ChunkPolicy, Shadow, MAX_TRACKED_TASKLETS};
 use crate::compile::{CompiledProgram, Link, Term};
+use crate::engine_stats::{ChunkAbort, EngineStats};
 use crate::error::{Error, Result};
 use crate::exec::{self, ExecInstr, ExecProgram, Superblocks, OP_COUNT};
 use crate::faults::{AttemptFaults, DmaFault, FaultKind};
@@ -137,7 +139,7 @@ impl RunResult {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Tasklet {
     pc: u32,
     regs: [u32; REGS_PER_TASKLET],
@@ -178,6 +180,8 @@ pub struct Machine {
     /// Integrity events observed by the machine (monotone; the host
     /// reads per-launch deltas).
     pub integrity: IntegrityCounters,
+    /// Engine residency of every run so far (see [`Machine::engine_stats`]).
+    engine_stats: EngineStats,
 }
 
 /// Integrity events the machine itself observed and handled.
@@ -239,7 +243,18 @@ impl Machine {
             perf: PerfCounter::new(),
             faults: None,
             integrity: IntegrityCounters::default(),
+            engine_stats: EngineStats::default(),
         }
+    }
+
+    /// Which execution mode retired each issue slot of every run this
+    /// machine has executed, and how its tasklet-major chunks fared.
+    /// Monotone, like [`Machine::integrity`]: hosts read per-launch
+    /// deltas ([`EngineStats::since`]). Observational only — the figures
+    /// depend on the [`Engine`] tier, which [`RunResult`] never does.
+    #[must_use]
+    pub fn engine_stats(&self) -> EngineStats {
+        self.engine_stats
     }
 
     /// Arm a set of injected faults for the next run. The machine consults
@@ -656,6 +671,10 @@ impl Machine {
             order_scratch: Vec::new(),
             active: if code.is_empty() { Vec::new() } else { (0..tasklets).collect() },
             sched_changed: false,
+            stats: EngineStats::default(),
+            shadow: Shadow::default(),
+            chunk_policy: ChunkPolicy::default(),
+            chunk_saved: Vec::new(),
             code,
             sb,
             compiled: if engine == Engine::Compiled { compiled } else { None },
@@ -679,6 +698,10 @@ impl Machine {
         } else {
             interp.run_fast()
         };
+        // Whatever no batched mode claimed went through a per-slot pick.
+        let mut stats = interp.stats;
+        stats.reference_slots = interp.pipeline.issued() - stats.batched_slots();
+        interp.machine.engine_stats += stats;
         if let Err(e) = outcome {
             if let Error::CycleBudgetExceeded { budget: hit } = e {
                 if let Some(f) = interp.machine.faults.as_mut() {
@@ -765,6 +788,16 @@ struct Interp<'a> {
     /// mutex block/wake); cleared at the top of the fast engine's mode
     /// loop so the per-slot path knows when to re-evaluate its mode.
     sched_changed: bool,
+    /// Slots retired per batched mode and chunk outcomes of this run
+    /// (`reference_slots` is filled in by subtraction at run end).
+    stats: EngineStats,
+    /// WRAM access tags and store undo log of the current tasklet-major
+    /// chunk (see [`Interp::try_chunk`]).
+    shadow: Shadow,
+    /// Chunk length and stand-off, persisted across rotation batches.
+    chunk_policy: ChunkPolicy,
+    /// Register files as of the current chunk's start.
+    chunk_saved: Vec<Tasklet>,
 }
 
 /// Issue-slot classification used by the batched fast paths.
@@ -776,6 +809,25 @@ enum SlotKind {
     /// the runnable set, stall, burst, or read the clock); nothing was
     /// executed and no pick was consumed.
     Boundary,
+    /// Race-tracked dispatch only: the load or store overlaps another
+    /// tasklet's access to the same WRAM word within the current chunk.
+    /// The access did not happen.
+    Conflict,
+    /// Race-tracked dispatch only: a `trace` op, whose position in the
+    /// DPU log depends on the slot interleaving. Nothing was executed.
+    Trace,
+}
+
+/// Outcome of one [`Interp::try_rotation`] attempt.
+enum Rotation {
+    /// At least one slot was retired.
+    Advanced,
+    /// The pipeline is saturated but the very next slot is a boundary
+    /// instruction (or overruns the budget): take it per slot, then a
+    /// retry may succeed immediately.
+    Blocked,
+    /// Some tasklet is not ready at its round-robin slot.
+    Unsaturated,
 }
 
 /// Number of addressable hardware mutexes (the id is a byte).
@@ -955,7 +1007,9 @@ impl Interp<'_> {
     ///   ready at its round-robin slot, at least `stages` of them), the
     ///   dispatcher provably issues them cyclically with zero idle, so
     ///   inline instructions and burst slots dispatch in a batch whose
-    ///   picks flush as one `advance_rotation`;
+    ///   picks flush as one `advance_rotation` — whole rounds at a time
+    ///   where possible, tasklet-major ([`Interp::try_chunk`]) when the
+    ///   tasklets have diverged;
     /// * otherwise one reference-identical slot executes via
     ///   `pick_from` over the compact runnable list, and the loop
     ///   re-evaluates.
@@ -992,15 +1046,28 @@ impl Interp<'_> {
                 continue;
             }
             let stages = self.pipeline.stages();
-            if self.runnable_count as u64 >= stages && self.try_rotation()? {
-                continue;
+            // Per-slot picks to take before the rotation is probed again.
+            let mut hold = 0;
+            if self.runnable_count as u64 >= stages {
+                match self.try_rotation()? {
+                    Rotation::Advanced => continue,
+                    // The next slot is a boundary instruction: step over
+                    // it below, then a retry may pay off at once.
+                    Rotation::Blocked => {}
+                    // Not every tasklet is ready at its round-robin slot.
+                    // A skewed pipeline can stay skewed for a whole run
+                    // (11 tasklets on 11 stages never re-align), and each
+                    // failed probe costs an order build plus a scan:
+                    // probing once a round bounds that at O(1) per slot.
+                    Rotation::Unsaturated => hold = self.runnable_count,
+                }
             }
             // Fall back to reference-identical slots. The scheduling
             // predicates above (barrier release, deadlock, mode choice)
             // are functions of the runnable set alone, so slots repeat
             // without re-evaluating them until a dispatch changes it —
             // except at saturation, where a rotation retry may pay off as
-            // soon as a boundary instruction has been stepped over.
+            // soon as the hold-off (if any) has run out.
             loop {
                 let Some(t) = self.pipeline.pick_from(&self.active) else { return Ok(()) };
                 if self.pipeline.elapsed() > self.budget {
@@ -1009,11 +1076,17 @@ impl Interp<'_> {
                 let th = &mut self.threads[t];
                 if th.burst > 0 {
                     th.burst -= 1;
-                    continue;
+                } else {
+                    self.step(t)?;
                 }
-                self.step(t)?;
-                if self.sched_changed || self.runnable_count as u64 >= stages {
+                if self.sched_changed {
                     break;
+                }
+                if self.runnable_count as u64 >= stages {
+                    if hold == 0 {
+                        break;
+                    }
+                    hold -= 1;
                 }
             }
         }
@@ -1042,7 +1115,7 @@ impl Interp<'_> {
             let burst = self.threads[t].burst;
             if burst > 0 {
                 if first.saturating_add(burst * stages) <= self.budget {
-                    self.pipeline.fast_forward_sole(t, burst);
+                    self.flush_sole(t, burst);
                     self.threads[t].burst = 0;
                 } else {
                     self.pipeline.pick_sole(t);
@@ -1070,80 +1143,116 @@ impl Interp<'_> {
             } else {
                 headroom / stages
             };
-            let mut k: u64 = 0;
-            loop {
-                if k >= k_cap {
+            let (k, last) = self.advance_inline::<false>(t, k_cap);
+            match last {
+                Ok(SlotKind::Advanced) => self.flush_sole(t, k),
+                Ok(SlotKind::Boundary) => {
                     if k > 0 {
-                        self.pipeline.fast_forward_sole(t, k);
+                        self.flush_sole(t, k);
                     }
-                    break;
+                    self.pipeline.pick_sole(t);
+                    if self.pipeline.elapsed() > self.budget {
+                        return Err(Error::CycleBudgetExceeded { budget: self.budget });
+                    }
+                    self.step(t)?;
                 }
-                let pc = self.threads[t].pc as usize;
-                // Threaded-code chains run first: whole block sequences
-                // per dispatch, deopting back here (ran == 0 falls
-                // through with pc unchanged, so progress is guaranteed by
-                // the per-op paths below).
-                if let Some(bid) = self.compiled.and_then(|cp| cp.block_id_at(pc)) {
-                    let ran = self.run_compiled(t, bid, k_cap - k, 1, false);
-                    if ran > 0 {
-                        k += ran;
-                        continue;
-                    }
+                Ok(SlotKind::Conflict | SlotKind::Trace) => {
+                    unreachable!("untracked dispatch never reports a race")
                 }
-                let len = u64::from(self.sb.len_at(pc));
-                if len >= 2 && k + len <= k_cap {
-                    self.apply_block(t, pc, len as usize);
-                    k += len;
-                    continue;
-                }
-                match self.dispatch_slot_inline(t) {
-                    Ok(SlotKind::Advanced) => k += 1,
-                    Ok(SlotKind::Boundary) => {
-                        if k > 0 {
-                            self.pipeline.fast_forward_sole(t, k);
-                        }
-                        self.pipeline.pick_sole(t);
-                        if self.pipeline.elapsed() > self.budget {
-                            return Err(Error::CycleBudgetExceeded { budget: self.budget });
-                        }
-                        self.step(t)?;
-                        break;
-                    }
-                    Err(e) => {
-                        // The faulting instruction consumed its pick before
-                        // the dispatch failed, exactly as in the reference.
-                        self.pipeline.fast_forward_sole(t, k + 1);
-                        return Err(e);
-                    }
+                Err(e) => {
+                    // The faulting instruction consumed its pick before
+                    // the dispatch failed, exactly as in the reference.
+                    self.flush_sole(t, k + 1);
+                    return Err(e);
                 }
             }
         }
         Ok(())
     }
 
-    /// Attempt a batched rotation at issue saturation. Returns true if
-    /// time advanced.
+    /// Flush `k >= 1` batched sole-mode picks of tasklet `t`.
+    fn flush_sole(&mut self, t: usize, k: u64) {
+        self.pipeline.fast_forward_sole(t, k);
+        self.stats.sole_slots += k;
+    }
+
+    /// Run tasklet `t` *on its own* for up to `quota >= 1` inline
+    /// instructions without touching the pipeline — the inner dispatch
+    /// shared by sole mode and the tasklet-major chunks. Threaded-code
+    /// chains run first (whole block sequences per dispatch), then
+    /// memoized superblocks, then single inline ops; a chain or block
+    /// that would overrun the quota is skipped (`run_compiled` returns 0
+    /// with pc unchanged), so the per-op path below it guarantees
+    /// progress and the quota is met exactly.
+    ///
+    /// Returns the instructions retired and how the run ended:
+    /// `Advanced` when the quota was met, otherwise the classification of
+    /// the instruction that stopped it (not retired, except that a fault
+    /// leaves its op counted and pc on the faulting instruction, like
+    /// [`Interp::step`]). With `TRACK`, loads and stores go through the
+    /// chunk's [`Shadow`].
+    fn advance_inline<const TRACK: bool>(
+        &mut self,
+        t: usize,
+        quota: u64,
+    ) -> (u64, Result<SlotKind>) {
+        let mut k: u64 = 0;
+        while k < quota {
+            let pc = self.threads[t].pc as usize;
+            if let Some(bid) = self.compiled.and_then(|cp| cp.block_id_at(pc)) {
+                let ran = self.run_compiled(t, bid, quota - k, 1, false);
+                if ran > 0 {
+                    k += ran;
+                    continue;
+                }
+            }
+            let len = u64::from(self.sb.len_at(pc));
+            if len >= 2 && k + len <= quota {
+                self.apply_block(t, pc, len as usize);
+                k += len;
+                continue;
+            }
+            match self.dispatch_slot_inline::<TRACK>(t) {
+                Ok(SlotKind::Advanced) => k += 1,
+                last => return (k, last),
+            }
+        }
+        (k, Ok(SlotKind::Advanced))
+    }
+
+    /// Attempt a batched rotation at issue saturation.
     ///
     /// Entry preconditions, matching `Pipeline::advance_rotation`: at
     /// least `stages` runnable tasklets, each ready at its round-robin
-    /// issue slot. Under those the dispatcher provably issues them
-    /// cyclically with zero idle slots for as long as every dispatched
-    /// instruction is inline (or a burst slot, which consumes a pick
-    /// without a fetch), so the batch loop runs with the pipeline frozen
-    /// and flushes the accumulated `m` slots as one `advance_rotation`.
+    /// issue slot (or exactly `stages` of them, each ready at exactly its
+    /// slot of the ready-time order). Under those the dispatcher provably
+    /// issues them cyclically with zero idle slots for as long as every
+    /// dispatched instruction is inline (or a burst slot, which consumes
+    /// a pick without a fetch), so the batch loop runs with the pipeline
+    /// frozen and flushes the accumulated `m` slots as one
+    /// `advance_rotation`.
     /// The first boundary instruction ends the batch *before* its slot;
     /// re-entry then fails fast at that tasklet and the outer loop takes
     /// one reference-identical slot for it. Mid-rotation exits are safe:
     /// the flushed ready times still satisfy the entry precondition for
     /// the rotated order on the next attempt.
-    fn try_rotation(&mut self) -> Result<bool> {
+    ///
+    /// Because only the *number* of slots each tasklet retires reaches the
+    /// pipeline, whole rounds may be retired in any internal order whose
+    /// functional effects match the slot-by-slot one. At a round boundary
+    /// the loop tries, in turn: lockstep rounds from a single fetch, whole
+    /// rounds of burst slots, and a tasklet-major chunk
+    /// ([`Interp::try_chunk`]); the per-slot dispatch below them is both
+    /// the general case and the path every rolled-back chunk replays on.
+    fn try_rotation(&mut self) -> Result<Rotation> {
         let stages = self.pipeline.stages();
         let base = self.pipeline.current_cycle();
         // Slot m (0-based) issues at base + m with elapsed
         // base + m + stages; the budget allows m_allowed slots.
         let m_allowed = self.budget.saturating_sub(base.saturating_add(stages - 1));
         if m_allowed == 0 {
-            return Ok(false);
+            // The next pick overruns the budget; let it.
+            return Ok(Rotation::Blocked);
         }
         let cursor = self.pipeline.rr_cursor();
         let mut order = std::mem::take(&mut self.order_scratch);
@@ -1151,19 +1260,35 @@ impl Interp<'_> {
         let split = self.active.partition_point(|&t| t < cursor);
         order.extend_from_slice(&self.active[split..]);
         order.extend_from_slice(&self.active[..split]);
-        let mut saturated = true;
-        for (p, &t) in order.iter().enumerate() {
-            if self.pipeline.next_ready_of(t) > base + p as u64 {
-                saturated = false;
-                break;
-            }
+        let r = order.len();
+        let ready_by_slot = |order: &[usize], exact: bool| {
+            order.iter().enumerate().all(|(p, &t)| {
+                let ready = self.pipeline.next_ready_of(t);
+                ready == base + p as u64 || (!exact && ready < base + p as u64)
+            })
+        };
+        let mut saturated = ready_by_slot(&order, false);
+        if !saturated && r as u64 == stages {
+            // Exactly `stages` tasklets also saturate the pipeline in any
+            // *fixed permutation*: once each is ready at a distinct cycle
+            // of the next `stages`, exactly one tasklet is ready per
+            // cycle (an issuer is not ready again until `stages` slots
+            // later — its own slot of the next round), so the first-fit
+            // probe has a single candidate whatever the cursor, and the
+            // issue order is the ready order, cyclically, with zero idle.
+            // DMA stalls leave 11 tasklets on 11 stages in this state for
+            // good, since no slack ever lets them re-align.
+            order.sort_unstable_by_key(|&t| self.pipeline.next_ready_of(t));
+            saturated = ready_by_slot(&order, true);
         }
         if !saturated {
             self.order_scratch = order;
-            return Ok(false);
+            return Ok(Rotation::Unsaturated);
         }
-        let r = order.len();
         let mut m: u64 = 0;
+        // Of `m`, the slots retired by whole-round paths (each also counted
+        // under its own mode in `stats`); the rest went slot by slot.
+        let mut bulk: u64 = 0;
         let mut pos: usize = 0;
         // Lockstep chain replication is probed until the first divergent
         // register file: the compare is per-register and would tax every
@@ -1174,16 +1299,17 @@ impl Interp<'_> {
             if m >= m_allowed {
                 break Ok(());
             }
-            // At a round boundary with every tasklet in lockstep (same pc,
-            // no bursts) — the common SIMT shape — whole rounds dispatch
-            // from a single fetch: a memoized superblock replays for each
-            // tasklet in one go, and any other schedule-neutral
-            // instruction executes once per tasklet without per-slot
-            // fetch/classify overhead. Reordering slots within the bulk
-            // block (all instructions per tasklet vs. all tasklets per
-            // instruction) is unobservable because superblock effects are
-            // tasklet-private and the histogram commutes.
             if pos == 0 {
+                // At a round boundary with every tasklet in lockstep (same
+                // pc, no bursts) — the common SIMT shape — whole rounds
+                // dispatch from a single fetch: a memoized superblock
+                // replays for each tasklet in one go, and any other
+                // schedule-neutral instruction executes once per tasklet
+                // without per-slot fetch/classify overhead. Reordering
+                // slots within the bulk block (all instructions per
+                // tasklet vs. all tasklets per instruction) is
+                // unobservable because superblock effects are
+                // tasklet-private and the histogram commutes.
                 let pc0 = self.threads[order[0]].pc;
                 if order.iter().all(|&t| self.threads[t].pc == pc0 && self.threads[t].burst == 0) {
                     // Threaded-code chains with full register lockstep —
@@ -1198,6 +1324,7 @@ impl Interp<'_> {
                     // may reorder: effects are tasklet-private and the
                     // histogram commutes. The chain is capped at whole
                     // rounds, so `pos` stays at the round boundary.
+                    let mut retired = 0;
                     if try_replicate {
                         if let Some(bid) = self.compiled.and_then(|cp| cp.block_id_at(pc0 as usize))
                         {
@@ -1214,8 +1341,7 @@ impl Interp<'_> {
                                             th.regs = regs_after;
                                             th.pc = pc_after;
                                         }
-                                        m += ran * r as u64;
-                                        continue;
+                                        retired = ran * r as u64;
                                     }
                                 } else {
                                     try_replicate = false;
@@ -1223,15 +1349,52 @@ impl Interp<'_> {
                             }
                         }
                     }
-                    let len = u64::from(self.sb.len_at(pc0 as usize));
-                    if len >= 2 && m + len * r as u64 <= m_allowed {
-                        self.apply_block_all(&order, pc0 as usize, len as usize);
-                        m += len * r as u64;
+                    if retired == 0 {
+                        let len = u64::from(self.sb.len_at(pc0 as usize));
+                        if len >= 2 && m + len * r as u64 <= m_allowed {
+                            self.apply_block_all(&order, pc0 as usize, len as usize);
+                            retired = len * r as u64;
+                        } else if m + r as u64 <= m_allowed
+                            && self.dispatch_round_uniform(&order, pc0)
+                        {
+                            retired = r as u64;
+                        }
+                    }
+                    if retired > 0 {
+                        self.stats.lockstep_slots += retired;
+                        bulk += retired;
+                        m += retired;
                         continue;
                     }
-                    if m + r as u64 <= m_allowed && self.dispatch_round_uniform(&order, pc0) {
-                        m += r as u64;
+                }
+                // Whole rounds the budget still covers.
+                let rounds_left = (m_allowed - m) / r as u64;
+                if self.threads[order[0]].burst > 0 {
+                    // Every tasklet mid-burst: burst slots consume a pick
+                    // and nothing else, so `min(burst)` whole rounds
+                    // retire as one subtraction per tasklet.
+                    let rounds = order.iter().map(|&t| self.threads[t].burst).min().unwrap_or(0);
+                    let rounds = rounds.min(rounds_left);
+                    if rounds > 0 {
+                        for &t in &order {
+                            self.threads[t].burst -= rounds;
+                        }
+                        let retired = rounds * r as u64;
+                        self.stats.burst_batch_slots += retired;
+                        bulk += retired;
+                        m += retired;
                         continue;
+                    }
+                } else {
+                    let issued = self.pipeline.issued() + m;
+                    if let Some(k) = self.chunk_policy.rounds_for(issued, rounds_left) {
+                        if self.try_chunk(&order, k, issued) {
+                            let retired = k * r as u64;
+                            self.stats.chunk_slots += retired;
+                            bulk += retired;
+                            m += retired;
+                            continue;
+                        }
                     }
                 }
             }
@@ -1240,9 +1403,12 @@ impl Interp<'_> {
                 self.threads[t].burst -= 1;
                 m += 1;
             } else {
-                match self.dispatch_slot_inline(t) {
+                match self.dispatch_slot_inline::<false>(t) {
                     Ok(SlotKind::Advanced) => m += 1,
                     Ok(SlotKind::Boundary) => break Ok(()),
+                    Ok(SlotKind::Conflict | SlotKind::Trace) => {
+                        unreachable!("untracked dispatch never reports a race")
+                    }
                     Err(e) => {
                         // Count the faulting instruction's pick, as above.
                         m += 1;
@@ -1257,9 +1423,73 @@ impl Interp<'_> {
         };
         if m > 0 {
             self.pipeline.advance_rotation(&order, m);
+            self.stats.rotation_slots += m - bulk;
         }
         self.order_scratch = order;
-        outcome.map(|()| m > 0)
+        outcome.map(|()| if m > 0 { Rotation::Advanced } else { Rotation::Blocked })
+    }
+
+    /// Let every tasklet in `order` run `k` inline instructions *on its
+    /// own* — one instruction stream at a time instead of `order.len()`
+    /// interleaved ones — and commit the result if that is
+    /// indistinguishable from `k` round-robin rounds. `issued` is the
+    /// slot count retired so far (for the stand-off clock). Returns
+    /// whether the chunk committed; if not, every architectural effect
+    /// has been undone and the caller replays the slots one by one.
+    ///
+    /// **Why reordering is sound.** Inside a saturated rotation every
+    /// dispatched instruction is an [`INLINE_OP`]: one slot, no effect on
+    /// scheduling. The pipeline update therefore depends only on how many
+    /// slots each tasklet retires, which `k` rounds fix at `k` each.
+    /// Register files and pcs are private, and the histogram is a sum, so
+    /// the only cross-tasklet channels are WRAM and the DPU log. If no
+    /// WRAM word is stored by one tasklet and accessed by another within
+    /// the chunk, every load sees either pre-chunk memory or its own
+    /// tasklet's earlier store in *both* orders (by induction over the
+    /// round-robin order: identical load values give identical
+    /// instruction streams, hence identical access sets), and every word
+    /// ends holding its single writer's last store. [`Shadow`] checks
+    /// exactly that, at word granularity, as the accesses happen.
+    ///
+    /// **Rollback contract.** A chunk commits only if every tasklet
+    /// retired exactly `k` instructions. A boundary instruction, a
+    /// conflict, a `trace`, a memory fault or an out-of-range pc restores
+    /// the register files and `op_counts` from the checkpoint and replays
+    /// the store log backwards; nothing else is mutable from inline ops.
+    /// The per-slot loop then reaches the same instruction in reference
+    /// order, so error sites and partial state are untouched by the
+    /// attempt. Budget exactness is the caller's: `k` rounds fit.
+    fn try_chunk(&mut self, order: &[usize], k: u64, issued: u64) -> bool {
+        if self.threads.len() > MAX_TRACKED_TASKLETS
+            || order.iter().any(|&t| self.threads[t].burst > 0)
+        {
+            return false;
+        }
+        self.chunk_saved.clear();
+        self.chunk_saved.extend_from_slice(&self.threads);
+        let saved_counts = self.op_counts;
+        self.shadow.begin(self.machine.wram.len());
+        let mut executed = 0;
+        for &t in order {
+            let (ran, last) = self.advance_inline::<true>(t, k);
+            executed += ran;
+            let reason = match last {
+                Ok(SlotKind::Advanced) => continue,
+                Ok(SlotKind::Boundary) => ChunkAbort::Boundary,
+                Ok(SlotKind::Conflict) => ChunkAbort::Conflict,
+                Ok(SlotKind::Trace) => ChunkAbort::Trace,
+                Err(_) => ChunkAbort::Fault,
+            };
+            std::mem::swap(&mut self.threads, &mut self.chunk_saved);
+            self.op_counts = saved_counts;
+            self.shadow.rollback(&mut self.machine.wram);
+            self.stats.record_abort(reason, executed);
+            self.chunk_policy.aborted(issued);
+            return false;
+        }
+        self.stats.chunk_commits += 1;
+        self.chunk_policy.committed();
+        true
     }
 
     /// Replay `len` superblock instructions at `pc` for every tasklet in
@@ -1355,7 +1585,14 @@ impl Interp<'_> {
     /// [`SlotKind::Boundary`] untouched. A fault (bad load/store address)
     /// leaves pc on the faulting instruction with its op counted, exactly
     /// like [`Interp::step`].
-    fn dispatch_slot_inline(&mut self, t: usize) -> Result<SlotKind> {
+    ///
+    /// With `TRACK` (inside a tasklet-major chunk) every load and store
+    /// first registers with the chunk's [`Shadow`] and reports
+    /// [`SlotKind::Conflict`] instead of racing another tasklet, stores
+    /// log what they overwrite, and `trace` reports [`SlotKind::Trace`]
+    /// unexecuted. The op is already counted in those cases; the rollback
+    /// that always follows restores the histogram.
+    fn dispatch_slot_inline<const TRACK: bool>(&mut self, t: usize) -> Result<SlotKind> {
         let pc = self.threads[t].pc as usize;
         let &ExecInstr { instr, op } =
             self.code.get(pc).ok_or(Error::PcOutOfRange { pc, len: self.code.len() })?;
@@ -1436,11 +1673,25 @@ impl Interp<'_> {
                     Width::H => self.machine.wram.read_u16(addr)?,
                     Width::W => self.machine.wram.read_u32(addr)?,
                 };
+                if TRACK && !self.shadow.read(addr, width.bytes(), t) {
+                    return Ok(SlotKind::Conflict);
+                }
                 self.threads[t].set(rd, v);
             }
             Instr::Store { width, ra, off, rs } => {
                 let addr = th.get(ra).wrapping_add(off as u32) as usize;
                 let v = th.get(rs);
+                if TRACK {
+                    // The read doubles as the store's bounds check.
+                    let old = match width {
+                        Width::B => self.machine.wram.read_u8(addr)?,
+                        Width::H => self.machine.wram.read_u16(addr)?,
+                        Width::W => self.machine.wram.read_u32(addr)?,
+                    };
+                    if !self.shadow.write(addr, width, old, t) {
+                        return Ok(SlotKind::Conflict);
+                    }
+                }
                 match width {
                     Width::B => self.machine.wram.write_u8(addr, v)?,
                     Width::H => self.machine.wram.write_u16(addr, v)?,
@@ -1459,6 +1710,9 @@ impl Interp<'_> {
             }
             Instr::Jr { ra } => next_pc = th.get(ra),
             Instr::Trace { ra } => {
+                if TRACK {
+                    return Ok(SlotKind::Trace);
+                }
                 let v = self.threads[t].get(ra);
                 self.result.trace.push((t, v));
             }

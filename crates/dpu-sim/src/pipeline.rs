@@ -255,6 +255,12 @@ impl Pipeline {
     /// never binds), the first-fit probe always lands on the next tasklet
     /// in cyclic order, and the round-robin cursor ends after the last
     /// issuer.
+    ///
+    /// `order` may instead be *any* permutation of the runnable tasklets
+    /// when `order.len() == stages` and `next_ready[order[p]] == cycle + p`
+    /// exactly: each tasklet is then ready again precisely at its slot of
+    /// the next rotation, so exactly one tasklet is ready at every cycle
+    /// and the probe order never gets to break a tie.
     pub fn advance_rotation(&mut self, order: &[usize], slots: u64) {
         let r = order.len() as u64;
         debug_assert!(slots >= 1);
@@ -559,6 +565,46 @@ mod tests {
         b.advance_rotation(&order, slots);
         assert_eq!(a, b);
         assert_eq!(b.issued(), slots);
+    }
+
+    #[test]
+    fn exact_fit_permuted_rotation_matches_repeated_picks() {
+        // Eleven tasklets on eleven stages, knocked out of round-robin
+        // order by DMA-like stalls: once the collisions settle, every
+        // tasklet issues exactly `stages` cycles after its last issue, in
+        // a fixed permutation, with no idle slot — and no slack that would
+        // ever let the order drift back to round-robin.
+        let tasklets = 11usize;
+        let runnable = vec![true; tasklets];
+        let mut a = Pipeline::new(tasklets);
+        for (t, stall) in [(3usize, 40u64), (7, 23), (0, 57), (9, 31)] {
+            for _ in 0..tasklets {
+                a.pick(&runnable).unwrap();
+            }
+            a.stall(t, stall);
+        }
+        for _ in 0..20 * tasklets {
+            a.pick(&runnable).unwrap();
+        }
+        let mut order: Vec<usize> = (0..tasklets).collect();
+        order.sort_unstable_by_key(|&t| a.next_ready_of(t));
+        let base = a.current_cycle();
+        for (p, &t) in order.iter().enumerate() {
+            assert_eq!(a.next_ready_of(t), base + p as u64, "tasklet {t} fits slot {p} exactly");
+        }
+        let cursor = a.rr_cursor();
+        let round_robin: Vec<usize> = (cursor..tasklets).chain(0..cursor).collect();
+        assert_ne!(order, round_robin, "the stalls must have permuted the issue order");
+        for slots in [1u64, 5, 11, 40, 1_000] {
+            let mut b = a.clone();
+            b.advance_rotation(&order, slots);
+            for _ in 0..slots {
+                a.pick(&runnable).unwrap();
+            }
+            assert_eq!(a, b, "slots={slots}");
+            // Mid-rotation exits leave an exact fit for the rotated order.
+            order.rotate_left((slots % tasklets as u64) as usize);
+        }
     }
 
     #[test]

@@ -184,6 +184,18 @@ impl PimSystem {
         }
     }
 
+    /// Engine residency summed over every DPU (see
+    /// [`Machine::engine_stats`]); monotone, so callers diff two readings
+    /// taken around a launch.
+    #[must_use]
+    pub fn engine_stats(&self) -> crate::EngineStats {
+        let mut total = crate::EngineStats::default();
+        for dpu in &self.dpus {
+            total += dpu.engine_stats();
+        }
+        total
+    }
+
     /// Aggregate power draw in watts (Table 2.1: 120 mW per DPU).
     #[must_use]
     pub fn power_watts(&self) -> f64 {

@@ -1,0 +1,338 @@
+//! The "racy WRAM" program generator shared by the engine identity
+//! suites: many-tasklet loops whose loads and stores collide across
+//! tasklets in every way the tasklet-major chunks must detect (same
+//! word/different byte, same byte, store-after-load, load-after-store),
+//! mixed with `trace` ops, data-dependent divergence, and boundary
+//! instructions, faults and early halts that land in the middle of a
+//! chunk. Racy and disruptive ops can be gated to a single loop
+//! iteration, so one program has long conflict-free stretches (chunks
+//! commit) *and* a collision (a chunk rolls back and the per-slot replay
+//! must reproduce the reference order).
+
+#![allow(dead_code)]
+
+use dpu_sim::isa::{Cond, Instr, Program, Reg, Width};
+use dpu_sim::subroutines::Subroutine;
+use proptest::prelude::*;
+
+/// Read-only table every tasklet loads from (DMA'd in by tasklet 0).
+const SHARED: i32 = 0x100;
+/// One byte every tasklet may store to.
+const RACE_BYTE: i32 = 0x200;
+/// Four byte lanes of one word, indexed by `me & 3`.
+const LANES: i32 = 0x204;
+/// Per-tasklet private 32-byte regions.
+const PRIVATE: i32 = 0x400;
+
+const ME: Reg = Reg(1);
+const MINE: Reg = Reg(2);
+const NEIGHBOUR: Reg = Reg(3);
+const LANE: Reg = Reg(4);
+const COUNT: Reg = Reg(5);
+const EVENT_ITER: Reg = Reg(10);
+const WILD: Reg = Reg(11);
+const EVENT_TASKLET: Reg = Reg(12);
+
+/// One generated loop-body operation.
+#[derive(Debug, Clone)]
+pub enum RacyOp {
+    /// Register-only work on the scratch registers.
+    Alu(Instr),
+    /// Load from the tasklet's own region.
+    PrivateLoad(Width, u8, u8),
+    /// Store to the tasklet's own region.
+    PrivateStore(Width, u8, u8),
+    /// Load from the shared read-only table.
+    SharedLoad(u8, u8),
+    /// Skip the next op when `scratch[a] < scratch[b]` (divergence).
+    SkipIfLess(u8, u8),
+    /// A disruptive or racy op, restricted to some iterations/tasklets.
+    Gated { when: Gate, only_event_tasklet: bool, op: Disruption },
+}
+
+/// On which loop iterations a gated op fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// Every iteration.
+    Always,
+    /// The event iteration, on all tasklets at once.
+    EventIter,
+    /// Tasklet `me` fires `me` iterations after the event iteration, so
+    /// racing accesses are rounds apart and the last writer is decided by
+    /// time, not by round-robin position.
+    Staggered,
+}
+
+/// Ops that must end, abort or conflict a tasklet-major chunk.
+#[derive(Debug, Clone, Copy)]
+pub enum Disruption {
+    /// Every tasklet stores the same byte.
+    SameByteStore(u8),
+    /// Tasklets store the byte lane `me & 3` of one word.
+    SameWordStore(u8),
+    /// Load from the next tasklet's private region.
+    NeighbourLoad(u8, u8),
+    /// Store into the next tasklet's private region.
+    NeighbourStore(u8, u8),
+    /// Append to the DPU log.
+    Trace(u8),
+    /// DMA the private region in from MRAM.
+    MramRead,
+    /// A software-multiply burst.
+    Call(u8),
+    /// Read the perf counter.
+    PerfRead(u8),
+    /// Load far outside WRAM.
+    WildLoad,
+    /// Stop this tasklet.
+    Halt,
+}
+
+fn scratch(i: u8) -> Reg {
+    Reg(6 + i % 3)
+}
+
+/// Offset of a `width`-sized access inside a 32-byte private region;
+/// deliberately not width-aligned, so halfword and word accesses straddle
+/// word boundaries.
+fn private_off(width: Width, off: u8) -> i32 {
+    i32::from(off) % (33 - width.bytes() as i32)
+}
+
+fn width_strategy() -> impl Strategy<Value = Width> {
+    prop_oneof![Just(Width::B), Just(Width::H), Just(Width::W)]
+}
+
+fn alu_strategy() -> impl Strategy<Value = Instr> {
+    let reg = || (0u8..3).prop_map(scratch);
+    // Sources may also read the tasklet id and the loop counter, so
+    // register files (and with them addresses and branches) diverge.
+    let src = || prop_oneof![(0u8..3).prop_map(scratch), Just(ME), Just(COUNT)];
+    prop_oneof![
+        (reg(), src(), src()).prop_map(|(rd, ra, rb)| Instr::Add { rd, ra, rb }),
+        (reg(), src(), src()).prop_map(|(rd, ra, rb)| Instr::Xor { rd, ra, rb }),
+        (reg(), src(), src()).prop_map(|(rd, ra, rb)| Instr::Mul8 { rd, ra, rb }),
+        (reg(), src(), -9i32..9).prop_map(|(rd, ra, imm)| Instr::Addi { rd, ra, imm }),
+        (reg(), src(), 0u8..8).prop_map(|(rd, ra, sh)| Instr::Lsli { rd, ra, sh }),
+        (reg(), src()).prop_map(|(rd, ra)| Instr::Popcount { rd, ra }),
+    ]
+}
+
+/// Cross-tasklet WRAM overlaps.
+fn race_strategy() -> impl Strategy<Value = Disruption> {
+    prop_oneof![
+        (0u8..3).prop_map(Disruption::SameByteStore),
+        (0u8..3).prop_map(Disruption::SameWordStore),
+        (0u8..3, 0u8..8).prop_map(|(rd, slot)| Disruption::NeighbourLoad(rd, slot)),
+        (0u8..3, 0u8..8).prop_map(|(rs, slot)| Disruption::NeighbourStore(rs, slot)),
+    ]
+}
+
+/// Everything else a chunk cannot run through.
+fn boundary_strategy() -> impl Strategy<Value = Disruption> {
+    prop_oneof![
+        (0u8..3).prop_map(Disruption::Trace),
+        Just(Disruption::MramRead),
+        (0u8..3).prop_map(Disruption::Call),
+        (0u8..3).prop_map(Disruption::PerfRead),
+        Just(Disruption::WildLoad),
+        Just(Disruption::Halt),
+    ]
+}
+
+fn gated(op: impl Strategy<Value = Disruption>) -> impl Strategy<Value = RacyOp> {
+    // Mostly rare firings: an op racing on every iteration never lets a
+    // chunk commit, so it only exercises the stand-off.
+    let when = prop_oneof![
+        Just(Gate::Always),
+        Just(Gate::EventIter),
+        Just(Gate::EventIter),
+        Just(Gate::Staggered),
+        Just(Gate::Staggered),
+        Just(Gate::Staggered),
+    ];
+    (when, any::<bool>(), op).prop_map(|(when, only_event_tasklet, op)| RacyOp::Gated {
+        when,
+        only_event_tasklet,
+        op,
+    })
+}
+
+/// Strategy over loop-body ops: mostly chunk-friendly work, so that
+/// conflict-free stretches exist for chunks to commit on.
+pub fn racy_op_strategy() -> impl Strategy<Value = RacyOp> {
+    prop_oneof![
+        alu_strategy().prop_map(RacyOp::Alu),
+        alu_strategy().prop_map(RacyOp::Alu),
+        (width_strategy(), 0u8..3, 0u8..32)
+            .prop_map(|(w, rd, off)| RacyOp::PrivateLoad(w, rd, off)),
+        (width_strategy(), 0u8..3, 0u8..32)
+            .prop_map(|(w, rs, off)| RacyOp::PrivateStore(w, rs, off)),
+        (0u8..3, 0u8..32).prop_map(|(rd, slot)| RacyOp::SharedLoad(rd, slot)),
+        (0u8..3, 0u8..3).prop_map(|(a, b)| RacyOp::SkipIfLess(a, b)),
+        gated(race_strategy()),
+        gated(race_strategy()),
+        gated(boundary_strategy()),
+    ]
+}
+
+fn emit_disruption(out: &mut Vec<Instr>, op: Disruption) {
+    let last = match op {
+        Disruption::SameByteStore(rs) => {
+            Instr::Store { width: Width::B, ra: Reg(0), off: RACE_BYTE, rs: scratch(rs) }
+        }
+        Disruption::SameWordStore(rs) => {
+            Instr::Store { width: Width::B, ra: LANE, off: 0, rs: scratch(rs) }
+        }
+        Disruption::NeighbourLoad(rd, slot) => Instr::Load {
+            width: Width::W,
+            rd: scratch(rd),
+            ra: NEIGHBOUR,
+            off: i32::from(slot) * 4,
+        },
+        Disruption::NeighbourStore(rs, slot) => Instr::Store {
+            width: Width::W,
+            ra: NEIGHBOUR,
+            off: i32::from(slot) * 4,
+            rs: scratch(rs),
+        },
+        Disruption::Trace(rs) => Instr::Trace { ra: scratch(rs) },
+        Disruption::MramRead => {
+            // r13 = 8-byte-aligned MRAM source, r14 = length.
+            out.push(Instr::Lsli { rd: Reg(13), ra: ME, sh: 5 });
+            out.push(Instr::Movi { rd: Reg(14), imm: 32 });
+            Instr::MramRead { wram: MINE, mram: Reg(13), len: Reg(14) }
+        }
+        Disruption::Call(rd) => {
+            Instr::CallSub { sub: Subroutine::Mulsi3, rd: scratch(rd), ra: COUNT, rb: ME }
+        }
+        Disruption::PerfRead(rd) => Instr::PerfRead { rd: scratch(rd) },
+        Disruption::WildLoad => Instr::Load { width: Width::W, rd: scratch(0), ra: WILD, off: 0 },
+        Disruption::Halt => Instr::Halt,
+    };
+    out.push(last);
+}
+
+/// Where the gated ops of a racy program fire and whom they hit.
+#[derive(Debug, Clone, Copy)]
+pub struct Event {
+    /// Loop-counter value (counting down from `iters`) gated ops fire at.
+    pub iter: i32,
+    /// The one tasklet `only_event_tasklet` ops fire on.
+    pub tasklet: i32,
+    /// Tasklet `me`'s "neighbour" is tasklet `(me + stride) mod tasklets`:
+    /// the stride decides whether a reader runs before or after the
+    /// region's owner in round-robin order.
+    pub stride: i32,
+}
+
+/// Assemble a racy program: `iters` trips round `body` on every tasklet.
+pub fn racy_program(body: &[RacyOp], tasklets: usize, iters: i32, event: Event) -> Program {
+    let t = tasklets as i32;
+    let stride = event.stride.rem_euclid(t);
+    let mut p = vec![
+        Instr::TaskletId { rd: ME },
+        Instr::PerfConfig,
+        // Tasklet 0 fills the shared table from (seeded) MRAM.
+        Instr::Branch { cond: Cond::Ne, ra: ME, rb: Reg(0), target: 7 },
+        Instr::Movi { rd: Reg(13), imm: SHARED },
+        Instr::Movi { rd: Reg(14), imm: 128 },
+        Instr::MramRead { wram: Reg(13), mram: Reg(0), len: Reg(14) },
+        Instr::Nop,
+        Instr::Barrier,
+        // MINE = PRIVATE + 32 * me
+        Instr::Lsli { rd: MINE, ra: ME, sh: 5 },
+        Instr::Addi { rd: MINE, ra: MINE, imm: PRIVATE },
+        // NEIGHBOUR = PRIVATE + 32 * ((me + stride) mod tasklets)
+        Instr::Addi { rd: NEIGHBOUR, ra: ME, imm: stride },
+        Instr::Movi { rd: Reg(13), imm: t },
+        Instr::Branch { cond: Cond::Lt, ra: NEIGHBOUR, rb: Reg(13), target: 14 },
+        Instr::Addi { rd: NEIGHBOUR, ra: NEIGHBOUR, imm: -t },
+        Instr::Lsli { rd: NEIGHBOUR, ra: NEIGHBOUR, sh: 5 },
+        Instr::Addi { rd: NEIGHBOUR, ra: NEIGHBOUR, imm: PRIVATE },
+        // LANE = LANES + (me & 3)
+        Instr::Movi { rd: Reg(13), imm: 3 },
+        Instr::And { rd: LANE, ra: ME, rb: Reg(13) },
+        Instr::Addi { rd: LANE, ra: LANE, imm: LANES },
+        Instr::Movi { rd: COUNT, imm: iters },
+        Instr::Movi { rd: EVENT_ITER, imm: event.iter },
+        Instr::Movi { rd: WILD, imm: 0x7fff_0000 },
+        Instr::Movi { rd: EVENT_TASKLET, imm: event.tasklet },
+    ];
+    let loop_head = p.len() as u32;
+    for (i, op) in body.iter().enumerate() {
+        match op {
+            RacyOp::Alu(instr) => p.push(*instr),
+            RacyOp::PrivateLoad(width, rd, off) => p.push(Instr::Load {
+                width: *width,
+                rd: scratch(*rd),
+                ra: MINE,
+                off: private_off(*width, *off),
+            }),
+            RacyOp::PrivateStore(width, rs, off) => p.push(Instr::Store {
+                width: *width,
+                ra: MINE,
+                off: private_off(*width, *off),
+                rs: scratch(*rs),
+            }),
+            RacyOp::SharedLoad(rd, slot) => p.push(Instr::Load {
+                width: Width::W,
+                rd: scratch(*rd),
+                ra: Reg(0),
+                off: SHARED + i32::from(*slot) * 4,
+            }),
+            RacyOp::SkipIfLess(a, b) => {
+                // Skips whatever single instruction follows; when that is
+                // the head of a multi-instruction op, the rest of it still
+                // runs — any instruction sequence is a valid test program.
+                // The nop keeps a trailing skip off the loop decrement.
+                let target = p.len() as u32 + 2;
+                p.push(Instr::Branch { cond: Cond::Lt, ra: scratch(*a), rb: scratch(*b), target });
+                if i + 1 == body.len() {
+                    p.push(Instr::Nop);
+                }
+            }
+            RacyOp::Gated { when, only_event_tasklet, op } => {
+                let mut gated = Vec::new();
+                emit_disruption(&mut gated, *op);
+                let guards = match when {
+                    Gate::Always => 0,
+                    Gate::EventIter => 1,
+                    Gate::Staggered => 2,
+                } + usize::from(*only_event_tasklet);
+                let skip_to = (p.len() + guards + gated.len()) as u32;
+                let now = match when {
+                    Gate::Always => None,
+                    Gate::EventIter => Some(COUNT),
+                    Gate::Staggered => {
+                        // COUNT counts down: `COUNT + me == EVENT_ITER`.
+                        p.push(Instr::Add { rd: Reg(13), ra: COUNT, rb: ME });
+                        Some(Reg(13))
+                    }
+                };
+                if let Some(ra) = now {
+                    p.push(Instr::Branch { cond: Cond::Ne, ra, rb: EVENT_ITER, target: skip_to });
+                }
+                if *only_event_tasklet {
+                    p.push(Instr::Branch {
+                        cond: Cond::Ne,
+                        ra: ME,
+                        rb: EVENT_TASKLET,
+                        target: skip_to,
+                    });
+                }
+                p.extend(gated);
+            }
+        }
+    }
+    p.extend([
+        Instr::Addi { rd: COUNT, ra: COUNT, imm: -1 },
+        Instr::Branch { cond: Cond::Ne, ra: COUNT, rb: Reg(0), target: loop_head },
+        // Pin the scratch registers into memory and the log.
+        Instr::Store { width: Width::W, ra: MINE, off: 0, rs: scratch(0) },
+        Instr::Store { width: Width::W, ra: MINE, off: 4, rs: scratch(1) },
+        Instr::Trace { ra: scratch(2) },
+        Instr::Halt,
+    ]);
+    Program::new(p)
+}

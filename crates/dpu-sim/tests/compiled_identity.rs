@@ -5,9 +5,14 @@
 //! cycles, perf counter reads, DPU trace log, histograms), same WRAM/MRAM
 //! image, same error at the same point — on random programs, on the bench
 //! kernels the tier is meant to accelerate, across budget cutoffs that
-//! exhaust mid-chain, and under armed fault injection (where the tier
-//! deoptimizes wholesale to the superblock engine).
+//! exhaust mid-chain, under armed fault injection (where the tier
+//! deoptimizes wholesale to the superblock engine), and on many-tasklet
+//! loops that race on WRAM, where compiled chains run inside tasklet-major
+//! chunks that commit or roll back.
 
+mod common;
+
+use common::{racy_op_strategy, racy_program, Event};
 use dpu_sim::exec::ExecProgram;
 use dpu_sim::isa::{Cond, Instr, Program, Reg, Width};
 use dpu_sim::{Engine, FaultConfig, FaultPlan, Machine, RunResult};
@@ -149,6 +154,73 @@ proptest! {
         let reference = run(Engine::Reference);
         let compiled = run(Engine::Compiled);
         prop_assert_eq!(compiled, reference);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Compiled chains inside tasklet-major chunks: racy many-tasklet
+    /// loops (see `common`) under a random compile mask, so chunks mix
+    /// threaded-code chains, memoized blocks and single ops, and roll
+    /// back from inside any of them — to completion and under a budget
+    /// that cuts the run mid-way.
+    #[test]
+    fn racy_wram_programs_match_reference_under_deopt_masks(
+        body in prop::collection::vec(racy_op_strategy(), 3..14),
+        tasklets in 11usize..=24,
+        iters in 24i32..96,
+        event in (0i32..96, 0i32..24, 1i32..24),
+        mask in any::<u64>(),
+        budget_permille in 0u64..1100,
+    ) {
+        let event =
+            Event { iter: event.0 % iters + 1, tasklet: event.1 % tasklets as i32, stride: event.2 };
+        let mut exec = ExecProgram::decode(&racy_program(&body, tasklets, iters, event));
+        for keep in [mask, u64::MAX] {
+            exec.recompile_filtered(|start| (keep >> (start % 64)) & 1 == 1);
+            let label = format!("racy, mask {keep:#x}");
+            let full = assert_compiled_matches_reference(&exec, tasklets, TEST_BUDGET, &label);
+            let cycles = full.map_or(TEST_BUDGET, |r| r.cycles);
+            let budget = cycles * budget_permille / 1000;
+            let _cut = assert_compiled_matches_reference(&exec, tasklets, budget, &label);
+        }
+    }
+
+    /// Fault-armed runs take the same chunked `run_fast` (downgraded to
+    /// the superblock engine); every injection site is a boundary op, so
+    /// a chunk can never swallow one. Fault log, outcome and WRAM must
+    /// match a reference run armed with the identical plan.
+    #[test]
+    fn fault_armed_racy_programs_match_fault_armed_reference(
+        body in prop::collection::vec(racy_op_strategy(), 3..14),
+        tasklets in 11usize..=24,
+        iters in 24i32..64,
+        event in (0i32..64, 0i32..24, 1i32..24),
+        seed in 0u64..64,
+    ) {
+        let event =
+            Event { iter: event.0 % iters + 1, tasklet: event.1 % tasklets as i32, stride: event.2 };
+        let exec = ExecProgram::decode(&racy_program(&body, tasklets, iters, event));
+        let plan = FaultPlan::new(FaultConfig {
+            seed,
+            dma_fail_prob: 0.05,
+            bit_flip_prob: 0.3,
+            hang_prob: 0.1,
+            ..FaultConfig::default()
+        });
+        let run = |engine: Engine| {
+            let mut m = seeded_machine();
+            m.arm_faults(plan.attempt(0, 0));
+            let outcome = m.run_exec_engine_with_budget(&exec, tasklets, TEST_BUDGET, engine);
+            let log = m.disarm_faults().expect("armed");
+            let wram = m.params.wram_bytes;
+            let image = m.wram.slice(0, wram).unwrap().to_vec();
+            (outcome, log.injected().to_vec(), image)
+        };
+        let reference = run(Engine::Reference);
+        prop_assert_eq!(run(Engine::Superblock), reference.clone());
+        prop_assert_eq!(run(Engine::Compiled), reference);
     }
 }
 

@@ -4,9 +4,14 @@
 //! match the per-instruction reference loop
 //! (`Machine::run_exec_reference_with_budget`) bit-for-bit — same
 //! `RunResult`, same error at the same point, same final memory image —
-//! on random programs, on DMA-stall-heavy kernels, and on the
-//! mutex/barrier-heavy shape the `sync_heavy_16t` bench measures.
+//! on random programs, on DMA-stall-heavy kernels, on the
+//! mutex/barrier-heavy shape the `sync_heavy_16t` bench measures, and on
+//! many-tasklet loops that race on WRAM (the tasklet-major chunks' commit
+//! and rollback paths).
 
+mod common;
+
+use common::{racy_op_strategy, racy_program, Disruption, Event, Gate, RacyOp};
 use dpu_sim::exec::{is_superblock_op, ExecProgram};
 use dpu_sim::isa::{Cond, Instr, Program, Reg, Width};
 use dpu_sim::{Engine, Machine, RunResult};
@@ -153,6 +158,32 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// Tasklet-major chunks are invisible: saturated many-tasklet loops
+    /// with every flavour of cross-tasklet WRAM overlap, `trace` ops, and
+    /// boundary ops / faults / halts gated onto one iteration (so they
+    /// land mid-chunk after conflict-free stretches have committed) match
+    /// the reference — to completion and under a budget that cuts the run
+    /// somewhere in the middle.
+    #[test]
+    fn racy_wram_programs_match_reference(
+        body in prop::collection::vec(racy_op_strategy(), 3..14),
+        tasklets in 11usize..=24,
+        iters in 24i32..96,
+        event in (0i32..96, 0i32..24, 1i32..24),
+        budget_permille in 0u64..1100,
+    ) {
+        let event =
+            Event { iter: event.0 % iters + 1, tasklet: event.1 % tasklets as i32, stride: event.2 };
+        let program = racy_program(&body, tasklets, iters, event);
+        let full = assert_engines_agree(&program, tasklets, TEST_BUDGET);
+        let cycles = full.map_or(TEST_BUDGET, |r| r.cycles);
+        let _cut = assert_engines_agree(&program, tasklets, cycles * budget_permille / 1000);
+    }
+}
+
 /// DMA-stall-heavy kernel: every tasklet streams 1 KiB MRAM chunks
 /// back-to-back, serializing on the shared streaming port, with an ALU
 /// block between transfers. Cycle skipping must preserve exact
@@ -278,4 +309,104 @@ fn deadlock_accounting_matches_reference() {
             "tasklets={tasklets}"
         );
     }
+}
+
+/// Every chunk outcome — commit, and rollback at a boundary op, a WRAM
+/// conflict, a `trace` and a fault — actually occurs on the fast engine
+/// (checked through the residency counters) and is invisible in the
+/// results. Guards the racy proptest above against silently never
+/// reaching chunk mode.
+#[test]
+fn every_chunk_outcome_occurs_and_is_invisible() {
+    use dpu_sim::isa::Width;
+    let gated = |op| RacyOp::Gated { when: Gate::EventIter, only_event_tasklet: true, op };
+    let quiet = [
+        RacyOp::PrivateLoad(Width::W, 0, 3),
+        RacyOp::Alu(Instr::Addi { rd: Reg(6), ra: Reg(6), imm: 5 }),
+        RacyOp::SharedLoad(1, 7),
+        RacyOp::SkipIfLess(1, 0),
+        RacyOp::Alu(Instr::Xor { rd: Reg(7), ra: Reg(7), rb: Reg(1) }),
+        RacyOp::PrivateStore(Width::H, 1, 7),
+        RacyOp::PrivateStore(Width::W, 0, 3),
+    ];
+    let tasklets = 16;
+    let stats_of = |extra: Option<RacyOp>| {
+        let mut body = quiet.to_vec();
+        body.extend(extra);
+        let program =
+            racy_program(&body, tasklets, 400, Event { iter: 150, tasklet: 9, stride: 1 });
+        let outcome = assert_engines_agree(&program, tasklets, u64::MAX);
+        let mut m = seeded_machine();
+        let fast = m.run_exec_engine(&ExecProgram::decode(&program), tasklets, Engine::Superblock);
+        assert_eq!(fast, outcome);
+        (m.engine_stats(), outcome)
+    };
+
+    let (quiet_stats, outcome) = stats_of(None);
+    let result = outcome.expect("quiet program completes");
+    assert!(quiet_stats.chunk_commits > 0, "{quiet_stats:?}");
+    assert!(quiet_stats.chunk_slots * 10 > result.instructions * 9, "{quiet_stats:?}");
+    // (The epilogue's `trace` and `halt` do roll chunks back.)
+    assert_eq!(
+        (quiet_stats.chunk_aborts_conflict, quiet_stats.chunk_aborts_fault),
+        (0, 0),
+        "{quiet_stats:?}"
+    );
+    assert_eq!(quiet_stats.slots(), result.instructions, "modes partition the issued slots");
+
+    // The neighbour ops are gated by iteration only: with one tasklet
+    // storing, nobody else would touch the word inside the same chunk.
+    let every = |op| RacyOp::Gated { when: Gate::EventIter, only_event_tasklet: false, op };
+    let (s, outcome) = stats_of(Some(every(Disruption::SameByteStore(0))));
+    assert!(outcome.is_ok() && s.chunk_aborts_conflict > 0 && s.chunk_commits > 0, "{s:?}");
+    let (s, _) = stats_of(Some(every(Disruption::SameWordStore(1))));
+    assert!(s.chunk_aborts_conflict > 0, "same word, different byte: {s:?}");
+    let (s, _) = stats_of(Some(every(Disruption::NeighbourLoad(2, 0))));
+    assert!(s.chunk_aborts_conflict > 0, "load of a word its owner stores: {s:?}");
+    let (s, _) = stats_of(Some(every(Disruption::NeighbourStore(2, 1))));
+    assert!(s.chunk_aborts_conflict > 0, "store to a word its owner stores: {s:?}");
+
+    let (s, outcome) = stats_of(Some(gated(Disruption::Trace(0))));
+    assert!(s.chunk_aborts_trace > quiet_stats.chunk_aborts_trace, "{s:?}");
+    assert_eq!(outcome.expect("completes").trace.len(), tasklets + 1);
+
+    let (s, outcome) = stats_of(Some(gated(Disruption::MramRead)));
+    assert!(s.chunk_aborts_boundary > quiet_stats.chunk_aborts_boundary, "{s:?}");
+    assert!(outcome.is_ok());
+
+    let (s, outcome) = stats_of(Some(gated(Disruption::WildLoad)));
+    assert!(s.chunk_aborts_fault > 0 && s.chunk_commits > 0, "{s:?}");
+    assert!(matches!(outcome, Err(dpu_sim::Error::OutOfBounds { .. })), "{outcome:?}");
+}
+
+/// A run long enough to wrap the shadow tags' chunk epoch (one epoch per
+/// chunk attempt, 511 before the tag array is cleared): a perf read every
+/// ~30 instructions keeps chunks short and the stand-off from growing, so
+/// commits and boundary rollbacks alternate many hundreds of times.
+#[test]
+fn chunk_epoch_wrap_mid_run_is_invisible() {
+    use dpu_sim::isa::Width;
+    let mut body = Vec::new();
+    for i in 0..6u8 {
+        body.extend([
+            RacyOp::PrivateLoad(Width::W, i, 4 * (i % 4)),
+            RacyOp::Alu(Instr::Addi { rd: Reg(6 + i % 3), ra: Reg(6 + i % 3), imm: 3 }),
+            RacyOp::SharedLoad(i + 1, i),
+            RacyOp::Alu(Instr::Xor { rd: Reg(7), ra: Reg(7), rb: Reg(6) }),
+            RacyOp::PrivateStore(Width::W, i, 4 * (i % 4)),
+        ]);
+    }
+    body.push(RacyOp::Gated {
+        when: Gate::Always,
+        only_event_tasklet: false,
+        op: Disruption::PerfRead(2),
+    });
+    let tasklets = 11;
+    let program = racy_program(&body, tasklets, 1400, Event { iter: 1, tasklet: 0, stride: 1 });
+    let outcome = assert_engines_agree(&program, tasklets, u64::MAX);
+    let mut m = seeded_machine();
+    let fast = m.run_exec_engine(&ExecProgram::decode(&program), tasklets, Engine::Superblock);
+    assert_eq!(fast, outcome);
+    let s = m.engine_stats();
+    assert!(s.chunk_commits > 100 && s.chunk_commits + s.chunk_aborts_boundary > 530, "{s:?}");
 }

@@ -22,6 +22,15 @@
 //! `obs.integrity.dma_corrected`, `obs.integrity.scrub_corrected`,
 //! `obs.integrity.scrub_uncorrectable`.
 //!
+//! Engine residency (deterministic for a fixed engine tier, but it
+//! *differs across tiers* by design — perf gates must ignore it):
+//! `obs.engine.slots.{reference,sole,rotation,chunk,burst_batch,lockstep}`
+//! count the issue slots each execution mode of the simulator retired,
+//! `obs.engine.chunk.commits`,
+//! `obs.engine.chunk.aborts.{boundary,conflict,trace,fault}` and
+//! `obs.engine.chunk.rolled_back_slots` say how the tasklet-major chunks
+//! fared (see `docs/PERFORMANCE.md`). Fed by [`DpuSet::launch_observed`].
+//!
 //! Histograms (quantile summaries, deterministic): `obs.launch.makespan_cycles`,
 //! `obs.dpu.cycles`, `obs.dpu.instructions`, `obs.dpu.ipc`,
 //! `obs.tasklet.occupancy`.
@@ -125,6 +134,15 @@ impl LaunchObservation {
         }
     }
 
+    /// Record which simulator execution modes retired the slots of one
+    /// or more launches: a delta of [`dpu_sim::PimSystem::engine_stats`]
+    /// readings. Tier-dependent: see the module docs.
+    pub fn record_engine(&mut self, stats: &dpu_sim::EngineStats) {
+        for (name, value) in stats.named() {
+            self.registry.counter_add(&format!("obs.engine.{name}"), value);
+        }
+    }
+
     /// The per-DPU figures shared by plain and fully-served resilient
     /// launches (everything except the launch count and makespan, which
     /// differ between the two paths).
@@ -200,8 +218,10 @@ impl DpuSet {
         let exec = ExecProgram::compile(program)?;
         let engine = self.engine();
         let (system, _, sched) = self.launch_parts();
+        let engine_before = system.engine_stats();
         let (result, _, steal) = launch_on(system, &exec, tasklets, false, engine, &sched)?;
         obs.record(&result);
+        obs.record_engine(&system.engine_stats().since(&engine_before));
         if let Some(stats) = steal {
             obs.record_steal(&stats);
         }

@@ -113,6 +113,18 @@ fn observation_metrics_key_set_is_stable() {
             "obs.dma.bytes",
             "obs.dma.cycles",
             "obs.dma.transfers",
+            "obs.engine.chunk.aborts.boundary",
+            "obs.engine.chunk.aborts.conflict",
+            "obs.engine.chunk.aborts.fault",
+            "obs.engine.chunk.aborts.trace",
+            "obs.engine.chunk.commits",
+            "obs.engine.chunk.rolled_back_slots",
+            "obs.engine.slots.burst_batch",
+            "obs.engine.slots.chunk",
+            "obs.engine.slots.lockstep",
+            "obs.engine.slots.reference",
+            "obs.engine.slots.rotation",
+            "obs.engine.slots.sole",
             "obs.faults.dpu_offline",
             "obs.faults_injected",
             "obs.healthy_after_repair",

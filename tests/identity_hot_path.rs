@@ -144,3 +144,61 @@ fn zero_fault_resilient_pipelines_reproduce_the_golden_figures() {
     assert_eq!(ycycles, vec![264_648; 6], "resilient YOLO cycles drifted");
     assert_eq!(yl.total_instructions(), 428_988);
 }
+
+/// The two shapes the fast engine's batched modes were built for — a full
+/// eBNN DPU (16 images on 16 tasklets: tasklet-major chunks) and a GEMM
+/// row on 11 tasklets (exactly `stages` of them, DMA-skewed out of
+/// round-robin order; subroutine bursts retired in whole rounds) — leave
+/// the same `RunResult`, the same WRAM and the same MRAM (features / the C
+/// row included) on all three engine tiers.
+#[test]
+fn paper_kernels_leave_identical_machines_on_every_engine_tier() {
+    use dpu_sim::{DpuId, Engine, ExecProgram, Machine};
+
+    let model = EbnnModel::generate(ModelConfig { filters: 1, ..ModelConfig::default() });
+    let images: Vec<_> = (0..16).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
+    let mut ebnn_engine = ebnn::codegen::Tier1Engine::new(&model, 1).expect("eBNN engine");
+    ebnn_engine.stage(&model, &images, 0).expect("stage images");
+    let ebnn_dpu = ebnn_engine.set().system().dpu(DpuId(0)).clone();
+    let ebnn_exec = ExecProgram::compile(&ebnn::codegen::tier1_program(1)).expect("eBNN program");
+
+    let dims = GemmDims { m: 1, n: 40, k: 24 };
+    let a: Vec<i16> = (0..dims.k).map(|i| ((i * 7 % 13) as i16) - 6).collect();
+    let b: Vec<i16> = (0..dims.k * dims.n).map(|i| ((i * 5 % 11) as i16) - 5).collect();
+    let mut row_engine = yolo_pim::codegen::RowEngine::new(dims, 1, &b, 1, 11).expect("row engine");
+    row_engine.stage(&a).expect("stage A row");
+    let row_dpu = row_engine.set().system().dpu(DpuId(0)).clone();
+    let row_exec =
+        ExecProgram::compile(&yolo_pim::codegen::gemm_row_program(dims)).expect("GEMM program");
+
+    for (name, staged, exec, tasklets) in
+        [("eBNN x16", &ebnn_dpu, &ebnn_exec, 16), ("GEMM row x11", &row_dpu, &row_exec, 11)]
+    {
+        let run = |engine: Engine| -> (dpu_sim::RunResult, Machine) {
+            let mut m = staged.clone();
+            let result = m.run_exec_engine(exec, tasklets, engine).expect("kernel completes");
+            (result, m)
+        };
+        let (reference, ref_machine) = run(Engine::Reference);
+        for engine in [Engine::Superblock, Engine::Compiled] {
+            let (result, machine) = run(engine);
+            assert_eq!(result, reference, "{name}: {engine:?} RunResult diverged");
+            assert!(machine.wram == ref_machine.wram, "{name}: {engine:?} WRAM diverged");
+            assert!(machine.mram == ref_machine.mram, "{name}: {engine:?} MRAM diverged");
+            // The fast tiers really did take their batched modes.
+            let stats = machine.engine_stats().since(&staged.engine_stats());
+            assert_eq!(stats.slots(), reference.instructions, "{name}: modes partition the slots");
+            assert!(stats.reference_slots * 4 < reference.instructions, "{name}: {stats:?}");
+        }
+    }
+
+    // And the functional results are the right ones.
+    let mut served = ebnn_dpu.clone();
+    served.run_exec(&ebnn_exec, 16).expect("kernel completes");
+    let fpi_pad = ebnn_engine.features_per_image().div_ceil(8) * 8;
+    for (i, image) in images.iter().enumerate() {
+        let at = ebnn::codegen::mram::FEATURES as usize + i * fpi_pad;
+        let got = served.mram.to_vec(at, ebnn_engine.features_per_image()).expect("in range");
+        assert_eq!(got, model.features(&model.binarize(&image.pixels)), "image {i}");
+    }
+}
