@@ -336,14 +336,15 @@ fn main() {
 }
 
 /// Which simulator execution mode retired the issue slots of the paper's
-/// two kernels, and how the tasklet-major chunks fared, per fast tier —
-/// the `obs.engine.*` counters of `docs/OBSERVABILITY.md`.
+/// two kernels (a full, an exact-fit and an under-saturated eBNN DPU, and
+/// the GEMM row), and how the tasklet-major chunks fared, per fast tier
+/// — the `obs.engine.*` counters of `docs/OBSERVABILITY.md`.
 #[allow(clippy::cast_precision_loss)]
 fn emit_engine_residency(json: bool) {
     use dpu_sim::Engine;
     use render::kernels::{ebnn_tier1, yolo_row};
     let mut rows = Vec::new();
-    for shape in [ebnn_tier1(16), ebnn_tier1(11), yolo_row(11)] {
+    for shape in [ebnn_tier1(16), ebnn_tier1(11), ebnn_tier1(6), yolo_row(11)] {
         for engine in [Engine::Superblock, Engine::Compiled] {
             let mut m = shape.staged.clone();
             let before = m.engine_stats();
@@ -367,7 +368,7 @@ fn emit_engine_residency(json: bool) {
             let total = stats.slots().max(1) as f64;
             s.push_str(&format!("  {name} ({} slots)\n", stats.slots()));
             for (key, value) in stats.named() {
-                let share = if key.starts_with("slots.") {
+                let share = if key.starts_with("slots.") || key.starts_with("rotation.") {
                     format!("  {:5.1}%", 100.0 * value as f64 / total)
                 } else {
                     String::new()

@@ -26,7 +26,8 @@ pub struct KernelShape {
 
 /// The generated eBNN conv-pool program (one filter) over `images`
 /// images on `images` tasklets — the §4.1 multi-image mapping, one image
-/// per tasklet. 16 fills a DPU; 11 is the Fig. 4.7(a) knee.
+/// per tasklet. 16 fills a DPU; 11 is the Fig. 4.7(a) knee; fewer leave
+/// the pipeline under-saturated, as the last chunk of a served batch does.
 ///
 /// # Panics
 /// When `images` is outside `1..=16`.
@@ -67,10 +68,12 @@ pub fn yolo_row(tasklets: usize) -> KernelShape {
     }
 }
 
-/// The shapes `BENCH_7.json` and the `engine_tiers` bench report per tier.
+/// The shapes `BENCH_8.json` and the `engine_tiers` bench report per
+/// tier: the left half of Fig. 4.7(a) up to the knee, a full DPU, and
+/// the GEMM row.
 #[must_use]
 pub fn paper_kernel_shapes() -> Vec<KernelShape> {
-    let mut shapes: Vec<KernelShape> = [1, 6, 11, 16].into_iter().map(ebnn_tier1).collect();
+    let mut shapes: Vec<KernelShape> = [1, 3, 6, 10, 11, 16].into_iter().map(ebnn_tier1).collect();
     shapes.push(yolo_row(11));
     shapes
 }

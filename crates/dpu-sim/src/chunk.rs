@@ -1,6 +1,6 @@
 //! Race detection, rollback and pacing for tasklet-major rotation chunks.
 //!
-//! Inside a saturated rotation the fast engine may let each tasklet run a
+//! Inside a rotation batch the fast engine may let each tasklet run a
 //! whole *chunk* of inline instructions on its own instead of interleaving
 //! the tasklets slot by slot (see `Interp::try_chunk` in
 //! [`crate::machine`]). Register files are private, so the reordering is
@@ -54,7 +54,7 @@ struct Undo {
 
 /// Per-run shadow of WRAM: access tags for the current chunk plus the
 /// undo log of its stores. Allocated on the first chunk, so runs that
-/// never reach a saturated rotation pay nothing.
+/// never reach a rotation batch pay nothing.
 #[derive(Debug, Default)]
 pub(crate) struct Shadow {
     tags: Vec<u16>,

@@ -28,9 +28,10 @@ macro_rules! engine_stats {
     ($( $(#[$doc:meta])* $field:ident => $key:literal, )+) => {
         /// Issue slots retired per execution mode, plus chunk outcomes.
         ///
-        /// The six `*_slots` mode counters partition every issued slot of
+        /// The six `slots.*` mode counters partition every issued slot of
         /// every run the machine has executed (reference, traced and
-        /// profiled runs count under `reference_slots` entirely).
+        /// profiled runs count under `reference_slots` entirely);
+        /// `undersaturated_slots` cuts across them.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct EngineStats {
             $( $(#[$doc])* pub $field: u64, )+
@@ -63,17 +64,21 @@ engine_stats! {
     /// One `pick`, one dispatch: the reference loops and the fast
     /// engine's per-slot fallback.
     reference_slots => "slots.reference",
-    /// Sole-runnable batches (`fast_forward_sole`).
+    /// Sole-runnable batches.
     sole_slots => "slots.sole",
-    /// Saturated-rotation slots dispatched one at a time, round-robin.
+    /// Rotation-batch slots dispatched one at a time, in issue order.
     rotation_slots => "slots.rotation",
-    /// Saturated-rotation slots retired by committed tasklet-major chunks.
+    /// Rotation-batch slots retired by committed tasklet-major chunks.
     chunk_slots => "slots.chunk",
     /// Whole rounds of subroutine-burst slots retired in one step.
     burst_batch_slots => "slots.burst_batch",
     /// Whole lockstep rounds from a single fetch: compiled-chain
     /// replication, block replay and uniform single-instruction rounds.
     lockstep_slots => "slots.lockstep",
+    /// Of the rotation, chunk, burst-batch and lockstep slots, those
+    /// retired while fewer tasklets than pipeline stages were rotating
+    /// (idle cycles every round) — not a seventh mode.
+    undersaturated_slots => "rotation.undersaturated_slots",
     /// Chunks that committed.
     chunk_commits => "chunk.commits",
     /// Chunks rolled back at a boundary instruction.

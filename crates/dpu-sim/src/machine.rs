@@ -55,7 +55,7 @@ pub enum Engine {
     /// every observable figure is defined by.
     Reference,
     /// The superblock engine: memoized straight-line blocks and batched
-    /// saturated rotations over the pre-decoded stream.
+    /// periodic rotations over the pre-decoded stream.
     Superblock,
     /// The compiled tier: hot superblocks as threaded-code closures
     /// chained by direct block ids (see [`crate::compile`]), deoptimizing
@@ -578,7 +578,7 @@ impl Machine {
     ///   identity checks;
     /// * the **superblock engine** ([`Interp::run_fast`] with no compiled
     ///   program) — fast-forwards whole straight-line blocks and
-    ///   saturated round-robin rotations in one dispatch, observationally
+    ///   closed-form tasklet rotations in one dispatch, observationally
     ///   invisible by construction (see the per-method proofs and
     ///   `docs/PERFORMANCE.md`);
     /// * the **compiled tier** (the same loop with `compiled` wired in) —
@@ -665,11 +665,14 @@ impl Machine {
             parked: 0,
             at_barrier: vec![false; tasklets],
             op_counts: [0; OP_COUNT],
-            mutex_owner: vec![None; MUTEX_IDS],
-            mutex_waiters: vec![std::collections::VecDeque::new(); MUTEX_IDS],
+            mutex_owner: Vec::new(),
+            mutex_waiters: Vec::new(),
             result: RunResult::default(),
             order_scratch: Vec::new(),
+            at_scratch: Vec::new(),
             active: if code.is_empty() { Vec::new() } else { (0..tasklets).collect() },
+            probe_hold: 0,
+            probe_backoff: 1,
             sched_changed: false,
             stats: EngineStats::default(),
             shadow: Shadow::default(),
@@ -772,18 +775,29 @@ struct Interp<'a> {
     parked: usize,
     at_barrier: Vec<bool>,
     op_counts: [u64; OP_COUNT],
-    /// Hardware mutexes: owner per id plus FIFO wait queues, flat arrays
-    /// indexed by the 8-bit mutex id — lock/unlock sit on the scheduler
-    /// hot path, where hashing would dominate the critical section.
+    /// Hardware mutexes: owner per id, a flat table indexed by the 8-bit
+    /// mutex id — lock/unlock sit on the scheduler hot path, where hashing
+    /// would dominate the critical section. Built by the first
+    /// `mutex.lock`, so kernels that never lock pay nothing per launch.
     mutex_owner: Vec<Option<usize>>,
-    mutex_waiters: Vec<std::collections::VecDeque<usize>>,
+    /// Blocked `(mutex id, tasklet)` pairs in arrival order: the first
+    /// entry of an id is the head of its FIFO wait queue. At most one
+    /// entry per tasklet, so a scan beats 256 queues built per launch.
+    mutex_waiters: Vec<(u8, usize)>,
     result: RunResult,
-    /// Reused allocation for the rotation fast-path probe order.
+    /// Reused allocations for the rotation fast path's schedule (issue
+    /// order and first-round issue cycles).
     order_scratch: Vec<usize>,
+    at_scratch: Vec<u64>,
     /// Ascending list of exactly the runnable tasklet indices, maintained
     /// incrementally at every transition so `Pipeline::pick_from` probes
     /// only live candidates instead of scanning every tasklet's flag.
     active: Vec<usize>,
+    /// Per-slot picks still to take before the rotation is probed again,
+    /// and the hold-off the next short batch earns (see
+    /// [`Interp::run_fast`]).
+    probe_hold: u64,
+    probe_backoff: u64,
     /// Set whenever the runnable set changes (halt, barrier park/release,
     /// mutex block/wake); cleared at the top of the fast engine's mode
     /// loop so the per-slot path knows when to re-evaluate its mode.
@@ -820,15 +834,22 @@ enum SlotKind {
 
 /// Outcome of one [`Interp::try_rotation`] attempt.
 enum Rotation {
-    /// At least one slot was retired.
-    Advanced,
-    /// The pipeline is saturated but the very next slot is a boundary
-    /// instruction (or overruns the budget): take it per slot, then a
-    /// retry may succeed immediately.
+    /// This many slots (at least one) were retired.
+    Advanced(u64),
+    /// A schedule holds but the very next slot is a boundary instruction
+    /// (or overruns the budget): take it per slot, then a retry may
+    /// succeed immediately.
     Blocked,
-    /// Some tasklet is not ready at its round-robin slot.
-    Unsaturated,
+    /// No closed-form schedule from here: the next picks depend on
+    /// round-robin tie-breaking.
+    Unscheduled,
 }
+
+/// Rotation batches shorter than this many slots do not repay their probe.
+const MIN_ROTATION_BATCH: u64 = 8;
+/// Ceiling of the probe hold-off, in per-slot picks: how late a kernel
+/// that turns rotation-friendly is noticed.
+const MAX_PROBE_HOLD: u64 = 64;
 
 /// Number of addressable hardware mutexes (the id is a byte).
 const MUTEX_IDS: usize = 256;
@@ -1002,17 +1023,19 @@ impl Interp<'_> {
     ///   halted, parked, or blocked; DMA-stalled tasklets stay runnable,
     ///   so one runnable truly means one issuer): inline instructions and
     ///   memoized superblocks dispatch in a batch whose picks flush as one
-    ///   `fast_forward_sole`, and the `pick` probe is skipped entirely;
-    /// * **rotation mode** — at issue saturation (every runnable tasklet
-    ///   ready at its round-robin slot, at least `stages` of them), the
-    ///   dispatcher provably issues them cyclically with zero idle, so
-    ///   inline instructions and burst slots dispatch in a batch whose
-    ///   picks flush as one `advance_rotation` — whole rounds at a time
-    ///   where possible, tasklet-major ([`Interp::try_chunk`]) when the
-    ///   tasklets have diverged;
-    /// * otherwise one reference-identical slot executes via
-    ///   `pick_from` over the compact runnable list, and the loop
-    ///   re-evaluates.
+    ///   `advance_periodic`, and the `pick` probe is skipped entirely;
+    /// * **rotation mode** — two or more runnable tasklets whose next
+    ///   picks follow a closed-form periodic schedule
+    ///   ([`Pipeline::periodic_schedule`]: at least `stages` of them each
+    ///   ready at its round-robin slot, or at most `stages` with distinct
+    ///   ready times inside one pipeline depth): the dispatcher provably
+    ///   issues them cyclically, so inline instructions and burst slots
+    ///   dispatch in a batch whose picks flush as one `advance_periodic`
+    ///   — whole rounds at a time where possible, tasklet-major
+    ///   ([`Interp::try_chunk`]) when the tasklets have diverged;
+    /// * otherwise reference-identical slots execute via `pick_from`
+    ///   over the compact runnable list until the runnable set changes
+    ///   or the probe hold-off runs out, and the loop re-evaluates.
     ///
     /// Event-driven cycle skipping needs no extra code here:
     /// `Pipeline::pick` commits the minimum ready cycle directly, so the
@@ -1045,29 +1068,37 @@ impl Interp<'_> {
                 self.run_sole(t)?;
                 continue;
             }
-            let stages = self.pipeline.stages();
-            // Per-slot picks to take before the rotation is probed again.
-            let mut hold = 0;
-            if self.runnable_count as u64 >= stages {
-                match self.try_rotation()? {
-                    Rotation::Advanced => continue,
+            if self.probe_hold == 0 {
+                // Slots retired, and the least hold-off if that was few.
+                let (retired, least_hold) = match self.try_rotation()? {
+                    Rotation::Advanced(slots) => (slots, 0),
                     // The next slot is a boundary instruction: step over
-                    // it below, then a retry may pay off at once.
-                    Rotation::Blocked => {}
-                    // Not every tasklet is ready at its round-robin slot.
-                    // A skewed pipeline can stay skewed for a whole run
-                    // (11 tasklets on 11 stages never re-align), and each
-                    // failed probe costs an order build plus a scan:
-                    // probing once a round bounds that at O(1) per slot.
-                    Rotation::Unsaturated => hold = self.runnable_count,
+                    // it below.
+                    Rotation::Blocked => (0, 0),
+                    // The next picks hang on round-robin tie-breaks, and a
+                    // skewed pipeline can stay that way for many slots:
+                    // hold off for a round at least.
+                    Rotation::Unscheduled => (0, self.runnable_count as u64),
+                };
+                if retired >= MIN_ROTATION_BATCH {
+                    self.probe_backoff = 1;
+                    continue;
                 }
+                // A probe that retires next to nothing costs more than the
+                // slots it saves. Boot and halt phases and lock convoys
+                // change the runnable set every few instructions for
+                // thousands of slots on end, so the hold-off doubles while
+                // batches stay short (and outlives runnable-set changes),
+                // which bounds the wasted probes at O(1) per slot; one
+                // long batch resets it.
+                self.probe_hold = self.probe_backoff.max(least_hold);
+                self.probe_backoff = (self.probe_backoff * 2).min(MAX_PROBE_HOLD);
             }
-            // Fall back to reference-identical slots. The scheduling
-            // predicates above (barrier release, deadlock, mode choice)
-            // are functions of the runnable set alone, so slots repeat
-            // without re-evaluating them until a dispatch changes it —
-            // except at saturation, where a rotation retry may pay off as
-            // soon as the hold-off (if any) has run out.
+            // Reference-identical slots. The scheduling predicates above
+            // (barrier release, deadlock, mode choice) are functions of
+            // the runnable set alone, so slots repeat without re-evaluating
+            // them until a dispatch changes it or the hold-off has run out
+            // and a rotation retry may pay off.
             loop {
                 let Some(t) = self.pipeline.pick_from(&self.active) else { return Ok(()) };
                 if self.pipeline.elapsed() > self.budget {
@@ -1079,14 +1110,9 @@ impl Interp<'_> {
                 } else {
                     self.step(t)?;
                 }
-                if self.sched_changed {
+                self.probe_hold -= 1;
+                if self.sched_changed || self.probe_hold == 0 {
                     break;
-                }
-                if self.runnable_count as u64 >= stages {
-                    if hold == 0 {
-                        break;
-                    }
-                    hold -= 1;
                 }
             }
         }
@@ -1098,23 +1124,27 @@ impl Interp<'_> {
     /// closed form. The batch loop dispatches inline instructions (whole
     /// memoized superblocks at a time where possible) with the pipeline
     /// untouched, then flushes the accumulated `k` picks as one
-    /// `fast_forward_sole`; boundary instructions flush first and take a
+    /// `advance_periodic`; boundary instructions flush first and take a
     /// reference-identical slot. Inline ops cannot change the runnable
     /// set, so the mode only needs re-checking after a boundary dispatch.
     ///
     /// Budget semantics match the reference exactly: after `k` issues the
     /// reference's post-pick check sees `elapsed = first + k*stages`, so
-    /// the batch is capped so `first + k*stages` never leaves the budget,
-    /// and once fewer than `stages` cycles of headroom remain the
-    /// overrunning pick is issued singly so the error surfaces with
-    /// identical partial state.
+    /// the batch is capped at the picks whose `elapsed` stays inside the
+    /// budget, and once none is left the overrunning pick is issued singly
+    /// so the error surfaces with identical partial state.
     fn run_sole(&mut self, t: usize) -> Result<()> {
         while self.runnable_count == 1 && self.runnable[t] {
             let stages = self.pipeline.stages();
             let first = self.pipeline.next_issue_at(t);
+            // Picks whose post-issue `elapsed` stays inside the budget.
+            let k_cap = self
+                .budget
+                .checked_sub(stages)
+                .map_or(0, |limit| Pipeline::periodic_slots_through(&[first], stages, limit));
             let burst = self.threads[t].burst;
             if burst > 0 {
-                if first.saturating_add(burst * stages) <= self.budget {
+                if burst <= k_cap {
                     self.flush_sole(t, burst);
                     self.threads[t].burst = 0;
                 } else {
@@ -1126,23 +1156,12 @@ impl Interp<'_> {
                 }
                 continue;
             }
-            let headroom = self.budget.saturating_sub(first);
-            if headroom < stages {
+            if k_cap == 0 {
                 // The next pick overruns the budget no matter what the
                 // instruction is; issue it singly and surface the error.
                 self.pipeline.pick_sole(t);
                 return Err(Error::CycleBudgetExceeded { budget: self.budget });
             }
-            // Largest batch whose final pick keeps `first + k*stages`
-            // inside the budget. Far from the budget the division is
-            // replaced by a safe underestimate (the batch just flushes
-            // and re-enters); the exact quotient only matters close to
-            // exhaustion.
-            let k_cap = if headroom >= (1 << 32) && stages <= 64 {
-                headroom >> 6
-            } else {
-                headroom / stages
-            };
             let (k, last) = self.advance_inline::<false>(t, k_cap);
             match last {
                 Ok(SlotKind::Advanced) => self.flush_sole(t, k),
@@ -1172,7 +1191,8 @@ impl Interp<'_> {
 
     /// Flush `k >= 1` batched sole-mode picks of tasklet `t`.
     fn flush_sole(&mut self, t: usize, k: u64) {
-        self.pipeline.fast_forward_sole(t, k);
+        let first = self.pipeline.next_issue_at(t);
+        self.pipeline.advance_periodic(&[t], &[first], self.pipeline.stages(), k);
         self.stats.sole_slots += k;
     }
 
@@ -1220,22 +1240,23 @@ impl Interp<'_> {
         (k, Ok(SlotKind::Advanced))
     }
 
-    /// Attempt a batched rotation at issue saturation.
+    /// Attempt a batched rotation over the runnable tasklets.
     ///
-    /// Entry preconditions, matching `Pipeline::advance_rotation`: at
-    /// least `stages` runnable tasklets, each ready at its round-robin
-    /// issue slot (or exactly `stages` of them, each ready at exactly its
-    /// slot of the ready-time order). Under those the dispatcher provably
-    /// issues them cyclically with zero idle slots for as long as every
-    /// dispatched instruction is inline (or a burst slot, which consumes
-    /// a pick without a fetch), so the batch loop runs with the pipeline
-    /// frozen and flushes the accumulated `m` slots as one
-    /// `advance_rotation`.
+    /// Entry precondition: [`Pipeline::periodic_schedule`] finds a closed
+    /// form — at least `stages` tasklets each ready at its round-robin
+    /// slot (zero idle), or at most `stages` with distinct ready times
+    /// inside one pipeline depth (`stages - r` idle cycles per round).
+    /// The dispatcher then provably issues them cyclically for as long as
+    /// every dispatched instruction is inline (or a burst slot, which
+    /// consumes a pick without a fetch), so the batch loop runs with the
+    /// pipeline frozen and flushes the accumulated `m` slots as one
+    /// `advance_periodic`. Runnable tasklets a DMA stall keeps out of the
+    /// schedule bound the batch at their ready time, like the budget does.
     /// The first boundary instruction ends the batch *before* its slot;
-    /// re-entry then fails fast at that tasklet and the outer loop takes
-    /// one reference-identical slot for it. Mid-rotation exits are safe:
-    /// the flushed ready times still satisfy the entry precondition for
-    /// the rotated order on the next attempt.
+    /// re-entry then stops at that tasklet with nothing retired and the
+    /// outer loop takes one reference-identical slot for it. Mid-rotation
+    /// exits are safe: the flushed ready times still satisfy the entry
+    /// precondition for the rotated order on the next attempt.
     ///
     /// Because only the *number* of slots each tasklet retires reaches the
     /// pipeline, whole rounds may be retired in any internal order whose
@@ -1246,45 +1267,39 @@ impl Interp<'_> {
     /// the general case and the path every rolled-back chunk replays on.
     fn try_rotation(&mut self) -> Result<Rotation> {
         let stages = self.pipeline.stages();
-        let base = self.pipeline.current_cycle();
-        // Slot m (0-based) issues at base + m with elapsed
-        // base + m + stages; the budget allows m_allowed slots.
-        let m_allowed = self.budget.saturating_sub(base.saturating_add(stages - 1));
-        if m_allowed == 0 {
+        // A pick at cycle `c` leaves `elapsed = c + stages`.
+        let Some(last_cycle) = self.budget.checked_sub(stages) else {
+            return Ok(Rotation::Blocked);
+        };
+        if last_cycle < self.pipeline.current_cycle() {
             // The next pick overruns the budget; let it.
             return Ok(Rotation::Blocked);
         }
-        let cursor = self.pipeline.rr_cursor();
         let mut order = std::mem::take(&mut self.order_scratch);
-        order.clear();
-        let split = self.active.partition_point(|&t| t < cursor);
-        order.extend_from_slice(&self.active[split..]);
-        order.extend_from_slice(&self.active[..split]);
-        let r = order.len();
-        let ready_by_slot = |order: &[usize], exact: bool| {
-            order.iter().enumerate().all(|(p, &t)| {
-                let ready = self.pipeline.next_ready_of(t);
-                ready == base + p as u64 || (!exact && ready < base + p as u64)
-            })
+        let mut at = std::mem::take(&mut self.at_scratch);
+        let outcome = match self.pipeline.periodic_schedule(&self.active, &mut order, &mut at) {
+            Some((period, horizon)) => {
+                self.run_rotation(&order, &at, period, last_cycle.min(horizon - 1))
+            }
+            None => Ok(Rotation::Unscheduled),
         };
-        let mut saturated = ready_by_slot(&order, false);
-        if !saturated && r as u64 == stages {
-            // Exactly `stages` tasklets also saturate the pipeline in any
-            // *fixed permutation*: once each is ready at a distinct cycle
-            // of the next `stages`, exactly one tasklet is ready per
-            // cycle (an issuer is not ready again until `stages` slots
-            // later — its own slot of the next round), so the first-fit
-            // probe has a single candidate whatever the cursor, and the
-            // issue order is the ready order, cyclically, with zero idle.
-            // DMA stalls leave 11 tasklets on 11 stages in this state for
-            // good, since no slack ever lets them re-align.
-            order.sort_unstable_by_key(|&t| self.pipeline.next_ready_of(t));
-            saturated = ready_by_slot(&order, true);
-        }
-        if !saturated {
-            self.order_scratch = order;
-            return Ok(Rotation::Unsaturated);
-        }
+        self.order_scratch = order;
+        self.at_scratch = at;
+        outcome
+    }
+
+    /// The batch loop of [`Interp::try_rotation`]: retire slots of the
+    /// schedule `(order, at, period)` that issue no later than
+    /// `last_cycle`, up to the first boundary instruction.
+    fn run_rotation(
+        &mut self,
+        order: &[usize],
+        at: &[u64],
+        period: u64,
+        last_cycle: u64,
+    ) -> Result<Rotation> {
+        let r = order.len();
+        let m_allowed = Pipeline::periodic_slots_through(at, period, last_cycle);
         let mut m: u64 = 0;
         // Of `m`, the slots retired by whole-round paths (each also counted
         // under its own mode in `stats`); the rest went slot by slot.
@@ -1330,7 +1345,7 @@ impl Interp<'_> {
                         {
                             let cap = (m_allowed - m) / r as u64;
                             if cap > 0 {
-                                if self.regs_identical(&order) {
+                                if self.regs_identical(order) {
                                     let lead = order[0];
                                     let ran = self.run_compiled(lead, bid, cap, r as u64, true);
                                     if ran > 0 {
@@ -1352,10 +1367,10 @@ impl Interp<'_> {
                     if retired == 0 {
                         let len = u64::from(self.sb.len_at(pc0 as usize));
                         if len >= 2 && m + len * r as u64 <= m_allowed {
-                            self.apply_block_all(&order, pc0 as usize, len as usize);
+                            self.apply_block_all(order, pc0 as usize, len as usize);
                             retired = len * r as u64;
                         } else if m + r as u64 <= m_allowed
-                            && self.dispatch_round_uniform(&order, pc0)
+                            && self.dispatch_round_uniform(order, pc0)
                         {
                             retired = r as u64;
                         }
@@ -1376,7 +1391,7 @@ impl Interp<'_> {
                     let rounds = order.iter().map(|&t| self.threads[t].burst).min().unwrap_or(0);
                     let rounds = rounds.min(rounds_left);
                     if rounds > 0 {
-                        for &t in &order {
+                        for &t in order {
                             self.threads[t].burst -= rounds;
                         }
                         let retired = rounds * r as u64;
@@ -1388,7 +1403,7 @@ impl Interp<'_> {
                 } else {
                     let issued = self.pipeline.issued() + m;
                     if let Some(k) = self.chunk_policy.rounds_for(issued, rounds_left) {
-                        if self.try_chunk(&order, k, issued) {
+                        if self.try_chunk(order, k, issued) {
                             let retired = k * r as u64;
                             self.stats.chunk_slots += retired;
                             bulk += retired;
@@ -1422,11 +1437,13 @@ impl Interp<'_> {
             }
         };
         if m > 0 {
-            self.pipeline.advance_rotation(&order, m);
+            self.pipeline.advance_periodic(order, at, period, m);
             self.stats.rotation_slots += m - bulk;
+            if (r as u64) < self.pipeline.stages() {
+                self.stats.undersaturated_slots += m;
+            }
         }
-        self.order_scratch = order;
-        outcome.map(|()| if m > 0 { Rotation::Advanced } else { Rotation::Blocked })
+        outcome.map(|()| if m > 0 { Rotation::Advanced(m) } else { Rotation::Blocked })
     }
 
     /// Let every tasklet in `order` run `k` inline instructions *on its
@@ -1437,7 +1454,7 @@ impl Interp<'_> {
     /// whether the chunk committed; if not, every architectural effect
     /// has been undone and the caller replays the slots one by one.
     ///
-    /// **Why reordering is sound.** Inside a saturated rotation every
+    /// **Why reordering is sound.** Inside a rotation batch every
     /// dispatched instruction is an [`INLINE_OP`]: one slot, no effect on
     /// scheduling. The pipeline update therefore depends only on how many
     /// slots each tasklet retires, which `k` rounds fix at `k` each.
@@ -2090,11 +2107,14 @@ impl Interp<'_> {
                 // A lone tasklet always acquires immediately; no state
                 // to track since no other tasklet can observe the lock.
                 if !self.single {
+                    if self.mutex_owner.is_empty() {
+                        self.mutex_owner.resize(MUTEX_IDS, None);
+                    }
                     if let Some(owner) = self.mutex_owner[id as usize] {
                         if owner != t {
                             // Block until released; re-execute the lock on
                             // wake (pc stays on this instruction).
-                            self.mutex_waiters[id as usize].push_back(t);
+                            self.mutex_waiters.push((id, t));
                             self.runnable[t] = false;
                             self.runnable_count -= 1;
                             self.active_remove(t);
@@ -2109,9 +2129,11 @@ impl Interp<'_> {
                 }
             }
             Instr::MutexUnlock { id } => {
-                if !self.single && self.mutex_owner[id as usize] == Some(t) {
+                // (Before the first lock the table is empty: nothing owned.)
+                if !self.single && self.mutex_owner.get(id as usize) == Some(&Some(t)) {
                     self.mutex_owner[id as usize] = None;
-                    if let Some(next) = self.mutex_waiters[id as usize].pop_front() {
+                    if let Some(i) = self.mutex_waiters.iter().position(|&(m, _)| m == id) {
+                        let (_, next) = self.mutex_waiters.remove(i);
                         self.runnable[next] = true;
                         self.runnable_count += 1;
                         self.active_insert(next);

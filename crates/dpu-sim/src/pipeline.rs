@@ -193,12 +193,6 @@ impl Pipeline {
         self.next_ready[t].max(self.cycle)
     }
 
-    /// Round-robin cursor: the tasklet probed first on the next `pick`.
-    #[must_use]
-    pub(crate) fn rr_cursor(&self) -> usize {
-        self.rr_cursor
-    }
-
     /// Issue one instruction for tasklet `t`, known by the caller to be the
     /// *sole* runnable tasklet.
     ///
@@ -211,80 +205,165 @@ impl Pipeline {
         self.commit(issue_at, t, self.next_ready.len())
     }
 
-    /// Issue `k >= 1` consecutive instructions for tasklet `t`, known by
-    /// the caller to be the sole runnable tasklet, in one step.
+    /// Probe for a closed-form schedule over `active` — the ascending list
+    /// of exactly the runnable tasklets, at least one — and write it to
+    /// `order`/`at` in the form [`Pipeline::advance_periodic`] takes.
     ///
-    /// Exactly equivalent to `k` successive [`Pipeline::pick_sole`] calls:
-    /// the first issue lands at `next_ready[t].max(cycle)` and each later
-    /// one exactly `stages` cycles after its predecessor (the clamp is a
-    /// no-op once `next_ready > cycle`), leaving `stages - 1` idle slots
-    /// between consecutive issues.
-    pub fn fast_forward_sole(&mut self, t: usize, k: u64) {
-        debug_assert!(k >= 1);
-        let first = self.next_ready[t].max(self.cycle);
-        let last = first + (k - 1) * self.stages;
-        self.idle_cycles += (first - self.cycle) + (k - 1) * (self.stages - 1);
-        self.last_issue = last;
-        self.cycle = last + 1;
-        self.next_ready[t] = last + self.stages;
-        self.issued += k;
-        self.issued_per_tasklet[t] += k;
-        let n = self.next_ready.len();
-        self.rr_cursor = if t + 1 == n { 0 } else { t + 1 };
-    }
-
-    /// Issue `rounds >= 1` full rotations over `order` — the runnable
-    /// tasklets in round-robin probe order starting at the current cursor —
-    /// in one step. See [`Pipeline::advance_rotation`] for the general
-    /// (mid-rotation) form and its preconditions.
-    pub fn advance_rounds(&mut self, order: &[usize], rounds: u64) {
-        debug_assert!(rounds >= 1);
-        self.advance_rotation(order, rounds * order.len() as u64);
-    }
-
-    /// Issue `slots >= 1` consecutive picks over `order` — the runnable
-    /// tasklets in round-robin probe order starting at the current cursor —
-    /// in one step, possibly stopping mid-rotation.
+    /// Returns `(period, horizon)`: the schedule holds for every pick that
+    /// issues strictly before cycle `horizon`, the earliest ready time of a
+    /// runnable tasklet left *out* of `order` because a DMA stall puts it
+    /// beyond the first round (`u64::MAX` when every runnable tasklet is
+    /// in). `None` when the next picks depend on round-robin tie-breaking:
+    /// take them one by one and probe again.
     ///
-    /// Exactly equivalent to `slots` successive `pick`s *provided* the
-    /// caller has verified the saturation precondition: `order.len() >=
-    /// stages` and `next_ready[order[p]] <= cycle + p` for every position
-    /// `p`. Then pick number `m` (0-based) issues `order[m % len]` at
-    /// `cycle + m` with zero idle slots — each tasklet issues once per
-    /// rotation of `order.len()` cycles (>= `stages`, so its own spacing
-    /// never binds), the first-fit probe always lands on the next tasklet
-    /// in cyclic order, and the round-robin cursor ends after the last
-    /// issuer.
-    ///
-    /// `order` may instead be *any* permutation of the runnable tasklets
-    /// when `order.len() == stages` and `next_ready[order[p]] == cycle + p`
-    /// exactly: each tasklet is then ready again precisely at its slot of
-    /// the next rotation, so exactly one tasklet is ready at every cycle
-    /// and the probe order never gets to break a tie.
-    pub fn advance_rotation(&mut self, order: &[usize], slots: u64) {
-        let r = order.len() as u64;
-        debug_assert!(slots >= 1);
-        debug_assert!(r >= self.stages, "rotation must cover the pipeline depth");
+    /// A failed probe is O(`active.len()`) with no sort: the saturated
+    /// form fails at the first tasklet late for its slot, and the
+    /// under-saturated form as soon as a second tasklet is found already
+    /// due (the tie the round-robin cursor would break). Only a tie
+    /// between two *future* ready times — rare — is found after sorting.
+    pub fn periodic_schedule(
+        &self,
+        active: &[usize],
+        order: &mut Vec<usize>,
+        at: &mut Vec<u64>,
+    ) -> Option<(u64, u64)> {
+        debug_assert!(!active.is_empty());
         let base = self.cycle;
-        let full_rounds = slots / r;
-        let rem = (slots % r) as usize;
-        for (p, &t) in order.iter().enumerate() {
-            debug_assert!(
-                self.next_ready[t] <= base + p as u64,
-                "tasklet {t} not ready at its slot"
-            );
+        let r = active.len() as u64;
+        order.clear();
+        at.clear();
+        if r >= self.stages {
+            // Saturated round-robin: everyone ready at their probe slot.
+            let split = active.partition_point(|&t| t < self.rr_cursor);
+            order.extend_from_slice(&active[split..]);
+            order.extend_from_slice(&active[..split]);
+            if order.iter().zip(base..).all(|(&t, slot)| self.next_ready[t] <= slot) {
+                at.extend(base..base + r);
+                return Some((r, u64::MAX));
+            }
+            order.clear();
+        }
+        let mut first = u64::MAX;
+        let mut due = false;
+        for &t in active {
+            let ready = self.next_ready[t];
+            if ready <= base {
+                if due {
+                    return None;
+                }
+                due = true;
+            }
+            first = first.min(ready);
+        }
+        // Members issue inside the first `stages` cycles; whoever is ready
+        // later only bounds how long the schedule holds.
+        let window = first.max(base) + self.stages;
+        let mut horizon = u64::MAX;
+        for &t in active {
+            let ready = self.next_ready[t];
+            if ready < window {
+                order.push(t);
+            } else {
+                horizon = horizon.min(ready);
+            }
+        }
+        // At most one member's ready time is clamped up to `base`, so the
+        // raw ready times sort the clamped ones too.
+        order.sort_unstable_by_key(|&t| self.next_ready[t]);
+        at.extend(order.iter().map(|&t| self.next_ready[t].max(base)));
+        at.windows(2).all(|w| w[0] < w[1]).then_some((self.stages, horizon))
+    }
+
+    /// Issue `slots >= 1` consecutive picks of a *periodic rotation* in one
+    /// step: pick number `m` (0-based) issues tasklet `order[m % r]` at
+    /// cycle `at[m % r] + (m / r) * period`, where `r = order.len()`.
+    ///
+    /// This is the one closed form behind every batched mode. It is exactly
+    /// equivalent to `slots` successive `pick`s over the runnable set
+    /// `order` *provided* the caller has verified that `at` really is the
+    /// first round's issue schedule and that it repeats — which holds in
+    /// two shapes (`base` = the current cycle):
+    ///
+    /// * **saturated round-robin** — `r >= stages`, `order` in round-robin
+    ///   probe order from the cursor, `next_ready[order[p]] <= base + p`:
+    ///   then `at[p] = base + p` and `period = r`. Each tasklet issues once
+    ///   per rotation of `r >= stages` cycles, so its own spacing never
+    ///   binds and the first-fit probe always lands on the next tasklet in
+    ///   cyclic order.
+    /// * **under-saturated** — `r <= stages`, `order` sorted by ready time,
+    ///   `at[p] = next_ready[order[p]].max(base)` *strictly increasing* and
+    ///   spanning fewer than `stages` cycles: then `period = stages`. At
+    ///   every pick the candidates' issue times are the remaining `at[p..]`
+    ///   followed by the already-issued `at[..p] + stages`, still strictly
+    ///   increasing (`at[p - 1] + stages > at[r - 1]` is the span bound), so
+    ///   the earliest candidate is unique and neither first-fit nor the
+    ///   round-robin cursor ever breaks a tie; by induction the same holds
+    ///   in every later round, and after a mid-round stop for the rotated
+    ///   order. With `r == stages` this is the exact-fit permutation that
+    ///   DMA stalls leave 11 tasklets on 11 stages in for good (one tasklet
+    ///   ready per cycle, zero idle); with `r == 1` it is a sole tasklet
+    ///   issuing every `stages` cycles.
+    ///
+    /// Runnable tasklets *outside* `order` are the caller's business: the
+    /// equivalence holds for as long as every batched pick issues strictly
+    /// before the earliest of their ready times (see
+    /// [`Pipeline::periodic_slots_through`]).
+    ///
+    /// Every cycle from `base` up to the last issue is either one of the
+    /// `slots` issues or idle, which is the whole idle-slot accounting.
+    pub fn advance_periodic(&mut self, order: &[usize], at: &[u64], period: u64, slots: u64) {
+        let r = order.len() as u64;
+        debug_assert!(slots >= 1 && r >= 1 && at.len() == order.len());
+        debug_assert!(period >= self.stages && period >= r, "a tasklet would reissue too early");
+        debug_assert!(at[0] >= self.cycle && at[at.len() - 1] - at[0] < period);
+        debug_assert!(at.windows(2).all(|w| w[0] < w[1]), "issue times must be distinct");
+        let base = self.cycle;
+        // (Sole-tasklet flushes come every few instructions in lock
+        // convoys: spare them the division.)
+        let (full_rounds, rem) =
+            if r == 1 { (slots, 0) } else { (slots / r, (slots % r) as usize) };
+        for (p, (&t, &first)) in order.iter().zip(at).enumerate() {
+            debug_assert!(self.next_ready[t] <= first, "tasklet {t} not ready at its slot");
             let issues = full_rounds + u64::from(p < rem);
             if issues > 0 {
-                self.next_ready[t] = base + (issues - 1) * r + p as u64 + self.stages;
+                self.next_ready[t] = first + (issues - 1) * period + self.stages;
                 self.issued_per_tasklet[t] += issues;
             }
         }
-        self.issued += slots;
-        self.last_issue = base + slots - 1;
+        // The last pick: the end of a whole round, or `rem` into the next.
+        let (last, round) =
+            if rem == 0 { (order.len() - 1, full_rounds - 1) } else { (rem - 1, full_rounds) };
+        self.last_issue = at[last] + round * period;
         self.cycle = self.last_issue + 1;
+        self.issued += slots;
+        self.idle_cycles += (self.cycle - base) - slots;
         let n = self.next_ready.len();
-        let last = order[((slots - 1) % r) as usize];
-        self.rr_cursor = if last + 1 == n { 0 } else { last + 1 };
+        self.rr_cursor = if order[last] + 1 == n { 0 } else { order[last] + 1 };
+    }
+
+    /// How many leading picks of the periodic rotation `(at, period)` of
+    /// [`Pipeline::advance_periodic`] issue at or before cycle `limit`.
+    ///
+    /// Issue times increase with the pick number, so this is the longest
+    /// batch that stays inside a bound on the issue cycle: a cycle budget
+    /// (`limit = budget - stages`, because the reference checks
+    /// `issue + stages <= budget` after every pick) or the ready time of a
+    /// stalled tasklet outside the rotation (`limit = ready - 1`). Far from
+    /// the limit the division is replaced by a safe underestimate — the
+    /// batch just ends early and re-enters; the exact count only matters
+    /// close to the bound.
+    #[must_use]
+    pub fn periodic_slots_through(at: &[u64], period: u64, limit: u64) -> u64 {
+        let r = at.len() as u64;
+        // Whole rounds that fit, and how far they shift the partial one.
+        let (full, shift) = match limit.checked_sub(at[at.len() - 1]) {
+            None => (0, 0),
+            Some(room) if room >= (1 << 32) && period <= 64 => return (room >> 6) * r,
+            Some(room) => (room / period + 1, (room / period + 1).saturating_mul(period)),
+        };
+        let partial =
+            at.iter().take_while(|&&a| limit.checked_sub(a).is_some_and(|d| d >= shift)).count();
+        full * r + partial as u64
     }
 
     /// [`Pipeline::pick`] restricted to a caller-maintained ascending list
@@ -495,87 +574,135 @@ mod tests {
         }
     }
 
+    /// The schedule `periodic_schedule` finds from the current state.
+    fn schedule(p: &Pipeline, active: &[usize]) -> Option<(Vec<usize>, Vec<u64>, u64, u64)> {
+        let (mut order, mut at) = (Vec::new(), Vec::new());
+        let (period, horizon) = p.periodic_schedule(active, &mut order, &mut at)?;
+        Some((order, at, period, horizon))
+    }
+
     #[test]
-    fn fast_forward_sole_matches_repeated_picks() {
-        for tasklets in [1usize, 3, 11] {
-            for k in [1u64, 2, 7, 40] {
-                let mut a = Pipeline::new(tasklets);
-                let mut b = Pipeline::new(tasklets);
-                // Skew the sole tasklet's ready time via a stall.
+    fn periodic_advance_matches_repeated_picks_for_every_runnable_count() {
+        // For every runnable count, in a pipeline of exactly that many
+        // tasklets and as a scattered subset of 24: walk a run whose ready
+        // times are skewed by DMA-like stalls, and wherever a closed form
+        // is found, flush a random number of slots (whole rounds, mid-round
+        // stops, up to the stalled tasklets' horizon) through one
+        // `advance_periodic` and compare the complete pipeline state
+        // against the same number of `pick`s.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rng = move |n: u64| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 33) % n
+        };
+        for r in 1..=24usize {
+            for tasklets in [r, 24] {
                 let mut runnable = vec![false; tasklets];
-                runnable[tasklets - 1] = true;
-                a.pick(&runnable).unwrap();
-                a.stall(tasklets - 1, 137);
-                b.pick(&runnable).unwrap();
-                b.stall(tasklets - 1, 137);
-                for _ in 0..k {
-                    a.pick(&runnable).unwrap();
+                while runnable.iter().filter(|&&on| on).count() < r {
+                    runnable[rng(tasklets as u64) as usize] = true;
                 }
-                b.fast_forward_sole(tasklets - 1, k);
-                assert_eq!(a, b, "tasklets={tasklets} k={k}");
+                let active: Vec<usize> = (0..tasklets).filter(|&t| runnable[t]).collect();
+                let mut a = Pipeline::new(tasklets);
+                let (mut batched, mut bounded, mut idle_rounds) = (0, 0, 0);
+                for step in 0..1500 {
+                    let last = if let Some((order, at, period, horizon)) = schedule(&a, &active) {
+                        assert_eq!(period, (order.len() as u64).max(a.stages()));
+                        let holds = Pipeline::periodic_slots_through(&at, period, horizon - 1);
+                        assert!(holds >= 1, "the earliest member issues before the horizon");
+                        let slots = (1 + rng(3 * r as u64 + 2)).min(holds);
+                        let mut b = a.clone();
+                        b.advance_periodic(&order, &at, period, slots);
+                        let mut last = 0;
+                        for m in 0..slots as usize {
+                            last = a.pick(&runnable).unwrap();
+                            assert_eq!(last, order[m % order.len()], "r={r} pick {m}");
+                        }
+                        assert_eq!(a, b, "r={r} tasklets={tasklets} slots={slots}");
+                        batched += 1;
+                        bounded += usize::from(horizon != u64::MAX);
+                        idle_rounds += usize::from(order.len() > 1 && period > order.len() as u64);
+                        last
+                    } else {
+                        a.pick(&runnable).unwrap()
+                    };
+                    // Calm, a storm of stalls, calm again. (More tasklets
+                    // than stages come out of the storm in a permuted
+                    // rotation that hangs on tie-breaks for good.)
+                    if (300..800).contains(&step) && rng(4) == 0 {
+                        a.stall(last, 12 + rng(70));
+                    }
+                }
+                assert!(batched > 300, "r={r} tasklets={tasklets}: only {batched} batches");
+                if (2..=11).contains(&r) {
+                    assert!(bounded > 50, "r={r}: no batch was bounded by a stalled tasklet");
+                }
+                if (2..11).contains(&r) {
+                    assert!(idle_rounds > 50, "r={r}: {idle_rounds} under-saturated batches");
+                }
             }
         }
     }
 
     #[test]
-    fn advance_rounds_matches_repeated_picks_at_saturation() {
-        // 13 runnable of 16 tasklets (>= 11 stages) with two disabled in
-        // the middle; warm up one rotation so ready times are staggered,
-        // then compare r rounds of picks against one advance_rounds.
-        let tasklets = 16usize;
-        let mut runnable = vec![true; tasklets];
-        runnable[4] = false;
-        runnable[9] = false;
-        runnable[15] = false;
-        let mut a = Pipeline::new(tasklets);
-        let mut b = Pipeline::new(tasklets);
-        let live: Vec<usize> = (0..tasklets).filter(|&t| runnable[t]).collect();
-        for _ in 0..live.len() {
-            a.pick(&runnable).unwrap();
-            b.pick(&runnable).unwrap();
-        }
-        assert_eq!(a, b);
-        // Build probe order from the current cursor.
-        let cursor = b.rr_cursor();
-        let order: Vec<usize> =
-            (cursor..tasklets).chain(0..cursor).filter(|&t| runnable[t]).collect();
-        for rounds in [1u64, 2, 9] {
-            for _ in 0..rounds * order.len() as u64 {
-                a.pick(&runnable).unwrap();
+    fn periodic_slots_through_counts_issue_times() {
+        // Against the definition: slot m issues at at[m % r] + m / r * period.
+        for (at, period) in [
+            (vec![7u64], 11u64),
+            (vec![3, 4, 9], 11),
+            (vec![20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30], 11),
+            ((100..116).collect(), 16),
+            (vec![5, 90], 100),
+        ] {
+            let r = at.len() as u64;
+            for limit in 0..at[0] + 5 * period {
+                let direct =
+                    (0..).take_while(|m| at[(m % r) as usize] + m / r * period <= limit).count();
+                assert_eq!(
+                    Pipeline::periodic_slots_through(&at, period, limit),
+                    direct as u64,
+                    "at={at:?} period={period} limit={limit}"
+                );
             }
-            b.advance_rounds(&order, rounds);
-            assert_eq!(a, b, "rounds={rounds}");
+            // Far from the limit: a safe underestimate, never zero.
+            let far = Pipeline::periodic_slots_through(&at, period, u64::MAX);
+            assert!(far > 1 << 40 && far <= (u64::MAX / period + 1).saturating_mul(r));
         }
     }
 
     #[test]
     fn long_whole_round_rotations_match_repeated_picks() {
         // The compiled tier's lockstep replication flushes thousands of
-        // whole rounds through a single `advance_rotation` call; the state
+        // whole rounds through a single `advance_periodic` call; the state
         // must stay bit-identical to the equivalent pick-by-pick schedule.
         let tasklets = 11usize;
         let runnable = vec![true; tasklets];
         let mut a = Pipeline::new(tasklets);
         let mut b = Pipeline::new(tasklets);
-        let order: Vec<usize> = (0..tasklets).collect();
+        let active: Vec<usize> = (0..tasklets).collect();
+        let (order, at, period, _) = schedule(&b, &active).expect("saturated from the start");
         let slots = 4096 * tasklets as u64;
         for _ in 0..slots {
             a.pick(&runnable).unwrap();
         }
-        b.advance_rotation(&order, slots);
+        b.advance_periodic(&order, &at, period, slots);
         assert_eq!(a, b);
         assert_eq!(b.issued(), slots);
+        assert_eq!(b.idle_cycles(), 0);
     }
 
     #[test]
-    fn exact_fit_permuted_rotation_matches_repeated_picks() {
+    fn exact_fit_permuted_rotation_is_found_and_matches_repeated_picks() {
         // Eleven tasklets on eleven stages, knocked out of round-robin
         // order by DMA-like stalls: once the collisions settle, every
         // tasklet issues exactly `stages` cycles after its last issue, in
         // a fixed permutation, with no idle slot — and no slack that would
-        // ever let the order drift back to round-robin.
+        // ever let the order drift back to round-robin. The probe finds it
+        // as the under-saturated form with r == stages.
         let tasklets = 11usize;
         let runnable = vec![true; tasklets];
+        let active: Vec<usize> = (0..tasklets).collect();
         let mut a = Pipeline::new(tasklets);
         for (t, stall) in [(3usize, 40u64), (7, 23), (0, 57), (9, 31)] {
             for _ in 0..tasklets {
@@ -586,25 +713,23 @@ mod tests {
         for _ in 0..20 * tasklets {
             a.pick(&runnable).unwrap();
         }
-        let mut order: Vec<usize> = (0..tasklets).collect();
-        order.sort_unstable_by_key(|&t| a.next_ready_of(t));
-        let base = a.current_cycle();
-        for (p, &t) in order.iter().enumerate() {
-            assert_eq!(a.next_ready_of(t), base + p as u64, "tasklet {t} fits slot {p} exactly");
-        }
-        let cursor = a.rr_cursor();
-        let round_robin: Vec<usize> = (cursor..tasklets).chain(0..cursor).collect();
-        assert_ne!(order, round_robin, "the stalls must have permuted the issue order");
+        let idle = a.idle_cycles();
         for slots in [1u64, 5, 11, 40, 1_000] {
+            let (order, at, period, horizon) = schedule(&a, &active).expect("exact fit");
+            assert_eq!((period, horizon), (11, u64::MAX));
+            let base = a.current_cycle();
+            assert!(at.iter().copied().eq(base..base + 11), "one tasklet ready per cycle");
+            let cursor = a.rr_cursor;
+            let round_robin: Vec<usize> = (cursor..tasklets).chain(0..cursor).collect();
+            assert_ne!(order, round_robin, "the stalls must have permuted the issue order");
             let mut b = a.clone();
-            b.advance_rotation(&order, slots);
+            b.advance_periodic(&order, &at, period, slots);
             for _ in 0..slots {
                 a.pick(&runnable).unwrap();
             }
             assert_eq!(a, b, "slots={slots}");
-            // Mid-rotation exits leave an exact fit for the rotated order.
-            order.rotate_left((slots % tasklets as u64) as usize);
         }
+        assert_eq!(a.idle_cycles(), idle);
     }
 
     #[test]

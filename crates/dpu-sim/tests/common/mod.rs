@@ -7,7 +7,11 @@
 //! chunk. Racy and disruptive ops can be gated to a single loop
 //! iteration, so one program has long conflict-free stretches (chunks
 //! commit) *and* a collision (a chunk rolls back and the per-slot replay
-//! must reproduce the reference order).
+//! must reproduce the reference order). Any tasklet count from 2 up is
+//! valid — below the pipeline depth the rotations are under-saturated —
+//! and a program can put only its first `working` tasklets to work while
+//! the rest halt at once (the serving shape: 16 tasklets launched, fewer
+//! images staged).
 
 #![allow(dead_code)]
 
@@ -220,21 +224,41 @@ pub struct Event {
     pub iter: i32,
     /// The one tasklet `only_event_tasklet` ops fire on.
     pub tasklet: i32,
-    /// Tasklet `me`'s "neighbour" is tasklet `(me + stride) mod tasklets`:
+    /// Tasklet `me`'s "neighbour" is tasklet `(me + stride) mod working`:
     /// the stride decides whether a reader runs before or after the
     /// region's owner in round-robin order.
     pub stride: i32,
+    /// Tasklets `working..` halt on their second instruction.
+    pub working: usize,
 }
 
-/// Assemble a racy program: `iters` trips round `body` on every tasklet.
-pub fn racy_program(body: &[RacyOp], tasklets: usize, iters: i32, event: Event) -> Program {
-    let t = tasklets as i32;
+impl Event {
+    /// Reduce raw strategy draws `(iter, tasklet, stride)` into range for
+    /// `working` working tasklets and `iters` loop trips.
+    pub fn from_draws(draws: (i32, i32, i32), working: usize, iters: i32) -> Self {
+        Self {
+            iter: draws.0 % iters + 1,
+            tasklet: draws.1 % working as i32,
+            stride: draws.2,
+            working,
+        }
+    }
+}
+
+/// Assemble a racy program: `iters` trips round `body` on the first
+/// `event.working` of the launched tasklets.
+pub fn racy_program(body: &[RacyOp], iters: i32, event: Event) -> Program {
+    let t = event.working as i32;
     let stride = event.stride.rem_euclid(t);
     let mut p = vec![
         Instr::TaskletId { rd: ME },
+        // Tasklets beyond the working set halt at once.
+        Instr::Movi { rd: Reg(13), imm: t },
+        Instr::Branch { cond: Cond::Lt, ra: ME, rb: Reg(13), target: 4 },
+        Instr::Halt,
         Instr::PerfConfig,
         // Tasklet 0 fills the shared table from (seeded) MRAM.
-        Instr::Branch { cond: Cond::Ne, ra: ME, rb: Reg(0), target: 7 },
+        Instr::Branch { cond: Cond::Ne, ra: ME, rb: Reg(0), target: 10 },
         Instr::Movi { rd: Reg(13), imm: SHARED },
         Instr::Movi { rd: Reg(14), imm: 128 },
         Instr::MramRead { wram: Reg(13), mram: Reg(0), len: Reg(14) },
@@ -243,10 +267,10 @@ pub fn racy_program(body: &[RacyOp], tasklets: usize, iters: i32, event: Event) 
         // MINE = PRIVATE + 32 * me
         Instr::Lsli { rd: MINE, ra: ME, sh: 5 },
         Instr::Addi { rd: MINE, ra: MINE, imm: PRIVATE },
-        // NEIGHBOUR = PRIVATE + 32 * ((me + stride) mod tasklets)
+        // NEIGHBOUR = PRIVATE + 32 * ((me + stride) mod working)
         Instr::Addi { rd: NEIGHBOUR, ra: ME, imm: stride },
         Instr::Movi { rd: Reg(13), imm: t },
-        Instr::Branch { cond: Cond::Lt, ra: NEIGHBOUR, rb: Reg(13), target: 14 },
+        Instr::Branch { cond: Cond::Lt, ra: NEIGHBOUR, rb: Reg(13), target: 17 },
         Instr::Addi { rd: NEIGHBOUR, ra: NEIGHBOUR, imm: -t },
         Instr::Lsli { rd: NEIGHBOUR, ra: NEIGHBOUR, sh: 5 },
         Instr::Addi { rd: NEIGHBOUR, ra: NEIGHBOUR, imm: PRIVATE },

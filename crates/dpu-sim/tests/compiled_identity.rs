@@ -6,9 +6,10 @@
 //! image, same error at the same point — on random programs, on the bench
 //! kernels the tier is meant to accelerate, across budget cutoffs that
 //! exhaust mid-chain, under armed fault injection (where the tier
-//! deoptimizes wholesale to the superblock engine), and on many-tasklet
-//! loops that race on WRAM, where compiled chains run inside tasklet-major
-//! chunks that commit or roll back.
+//! deoptimizes wholesale to the superblock engine), and on loops of 2 to 24
+//! tasklets that race on WRAM, where compiled chains run inside
+//! tasklet-major chunks — of saturated and under-saturated rotations —
+//! that commit or roll back.
 
 mod common;
 
@@ -160,7 +161,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Compiled chains inside tasklet-major chunks: racy many-tasklet
+    /// Compiled chains inside tasklet-major chunks: racy multi-tasklet
     /// loops (see `common`) under a random compile mask, so chunks mix
     /// threaded-code chains, memoized blocks and single ops, and roll
     /// back from inside any of them — to completion and under a budget
@@ -168,15 +169,14 @@ proptest! {
     #[test]
     fn racy_wram_programs_match_reference_under_deopt_masks(
         body in prop::collection::vec(racy_op_strategy(), 3..14),
-        tasklets in 11usize..=24,
+        tasklets in 2usize..=24,
         iters in 24i32..96,
         event in (0i32..96, 0i32..24, 1i32..24),
         mask in any::<u64>(),
         budget_permille in 0u64..1100,
     ) {
-        let event =
-            Event { iter: event.0 % iters + 1, tasklet: event.1 % tasklets as i32, stride: event.2 };
-        let mut exec = ExecProgram::decode(&racy_program(&body, tasklets, iters, event));
+        let event = Event::from_draws(event, tasklets, iters);
+        let mut exec = ExecProgram::decode(&racy_program(&body, iters, event));
         for keep in [mask, u64::MAX] {
             exec.recompile_filtered(|start| (keep >> (start % 64)) & 1 == 1);
             let label = format!("racy, mask {keep:#x}");
@@ -194,14 +194,13 @@ proptest! {
     #[test]
     fn fault_armed_racy_programs_match_fault_armed_reference(
         body in prop::collection::vec(racy_op_strategy(), 3..14),
-        tasklets in 11usize..=24,
+        tasklets in 2usize..=24,
         iters in 24i32..64,
         event in (0i32..64, 0i32..24, 1i32..24),
         seed in 0u64..64,
     ) {
-        let event =
-            Event { iter: event.0 % iters + 1, tasklet: event.1 % tasklets as i32, stride: event.2 };
-        let exec = ExecProgram::decode(&racy_program(&body, tasklets, iters, event));
+        let event = Event::from_draws(event, tasklets, iters);
+        let exec = ExecProgram::decode(&racy_program(&body, iters, event));
         let plan = FaultPlan::new(FaultConfig {
             seed,
             dma_fail_prob: 0.05,

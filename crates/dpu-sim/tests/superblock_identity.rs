@@ -6,15 +6,17 @@
 //! `RunResult`, same error at the same point, same final memory image —
 //! on random programs, on DMA-stall-heavy kernels, on the
 //! mutex/barrier-heavy shape the `sync_heavy_16t` bench measures, and on
-//! many-tasklet loops that race on WRAM (the tasklet-major chunks' commit
-//! and rollback paths).
+//! multi-tasklet loops that race on WRAM (the tasklet-major chunks' commit
+//! and rollback paths) at every tasklet count from 2 up: saturated
+//! rotations, under-saturated ones, and the serving shape where most of
+//! the launched tasklets halt at once.
 
 mod common;
 
 use common::{racy_op_strategy, racy_program, Disruption, Event, Gate, RacyOp};
 use dpu_sim::exec::{is_superblock_op, ExecProgram};
 use dpu_sim::isa::{Cond, Instr, Program, Reg, Width};
-use dpu_sim::{Engine, Machine, RunResult};
+use dpu_sim::{Engine, FaultConfig, FaultPlan, Machine, RunResult};
 use proptest::prelude::*;
 
 /// Budget small enough to terminate the infinite loops random control flow
@@ -64,6 +66,14 @@ fn assert_engines_agree(
     // normal launch runs, and what the CI engine matrix forces per tier.
     check("ambient engine", &mut |m| m.run_exec_with_budget(&exec, tasklets, budget));
     reference
+}
+
+/// [`assert_engines_agree`] to completion (or `TEST_BUDGET`), then again
+/// under a budget of `permille` thousandths of that run's cycles.
+fn assert_engines_agree_whole_and_cut(program: &Program, tasklets: usize, permille: u64) {
+    let full = assert_engines_agree(program, tasklets, TEST_BUDGET);
+    let cycles = full.map_or(TEST_BUDGET, |r| r.cycles);
+    let _cut = assert_engines_agree(program, tasklets, cycles * permille / 1000);
 }
 
 /// A strategy over instructions, weighted toward superblock ALU runs with
@@ -161,26 +171,38 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
-    /// Tasklet-major chunks are invisible: saturated many-tasklet loops
-    /// with every flavour of cross-tasklet WRAM overlap, `trace` ops, and
-    /// boundary ops / faults / halts gated onto one iteration (so they
-    /// land mid-chunk after conflict-free stretches have committed) match
-    /// the reference — to completion and under a budget that cuts the run
-    /// somewhere in the middle.
+    /// Rotation batches and tasklet-major chunks are invisible: loops on
+    /// 2 to 24 tasklets — under-saturated below the pipeline depth,
+    /// saturated above — with every flavour of cross-tasklet WRAM overlap,
+    /// `trace` ops, and boundary ops / faults / halts gated onto one
+    /// iteration (so they land mid-chunk after conflict-free stretches
+    /// have committed; a DMA gated onto one tasklet leaves it stalled
+    /// outside the others' rotation) match the reference — to completion
+    /// and under a budget that cuts the run somewhere in the middle.
     #[test]
     fn racy_wram_programs_match_reference(
         body in prop::collection::vec(racy_op_strategy(), 3..14),
-        tasklets in 11usize..=24,
+        tasklets in 2usize..=24,
         iters in 24i32..96,
         event in (0i32..96, 0i32..24, 1i32..24),
         budget_permille in 0u64..1100,
     ) {
-        let event =
-            Event { iter: event.0 % iters + 1, tasklet: event.1 % tasklets as i32, stride: event.2 };
-        let program = racy_program(&body, tasklets, iters, event);
-        let full = assert_engines_agree(&program, tasklets, TEST_BUDGET);
-        let cycles = full.map_or(TEST_BUDGET, |r| r.cycles);
-        let _cut = assert_engines_agree(&program, tasklets, cycles * budget_permille / 1000);
+        let program = racy_program(&body, iters, Event::from_draws(event, tasklets, iters));
+        assert_engines_agree_whole_and_cut(&program, tasklets, budget_permille);
+    }
+
+    /// The serving shape: a full DPU's 16 tasklets launched, 1 to 15 of
+    /// them with work, the rest halting on their second instruction.
+    #[test]
+    fn racy_wram_programs_match_reference_when_most_tasklets_halt_at_once(
+        body in prop::collection::vec(racy_op_strategy(), 3..14),
+        working in 1usize..=15,
+        iters in 24i32..96,
+        event in (0i32..96, 0i32..24, 1i32..24),
+        budget_permille in 0u64..1100,
+    ) {
+        let program = racy_program(&body, iters, Event::from_draws(event, working, iters));
+        assert_engines_agree_whole_and_cut(&program, 16, budget_permille);
     }
 }
 
@@ -311,16 +333,10 @@ fn deadlock_accounting_matches_reference() {
     }
 }
 
-/// Every chunk outcome — commit, and rollback at a boundary op, a WRAM
-/// conflict, a `trace` and a fault — actually occurs on the fast engine
-/// (checked through the residency counters) and is invisible in the
-/// results. Guards the racy proptest above against silently never
-/// reaching chunk mode.
-#[test]
-fn every_chunk_outcome_occurs_and_is_invisible() {
-    use dpu_sim::isa::Width;
-    let gated = |op| RacyOp::Gated { when: Gate::EventIter, only_event_tasklet: true, op };
-    let quiet = [
+/// A chunk-friendly loop body: private loads and stores, shared reads,
+/// ALU work and a data-dependent skip — no boundary op, no race.
+fn quiet_body() -> Vec<RacyOp> {
+    vec![
         RacyOp::PrivateLoad(Width::W, 0, 3),
         RacyOp::Alu(Instr::Addi { rd: Reg(6), ra: Reg(6), imm: 5 }),
         RacyOp::SharedLoad(1, 7),
@@ -328,13 +344,117 @@ fn every_chunk_outcome_occurs_and_is_invisible() {
         RacyOp::Alu(Instr::Xor { rd: Reg(7), ra: Reg(7), rb: Reg(1) }),
         RacyOp::PrivateStore(Width::H, 1, 7),
         RacyOp::PrivateStore(Width::W, 0, 3),
-    ];
+    ]
+}
+
+/// Residency counters of a superblock-engine run of `program`.
+fn superblock_stats(program: &Program, tasklets: usize) -> dpu_sim::EngineStats {
+    let mut m = seeded_machine();
+    let _ = m.run_exec_engine(&ExecProgram::decode(program), tasklets, Engine::Superblock);
+    m.engine_stats()
+}
+
+/// Fewer runnable tasklets than pipeline stages rotate in closed form too
+/// (idle cycles every round), launched on their own or as the working few
+/// of a full DPU's 16 — checked through the residency counters, so the
+/// racy proptests above cannot silently stop reaching the mode.
+#[test]
+fn undersaturated_rotations_occur_and_are_invisible() {
+    for (launched, working) in [(2, 2), (3, 3), (6, 6), (10, 10), (16, 1), (16, 6), (16, 15)] {
+        let event = Event { iter: 150, tasklet: 0, stride: 1, working };
+        let program = racy_program(&quiet_body(), 400, event);
+        let result = assert_engines_agree(&program, launched, u64::MAX).expect("completes");
+        assert!(result.idle_cycles > 0 || working >= 11, "{working} tasklets leave idle slots");
+        let s = superblock_stats(&program, launched);
+        assert_eq!(s.slots(), result.instructions, "modes partition the issued slots");
+        if working == 1 {
+            assert!(s.sole_slots * 10 > result.instructions * 9, "{s:?}");
+            continue;
+        }
+        assert!(s.chunk_slots * 10 > result.instructions * 8, "{working}: {s:?}");
+        if working < 11 {
+            assert!(s.undersaturated_slots * 10 > result.instructions * 9, "{working}: {s:?}");
+        }
+    }
+}
+
+/// One tasklet streams DMAs while the others compute: the stalled tasklet
+/// is runnable but outside the others' rotation, which must stop short of
+/// its ready time — never run through it, never fall back to pick-by-pick.
+#[test]
+fn dma_stalled_tasklet_bounds_the_rotation_of_the_others() {
+    let mut body = quiet_body();
+    body.push(RacyOp::Gated {
+        when: Gate::Always,
+        only_event_tasklet: true,
+        op: Disruption::MramRead,
+    });
+    for (launched, working, streamer) in [(2, 2, 1), (4, 4, 0), (7, 7, 3), (12, 12, 5), (16, 6, 2)]
+    {
+        let event = Event { iter: 1, tasklet: streamer, stride: 1, working };
+        let program = racy_program(&body, 300, event);
+        let result = assert_engines_agree(&program, launched, u64::MAX).expect("completes");
+        assert!(result.dma_transfers >= 300);
+        let s = superblock_stats(&program, launched);
+        assert_eq!(s.slots(), result.instructions);
+        // (Eleven computing tasklets are an exact fit, not under-saturated.)
+        if working < 12 {
+            assert!(s.undersaturated_slots * 2 > result.instructions, "{working} tasklets: {s:?}");
+        }
+        assert!(s.reference_slots * 4 < result.instructions, "{working} tasklets: {s:?}");
+    }
+}
+
+/// A budget that runs out on every slot — and in every idle gap — of an
+/// under-saturated round leaves the identical `CycleBudgetExceeded`
+/// partial state on all three tiers, fault-armed runs included.
+#[test]
+fn budget_cut_on_every_slot_of_an_undersaturated_round_matches_reference() {
+    for (launched, working) in [(5, 5), (16, 6)] {
+        let event = Event { iter: 40, tasklet: 1, stride: 2, working };
+        let program = racy_program(&quiet_body(), 120, event);
+        let full = assert_engines_agree(&program, launched, u64::MAX).expect("completes");
+        let s = superblock_stats(&program, launched);
+        assert!(s.undersaturated_slots * 10 > full.instructions * 9, "{s:?}");
+
+        let exec = ExecProgram::decode(&program);
+        let plan =
+            FaultPlan::new(FaultConfig { seed: 7, bit_flip_prob: 0.5, ..Default::default() });
+        let armed = |engine: Engine, budget: u64| {
+            let mut m = seeded_machine();
+            m.arm_faults(plan.attempt(0, 0));
+            let outcome = m.run_exec_engine_with_budget(&exec, launched, budget, engine);
+            let log = m.disarm_faults().expect("armed");
+            let image = m.wram.slice(0, m.params.wram_bytes).unwrap().to_vec();
+            (outcome, log.injected().to_vec(), image)
+        };
+        // Three whole rounds' worth of consecutive budgets, mid-run.
+        for budget in full.cycles / 2..full.cycles / 2 + 3 * 11 + 1 {
+            let cut = assert_engines_agree(&program, launched, budget);
+            assert_eq!(cut, Err(dpu_sim::Error::CycleBudgetExceeded { budget }));
+            let reference = armed(Engine::Reference, budget);
+            assert!(reference.0.is_err());
+            assert_eq!(armed(Engine::Superblock, budget), reference, "armed, budget {budget}");
+            assert_eq!(armed(Engine::Compiled, budget), reference, "armed, budget {budget}");
+        }
+    }
+}
+
+/// Every chunk outcome — commit, and rollback at a boundary op, a WRAM
+/// conflict, a `trace` and a fault — actually occurs on the fast engine
+/// (checked through the residency counters) and is invisible in the
+/// results. Guards the racy proptest above against silently never
+/// reaching chunk mode.
+#[test]
+fn every_chunk_outcome_occurs_and_is_invisible() {
+    let gated = |op| RacyOp::Gated { when: Gate::EventIter, only_event_tasklet: true, op };
+    let quiet = quiet_body();
     let tasklets = 16;
     let stats_of = |extra: Option<RacyOp>| {
-        let mut body = quiet.to_vec();
+        let mut body = quiet.clone();
         body.extend(extra);
-        let program =
-            racy_program(&body, tasklets, 400, Event { iter: 150, tasklet: 9, stride: 1 });
+        let event = Event { iter: 150, tasklet: 9, stride: 1, working: tasklets };
+        let program = racy_program(&body, 400, event);
         let outcome = assert_engines_agree(&program, tasklets, u64::MAX);
         let mut m = seeded_machine();
         let fast = m.run_exec_engine(&ExecProgram::decode(&program), tasklets, Engine::Superblock);
@@ -402,7 +522,8 @@ fn chunk_epoch_wrap_mid_run_is_invisible() {
         op: Disruption::PerfRead(2),
     });
     let tasklets = 11;
-    let program = racy_program(&body, tasklets, 1400, Event { iter: 1, tasklet: 0, stride: 1 });
+    let event = Event { iter: 1, tasklet: 0, stride: 1, working: tasklets };
+    let program = racy_program(&body, 1400, event);
     let outcome = assert_engines_agree(&program, tasklets, u64::MAX);
     let mut m = seeded_machine();
     let fast = m.run_exec_engine(&ExecProgram::decode(&program), tasklets, Engine::Superblock);

@@ -26,6 +26,8 @@
 //! *differs across tiers* by design — perf gates must ignore it):
 //! `obs.engine.slots.{reference,sole,rotation,chunk,burst_batch,lockstep}`
 //! count the issue slots each execution mode of the simulator retired,
+//! `obs.engine.rotation.undersaturated_slots` those of them retired by
+//! rotations of fewer tasklets than pipeline stages,
 //! `obs.engine.chunk.commits`,
 //! `obs.engine.chunk.aborts.{boundary,conflict,trace,fault}` and
 //! `obs.engine.chunk.rolled_back_slots` say how the tasklet-major chunks

@@ -119,6 +119,7 @@ fn observation_metrics_key_set_is_stable() {
             "obs.engine.chunk.aborts.trace",
             "obs.engine.chunk.commits",
             "obs.engine.chunk.rolled_back_slots",
+            "obs.engine.rotation.undersaturated_slots",
             "obs.engine.slots.burst_batch",
             "obs.engine.slots.chunk",
             "obs.engine.slots.lockstep",
