@@ -27,13 +27,17 @@
 //! kernel the default tier must beat the reference loop by 2x with 16
 //! images on a DPU (tasklet-major chunks) and with 6 (the under-saturated
 //! last chunk of a served batch), and must not fall behind it at 3, 10
-//! (>= 1x) and the 11-tasklet Fig. 4.7(a) knee (>= 0.95x).
+//! (>= 1x) and the 11-tasklet Fig. 4.7(a) knee (>= 0.95x). Last, the
+//! recorded-launch gate: on a 256-DPU eBNN set an all-idle launch (every
+//! DPU replays one recording) must cost at most a quarter, per DPU, of
+//! the same launch with a distinct `img_base` in every DPU's params
+//! (every read set differs, so every DPU is interpreted).
 //!
 //! `cargo bench --bench profiler_overhead` is therefore a pass/fail
 //! gate; the criterion group reports all three timings for context.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dpu_sim::{CycleAttribution, Engine, ExecProgram, Machine};
+use dpu_sim::{CycleAttribution, DpuId, Engine, ExecProgram, Machine};
 use pim_bench::kernels::{ebnn_tier1, KernelShape};
 use pim_bench::snapshot::alu_program;
 use std::time::{Duration, Instant};
@@ -285,6 +289,55 @@ fn bench_profiler_overhead(c: &mut Criterion) {
             shape.name
         );
     }
+
+    // --- Gate 10: idle DPUs replay instead of being interpreted ---------
+    // A sparse served batch launches the whole set and almost every DPU
+    // finds `n_images = 0`. Those runs are bit-identical, so all but the
+    // first two replay a recorded launch; with a distinct (unused)
+    // `img_base` per DPU no read set matches and every DPU runs its 16
+    // tasklets through boot, three DMAs, barrier and halt. A ratio, not a
+    // wall-clock bound: the container drifts by several percent.
+    let (mut idle, mut distinct) = (idle_ebnn_engine(false), idle_ebnn_engine(true));
+    let launch = |engine: &mut ebnn::codegen::Tier1Engine| {
+        black_box(engine.set_mut().launch_loaded(IDLE_TASKLETS).unwrap().makespan_cycles());
+    };
+    let (min_idle, min_distinct) =
+        paired_min_time(RUNS, || launch(&mut idle), || launch(&mut distinct));
+    let per_dpu = |d: Duration| d.as_secs_f64() * 1e6 / IDLE_DPUS as f64;
+    let ratio = min_idle.as_secs_f64() / min_distinct.as_secs_f64();
+    println!(
+        "idle eBNN launch, {IDLE_DPUS} DPUs x {IDLE_TASKLETS} tasklets: replayed {:.2} us/DPU, \
+         interpreted {:.2} us/DPU: {ratio:.3}x (gate <= 0.25x)",
+        per_dpu(min_idle),
+        per_dpu(min_distinct),
+    );
+    assert!(
+        ratio <= 0.25,
+        "an all-idle launch cost {ratio:.3}x the launch whose DPUs are all interpreted \
+         (gate <= 0.25x): replayed {min_idle:?} vs interpreted {min_distinct:?}"
+    );
+}
+
+const IDLE_DPUS: usize = 256;
+/// A full served chunk's tasklet count: what the idle DPUs of a batch
+/// with one full DPU launch with.
+const IDLE_TASKLETS: usize = 16;
+
+/// A 256-DPU eBNN engine (weights broadcast, program loaded, launches on
+/// the calling thread) with `n_images = 0` staged on every DPU — and,
+/// with `distinct_bases`, a different image base in every DPU's params.
+fn idle_ebnn_engine(distinct_bases: bool) -> ebnn::codegen::Tier1Engine {
+    use ebnn::codegen::{mram, params_wire, Tier1Engine};
+    let model = ebnn::EbnnModel::generate(ebnn::ModelConfig { filters: 1, ..Default::default() });
+    let mut engine = Tier1Engine::new(&model, IDLE_DPUS).expect("eBNN engine");
+    let set = engine.set_mut();
+    set.set_parallel_threshold(Some(usize::MAX));
+    for d in 0..IDLE_DPUS {
+        let skew = if distinct_bases { 8 * d as u32 } else { 0 };
+        let params = params_wire(0, 1, mram::IMAGES + skew, mram::FEATURES);
+        set.copy_to_dpu(DpuId(d as u32), "params", 0, &params).expect("stage idle params");
+    }
+    engine
 }
 
 const BUDGET: u64 = dpu_sim::machine::DEFAULT_CYCLE_BUDGET;

@@ -28,10 +28,11 @@ macro_rules! engine_stats {
     ($( $(#[$doc:meta])* $field:ident => $key:literal, )+) => {
         /// Issue slots retired per execution mode, plus chunk outcomes.
         ///
-        /// The six `slots.*` mode counters partition every issued slot of
+        /// The seven `slots.*` counters partition every issued slot of
         /// every run the machine has executed (reference, traced and
-        /// profiled runs count under `reference_slots` entirely);
-        /// `undersaturated_slots` cuts across them.
+        /// profiled runs count under `reference_slots` entirely, replayed
+        /// runs under `replayed_slots`); `undersaturated_slots` cuts
+        /// across them.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct EngineStats {
             $( $(#[$doc])* pub $field: u64, )+
@@ -75,6 +76,10 @@ engine_stats! {
     /// Whole lockstep rounds from a single fetch: compiled-chain
     /// replication, block replay and uniform single-instruction rounds.
     lockstep_slots => "slots.lockstep",
+    /// Slots of runs replayed from a recording ("Recorded launches" in
+    /// `docs/PERFORMANCE.md`): reported by the `RunResult`, issued
+    /// through no engine mode.
+    replayed_slots => "slots.replayed",
     /// Of the rotation, chunk, burst-batch and lockstep slots, those
     /// retired while fewer tasklets than pipeline stages were rotating
     /// (idle cycles every round) — not a seventh mode.
@@ -92,16 +97,25 @@ engine_stats! {
     /// Slots executed inside chunks that were then rolled back (host work
     /// thrown away; those slots retire again through another mode).
     chunk_rolled_back_slots => "chunk.rolled_back_slots",
+    /// Runs replayed from a recording.
+    replay_hits => "replay.hits",
+    /// Runs recorded to completion and offered to the table.
+    replay_records => "replay.records",
+    /// Recordings dropped mid-run (slot or byte cap, or a read straddling
+    /// the run's own output); their slots so far went through per-slot
+    /// picks and the run carried on through the fast engine.
+    replay_abandoned => "replay.abandoned",
 }
 
 impl EngineStats {
     /// Total issue slots retired, over all modes.
     #[must_use]
     pub fn slots(&self) -> u64 {
-        self.reference_slots + self.batched_slots()
+        self.reference_slots + self.batched_slots() + self.replayed_slots
     }
 
-    /// Slots retired by anything other than the per-slot reference path.
+    /// Slots an engine retired by anything other than the per-slot
+    /// reference path.
     pub(crate) fn batched_slots(&self) -> u64 {
         self.sole_slots
             + self.rotation_slots

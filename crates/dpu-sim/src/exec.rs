@@ -18,6 +18,7 @@
 use crate::compile::CompiledProgram;
 use crate::isa::{Instr, Program};
 use crate::profiler::CycleAttribution;
+use crate::replay::ReplayTable;
 use std::sync::Arc;
 
 /// Number of distinct mnemonic classes (see [`Instr::mnemonic`]).
@@ -309,6 +310,11 @@ pub struct ExecProgram {
     /// [`crate::compile`]); behind an [`Arc`] so cloning the program for
     /// parallel launches shares the compiled closures.
     compiled: Arc<CompiledProgram>,
+    /// Recorded launches of this program (see [`crate::replay`]). Shared
+    /// by clones — a recording depends on the instruction stream, which
+    /// clones share, not on what is compiled — and freed with the last
+    /// of them.
+    replay: Arc<ReplayTable>,
 }
 
 impl ExecProgram {
@@ -334,7 +340,11 @@ impl ExecProgram {
             program.instrs.iter().map(|&instr| ExecInstr { instr, op: op_id(&instr) }).collect();
         let superblocks = Superblocks::analyze(&code);
         let compiled = Arc::new(CompiledProgram::compile_all(&code, &superblocks));
-        Self { source: program.clone(), code, superblocks, compiled }
+        Self { source: program.clone(), code, superblocks, compiled, replay: Arc::default() }
+    }
+
+    pub(crate) fn replay(&self) -> &ReplayTable {
+        &self.replay
     }
 
     /// The threaded-code translation of the superblocks, used by the

@@ -56,6 +56,7 @@ pub mod params;
 pub mod perfcounter;
 pub mod pipeline;
 pub mod profiler;
+mod replay;
 pub mod subroutines;
 pub mod system;
 

@@ -30,6 +30,7 @@ use crate::params::{DpuParams, REGS_PER_TASKLET};
 use crate::perfcounter::PerfCounter;
 use crate::pipeline::Pipeline;
 use crate::profiler::{CycleAttribution, Profiler};
+use crate::replay::{Lookup, Recorder, ReplayKey, ReplayTable, Space, REPLAY_MAX_SLOTS};
 use pim_trace::{DmaDirection, NullSink, TraceEvent, TraceSink};
 
 /// Default cycle budget for [`Machine::run`]; generous enough for every
@@ -257,6 +258,13 @@ impl Machine {
         self.engine_stats
     }
 
+    /// The perf counter as the last run left it (every launch resets it
+    /// first, so this is that run's state alone).
+    #[must_use]
+    pub fn perf(&self) -> PerfCounter {
+        self.perf
+    }
+
     /// Arm a set of injected faults for the next run. The machine consults
     /// them at launch (offline / hang clamp) and at every DMA transfer;
     /// everything that fires is logged inside the armed [`AttemptFaults`].
@@ -381,7 +389,7 @@ impl Machine {
         // (traced runs take the reference loop regardless).
         let compiled = (engine == Engine::Compiled && !sink.is_enabled())
             .then(|| CompiledProgram::compile_all(&code, &sb));
-        self.run_code(&code, &sb, compiled.as_ref(), tasklets, budget, sink, engine, None)
+        self.run_code(&code, &sb, compiled.as_ref(), None, tasklets, budget, sink, engine, None)
     }
 
     /// Run a pre-decoded program on `tasklets` hardware threads until all
@@ -437,6 +445,7 @@ impl Machine {
             exec.code(),
             exec.superblocks(),
             Some(exec.compiled()),
+            Some(exec.replay()),
             tasklets,
             budget,
             &mut NullSink,
@@ -503,6 +512,7 @@ impl Machine {
             exec.code(),
             exec.superblocks(),
             None,
+            None,
             tasklets,
             budget,
             &mut NullSink,
@@ -558,6 +568,7 @@ impl Machine {
             exec.code(),
             exec.superblocks(),
             Some(exec.compiled()),
+            Some(exec.replay()),
             tasklets,
             budget,
             sink,
@@ -587,12 +598,20 @@ impl Machine {
     ///   onto the superblock paths everywhere else. Armed fault injection
     ///   downgrades this tier to the superblock engine so injected-fault
     ///   runs stay on the thoroughly-pinned paths.
+    ///
+    /// With a `replay` table (runs of an [`ExecProgram`]) a plain launch on
+    /// a fast tier first looks for a recorded run of the same key whose
+    /// read set equals this machine's memory, and on a match applies its
+    /// write set and returns its result without setting up an [`Interp`]
+    /// at all; a short run that finds none is recorded as it executes
+    /// (see [`crate::replay`]).
     #[allow(clippy::too_many_arguments)]
     fn run_code(
         &mut self,
         code: &[ExecInstr],
         sb: &Superblocks,
         compiled: Option<&CompiledProgram>,
+        replay: Option<&ReplayTable>,
         tasklets: usize,
         budget: u64,
         sink: &mut dyn TraceSink,
@@ -648,6 +667,47 @@ impl Machine {
             engine
         };
 
+        // Recorded launches, on the plain path only. Armed faults, a live
+        // sink, the profiler and MRAM ECC all observe or perturb the run
+        // slot by slot, and the reference loop stays the definition the
+        // other tiers (and their replays) are compared against.
+        let replay = replay
+            .filter(|_| {
+                engine != Engine::Reference
+                    && self.faults.is_none()
+                    && profile.is_none()
+                    && !sink.is_enabled()
+                    && !self.mram.ecc_enabled()
+            })
+            .map(|table| {
+                let key = ReplayKey {
+                    tasklets,
+                    engine,
+                    params: self.params,
+                    dma_timing: self.dma.timing(),
+                    wram_len: self.wram.len(),
+                    mram_len: self.mram.len(),
+                };
+                (table, key)
+            });
+        let mut recorder = None;
+        if let Some((table, key)) = &replay {
+            match table.lookup(key, &mut self.wram, &mut self.mram, budget) {
+                Lookup::Hit { result, perf } => {
+                    self.dma.total_cycles += result.dma_cycles;
+                    self.dma.transfers += result.dma_transfers;
+                    self.dma.total_bytes += result.dma_bytes;
+                    self.perf = perf;
+                    self.engine_stats.replayed_slots += result.instructions;
+                    self.engine_stats.replay_hits += 1;
+                    return Ok(result);
+                }
+                Lookup::Record => recorder = Some(Box::default()),
+                Lookup::Unseen => {}
+            }
+        }
+        let recording = recorder.is_some();
+
         let pipeline = Pipeline::with_stages(tasklets, u64::from(self.params.pipeline_stages));
         let live = if code.is_empty() { 0 } else { tasklets };
         let dma_cycles_before = self.dma.total_cycles;
@@ -684,6 +744,7 @@ impl Machine {
             budget,
             machine: self,
             sink,
+            recorder,
         };
         if interp.sink.is_enabled() {
             interp.sink.record(TraceEvent::KernelLaunch { tasklets: tasklets as u8, cycle: 0 });
@@ -697,7 +758,12 @@ impl Machine {
             attr.prepare(sb, tasklets);
             interp.run_reference_profiled(attr)
         } else if engine == Engine::Reference || interp.sink.is_enabled() {
-            interp.run_reference()
+            interp.run_reference::<false>()
+        } else if recording {
+            // Reference-identical slots while the recording stays open; if
+            // it is abandoned, the fast engine takes the run over where it
+            // stands (and returns at once from a finished one).
+            interp.run_reference::<true>().and_then(|()| interp.run_fast())
         } else {
             interp.run_fast()
         };
@@ -716,6 +782,7 @@ impl Machine {
             return Err(e);
         }
 
+        let recorder = interp.recorder.take();
         let mut result = interp.result;
         result.op_histogram = exec::fold_histogram(&interp.op_counts);
         result.cycles = interp.pipeline.elapsed();
@@ -730,6 +797,17 @@ impl Machine {
                 cycle: result.cycles,
                 instructions: result.instructions,
             });
+        }
+        if let Some((table, key)) = &replay {
+            if let Some(recorder) = recorder {
+                let rec = recorder.finish(&self.wram, &self.mram, result.clone(), self.perf);
+                table.insert(key, rec);
+                self.engine_stats.replay_records += 1;
+            } else if !recording && result.instructions <= REPLAY_MAX_SLOTS {
+                // Recording starts at the second sighting, so a program's
+                // first run of a key is exactly a run without a table.
+                table.note_short_run(key);
+            }
         }
         Ok(result)
     }
@@ -812,6 +890,10 @@ struct Interp<'a> {
     chunk_policy: ChunkPolicy,
     /// Register files as of the current chunk's start.
     chunk_saved: Vec<Tasklet>,
+    /// The read and write sets of this run while it is being recorded for
+    /// replay (see [`crate::replay`]). Last and boxed: one cold pointer,
+    /// so the hot fields above keep their layout.
+    recorder: Option<Box<Recorder>>,
 }
 
 /// Issue-slot classification used by the batched fast paths.
@@ -926,8 +1008,15 @@ impl Interp<'_> {
     /// budget check, one fetch-dispatch per issue slot. Every observable
     /// figure (cycles, traces, histograms, Deadlock accounting) is defined
     /// by this loop; [`Interp::run_fast`] must match it bit-for-bit.
-    fn run_reference(&mut self) -> Result<()> {
+    ///
+    /// With `RECORDING` the loop also runs the slots of a run being
+    /// recorded for replay, and returns early — run unfinished — once the
+    /// recording has been abandoned.
+    fn run_reference<const RECORDING: bool>(&mut self) -> Result<()> {
         loop {
+            if RECORDING && !self.recording_open() {
+                return Ok(());
+            }
             if !self.single && self.parked > 0 && self.parked == self.live {
                 self.release_full_barrier();
             }
@@ -950,6 +1039,34 @@ impl Interp<'_> {
                 continue;
             }
             self.step(t)?;
+        }
+    }
+
+    /// Whether this run is (still) being recorded; abandons the recording
+    /// first if the run has outgrown [`REPLAY_MAX_SLOTS`].
+    fn recording_open(&mut self) -> bool {
+        if self.pipeline.issued() > REPLAY_MAX_SLOTS {
+            self.abandon_recording();
+        }
+        self.recorder.is_some()
+    }
+
+    /// Drop the open recording, if any; the run carries on unrecorded.
+    fn abandon_recording(&mut self) {
+        if self.recorder.take().is_some() {
+            self.stats.replay_abandoned += 1;
+        }
+    }
+
+    /// Feed one memory access to the open recording, if any; an access the
+    /// recorder cannot take abandons it. Called from the memory arms of
+    /// [`Interp::step`] only: while a recording is open every instruction
+    /// goes through `step`.
+    fn record(&mut self, access: impl FnOnce(&mut Recorder, &Wram) -> bool) {
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            if !access(rec, &self.machine.wram) {
+                self.abandon_recording();
+            }
         }
     }
 
@@ -1934,6 +2051,10 @@ impl Interp<'_> {
                     Width::H => self.machine.wram.read_u16(addr)?,
                     Width::W => self.machine.wram.read_u32(addr)?,
                 };
+                self.record(|rec, wram| {
+                    let loaded = wram.slice(addr, width.bytes());
+                    loaded.is_ok_and(|now| rec.read(Space::Wram, addr, now))
+                });
                 self.threads[t].set(rd, v);
             }
             Instr::Store { width, ra, off, rs } => {
@@ -1944,6 +2065,7 @@ impl Interp<'_> {
                     Width::H => self.machine.wram.write_u16(addr, v)?,
                     Width::W => self.machine.wram.write_u32(addr, v)?,
                 }
+                self.record(|rec, _| rec.write(Space::Wram, addr, width.bytes()));
             }
             Instr::MramRead { wram, mram, len } | Instr::MramWrite { wram, mram, len } => {
                 let w = th.get(wram) as usize;
@@ -1966,6 +2088,16 @@ impl Interp<'_> {
                 } else {
                     self.machine.dma.write(&mut self.machine.mram, &self.machine.wram, m, w, l)?
                 };
+                self.record(|rec, wram| {
+                    // In either direction the moved bytes now sit at `w`.
+                    wram.slice(w, l).is_ok_and(|moved| {
+                        if is_read {
+                            rec.read(Space::Mram, m, moved) && rec.write(Space::Wram, w, l)
+                        } else {
+                            rec.read(Space::Wram, w, moved) && rec.write(Space::Mram, m, l)
+                        }
+                    })
+                });
                 let setup = self.machine.params.dma_setup_cycles;
                 let stream = cycles.saturating_sub(setup);
                 let issue = pipeline_issue_cycle(&self.pipeline);

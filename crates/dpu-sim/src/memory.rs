@@ -353,6 +353,31 @@ impl CowMemory {
         Ok(())
     }
 
+    /// Whether the memory holds exactly `expect` at `addr` (false when the
+    /// range exceeds capacity). Compares page by page without copying;
+    /// zero pages hold zeros.
+    pub(crate) fn holds(&self, addr: usize, expect: &[u8]) -> bool {
+        if self.check_range(addr, expect.len()).is_err() {
+            return false;
+        }
+        let mut done = 0;
+        while done < expect.len() {
+            let at = addr + done;
+            let (page, off) = (at / MRAM_PAGE_BYTES, at % MRAM_PAGE_BYTES);
+            let take = (self.page_len(page) - off).min(expect.len() - done);
+            let want = &expect[done..done + take];
+            let same = match &self.pages[page] {
+                Some(data) => data[off..off + take] == *want,
+                None => want.iter().all(|&b| b == 0),
+            };
+            if !same {
+                return false;
+            }
+            done += take;
+        }
+        true
+    }
+
     /// Write `buf` starting at `addr`, materializing or privatizing the
     /// touched pages.
     ///
@@ -936,6 +961,12 @@ impl DmaEngine {
             total_bytes: 0,
             transfers: 0,
         }
+    }
+
+    /// The engine without its statistics: setup cost, streaming rate and
+    /// transfer limit.
+    pub(crate) fn timing(&self) -> (u64, u64, usize) {
+        (self.setup_cycles, self.bytes_per_cycle, self.max_transfer)
     }
 
     /// Cycle cost of a transfer of `bytes` bytes (Eq. 3.4).

@@ -12,6 +12,10 @@
 //! and a program can put only its first `working` tasklets to work while
 //! the rest halt at once (the serving shape: 16 tasklets launched, fewer
 //! images staged).
+//!
+//! Also here: [`Aftermath`], everything a run leaves behind, and
+//! [`assert_replay_invisible`], the plain / recorded / replayed triple
+//! the suites run short programs through.
 
 #![allow(dead_code)]
 
@@ -359,4 +363,65 @@ pub fn racy_program(body: &[RacyOp], iters: i32, event: Event) -> Program {
         Instr::Halt,
     ]);
     Program::new(p)
+}
+
+/// Everything a run leaves behind that the host or a later launch can
+/// observe: the outcome, both memories, the DMA statistics and the perf
+/// counter.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Aftermath {
+    pub outcome: Result<dpu_sim::RunResult, dpu_sim::Error>,
+    pub wram: Vec<u8>,
+    pub mram: dpu_sim::Mram,
+    pub dma: dpu_sim::DmaEngine,
+    pub perf: dpu_sim::perfcounter::PerfCounter,
+}
+
+/// Run `run` on `machine` and collect what it leaves behind, plus the
+/// machine's engine residency (the run's own, on a fresh machine) — kept
+/// apart because it differs across tiers by design.
+pub fn aftermath(
+    mut machine: dpu_sim::Machine,
+    run: impl FnOnce(&mut dpu_sim::Machine) -> Result<dpu_sim::RunResult, dpu_sim::Error>,
+) -> (Aftermath, dpu_sim::EngineStats) {
+    let outcome = run(&mut machine);
+    let after = Aftermath {
+        outcome,
+        wram: machine.wram.slice(0, machine.wram.len()).unwrap().to_vec(),
+        mram: machine.mram.clone(),
+        dma: machine.dma,
+        perf: machine.perf(),
+    };
+    (after, machine.engine_stats())
+}
+
+/// The recorded-launch contract on one program: a run on the reference
+/// loop, then three runs per fast tier — a first sighting (plain), a
+/// second (recorded, when the first finished inside the slot cap) and a
+/// third (replayed, when the recording was kept) — each on a machine
+/// fresh from `prepare`, must all leave the same [`Aftermath`]. `exec`
+/// must not have run before. Returns the reference aftermath and, per
+/// tier (superblock, compiled), the residency of the third run.
+pub fn assert_replay_invisible(
+    exec: &dpu_sim::ExecProgram,
+    tasklets: usize,
+    budget: u64,
+    prepare: &dyn Fn() -> dpu_sim::Machine,
+) -> (Aftermath, [dpu_sim::EngineStats; 2]) {
+    use dpu_sim::Engine;
+    let run = |engine| {
+        aftermath(prepare(), |m| m.run_exec_engine_with_budget(exec, tasklets, budget, engine))
+    };
+    let (reference, _) = run(Engine::Reference);
+    let third = [Engine::Superblock, Engine::Compiled].map(|engine| {
+        ["plain", "recorded", "replayed"].map(|sighting| {
+            let (after, stats) = run(engine);
+            assert_eq!(after, reference, "{} tier, {sighting} run diverged", engine.name());
+            if let Ok(r) = &after.outcome {
+                assert_eq!(stats.slots(), r.instructions, "{sighting}: modes partition the slots");
+            }
+            stats
+        })[2]
+    });
+    (reference, third)
 }

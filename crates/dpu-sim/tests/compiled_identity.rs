@@ -9,11 +9,12 @@
 //! deoptimizes wholesale to the superblock engine), and on loops of 2 to 24
 //! tasklets that race on WRAM, where compiled chains run inside
 //! tasklet-major chunks — of saturated and under-saturated rotations —
-//! that commit or roll back.
+//! that commit or roll back. Short runs are additionally recorded and
+//! replayed under the same compile masks.
 
 mod common;
 
-use common::{racy_op_strategy, racy_program, Event};
+use common::{assert_replay_invisible, racy_op_strategy, racy_program, Event};
 use dpu_sim::exec::ExecProgram;
 use dpu_sim::isa::{Cond, Instr, Program, Reg, Width};
 use dpu_sim::{Engine, FaultConfig, FaultPlan, Machine, RunResult};
@@ -184,6 +185,34 @@ proptest! {
             let cycles = full.map_or(TEST_BUDGET, |r| r.cycles);
             let budget = cycles * budget_permille / 1000;
             let _cut = assert_compiled_matches_reference(&exec, tasklets, budget, &label);
+        }
+    }
+
+    /// Recorded launches under compile masks: short racy programs run
+    /// plain, recorded and replayed on both fast tiers (an empty
+    /// compilation resolves to the superblock tier and shares its
+    /// recordings) and match the reference every time — whole, and under
+    /// a budget that may cut the run, with the table as the whole runs
+    /// left it.
+    #[test]
+    fn short_racy_programs_replay_identically_under_deopt_masks(
+        body in prop::collection::vec(racy_op_strategy(), 2..9),
+        tasklets in 1usize..=6,
+        iters in 1i32..4,
+        event in (0i32..96, 0i32..24, 1i32..24),
+        mask in any::<u64>(),
+        budget_permille in 0u64..1100,
+    ) {
+        let event = Event::from_draws(event, tasklets, iters);
+        let program = racy_program(&body, iters, event);
+        for keep in [0, mask, u64::MAX] {
+            let mut exec = ExecProgram::decode(&program);
+            exec.recompile_filtered(|start| (keep >> (start % 64)) & 1 == 1);
+            let (whole, _) =
+                assert_replay_invisible(&exec, tasklets, TEST_BUDGET, &seeded_machine);
+            let cycles = whole.outcome.map_or(TEST_BUDGET, |r| r.cycles);
+            let budget = cycles * budget_permille / 1000;
+            assert_replay_invisible(&exec, tasklets, budget, &seeded_machine);
         }
     }
 

@@ -9,11 +9,17 @@
 //! multi-tasklet loops that race on WRAM (the tasklet-major chunks' commit
 //! and rollback paths) at every tasklet count from 2 up: saturated
 //! rotations, under-saturated ones, and the serving shape where most of
-//! the launched tasklets halt at once.
+//! the launched tasklets halt at once. Runs short enough to be recorded
+//! for replay must also match it on their second (recorded) and third
+//! (replayed) sighting, and a replay must fire exactly when every byte
+//! the recorded run read first is still there.
 
 mod common;
 
-use common::{racy_op_strategy, racy_program, Disruption, Event, Gate, RacyOp};
+use common::{
+    aftermath, assert_replay_invisible, racy_op_strategy, racy_program, Aftermath, Disruption,
+    Event, Gate, RacyOp,
+};
 use dpu_sim::exec::{is_superblock_op, ExecProgram};
 use dpu_sim::isa::{Cond, Instr, Program, Reg, Width};
 use dpu_sim::{Engine, FaultConfig, FaultPlan, Machine, RunResult};
@@ -29,6 +35,16 @@ fn seeded_machine() -> Machine {
     let mut m = Machine::default();
     for (i, b) in (0..4096u32).enumerate() {
         m.mram.write_u8(i, b.wrapping_mul(37) & 0xff).unwrap();
+    }
+    m
+}
+
+/// [`seeded_machine`] with WRAM a previous launch has left non-zero, so
+/// loads of never-written WRAM observe real data too.
+fn lived_in_machine() -> Machine {
+    let mut m = seeded_machine();
+    for i in 0..0x1000u32 {
+        m.wram.write_u8(i as usize, (i.wrapping_mul(29) >> 2) & 0xff).unwrap();
     }
     m
 }
@@ -530,4 +546,335 @@ fn chunk_epoch_wrap_mid_run_is_invisible() {
     assert_eq!(fast, outcome);
     let s = m.engine_stats();
     assert!(s.chunk_commits > 100 && s.chunk_commits + s.chunk_aborts_boundary > 530, "{s:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Recorded launches are invisible: racy programs short enough to be
+    /// recorded — DMA, `perf`, `trace`, bursts, faults and early halts
+    /// included — leave the same result, memories, DMA statistics and
+    /// perf counter on their first (plain), second (recorded) and third
+    /// (replayed) run per tier as on the reference loop; then again, with
+    /// whatever the table now holds, under a budget that may cut the run.
+    #[test]
+    fn short_racy_programs_record_and_replay_identically(
+        body in prop::collection::vec(racy_op_strategy(), 2..9),
+        tasklets in 1usize..=6,
+        iters in 1i32..4,
+        event in (0i32..96, 0i32..24, 1i32..24),
+        budget_permille in 0u64..1100,
+    ) {
+        let program = racy_program(&body, iters, Event::from_draws(event, tasklets, iters));
+        let exec = ExecProgram::decode(&program);
+        let (whole, third) = assert_replay_invisible(&exec, tasklets, TEST_BUDGET, &lived_in_machine);
+        if let Ok(r) = &whole.outcome {
+            prop_assert!(r.instructions <= 1024, "the generator outgrew the slot cap: {r:?}");
+            for stats in third {
+                // Kept and replayed, or abandoned again: never a fourth way.
+                prop_assert_eq!(stats.replay_hits + stats.replay_abandoned, 1, "{:?}", stats);
+            }
+        } else {
+            prop_assert_eq!(third.map(|s| s.replay_hits + s.replay_records), [0, 0]);
+        }
+        let cycles = whole.outcome.map_or(TEST_BUDGET, |r| r.cycles);
+        assert_replay_invisible(&exec, tasklets, cycles * budget_permille / 1000, &lived_in_machine);
+    }
+}
+
+/// Reads 8 MRAM bytes at 64 (by DMA) and the WRAM word at 0x80 (left by
+/// "the previous launch"), writes their sum and the word to WRAM 0x88 and
+/// from there to MRAM 128.
+fn replay_probe_program() -> Program {
+    dpu_sim::asm::assemble(
+        "movi r1, 0x40\n\
+         movi r2, 64\n\
+         movi r3, 8\n\
+         mram.read r1, r2, r3\n\
+         lw r4, r1, 0\n\
+         lw r5, r0, 0x80\n\
+         add r4, r4, r5\n\
+         sw r0, 0x88, r4\n\
+         sw r0, 0x8c, r5\n\
+         movi r1, 0x88\n\
+         movi r2, 128\n\
+         mram.write r1, r2, r3\n\
+         trace r4\n\
+         halt\n",
+    )
+    .unwrap()
+}
+
+/// Run `exec` on the compiled tier on `machine`; the aftermath and the
+/// run's residency.
+fn compiled_run(
+    exec: &ExecProgram,
+    tasklets: usize,
+    machine: Machine,
+) -> (Aftermath, dpu_sim::EngineStats) {
+    aftermath(machine, |m| m.run_exec_engine(exec, tasklets, Engine::Compiled))
+}
+
+/// The same run on the reference loop.
+fn reference_run(exec: &ExecProgram, tasklets: usize, machine: Machine) -> Aftermath {
+    aftermath(machine, |m| m.run_exec_engine(exec, tasklets, Engine::Reference)).0
+}
+
+/// `exec` with a recording of its compiled-tier run on a
+/// [`lived_in_machine`] in the table (first sighting, then recorded).
+fn recorded(program: &Program, tasklets: usize) -> ExecProgram {
+    let exec = ExecProgram::decode(program);
+    let (_, first) = compiled_run(&exec, tasklets, lived_in_machine());
+    assert_eq!((first.replay_records, first.replay_hits), (0, 0), "first sighting runs plain");
+    let (_, second) = compiled_run(&exec, tasklets, lived_in_machine());
+    assert_eq!((second.replay_records, second.replay_abandoned), (1, 0), "{second:?}");
+    exec
+}
+
+/// A replay fires exactly when every byte the recorded run read first is
+/// unchanged: one flipped byte inside the MRAM or the WRAM read span
+/// forces a real run, bytes the run never read (or overwrote before
+/// reading) may change freely.
+#[test]
+fn replay_is_validated_against_the_read_set() {
+    let program = replay_probe_program();
+    let exec = recorded(&program, 1);
+    let check = |label: &str, expect_hit: bool, disturb: &dyn Fn(&mut Machine)| {
+        let mut machine = lived_in_machine();
+        disturb(&mut machine);
+        let reference = reference_run(&exec, 1, machine.clone());
+        let (after, stats) = compiled_run(&exec, 1, machine);
+        assert_eq!(after, reference, "{label}");
+        assert_eq!(stats.replay_hits, u64::from(expect_hit), "{label}: {stats:?}");
+        let r = after.outcome.expect("completes");
+        assert_eq!(stats.slots(), r.instructions, "{label}");
+        assert_eq!(stats.replayed_slots, if expect_hit { r.instructions } else { 0 }, "{label}");
+    };
+    check("untouched", true, &|_| {});
+    for byte in [64, 67, 71] {
+        check("MRAM read span", false, &|m| m.mram.flip_bit_raw(byte, 3).unwrap());
+    }
+    for byte in [0x80, 0x83] {
+        check("WRAM read span", false, &|m| {
+            let v = m.wram.read_u8(byte).unwrap();
+            m.wram.write_u8(byte, v ^ 0x10).unwrap();
+        });
+    }
+    // Each miss above was recorded in turn; the original still replays.
+    check("untouched, after other recordings", true, &|_| {});
+    check("bytes beside the read spans", true, &|m| {
+        m.mram.write(56, &[0xaa; 8]).unwrap();
+        m.mram.write(72, &[0xbb; 8]).unwrap();
+        m.wram.write(0x7c, &[0xcc; 4]).unwrap();
+        m.wram.write(0x84, &[0xdd; 4]).unwrap();
+    });
+    check("bytes the run overwrites without reading", true, &|m| {
+        m.wram.write(0x40, &[0xee; 8]).unwrap();
+        m.wram.write(0x88, &[0xee; 8]).unwrap();
+        m.mram.write(128, &[0xee; 8]).unwrap();
+    });
+}
+
+/// Read-then-overwrite keeps the pre-state value in the read set and the
+/// final one in the write set; write-then-read is no input at all; a read
+/// that straddles the run's own output abandons the recording.
+#[test]
+fn recorder_orders_reads_and_writes_per_byte() {
+    let run = |source: &str, disturb: &dyn Fn(&mut Machine)| {
+        let program = dpu_sim::asm::assemble(source).unwrap();
+        let exec = ExecProgram::decode(&program);
+        compiled_run(&exec, 1, lived_in_machine());
+        let (_, second) = compiled_run(&exec, 1, lived_in_machine());
+        let mut machine = lived_in_machine();
+        disturb(&mut machine);
+        let reference = reference_run(&exec, 1, machine.clone());
+        let (third, stats) = compiled_run(&exec, 1, machine);
+        assert_eq!(third, reference, "{source}");
+        (second, stats)
+    };
+
+    let read_then_overwrite = "lw r1, r0, 0x80\naddi r1, r1, 1\nsw r0, 0x80, r1\nhalt\n";
+    let (second, third) = run(read_then_overwrite, &|_| {});
+    assert_eq!((second.replay_records, third.replay_hits), (1, 1));
+    let (_, third) = run(read_then_overwrite, &|m| m.wram.write_u8(0x81, 0).unwrap());
+    assert_eq!(third.replay_hits, 0, "the overwritten word was read first");
+
+    let write_then_read = "movi r1, 7\nsw r0, 0x80, r1\nlw r2, r0, 0x80\nlb r3, r0, 0x82\nhalt\n";
+    let (second, third) = run(write_then_read, &|m| m.wram.write(0x80, &[9; 4]).unwrap());
+    assert_eq!((second.replay_records, third.replay_hits), (1, 1), "own output is no input");
+
+    let partial_overlap = "movi r1, 7\nsb r0, 0x81, r1\nlw r2, r0, 0x80\nhalt\n";
+    let (second, third) = run(partial_overlap, &|_| {});
+    assert_eq!((second.replay_records, second.replay_abandoned), (0, 1), "{second:?}");
+    assert_eq!((third.replay_hits, third.replay_abandoned), (0, 1), "{third:?}");
+
+    // The same through the DMA engine: 8 bytes out of WRAM, 4 of them stored.
+    let partial_dma = "sw r0, 0x88, r0\nmovi r1, 0x88\nmovi r3, 8\nmram.write r1, r0, r3\nhalt\n";
+    let (second, third) = run(partial_dma, &|_| {});
+    assert_eq!((second.replay_records, second.replay_abandoned), (0, 1), "{second:?}");
+    assert_eq!((third.replay_hits, third.replay_abandoned), (0, 1), "{third:?}");
+}
+
+/// A budget below the recorded run's cycles never replays: the run is cut
+/// with the same partial state as on a program without a table. A budget
+/// of exactly the recorded cycles does.
+#[test]
+fn budget_below_the_recorded_cycles_cuts_the_run_for_real() {
+    let program = replay_probe_program();
+    let exec = recorded(&program, 2);
+    let full = reference_run(&exec, 2, lived_in_machine()).outcome.expect("completes");
+    for budget in [0, 11, full.cycles / 2, full.cycles - 1, full.cycles] {
+        let with_budget = |exec: &ExecProgram, engine: Engine| {
+            aftermath(lived_in_machine(), |m| {
+                m.run_exec_engine_with_budget(exec, 2, budget, engine)
+            })
+        };
+        let (reference, _) = with_budget(&exec, Engine::Reference);
+        let (no_table, _) = with_budget(&ExecProgram::decode(&program), Engine::Compiled);
+        let (after, stats) = with_budget(&exec, Engine::Compiled);
+        assert_eq!(after, reference, "budget {budget}");
+        assert_eq!(after, no_table, "budget {budget}");
+        assert_eq!(stats.replay_hits, u64::from(budget == full.cycles), "budget {budget}");
+        if budget < full.cycles {
+            assert_eq!(after.outcome, Err(dpu_sim::Error::CycleBudgetExceeded { budget }));
+        }
+    }
+}
+
+/// A run that ends in an error is never recorded, however often it runs.
+#[test]
+fn erroring_runs_are_never_recorded() {
+    for source in [
+        "lw r1, r0, 0x80\nmovi r2, 0x7fff0000\nlw r3, r2, 0\nhalt\n",
+        "me r1\nbne r1, r0, 3\nmutex.lock 0\nbarrier\nmutex.lock 0\nbarrier\nhalt\n",
+        "movi r1, 5\ncall __divsi3 r2, r1, r0\nhalt\n",
+    ] {
+        let exec = ExecProgram::decode(&dpu_sim::asm::assemble(source).unwrap());
+        for _ in 0..4 {
+            let reference = reference_run(&exec, 2, lived_in_machine());
+            let (after, stats) = compiled_run(&exec, 2, lived_in_machine());
+            assert!(after.outcome.is_err(), "{source}");
+            assert_eq!(after, reference, "{source}");
+            assert_eq!(
+                (stats.replay_hits, stats.replay_records, stats.replay_abandoned),
+                (0, 0, 0),
+                "{source}"
+            );
+        }
+    }
+}
+
+/// Recordings are keyed: another tasklet count, tier or parameter set
+/// never replays this one's.
+#[test]
+fn recordings_are_not_shared_across_tasklets_tiers_or_params() {
+    let program = replay_probe_program();
+    let exec = recorded(&program, 2);
+    let hits = |tasklets: usize, engine: Engine, machine: Machine| {
+        let reference = reference_run(&exec, tasklets, machine.clone());
+        let (after, stats) = aftermath(machine, |m| m.run_exec_engine(&exec, tasklets, engine));
+        assert_eq!(after, reference);
+        stats.replay_hits
+    };
+    let announced = || {
+        let fresh = lived_in_machine();
+        let mut m = Machine::new(dpu_sim::DpuParams::announced());
+        m.wram = fresh.wram;
+        m.mram = fresh.mram;
+        m
+    };
+    assert_eq!(hits(3, Engine::Compiled, lived_in_machine()), 0, "other tasklet count");
+    assert_eq!(hits(2, Engine::Superblock, lived_in_machine()), 0, "other tier");
+    assert_eq!(hits(2, Engine::Compiled, announced()), 0, "other device parameters");
+    assert_eq!(hits(2, Engine::Reference, lived_in_machine()), 0, "reference never replays");
+    assert_eq!(hits(2, Engine::Compiled, lived_in_machine()), 1);
+    // Each of those was a first sighting of its own key, run plain.
+    assert_eq!(hits(2, Engine::Superblock, lived_in_machine()), 0, "second sighting records");
+    assert_eq!(hits(2, Engine::Superblock, lived_in_machine()), 1);
+}
+
+/// Fault-armed (even with nothing to inject), traced, profiled and
+/// ECC-on launches bypass the table: bit-identical to the reference, no
+/// hit, no recording, whatever the table holds.
+#[test]
+fn observed_and_guarded_launches_bypass_the_table() {
+    let program = replay_probe_program();
+    let exec = recorded(&program, 2);
+    let reference = reference_run(&exec, 2, lived_in_machine());
+    let untouched = |s: dpu_sim::EngineStats, label: &str| {
+        assert_eq!(
+            (s.replay_hits, s.replay_records, s.replay_abandoned, s.replayed_slots),
+            (0, 0, 0, 0),
+            "{label}"
+        );
+    };
+    for _ in 0..3 {
+        let (armed, stats) = aftermath(lived_in_machine(), |m| {
+            m.arm_faults(FaultPlan::none().attempt(0, 0));
+            let outcome = m.run_exec_engine(&exec, 2, Engine::Compiled);
+            assert!(m.disarm_faults().expect("armed").injected().is_empty());
+            outcome
+        });
+        assert_eq!(armed, reference, "armed zero-fault plan");
+        untouched(stats, "armed");
+
+        let mut events = pim_trace::TraceBuffer::new();
+        let (traced, stats) = aftermath(lived_in_machine(), |m| {
+            m.run_exec_traced_engine_with_budget(
+                &exec,
+                2,
+                TEST_BUDGET,
+                &mut events,
+                Engine::Compiled,
+            )
+        });
+        assert_eq!(traced, reference, "traced");
+        untouched(stats, "traced");
+        assert!(!events.is_empty());
+
+        let mut attr = dpu_sim::CycleAttribution::new();
+        let (profiled, stats) =
+            aftermath(lived_in_machine(), |m| m.run_exec_profiled(&exec, 2, &mut attr));
+        assert_eq!(profiled, reference, "profiled");
+        untouched(stats, "profiled");
+
+        let ecc_machine = || {
+            let mut m = lived_in_machine();
+            m.mram.set_ecc(true);
+            m
+        };
+        let ecc_reference = reference_run(&exec, 2, ecc_machine());
+        let (ecc, stats) = compiled_run(&exec, 2, ecc_machine());
+        assert_eq!(ecc, ecc_reference, "ECC on");
+        untouched(stats, "ECC on");
+        assert_eq!(ecc.outcome, reference.outcome);
+    }
+    // And the recording they all walked past still replays.
+    assert_eq!(compiled_run(&exec, 2, lived_in_machine()).1.replay_hits, 1);
+}
+
+/// `Machine::run` decodes per call: no table, so neither a recording nor
+/// a replay, and a kernel that always outruns the slot cap never opens a
+/// recording on a loaded program either.
+#[test]
+fn undecoded_and_long_runs_never_touch_the_table() {
+    let program = replay_probe_program();
+    let mut m = lived_in_machine();
+    for _ in 0..3 {
+        m.run(&program, 2).unwrap();
+    }
+    let s = m.engine_stats();
+    assert_eq!((s.replay_hits, s.replay_records, s.replayed_slots), (0, 0, 0));
+
+    let long =
+        dpu_sim::asm::assemble("movi r1, 600\ntop: addi r1, r1, -1\nbne r1, r0, top\nhalt\n")
+            .unwrap();
+    let exec = ExecProgram::decode(&long);
+    let mut m = lived_in_machine();
+    for _ in 0..3 {
+        assert!(m.run_exec_engine(&exec, 1, Engine::Compiled).unwrap().instructions > 1024);
+    }
+    let s = m.engine_stats();
+    assert_eq!((s.replay_hits, s.replay_records, s.replay_abandoned), (0, 0, 0), "{s:?}");
+    assert!(s.reference_slots < 64, "every run kept its batched paths: {s:?}");
 }

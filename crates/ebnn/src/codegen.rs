@@ -39,7 +39,8 @@ use pim_trace::TraceBuffer;
 /// WRAM addresses used by the generated program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WramLayout {
-    /// `n_images` scalar.
+    /// The 16-byte params record (see [`params_wire`]): image count,
+    /// tasklet stride, image and feature MRAM bases.
     pub params: u32,
     /// First image slot.
     pub images: u32,
@@ -57,10 +58,15 @@ impl WramLayout {
     /// Layout for `filters` conv filters.
     ///
     /// # Panics
-    /// When the layout would overflow the data half of WRAM.
+    /// When `filters` is outside `1..=8`: a wider model's 16-slot feature
+    /// region would overflow the data region of WRAM.
     #[must_use]
     pub fn new(filters: usize) -> Self {
-        assert!(filters > 0 && filters <= 8, "codegen supports 1..=8 filters (the 16-slot\n             feature region for wider models would overflow WRAM)");
+        assert!(
+            filters > 0 && filters <= 8,
+            "codegen supports 1..=8 filters (the 16-slot feature region for wider models would \
+             overflow WRAM)"
+        );
         let params = 0u32;
         let images = 0x40u32;
         let filters_base = images + (IMAGES_PER_DPU * IMAGE_SLOT_BYTES) as u32;
@@ -127,8 +133,8 @@ fn emit_window(idx: usize) -> String {
 /// conv-pool-LUT loops; (4) per-image feature write-back DMA.
 ///
 /// # Panics
-/// When `filters` is outside `1..=16` or code generation produces invalid
-/// assembly (a bug, not an input condition).
+/// When `filters` is outside `1..=8` (see [`WramLayout::new`]) or code
+/// generation produces invalid assembly (a bug, not an input condition).
 #[must_use]
 pub fn tier1_program(filters: usize) -> Program {
     let l = WramLayout::new(filters);
@@ -311,7 +317,7 @@ pub fn encode_slot(model: &EbnnModel, image: &GrayImage) -> Vec<u8> {
 ///
 /// # Panics
 /// When `images` is empty or exceeds [`IMAGES_PER_DPU`], or the model has
-/// more than 16 filters.
+/// more than 8 filters.
 pub fn run_tier1_batch(
     model: &EbnnModel,
     images: &[GrayImage],
@@ -785,8 +791,7 @@ impl Tier1Engine {
         assert!(!targets.is_empty(), "at least one DPU must be live");
         assert!(slots.len() <= targets.len() * IMAGES_PER_DPU, "batch exceeds live capacity");
         assert!(buf < self.buffers(), "no such buffer");
-        let (img_sym, feat_sym) =
-            if buf == 0 { ("images", "features") } else { ("images_alt", "features_alt") };
+        let img_sym = if buf == 0 { "images" } else { "images_alt" };
         let mut chunk_lens = vec![0usize; self.dpus];
         for (chunk, &d) in slots.chunks(IMAGES_PER_DPU).zip(&targets) {
             chunk_lens[d] = chunk.len();
@@ -806,7 +811,6 @@ impl Tier1Engine {
                 bytes += IMAGE_SLOT_BYTES as u64;
             }
         }
-        let _ = feat_sym;
         self.tasklets = chunk_lens.iter().copied().max().unwrap_or(1).max(1);
         self.staged[buf] = Some(StagedMeta { chunk_lens });
         self.active = buf;

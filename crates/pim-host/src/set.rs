@@ -407,9 +407,8 @@ impl DpuSet {
         if let Some((policy, seq)) = self.link_begin() {
             self.verify_broadcast(addr, src, symbol, &policy, seq)?;
         }
-        let stats = self.xfer_stats.entry(symbol.to_owned()).or_default();
-        stats.to_dpu_bytes += (src.len() * self.system.len()) as u64;
-        stats.operations += self.system.len() as u64;
+        let dpus = self.system.len() as u64;
+        self.count_transfer(symbol, src.len() as u64 * dpus, dpus);
         // A broadcast is one host-link operation reaching every DPU.
         self.record_host(
             HostDirection::HostToMram,
@@ -642,9 +641,7 @@ impl DpuSet {
             Some((policy, seq)) => self.checked_write(dpu, addr, src, symbol, &policy, seq)?,
             None => self.system.dpu_mut(dpu).mram.write(addr, src)?,
         }
-        let stats = self.xfer_stats.entry(symbol.to_owned()).or_default();
-        stats.to_dpu_bytes += src.len() as u64;
-        stats.operations += 1;
+        self.count_transfer(symbol, src.len() as u64, 1);
         self.record_host(HostDirection::HostToMram, symbol, src.len() as u64, Some(dpu.0));
         Ok(())
     }
@@ -681,6 +678,19 @@ impl DpuSet {
     /// Symbol and bounds violations.
     pub fn copy_scalar_to(&mut self, symbol: &str, value: u64) -> Result<()> {
         self.copy_to(symbol, 0, &value.to_le_bytes())
+    }
+
+    /// Account one host → DPU copy to `symbol`. Looks the symbol up before
+    /// inserting it: a serving batch makes thousands of copies to a key
+    /// that already exists, and `entry` would allocate its `String` for
+    /// each of them.
+    fn count_transfer(&mut self, symbol: &str, bytes: u64, operations: u64) {
+        let stats = match self.xfer_stats.get_mut(symbol) {
+            Some(stats) => stats,
+            None => self.xfer_stats.entry(symbol.to_owned()).or_default(),
+        };
+        stats.to_dpu_bytes += bytes;
+        stats.operations += operations;
     }
 
     /// Per-symbol host-link traffic so far (host → DPU direction).

@@ -119,11 +119,15 @@ fn observation_metrics_key_set_is_stable() {
             "obs.engine.chunk.aborts.trace",
             "obs.engine.chunk.commits",
             "obs.engine.chunk.rolled_back_slots",
+            "obs.engine.replay.abandoned",
+            "obs.engine.replay.hits",
+            "obs.engine.replay.records",
             "obs.engine.rotation.undersaturated_slots",
             "obs.engine.slots.burst_batch",
             "obs.engine.slots.chunk",
             "obs.engine.slots.lockstep",
             "obs.engine.slots.reference",
+            "obs.engine.slots.replayed",
             "obs.engine.slots.rotation",
             "obs.engine.slots.sole",
             "obs.faults.dpu_offline",

@@ -213,3 +213,44 @@ fn paper_kernels_leave_identical_machines_on_every_engine_tier() {
         assert_eq!(got, model.features(&model.binarize(&image.pixels)), "image {i}");
     }
 }
+
+/// Recorded launches are invisible at serving scale: a 64-DPU eBNN set
+/// with two busy DPUs, staged and launched four times (alternating the
+/// tasklet count, as served batches do), matches the same set pinned to
+/// the reference loop — which never replays — launch for launch and DPU
+/// for DPU, while its 62 idle DPUs stop being interpreted.
+#[test]
+fn sparse_rank_replays_idle_dpus_and_matches_the_reference_loop() {
+    use dpu_sim::Engine;
+    use ebnn::codegen::Tier1Engine;
+
+    const DPUS: usize = 64;
+    let model = EbnnModel::generate(ModelConfig { filters: 1, ..ModelConfig::default() });
+    let images: Vec<_> = (0..32).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
+    let mut fast = Tier1Engine::new(&model, DPUS).expect("eBNN engine");
+    let mut reference = Tier1Engine::new(&model, DPUS).expect("eBNN engine");
+    // Both pinned: the CI engine matrix forces the ambient tier.
+    fast.set_mut().set_engine(Some(Engine::Compiled));
+    reference.set_mut().set_engine(Some(Engine::Reference));
+
+    let mut last_hits = 0;
+    for batch in [&images[..], &images[..19], &images[..], &images[..19]] {
+        fast.stage(&model, batch, 0).expect("stage images");
+        reference.stage(&model, batch, 0).expect("stage images");
+        let before = fast.set().system().engine_stats();
+        let launch = fast.launch().expect("launch");
+        assert_eq!(launch, reference.launch().expect("reference launch"));
+        for ((id, m), (_, r)) in fast.set().system().iter().zip(reference.set().system().iter()) {
+            assert!(m.wram == r.wram, "WRAM of {id:?} diverged");
+            assert!(m.mram == r.mram, "MRAM of {id:?} diverged");
+            assert_eq!(m.dma, r.dma, "DMA statistics of {id:?} diverged");
+        }
+        assert_eq!(fast.gather(0).expect("gather"), reference.gather(0).expect("gather"));
+        let stats = fast.set().system().engine_stats().since(&before);
+        assert_eq!(stats.slots(), launch.total_instructions(), "modes partition the slots");
+        last_hits = stats.replay_hits;
+    }
+    assert!(last_hits >= 60, "idle DPUs replay: {last_hits} hits on the last launch");
+    let stats = reference.set().system().engine_stats();
+    assert_eq!((stats.replay_hits, stats.replay_records), (0, 0), "the reference never replays");
+}
