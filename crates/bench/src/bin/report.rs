@@ -8,11 +8,8 @@
 //! ```
 //!
 //! With no arguments all experiments run (the YOLO/CPU ones take a few
-//! seconds). Experiment ids: `eq3_4 table3_1 fig3_2 fig4_3 fig4_4 fig4_7a
-//! fig4_7b fig4_7c latencies table5_1 table5_2 fig5_4 fig5_6 table5_3
-//! table5_4 fig5_5 fig5_7 improvements mapping_comparison size_sweep image_limits depth_sweep tier_validation fig4_7a_tier1 alexnet_mapping
-//! table5_4_measured trace_metrics launch_quantiles hot_blocks
-//! engine_residency`.
+//! seconds). Experiment ids are listed in [`EXPERIMENTS`]; an unknown one
+//! prints them and exits 2.
 //!
 //! `--bench-json` instead runs the simulator hot-path scenarios with a
 //! wall-clock harness and writes a machine-readable perf snapshot
@@ -31,6 +28,40 @@ use pim_bench as render;
 use pim_core::experiments as exp;
 use pim_model::ModelReport;
 
+/// Every id `--exp` accepts, in the order the experiments run.
+const EXPERIMENTS: &[&str] = &[
+    "eq3_4",
+    "table3_1",
+    "fig3_2",
+    "fig4_3",
+    "fig4_4",
+    "fig4_7a",
+    "fig4_7b",
+    "fig4_7c",
+    "latencies",
+    "table5_1",
+    "table5_2",
+    "fig5_4",
+    "fig5_5",
+    "fig5_6",
+    "table5_3",
+    "table5_4",
+    "fig5_7",
+    "improvements",
+    "mapping_comparison",
+    "size_sweep",
+    "image_limits",
+    "fig4_7a_tier1",
+    "alexnet_mapping",
+    "tier_validation",
+    "depth_sweep",
+    "table5_4_measured",
+    "launch_quantiles",
+    "hot_blocks",
+    "trace_metrics",
+    "engine_residency",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut wanted: Option<String> = None;
@@ -45,6 +76,14 @@ fn main() {
             "--exp" => {
                 i += 1;
                 wanted = args.get(i).cloned();
+                if !wanted.as_deref().is_some_and(|id| EXPERIMENTS.contains(&id)) {
+                    match &wanted {
+                        Some(id) => eprintln!("unknown experiment `{id}`"),
+                        None => eprintln!("--exp needs an experiment id"),
+                    }
+                    eprintln!("experiments: {}", EXPERIMENTS.join(" "));
+                    std::process::exit(2);
+                }
             }
             "--json" => json = true,
             "--bench-json" => {
@@ -104,7 +143,10 @@ fn main() {
     }
 
     let all = wanted.is_none();
-    let want = |id: &str| all || wanted.as_deref() == Some(id);
+    let want = |id: &str| {
+        debug_assert!(EXPERIMENTS.contains(&id), "`{id}` is missing from EXPERIMENTS");
+        all || wanted.as_deref() == Some(id)
+    };
     let model = EbnnModel::generate(ModelConfig::default());
 
     if want("eq3_4") {
@@ -336,17 +378,26 @@ fn main() {
 }
 
 /// Which simulator execution mode retired the issue slots of the paper's
-/// two kernels (a full, an exact-fit and an under-saturated eBNN DPU, and
-/// the GEMM row), and how the tasklet-major chunks fared, per fast tier
+/// two kernels (a full eBNN DPU, 13 images rotating on a verified orbit —
+/// launched on 13 tasklets and on 16 —, an exact-fit and an under-saturated
+/// one, and the GEMM row), and how the tasklet-major chunks fared, per fast tier
 /// — the `obs.engine.*` counters of `docs/OBSERVABILITY.md` — plus the
 /// sparse serving shape (a 64-DPU eBNN launch with two busy DPUs), where
 /// the idle DPUs replay a recorded launch.
 #[allow(clippy::cast_precision_loss)]
 fn emit_engine_residency(json: bool) {
     use dpu_sim::Engine;
-    use render::kernels::{ebnn_tier1, yolo_row};
+    use render::kernels::{ebnn_tier1, ebnn_tier1_launched, yolo_row};
     let mut rows = Vec::new();
-    for shape in [ebnn_tier1(16), ebnn_tier1(11), ebnn_tier1(6), yolo_row(11)] {
+    let shapes = [
+        ebnn_tier1(16),
+        ebnn_tier1(13),
+        ebnn_tier1_launched(13, 16),
+        ebnn_tier1(11),
+        ebnn_tier1(6),
+        yolo_row(11),
+    ];
+    for shape in shapes {
         for engine in [Engine::Superblock, Engine::Compiled] {
             let mut m = shape.staged.clone();
             let before = m.engine_stats();
@@ -371,7 +422,8 @@ fn emit_engine_residency(json: bool) {
             let total = stats.slots().max(1) as f64;
             s.push_str(&format!("  {name} ({} slots)\n", stats.slots()));
             for (key, value) in stats.named() {
-                let share = if key.starts_with("slots.") || key.starts_with("rotation.") {
+                let slot_count = key.starts_with("rotation.") && key.ends_with("_slots");
+                let share = if key.starts_with("slots.") || slot_count {
                     format!("  {:5.1}%", 100.0 * value as f64 / total)
                 } else {
                     String::new()

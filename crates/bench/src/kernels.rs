@@ -33,15 +33,29 @@ pub struct KernelShape {
 /// When `images` is outside `1..=16`.
 #[must_use]
 pub fn ebnn_tier1(images: usize) -> KernelShape {
+    ebnn_tier1_launched(images, images)
+}
+
+/// [`ebnn_tier1`] launched on `tasklets >= images` tasklets, as a served
+/// remainder chunk is when the launch keeps the full DPU's tasklet count:
+/// the surplus tasklets find no image and halt at once. Named
+/// `ebnn_tier1_<images>t-of-<tasklets>` when the two differ.
+///
+/// # Panics
+/// When `images` is outside `1..=16` or exceeds `tasklets`.
+#[must_use]
+pub fn ebnn_tier1_launched(images: usize, tasklets: usize) -> KernelShape {
+    assert!(images <= tasklets, "{images} images need at least as many tasklets");
     let model = EbnnModel::generate(ModelConfig { filters: 1, ..ModelConfig::default() });
     let mut engine = ebnn::codegen::Tier1Engine::new(&model, 1).expect("one-DPU eBNN engine");
     let batch: Vec<_> = (0..images).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
     engine.stage(&model, &batch, 0).expect("stage eBNN images");
+    let suffix = if tasklets == images { String::new() } else { format!("-of-{tasklets}") };
     KernelShape {
-        name: format!("ebnn_tier1_{images}t"),
+        name: format!("ebnn_tier1_{images}t{suffix}"),
         staged: engine.set().system().dpu(DpuId(0)).clone(),
         exec: ExecProgram::compile(&ebnn::codegen::tier1_program(1)).expect("eBNN program"),
-        tasklets: images,
+        tasklets,
     }
 }
 
@@ -68,12 +82,14 @@ pub fn yolo_row(tasklets: usize) -> KernelShape {
     }
 }
 
-/// The shapes `BENCH_8.json` and the `engine_tiers` bench report per
-/// tier: the left half of Fig. 4.7(a) up to the knee, a full DPU, and
-/// the GEMM row.
+/// The shapes `BENCH_9.json` and the `engine_tiers` bench report per
+/// tier: the left half of Fig. 4.7(a) up to the knee, the three chunk
+/// sizes just past it (permuted rotations on a verified orbit), a full
+/// DPU, and the GEMM row.
 #[must_use]
 pub fn paper_kernel_shapes() -> Vec<KernelShape> {
-    let mut shapes: Vec<KernelShape> = [1, 3, 6, 10, 11, 16].into_iter().map(ebnn_tier1).collect();
+    let mut shapes: Vec<KernelShape> =
+        [1, 3, 6, 10, 11, 12, 13, 14, 16].into_iter().map(ebnn_tier1).collect();
     shapes.push(yolo_row(11));
     shapes
 }

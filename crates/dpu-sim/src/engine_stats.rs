@@ -31,8 +31,8 @@ macro_rules! engine_stats {
         /// The seven `slots.*` counters partition every issued slot of
         /// every run the machine has executed (reference, traced and
         /// profiled runs count under `reference_slots` entirely, replayed
-        /// runs under `replayed_slots`); `undersaturated_slots` cuts
-        /// across them.
+        /// runs under `replayed_slots`); `undersaturated_slots` and
+        /// `orbit_slots` cut across them.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct EngineStats {
             $( $(#[$doc])* pub $field: u64, )+
@@ -84,6 +84,17 @@ engine_stats! {
     /// retired while fewer tasklets than pipeline stages were rotating
     /// (idle cycles every round) — not a seventh mode.
     undersaturated_slots => "rotation.undersaturated_slots",
+    /// Of the same four modes' slots, those retired on a schedule that
+    /// [`crate::pipeline::Pipeline::orbit_schedule`] verified because no
+    /// closed form fit (more runnable tasklets than stages in a permuted
+    /// rotation) — not a mode either.
+    orbit_slots => "rotation.orbit_slots",
+    /// Orbit probes made: closed-form probes that failed with more
+    /// runnable tasklets than stages.
+    orbit_probes => "rotation.orbit_probes",
+    /// Orbit probes that found no repeating round (the rotation has not
+    /// settled yet); the run carried on pick by pick under the hold-off.
+    orbit_misses => "rotation.orbit_misses",
     /// Chunks that committed.
     chunk_commits => "chunk.commits",
     /// Chunks rolled back at a boundary instruction.

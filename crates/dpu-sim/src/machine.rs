@@ -922,8 +922,8 @@ enum Rotation {
     /// (or overruns the budget): take it per slot, then a retry may
     /// succeed immediately.
     Blocked,
-    /// No closed-form schedule from here: the next picks depend on
-    /// round-robin tie-breaking.
+    /// No periodic schedule from here: the next picks depend on
+    /// round-robin tie-breaking and have not settled into an orbit.
     Unscheduled,
 }
 
@@ -1145,7 +1145,9 @@ impl Interp<'_> {
     ///   picks follow a closed-form periodic schedule
     ///   ([`Pipeline::periodic_schedule`]: at least `stages` of them each
     ///   ready at its round-robin slot, or at most `stages` with distinct
-    ///   ready times inside one pipeline depth): the dispatcher provably
+    ///   ready times inside one pipeline depth) or a verified orbit
+    ///   ([`Pipeline::orbit_schedule`]: more than `stages` of them in the
+    ///   permuted order DMA skew leaves behind): the dispatcher provably
     ///   issues them cyclically, so inline instructions and burst slots
     ///   dispatch in a batch whose picks flush as one `advance_periodic`
     ///   — whole rounds at a time where possible, tasklet-major
@@ -1362,7 +1364,10 @@ impl Interp<'_> {
     /// Entry precondition: [`Pipeline::periodic_schedule`] finds a closed
     /// form — at least `stages` tasklets each ready at its round-robin
     /// slot (zero idle), or at most `stages` with distinct ready times
-    /// inside one pipeline depth (`stages - r` idle cycles per round).
+    /// inside one pipeline depth (`stages - r` idle cycles per round) —
+    /// or, failing both with more than `stages` runnable,
+    /// [`Pipeline::orbit_schedule`] verifies the permuted rotation DMA
+    /// skew left them in ([`Interp::try_orbit`]).
     /// The dispatcher then provably issues them cyclically for as long as
     /// every dispatched instruction is inline (or a burst slot, which
     /// consumes a pick without a fetch), so the batch loop runs with the
@@ -1398,10 +1403,47 @@ impl Interp<'_> {
             Some((period, horizon)) => {
                 self.run_rotation(&order, &at, period, last_cycle.min(horizon - 1))
             }
+            None if self.active.len() as u64 > stages => {
+                self.try_orbit(&mut order, &mut at, last_cycle)
+            }
             None => Ok(Rotation::Unscheduled),
         };
         self.order_scratch = order;
         self.at_scratch = at;
+        outcome
+    }
+
+    /// [`Interp::try_rotation`] when no closed form fits more runnable
+    /// tasklets than stages: rotate on the orbit
+    /// [`Pipeline::orbit_schedule`] verifies, if it finds one. A miss is
+    /// paced like any other failed probe.
+    #[cold]
+    fn try_orbit(
+        &mut self,
+        order: &mut Vec<usize>,
+        at: &mut Vec<u64>,
+        last_cycle: u64,
+    ) -> Result<Rotation> {
+        // Whatever the schedule, no batch starts on a boundary instruction,
+        // and more tasklets than stages tend to reach theirs together (a
+        // GEMM row's 12 to 24 tasklets queue at their DMAs in consecutive
+        // slots, and found-but-blocked orbits cost those rows 20–40 %):
+        // one scan for the next pick spares them the O(r²) probe, and
+        // answering as the closed forms just did keeps their pacing.
+        let next = self.pipeline.next_pick(&self.active).expect("tasklets are runnable");
+        let th = &self.threads[next];
+        let inline = |pc: u32| self.code.get(pc as usize).is_some_and(|c| INLINE_OP[c.op as usize]);
+        if th.burst == 0 && !inline(th.pc) {
+            return Ok(Rotation::Unscheduled);
+        }
+        self.stats.orbit_probes += 1;
+        let Some((period, horizon)) = self.pipeline.orbit_schedule(&self.active, order, at) else {
+            self.stats.orbit_misses += 1;
+            return Ok(Rotation::Unscheduled);
+        };
+        let issued = self.pipeline.issued();
+        let outcome = self.run_rotation(order, at, period, last_cycle.min(horizon - 1));
+        self.stats.orbit_slots += self.pipeline.issued() - issued;
         outcome
     }
 

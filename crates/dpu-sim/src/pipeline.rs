@@ -17,7 +17,7 @@
 //! busy (this is what makes MRAM-heavy kernels scale worse than WRAM-heavy
 //! ones, §4.3.3).
 
-use crate::params::PIPELINE_STAGES;
+use crate::params::{MAX_TASKLETS, PIPELINE_STAGES};
 
 /// Event-driven model of the revolver dispatcher.
 ///
@@ -213,8 +213,10 @@ impl Pipeline {
     /// issues strictly before cycle `horizon`, the earliest ready time of a
     /// runnable tasklet left *out* of `order` because a DMA stall puts it
     /// beyond the first round (`u64::MAX` when every runnable tasklet is
-    /// in). `None` when the next picks depend on round-robin tie-breaking:
-    /// take them one by one and probe again.
+    /// in). `None` when the next picks depend on round-robin tie-breaking,
+    /// which neither closed form can read off the ready times: with more
+    /// runnable tasklets than stages try [`Pipeline::orbit_schedule`],
+    /// otherwise take the picks one by one and probe again.
     ///
     /// A failed probe is O(`active.len()`) with no sort: the saturated
     /// form fails at the first tasklet late for its slot, and the
@@ -274,6 +276,91 @@ impl Pipeline {
         at.windows(2).all(|w| w[0] < w[1]).then_some((self.stages, horizon))
     }
 
+    /// Probe for a *verified orbit* over `active` when both closed forms of
+    /// [`Pipeline::periodic_schedule`] have failed: same arguments, same
+    /// result, but the schedule is found by running the dispatcher's own
+    /// pick rule ([`Pipeline::pick_from`]'s scan) on a scratch copy of the
+    /// cycle, the round-robin cursor and the ready times.
+    ///
+    /// *Round one* runs until the rule picks some tasklet a second time;
+    /// the tasklets issued so far are the orbit's members, in `order`, at
+    /// the cycles `at`. Runnable tasklets it never reached (DMA in flight)
+    /// stay out and bound the schedule at `horizon`, exactly as in the
+    /// under-saturated closed form: a pick issuing before their earliest
+    /// ready time cannot see them. *Round two* starts with that second
+    /// pick, `period` cycles after the first, and must issue the same
+    /// members in the same order, each exactly `period` cycles after its
+    /// round-one issue — otherwise `None`.
+    ///
+    /// **Why two rounds prove all of them.** After round one every member
+    /// has issued, so the scratch state is `(at[last] + 1, order[last] + 1,
+    /// at[p] + stages)`; after a matching round two it is the same state
+    /// with every cycle `period` later. The pick rule only compares ready
+    /// times with each other and with the current cycle, so shifting all of
+    /// them shifts its picks: round three is round two `period` later, and
+    /// by induction pick `m` issues `order[m % r]` at `at[m % r] + m / r *
+    /// period` for as long as only inline instructions are dispatched —
+    /// the contract of [`Pipeline::advance_periodic`]. (Round one itself is
+    /// *not* a shift of round two: it starts from ready times in the past
+    /// and an arbitrary cursor, which is why the closed forms miss it.)
+    ///
+    /// This is what more than `stages` tasklets settle into after DMA skew:
+    /// 12 tasklets on 11 stages issue in a fixed *permuted* order with
+    /// period 12, some always late for the slot the round-robin form
+    /// expects, and never drift back. At most two rounds of O(r) scans for
+    /// `r` runnable tasklets (a first-fit hit ends a scan early, so a
+    /// saturated pipeline pays a few probes per pick), no allocation;
+    /// pipelines wider than [`MAX_TASKLETS`] are not probed.
+    #[cold]
+    pub fn orbit_schedule(
+        &self,
+        active: &[usize],
+        order: &mut Vec<usize>,
+        at: &mut Vec<u64>,
+    ) -> Option<(u64, u64)> {
+        let n = self.next_ready.len();
+        if n > MAX_TASKLETS {
+            return None;
+        }
+        let mut ready = [0u64; MAX_TASKLETS];
+        ready[..n].copy_from_slice(&self.next_ready);
+        let (mut cycle, mut cursor) = (self.cycle, self.rr_cursor);
+        let mut members = 0u32;
+        let (mut period, mut horizon) = (0, u64::MAX);
+        order.clear();
+        at.clear();
+        // `picks == order.len()` until round one ends.
+        for picks in 0.. {
+            let (issue_at, t) = Self::scan(&ready[..n], cycle, cursor, active)?;
+            let r = order.len();
+            if picks == r && members & (1 << t) == 0 {
+                members |= 1 << t;
+                order.push(t);
+                at.push(issue_at);
+            } else {
+                let p = picks - r;
+                if p == 0 {
+                    period = issue_at - at[0];
+                    // From here on the members rotate among themselves.
+                    for &u in active.iter().filter(|&&u| members & (1 << u) == 0) {
+                        horizon = horizon.min(ready[u]);
+                        ready[u] = u64::MAX;
+                    }
+                }
+                if (t, issue_at) != (order[p], at[p] + period) {
+                    return None;
+                }
+                if p + 1 == r {
+                    break;
+                }
+            }
+            ready[t] = issue_at + self.stages;
+            cycle = issue_at + 1;
+            cursor = if t + 1 == n { 0 } else { t + 1 };
+        }
+        Some((period, horizon))
+    }
+
     /// Issue `slots >= 1` consecutive picks of a *periodic rotation* in one
     /// step: pick number `m` (0-based) issues tasklet `order[m % r]` at
     /// cycle `at[m % r] + (m / r) * period`, where `r = order.len()`.
@@ -281,8 +368,9 @@ impl Pipeline {
     /// This is the one closed form behind every batched mode. It is exactly
     /// equivalent to `slots` successive `pick`s over the runnable set
     /// `order` *provided* the caller has verified that `at` really is the
-    /// first round's issue schedule and that it repeats — which holds in
-    /// two shapes (`base` = the current cycle):
+    /// first round's issue schedule and that it repeats — which two shapes
+    /// guarantee from the ready times alone (`base` = the current cycle),
+    /// and [`Pipeline::orbit_schedule`] verifies for any other:
     ///
     /// * **saturated round-robin** — `r >= stages`, `order` in round-robin
     ///   probe order from the cursor, `next_ready[order[p]] <= base + p`:
@@ -390,13 +478,35 @@ impl Pipeline {
             let (i, t) = if iy < ix { (iy, y) } else { (ix, x) };
             return Some(self.commit(i, t, n));
         }
-        let split = active.partition_point(|&t| t < self.rr_cursor);
+        let (issue_at, t) = Self::scan(&self.next_ready, self.cycle, self.rr_cursor, active)?;
+        Some(self.commit(issue_at, t, n))
+    }
+
+    /// The tasklet [`Pipeline::pick_from`] would issue next, without
+    /// issuing it.
+    #[must_use]
+    pub fn next_pick(&self, active: &[usize]) -> Option<usize> {
+        Self::scan(&self.next_ready, self.cycle, self.rr_cursor, active).map(|(_, t)| t)
+    }
+
+    /// The dispatcher's pick rule over the ascending candidate list
+    /// `active`: probing in round-robin order from `cursor`, the first
+    /// candidate that can issue at `cycle` (first-fit), else the one with
+    /// the earliest ready time, the earlier probed on a tie. Returns the
+    /// issue cycle and the tasklet; changes nothing.
+    #[inline(always)]
+    fn scan(
+        next_ready: &[u64],
+        cycle: u64,
+        cursor: usize,
+        active: &[usize],
+    ) -> Option<(u64, usize)> {
+        let split = active.partition_point(|&t| t < cursor);
         let mut best: Option<(u64, usize)> = None;
-        'scan: for &t in active[split..].iter().chain(&active[..split]) {
-            let issue_at = self.next_ready[t].max(self.cycle);
-            if issue_at == self.cycle {
-                best = Some((issue_at, t));
-                break 'scan;
+        for &t in active[split..].iter().chain(&active[..split]) {
+            let issue_at = next_ready[t].max(cycle);
+            if issue_at == cycle {
+                return Some((issue_at, t));
             }
             match best {
                 None => best = Some((issue_at, t)),
@@ -404,8 +514,7 @@ impl Pipeline {
                 _ => {}
             }
         }
-        let (issue_at, t) = best?;
-        Some(self.commit(issue_at, t, n))
+        best
     }
 }
 
@@ -581,6 +690,17 @@ mod tests {
         Some((order, at, period, horizon))
     }
 
+    /// The orbit `orbit_schedule` verifies from the current state, probed
+    /// when the fast engine would: more runnable tasklets than stages.
+    fn orbit(p: &Pipeline, active: &[usize]) -> Option<(Vec<usize>, Vec<u64>, u64, u64)> {
+        if active.len() as u64 <= p.stages() {
+            return None;
+        }
+        let (mut order, mut at) = (Vec::new(), Vec::new());
+        let (period, horizon) = p.orbit_schedule(active, &mut order, &mut at)?;
+        Some((order, at, period, horizon))
+    }
+
     #[test]
     fn periodic_advance_matches_repeated_picks_for_every_runnable_count() {
         // For every runnable count, in a pipeline of exactly that many
@@ -606,9 +726,23 @@ mod tests {
                 let active: Vec<usize> = (0..tasklets).filter(|&t| runnable[t]).collect();
                 let mut a = Pipeline::new(tasklets);
                 let (mut batched, mut bounded, mut idle_rounds) = (0, 0, 0);
+                // Batches on a verified orbit, those of them a stalled
+                // non-member bounded, and all batches after the storm.
+                let (mut orbits, mut bounded_orbits, mut resumed) = (0, 0, 0);
                 for step in 0..1500 {
-                    let last = if let Some((order, at, period, horizon)) = schedule(&a, &active) {
-                        assert_eq!(period, (order.len() as u64).max(a.stages()));
+                    let closed = schedule(&a, &active);
+                    let on_orbit = closed.is_none();
+                    let last = if let Some((order, at, period, horizon)) =
+                        closed.or_else(|| orbit(&a, &active))
+                    {
+                        if on_orbit {
+                            assert!(period >= (order.len() as u64).max(a.stages()));
+                            orbits += 1;
+                            bounded_orbits += usize::from(horizon != u64::MAX);
+                        } else {
+                            assert_eq!(period, (order.len() as u64).max(a.stages()));
+                        }
+                        resumed += usize::from(step >= 800);
                         let holds = Pipeline::periodic_slots_through(&at, period, horizon - 1);
                         assert!(holds >= 1, "the earliest member issues before the horizon");
                         let slots = (1 + rng(3 * r as u64 + 2)).min(holds);
@@ -629,12 +763,21 @@ mod tests {
                     };
                     // Calm, a storm of stalls, calm again. (More tasklets
                     // than stages come out of the storm in a permuted
-                    // rotation that hangs on tie-breaks for good.)
+                    // rotation that hangs on tie-breaks for good: neither
+                    // closed form fits it, only a verified orbit.)
                     if (300..800).contains(&step) && rng(4) == 0 {
                         a.stall(last, 12 + rng(70));
                     }
                 }
                 assert!(batched > 300, "r={r} tasklets={tasklets}: only {batched} batches");
+                assert!(
+                    resumed >= 650,
+                    "r={r} tasklets={tasklets}: {resumed} batches after the storm"
+                );
+                if r > 11 {
+                    assert!(orbits > 100, "r={r}: {orbits} batches on a verified orbit");
+                    assert!(bounded_orbits > 100, "r={r}: no orbit bounded by a stalled tasklet");
+                }
                 if (2..=11).contains(&r) {
                     assert!(bounded > 50, "r={r}: no batch was bounded by a stalled tasklet");
                 }
@@ -730,6 +873,53 @@ mod tests {
             assert_eq!(a, b, "slots={slots}");
         }
         assert_eq!(a.idle_cycles(), idle);
+    }
+
+    /// Twelve tasklets at cycle 100 with the cursor on tasklet 0 and the
+    /// given ready times.
+    fn twelve_at_cycle_100(next_ready: [u64; 12]) -> Pipeline {
+        let mut p = Pipeline::new(12);
+        p.next_ready = next_ready.to_vec();
+        p.cycle = 100;
+        p
+    }
+
+    #[test]
+    fn orbit_probe_accepts_a_repeating_round_and_rejects_a_transient_one() {
+        let active: Vec<usize> = (0..12).collect();
+        let runnable = vec![true; 12];
+
+        // Tasklet 0 is three cycles late for its round-robin slot: it
+        // issues after tasklet 11 instead, and from then on the rotation is
+        // 1, 2, … 11, 0 with period 12. No closed form reads that off.
+        let mut a = twelve_at_cycle_100([103, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(schedule(&a, &active), None);
+        let (order, at, period, horizon) = orbit(&a, &active).expect("a permuted rotation");
+        assert_eq!(order, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0]);
+        assert!(at.iter().copied().eq(100..112));
+        assert_eq!((period, horizon), (12, u64::MAX));
+        let mut b = a.clone();
+        b.advance_periodic(&order, &at, period, 5 * 12 + 7);
+        for m in 0..5 * 12 + 7 {
+            assert_eq!(a.pick(&runnable), Some(order[m % 12]));
+        }
+        assert_eq!(a, b);
+
+        // Five tasklets due, seven arriving from cycle 107 on: round one
+        // issues all twelve once, but with two idle cycles (105, 106) that
+        // round two does not have, so round two is *not* round one shifted
+        // and nothing may be batched yet.
+        let mut a = twelve_at_cycle_100([0, 0, 0, 0, 0, 107, 108, 109, 110, 111, 112, 113]);
+        assert_eq!(schedule(&a, &active), None);
+        assert_eq!(orbit(&a, &active), None);
+        let round = |p: &mut Pipeline| -> Vec<(usize, u64)> {
+            (0..12).map(|_| (p.pick(&runnable).unwrap(), p.last_issue)).collect()
+        };
+        let (one, two) = (round(&mut a), round(&mut a));
+        assert!(one.iter().map(|&(t, _)| t).eq(0..12) && two.iter().map(|&(t, _)| t).eq(0..12));
+        assert_eq!((one[0].1, one[5].1, two[0].1, two[5].1), (100, 107, 114, 119));
+        // The idle cycles are gone for good: plain round-robin from here.
+        assert!(schedule(&a, &active).is_some());
     }
 
     #[test]

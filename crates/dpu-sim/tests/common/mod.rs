@@ -11,7 +11,8 @@
 //! valid — below the pipeline depth the rotations are under-saturated —
 //! and a program can put only its first `working` tasklets to work while
 //! the rest halt at once (the serving shape: 16 tasklets launched, fewer
-//! images staged).
+//! images staged), behind a prologue of queued DMAs if asked, so that the
+//! tasklets enter the loop skewed.
 //!
 //! Also here: [`Aftermath`], everything a run leaves behind, and
 //! [`assert_replay_invisible`], the plain / recorded / replayed triple
@@ -234,6 +235,11 @@ pub struct Event {
     pub stride: i32,
     /// Tasklets `working..` halt on their second instruction.
     pub working: usize,
+    /// Every working tasklet DMAs its private region in before the loop.
+    /// The transfers queue on the one DMA engine, so the tasklets enter
+    /// the loop a transfer apart — the eBNN kernel's image fetch — and
+    /// more of them than pipeline stages settle into a permuted rotation.
+    pub skewed: bool,
 }
 
 impl Event {
@@ -245,7 +251,13 @@ impl Event {
             tasklet: draws.1 % working as i32,
             stride: draws.2,
             working,
+            skewed: false,
         }
+    }
+
+    /// The same event behind a DMA-skew prologue.
+    pub fn skewed(self) -> Self {
+        Self { skewed: true, ..self }
     }
 }
 
@@ -287,6 +299,9 @@ pub fn racy_program(body: &[RacyOp], iters: i32, event: Event) -> Program {
         Instr::Movi { rd: WILD, imm: 0x7fff_0000 },
         Instr::Movi { rd: EVENT_TASKLET, imm: event.tasklet },
     ];
+    if event.skewed {
+        emit_disruption(&mut p, Disruption::MramRead);
+    }
     let loop_head = p.len() as u32;
     for (i, op) in body.iter().enumerate() {
         match op {

@@ -59,6 +59,26 @@ fn assert_compiled_matches_reference(
     reference
 }
 
+/// [`assert_compiled_matches_reference`] on `program` compiled under the
+/// block mask `mask` and in full, each to completion (or `TEST_BUDGET`) and
+/// again under `permille` thousandths of that run's cycles.
+fn assert_masked_matches_reference_whole_and_cut(
+    program: &Program,
+    tasklets: usize,
+    mask: u64,
+    permille: u64,
+) {
+    let mut exec = ExecProgram::decode(program);
+    for keep in [mask, u64::MAX] {
+        exec.recompile_filtered(|start| (keep >> (start % 64)) & 1 == 1);
+        let label = format!("racy, mask {keep:#x}");
+        let full = assert_compiled_matches_reference(&exec, tasklets, TEST_BUDGET, &label);
+        let cycles = full.map_or(TEST_BUDGET, |r| r.cycles);
+        let _cut =
+            assert_compiled_matches_reference(&exec, tasklets, cycles * permille / 1000, &label);
+    }
+}
+
 /// Instruction mix biased toward compilable ALU runs with register-visible
 /// effects (`trace` emits register values into the RunResult, stores pin
 /// them into WRAM) plus the control flow, sync and DMA that force deopts.
@@ -177,15 +197,27 @@ proptest! {
         budget_permille in 0u64..1100,
     ) {
         let event = Event::from_draws(event, tasklets, iters);
-        let mut exec = ExecProgram::decode(&racy_program(&body, iters, event));
-        for keep in [mask, u64::MAX] {
-            exec.recompile_filtered(|start| (keep >> (start % 64)) & 1 == 1);
-            let label = format!("racy, mask {keep:#x}");
-            let full = assert_compiled_matches_reference(&exec, tasklets, TEST_BUDGET, &label);
-            let cycles = full.map_or(TEST_BUDGET, |r| r.cycles);
-            let budget = cycles * budget_permille / 1000;
-            let _cut = assert_compiled_matches_reference(&exec, tasklets, budget, &label);
-        }
+        let program = racy_program(&body, iters, event);
+        assert_masked_matches_reference_whole_and_cut(&program, tasklets, mask, budget_permille);
+    }
+
+    /// The same under a DMA skew at 12 to 14 working tasklets (launched
+    /// alone or as part of a full DPU's 16): chains and chunks on the
+    /// permuted rotations a verified orbit schedules.
+    #[test]
+    fn dma_skewed_racy_programs_match_reference_under_deopt_masks(
+        body in prop::collection::vec(racy_op_strategy(), 3..14),
+        working in 12usize..=14,
+        full_dpu in any::<bool>(),
+        iters in 24i32..96,
+        event in (0i32..96, 0i32..24, 1i32..24),
+        mask in any::<u64>(),
+        budget_permille in 0u64..1100,
+    ) {
+        let event = Event::from_draws(event, working, iters).skewed();
+        let program = racy_program(&body, iters, event);
+        let tasklets = if full_dpu { 16 } else { working };
+        assert_masked_matches_reference_whole_and_cut(&program, tasklets, mask, budget_permille);
     }
 
     /// Recorded launches under compile masks: short racy programs run

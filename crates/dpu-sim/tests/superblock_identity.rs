@@ -22,7 +22,7 @@ use common::{
 };
 use dpu_sim::exec::{is_superblock_op, ExecProgram};
 use dpu_sim::isa::{Cond, Instr, Program, Reg, Width};
-use dpu_sim::{Engine, FaultConfig, FaultPlan, Machine, RunResult};
+use dpu_sim::{Engine, FaultConfig, FaultPlan, InjectedFault, Machine, RunResult};
 use proptest::prelude::*;
 
 /// Budget small enough to terminate the infinite loops random control flow
@@ -220,6 +220,25 @@ proptest! {
         let program = racy_program(&body, iters, Event::from_draws(event, working, iters));
         assert_engines_agree_whole_and_cut(&program, 16, budget_permille);
     }
+
+    /// Twelve to fourteen working tasklets entering the loop a DMA apart:
+    /// more than the pipeline has stages, in the permuted rotation only a
+    /// verified orbit batches — racing, diverging and cut short like the
+    /// rest.
+    #[test]
+    fn racy_wram_programs_match_reference_on_dma_skewed_rotations(
+        body in prop::collection::vec(racy_op_strategy(), 3..14),
+        working in 12usize..=14,
+        full_dpu in any::<bool>(),
+        iters in 24i32..96,
+        event in (0i32..96, 0i32..24, 1i32..24),
+        budget_permille in 0u64..1100,
+    ) {
+        let event = Event::from_draws(event, working, iters).skewed();
+        let program = racy_program(&body, iters, event);
+        let launched = if full_dpu { 16 } else { working };
+        assert_engines_agree_whole_and_cut(&program, launched, budget_permille);
+    }
 }
 
 /// DMA-stall-heavy kernel: every tasklet streams 1 KiB MRAM chunks
@@ -377,7 +396,7 @@ fn superblock_stats(program: &Program, tasklets: usize) -> dpu_sim::EngineStats 
 #[test]
 fn undersaturated_rotations_occur_and_are_invisible() {
     for (launched, working) in [(2, 2), (3, 3), (6, 6), (10, 10), (16, 1), (16, 6), (16, 15)] {
-        let event = Event { iter: 150, tasklet: 0, stride: 1, working };
+        let event = Event { iter: 150, tasklet: 0, stride: 1, working, skewed: false };
         let program = racy_program(&quiet_body(), 400, event);
         let result = assert_engines_agree(&program, launched, u64::MAX).expect("completes");
         assert!(result.idle_cycles > 0 || working >= 11, "{working} tasklets leave idle slots");
@@ -407,7 +426,7 @@ fn dma_stalled_tasklet_bounds_the_rotation_of_the_others() {
     });
     for (launched, working, streamer) in [(2, 2, 1), (4, 4, 0), (7, 7, 3), (12, 12, 5), (16, 6, 2)]
     {
-        let event = Event { iter: 1, tasklet: streamer, stride: 1, working };
+        let event = Event { iter: 1, tasklet: streamer, stride: 1, working, skewed: false };
         let program = racy_program(&body, 300, event);
         let result = assert_engines_agree(&program, launched, u64::MAX).expect("completes");
         assert!(result.dma_transfers >= 300);
@@ -427,32 +446,105 @@ fn dma_stalled_tasklet_bounds_the_rotation_of_the_others() {
 #[test]
 fn budget_cut_on_every_slot_of_an_undersaturated_round_matches_reference() {
     for (launched, working) in [(5, 5), (16, 6)] {
-        let event = Event { iter: 40, tasklet: 1, stride: 2, working };
+        let event = Event { iter: 40, tasklet: 1, stride: 2, working, skewed: false };
         let program = racy_program(&quiet_body(), 120, event);
         let full = assert_engines_agree(&program, launched, u64::MAX).expect("completes");
         let s = superblock_stats(&program, launched);
         assert!(s.undersaturated_slots * 10 > full.instructions * 9, "{s:?}");
 
-        let exec = ExecProgram::decode(&program);
-        let plan =
-            FaultPlan::new(FaultConfig { seed: 7, bit_flip_prob: 0.5, ..Default::default() });
-        let armed = |engine: Engine, budget: u64| {
-            let mut m = seeded_machine();
-            m.arm_faults(plan.attempt(0, 0));
-            let outcome = m.run_exec_engine_with_budget(&exec, launched, budget, engine);
-            let log = m.disarm_faults().expect("armed");
-            let image = m.wram.slice(0, m.params.wram_bytes).unwrap().to_vec();
-            (outcome, log.injected().to_vec(), image)
-        };
         // Three whole rounds' worth of consecutive budgets, mid-run.
-        for budget in full.cycles / 2..full.cycles / 2 + 3 * 11 + 1 {
-            let cut = assert_engines_agree(&program, launched, budget);
-            assert_eq!(cut, Err(dpu_sim::Error::CycleBudgetExceeded { budget }));
-            let reference = armed(Engine::Reference, budget);
-            assert!(reference.0.is_err());
-            assert_eq!(armed(Engine::Superblock, budget), reference, "armed, budget {budget}");
-            assert_eq!(armed(Engine::Compiled, budget), reference, "armed, budget {budget}");
+        let budgets = full.cycles / 2..full.cycles / 2 + 3 * 11 + 1;
+        assert_every_budget_cuts_identically(&program, launched, budgets);
+    }
+}
+
+/// What a fault-armed run of `exec` leaves behind, and the faults injected.
+fn armed_aftermath(
+    exec: &ExecProgram,
+    tasklets: usize,
+    budget: u64,
+    engine: Engine,
+) -> (Aftermath, Vec<InjectedFault>) {
+    let plan = FaultPlan::new(FaultConfig { seed: 7, bit_flip_prob: 0.5, ..Default::default() });
+    let mut machine = seeded_machine();
+    machine.arm_faults(plan.attempt(0, 0));
+    let mut injected = Vec::new();
+    let (after, _) = aftermath(machine, |m| {
+        let outcome = m.run_exec_engine_with_budget(exec, tasklets, budget, engine);
+        injected = m.disarm_faults().expect("armed").injected().to_vec();
+        outcome
+    });
+    (after, injected)
+}
+
+/// Under every budget of `budgets` — all of which must cut the run short —
+/// the three tiers stop in the identical partial state, fault-armed runs
+/// included.
+fn assert_every_budget_cuts_identically(
+    program: &Program,
+    tasklets: usize,
+    budgets: std::ops::Range<u64>,
+) {
+    let exec = ExecProgram::decode(program);
+    for budget in budgets {
+        let cut = assert_engines_agree(program, tasklets, budget);
+        assert_eq!(cut, Err(dpu_sim::Error::CycleBudgetExceeded { budget }));
+        let reference = armed_aftermath(&exec, tasklets, budget, Engine::Reference);
+        assert!(reference.0.outcome.is_err());
+        for engine in [Engine::Superblock, Engine::Compiled] {
+            let armed = armed_aftermath(&exec, tasklets, budget, engine);
+            assert!(armed == reference, "{}, armed, budget {budget}", engine.name());
         }
+    }
+}
+
+/// Every steady state a served DPU can be in has a batched mode: 1 to 16
+/// working tasklets, launched on their own or as part of a full DPU's 16,
+/// entering the loop a DMA apart. Twelve and more settle into a permuted
+/// rotation only a verified orbit covers; a count no probe covers would
+/// run pick by pick and fail the residency bound here.
+#[test]
+fn every_working_count_behind_a_dma_skew_runs_batched_and_matches_reference() {
+    for working in 1..=16 {
+        for launched in if working == 16 { vec![16] } else { vec![working, 16] } {
+            let event = Event { iter: 150, tasklet: 0, stride: 1, working, skewed: true };
+            let exec = ExecProgram::decode(&racy_program(&quiet_body(), 400, event));
+            let run = |engine| {
+                aftermath(seeded_machine(), |m| m.run_exec_engine(&exec, launched, engine))
+            };
+            let (reference, _) = run(Engine::Reference);
+            let instructions = reference.outcome.as_ref().expect("completes").instructions;
+            let armed_reference = armed_aftermath(&exec, launched, u64::MAX, Engine::Reference);
+            for engine in [Engine::Superblock, Engine::Compiled] {
+                let label = format!("{working} of {launched}, {}", engine.name());
+                let (after, s) = run(engine);
+                assert!(after == reference, "{label}: diverged");
+                assert_eq!(s.slots(), instructions, "{label}: modes partition the slots");
+                assert!(s.reference_slots * 100 <= instructions, "{label}: {s:?}");
+                if working > 11 {
+                    assert!(s.orbit_slots * 10 > instructions * 8, "{label}: {s:?}");
+                } else {
+                    assert_eq!(s.orbit_probes, 0, "{label}: closed forms cover {working}");
+                }
+                let armed = armed_aftermath(&exec, launched, u64::MAX, engine);
+                assert!(armed == armed_reference, "{label}: fault-armed run diverged");
+            }
+        }
+    }
+}
+
+/// A budget that runs out on every cycle of three rounds of a verified
+/// orbit (period = the working count) cuts all three tiers identically.
+#[test]
+fn budget_cut_on_every_slot_of_an_orbit_round_matches_reference() {
+    for (launched, working) in [(12, 12), (16, 13), (14, 14)] {
+        let event = Event { iter: 40, tasklet: 1, stride: 2, working, skewed: true };
+        let program = racy_program(&quiet_body(), 120, event);
+        let full = assert_engines_agree(&program, launched, u64::MAX).expect("completes");
+        let s = superblock_stats(&program, launched);
+        assert!(s.orbit_slots * 10 > full.instructions * 8, "{s:?}");
+        let budgets = full.cycles / 2..full.cycles / 2 + 3 * working as u64 + 1;
+        assert_every_budget_cuts_identically(&program, launched, budgets);
     }
 }
 
@@ -469,7 +561,7 @@ fn every_chunk_outcome_occurs_and_is_invisible() {
     let stats_of = |extra: Option<RacyOp>| {
         let mut body = quiet.clone();
         body.extend(extra);
-        let event = Event { iter: 150, tasklet: 9, stride: 1, working: tasklets };
+        let event = Event { iter: 150, tasklet: 9, stride: 1, working: tasklets, skewed: false };
         let program = racy_program(&body, 400, event);
         let outcome = assert_engines_agree(&program, tasklets, u64::MAX);
         let mut m = seeded_machine();
@@ -538,7 +630,7 @@ fn chunk_epoch_wrap_mid_run_is_invisible() {
         op: Disruption::PerfRead(2),
     });
     let tasklets = 11;
-    let event = Event { iter: 1, tasklet: 0, stride: 1, working: tasklets };
+    let event = Event { iter: 1, tasklet: 0, stride: 1, working: tasklets, skewed: false };
     let program = racy_program(&body, 1400, event);
     let outcome = assert_engines_agree(&program, tasklets, u64::MAX);
     let mut m = seeded_machine();

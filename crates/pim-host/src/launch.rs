@@ -260,7 +260,9 @@ enum DpuOutcome {
 }
 
 /// Run the decoded program on every DPU of `system` and collect per-DPU
-/// results plus trace buffers, both in DPU order.
+/// results in DPU order — plus, when `trace` is set, one trace buffer per
+/// DPU in the same order (none otherwise: an untraced launch of a
+/// 2,560-DPU system should not build 2,560 buffers to throw away).
 ///
 /// `engine` pins the execution tier for every DPU; `None` resolves the
 /// ambient [`Engine::effective`] selection **once** here, so all DPUs of
@@ -275,14 +277,19 @@ pub(crate) fn launch_on(
 ) -> Result<(LaunchResult, Vec<TraceBuffer>, Option<StealStats>)> {
     let engine = engine.unwrap_or_else(Engine::effective);
     let n = system.len();
-    let mut buffers: Vec<TraceBuffer> = vec![TraceBuffer::new(); n];
-    let (outcomes, steal) = match sched.pool_for(n) {
-        None => (run_sequential(system, exec, tasklets, trace, engine, &mut buffers), None),
-        Some(pool) => {
-            let (outcomes, stats) =
-                run_stealing(pool, system, exec, tasklets, trace, engine, &mut buffers);
-            (outcomes, Some(stats))
-        }
+    let (outcomes, buffers, steal) = if trace {
+        let mut buffers = vec![TraceBuffer::new(); n];
+        let (outcomes, steal) = run_all(system, sched, &mut buffers, |dpu, buf| {
+            let budget = dpu_sim::machine::DEFAULT_CYCLE_BUDGET;
+            dpu.run_exec_traced_engine_with_budget(exec, tasklets, budget, buf, engine)
+        });
+        (outcomes, buffers, steal)
+    } else {
+        // A unit per DPU stands in for the buffer: no allocation.
+        let (outcomes, steal) = run_all(system, sched, &mut vec![(); n], |dpu, ()| {
+            dpu.run_exec_engine(exec, tasklets, engine)
+        });
+        (outcomes, Vec::new(), steal)
     };
     let mut per_dpu = Vec::with_capacity(n);
     for outcome in outcomes {
@@ -294,73 +301,48 @@ pub(crate) fn launch_on(
     Ok((LaunchResult { per_dpu, tasklets }, buffers, steal))
 }
 
-fn run_one(
-    dpu: &mut dpu_sim::Machine,
-    exec: &ExecProgram,
-    tasklets: usize,
-    trace: bool,
-    engine: Engine,
-    buf: &mut TraceBuffer,
-) -> dpu_sim::Result<RunResult> {
-    if trace {
-        dpu.run_exec_traced_engine_with_budget(
-            exec,
-            tasklets,
-            dpu_sim::machine::DEFAULT_CYCLE_BUDGET,
-            buf,
-            engine,
-        )
-    } else {
-        dpu.run_exec_engine(exec, tasklets, engine)
+/// Run `job` once per DPU with that DPU's element of `buffers`: on the
+/// calling thread, one DPU after another (panics unwind straight to the
+/// caller), or — when `sched` hands out a pool for this many DPUs —
+/// work-stealing: pool workers claim DPUs one at a time off their home
+/// shard's cursor (stealing from other shards once it drains), so a few
+/// expensive DPUs cannot idle the rest of the pool the way static chunking
+/// did.
+fn run_all<B, F>(
+    system: &mut PimSystem,
+    sched: &Sched<'_>,
+    buffers: &mut [B],
+    job: F,
+) -> (Vec<DpuOutcome>, Option<StealStats>)
+where
+    B: Send,
+    F: Fn(&mut dpu_sim::Machine, &mut B) -> dpu_sim::Result<RunResult> + Sync,
+{
+    match sched.pool_for(system.len()) {
+        None => {
+            let run = |((_, dpu), buf)| DpuOutcome::Done(job(dpu, buf));
+            (system.iter_mut().zip(buffers).map(run).collect(), None)
+        }
+        Some(pool) => {
+            let (outcomes, stats) =
+                run_stealing_with(pool, system, buffers, |_, dpu, buf| job(dpu, buf));
+            (outcomes, Some(stats))
+        }
     }
-}
-
-/// Calling-thread launch: DPUs run one after another, panics unwind
-/// straight to the caller.
-fn run_sequential(
-    system: &mut PimSystem,
-    exec: &ExecProgram,
-    tasklets: usize,
-    trace: bool,
-    engine: Engine,
-    buffers: &mut [TraceBuffer],
-) -> Vec<DpuOutcome> {
-    system
-        .iter_mut()
-        .zip(buffers.iter_mut())
-        .map(|((_, dpu), buf)| DpuOutcome::Done(run_one(dpu, exec, tasklets, trace, engine, buf)))
-        .collect()
-}
-
-/// Work-stealing launch: pool workers claim DPUs one at a time off their
-/// home shard's cursor (stealing from other shards once it drains), so a
-/// few expensive DPUs cannot idle the rest of the pool the way static
-/// chunking did.
-fn run_stealing(
-    pool: &WorkerPool,
-    system: &mut PimSystem,
-    exec: &ExecProgram,
-    tasklets: usize,
-    trace: bool,
-    engine: Engine,
-    buffers: &mut [TraceBuffer],
-) -> (Vec<DpuOutcome>, StealStats) {
-    run_stealing_with(pool, system, buffers, |_, dpu, buf| {
-        run_one(dpu, exec, tasklets, trace, engine, buf)
-    })
 }
 
 /// The scheduler core, generic over the per-DPU job so tests can inject
 /// faulting or panicking work. `job` receives the DPU index; results and
 /// buffers come back in DPU order regardless of which worker ran what.
-fn run_stealing_with<F>(
+fn run_stealing_with<B, F>(
     pool: &WorkerPool,
     system: &mut PimSystem,
-    buffers: &mut [TraceBuffer],
+    buffers: &mut [B],
     job: F,
 ) -> (Vec<DpuOutcome>, StealStats)
 where
-    F: Fn(usize, &mut dpu_sim::Machine, &mut TraceBuffer) -> dpu_sim::Result<RunResult> + Sync,
+    B: Send,
+    F: Fn(usize, &mut dpu_sim::Machine, &mut B) -> dpu_sim::Result<RunResult> + Sync,
 {
     // Catch panics per DPU (while not holding any shared state) so one
     // faulty simulation surfaces as a `HostError` instead of unwinding
@@ -374,28 +356,30 @@ where
 }
 
 /// The work-stealing loop itself, generic over the per-DPU outcome type so
-/// the resilient launch path can reuse it with richer per-DPU reports.
+/// the resilient launch path can reuse it with richer per-DPU reports, and
+/// over the per-DPU buffer (`buffers[i]` goes with DPU `i`).
 /// Jobs must not unwind (wrap them in `catch_unwind` when they might).
 /// Alongside the per-DPU outcomes it reports how the jobs distributed
 /// over the pool's workers.
-pub(crate) fn steal_jobs<R, F>(
+pub(crate) fn steal_jobs<B, R, F>(
     pool: &WorkerPool,
     system: &mut PimSystem,
-    buffers: &mut [TraceBuffer],
+    buffers: &mut [B],
     job: F,
 ) -> (Vec<R>, StealStats)
 where
+    B: Send,
     R: Send,
-    F: Fn(usize, &mut dpu_sim::Machine, &mut TraceBuffer) -> R + Sync,
+    F: Fn(usize, &mut dpu_sim::Machine, &mut B) -> R + Sync,
 {
-    struct Slot<'a, R> {
+    struct Slot<'a, B, R> {
         dpu: &'a mut dpu_sim::Machine,
-        buf: &'a mut TraceBuffer,
+        buf: &'a mut B,
         outcome: Option<R>,
     }
 
     let n = system.len();
-    let slots: Vec<Mutex<Slot<R>>> = system
+    let slots: Vec<Mutex<Slot<B, R>>> = system
         .iter_mut()
         .zip(buffers.iter_mut())
         .map(|((_, dpu), buf)| Mutex::new(Slot { dpu, buf, outcome: None }))
@@ -664,22 +648,12 @@ mod scheduler_equivalence_tests {
         set
     }
 
-    fn unwrap_all(outcomes: Vec<DpuOutcome>) -> Vec<RunResult> {
-        outcomes
-            .into_iter()
-            .map(|o| match o {
-                DpuOutcome::Done(r) => r.expect("program halts"),
-                DpuOutcome::Panicked(d) => panic!("worker panicked: {d}"),
-            })
-            .collect()
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         /// The satellite invariant: the work-stealing scheduler is
         /// observationally identical to the sequential path — per-DPU
         /// results and trace buffers, in DPU order — for random programs,
-        /// skews and set sizes on both sides of the parallel threshold.
+        /// skews and set sizes, traced and untraced.
         #[test]
         fn work_stealing_matches_sequential_exactly(
             dpus in 1usize..9,
@@ -691,34 +665,26 @@ mod scheduler_equivalence_tests {
             let program = build_program(&ops, barrier_sel == 1);
             let exec = ExecProgram::compile(&program).unwrap();
 
-            let mut seq_set = skewed_set(dpus, &counts);
-            let mut seq_bufs = vec![TraceBuffer::new(); dpus];
-            let seq =
-                run_sequential(
-                    seq_set.system_mut(),
-                    &exec,
-                    tasklets,
-                    true,
-                    Engine::default(),
-                    &mut seq_bufs,
-                );
-
             let pool = crate::pool::WorkerPool::for_dpus(dpus);
-            let mut steal_set = skewed_set(dpus, &counts);
-            let mut steal_bufs = vec![TraceBuffer::new(); dpus];
-            let (steal, stats) =
-                run_stealing(
-                    &pool,
-                    steal_set.system_mut(),
-                    &exec,
-                    tasklets,
-                    true,
-                    Engine::default(),
-                    &mut steal_bufs,
-                );
-
-            prop_assert_eq!(seq_bufs, steal_bufs);
-            prop_assert_eq!(unwrap_all(seq), unwrap_all(steal));
+            let run = |pool: Option<&crate::pool::WorkerPool>, trace: bool| {
+                let mut set = skewed_set(dpus, &counts);
+                let sched = Sched { pool, threshold: 0 };
+                let engine = Some(Engine::default());
+                launch_on(set.system_mut(), &exec, tasklets, trace, engine, &sched).unwrap()
+            };
+            let (seq, seq_bufs, none) = run(None, true);
+            let (steal, steal_bufs, stats) = run(Some(&pool), true);
+            prop_assert_eq!(seq_bufs.len(), dpus);
+            prop_assert_eq!(&seq_bufs, &steal_bufs);
+            prop_assert_eq!(&seq, &steal);
+            prop_assert!(none.is_none());
+            let stats = stats.expect("the pool ran the launch");
+            // Untraced launches: the same results, and no buffers built.
+            for pool in [None, Some(&pool)] {
+                let (untraced, bufs, _) = run(pool, false);
+                prop_assert_eq!(&untraced, &seq);
+                prop_assert!(bufs.is_empty());
+            }
             prop_assert_eq!(stats.total_claims(), dpus as u64);
             prop_assert_eq!(stats.queued, dpus as u64);
             prop_assert!(stats.shards >= 1);
@@ -732,11 +698,11 @@ mod scheduler_equivalence_tests {
         let mut bufs = vec![TraceBuffer::new(); 6];
         let exec = ExecProgram::compile(&Program::new(vec![I::Halt])).unwrap();
         let (outcomes, stats) =
-            run_stealing_with(&pool, set.system_mut(), &mut bufs, |i, dpu, buf| {
+            run_stealing_with(&pool, set.system_mut(), &mut bufs, |i, dpu, _| {
                 if i == 3 {
                     panic!("injected failure on DPU 3");
                 }
-                run_one(dpu, &exec, 1, false, Engine::default(), buf)
+                dpu.run_exec_engine(&exec, 1, Engine::default())
             });
         assert_eq!(outcomes.len(), 6);
         assert_eq!(stats.total_claims(), 6);
@@ -769,8 +735,8 @@ mod scheduler_equivalence_tests {
         let arming =
             ExecProgram::compile(&dpu_sim::asm::assemble("perf.config\nhalt\n").unwrap()).unwrap();
         let mut bufs = vec![TraceBuffer::new(); 6];
-        let (outcomes, _) = run_stealing_with(&pool, set.system_mut(), &mut bufs, |i, dpu, buf| {
-            let r = run_one(dpu, &arming, 1, false, Engine::default(), buf);
+        let (outcomes, _) = run_stealing_with(&pool, set.system_mut(), &mut bufs, |i, dpu, _| {
+            let r = dpu.run_exec_engine(&arming, 1, Engine::default());
             if i == 2 {
                 panic!("injected mid-launch failure");
             }

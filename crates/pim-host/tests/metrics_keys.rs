@@ -122,6 +122,9 @@ fn observation_metrics_key_set_is_stable() {
             "obs.engine.replay.abandoned",
             "obs.engine.replay.hits",
             "obs.engine.replay.records",
+            "obs.engine.rotation.orbit_misses",
+            "obs.engine.rotation.orbit_probes",
+            "obs.engine.rotation.orbit_slots",
             "obs.engine.rotation.undersaturated_slots",
             "obs.engine.slots.burst_batch",
             "obs.engine.slots.chunk",

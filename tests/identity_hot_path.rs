@@ -149,7 +149,8 @@ fn zero_fault_resilient_pipelines_reproduce_the_golden_figures() {
 /// eBNN DPU (16 images on 16 tasklets: tasklet-major chunks), the last
 /// chunk of a served batch (6 images on 6 tasklets, and 6 images staged
 /// under 16 launched tasklets of which 10 halt at once: under-saturated
-/// rotations, idle cycles every round) and a GEMM row on 11 tasklets
+/// rotations, idle cycles every round; 12, 13 and 14 images: a permuted
+/// rotation only a verified orbit schedules) and a GEMM row on 11 tasklets
 /// (exactly `stages` of them, DMA-skewed out of round-robin order;
 /// subroutine bursts retired in whole rounds) — leave the same
 /// `RunResult`, the same WRAM and the same MRAM (features / the C row
@@ -163,8 +164,12 @@ fn paper_kernels_leave_identical_machines_on_every_engine_tier() {
     let mut ebnn_engine = ebnn::codegen::Tier1Engine::new(&model, 1).expect("eBNN engine");
     ebnn_engine.stage(&model, &images, 0).expect("stage images");
     let ebnn_dpu = ebnn_engine.set().system().dpu(DpuId(0)).clone();
-    ebnn_engine.stage(&model, &images[..6], 0).expect("stage a partial chunk");
-    let partial_dpu = ebnn_engine.set().system().dpu(DpuId(0)).clone();
+    let mut partial = |n: usize| {
+        ebnn_engine.stage(&model, &images[..n], 0).expect("stage a partial chunk");
+        ebnn_engine.set().system().dpu(DpuId(0)).clone()
+    };
+    let partial_dpu = partial(6);
+    let orbit_dpus = [partial(12), partial(13), partial(14)];
     let ebnn_exec = ExecProgram::compile(&ebnn::codegen::tier1_program(1)).expect("eBNN program");
 
     let dims = GemmDims { m: 1, n: 40, k: 24 };
@@ -176,11 +181,15 @@ fn paper_kernels_leave_identical_machines_on_every_engine_tier() {
     let row_exec =
         ExecProgram::compile(&yolo_pim::codegen::gemm_row_program(dims)).expect("GEMM program");
 
-    for (name, staged, exec, tasklets) in [
-        ("eBNN x16", &ebnn_dpu, &ebnn_exec, 16),
-        ("eBNN x6", &partial_dpu, &ebnn_exec, 6),
-        ("eBNN x6 of 16 launched", &partial_dpu, &ebnn_exec, 16),
-        ("GEMM row x11", &row_dpu, &row_exec, 11),
+    // (name, staged DPU, program, launched tasklets, rotates on an orbit)
+    for (name, staged, exec, tasklets, orbit) in [
+        ("eBNN x16", &ebnn_dpu, &ebnn_exec, 16, false),
+        ("eBNN x6", &partial_dpu, &ebnn_exec, 6, false),
+        ("eBNN x6 of 16 launched", &partial_dpu, &ebnn_exec, 16, false),
+        ("eBNN x12", &orbit_dpus[0], &ebnn_exec, 12, true),
+        ("eBNN x13 of 16 launched", &orbit_dpus[1], &ebnn_exec, 16, true),
+        ("eBNN x14", &orbit_dpus[2], &ebnn_exec, 14, true),
+        ("GEMM row x11", &row_dpu, &row_exec, 11, false),
     ] {
         let run = |engine: Engine| -> (dpu_sim::RunResult, Machine) {
             let mut m = staged.clone();
@@ -199,6 +208,10 @@ fn paper_kernels_leave_identical_machines_on_every_engine_tier() {
             assert!(stats.reference_slots * 4 < reference.instructions, "{name}: {stats:?}");
             if name.starts_with("eBNN x6") {
                 assert!(stats.undersaturated_slots * 10 > reference.instructions * 9, "{name}");
+            }
+            if orbit {
+                assert!(stats.orbit_slots * 10 > reference.instructions * 9, "{name}: {stats:?}");
+                assert!(stats.reference_slots * 100 <= reference.instructions, "{name}");
             }
         }
     }
