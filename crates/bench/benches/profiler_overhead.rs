@@ -4,11 +4,12 @@
 //! Profiling promises two things. First — and what the gate enforces —
 //! unprofiled runs pay nothing for the profiler's existence: they keep
 //! the superblock fast path and share none of the attribution
-//! bookkeeping (`run_reference` and `run_reference_profiled` are
-//! separate loops; the identity tests pin bit-identical results). The
+//! bookkeeping (`run_reference` is one loop generic over a per-slot
+//! observer, and its `()` instantiation must compile to the loop with
+//! none; the identity tests pin bit-identical results). The
 //! gate runs the ALU loop at 11 tasklets profiler-off (`run_exec`, the
 //! path every normal launch takes) paired against the profiler-free
-//! reference interpreter (`run_exec_reference_with_budget`) and asserts
+//! reference interpreter (`Engine::Reference`, unobserved) and asserts
 //! the profiler-off time stays within 3% of that floor. In practice it
 //! sits far *below* the floor (the superblock engine is ~2.5x faster),
 //! so the gate trips exactly when profiling support leaks cost into —
@@ -38,7 +39,7 @@
 //! gate; the criterion group reports all three timings for context.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dpu_sim::{CycleAttribution, DpuId, Engine, ExecProgram, Machine};
+use dpu_sim::{CycleAttribution, DpuId, Engine, ExecProgram, Machine, Observe, RunSpec};
 use pim_bench::kernels::{ebnn_tier1, KernelShape};
 use pim_bench::snapshot::alu_program;
 use std::time::{Duration, Instant};
@@ -86,7 +87,18 @@ fn bench_profiler_overhead(c: &mut Criterion) {
         let exec = exec();
         let mut m = Machine::default();
         b.iter(|| {
-            black_box(m.run_exec_reference_with_budget(&exec, TASKLETS, BUDGET).unwrap().cycles)
+            black_box(
+                m.execute(
+                    &exec,
+                    RunSpec {
+                        budget: BUDGET,
+                        engine: Some(Engine::Reference),
+                        ..RunSpec::new(TASKLETS)
+                    },
+                )
+                .unwrap()
+                .cycles,
+            )
         });
     });
     g.bench_function("alu_loop_11t_superblock", |b| {
@@ -109,7 +121,16 @@ fn bench_profiler_overhead(c: &mut Criterion) {
         let exec = exec();
         let mut m = Machine::default();
         let mut attr = CycleAttribution::new();
-        b.iter(|| black_box(m.run_exec_profiled(&exec, TASKLETS, &mut attr).unwrap().cycles));
+        b.iter(|| {
+            black_box(
+                m.execute(
+                    &exec,
+                    RunSpec { observe: Observe::Profile(&mut attr), ..RunSpec::new(TASKLETS) },
+                )
+                .unwrap()
+                .cycles,
+            )
+        });
     });
     g.finish();
 
@@ -131,7 +152,14 @@ fn bench_profiler_overhead(c: &mut Criterion) {
         || {
             black_box(
                 reference
-                    .run_exec_reference_with_budget(&exec_ref, TASKLETS, BUDGET)
+                    .execute(
+                        &exec_ref,
+                        RunSpec {
+                            budget: BUDGET,
+                            engine: Some(Engine::Reference),
+                            ..RunSpec::new(TASKLETS)
+                        },
+                    )
                     .unwrap()
                     .cycles,
             );
@@ -164,13 +192,28 @@ fn bench_profiler_overhead(c: &mut Criterion) {
         || {
             black_box(
                 reference2
-                    .run_exec_reference_with_budget(&exec_ref2, TASKLETS, BUDGET)
+                    .execute(
+                        &exec_ref2,
+                        RunSpec {
+                            budget: BUDGET,
+                            engine: Some(Engine::Reference),
+                            ..RunSpec::new(TASKLETS)
+                        },
+                    )
                     .unwrap()
                     .cycles,
             );
         },
         || {
-            black_box(profiled.run_exec_profiled(&exec_prof, TASKLETS, &mut attr).unwrap().cycles);
+            black_box(
+                profiled
+                    .execute(
+                        &exec_prof,
+                        RunSpec { observe: Observe::Profile(&mut attr), ..RunSpec::new(TASKLETS) },
+                    )
+                    .unwrap()
+                    .cycles,
+            );
         },
     );
     let on_budget = min_reference2.mul_f64(1.5) + Duration::from_micros(50);
@@ -182,7 +225,7 @@ fn bench_profiler_overhead(c: &mut Criterion) {
         "profiled alu_loop_11t exceeded the 1.5x attribution containment budget: \
          reference {min_reference2:?} vs profiled {min_profiled:?}"
     );
-    // Note on profiled-compiled containment: `run_exec_profiled` forces
+    // Note on profiled-compiled containment: `Observe::Profile` forces
     // the reference loop regardless of the ambient engine (attribution
     // needs per-slot dispatch), so Gate 2's bound *is* the profiled
     // containment guarantee under the compiled default — there is no

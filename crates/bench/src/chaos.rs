@@ -88,7 +88,7 @@ pub struct ChaosReport {
     pub launches: u64,
     /// Launches in which at least one fault actually fired.
     pub faulted_launches: u64,
-    /// Launches per scenario, in [`SCENARIOS`] order.
+    /// Launches per scenario, in `SCENARIOS` order.
     pub per_scenario: Vec<(String, u64)>,
     /// Faults injected across the campaign.
     pub faults_injected: u64,

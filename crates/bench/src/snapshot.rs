@@ -18,8 +18,8 @@
 
 use dpu_sim::asm::assemble;
 use dpu_sim::faults::{FaultConfig, FaultPlan};
-use dpu_sim::{CycleAttribution, DpuId, ExecProgram, Machine, Program};
-use pim_host::{DpuSet, LaunchObservation, ResilientLaunchPolicy};
+use dpu_sim::{CycleAttribution, DpuId, ExecProgram, Machine, Observe, Program, RunSpec};
+use pim_host::{DpuSet, LaunchObservation, LaunchSpec, ResilientLaunchPolicy};
 
 /// Tight countdown/accumulate loop, one superblock of ALU work.
 #[must_use]
@@ -120,7 +120,9 @@ pub fn observation() -> LaunchObservation {
     let plan = FaultPlan::new(FaultConfig { forced_offline: vec![1], ..Default::default() });
     let policy =
         ResilientLaunchPolicy { max_retries: 0, ..ResilientLaunchPolicy::with_faults(plan) };
-    let report = faulty.launch_resilient(&skewed_program(), 4, &policy).expect("resilient launch");
+    let skewed = skewed_program();
+    let resilient = |policy| LaunchSpec { policy: Some(policy), ..LaunchSpec::adhoc(&skewed, 4) };
+    let (report, _) = faulty.launch_with(resilient(&policy)).expect("resilient launch");
     obs.record_report(&report);
 
     // A scripted integrity campaign: seeded single-bit DMA flips under an
@@ -133,7 +135,7 @@ pub fn observation() -> LaunchObservation {
     let plan =
         FaultPlan::new(FaultConfig { seed: 7, bit_flip_prob: 0.5, ..FaultConfig::default() });
     let policy = ResilientLaunchPolicy::with_faults(plan);
-    let report = ecc.launch_resilient(&skewed_program(), 4, &policy).expect("ecc launch");
+    let (report, _) = ecc.launch_with(resilient(&policy)).expect("ecc launch");
     obs.record_report(&report);
 
     obs
@@ -146,7 +148,9 @@ pub fn attribution() -> (CycleAttribution, u64) {
     let exec = ExecProgram::compile(&alu_program()).expect("compiles");
     let mut attr = CycleAttribution::new();
     let mut machine = Machine::default();
-    let result = machine.run_exec_profiled(&exec, 11, &mut attr).expect("profiled run");
+    let result = machine
+        .execute(&exec, RunSpec { observe: Observe::Profile(&mut attr), ..RunSpec::new(11) })
+        .expect("profiled run");
     (attr, result.cycles)
 }
 

@@ -199,7 +199,7 @@ impl CompiledProgram {
 
     /// Profile-guided compilation: compile only the blocks a
     /// [`CycleAttribution`] profile entered at least `min_entries` times
-    /// (the counters `Machine::run_exec_profiled` accumulates). Cold
+    /// (the counters an [`crate::Observe::Profile`] run accumulates). Cold
     /// blocks stay on the superblock engine; chains into them deoptimize.
     #[must_use]
     pub fn compile_hot(
@@ -584,11 +584,12 @@ mod tests {
 
     #[test]
     fn compile_hot_uses_attribution_entries() {
-        use crate::machine::Machine;
+        use crate::machine::{Machine, Observe, RunSpec};
         let exec = ExecProgram::compile(&alu_loop()).unwrap();
         let mut attr = CycleAttribution::new();
         let mut m = Machine::default();
-        m.run_exec_profiled(&exec, 1, &mut attr).unwrap();
+        m.execute(&exec, RunSpec { observe: Observe::Profile(&mut attr), ..RunSpec::new(1) })
+            .unwrap();
         // The loop head is entered 10 times, the setup block once: with a
         // threshold between the two, only the loop compiles.
         let cp = CompiledProgram::compile_hot(exec.code(), exec.superblocks(), &attr, 5);

@@ -356,7 +356,7 @@ impl ExecProgram {
 
     /// Recompile only the blocks whose profiled entry count meets
     /// `min_entries`, using the attribution gathered by a prior
-    /// [`crate::machine::Machine::run_exec_profiled`] run. Cold blocks fall
+    /// [`crate::machine::Observe::Profile`] run. Cold blocks fall
     /// back to the superblock engine at run time.
     pub fn recompile_hot(&mut self, attr: &CycleAttribution, min_entries: u64) {
         self.compiled = Arc::new(CompiledProgram::compile_hot(

@@ -66,7 +66,9 @@ pub use error::{Error, Result};
 pub use exec::ExecProgram;
 pub use faults::{AttemptFaults, FaultConfig, FaultKind, FaultPlan, InjectedFault};
 pub use isa::{Instr, Program, Reg};
-pub use machine::{Engine, IntegrityCounters, Machine, MachineSnapshot, RunResult};
+pub use machine::{
+    Engine, IntegrityCounters, Machine, MachineSnapshot, Observe, RunResult, RunSpec,
+};
 pub use memory::{
     CowMemory, DmaEngine, MemorySnapshot, Mram, ScrubReport, Scrubber, Wram, MRAM_PAGE_BYTES,
 };

@@ -30,7 +30,7 @@ use crate::params::{DpuParams, REGS_PER_TASKLET};
 use crate::perfcounter::PerfCounter;
 use crate::pipeline::Pipeline;
 use crate::profiler::{CycleAttribution, Profiler};
-use crate::replay::{Lookup, Recorder, ReplayKey, ReplayTable, Space, REPLAY_MAX_SLOTS};
+use crate::replay::{Lookup, Recorder, ReplayKey, Space, REPLAY_MAX_SLOTS};
 use pim_trace::{DmaDirection, NullSink, TraceEvent, TraceSink};
 
 /// Default cycle budget for [`Machine::run`]; generous enough for every
@@ -42,13 +42,13 @@ pub const DEFAULT_CYCLE_BUDGET: u64 = 50_000_000_000;
 /// error sites — which the golden and proptest identity suites pin; the
 /// selection only trades simplicity of the executing loop for speed.
 ///
-/// Selection is explicit via [`Machine::run_exec_engine`] (and the
-/// engine-aware `pim-host` launch APIs) or ambient via
+/// Selection is explicit via [`RunSpec::engine`] (and `pim-host`'s
+/// `DpuSet::set_engine`) or ambient via
 /// [`Engine::effective`], which consults the `PIM_SIM_ENGINE` environment
 /// variable and otherwise defaults to the compiled tier. Traced and
 /// profiled runs always take the reference loop regardless of selection,
 /// and armed fault injection deoptimizes the compiled tier onto the
-/// superblock engine (see [`Machine::run_code`] internals).
+/// superblock engine (see `Machine::run_code`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// The per-instruction reference loop: one pick, one budget check,
@@ -137,6 +137,43 @@ impl RunResult {
     #[must_use]
     pub fn seconds(&self, params: &DpuParams) -> f64 {
         params.cycles_to_seconds(self.cycles)
+    }
+}
+
+/// What watches a run slot by slot. The two observers are exclusive — a
+/// profiled run records no events — so one run takes at most one.
+pub enum Observe<'a> {
+    /// Nothing: the only choice the fast tiers and replay serve.
+    Off,
+    /// Record cycle-stamped [`TraceEvent`]s into the sink as the kernel
+    /// executes. A disabled sink (see [`TraceSink::is_enabled`]) is `Off`.
+    Trace(&'a mut dyn TraceSink),
+    /// Attribute every elapsed cycle to its superblock-partition piece
+    /// (and, for burst slots, the in-flight subroutine). The attribution
+    /// may accumulate several runs of the same program.
+    Profile(&'a mut CycleAttribution),
+}
+
+/// How to run a program on a [`Machine`]: the argument of
+/// [`Machine::execute`].
+pub struct RunSpec<'a> {
+    /// Hardware threads to start.
+    pub tasklets: usize,
+    /// Cycles after which the run fails with
+    /// [`Error::CycleBudgetExceeded`].
+    pub budget: u64,
+    /// The engine tier; `None` takes the ambient [`Engine::effective`].
+    pub engine: Option<Engine>,
+    /// The run's observer, if any.
+    pub observe: Observe<'a>,
+}
+
+impl RunSpec<'_> {
+    /// An unobserved run of `tasklets` threads on the ambient engine under
+    /// [`DEFAULT_CYCLE_BUDGET`].
+    #[must_use]
+    pub fn new(tasklets: usize) -> Self {
+        Self { tasklets, budget: DEFAULT_CYCLE_BUDGET, engine: None, observe: Observe::Off }
     }
 }
 
@@ -320,261 +357,57 @@ impl Machine {
         Ok(())
     }
 
-    /// Run `program` on `tasklets` hardware threads until all halt.
+    /// Run `exec` as `spec` says: the one entry every run goes through.
+    ///
+    /// Tracing and profiling are purely observational — the returned
+    /// [`RunResult`] (cycles, instructions, histograms, DPU log) is
+    /// bit-identical to an unobserved run, which the identity tests pin —
+    /// and unobserved runs share none of their bookkeeping. Observed runs
+    /// take the per-instruction reference loop, so they trade the fast
+    /// tiers' speed for events or attribution.
     ///
     /// # Errors
     /// Any interpreter fault ([`Error::PcOutOfRange`], memory bounds,
-    /// [`Error::CycleBudgetExceeded`] after [`DEFAULT_CYCLE_BUDGET`] cycles,
-    /// …).
+    /// [`Error::CycleBudgetExceeded`] after `spec.budget` cycles, …).
+    pub fn execute(&mut self, exec: &ExecProgram, spec: RunSpec<'_>) -> Result<RunResult> {
+        self.run_code(exec, spec)
+    }
+
+    /// Run `program` on `tasklets` hardware threads until all halt, under
+    /// [`DEFAULT_CYCLE_BUDGET`] on the ambient engine.
+    ///
+    /// Decodes `program` on every call, without validating it: branch
+    /// targets stay runtime-checked ([`Error::PcOutOfRange`] only if
+    /// executed). Launch-many callers decode once ([`ExecProgram`]) and
+    /// use [`Machine::run_exec`] or [`Machine::execute`].
+    ///
+    /// # Errors
+    /// See [`Machine::execute`].
     pub fn run(&mut self, program: &Program, tasklets: usize) -> Result<RunResult> {
-        self.run_with_budget(program, tasklets, DEFAULT_CYCLE_BUDGET)
+        self.run_exec(&ExecProgram::decode(program), tasklets)
     }
 
-    /// Like [`Machine::run`] with an explicit cycle budget.
+    /// [`Machine::run`] on a pre-decoded program.
     ///
     /// # Errors
-    /// See [`Machine::run`].
-    pub fn run_with_budget(
-        &mut self,
-        program: &Program,
-        tasklets: usize,
-        budget: u64,
-    ) -> Result<RunResult> {
-        self.run_traced_with_budget(program, tasklets, budget, &mut NullSink)
-    }
-
-    /// Like [`Machine::run`], recording cycle-stamped [`TraceEvent`]s into
-    /// `sink` as the kernel executes.
-    ///
-    /// Tracing is purely observational: with any sink (including the
-    /// recording ones) the returned cycle counts are bit-identical to an
-    /// untraced run.
-    ///
-    /// # Errors
-    /// See [`Machine::run`].
-    pub fn run_traced(
-        &mut self,
-        program: &Program,
-        tasklets: usize,
-        sink: &mut dyn TraceSink,
-    ) -> Result<RunResult> {
-        self.run_traced_with_budget(program, tasklets, DEFAULT_CYCLE_BUDGET, sink)
-    }
-
-    /// Like [`Machine::run_traced`] with an explicit cycle budget.
-    ///
-    /// Decodes `program` into its [`ExecProgram`] form on every call; hot
-    /// launch-many callers should pre-decode once and use
-    /// [`Machine::run_exec_traced_with_budget`] instead.
-    ///
-    /// # Errors
-    /// See [`Machine::run`].
-    pub fn run_traced_with_budget(
-        &mut self,
-        program: &Program,
-        tasklets: usize,
-        budget: u64,
-        sink: &mut dyn TraceSink,
-    ) -> Result<RunResult> {
-        // Decode without validating: `Machine::run*` has always left branch
-        // targets runtime-checked (`PcOutOfRange` only if executed).
-        let code: Vec<ExecInstr> = program
-            .instrs
-            .iter()
-            .map(|&instr| ExecInstr { instr, op: exec::op_id(&instr) })
-            .collect();
-        let sb = Superblocks::analyze(&code);
-        let engine = Engine::effective();
-        // Threaded code is only built when this run can actually enter it
-        // (traced runs take the reference loop regardless).
-        let compiled = (engine == Engine::Compiled && !sink.is_enabled())
-            .then(|| CompiledProgram::compile_all(&code, &sb));
-        self.run_code(&code, &sb, compiled.as_ref(), None, tasklets, budget, sink, engine, None)
-    }
-
-    /// Run a pre-decoded program on `tasklets` hardware threads until all
-    /// halt. Semantically identical to [`Machine::run`] on
-    /// [`ExecProgram::source`], without the per-launch decode.
-    ///
-    /// # Errors
-    /// See [`Machine::run`].
+    /// See [`Machine::execute`].
     pub fn run_exec(&mut self, exec: &ExecProgram, tasklets: usize) -> Result<RunResult> {
-        self.run_exec_with_budget(exec, tasklets, DEFAULT_CYCLE_BUDGET)
+        self.execute(exec, RunSpec::new(tasklets))
     }
 
-    /// Like [`Machine::run_exec`] with an explicit cycle budget.
-    ///
-    /// # Errors
-    /// See [`Machine::run`].
-    pub fn run_exec_with_budget(
-        &mut self,
-        exec: &ExecProgram,
-        tasklets: usize,
-        budget: u64,
-    ) -> Result<RunResult> {
-        self.run_exec_engine_with_budget(exec, tasklets, budget, Engine::effective())
-    }
-
-    /// Like [`Machine::run_exec`] with an explicit engine tier instead of
-    /// the ambient [`Engine::effective`] selection. All tiers are
+    /// [`Machine::run_exec`] on an explicit engine tier instead of the
+    /// ambient [`Engine::effective`] selection. All tiers are
     /// observationally identical; see [`Engine`].
     ///
     /// # Errors
-    /// See [`Machine::run`].
+    /// See [`Machine::execute`].
     pub fn run_exec_engine(
         &mut self,
         exec: &ExecProgram,
         tasklets: usize,
         engine: Engine,
     ) -> Result<RunResult> {
-        self.run_exec_engine_with_budget(exec, tasklets, DEFAULT_CYCLE_BUDGET, engine)
-    }
-
-    /// Like [`Machine::run_exec_engine`] with an explicit cycle budget.
-    ///
-    /// # Errors
-    /// See [`Machine::run`].
-    pub fn run_exec_engine_with_budget(
-        &mut self,
-        exec: &ExecProgram,
-        tasklets: usize,
-        budget: u64,
-        engine: Engine,
-    ) -> Result<RunResult> {
-        self.run_code(
-            exec.code(),
-            exec.superblocks(),
-            Some(exec.compiled()),
-            Some(exec.replay()),
-            tasklets,
-            budget,
-            &mut NullSink,
-            engine,
-            None,
-        )
-    }
-
-    /// Like [`Machine::run_exec_with_budget`] but forcing the
-    /// per-instruction reference loop, with superblock fast-forwarding and
-    /// event-driven skipping disabled. Equivalent to
-    /// [`Machine::run_exec_engine_with_budget`] with [`Engine::Reference`];
-    /// kept for the existing equivalence tests and benchmarks.
-    ///
-    /// # Errors
-    /// See [`Machine::run`].
-    #[doc(hidden)]
-    pub fn run_exec_reference_with_budget(
-        &mut self,
-        exec: &ExecProgram,
-        tasklets: usize,
-        budget: u64,
-    ) -> Result<RunResult> {
-        self.run_exec_engine_with_budget(exec, tasklets, budget, Engine::Reference)
-    }
-
-    /// Like [`Machine::run_exec`], additionally attributing every elapsed
-    /// cycle to its superblock-partition piece (and, for burst slots, the
-    /// in-flight subroutine) in `attr`.
-    ///
-    /// Profiling is pay-for-what-you-use: it is purely observational — the
-    /// returned [`RunResult`] (cycles, instructions, histograms, traces)
-    /// is bit-identical to an unprofiled run, which the identity tests
-    /// pin — and unprofiled runs share none of its bookkeeping. Profiled
-    /// runs take the per-instruction reference loop, so they trade the
-    /// superblock engine's speed for attribution.
-    ///
-    /// `attr` may accumulate multiple runs of the same program (it is
-    /// prepared on first use and re-used across launches).
-    ///
-    /// # Errors
-    /// See [`Machine::run`].
-    pub fn run_exec_profiled(
-        &mut self,
-        exec: &ExecProgram,
-        tasklets: usize,
-        attr: &mut CycleAttribution,
-    ) -> Result<RunResult> {
-        self.run_exec_profiled_with_budget(exec, tasklets, DEFAULT_CYCLE_BUDGET, attr)
-    }
-
-    /// Like [`Machine::run_exec_profiled`] with an explicit cycle budget.
-    ///
-    /// # Errors
-    /// See [`Machine::run`].
-    pub fn run_exec_profiled_with_budget(
-        &mut self,
-        exec: &ExecProgram,
-        tasklets: usize,
-        budget: u64,
-        attr: &mut CycleAttribution,
-    ) -> Result<RunResult> {
-        self.run_code(
-            exec.code(),
-            exec.superblocks(),
-            None,
-            None,
-            tasklets,
-            budget,
-            &mut NullSink,
-            Engine::Reference,
-            Some(attr),
-        )
-    }
-
-    /// Like [`Machine::run_exec`], recording cycle-stamped [`TraceEvent`]s
-    /// into `sink` as the kernel executes.
-    ///
-    /// # Errors
-    /// See [`Machine::run`].
-    pub fn run_exec_traced(
-        &mut self,
-        exec: &ExecProgram,
-        tasklets: usize,
-        sink: &mut dyn TraceSink,
-    ) -> Result<RunResult> {
-        self.run_exec_traced_with_budget(exec, tasklets, DEFAULT_CYCLE_BUDGET, sink)
-    }
-
-    /// Like [`Machine::run_exec_traced`] with an explicit cycle budget.
-    ///
-    /// # Errors
-    /// See [`Machine::run`].
-    pub fn run_exec_traced_with_budget(
-        &mut self,
-        exec: &ExecProgram,
-        tasklets: usize,
-        budget: u64,
-        sink: &mut dyn TraceSink,
-    ) -> Result<RunResult> {
-        self.run_exec_traced_engine_with_budget(exec, tasklets, budget, sink, Engine::effective())
-    }
-
-    /// Like [`Machine::run_exec_traced_with_budget`] with an explicit
-    /// engine tier. An enabled sink forces the reference loop regardless
-    /// of `engine` (trace emission needs per-slot dispatch), so the tier
-    /// only affects untraced launches sharing this entry point.
-    ///
-    /// # Errors
-    /// See [`Machine::run`].
-    pub fn run_exec_traced_engine_with_budget(
-        &mut self,
-        exec: &ExecProgram,
-        tasklets: usize,
-        budget: u64,
-        sink: &mut dyn TraceSink,
-        engine: Engine,
-    ) -> Result<RunResult> {
-        self.run_code(
-            exec.code(),
-            exec.superblocks(),
-            Some(exec.compiled()),
-            Some(exec.replay()),
-            tasklets,
-            budget,
-            sink,
-            engine,
-            None,
-        )
+        self.execute(exec, RunSpec { engine: Some(engine), ..RunSpec::new(tasklets) })
     }
 
     /// The interpreter core over a decoded instruction stream.
@@ -599,25 +432,26 @@ impl Machine {
     ///   downgrades this tier to the superblock engine so injected-fault
     ///   runs stay on the thoroughly-pinned paths.
     ///
-    /// With a `replay` table (runs of an [`ExecProgram`]) a plain launch on
-    /// a fast tier first looks for a recorded run of the same key whose
-    /// read set equals this machine's memory, and on a match applies its
-    /// write set and returns its result without setting up an [`Interp`]
-    /// at all; a short run that finds none is recorded as it executes
-    /// (see [`crate::replay`]).
-    #[allow(clippy::too_many_arguments)]
-    fn run_code(
-        &mut self,
-        code: &[ExecInstr],
-        sb: &Superblocks,
-        compiled: Option<&CompiledProgram>,
-        replay: Option<&ReplayTable>,
-        tasklets: usize,
-        budget: u64,
-        sink: &mut dyn TraceSink,
-        engine: Engine,
-        profile: Option<&mut CycleAttribution>,
-    ) -> Result<RunResult> {
+    /// A plain launch on a fast tier first looks in the program's replay
+    /// table for a recorded run of the same key whose read set equals this
+    /// machine's memory, and on a match applies its write set and returns
+    /// its result without setting up an [`Interp`] at all; a short run
+    /// that finds none is recorded as it executes (see [`crate::replay`]).
+    fn run_code(&mut self, exec: &ExecProgram, spec: RunSpec<'_>) -> Result<RunResult> {
+        let RunSpec { tasklets, budget, engine, observe } = spec;
+        let (code, sb) = (exec.code(), exec.superblocks());
+        let mut null = NullSink;
+        let (sink, profile): (&mut dyn TraceSink, Option<&mut CycleAttribution>) = match observe {
+            Observe::Off => (&mut null, None),
+            Observe::Trace(sink) => (sink, None),
+            Observe::Profile(attr) => (&mut null, Some(attr)),
+        };
+        // Attribution is per slot, so a profiled run is a reference run
+        // whatever tier was asked for.
+        let engine = match profile {
+            Some(_) => Engine::Reference,
+            None => engine.unwrap_or_else(Engine::effective),
+        };
         if tasklets == 0 || tasklets > self.params.max_tasklets {
             return Err(Error::BadTaskletCount {
                 requested: tasklets,
@@ -660,7 +494,7 @@ impl Machine {
         // dispatch would probe and deopt, so skipping the probes makes the
         // uncompilable case exactly the superblock engine.
         let engine = if engine == Engine::Compiled
-            && (self.faults.is_some() || compiled.is_none_or(CompiledProgram::is_empty))
+            && (self.faults.is_some() || exec.compiled().is_empty())
         {
             Engine::Superblock
         } else {
@@ -671,25 +505,21 @@ impl Machine {
         // sink, the profiler and MRAM ECC all observe or perturb the run
         // slot by slot, and the reference loop stays the definition the
         // other tiers (and their replays) are compared against.
-        let replay = replay
-            .filter(|_| {
-                engine != Engine::Reference
-                    && self.faults.is_none()
-                    && profile.is_none()
-                    && !sink.is_enabled()
-                    && !self.mram.ecc_enabled()
-            })
-            .map(|table| {
-                let key = ReplayKey {
-                    tasklets,
-                    engine,
-                    params: self.params,
-                    dma_timing: self.dma.timing(),
-                    wram_len: self.wram.len(),
-                    mram_len: self.mram.len(),
-                };
-                (table, key)
-            });
+        let replay = (engine != Engine::Reference
+            && self.faults.is_none()
+            && !sink.is_enabled()
+            && !self.mram.ecc_enabled())
+        .then(|| {
+            let key = ReplayKey {
+                tasklets,
+                engine,
+                params: self.params,
+                dma_timing: self.dma.timing(),
+                wram_len: self.wram.len(),
+                mram_len: self.mram.len(),
+            };
+            (exec.replay(), key)
+        });
         let mut recorder = None;
         if let Some((table, key)) = &replay {
             match table.lookup(key, &mut self.wram, &mut self.mram, budget) {
@@ -740,7 +570,7 @@ impl Machine {
             chunk_saved: Vec::new(),
             code,
             sb,
-            compiled: if engine == Engine::Compiled { compiled } else { None },
+            compiled: (engine == Engine::Compiled).then(|| exec.compiled()),
             budget,
             machine: self,
             sink,
@@ -756,14 +586,15 @@ impl Machine {
         // then pin the fast engine against the reference.
         let outcome = if let Some(attr) = profile {
             attr.prepare(sb, tasklets);
-            interp.run_reference_profiled(attr)
+            let mut slots = AttributedSlots::new(attr, code, interp.pipeline.elapsed());
+            interp.run_reference::<false, _>(&mut slots)
         } else if engine == Engine::Reference || interp.sink.is_enabled() {
-            interp.run_reference::<false>()
+            interp.run_reference::<false, _>(&mut ())
         } else if recording {
             // Reference-identical slots while the recording stays open; if
             // it is abandoned, the fast engine takes the run over where it
             // stands (and returns at once from a finished one).
-            interp.run_reference::<true>().and_then(|()| interp.run_fast())
+            interp.run_reference::<true, _>(&mut ()).and_then(|()| interp.run_fast())
         } else {
             interp.run_fast()
         };
@@ -970,6 +801,77 @@ const INLINE_OP: [bool; OP_COUNT] = [
     false, // mutex — may block or wake tasklets
 ];
 
+/// What [`Interp::run_reference`] tells of each issue slot, before the
+/// slot executes. `now` is the makespan after the slot's pick.
+trait SlotObserver {
+    /// Tasklet `t` spends the slot inside a subroutine body.
+    fn burst(&mut self, t: usize, now: u64);
+    /// Tasklet `t` issues the instruction at `pc` (possibly out of range:
+    /// the fetch that follows faults).
+    fn issue(&mut self, t: usize, pc: usize, now: u64);
+}
+
+/// No observer: both calls vanish.
+impl SlotObserver for () {
+    #[inline(always)]
+    fn burst(&mut self, _: usize, _: u64) {}
+    #[inline(always)]
+    fn issue(&mut self, _: usize, _: usize, _: u64) {}
+}
+
+/// Per-slot cycle attribution: each slot is charged the makespan delta it
+/// advanced the pipeline by (`elapsed` is monotone across picks, so the
+/// deltas telescope exactly to the final cycle count). The delta lands on
+/// the issued instruction's partition piece, or on the in-flight
+/// subroutine for burst slots; idle and stall gaps are charged to the
+/// instruction that waited behind them.
+struct AttributedSlots<'a> {
+    attr: &'a mut CycleAttribution,
+    /// The subroutine each pc calls, if any — one table lookup per slot
+    /// instead of loading and matching the decoded instruction (which
+    /// `step` will load again anyway).
+    callsub: Vec<Option<&'static str>>,
+    last: u64,
+}
+
+impl<'a> AttributedSlots<'a> {
+    fn new(attr: &'a mut CycleAttribution, code: &[ExecInstr], start: u64) -> Self {
+        let callsub = code
+            .iter()
+            .map(|c| match c.instr {
+                Instr::CallSub { sub, .. } => Some(sub.symbol()),
+                _ => None,
+            })
+            .collect();
+        Self { attr, callsub, last: start }
+    }
+
+    fn delta(&mut self, now: u64) -> u64 {
+        let delta = now - self.last;
+        self.last = now;
+        delta
+    }
+}
+
+impl SlotObserver for AttributedSlots<'_> {
+    fn burst(&mut self, t: usize, now: u64) {
+        let delta = self.delta(now);
+        self.attr.record_burst(t, delta);
+    }
+
+    fn issue(&mut self, t: usize, pc: usize, now: u64) {
+        let delta = self.delta(now);
+        // An out-of-range pc is about to fault in `step`; leave its slot
+        // unattributed rather than index past the partition.
+        if let Some(&callsub) = self.callsub.get(pc) {
+            self.attr.record_slot(t, pc, delta);
+            if let Some(symbol) = callsub {
+                self.attr.begin_burst(t, pc, symbol);
+            }
+        }
+    }
+}
+
 impl Interp<'_> {
     /// Release a full barrier when every live tasklet is parked. (A lone
     /// tasklet never parks — its barriers release at the issue slot.)
@@ -1012,7 +914,14 @@ impl Interp<'_> {
     /// With `RECORDING` the loop also runs the slots of a run being
     /// recorded for replay, and returns early — run unfinished — once the
     /// recording has been abandoned.
-    fn run_reference<const RECORDING: bool>(&mut self) -> Result<()> {
+    ///
+    /// `slots` is told of every issue slot before it executes. It only
+    /// *observes*: whatever it is, the run's results are those of the
+    /// `()` instantiation, which compiles to the loop with no observer.
+    fn run_reference<const RECORDING: bool, O: SlotObserver>(
+        &mut self,
+        slots: &mut O,
+    ) -> Result<()> {
         loop {
             if RECORDING && !self.recording_open() {
                 return Ok(());
@@ -1030,14 +939,17 @@ impl Interp<'_> {
                 });
             }
             let Some(t) = self.pipeline.pick(&self.runnable) else { return Ok(()) };
-            if self.pipeline.elapsed() > self.budget {
+            let now = self.pipeline.elapsed();
+            if now > self.budget {
                 return Err(Error::CycleBudgetExceeded { budget: self.budget });
             }
             let th = &mut self.threads[t];
             if th.burst > 0 {
                 th.burst -= 1;
+                slots.burst(t, now);
                 continue;
             }
+            slots.issue(t, th.pc as usize, now);
             self.step(t)?;
         }
     }
@@ -1067,69 +979,6 @@ impl Interp<'_> {
             if !access(rec, &self.machine.wram) {
                 self.abandon_recording();
             }
-        }
-    }
-
-    /// [`Interp::run_reference`] with per-slot cycle attribution.
-    ///
-    /// Identical control flow — one `pick`, one budget check, one
-    /// fetch-dispatch per issue slot — plus, per slot, the makespan delta
-    /// it advanced the pipeline by (`elapsed` is monotone across picks,
-    /// so the deltas telescope exactly to the final cycle count). The
-    /// delta lands on the issued instruction's partition piece, or on the
-    /// in-flight subroutine for burst slots; idle and stall gaps are
-    /// charged to the instruction that waited behind them. Attribution
-    /// only *observes* the run: results stay bit-identical to
-    /// [`Interp::run_reference`].
-    fn run_reference_profiled(&mut self, attr: &mut CycleAttribution) -> Result<()> {
-        // Hoist the per-slot call-site probe out of the loop: one table
-        // lookup per slot instead of loading and matching the decoded
-        // instruction (which `step` will load again anyway).
-        let callsub: Vec<Option<&'static str>> = self
-            .code
-            .iter()
-            .map(|c| match c.instr {
-                Instr::CallSub { sub, .. } => Some(sub.symbol()),
-                _ => None,
-            })
-            .collect();
-        let mut last = self.pipeline.elapsed();
-        loop {
-            if !self.single && self.parked > 0 && self.parked == self.live {
-                self.release_full_barrier();
-            }
-            if self.runnable_count == 0 {
-                if self.live == 0 {
-                    return Ok(());
-                }
-                return Err(Error::Deadlock {
-                    at_barrier: self.parked,
-                    on_mutex: self.live - self.parked,
-                });
-            }
-            let Some(t) = self.pipeline.pick(&self.runnable) else { return Ok(()) };
-            let now = self.pipeline.elapsed();
-            if now > self.budget {
-                return Err(Error::CycleBudgetExceeded { budget: self.budget });
-            }
-            let delta = now - last;
-            last = now;
-            let th = &mut self.threads[t];
-            if th.burst > 0 {
-                th.burst -= 1;
-                attr.record_burst(t, delta);
-                continue;
-            }
-            let pc = th.pc as usize;
-            // An out-of-range pc is about to fault in `step`; leave its
-            // slot unattributed rather than index past the partition.
-            if pc < self.code.len() {
-                attr.record_slot(t, pc, delta);
-                if let Some(symbol) = callsub[pc] {
-                    attr.begin_burst(t, pc, symbol);
-                }
-            }
-            self.step(t)?;
         }
     }
 
@@ -2595,11 +2444,30 @@ mod tests {
         assert_eq!(res.perf_reads, vec![44]); // 4 instructions × 11 cycles
     }
 
+    /// `Machine::run` goes through [`ExecProgram::decode`], so branch
+    /// targets are checked when executed, not up front. (Its other
+    /// difference from a loaded program's run — a table that lives for one
+    /// call never replays — is pinned in `superblock_identity`.)
+    #[test]
+    fn run_checks_branch_targets_when_executed() {
+        let never_taken = Program::new(vec![
+            I::Branch { cond: Cond::Ne, ra: r(0), rb: r(0), target: 99 },
+            I::Halt,
+        ]);
+        assert!(matches!(ExecProgram::compile(&never_taken), Err(Error::PcOutOfRange { .. })));
+        let mut m = Machine::default();
+        assert_eq!(m.run(&never_taken, 2).unwrap().instructions, 4);
+        let taken = Program::new(vec![I::Jump { target: 99 }]);
+        assert_eq!(m.run(&taken, 1).unwrap_err(), Error::PcOutOfRange { pc: 99, len: 1 });
+    }
+
     #[test]
     fn infinite_loop_hits_budget() {
         let p = Program::new(vec![I::Jump { target: 0 }]);
         let mut m = Machine::default();
-        let err = m.run_with_budget(&p, 1, 10_000).unwrap_err();
+        let err = m
+            .execute(&ExecProgram::decode(&p), RunSpec { budget: 10_000, ..RunSpec::new(1) })
+            .unwrap_err();
         assert!(matches!(err, Error::CycleBudgetExceeded { budget: 10_000 }));
     }
 
@@ -2717,7 +2585,12 @@ mod trace_sink_tests {
         let p = dma_heavy_program();
         let mut m = Machine::default();
         let mut buf = TraceBuffer::new();
-        let res = m.run_traced(&p, 4, &mut buf).unwrap();
+        let res = m
+            .execute(
+                &ExecProgram::decode(&p),
+                RunSpec { observe: Observe::Trace(&mut buf), ..RunSpec::new(4) },
+            )
+            .unwrap();
         let launches = buf.count_matching(|e| matches!(e, TraceEvent::KernelLaunch { .. }));
         let completes = buf.count_matching(|e| matches!(e, TraceEvent::KernelComplete { .. }));
         let dmas = buf.count_matching(|e| matches!(e, TraceEvent::DmaTransfer { .. }));
@@ -2738,10 +2611,20 @@ mod trace_sink_tests {
         let mut m1 = Machine::default();
         let untraced = m1.run(&p, 4).unwrap();
         let mut m2 = Machine::default();
-        let nulled = m2.run_traced(&p, 4, &mut NullSink).unwrap();
+        let nulled = m2
+            .execute(
+                &ExecProgram::decode(&p),
+                RunSpec { observe: Observe::Trace(&mut NullSink), ..RunSpec::new(4) },
+            )
+            .unwrap();
         let mut m3 = Machine::default();
         let mut buf = TraceBuffer::new();
-        let recorded = m3.run_traced(&p, 4, &mut buf).unwrap();
+        let recorded = m3
+            .execute(
+                &ExecProgram::decode(&p),
+                RunSpec { observe: Observe::Trace(&mut buf), ..RunSpec::new(4) },
+            )
+            .unwrap();
         assert_eq!(untraced, nulled);
         assert_eq!(untraced, recorded, "recording must not perturb timing");
     }
@@ -2751,7 +2634,12 @@ mod trace_sink_tests {
         let p = dma_heavy_program();
         let mut m = Machine::default();
         let mut buf = TraceBuffer::new();
-        let res = m.run_traced(&p, 3, &mut buf).unwrap();
+        let res = m
+            .execute(
+                &ExecProgram::decode(&p),
+                RunSpec { observe: Observe::Trace(&mut buf), ..RunSpec::new(3) },
+            )
+            .unwrap();
         assert_eq!(buf.max_end_cycle(), res.cycles);
     }
 
@@ -2760,7 +2648,11 @@ mod trace_sink_tests {
         let p = dma_heavy_program();
         let mut m = Machine::default();
         let mut buf = TraceBuffer::new();
-        m.run_traced(&p, 4, &mut buf).unwrap();
+        m.execute(
+            &ExecProgram::decode(&p),
+            RunSpec { observe: Observe::Trace(&mut buf), ..RunSpec::new(4) },
+        )
+        .unwrap();
         let released =
             buf.count_matching(|e| matches!(e, TraceEvent::TaskletBarrier { released: true, .. }));
         assert_eq!(released, 1);
@@ -3034,7 +2926,9 @@ mod barrier_mutex_interaction_tests {
         )
         .unwrap();
         let mut m = Machine::default();
-        let err = m.run_with_budget(&p, 3, 50_000).unwrap_err();
+        let err = m
+            .execute(&ExecProgram::decode(&p), RunSpec { budget: 50_000, ..RunSpec::new(3) })
+            .unwrap_err();
         assert!(matches!(err, Error::Deadlock { at_barrier: 1, on_mutex: 2 }), "got {err}");
     }
 }
@@ -3071,7 +2965,9 @@ mod deadlock_accounting_tests {
         )
         .unwrap();
         let mut m = Machine::default();
-        let err = m.run_with_budget(&p, 2, 100_000).unwrap_err();
+        let err = m
+            .execute(&ExecProgram::decode(&p), RunSpec { budget: 100_000, ..RunSpec::new(2) })
+            .unwrap_err();
         assert!(matches!(err, Error::Deadlock { at_barrier: 0, on_mutex: 2 }), "got {err}");
     }
 
@@ -3098,7 +2994,9 @@ mod deadlock_accounting_tests {
         )
         .unwrap();
         let mut m = Machine::default();
-        let err = m.run_with_budget(&p, 4, 100_000).unwrap_err();
+        let err = m
+            .execute(&ExecProgram::decode(&p), RunSpec { budget: 100_000, ..RunSpec::new(4) })
+            .unwrap_err();
         assert!(matches!(err, Error::Deadlock { at_barrier: 2, on_mutex: 2 }), "got {err}");
     }
 
@@ -3123,7 +3021,9 @@ mod deadlock_accounting_tests {
         )
         .unwrap();
         let mut m = Machine::default();
-        let err = m.run_with_budget(&p, 4, 100_000).unwrap_err();
+        let err = m
+            .execute(&ExecProgram::decode(&p), RunSpec { budget: 100_000, ..RunSpec::new(4) })
+            .unwrap_err();
         assert!(matches!(err, Error::Deadlock { at_barrier: 1, on_mutex: 1 }), "got {err}");
     }
 }
@@ -3215,7 +3115,9 @@ mod fault_injection_tests {
             plan(FaultConfig { seed: 3, hang_prob: 1.0, ..Default::default() }).attempt(0, 0);
         let hang_at = armed.hang_after().unwrap();
         m.arm_faults(armed);
-        let err = m.run_with_budget(&p, 1, 10_000_000).unwrap_err();
+        let err = m
+            .execute(&ExecProgram::decode(&p), RunSpec { budget: 10_000_000, ..RunSpec::new(1) })
+            .unwrap_err();
         assert_eq!(err, Error::CycleBudgetExceeded { budget: hang_at });
         let log = m.disarm_faults().unwrap();
         assert_eq!(log.injected()[0].kind.label(), "tasklet_hang");

@@ -139,7 +139,7 @@ pub struct BlockCycles {
 /// Per-superblock and per-subroutine cycle attribution for one run.
 ///
 /// Built by the profiled reference loop
-/// ([`crate::machine::Machine::run_exec_profiled`]): each issue slot's
+/// ([`crate::machine::Observe::Profile`]): each issue slot's
 /// contribution is the makespan delta it advanced the pipeline by (the
 /// gap since the previous issue, so DMA stalls and idle windows land on
 /// the instruction that waited behind them), attributed to the partition

@@ -423,9 +423,11 @@ pub fn assert_replay_invisible(
     budget: u64,
     prepare: &dyn Fn() -> dpu_sim::Machine,
 ) -> (Aftermath, [dpu_sim::EngineStats; 2]) {
-    use dpu_sim::Engine;
+    use dpu_sim::{Engine, RunSpec};
     let run = |engine| {
-        aftermath(prepare(), |m| m.run_exec_engine_with_budget(exec, tasklets, budget, engine))
+        aftermath(prepare(), |m| {
+            m.execute(exec, RunSpec { budget, engine: Some(engine), ..RunSpec::new(tasklets) })
+        })
     };
     let (reference, _) = run(Engine::Reference);
     let third = [Engine::Superblock, Engine::Compiled].map(|engine| {

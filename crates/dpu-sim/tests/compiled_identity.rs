@@ -17,7 +17,7 @@ mod common;
 use common::{assert_replay_invisible, racy_op_strategy, racy_program, Event};
 use dpu_sim::exec::ExecProgram;
 use dpu_sim::isa::{Cond, Instr, Program, Reg, Width};
-use dpu_sim::{Engine, FaultConfig, FaultPlan, Machine, RunResult};
+use dpu_sim::{Engine, FaultConfig, FaultPlan, Machine, Observe, RunResult, RunSpec};
 use proptest::prelude::*;
 
 const TEST_BUDGET: u64 = 300_000;
@@ -45,9 +45,15 @@ fn assert_compiled_matches_reference(
     label: &str,
 ) -> Result<RunResult, dpu_sim::Error> {
     let mut ref_machine = seeded_machine();
-    let reference = ref_machine.run_exec_reference_with_budget(exec, tasklets, budget);
+    let reference = ref_machine.execute(
+        exec,
+        RunSpec { budget, engine: Some(Engine::Reference), ..RunSpec::new(tasklets) },
+    );
     let mut machine = seeded_machine();
-    let outcome = machine.run_exec_engine_with_budget(exec, tasklets, budget, Engine::Compiled);
+    let outcome = machine.execute(
+        exec,
+        RunSpec { budget, engine: Some(Engine::Compiled), ..RunSpec::new(tasklets) },
+    );
     assert_eq!(outcome, reference, "{label}: compiled tier diverged");
     let wram_len = machine.params.wram_bytes;
     assert_eq!(
@@ -167,7 +173,7 @@ proptest! {
         let run = |engine: Engine| {
             let mut m = seeded_machine();
             m.arm_faults(plan.attempt(0, 0));
-            let outcome = m.run_exec_engine_with_budget(&exec, tasklets, TEST_BUDGET, engine);
+            let outcome = m.execute(&exec, RunSpec { budget: TEST_BUDGET, engine: Some(engine), ..RunSpec::new(tasklets) });
             let log = m.disarm_faults().expect("armed");
             let wram = m.params.wram_bytes;
             let image = m.wram.slice(0, wram).unwrap().to_vec();
@@ -272,7 +278,7 @@ proptest! {
         let run = |engine: Engine| {
             let mut m = seeded_machine();
             m.arm_faults(plan.attempt(0, 0));
-            let outcome = m.run_exec_engine_with_budget(&exec, tasklets, TEST_BUDGET, engine);
+            let outcome = m.execute(&exec, RunSpec { budget: TEST_BUDGET, engine: Some(engine), ..RunSpec::new(tasklets) });
             let log = m.disarm_faults().expect("armed");
             let wram = m.params.wram_bytes;
             let image = m.wram.slice(0, wram).unwrap().to_vec();
@@ -400,7 +406,9 @@ fn hot_recompilation_from_attribution_matches_reference() {
     let mut exec = ExecProgram::decode(&program);
     let mut attr = dpu_sim::CycleAttribution::new();
     let mut profiling = seeded_machine();
-    profiling.run_exec_profiled(&exec, 2, &mut attr).expect("profiled run completes");
+    profiling
+        .execute(&exec, RunSpec { observe: Observe::Profile(&mut attr), ..RunSpec::new(2) })
+        .expect("profiled run completes");
     for threshold in [1u64, 50, 1_000_000] {
         exec.recompile_hot(&attr, threshold);
         let label = format!("hot threshold {threshold}");

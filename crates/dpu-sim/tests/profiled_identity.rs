@@ -1,12 +1,12 @@
 //! Identity tests for the cycle-attribution profiler: a profiled run
-//! (`Machine::run_exec_profiled`) must be purely observational — same
-//! `RunResult` bit-for-bit, same memory image, same error — as an
-//! unprofiled run, and the attributed cycles must sum exactly to the
-//! run's cycle count.
+//! (`Machine::execute` under `Observe::Profile`) must be purely
+//! observational — same `RunResult` bit-for-bit, same memory image, same
+//! error — as an unprofiled run, and the attributed cycles must sum
+//! exactly to the run's cycle count.
 
 use dpu_sim::exec::ExecProgram;
 use dpu_sim::isa::{Cond, Instr, Program, Reg, Width};
-use dpu_sim::{CycleAttribution, Machine, RunResult, Subroutine};
+use dpu_sim::{CycleAttribution, Machine, Observe, RunResult, RunSpec, Subroutine};
 use proptest::prelude::*;
 
 const TEST_BUDGET: u64 = 300_000;
@@ -30,9 +30,12 @@ fn assert_profiled_identical(
         plain_machine.mram.write_u8(i, b.wrapping_mul(41) & 0xff).unwrap();
         prof_machine.mram.write_u8(i, b.wrapping_mul(41) & 0xff).unwrap();
     }
-    let plain = plain_machine.run_exec_with_budget(&exec, tasklets, budget);
+    let plain = plain_machine.execute(&exec, RunSpec { budget, ..RunSpec::new(tasklets) });
     let mut attr = CycleAttribution::new();
-    let profiled = prof_machine.run_exec_profiled_with_budget(&exec, tasklets, budget, &mut attr);
+    let profiled = prof_machine.execute(
+        &exec,
+        RunSpec { budget, observe: Observe::Profile(&mut attr), ..RunSpec::new(tasklets) },
+    );
     assert_eq!(plain, profiled, "profiling changed the run on {program:?}");
     let wram_len = plain_machine.params.wram_bytes;
     assert_eq!(
@@ -127,16 +130,24 @@ fn attribution_accumulates_across_runs_and_merges() {
     // Two separate runs into one attribution…
     let mut accumulated = CycleAttribution::new();
     let mut m1 = Machine::default();
-    let r1 = m1.run_exec_profiled(&exec, 2, &mut accumulated).expect("run 1");
+    let r1 = m1
+        .execute(&exec, RunSpec { observe: Observe::Profile(&mut accumulated), ..RunSpec::new(2) })
+        .expect("run 1");
     let mut m2 = Machine::default();
-    let r2 = m2.run_exec_profiled(&exec, 11, &mut accumulated).expect("run 2");
+    let r2 = m2
+        .execute(&exec, RunSpec { observe: Observe::Profile(&mut accumulated), ..RunSpec::new(11) })
+        .expect("run 2");
     assert_eq!(accumulated.total_cycles(), r1.cycles + r2.cycles);
     assert_eq!(accumulated.runs(), 2);
     // …equal one attribution per run merged afterwards.
     let mut a1 = CycleAttribution::new();
     let mut a2 = CycleAttribution::new();
-    Machine::default().run_exec_profiled(&exec, 2, &mut a1).expect("run 1 again");
-    Machine::default().run_exec_profiled(&exec, 11, &mut a2).expect("run 2 again");
+    Machine::default()
+        .execute(&exec, RunSpec { observe: Observe::Profile(&mut a1), ..RunSpec::new(2) })
+        .expect("run 1 again");
+    Machine::default()
+        .execute(&exec, RunSpec { observe: Observe::Profile(&mut a2), ..RunSpec::new(11) })
+        .expect("run 2 again");
     a1.merge(&a2);
     assert_eq!(a1, accumulated);
     // Merging an empty attribution is a no-op in either direction.

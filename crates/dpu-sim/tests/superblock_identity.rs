@@ -2,7 +2,7 @@
 //! compiled threaded-code tier (and whatever the ambient `Machine::run_exec`
 //! selection resolves to, including a `PIM_SIM_ENGINE` override) must all
 //! match the per-instruction reference loop
-//! (`Machine::run_exec_reference_with_budget`) bit-for-bit — same
+//! (`Machine::execute` pinned to `Engine::Reference`) bit-for-bit — same
 //! `RunResult`, same error at the same point, same final memory image —
 //! on random programs, on DMA-stall-heavy kernels, on the
 //! mutex/barrier-heavy shape the `sync_heavy_16t` bench measures, and on
@@ -22,7 +22,9 @@ use common::{
 };
 use dpu_sim::exec::{is_superblock_op, ExecProgram};
 use dpu_sim::isa::{Cond, Instr, Program, Reg, Width};
-use dpu_sim::{Engine, FaultConfig, FaultPlan, InjectedFault, Machine, RunResult};
+use dpu_sim::{
+    Engine, FaultConfig, FaultPlan, InjectedFault, Machine, Observe, RunResult, RunSpec,
+};
 use proptest::prelude::*;
 
 /// Budget small enough to terminate the infinite loops random control flow
@@ -58,7 +60,10 @@ fn assert_engines_agree(
 ) -> Result<RunResult, dpu_sim::Error> {
     let exec = ExecProgram::decode(program);
     let mut ref_machine = seeded_machine();
-    let reference = ref_machine.run_exec_reference_with_budget(&exec, tasklets, budget);
+    let reference = ref_machine.execute(
+        &exec,
+        RunSpec { budget, engine: Some(Engine::Reference), ..RunSpec::new(tasklets) },
+    );
     let check =
         |label: &str, f: &mut dyn FnMut(&mut Machine) -> Result<RunResult, dpu_sim::Error>| {
             let mut machine = seeded_machine();
@@ -73,14 +78,22 @@ fn assert_engines_agree(
             assert_eq!(machine.mram, ref_machine.mram, "{label}: MRAM images diverged");
         };
     check("superblock engine", &mut |m| {
-        m.run_exec_engine_with_budget(&exec, tasklets, budget, Engine::Superblock)
+        m.execute(
+            &exec,
+            RunSpec { budget, engine: Some(Engine::Superblock), ..RunSpec::new(tasklets) },
+        )
     });
     check("compiled tier", &mut |m| {
-        m.run_exec_engine_with_budget(&exec, tasklets, budget, Engine::Compiled)
+        m.execute(
+            &exec,
+            RunSpec { budget, engine: Some(Engine::Compiled), ..RunSpec::new(tasklets) },
+        )
     });
     // The ambient selection (`PIM_SIM_ENGINE` or the default): what every
     // normal launch runs, and what the CI engine matrix forces per tier.
-    check("ambient engine", &mut |m| m.run_exec_with_budget(&exec, tasklets, budget));
+    check("ambient engine", &mut |m| {
+        m.execute(&exec, RunSpec { budget, ..RunSpec::new(tasklets) })
+    });
     reference
 }
 
@@ -470,7 +483,8 @@ fn armed_aftermath(
     machine.arm_faults(plan.attempt(0, 0));
     let mut injected = Vec::new();
     let (after, _) = aftermath(machine, |m| {
-        let outcome = m.run_exec_engine_with_budget(exec, tasklets, budget, engine);
+        let outcome =
+            m.execute(exec, RunSpec { budget, engine: Some(engine), ..RunSpec::new(tasklets) });
         injected = m.disarm_faults().expect("armed").injected().to_vec();
         outcome
     });
@@ -818,7 +832,7 @@ fn budget_below_the_recorded_cycles_cuts_the_run_for_real() {
     for budget in [0, 11, full.cycles / 2, full.cycles - 1, full.cycles] {
         let with_budget = |exec: &ExecProgram, engine: Engine| {
             aftermath(lived_in_machine(), |m| {
-                m.run_exec_engine_with_budget(exec, 2, budget, engine)
+                m.execute(exec, RunSpec { budget, engine: Some(engine), ..RunSpec::new(2) })
             })
         };
         let (reference, _) = with_budget(&exec, Engine::Reference);
@@ -912,12 +926,14 @@ fn observed_and_guarded_launches_bypass_the_table() {
 
         let mut events = pim_trace::TraceBuffer::new();
         let (traced, stats) = aftermath(lived_in_machine(), |m| {
-            m.run_exec_traced_engine_with_budget(
+            m.execute(
                 &exec,
-                2,
-                TEST_BUDGET,
-                &mut events,
-                Engine::Compiled,
+                RunSpec {
+                    budget: TEST_BUDGET,
+                    engine: Some(Engine::Compiled),
+                    observe: Observe::Trace(&mut events),
+                    ..RunSpec::new(2)
+                },
             )
         });
         assert_eq!(traced, reference, "traced");
@@ -925,8 +941,9 @@ fn observed_and_guarded_launches_bypass_the_table() {
         assert!(!events.is_empty());
 
         let mut attr = dpu_sim::CycleAttribution::new();
-        let (profiled, stats) =
-            aftermath(lived_in_machine(), |m| m.run_exec_profiled(&exec, 2, &mut attr));
+        let (profiled, stats) = aftermath(lived_in_machine(), |m| {
+            m.execute(&exec, RunSpec { observe: Observe::Profile(&mut attr), ..RunSpec::new(2) })
+        });
         assert_eq!(profiled, reference, "profiled");
         untouched(stats, "profiled");
 
@@ -945,9 +962,9 @@ fn observed_and_guarded_launches_bypass_the_table() {
     assert_eq!(compiled_run(&exec, 2, lived_in_machine()).1.replay_hits, 1);
 }
 
-/// `Machine::run` decodes per call: no table, so neither a recording nor
-/// a replay, and a kernel that always outruns the slot cap never opens a
-/// recording on a loaded program either.
+/// `Machine::run` decodes per call, so its table never sees a key twice:
+/// neither a recording nor a replay. And a kernel that always outruns the
+/// slot cap never opens a recording on a loaded program either.
 #[test]
 fn undecoded_and_long_runs_never_touch_the_table() {
     let program = replay_probe_program();

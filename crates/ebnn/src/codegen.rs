@@ -33,7 +33,7 @@ use crate::model::EbnnModel;
 use crate::{IMAGES_PER_DPU, IMAGE_DIM, IMAGE_SLOT_BYTES, POOLED_DIM};
 use dpu_sim::asm::assemble;
 use dpu_sim::{DpuId, Program};
-use pim_host::{DpuSet, HostError, LaunchResult};
+use pim_host::{DpuSet, HostError, LaunchResult, LaunchSpec};
 use pim_trace::TraceBuffer;
 
 /// WRAM addresses used by the generated program.
@@ -270,7 +270,7 @@ pub fn tier1_program(filters: usize) -> Program {
 /// params, filter and LUT offsets are baked into the program; the image
 /// and feature bases travel *inside* the params record, so alternate
 /// buffers (double buffering) live at host-chosen offsets past
-/// [`FEATURES`].
+/// [`mram::FEATURES`].
 pub mod mram {
     /// Params record: `[n_images u32][stride u32][img_base u32][feat_base u32]`.
     pub const PARAMS: u32 = 0;
@@ -417,11 +417,9 @@ fn tier1_single_impl(
     set.copy_to("lut", 0, &pim_host::pad_to_8(&lut.to_bytes()))?;
 
     let program = tier1_program(filters);
-    let (launch, dpu_traces) = if trace {
-        set.launch_traced(&program, tasklets)?
-    } else {
-        (set.launch(&program, tasklets)?, Vec::new())
-    };
+    let (report, dpu_traces) =
+        set.launch_with(LaunchSpec { trace, ..LaunchSpec::adhoc(&program, tasklets) })?;
+    let launch = report.into_launch_result()?;
 
     let mut features = Vec::with_capacity(images.len());
     for i in 0..images.len() {
@@ -851,18 +849,20 @@ impl Tier1Engine {
         self.set.launch_loaded_traced(self.tasklets)
     }
 
-    /// Launch under a fault-tolerance policy (see
-    /// [`pim_host::ResilientLaunchPolicy`]); quarantined DPUs' chunks are
-    /// re-dispatched to survivors when the policy allows.
+    /// [`Tier1Engine::launch`] in report form, under a fault-tolerance
+    /// policy if given (see [`pim_host::ResilientLaunchPolicy`]):
+    /// quarantined DPUs' chunks are re-dispatched to survivors when the
+    /// policy allows.
     ///
     /// # Errors
-    /// Host-runtime staging failures (injected faults are *reported*, not
-    /// returned as errors).
-    pub fn launch_resilient(
+    /// Host-runtime failures (DPU faults, injected or not, are *reported*,
+    /// not returned as errors).
+    pub fn launch_report(
         &mut self,
-        policy: &pim_host::ResilientLaunchPolicy,
+        policy: Option<&pim_host::ResilientLaunchPolicy>,
     ) -> Result<pim_host::LaunchReport, HostError> {
-        self.set.launch_loaded_resilient(self.tasklets, policy)
+        let spec = LaunchSpec { policy, ..LaunchSpec::loaded(self.tasklets) };
+        self.set.launch_with(spec).map(|(report, _)| report)
     }
 
     /// Profile the loaded program on DPU 0 (which must have staged work),
@@ -999,15 +999,9 @@ pub fn run_tier1_batch_multi_dpu_resilient(
     policy: &pim_host::ResilientLaunchPolicy,
 ) -> Result<ResilientBatch, HostError> {
     let mut engine = tier1_multi_stage(model, images, false)?;
-    let report = engine.launch_resilient(policy)?;
+    let report = engine.launch_report(Some(policy))?;
     if !report.fully_served() {
-        return Err(report
-            .per_dpu
-            .iter()
-            .find_map(|r| if r.result.is_none() { r.last_error.clone() } else { None })
-            .unwrap_or(HostError::WorkerPanic {
-                detail: "unserved DPU carried no error".to_owned(),
-            }));
+        return Err(report.into_launch_result().expect_err("a DPU went unserved"));
     }
     let (features, _) = engine.gather(0)?;
     let chunks = engine.staged_chunks(0).expect("batch staged").to_vec();

@@ -8,10 +8,12 @@
 //! *makespan* (slowest DPU — the batch completes "at the max time for one
 //! DPU", §4.1.3) and a merged subroutine profile.
 
-use crate::error::{HostError, Result};
+use crate::error::Result;
+use crate::observe::LaunchObservation;
 use crate::pool::WorkerPool;
-use crate::set::DpuSet;
-use dpu_sim::{Engine, ExecProgram, PimSystem, Profiler, Program, RunResult};
+use crate::resilient::{launch_core, LaunchReport, ResilientLaunchPolicy};
+use crate::set::{no_program_loaded, DpuSet};
+use dpu_sim::{ExecProgram, PimSystem, Profiler, Program, RunResult};
 use pim_trace::{MetricsRegistry, TraceBuffer};
 use std::sync::Mutex;
 
@@ -59,117 +61,191 @@ impl LaunchResult {
     /// per-DPU/per-tasklet distributions (cycles, instructions, tasklet
     /// occupancy — the load-balance picture behind Fig. 4.7(a)).
     #[must_use]
-    #[allow(clippy::cast_precision_loss)]
     pub fn metrics(&self) -> MetricsRegistry {
-        let mut m = MetricsRegistry::new();
-        m.counter_add("launch.instructions", self.total_instructions());
-        m.counter_add("launch.dma.bytes", self.per_dpu.iter().map(|r| r.dma_bytes).sum());
-        m.counter_add("launch.dma.transfers", self.per_dpu.iter().map(|r| r.dma_transfers).sum());
-        m.counter_add("launch.dma.cycles", self.per_dpu.iter().map(|r| r.dma_cycles).sum());
-        m.gauge_set("launch.dpus", self.per_dpu.len() as f64);
-        m.gauge_set("launch.tasklets", self.tasklets as f64);
-        let makespan = self.makespan_cycles();
-        m.gauge_set("launch.makespan_cycles", makespan as f64);
-        if makespan > 0 {
-            m.gauge_set("launch.ipc", self.total_instructions() as f64 / makespan as f64);
+        launch_metrics(self.per_dpu.iter(), self.tasklets)
+    }
+}
+
+/// [`LaunchResult::metrics`] over borrowed per-DPU results in DPU order,
+/// so a fully served [`LaunchReport`] snapshots its results where they lie.
+#[allow(clippy::cast_precision_loss)]
+pub(crate) fn launch_metrics<'a>(
+    per_dpu: impl Iterator<Item = &'a RunResult> + Clone,
+    tasklets: usize,
+) -> MetricsRegistry {
+    let mut m = MetricsRegistry::new();
+    let instructions: u64 = per_dpu.clone().map(|r| r.instructions).sum();
+    m.counter_add("launch.instructions", instructions);
+    m.counter_add("launch.dma.bytes", per_dpu.clone().map(|r| r.dma_bytes).sum());
+    m.counter_add("launch.dma.transfers", per_dpu.clone().map(|r| r.dma_transfers).sum());
+    m.counter_add("launch.dma.cycles", per_dpu.clone().map(|r| r.dma_cycles).sum());
+    m.gauge_set("launch.dpus", per_dpu.clone().count() as f64);
+    m.gauge_set("launch.tasklets", tasklets as f64);
+    let makespan = per_dpu.clone().map(|r| r.cycles).max().unwrap_or(0);
+    m.gauge_set("launch.makespan_cycles", makespan as f64);
+    if makespan > 0 {
+        m.gauge_set("launch.ipc", instructions as f64 / makespan as f64);
+    }
+    for r in per_dpu {
+        m.observe("dpu.cycles", r.cycles as f64);
+        m.observe("dpu.instructions", r.instructions as f64);
+        if r.cycles > 0 {
+            m.observe("dpu.ipc", r.instructions as f64 / r.cycles as f64);
         }
-        for r in &self.per_dpu {
-            m.observe("dpu.cycles", r.cycles as f64);
-            m.observe("dpu.instructions", r.instructions as f64);
-            if r.cycles > 0 {
-                m.observe("dpu.ipc", r.instructions as f64 / r.cycles as f64);
-            }
-            // Occupancy: each tasklet's share of the DPU's issue slots.
-            // Perfect balance over T tasklets reads as a flat 1/T.
-            if r.instructions > 0 {
-                for &issued in &r.issue_per_tasklet {
-                    m.observe("tasklet.occupancy", issued as f64 / r.instructions as f64);
-                }
+        // Occupancy: each tasklet's share of the DPU's issue slots.
+        // Perfect balance over T tasklets reads as a flat 1/T.
+        if r.instructions > 0 {
+            for &issued in &r.issue_per_tasklet {
+                m.observe("tasklet.occupancy", issued as f64 / r.instructions as f64);
             }
         }
-        m
+    }
+    m
+}
+
+/// The program a launch runs.
+#[derive(Debug, Clone, Copy)]
+pub enum LaunchProgram<'a> {
+    /// The program installed with [`DpuSet::load`] — the SDK's
+    /// load-once/launch-many pattern. Runs the stored execution form
+    /// directly: no re-validation, no clone, no re-analysis.
+    Loaded,
+    /// This program, validated and decoded for this launch alone.
+    Adhoc(&'a Program),
+}
+
+/// One launch of a DPU set: the argument of [`DpuSet::launch_with`].
+#[derive(Debug)]
+pub struct LaunchSpec<'a> {
+    /// What to run.
+    pub program: LaunchProgram<'a>,
+    /// Tasklets per DPU.
+    pub tasklets: usize,
+    /// Collect one [`TraceBuffer`] of cycle-stamped simulator events per
+    /// DPU (buffer `i` belongs to DPU `i`): kernel launch/complete, every
+    /// MRAM DMA, subroutine entries, barrier arrivals and injected faults.
+    /// Observational: the report is identical to an untraced launch's.
+    pub trace: bool,
+    /// Retry, quarantine and re-dispatch under this policy (see
+    /// [`crate::resilient`]). `None` is the plain launch: one attempt per
+    /// DPU under the default cycle budget, nothing injected, nothing
+    /// re-dispatched — observationally what a zero-fault policy does.
+    pub policy: Option<&'a ResilientLaunchPolicy>,
+    /// Feed the launch, the engine residency of its runs and — when the
+    /// pool ran it — the steal distribution into this observation.
+    pub observe: Option<&'a mut LaunchObservation>,
+}
+
+impl<'a> LaunchSpec<'a> {
+    /// A plain, untraced, unobserved launch of the loaded program.
+    #[must_use]
+    pub fn loaded(tasklets: usize) -> Self {
+        Self { program: LaunchProgram::Loaded, tasklets, trace: false, policy: None, observe: None }
+    }
+
+    /// A plain, untraced, unobserved launch of `program`.
+    #[must_use]
+    pub fn adhoc(program: &'a Program, tasklets: usize) -> Self {
+        Self { program: LaunchProgram::Adhoc(program), ..Self::loaded(tasklets) }
     }
 }
 
 impl DpuSet {
+    /// Run a program on every DPU of the set and wait for completion
+    /// (`dpu_launch`): the one entry every launch goes through.
+    ///
+    /// DPUs are simulated in parallel on the set's worker pool when the
+    /// set is large enough for the hand-off to pay off. Per-DPU faults are
+    /// reported in the [`LaunchReport`], not as `Err`;
+    /// [`LaunchReport::into_launch_result`] turns the first of them into
+    /// one. The trace buffers are empty unless [`LaunchSpec::trace`].
+    ///
+    /// # Errors
+    /// [`crate::HostError::Symbol`] when [`LaunchProgram::Loaded`] finds
+    /// nothing loaded, [`crate::HostError::Dpu`] when an
+    /// [`LaunchProgram::Adhoc`] program is malformed.
+    pub fn launch_with(
+        &mut self,
+        spec: LaunchSpec<'_>,
+    ) -> Result<(LaunchReport, Vec<TraceBuffer>)> {
+        let LaunchSpec { program, tasklets, trace, policy, observe } = spec;
+        let engine = self.engine();
+        let (system, loaded, sched) = self.launch_parts();
+        let adhoc;
+        let exec = match program {
+            LaunchProgram::Loaded => loaded.ok_or_else(no_program_loaded)?,
+            LaunchProgram::Adhoc(program) => {
+                adhoc = ExecProgram::compile(program)?;
+                &adhoc
+            }
+        };
+        let engine_before = observe.as_ref().map(|_| system.engine_stats());
+        let (report, buffers, steal) =
+            launch_core(system, tasklets, trace, engine, policy, &sched, |dpu, run| {
+                dpu.execute(exec, run)
+            });
+        // A plain launch that faulted is an error to its caller, not a
+        // launch to account.
+        let accounted = policy.is_some() || report.fully_served();
+        if let Some((obs, before)) = observe.zip(engine_before).filter(|_| accounted) {
+            if policy.is_some() {
+                obs.record_report(&report);
+            } else {
+                obs.record_served(&report);
+            }
+            obs.record_engine(&system.engine_stats().since(&before));
+            if let Some(stats) = steal {
+                obs.record_steal(&stats);
+            }
+        }
+        Ok((report, buffers))
+    }
+
     /// Run `program` with `tasklets` threads on every DPU of the set and
     /// wait for completion.
-    ///
-    /// DPUs are simulated in parallel on host threads when the set is large
-    /// enough for the thread spawn to pay off.
     ///
     /// # Errors
     /// The first DPU fault encountered (in DPU order).
     pub fn launch(&mut self, program: &Program, tasklets: usize) -> Result<LaunchResult> {
-        self.launch_impl(program, tasklets, false).map(|(res, _)| res)
+        self.launch_with(LaunchSpec::adhoc(program, tasklets))?.0.into_launch_result()
     }
 
-    /// Like [`DpuSet::launch`], but additionally collects one
-    /// [`TraceBuffer`] of cycle-stamped simulator events per DPU (buffer
-    /// `i` belongs to DPU `i`): kernel launch/complete, every MRAM DMA,
-    /// subroutine entries and barrier arrivals. Tracing is observational —
-    /// the returned [`LaunchResult`] is identical to an untraced launch.
-    ///
-    /// # Errors
-    /// The first DPU fault encountered (in DPU order).
-    pub fn launch_traced(
-        &mut self,
-        program: &Program,
-        tasklets: usize,
-    ) -> Result<(LaunchResult, Vec<TraceBuffer>)> {
-        self.launch_impl(program, tasklets, true)
-    }
-
-    fn launch_impl(
-        &mut self,
-        program: &Program,
-        tasklets: usize,
-        trace: bool,
-    ) -> Result<(LaunchResult, Vec<TraceBuffer>)> {
-        let exec = ExecProgram::compile(program)?;
-        let engine = self.engine();
-        let (system, _, sched) = self.launch_parts();
-        launch_on(system, &exec, tasklets, trace, engine, &sched).map(|(res, bufs, _)| (res, bufs))
-    }
-}
-
-impl DpuSet {
-    /// Launch the program previously installed with [`DpuSet::load`] —
-    /// the second half of the SDK's load-once/launch-many pattern. Runs
-    /// the stored execution form (decoded stream plus its memoized
-    /// superblock decomposition) directly: no re-validation, no clone,
-    /// no re-analysis.
+    /// Launch the program previously installed with [`DpuSet::load`].
     ///
     /// # Errors
     /// [`crate::HostError::Symbol`] when nothing is loaded; otherwise as
     /// [`DpuSet::launch`].
     pub fn launch_loaded(&mut self, tasklets: usize) -> Result<LaunchResult> {
-        let engine = self.engine();
-        let (system, loaded, sched) = self.launch_parts();
-        let exec = loaded.ok_or(HostError::Symbol {
-            name: "<program>".to_owned(),
-            problem: "no program loaded; call DpuSet::load first",
-        })?;
-        launch_on(system, exec, tasklets, false, engine, &sched).map(|(res, _, _)| res)
+        self.launch_with(LaunchSpec::loaded(tasklets))?.0.into_launch_result()
     }
 
-    /// [`DpuSet::launch_loaded`] with per-DPU tracing, as
-    /// [`DpuSet::launch_traced`].
+    /// [`DpuSet::launch_loaded`] with per-DPU tracing (see
+    /// [`LaunchSpec::trace`]).
     ///
     /// # Errors
-    /// [`crate::HostError::Symbol`] when nothing is loaded; otherwise as
-    /// [`DpuSet::launch`].
+    /// As [`DpuSet::launch_loaded`].
     pub fn launch_loaded_traced(
         &mut self,
         tasklets: usize,
     ) -> Result<(LaunchResult, Vec<TraceBuffer>)> {
-        let engine = self.engine();
-        let (system, loaded, sched) = self.launch_parts();
-        let exec = loaded.ok_or(HostError::Symbol {
-            name: "<program>".to_owned(),
-            problem: "no program loaded; call DpuSet::load first",
-        })?;
-        launch_on(system, exec, tasklets, true, engine, &sched).map(|(res, bufs, _)| (res, bufs))
+        let (report, buffers) =
+            self.launch_with(LaunchSpec { trace: true, ..LaunchSpec::loaded(tasklets) })?;
+        Ok((report.into_launch_result()?, buffers))
+    }
+
+    /// Fault-tolerant launch of the loaded program under `policy` — the
+    /// resilient counterpart of [`DpuSet::launch_loaded`].
+    ///
+    /// # Errors
+    /// [`crate::HostError::Symbol`] when nothing is loaded; per-DPU faults
+    /// are reported in the [`LaunchReport`], not as `Err`.
+    pub fn launch_loaded_resilient(
+        &mut self,
+        tasklets: usize,
+        policy: &ResilientLaunchPolicy,
+    ) -> Result<LaunchReport> {
+        let spec = LaunchSpec { policy: Some(policy), ..LaunchSpec::loaded(tasklets) };
+        self.launch_with(spec).map(|(report, _)| report)
     }
 }
 
@@ -177,7 +253,7 @@ impl DpuSet {
 /// batch to the pool costs more than it saves on tiny sets. The effective
 /// value is a per-set tunable ([`DpuSet::set_parallel_threshold`]) with a
 /// process-wide environment override ([`DpuSet::PARALLEL_THRESHOLD_ENV`]),
-/// mirroring [`Engine::effective`]; this constant is the fallback, picked
+/// mirroring [`dpu_sim::Engine::effective`]; this constant is the fallback, picked
 /// by the sweep recorded in `docs/PERFORMANCE.md`.
 pub(crate) const DEFAULT_PARALLEL_THRESHOLD: usize = 4;
 
@@ -251,146 +327,49 @@ impl StealStats {
     }
 }
 
-/// What happened to one DPU's simulation.
-enum DpuOutcome {
-    /// The interpreter ran to a verdict (completion or a DPU fault).
-    Done(dpu_sim::Result<RunResult>),
-    /// The worker thread panicked while simulating this DPU.
-    Panicked(String),
-}
-
-/// Run the decoded program on every DPU of `system` and collect per-DPU
-/// results in DPU order — plus, when `trace` is set, one trace buffer per
-/// DPU in the same order (none otherwise: an untraced launch of a
-/// 2,560-DPU system should not build 2,560 buffers to throw away).
+/// Run `job` once per DPU, in DPU order on the calling thread or — when
+/// `sched` hands out a pool for this many DPUs — work-stealing: pool
+/// workers claim DPUs one at a time off their home shard's cursor
+/// (stealing from other shards once it drains), so a few expensive DPUs
+/// cannot idle the rest of the pool the way static chunking did. The one
+/// place a launch chooses between the two.
 ///
-/// `engine` pins the execution tier for every DPU; `None` resolves the
-/// ambient [`Engine::effective`] selection **once** here, so all DPUs of
-/// one launch run the same tier even if the environment changes mid-launch.
-pub(crate) fn launch_on(
-    system: &mut PimSystem,
-    exec: &ExecProgram,
-    tasklets: usize,
-    trace: bool,
-    engine: Option<Engine>,
-    sched: &Sched<'_>,
-) -> Result<(LaunchResult, Vec<TraceBuffer>, Option<StealStats>)> {
-    let engine = engine.unwrap_or_else(Engine::effective);
-    let n = system.len();
-    let (outcomes, buffers, steal) = if trace {
-        let mut buffers = vec![TraceBuffer::new(); n];
-        let (outcomes, steal) = run_all(system, sched, &mut buffers, |dpu, buf| {
-            let budget = dpu_sim::machine::DEFAULT_CYCLE_BUDGET;
-            dpu.run_exec_traced_engine_with_budget(exec, tasklets, budget, buf, engine)
-        });
-        (outcomes, buffers, steal)
-    } else {
-        // A unit per DPU stands in for the buffer: no allocation.
-        let (outcomes, steal) = run_all(system, sched, &mut vec![(); n], |dpu, ()| {
-            dpu.run_exec_engine(exec, tasklets, engine)
-        });
-        (outcomes, Vec::new(), steal)
-    };
-    let mut per_dpu = Vec::with_capacity(n);
-    for outcome in outcomes {
-        match outcome {
-            DpuOutcome::Done(r) => per_dpu.push(r?),
-            DpuOutcome::Panicked(detail) => return Err(HostError::WorkerPanic { detail }),
-        }
-    }
-    Ok((LaunchResult { per_dpu, tasklets }, buffers, steal))
-}
-
-/// Run `job` once per DPU with that DPU's element of `buffers`: on the
-/// calling thread, one DPU after another (panics unwind straight to the
-/// caller), or — when `sched` hands out a pool for this many DPUs —
-/// work-stealing: pool workers claim DPUs one at a time off their home
-/// shard's cursor (stealing from other shards once it drains), so a few
-/// expensive DPUs cannot idle the rest of the pool the way static chunking
-/// did.
-fn run_all<B, F>(
+/// `job` receives the DPU index, the DPU and its element of `buffers`
+/// (`None` past the end: an untraced launch passes no buffers at all
+/// rather than build 2,560 to throw away), and must not unwind. Outcomes
+/// come back in DPU order regardless of which worker ran what, with the
+/// pool's distribution of the jobs when it ran them.
+pub(crate) fn dispatch<R, F>(
     system: &mut PimSystem,
     sched: &Sched<'_>,
-    buffers: &mut [B],
+    buffers: &mut [TraceBuffer],
     job: F,
-) -> (Vec<DpuOutcome>, Option<StealStats>)
+) -> (Vec<R>, Option<StealStats>)
 where
-    B: Send,
-    F: Fn(&mut dpu_sim::Machine, &mut B) -> dpu_sim::Result<RunResult> + Sync,
-{
-    match sched.pool_for(system.len()) {
-        None => {
-            let run = |((_, dpu), buf)| DpuOutcome::Done(job(dpu, buf));
-            (system.iter_mut().zip(buffers).map(run).collect(), None)
-        }
-        Some(pool) => {
-            let (outcomes, stats) =
-                run_stealing_with(pool, system, buffers, |_, dpu, buf| job(dpu, buf));
-            (outcomes, Some(stats))
-        }
-    }
-}
-
-/// The scheduler core, generic over the per-DPU job so tests can inject
-/// faulting or panicking work. `job` receives the DPU index; results and
-/// buffers come back in DPU order regardless of which worker ran what.
-fn run_stealing_with<B, F>(
-    pool: &WorkerPool,
-    system: &mut PimSystem,
-    buffers: &mut [B],
-    job: F,
-) -> (Vec<DpuOutcome>, StealStats)
-where
-    B: Send,
-    F: Fn(usize, &mut dpu_sim::Machine, &mut B) -> dpu_sim::Result<RunResult> + Sync,
-{
-    // Catch panics per DPU (while not holding any shared state) so one
-    // faulty simulation surfaces as a `HostError` instead of unwinding
-    // out of the pool batch.
-    steal_jobs(pool, system, buffers, |i, dpu, buf| {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(i, dpu, buf))) {
-            Ok(res) => DpuOutcome::Done(res),
-            Err(payload) => DpuOutcome::Panicked(panic_detail(payload.as_ref())),
-        }
-    })
-}
-
-/// The work-stealing loop itself, generic over the per-DPU outcome type so
-/// the resilient launch path can reuse it with richer per-DPU reports, and
-/// over the per-DPU buffer (`buffers[i]` goes with DPU `i`).
-/// Jobs must not unwind (wrap them in `catch_unwind` when they might).
-/// Alongside the per-DPU outcomes it reports how the jobs distributed
-/// over the pool's workers.
-pub(crate) fn steal_jobs<B, R, F>(
-    pool: &WorkerPool,
-    system: &mut PimSystem,
-    buffers: &mut [B],
-    job: F,
-) -> (Vec<R>, StealStats)
-where
-    B: Send,
     R: Send,
-    F: Fn(usize, &mut dpu_sim::Machine, &mut B) -> R + Sync,
+    F: Fn(usize, &mut dpu_sim::Machine, Option<&mut TraceBuffer>) -> R + Sync,
 {
-    struct Slot<'a, B, R> {
+    struct Slot<'a, R> {
         dpu: &'a mut dpu_sim::Machine,
-        buf: &'a mut B,
+        buf: Option<&'a mut TraceBuffer>,
         outcome: Option<R>,
     }
 
     let n = system.len();
-    let slots: Vec<Mutex<Slot<B, R>>> = system
-        .iter_mut()
-        .zip(buffers.iter_mut())
-        .map(|((_, dpu), buf)| Mutex::new(Slot { dpu, buf, outcome: None }))
-        .collect();
+    let mut buffers = buffers.iter_mut();
+    let dpus = system.iter_mut().map(|(_, dpu)| (dpu, buffers.next()));
+    let Some(pool) = sched.pool_for(n) else {
+        return (dpus.enumerate().map(|(i, (dpu, buf))| job(i, dpu, buf)).collect(), None);
+    };
+    let slots: Vec<Mutex<Slot<R>>> =
+        dpus.map(|(dpu, buf)| Mutex::new(Slot { dpu, buf, outcome: None })).collect();
     let runner = |i: usize, _w: usize| {
         // Each index is claimed exactly once, so the lock is always
         // uncontended; it exists to hand the `&mut` state to whichever
         // worker drew the index.
         let mut slot = slots[i].lock().expect("job mutex poisoned");
         let Slot { dpu, buf, outcome } = &mut *slot;
-        *outcome = Some(job(i, dpu, buf));
+        *outcome = Some(job(i, dpu, buf.as_deref_mut()));
     };
     let stats = pool.run_batch(n, rank_shard_size(n, pool.workers()), &runner);
     let outcomes = slots
@@ -400,7 +379,7 @@ where
             slot.outcome.expect("every DPU index was claimed by a worker")
         })
         .collect();
-    (outcomes, StealStats { claims: stats.claims, shards: stats.shards, queued: n as u64 })
+    (outcomes, Some(StealStats { claims: stats.claims, shards: stats.shards, queued: n as u64 }))
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -416,6 +395,7 @@ pub(crate) fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::HostError;
     use dpu_sim::asm::assemble;
     use dpu_sim::DpuId;
 
@@ -453,23 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn small_sets_use_serial_path() {
-        let mut set = DpuSet::allocate(2).unwrap();
-        set.define_symbol("x", 8).unwrap();
-        set.copy_scalar_to("x", 21).unwrap();
-        set.launch(&double_program(), 1).unwrap();
-        assert_eq!(set.copy_scalar_from(DpuId(0), "x").unwrap(), 42);
-        assert_eq!(set.copy_scalar_from(DpuId(1), "x").unwrap(), 42);
-    }
-
-    #[test]
-    fn launch_propagates_dpu_faults() {
-        let mut set = DpuSet::allocate(2).unwrap();
-        let bad = assemble("jmp 99\n").unwrap();
-        assert!(set.launch(&bad, 1).is_err());
-    }
-
-    #[test]
     fn load_then_launch_many_times() {
         let mut set = DpuSet::allocate(2).unwrap();
         set.define_symbol("x", 8).unwrap();
@@ -493,6 +456,8 @@ mod tests {
         let mut set = DpuSet::allocate(1).unwrap();
         let bad = Program::new(vec![dpu_sim::Instr::Jump { target: 9 }]);
         assert!(set.load(&bad).is_err());
+        // An ad-hoc launch validates the same way, before any DPU runs.
+        assert!(matches!(set.launch(&bad, 1), Err(HostError::Dpu(_))));
         let huge = Program::new(vec![dpu_sim::Instr::Nop; 4000]);
         assert!(set.load(&huge).is_err());
     }
@@ -530,31 +495,10 @@ mod trace_tests {
     }
 
     #[test]
-    fn traced_launch_matches_untraced_launch_exactly() {
-        // Both the serial (<4 DPUs) and parallel (>=4 DPUs) paths.
-        for dpus in [2usize, 6] {
-            let mut plain_set = DpuSet::allocate(dpus).unwrap();
-            let plain = plain_set.launch(&traced_program(), 3).unwrap();
-            let mut traced_set = DpuSet::allocate(dpus).unwrap();
-            let (traced, bufs) = traced_set.launch_traced(&traced_program(), 3).unwrap();
-            assert_eq!(plain, traced, "{dpus} DPUs");
-            assert_eq!(bufs.len(), dpus);
-            assert!(bufs.iter().all(|b| !b.is_empty()));
-        }
-    }
-
-    #[test]
-    fn untraced_launch_collects_no_events() {
-        let mut set = DpuSet::allocate(2).unwrap();
-        let (res, bufs) = set.launch_impl(&traced_program(), 2, false).unwrap();
-        assert_eq!(res.per_dpu.len(), 2);
-        assert!(bufs.iter().all(pim_trace::TraceBuffer::is_empty));
-    }
-
-    #[test]
     fn per_dpu_buffers_cover_all_dpus_in_order() {
         let mut set = DpuSet::allocate(5).unwrap();
-        let (res, bufs) = set.launch_traced(&traced_program(), 2).unwrap();
+        set.load(&traced_program()).unwrap();
+        let (res, bufs) = set.launch_loaded_traced(2).unwrap();
         assert_eq!(bufs.len(), res.per_dpu.len());
         for (r, b) in res.per_dpu.iter().zip(&bufs) {
             // Identical work on every DPU: each buffer's end stamp is its
@@ -594,7 +538,8 @@ mod trace_tests {
             tasklets in 1usize..5,
         ) {
             let mut set = DpuSet::allocate(dpus).unwrap();
-            let (res, bufs) = set.launch_traced(&traced_program(), tasklets).unwrap();
+            set.load(&traced_program()).unwrap();
+            let (res, bufs) = set.launch_loaded_traced(tasklets).unwrap();
             let max_end = bufs.iter().map(pim_trace::TraceBuffer::max_end_cycle).max().unwrap();
             proptest::prop_assert_eq!(res.makespan_cycles(), max_end);
         }
@@ -604,7 +549,9 @@ mod trace_tests {
 #[cfg(test)]
 mod scheduler_equivalence_tests {
     use super::*;
+    use crate::error::HostError;
     use dpu_sim::isa::{Cond, Width};
+    use dpu_sim::Engine;
     use dpu_sim::{Instr as I, Reg};
     use proptest::prelude::*;
 
@@ -670,7 +617,11 @@ mod scheduler_equivalence_tests {
                 let mut set = skewed_set(dpus, &counts);
                 let sched = Sched { pool, threshold: 0 };
                 let engine = Some(Engine::default());
-                launch_on(set.system_mut(), &exec, tasklets, trace, engine, &sched).unwrap()
+                let (report, bufs, steal) =
+                    launch_core(set.system_mut(), tasklets, trace, engine, None, &sched, |dpu, run| {
+                        dpu.execute(&exec, run)
+                    });
+                (report.into_launch_result().unwrap(), bufs, steal)
             };
             let (seq, seq_bufs, none) = run(None, true);
             let (steal, steal_bufs, stats) = run(Some(&pool), true);
@@ -691,38 +642,6 @@ mod scheduler_equivalence_tests {
         }
     }
 
-    #[test]
-    fn worker_panic_is_captured_per_dpu_with_its_message() {
-        let mut set = DpuSet::allocate(6).unwrap();
-        let pool = crate::pool::WorkerPool::for_dpus(6);
-        let mut bufs = vec![TraceBuffer::new(); 6];
-        let exec = ExecProgram::compile(&Program::new(vec![I::Halt])).unwrap();
-        let (outcomes, stats) =
-            run_stealing_with(&pool, set.system_mut(), &mut bufs, |i, dpu, _| {
-                if i == 3 {
-                    panic!("injected failure on DPU 3");
-                }
-                dpu.run_exec_engine(&exec, 1, Engine::default())
-            });
-        assert_eq!(outcomes.len(), 6);
-        assert_eq!(stats.total_claims(), 6);
-        assert!(stats.workers() >= 1);
-        for (i, o) in outcomes.iter().enumerate() {
-            match o {
-                DpuOutcome::Done(r) => {
-                    assert_ne!(i, 3);
-                    assert!(r.is_ok());
-                }
-                DpuOutcome::Panicked(detail) => {
-                    assert_eq!(i, 3);
-                    assert!(detail.contains("injected failure"), "got {detail}");
-                }
-            }
-        }
-        let err = HostError::WorkerPanic { detail: "injected failure on DPU 3".to_owned() };
-        assert!(err.to_string().contains("panicked"));
-    }
-
     /// Regression: a worker panic mid-launch must not poison per-machine
     /// state for subsequent launches. The panicked wave here leaves every
     /// machine with an *armed* perf counter; before `run_code` reset the
@@ -730,22 +649,21 @@ mod scheduler_equivalence_tests {
     /// the stale armed epoch instead of its own.
     #[test]
     fn relaunch_after_worker_panic_reads_clean_state() {
-        let mut set = DpuSet::allocate(6).unwrap();
+        let mut set = skewed_set(6, &[0, 0, 1, 0, 0, 0]);
         let pool = crate::pool::WorkerPool::for_dpus(6);
         let arming =
             ExecProgram::compile(&dpu_sim::asm::assemble("perf.config\nhalt\n").unwrap()).unwrap();
-        let mut bufs = vec![TraceBuffer::new(); 6];
-        let (outcomes, _) = run_stealing_with(&pool, set.system_mut(), &mut bufs, |i, dpu, _| {
-            let r = dpu.run_exec_engine(&arming, 1, Engine::default());
-            if i == 2 {
-                panic!("injected mid-launch failure");
-            }
-            r
-        });
-        assert!(outcomes
-            .iter()
-            .enumerate()
-            .any(|(i, o)| i == 2 && matches!(o, DpuOutcome::Panicked(_))));
+        let sched = Sched { pool: Some(&pool), threshold: 0 };
+        let (report, _, _) =
+            launch_core(set.system_mut(), 1, false, None, None, &sched, |dpu, run| {
+                let r = dpu.execute(&arming, run);
+                if dpu.mram.read_u32(0).unwrap() == 1 {
+                    panic!("injected mid-launch failure");
+                }
+                r
+            });
+        assert_eq!(report.quarantined, [dpu_sim::DpuId(2)]);
+        assert!(matches!(report.into_launch_result(), Err(HostError::WorkerPanic { .. })));
 
         // Relaunch on the same (partly poisoned) set: every DPU's perf
         // read must start from zero, including the one whose worker died.
@@ -763,6 +681,219 @@ mod scheduler_equivalence_tests {
         assert_eq!(res.per_dpu.len(), 6);
         for (i, r) in res.per_dpu.iter().enumerate() {
             assert_eq!(r.perf_reads, vec![0], "DPU {i} leaked perf state across launches");
+        }
+    }
+}
+
+/// One table over every way to spell a launch: the program form, tracing,
+/// the policy's zero point and the dispatch path may not show in the
+/// results.
+#[cfg(test)]
+mod launch_matrix_tests {
+    use super::*;
+    use crate::error::HostError;
+    use crate::pool::WorkerPool;
+    use dpu_sim::asm::assemble;
+    use dpu_sim::{DpuId, Engine, FaultPlan};
+
+    const DPUS: usize = 6;
+    const TASKLETS: usize = 3;
+
+    /// DMA the DPU's scalar in, a multiply subroutine, a barrier, a loop
+    /// as long as the scalar, DMA the product out: every simulator event
+    /// kind fires and every DPU costs differently.
+    fn work_program() -> Program {
+        assemble(
+            "me r1\n\
+             lsli r2, r1, 8\n\
+             movi r3, 8\n\
+             mram.read r2, r0, r3\n\
+             lw r4, r2, 0\n\
+             call __mulsi3 r5, r4, r4\n\
+             barrier\n\
+             spin:\n\
+             addi r4, r4, -1\n\
+             bne r4, r0, spin\n\
+             sw r2, 0, r5\n\
+             lsli r6, r1, 3\n\
+             addi r6, r6, 8\n\
+             mram.write r2, r6, r3\n\
+             halt\n",
+        )
+        .unwrap()
+    }
+
+    /// Divides by `scalar - 2` and, on the DPU holding 4, loads from far
+    /// outside WRAM: DPU 1 and DPU 3 fault, differently.
+    fn faulting_program() -> Program {
+        assemble(
+            "movi r3, 8\n\
+             mram.read r0, r0, r3\n\
+             lw r4, r0, 0\n\
+             addi r5, r4, -2\n\
+             call __divsi3 r6, r4, r5\n\
+             addi r7, r4, -4\n\
+             bne r7, r0, done\n\
+             movi r8, 0x7fff0000\n\
+             lw r9, r8, 0\n\
+             done:\n\
+             halt\n",
+        )
+        .unwrap()
+    }
+
+    /// A set whose DPU `i` holds `i + 1` at MRAM offset 0, `program`
+    /// loaded, launching sequentially or on the pool.
+    fn seeded_set(program: &Program, pooled: bool) -> DpuSet {
+        let mut set = DpuSet::allocate(DPUS).unwrap();
+        for (i, (_, dpu)) in set.system_mut().iter_mut().enumerate() {
+            dpu.mram.write(0, &(i as u64 + 1).to_le_bytes()).unwrap();
+        }
+        set.load(program).unwrap();
+        set.set_parallel_threshold(Some(if pooled { 0 } else { usize::MAX }));
+        set
+    }
+
+    /// Every cell of {loaded, ad hoc} × {untraced, traced} × {no policy,
+    /// default policy, armed zero plan} × {sequential, pooled}.
+    fn cells(
+        program: &Program,
+        mut check: impl FnMut(&str, &mut DpuSet, bool, LaunchReport, Vec<TraceBuffer>),
+    ) {
+        let default = ResilientLaunchPolicy::default();
+        let armed_zero = ResilientLaunchPolicy::with_faults(FaultPlan::none());
+        let policies =
+            [("no policy", None), ("default", Some(&default)), ("zero", Some(&armed_zero))];
+        for adhoc in [false, true] {
+            for trace in [false, true] {
+                for (policy_name, policy) in policies {
+                    for pooled in [false, true] {
+                        let cell = format!(
+                            "adhoc={adhoc} trace={trace} policy={policy_name} pooled={pooled}"
+                        );
+                        let mut set = seeded_set(program, pooled);
+                        let form = if adhoc {
+                            LaunchSpec::adhoc(program, TASKLETS)
+                        } else {
+                            LaunchSpec::loaded(TASKLETS)
+                        };
+                        let (report, bufs) =
+                            set.launch_with(LaunchSpec { trace, policy, ..form }).unwrap();
+                        check(&cell, &mut set, trace, report, bufs);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_spelling_of_a_clean_launch_is_one_launch() {
+        let program = work_program();
+        let mut expected: Option<(LaunchResult, Vec<Vec<u8>>)> = None;
+        let mut expected_bufs: Option<Vec<TraceBuffer>> = None;
+        cells(&program, |cell, set, trace, report, bufs| {
+            // The report of a launch nothing happened to.
+            assert!(report.fully_served(), "{cell}");
+            assert_eq!(report.retries(), 0, "{cell}");
+            assert!(report.quarantined.is_empty() && report.degraded.is_empty(), "{cell}");
+            for (i, r) in report.per_dpu.iter().enumerate() {
+                assert_eq!((r.attempts, r.served_by, r.backoff_cycles), (1, None, 0), "{cell} {i}");
+                assert!(r.faults.is_empty() && r.last_error.is_none(), "{cell} DPU {i}");
+            }
+            let makespan = report.makespan_cycles();
+            let result = report.into_launch_result().unwrap();
+            assert_eq!(result.makespan_cycles(), makespan, "{cell}");
+            assert_eq!((result.per_dpu.len(), result.tasklets), (DPUS, TASKLETS), "{cell}");
+
+            // One result and one memory image, whatever the cell.
+            let mram: Vec<Vec<u8>> = (0..DPUS)
+                .map(|i| {
+                    let mut image = vec![0; 64];
+                    set.system().dpu(DpuId(i as u32)).mram.read(0, &mut image).unwrap();
+                    image
+                })
+                .collect();
+            let (want, want_mram) = expected.get_or_insert_with(|| (result.clone(), mram.clone()));
+            assert_eq!(&result, want, "{cell}");
+            assert_eq!(&mram, want_mram, "{cell}");
+            assert_eq!(mram[2][8..12], 9u32.to_le_bytes(), "DPU 2 squared its 3");
+
+            // Buffers exist exactly when asked for, one per DPU in DPU
+            // order, the same events in every traced cell.
+            if trace {
+                assert_eq!(bufs.len(), DPUS, "{cell}");
+                for (r, b) in result.per_dpu.iter().zip(&bufs) {
+                    assert_eq!((b.max_end_cycle(), b.dma_bytes()), (r.cycles, r.dma_bytes));
+                }
+                assert_eq!(&bufs, expected_bufs.get_or_insert_with(|| bufs.clone()), "{cell}");
+            } else {
+                assert!(bufs.is_empty(), "{cell}: {} buffers built", bufs.len());
+            }
+        });
+    }
+
+    #[test]
+    fn the_first_faulting_dpu_in_dpu_order_names_the_error() {
+        cells(&faulting_program(), |cell, _, trace, report, bufs| {
+            assert_eq!(report.quarantined, [DpuId(1), DpuId(3)], "{cell}");
+            assert!(report.degraded.is_empty(), "{cell}: a deterministic fault follows its image");
+            for (i, r) in report.per_dpu.iter().enumerate() {
+                assert_eq!(r.result.is_some(), i != 1 && i != 3, "{cell}: every DPU ran");
+            }
+            assert!(
+                matches!(
+                    report.per_dpu[3].last_error,
+                    Some(HostError::Dpu(dpu_sim::Error::OutOfBounds { .. }))
+                ),
+                "{cell}: {:?}",
+                report.per_dpu[3].last_error
+            );
+            assert_eq!(bufs.len(), if trace { DPUS } else { 0 }, "{cell}");
+            let err = report.into_launch_result().unwrap_err();
+            assert!(
+                matches!(err, HostError::Dpu(dpu_sim::Error::DivisionByZero { .. })),
+                "{cell}: {err}"
+            );
+        });
+    }
+
+    /// A panic inside one DPU's simulation is that DPU's error — on the
+    /// calling thread as on the pool, with or without a policy — and the
+    /// other DPUs are served.
+    #[test]
+    fn a_panicking_simulation_is_a_worker_panic_on_both_dispatch_paths() {
+        let exec = ExecProgram::compile(&work_program()).unwrap();
+        let pool = WorkerPool::for_dpus(DPUS);
+        let default = ResilientLaunchPolicy::default();
+        for pool in [None, Some(&pool)] {
+            for policy in [None, Some(&default)] {
+                let cell = format!("pooled={} policy={}", pool.is_some(), policy.is_some());
+                let mut set = seeded_set(&work_program(), false);
+                let sched = Sched { pool, threshold: 0 };
+                let engine = Some(Engine::default());
+                let (report, _, steal) = launch_core(
+                    set.system_mut(),
+                    TASKLETS,
+                    false,
+                    engine,
+                    policy,
+                    &sched,
+                    |dpu, run| {
+                        assert!(dpu.mram.read_u32(0).unwrap() != 4, "injected failure on DPU 3");
+                        dpu.execute(&exec, run)
+                    },
+                );
+                assert_eq!(steal.is_some(), pool.is_some(), "{cell}");
+                assert_eq!(report.quarantined, [DpuId(3)], "{cell}");
+                assert_eq!(report.per_dpu[3].attempts, if policy.is_some() { 3 } else { 1 });
+                assert_eq!(report.per_dpu.iter().filter(|r| r.result.is_some()).count(), DPUS - 1);
+                match report.into_launch_result() {
+                    Err(HostError::WorkerPanic { detail }) => {
+                        assert!(detail.contains("injected failure on DPU 3"), "{cell}: {detail}");
+                    }
+                    other => panic!("{cell}: {other:?}"),
+                }
+            }
         }
     }
 }

@@ -47,7 +47,7 @@ pub use crc32c::{crc32c, Crc32c};
 pub use dpu_sim::cost::{CycleModel, KernelEstimate, OpCounts, OptLevel};
 pub use error::{HostError, Result};
 pub use exec::KernelRun;
-pub use launch::{LaunchResult, StealStats};
+pub use launch::{LaunchProgram, LaunchResult, LaunchSpec, StealStats};
 pub use link::{LinkFaultPlan, LinkPolicy, LinkStats};
 pub use observe::LaunchObservation;
 pub use resilient::{DpuServeReport, LaunchReport, Redispatch, ResilientLaunchPolicy, ServeHealth};

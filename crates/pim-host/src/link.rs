@@ -5,7 +5,7 @@
 //! *inside* a kernel. This module models the other half of the data
 //! path: the host↔DIMM link that every `dpu_copy_to`/`dpu_copy_from`
 //! crosses. Checked transfers ([`crate::DpuSet::set_link_policy`]) frame
-//! each payload with a CRC-32C ([`crate::crc32c`]), verify on the
+//! each payload with a CRC-32C ([`crate::crc32c()`]), verify on the
 //! receiving side, and retry with exponential backoff when the frame
 //! fails — so a flaky link degrades throughput instead of silently
 //! corrupting weights or activations.

@@ -31,7 +31,8 @@
 //! `obs.engine.chunk.commits`,
 //! `obs.engine.chunk.aborts.{boundary,conflict,trace,fault}` and
 //! `obs.engine.chunk.rolled_back_slots` say how the tasklet-major chunks
-//! fared (see `docs/PERFORMANCE.md`). Fed by [`DpuSet::launch_observed`].
+//! fared (see `docs/PERFORMANCE.md`). Fed by launches with a
+//! [`crate::LaunchSpec::observe`].
 //!
 //! Histograms (quantile summaries, deterministic): `obs.launch.makespan_cycles`,
 //! `obs.dpu.cycles`, `obs.dpu.instructions`, `obs.dpu.ipc`,
@@ -44,11 +45,9 @@
 //! pool, `obs.pool.batches` counter, `obs.pool.workers` / `obs.pool.shards`
 //! gauges, `obs.pool.queue_depth` / `obs.pool.occupancy` histograms.
 
-use crate::error::Result;
-use crate::launch::{launch_on, LaunchResult, StealStats};
+use crate::launch::{LaunchResult, StealStats};
 use crate::resilient::LaunchReport;
-use crate::set::DpuSet;
-use dpu_sim::{ExecProgram, Program};
+use dpu_sim::RunResult;
 use pim_trace::{prometheus_text, MetricsRegistry};
 
 /// Accumulated host-side telemetry over any number of launches.
@@ -69,11 +68,26 @@ impl LaunchObservation {
     }
 
     /// Record one completed plain launch.
-    #[allow(clippy::cast_precision_loss)]
     pub fn record(&mut self, result: &LaunchResult) {
+        self.record_wave(result.makespan_cycles(), result.per_dpu.iter(), result.tasklets);
+    }
+
+    /// [`LaunchObservation::record`] for a plain launch still in report
+    /// form (every DPU served in place).
+    pub(crate) fn record_served(&mut self, report: &LaunchReport) {
+        self.record_wave(report.makespan_cycles(), report.served_results(), report.tasklets);
+    }
+
+    #[allow(clippy::cast_precision_loss)]
+    fn record_wave<'a>(
+        &mut self,
+        makespan: u64,
+        per_dpu: impl Iterator<Item = &'a RunResult> + Clone,
+        tasklets: usize,
+    ) {
         self.registry.counter_add("obs.launches", 1);
-        self.registry.observe("obs.launch.makespan_cycles", result.makespan_cycles() as f64);
-        self.record_dpus(result);
+        self.registry.observe("obs.launch.makespan_cycles", makespan as f64);
+        self.record_dpus(per_dpu, tasklets);
     }
 
     /// Record one completed fault-tolerant launch: resilience counters
@@ -109,8 +123,8 @@ impl LaunchObservation {
             "obs.integrity.scrub_uncorrectable",
             report.per_dpu.iter().map(|r| r.scrub.uncorrectable.len() as u64).sum(),
         );
-        if let Some(result) = report.to_launch_result() {
-            self.record_dpus(&result);
+        if report.fully_served() {
+            self.record_dpus(report.served_results(), report.tasklets);
         }
     }
 
@@ -149,15 +163,19 @@ impl LaunchObservation {
     /// launches (everything except the launch count and makespan, which
     /// differ between the two paths).
     #[allow(clippy::cast_precision_loss)]
-    fn record_dpus(&mut self, result: &LaunchResult) {
+    fn record_dpus<'a>(
+        &mut self,
+        per_dpu: impl Iterator<Item = &'a RunResult> + Clone,
+        tasklets: usize,
+    ) {
         let m = &mut self.registry;
-        m.counter_add("obs.instructions", result.total_instructions());
-        m.counter_add("obs.dma.bytes", result.per_dpu.iter().map(|r| r.dma_bytes).sum());
-        m.counter_add("obs.dma.transfers", result.per_dpu.iter().map(|r| r.dma_transfers).sum());
-        m.counter_add("obs.dma.cycles", result.per_dpu.iter().map(|r| r.dma_cycles).sum());
-        m.gauge_set("obs.dpus", result.per_dpu.len() as f64);
-        m.gauge_set("obs.tasklets", result.tasklets as f64);
-        for r in &result.per_dpu {
+        m.counter_add("obs.instructions", per_dpu.clone().map(|r| r.instructions).sum());
+        m.counter_add("obs.dma.bytes", per_dpu.clone().map(|r| r.dma_bytes).sum());
+        m.counter_add("obs.dma.transfers", per_dpu.clone().map(|r| r.dma_transfers).sum());
+        m.counter_add("obs.dma.cycles", per_dpu.clone().map(|r| r.dma_cycles).sum());
+        m.gauge_set("obs.dpus", per_dpu.clone().count() as f64);
+        m.gauge_set("obs.tasklets", tasklets as f64);
+        for r in per_dpu {
             m.observe("obs.dpu.cycles", r.cycles as f64);
             m.observe("obs.dpu.instructions", r.instructions as f64);
             if r.cycles > 0 {
@@ -204,39 +222,24 @@ impl LaunchObservation {
     }
 }
 
-impl DpuSet {
-    /// [`DpuSet::launch`] that also feeds `obs`: the launch result plus —
-    /// when the set is large enough to engage the work-stealing
-    /// scheduler — the steal distribution.
-    ///
-    /// # Errors
-    /// As [`DpuSet::launch`].
-    pub fn launch_observed(
-        &mut self,
-        program: &Program,
-        tasklets: usize,
-        obs: &mut LaunchObservation,
-    ) -> Result<LaunchResult> {
-        let exec = ExecProgram::compile(program)?;
-        let engine = self.engine();
-        let (system, _, sched) = self.launch_parts();
-        let engine_before = system.engine_stats();
-        let (result, _, steal) = launch_on(system, &exec, tasklets, false, engine, &sched)?;
-        obs.record(&result);
-        obs.record_engine(&system.engine_stats().since(&engine_before));
-        if let Some(stats) = steal {
-            obs.record_steal(&stats);
-        }
-        Ok(result)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::resilient::ResilientLaunchPolicy;
+    use crate::{DpuSet, LaunchSpec};
     use dpu_sim::asm::assemble;
-    use dpu_sim::{FaultConfig, FaultPlan};
+    use dpu_sim::{FaultConfig, FaultPlan, Program};
+
+    /// A plain ad-hoc launch feeding `obs`.
+    fn observed_launch(
+        set: &mut DpuSet,
+        program: &Program,
+        tasklets: usize,
+        obs: &mut LaunchObservation,
+    ) -> LaunchResult {
+        let spec = LaunchSpec { observe: Some(obs), ..LaunchSpec::adhoc(program, tasklets) };
+        set.launch_with(spec).unwrap().0.into_launch_result().unwrap()
+    }
 
     fn work_program() -> Program {
         assemble(
@@ -254,8 +257,8 @@ mod tests {
         let program = work_program();
         let mut set = DpuSet::allocate(6).unwrap();
         let mut obs = LaunchObservation::new();
-        let r1 = set.launch_observed(&program, 2, &mut obs).unwrap();
-        let r2 = set.launch_observed(&program, 4, &mut obs).unwrap();
+        let r1 = observed_launch(&mut set, &program, 2, &mut obs);
+        let r2 = observed_launch(&mut set, &program, 4, &mut obs);
         assert_eq!(obs.launches(), 2);
         let m = obs.metrics();
         assert_eq!(
@@ -278,10 +281,18 @@ mod tests {
         let plan = FaultPlan::new(FaultConfig { forced_offline: vec![1], ..Default::default() });
         let policy =
             ResilientLaunchPolicy { max_retries: 0, ..ResilientLaunchPolicy::with_faults(plan) };
-        let report = set.launch_resilient(&program, 2, &policy).unwrap();
-        assert!(report.fully_served());
+        // An observed launch under a policy records its report.
         let mut obs = LaunchObservation::new();
-        obs.record_report(&report);
+        let spec = LaunchSpec {
+            policy: Some(&policy),
+            observe: Some(&mut obs),
+            ..LaunchSpec::adhoc(&program, 2)
+        };
+        let (report, _) = set.launch_with(spec).unwrap();
+        assert!(report.fully_served());
+        let mut by_hand = LaunchObservation::new();
+        by_hand.record_report(&report);
+        assert!(by_hand.metrics().counters().all(|(k, v)| obs.metrics().counter(k) == v));
         let m = obs.metrics();
         assert_eq!(m.counter("obs.launches"), 1);
         assert_eq!(m.counter("obs.retries"), report.retries());
@@ -333,7 +344,7 @@ mod tests {
         let program = work_program();
         let mut set = DpuSet::allocate(2).unwrap();
         let mut obs = LaunchObservation::new();
-        set.launch_observed(&program, 2, &mut obs).unwrap();
+        observed_launch(&mut set, &program, 2, &mut obs);
         let text = obs.prometheus();
         assert!(text.contains("# TYPE obs_launches counter"), "missing counter:\n{text}");
         assert!(text.contains("# TYPE obs_dpus gauge"), "missing gauge:\n{text}");

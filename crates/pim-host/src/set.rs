@@ -13,7 +13,10 @@ use crate::launch::{Sched, DEFAULT_PARALLEL_THRESHOLD};
 use crate::link::{LinkPolicy, LinkStats};
 use crate::pool::WorkerPool;
 use crate::symbol::{Symbol, SymbolTable};
-use dpu_sim::{DpuId, DpuParams, Engine, ExecProgram, PimSystem, ScrubReport, MRAM_PAGE_BYTES};
+use dpu_sim::{
+    DpuId, DpuParams, Engine, ExecProgram, Observe, PimSystem, RunSpec, ScrubReport,
+    MRAM_PAGE_BYTES,
+};
 use pim_trace::{HostDirection, TraceBuffer, TraceEvent, TraceSink};
 use std::sync::Arc;
 
@@ -36,6 +39,15 @@ pub struct DpuSet {
     // Checked-transfer state (CRC framing + link fault injection), same
     // `RefCell` rationale as `host_trace`.
     link: Option<std::cell::RefCell<LinkState>>,
+}
+
+/// What launching (or profiling) the loaded program says when there is
+/// none.
+pub(crate) fn no_program_loaded() -> HostError {
+    HostError::Symbol {
+        name: "<program>".to_owned(),
+        problem: "no program loaded; call DpuSet::load first",
+    }
 }
 
 /// Mutable state of the checked-transfer layer.
@@ -369,12 +381,12 @@ impl DpuSet {
         min_entries: u64,
     ) -> Result<usize> {
         self.check_dpu(dpu)?;
-        let exec = self.loaded.as_ref().ok_or_else(|| HostError::Symbol {
-            name: "<program>".to_owned(),
-            problem: "no program loaded; call DpuSet::load first",
-        })?;
+        let exec = self.loaded.as_ref().ok_or_else(no_program_loaded)?;
         let mut attr = dpu_sim::CycleAttribution::new();
-        self.system.dpu_mut(dpu).run_exec_profiled(exec, tasklets, &mut attr)?;
+        self.system.dpu_mut(dpu).execute(
+            exec,
+            RunSpec { observe: Observe::Profile(&mut attr), ..RunSpec::new(tasklets) },
+        )?;
         let hot = attr.hot_starts(min_entries).len();
         self.loaded.as_mut().expect("checked above").recompile_hot(&attr, min_entries);
         self.engine = Some(Engine::Compiled);
@@ -1079,20 +1091,26 @@ mod host_trace_tests {
 
     #[test]
     fn threshold_gates_pool_scheduling() {
+        fn observed<'a>(
+            program: &'a dpu_sim::Program,
+            obs: &'a mut crate::LaunchObservation,
+        ) -> crate::LaunchSpec<'a> {
+            crate::LaunchSpec { observe: Some(obs), ..crate::LaunchSpec::adhoc(program, 2) }
+        }
         let program = tiny_program();
 
         // Below threshold: sequential path, no steal launch recorded.
         let mut seq = DpuSet::allocate(8).unwrap();
         seq.set_parallel_threshold(Some(usize::MAX));
         let mut obs = crate::LaunchObservation::new();
-        seq.launch_observed(&program, 2, &mut obs).unwrap();
+        seq.launch_with(observed(&program, &mut obs)).unwrap();
         assert!(obs.metrics().counters().all(|(k, _)| k != "obs.steal.launches"));
 
         // Pinned low: even a 2-DPU set goes through the pool.
         let mut par = DpuSet::allocate(2).unwrap();
         par.set_parallel_threshold(Some(1));
         let mut obs = crate::LaunchObservation::new();
-        par.launch_observed(&program, 2, &mut obs).unwrap();
+        par.launch_with(observed(&program, &mut obs)).unwrap();
         let steals =
             obs.metrics().counters().find(|(k, _)| *k == "obs.steal.launches").map(|(_, v)| v);
         assert_eq!(steals, Some(1));

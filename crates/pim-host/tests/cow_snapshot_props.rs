@@ -141,11 +141,9 @@ proptest! {
             bit_flip_prob: bit_flip,
             ..FaultConfig::default()
         });
-        let policy = ResilientLaunchPolicy {
-            max_retries: 4,
-            force_sequential: true,
-            ..ResilientLaunchPolicy::with_faults(plan)
-        };
+        let policy =
+            ResilientLaunchPolicy { max_retries: 4, ..ResilientLaunchPolicy::with_faults(plan) };
+        set.set_parallel_threshold(Some(usize::MAX));
         let report = set.launch_loaded_resilient(1, &policy).unwrap();
 
         // First-try fault-free serves match the clean reference bit-for-bit.

@@ -75,17 +75,20 @@ fn matrix() -> Vec<(&'static str, FaultConfig)> {
     cells
 }
 
-fn run_cell(config: FaultConfig, force_sequential: bool) -> LaunchReport {
+fn run_cell(config: FaultConfig, sequential: bool) -> LaunchReport {
     let policy = ResilientLaunchPolicy {
         max_retries: 3,
         backoff_cycles: 250,
         // Generous enough that only injected hangs trip it (the kernel
         // itself finishes in well under a million cycles).
         watchdog_budget: 5_000_000,
-        force_sequential,
         ..ResilientLaunchPolicy::with_faults(FaultPlan::new(config))
     };
-    staged_set().launch_loaded_resilient(TASKLETS, &policy).expect("launch never errors")
+    let mut set = staged_set();
+    if sequential {
+        set.set_parallel_threshold(Some(usize::MAX));
+    }
+    set.launch_loaded_resilient(TASKLETS, &policy).expect("launch never errors")
 }
 
 /// Structural invariants that must hold for any report from any campaign.

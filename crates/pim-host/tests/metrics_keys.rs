@@ -7,7 +7,7 @@
 
 use dpu_sim::asm::assemble;
 use dpu_sim::faults::{FaultConfig, FaultPlan};
-use pim_host::{DpuSet, LaunchObservation, ResilientLaunchPolicy};
+use pim_host::{DpuSet, LaunchObservation, LaunchSpec, ResilientLaunchPolicy};
 use pim_trace::MetricsRegistry;
 
 fn work_program() -> dpu_sim::Program {
@@ -53,7 +53,9 @@ fn resilient_metrics_key_set_is_stable() {
     let plan = FaultPlan::new(FaultConfig { forced_offline: vec![1], ..Default::default() });
     let policy =
         ResilientLaunchPolicy { max_retries: 0, ..ResilientLaunchPolicy::with_faults(plan) };
-    let report = set.launch_resilient(&work_program(), 2, &policy).unwrap();
+    let program = work_program();
+    let spec = LaunchSpec { policy: Some(&policy), ..LaunchSpec::adhoc(&program, 2) };
+    let (report, _) = set.launch_with(spec).unwrap();
     assert!(report.fully_served(), "redispatch serves the offline DPU's work");
     let (counters, gauges, histograms) = key_sets(&report.metrics());
     assert_eq!(
@@ -96,15 +98,20 @@ fn observation_metrics_key_set_is_stable() {
 
     // A plain observed launch on a steal-scheduled set…
     let mut set = DpuSet::allocate(6).unwrap();
-    set.launch_observed(&program, 4, &mut obs).unwrap();
+    set.launch_with(LaunchSpec { observe: Some(&mut obs), ..LaunchSpec::adhoc(&program, 4) })
+        .unwrap();
 
     // …plus a resilient launch with a scripted offline DPU.
     let mut faulty = DpuSet::allocate(4).unwrap();
     let plan = FaultPlan::new(FaultConfig { forced_offline: vec![1], ..Default::default() });
     let policy =
         ResilientLaunchPolicy { max_retries: 0, ..ResilientLaunchPolicy::with_faults(plan) };
-    let report = faulty.launch_resilient(&program, 2, &policy).unwrap();
-    obs.record_report(&report);
+    let spec = LaunchSpec {
+        policy: Some(&policy),
+        observe: Some(&mut obs),
+        ..LaunchSpec::adhoc(&program, 2)
+    };
+    faulty.launch_with(spec).unwrap();
 
     let (counters, gauges, histograms) = key_sets(obs.metrics());
     assert_eq!(

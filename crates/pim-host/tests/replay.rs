@@ -160,7 +160,7 @@ fn guarded_and_observed_launches_bypass_the_table() {
         .launch_loaded_resilient(TASKLETS, &ResilientLaunchPolicy::with_faults(silent))
         .expect("armed launch");
     assert_eq!(report.faults_injected(), 0);
-    assert_eq!(report.to_launch_result().expect("fully served"), expected);
+    assert_eq!(report.into_launch_result().expect("fully served"), expected);
     assert_same_memory(&set, &reference, "armed");
     assert_eq!(replay_counters(&set), before, "armed launches bypass the table");
 
@@ -176,7 +176,7 @@ fn guarded_and_observed_launches_bypass_the_table() {
     let report = set
         .launch_loaded_resilient(TASKLETS, &ResilientLaunchPolicy::default())
         .expect("zero-fault launch");
-    assert_eq!(report.to_launch_result().expect("fully served"), expected);
+    assert_eq!(report.into_launch_result().expect("fully served"), expected);
     assert_same_memory(&set, &reference, "unarmed resilient");
     assert_eq!(replay_counters(&set).0, before.0 + DPUS as u64);
 

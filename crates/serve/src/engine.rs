@@ -5,7 +5,7 @@ use crate::pipeline::PipelineMode;
 use crate::traffic::splitmix64;
 use ebnn::codegen::Tier1Engine;
 use ebnn::model::EbnnModel;
-use pim_host::{HostError, ResilientLaunchPolicy, ServeHealth};
+use pim_host::{HostError, LaunchReport, ResilientLaunchPolicy, ServeHealth};
 use yolo_pim::codegen::RowEngine;
 use yolo_pim::gemm::GemmDims;
 
@@ -31,21 +31,6 @@ pub struct BatchRun {
     /// DPUs that had items staged this batch (probation probes are
     /// confirmed only by batches that actually landed work).
     pub active_dpus: Vec<u32>,
-}
-
-impl BatchRun {
-    /// A clean, fully-healthy run over the given active DPUs.
-    #[must_use]
-    pub fn clean(compute_cycles: u64, active_dpus: Vec<u32>) -> Self {
-        Self {
-            compute_cycles,
-            redispatched_items: 0,
-            lost_items: 0,
-            quarantined_dpus: Vec::new(),
-            repaired_dpus: Vec::new(),
-            active_dpus,
-        }
-    }
 }
 
 /// A persistent rank-batch executor the serving loop drives: stage items
@@ -124,6 +109,38 @@ fn per_batch_policy(base: &ResilientLaunchPolicy, seq: u64) -> ResilientLaunchPo
         p.faults = Some(dpu_sim::FaultPlan::new(mixed));
     }
     p
+}
+
+/// What `report` — the launch of a batch whose DPU `d` held `chunks[d]`
+/// items — means to the scheduler, and which DPUs' items were served.
+/// An engine without a policy does not degrade (`degrades` unset): its
+/// first DPU fault fails the batch.
+fn account(
+    report: LaunchReport,
+    chunks: &[usize],
+    degrades: bool,
+) -> Result<(BatchRun, Vec<bool>), HostError> {
+    if !degrades && !report.fully_served() {
+        return Err(report.into_launch_result().expect_err("a DPU went unserved"));
+    }
+    let served: Vec<bool> = (0..chunks.len()).map(|d| report.per_dpu[d].result.is_some()).collect();
+    let dpu = |d: usize| u32::try_from(d).expect("dpu index fits");
+    let run = BatchRun {
+        compute_cycles: report.makespan_cycles(),
+        redispatched_items: report
+            .degraded
+            .iter()
+            .map(|d| chunks.get(d.from.0 as usize).copied().unwrap_or(0))
+            .sum(),
+        lost_items: served.iter().zip(chunks).filter_map(|(ok, &len)| (!ok).then_some(len)).sum(),
+        quarantined_dpus: report.quarantined.iter().map(|d| d.0).collect(),
+        repaired_dpus: (0..report.per_dpu.len())
+            .filter(|&d| report.per_dpu[d].health() == ServeHealth::HealthyAfterRepair)
+            .map(dpu)
+            .collect(),
+        active_dpus: (0..chunks.len()).filter(|&d| chunks[d] > 0).map(dpu).collect(),
+    };
+    Ok((run, served))
 }
 
 /// eBNN tier-1 serving engine: items are 128-byte encoded image slots
@@ -213,43 +230,12 @@ impl BatchEngine for EbnnServeEngine {
     fn launch(&mut self, seq: u64) -> Result<BatchRun, HostError> {
         let chunks =
             self.inner.staged_chunks(self.active).expect("launch without staging").to_vec();
-        let active_dpus: Vec<u32> = (0..chunks.len())
-            .filter(|&d| chunks[d] > 0)
-            .map(|d| u32::try_from(d).expect("dpu index fits"))
-            .collect();
-        match &self.policy {
-            None => {
-                let r = self.inner.launch()?;
-                self.served[self.active] = Some(vec![true; chunks.len()]);
-                Ok(BatchRun::clean(r.makespan_cycles(), active_dpus))
-            }
-            Some(base) => {
-                let pol = per_batch_policy(base, seq);
-                let rep = self.inner.launch_resilient(&pol)?;
-                let mask: Vec<bool> =
-                    (0..chunks.len()).map(|d| rep.per_dpu[d].result.is_some()).collect();
-                let redispatched_items: usize = rep
-                    .degraded
-                    .iter()
-                    .map(|d| chunks.get(d.from.0 as usize).copied().unwrap_or(0))
-                    .sum();
-                let lost_items: usize =
-                    mask.iter().zip(&chunks).filter_map(|(ok, &len)| (!ok).then_some(len)).sum();
-                self.dirty |= !rep.quarantined.is_empty();
-                self.served[self.active] = Some(mask);
-                Ok(BatchRun {
-                    compute_cycles: rep.makespan_cycles(),
-                    redispatched_items,
-                    lost_items,
-                    quarantined_dpus: rep.quarantined.iter().map(|d| d.0).collect(),
-                    repaired_dpus: (0..rep.per_dpu.len())
-                        .filter(|&d| rep.per_dpu[d].health() == ServeHealth::HealthyAfterRepair)
-                        .map(|d| u32::try_from(d).expect("dpu index fits"))
-                        .collect(),
-                    active_dpus,
-                })
-            }
-        }
+        let policy = self.policy.as_ref().map(|base| per_batch_policy(base, seq));
+        let report = self.inner.launch_report(policy.as_ref())?;
+        let (run, served) = account(report, &chunks, policy.is_some())?;
+        self.dirty |= !run.quarantined_dpus.is_empty();
+        self.served[self.active] = Some(served);
+        Ok(run)
     }
 
     fn gather(&mut self, buf: usize) -> Result<Gathered<Vec<u8>>, HostError> {
@@ -351,38 +337,14 @@ impl BatchEngine for YoloServeEngine {
     }
 
     fn launch(&mut self, seq: u64) -> Result<BatchRun, HostError> {
-        let n_rows = self.inner.staged_rows();
-        let active_dpus: Vec<u32> =
-            (0..n_rows).map(|d| u32::try_from(d).expect("row index fits")).collect();
-        match &self.policy {
-            None => {
-                let r = self.inner.launch()?;
-                self.served = Some(vec![true; n_rows]);
-                Ok(BatchRun::clean(r.makespan_cycles(), active_dpus))
-            }
-            Some(base) => {
-                let pol = per_batch_policy(base, seq);
-                let rep = self.inner.launch_resilient(&pol)?;
-                let mask: Vec<bool> =
-                    (0..n_rows).map(|d| rep.per_dpu[d].result.is_some()).collect();
-                let redispatched_items =
-                    rep.degraded.iter().filter(|d| (d.from.0 as usize) < n_rows).count();
-                let lost_items = mask.iter().filter(|ok| !**ok).count();
-                self.dirty |= !rep.quarantined.is_empty();
-                self.served = Some(mask);
-                Ok(BatchRun {
-                    compute_cycles: rep.makespan_cycles(),
-                    redispatched_items,
-                    lost_items,
-                    quarantined_dpus: rep.quarantined.iter().map(|d| d.0).collect(),
-                    repaired_dpus: (0..rep.per_dpu.len())
-                        .filter(|&d| rep.per_dpu[d].health() == ServeHealth::HealthyAfterRepair)
-                        .map(|d| u32::try_from(d).expect("dpu index fits"))
-                        .collect(),
-                    active_dpus,
-                })
-            }
-        }
+        // One row per DPU holding one.
+        let chunks = vec![1; self.inner.staged_rows()];
+        let policy = self.policy.as_ref().map(|base| per_batch_policy(base, seq));
+        let report = self.inner.launch_report(policy.as_ref())?;
+        let (run, served) = account(report, &chunks, policy.is_some())?;
+        self.dirty |= !run.quarantined_dpus.is_empty();
+        self.served = Some(served);
+        Ok(run)
     }
 
     fn gather(&mut self, buf: usize) -> Result<Gathered<Vec<i16>>, HostError> {

@@ -444,24 +444,17 @@ impl RowEngine {
         Ok((a_cap * self.dpus) as u64)
     }
 
-    /// Launch the staged batch.
+    /// Launch the staged batch, under a fault-tolerance policy if given.
     ///
     /// # Errors
-    /// The first DPU fault encountered.
-    pub fn launch(&mut self) -> Result<LaunchResult, HostError> {
-        self.set.launch_loaded(self.tasklets)
-    }
-
-    /// Launch under a fault-tolerance policy.
-    ///
-    /// # Errors
-    /// Host-runtime staging failures (injected faults are reported, not
-    /// returned as errors).
-    pub fn launch_resilient(
+    /// Host-runtime failures (DPU faults, injected or not, are reported,
+    /// not returned as errors).
+    pub fn launch_report(
         &mut self,
-        policy: &pim_host::ResilientLaunchPolicy,
+        policy: Option<&pim_host::ResilientLaunchPolicy>,
     ) -> Result<pim_host::LaunchReport, HostError> {
-        self.set.launch_loaded_resilient(self.tasklets, policy)
+        let spec = pim_host::LaunchSpec { policy, ..pim_host::LaunchSpec::loaded(self.tasklets) };
+        self.set.launch_with(spec).map(|(report, _)| report)
     }
 
     /// Profile-guided warmup: see the eBNN engine's `recompile_hot`.
@@ -553,13 +546,7 @@ pub fn run_tier1_layer_resilient(
     let mut set = tier1_layer_stage(dims, alpha, a, b, tasklets, false)?;
     let report = set.launch_loaded_resilient(tasklets, policy)?;
     if !report.fully_served() {
-        return Err(report
-            .per_dpu
-            .iter()
-            .find_map(|r| if r.result.is_none() { r.last_error.clone() } else { None })
-            .unwrap_or(HostError::WorkerPanic {
-                detail: "unserved DPU carried no error".to_owned(),
-            }));
+        return Err(report.into_launch_result().expect_err("a DPU went unserved"));
     }
     let c = gather_c(&set, dims)?;
     let redispatched_rows = report.degraded.iter().map(|d| d.from.0 as usize).collect();

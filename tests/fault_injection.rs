@@ -2,7 +2,7 @@
 //! a typed error — never a panic, never silent corruption.
 
 use dpu_sim::asm::assemble;
-use dpu_sim::{DpuId, Error as DpuError, FaultConfig, FaultPlan, Machine};
+use dpu_sim::{DpuId, Error as DpuError, ExecProgram, FaultConfig, FaultPlan, Machine, RunSpec};
 use pim_host::{DpuSet, HostError, ResilientLaunchPolicy};
 use proptest::prelude::*;
 
@@ -33,7 +33,9 @@ fn division_by_zero_on_one_dpu_fails_the_launch() {
 fn runaway_program_hits_the_cycle_budget() {
     let program = assemble("loop: jmp loop\n").unwrap();
     let mut m = Machine::default();
-    let err = m.run_with_budget(&program, 4, 100_000).unwrap_err();
+    let err = m
+        .execute(&ExecProgram::decode(&program), RunSpec { budget: 100_000, ..RunSpec::new(4) })
+        .unwrap_err();
     assert!(matches!(err, DpuError::CycleBudgetExceeded { budget: 100_000 }));
 }
 
@@ -155,8 +157,8 @@ fn ebnn_resilient_batch_with_no_faults_matches_plain_batch() {
         ebnn::run_tier1_batch_multi_dpu_resilient(&m, &imgs, &ResilientLaunchPolicy::default())
             .unwrap();
     assert_eq!(batch.features, plain_features);
-    assert_eq!(batch.report.to_launch_result().unwrap(), plain_launch);
     assert!(batch.redispatched_images.is_empty());
+    assert_eq!(batch.report.into_launch_result().unwrap(), plain_launch);
 }
 
 /// YOLO row-per-DPU GEMM survives multiple simultaneous whole-DPU faults.
@@ -231,7 +233,7 @@ proptest! {
         instrs.push(Instr::Halt);
         let program = dpu_sim::Program::new(instrs);
         let mut m = Machine::default();
-        let res = m.run_with_budget(&program, 3, 1_000_000);
+        let res = m.execute(&ExecProgram::decode(&program), RunSpec { budget: 1_000_000, ..RunSpec::new(3) });
         prop_assert!(res.is_ok());
     }
 }

@@ -123,12 +123,12 @@ fn zero_fault_resilient_pipelines_reproduce_the_golden_figures() {
         &ResilientLaunchPolicy::default(),
     )
     .expect("resilient run");
-    let launch = batch.report.to_launch_result().expect("fully served");
+    assert_eq!(batch.report.makespan_cycles(), 993_643);
+    assert!(batch.report.quarantined.is_empty() && batch.redispatched_images.is_empty());
+    let launch = batch.report.into_launch_result().expect("fully served");
     let cycles: Vec<u64> = launch.per_dpu.iter().map(|r| r.cycles).collect();
     assert_eq!(cycles, vec![993_098, 993_643, 682_723], "resilient eBNN cycles drifted");
     assert_eq!(launch.makespan_cycles(), 993_643);
-    assert_eq!(batch.report.makespan_cycles(), 993_643);
-    assert!(batch.report.quarantined.is_empty() && batch.redispatched_images.is_empty());
 
     // YOLO: 6 DPUs, 3 tasklets, same deterministic data as above.
     let dims = GemmDims { m: 6, n: 24, k: 18 };
@@ -139,10 +139,23 @@ fn zero_fault_resilient_pipelines_reproduce_the_golden_figures() {
         yolo_pim::run_tier1_layer_resilient(dims, 1, &a, &b, 3, &ResilientLaunchPolicy::default())
             .expect("resilient run");
     assert_eq!(layer.c, c_plain);
-    let yl = layer.report.to_launch_result().expect("fully served");
+    let yl = layer.report.into_launch_result().expect("fully served");
     let ycycles: Vec<u64> = yl.per_dpu.iter().map(|r| r.cycles).collect();
     assert_eq!(ycycles, vec![264_648; 6], "resilient YOLO cycles drifted");
     assert_eq!(yl.total_instructions(), 428_988);
+}
+
+/// One DPU holding a staged 24×40 GEMM row for 11 tasklets, and the row
+/// program.
+fn staged_gemm_row() -> (dpu_sim::Machine, dpu_sim::ExecProgram) {
+    let dims = GemmDims { m: 1, n: 40, k: 24 };
+    let a: Vec<i16> = (0..dims.k).map(|i| ((i * 7 % 13) as i16) - 6).collect();
+    let b: Vec<i16> = (0..dims.k * dims.n).map(|i| ((i * 5 % 11) as i16) - 5).collect();
+    let mut row_engine = yolo_pim::codegen::RowEngine::new(dims, 1, &b, 1, 11).expect("row engine");
+    row_engine.stage(&a).expect("stage A row");
+    let row_dpu = row_engine.set().system().dpu(dpu_sim::DpuId(0)).clone();
+    let program = yolo_pim::codegen::gemm_row_program(dims);
+    (row_dpu, dpu_sim::ExecProgram::compile(&program).expect("GEMM program"))
 }
 
 /// The shapes the fast engine's batched modes were built for — a full
@@ -172,14 +185,7 @@ fn paper_kernels_leave_identical_machines_on_every_engine_tier() {
     let orbit_dpus = [partial(12), partial(13), partial(14)];
     let ebnn_exec = ExecProgram::compile(&ebnn::codegen::tier1_program(1)).expect("eBNN program");
 
-    let dims = GemmDims { m: 1, n: 40, k: 24 };
-    let a: Vec<i16> = (0..dims.k).map(|i| ((i * 7 % 13) as i16) - 6).collect();
-    let b: Vec<i16> = (0..dims.k * dims.n).map(|i| ((i * 5 % 11) as i16) - 5).collect();
-    let mut row_engine = yolo_pim::codegen::RowEngine::new(dims, 1, &b, 1, 11).expect("row engine");
-    row_engine.stage(&a).expect("stage A row");
-    let row_dpu = row_engine.set().system().dpu(DpuId(0)).clone();
-    let row_exec =
-        ExecProgram::compile(&yolo_pim::codegen::gemm_row_program(dims)).expect("GEMM program");
+    let (row_dpu, row_exec) = staged_gemm_row();
 
     // (name, staged DPU, program, launched tasklets, rotates on an orbit)
     for (name, staged, exec, tasklets, orbit) in [
@@ -224,6 +230,66 @@ fn paper_kernels_leave_identical_machines_on_every_engine_tier() {
         let at = ebnn::codegen::mram::FEATURES as usize + i * fpi_pad;
         let got = served.mram.to_vec(at, ebnn_engine.features_per_image()).expect("in range");
         assert_eq!(got, model.features(&model.binarize(&image.pixels)), "image {i}");
+    }
+}
+
+/// One run entry, one invariant: the eBNN kernel (16 images, 16 tasklets)
+/// and a GEMM row (11 tasklets) through `Machine::execute` leave the same
+/// `RunResult`, WRAM, MRAM and perf counter whether nothing observes the
+/// run, a trace sink does, or the profiler does — asked of each of the
+/// three engine tiers — and every traced run records the same events,
+/// every profiled one the same attribution.
+#[test]
+fn paper_kernels_run_the_same_under_every_observer_on_every_engine_tier() {
+    use dpu_sim::{CycleAttribution, DpuId, Engine, ExecProgram, Observe, RunSpec};
+
+    let model = EbnnModel::generate(ModelConfig { filters: 1, ..ModelConfig::default() });
+    let images: Vec<_> = (0..16).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
+    let mut ebnn_engine = ebnn::codegen::Tier1Engine::new(&model, 1).expect("eBNN engine");
+    ebnn_engine.stage(&model, &images, 0).expect("stage images");
+    let ebnn_dpu = ebnn_engine.set().system().dpu(DpuId(0)).clone();
+    let ebnn_exec = ExecProgram::compile(&ebnn::codegen::tier1_program(1)).expect("eBNN program");
+
+    let (row_dpu, row_exec) = staged_gemm_row();
+
+    for (name, staged, exec, tasklets) in
+        [("eBNN x16", &ebnn_dpu, &ebnn_exec, 16), ("GEMM row x11", &row_dpu, &row_exec, 11)]
+    {
+        let mut reference = staged.clone();
+        let spec = RunSpec { engine: Some(Engine::Reference), ..RunSpec::new(tasklets) };
+        let expected = reference.execute(exec, spec).expect("kernel completes");
+        let (mut events, mut attribution) = (None, None);
+        for engine in [Engine::Reference, Engine::Superblock, Engine::Compiled] {
+            for observer in ["off", "trace", "profile"] {
+                let cell = format!("{name}, {engine:?}, {observer}");
+                let mut m = staged.clone();
+                let mut buf = TraceBuffer::new();
+                let mut attr = CycleAttribution::new();
+                let observe = match observer {
+                    "off" => Observe::Off,
+                    "trace" => Observe::Trace(&mut buf),
+                    _ => Observe::Profile(&mut attr),
+                };
+                let spec = RunSpec { engine: Some(engine), observe, ..RunSpec::new(tasklets) };
+                let result = m.execute(exec, spec).expect("kernel completes");
+                assert_eq!(result, expected, "{cell}: RunResult diverged");
+                assert!(m.wram == reference.wram, "{cell}: WRAM diverged");
+                assert!(m.mram == reference.mram, "{cell}: MRAM diverged");
+                assert_eq!(m.perf(), reference.perf(), "{cell}: perf counter diverged");
+                match observer {
+                    "trace" => {
+                        assert_eq!(buf.max_end_cycle(), expected.cycles, "{cell}");
+                        assert_eq!(&buf, events.get_or_insert_with(|| buf.clone()), "{cell}");
+                    }
+                    "profile" => {
+                        assert_eq!(attr.total_cycles(), expected.cycles, "{cell}");
+                        let blocks = attr.blocks().to_vec();
+                        assert_eq!(&blocks, attribution.get_or_insert_with(|| blocks.clone()));
+                    }
+                    _ => assert!(buf.is_empty() && attr.runs() == 0, "{cell}: nothing observes"),
+                }
+            }
+        }
     }
 }
 
