@@ -10,6 +10,8 @@
 //! unserved items. `--json` emits the machine-readable report (the CI
 //! `chaos-soak` job archives it).
 
+#![forbid(unsafe_code)]
+
 use pim_bench::chaos::{run_chaos, ChaosConfig};
 
 fn usage() -> ! {

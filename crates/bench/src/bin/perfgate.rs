@@ -24,6 +24,8 @@
 //! Exit status: 0 clean, 1 regression (differences listed on stderr),
 //! 2 usage error.
 
+#![forbid(unsafe_code)]
+
 use serde_json::Value;
 
 const DEFAULT_BASELINE: &str = "baselines/metrics_baseline.json";

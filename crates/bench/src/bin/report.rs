@@ -22,6 +22,8 @@
 //! (`inferno-flamegraph`/`flamegraph.pl` input) for the profiled ALU
 //! loop. See `docs/OBSERVABILITY.md`.
 
+#![forbid(unsafe_code)]
+
 use cpu_baseline::XeonModel;
 use ebnn::{EbnnModel, ModelConfig};
 use pim_bench as render;
@@ -628,8 +630,8 @@ mod perf_snapshot {
 
     /// Uniform per-DPU work at arbitrary scale: every DPU runs the same
     /// count, so instructions-per-host-second at 32 vs 2,560 DPUs measures
-    /// how close the persistent rank-sharded pool stays to linear scaling
-    /// (the launch overhead and the COW arena are what could break it).
+    /// how close the forked launch stays to linear scaling (the launch
+    /// overhead and the COW arena are what could break it).
     fn bench_uniform_launch(dpus: usize, n: usize) -> (u128, u64) {
         let program = skewed_program();
         let count: u64 = 4_000;
@@ -719,8 +721,8 @@ mod perf_snapshot {
             ("interpreter/sync_heavy_16t", bench_interpreter(&sync_heavy_program(), 16, samples)),
             ("multi_dpu/skewed_32", bench_skewed_launch(32, samples)),
             ("multi_dpu/uniform_32", bench_uniform_launch(32, samples)),
-            // The paper's full machine: 40 ranks of 64 DPUs through the
-            // persistent pool. Compare instructions_per_sec against
+            // The paper's full machine: 40 ranks of 64 DPUs through one
+            // forked launch. Compare instructions_per_sec against
             // uniform_32 for the scaling ratio (target ≥ 0.8× ideal).
             ("multi_dpu/rank_2560", bench_uniform_launch(2560, samples)),
         ];

@@ -4,6 +4,8 @@
 //! driver (or `pim_model::ModelReport`) and renders the corresponding paper
 //! table as text, paper value beside measured value where applicable.
 
+#![forbid(unsafe_code)]
+
 use pim_core::experiments as exp;
 use pim_model::report::BenchRow;
 use pim_model::ModelReport;

@@ -105,7 +105,7 @@ pub fn observation() -> LaunchObservation {
     obs.record(&r);
 
     // The paper's full machine: a uniform 2,560-DPU / 40-rank launch
-    // through the persistent pool. Light per-DPU work — the gate watches
+    // through one forked launch. Light per-DPU work — the gate watches
     // the simulated figures (instructions, cycles, DMA), which must stay
     // bit-stable at rank scale; wall-clock scaling lives in BENCH_5.json.
     let mut rank = DpuSet::allocate(2560).expect("alloc");

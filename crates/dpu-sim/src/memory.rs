@@ -29,6 +29,7 @@
 use crate::ecc;
 use crate::error::{Error, Result};
 use crate::params;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Byte-addressed little-endian memory with bounds checking.
@@ -280,6 +281,24 @@ impl MemorySnapshot {
     }
 }
 
+/// The page walk under [`CowMemory::read`], [`CowMemory::write`] and
+/// `holds`: the `len`-byte range at `addr`, cut at page boundaries, as
+/// `(page, offset in page, bytes of the range)` pieces in address order.
+/// The caller bounds-checks first, so no piece runs past a short last
+/// page.
+fn page_spans(addr: usize, len: usize) -> impl Iterator<Item = (usize, usize, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let at = addr + done;
+            let (page, off) = (at / MRAM_PAGE_BYTES, at % MRAM_PAGE_BYTES);
+            let take = (MRAM_PAGE_BYTES - off).min(len - done);
+            done += take;
+            (page, off, done - take..done)
+        })
+    })
+}
+
 impl CowMemory {
     /// Create a zeroed memory of `size` bytes labelled `kind` for error
     /// messages. Nothing is materialized: a fresh 64 MiB MRAM costs one
@@ -339,16 +358,12 @@ impl CowMemory {
     /// [`Error::OutOfBounds`] when the range exceeds capacity.
     pub fn read(&self, addr: usize, buf: &mut [u8]) -> Result<()> {
         self.check_range(addr, buf.len())?;
-        let mut done = 0;
-        while done < buf.len() {
-            let at = addr + done;
-            let (page, off) = (at / MRAM_PAGE_BYTES, at % MRAM_PAGE_BYTES);
-            let take = (self.page_len(page) - off).min(buf.len() - done);
+        for (page, off, span) in page_spans(addr, buf.len()) {
+            let dst = &mut buf[span];
             match &self.pages[page] {
-                Some(data) => buf[done..done + take].copy_from_slice(&data[off..off + take]),
-                None => buf[done..done + take].fill(0),
+                Some(data) => dst.copy_from_slice(&data[off..off + dst.len()]),
+                None => dst.fill(0),
             }
-            done += take;
         }
         Ok(())
     }
@@ -357,25 +372,14 @@ impl CowMemory {
     /// range exceeds capacity). Compares page by page without copying;
     /// zero pages hold zeros.
     pub(crate) fn holds(&self, addr: usize, expect: &[u8]) -> bool {
-        if self.check_range(addr, expect.len()).is_err() {
-            return false;
-        }
-        let mut done = 0;
-        while done < expect.len() {
-            let at = addr + done;
-            let (page, off) = (at / MRAM_PAGE_BYTES, at % MRAM_PAGE_BYTES);
-            let take = (self.page_len(page) - off).min(expect.len() - done);
-            let want = &expect[done..done + take];
-            let same = match &self.pages[page] {
-                Some(data) => data[off..off + take] == *want,
-                None => want.iter().all(|&b| b == 0),
-            };
-            if !same {
-                return false;
-            }
-            done += take;
-        }
-        true
+        self.check_range(addr, expect.len()).is_ok()
+            && page_spans(addr, expect.len()).all(|(page, off, span)| {
+                let want = &expect[span];
+                match &self.pages[page] {
+                    Some(data) => data[off..off + want.len()] == *want,
+                    None => want.iter().all(|&b| b == 0),
+                }
+            })
     }
 
     /// Write `buf` starting at `addr`, materializing or privatizing the
@@ -385,16 +389,12 @@ impl CowMemory {
     /// [`Error::OutOfBounds`] when the range exceeds capacity.
     pub fn write(&mut self, addr: usize, buf: &[u8]) -> Result<()> {
         self.check_range(addr, buf.len())?;
-        let mut done = 0;
-        while done < buf.len() {
-            let at = addr + done;
-            let (page, off) = (at / MRAM_PAGE_BYTES, at % MRAM_PAGE_BYTES);
-            let take = (self.page_len(page) - off).min(buf.len() - done);
-            self.page_mut(page)[off..off + take].copy_from_slice(&buf[done..done + take]);
+        for (page, off, span) in page_spans(addr, buf.len()) {
+            let src = &buf[span];
+            self.page_mut(page)[off..off + src.len()].copy_from_slice(src);
             if self.ecc {
-                self.refresh_codes(page, off, take);
+                self.refresh_codes(page, off, src.len());
             }
-            done += take;
         }
         Ok(())
     }
@@ -1122,6 +1122,28 @@ mod tests {
         let data: Vec<u8> = (0..(MRAM_PAGE_BYTES + 100)).map(|i| (i % 251) as u8).collect();
         m.write(MRAM_PAGE_BYTES - 50, &data).unwrap();
         assert_eq!(m.to_vec(MRAM_PAGE_BYTES - 50, data.len()).unwrap(), data);
+        assert!(m.holds(MRAM_PAGE_BYTES - 50, &data));
+
+        // Ranges straddling a zero page and a materialized one, both ways
+        // round: only page 1 of three is ever written.
+        let mut m = CowMemory::new("MRAM", MRAM_PAGE_BYTES * 3);
+        m.write(MRAM_PAGE_BYTES, &[7; 8]).unwrap();
+        m.write(2 * MRAM_PAGE_BYTES - 8, &[9; 8]).unwrap();
+        assert_eq!(m.resident_pages(), 1);
+        let into = [[0u8; 8], [7; 8]].concat(); // zero page 0 → page 1
+        let out_of = [[9u8; 8], [0; 8]].concat(); // page 1 → zero page 2
+        assert!(m.holds(MRAM_PAGE_BYTES - 8, &into));
+        assert!(m.holds(2 * MRAM_PAGE_BYTES - 8, &out_of));
+        for wrong in [0, 8] {
+            // One wrong byte on either side of the boundary.
+            let mut into = into.clone();
+            into[wrong] ^= 1;
+            assert!(!m.holds(MRAM_PAGE_BYTES - 8, &into), "byte {wrong}");
+            let mut out_of = out_of.clone();
+            out_of[wrong] ^= 1;
+            assert!(!m.holds(2 * MRAM_PAGE_BYTES - 8, &out_of), "byte {wrong}");
+        }
+        assert_eq!(m.resident_pages(), 1, "holds never materializes");
     }
 
     #[test]
@@ -1131,6 +1153,16 @@ mod tests {
         assert_eq!(m.read_u8(MRAM_PAGE_BYTES + 9).unwrap(), 5);
         assert!(m.write(MRAM_PAGE_BYTES + 3, &[5; 8]).is_err());
         assert_eq!(m.resident_bytes(), 10);
+
+        // Ranges that end exactly on the short last page's last byte, one
+        // of them reaching back across the page boundary.
+        let mut tail = vec![0u8; 4];
+        tail.extend_from_slice(&[0, 0, 5, 5, 5, 5, 5, 5, 5, 5]);
+        assert!(m.holds(MRAM_PAGE_BYTES - 4, &tail));
+        assert!(m.holds(MRAM_PAGE_BYTES + 2, &[5; 8]));
+        assert!(!m.holds(MRAM_PAGE_BYTES + 2, &[5, 5, 5, 5, 5, 5, 5, 4]));
+        assert!(!m.holds(MRAM_PAGE_BYTES + 3, &[5; 8]), "past capacity");
+        assert_eq!(m.to_vec(MRAM_PAGE_BYTES - 4, tail.len()).unwrap(), tail);
     }
 
     #[test]

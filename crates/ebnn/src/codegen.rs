@@ -382,41 +382,19 @@ fn tier1_single_impl(
 ) -> Result<TracedBatch, HostError> {
     assert!(!images.is_empty() && images.len() <= IMAGES_PER_DPU, "1..=16 images per DPU");
     assert!((1..=24).contains(&tasklets), "tasklets must be 1..=24");
-    let filters = model.config.filters;
-    let l = WramLayout::new(filters);
-    let fpi = l.features_per_image() as usize;
-    let fpi_pad = fpi.div_ceil(8) * 8;
-
-    let mut set = DpuSet::allocate(1)?;
-    if trace {
-        set.enable_host_tracing();
-    }
-    // Sequential definitions land at the fixed offsets in [`mram`], which
-    // the generated program hard-codes.
-    set.define_symbol("params", 16)?;
-    set.define_symbol("images", 2048)?;
-    set.define_symbol("filters", 256)?;
-    set.define_symbol("lut", 312)?;
-    set.define_symbol("features", IMAGES_PER_DPU * fpi_pad)?;
-
-    let params = params_wire(images.len() as u32, tasklets as u32, mram::IMAGES, mram::FEATURES);
-    set.copy_to("params", 0, &params)?;
-    for (i, g) in images.iter().enumerate() {
-        let slot = encode_slot(model, g);
-        set.copy_to_dpu(DpuId(0), "images", i * IMAGE_SLOT_BYTES, &slot)?;
-    }
-    let mut filter_wire = vec![0u8; 16 * filters];
-    for (j, f) in model.filters.iter().enumerate() {
-        for (r, &row) in f.rows.iter().enumerate() {
-            filter_wire[j * 16 + 4 * r..j * 16 + 4 * r + 4]
-                .copy_from_slice(&u32::from(row).to_le_bytes());
+    let (fpi, fpi_pad) = feature_bytes(model);
+    let mut set = model_set(model, 1, trace, |set| {
+        let params =
+            params_wire(images.len() as u32, tasklets as u32, mram::IMAGES, mram::FEATURES);
+        set.copy_to("params", 0, &params)?;
+        for (i, g) in images.iter().enumerate() {
+            let slot = encode_slot(model, g);
+            set.copy_to_dpu(DpuId(0), "images", i * IMAGE_SLOT_BYTES, &slot)?;
         }
-    }
-    set.copy_to("filters", 0, &pim_host::pad_to_8(&filter_wire))?;
-    let lut = BnLut::for_conv3x3(&model.bn);
-    set.copy_to("lut", 0, &pim_host::pad_to_8(&lut.to_bytes()))?;
+        Ok(())
+    })?;
 
-    let program = tier1_program(filters);
+    let program = tier1_program(model.config.filters);
     let (report, dpu_traces) =
         set.launch_with(LaunchSpec { trace, ..LaunchSpec::adhoc(&program, tasklets) })?;
     let launch = report.into_launch_result()?;
@@ -429,6 +407,49 @@ fn tier1_single_impl(
     }
     let host_trace = set.take_host_trace().unwrap_or_default();
     Ok(TracedBatch { features, launch, dpu_traces, host_trace })
+}
+
+/// Feature bytes per image for `model`, and the same padded to the 8-byte
+/// transfer granule.
+fn feature_bytes(model: &EbnnModel) -> (usize, usize) {
+    let fpi = WramLayout::new(model.config.filters).features_per_image() as usize;
+    (fpi, fpi.div_ceil(8) * 8)
+}
+
+/// A set of `dpus` DPUs laid out for [`tier1_program`]: the five MRAM
+/// symbols defined in order — so they land at the offsets in [`mram`],
+/// which the program hard-codes — then `stage` run on the set, then the
+/// filters and the LUT broadcast. A traced set's host-transfer log
+/// records `stage`'s transfers before the broadcasts.
+fn model_set(
+    model: &EbnnModel,
+    dpus: usize,
+    trace: bool,
+    stage: impl FnOnce(&mut DpuSet) -> Result<(), HostError>,
+) -> Result<DpuSet, HostError> {
+    let filters = model.config.filters;
+    let mut set = DpuSet::allocate(dpus)?;
+    if trace {
+        set.enable_host_tracing();
+    }
+    set.define_symbol("params", 16)?;
+    set.define_symbol("images", 2048)?;
+    set.define_symbol("filters", 256)?;
+    set.define_symbol("lut", 312)?;
+    set.define_symbol("features", IMAGES_PER_DPU * feature_bytes(model).1)?;
+    stage(&mut set)?;
+
+    let mut filter_wire = vec![0u8; 16 * filters];
+    for (j, f) in model.filters.iter().enumerate() {
+        for (r, &row) in f.rows.iter().enumerate() {
+            filter_wire[j * 16 + 4 * r..j * 16 + 4 * r + 4]
+                .copy_from_slice(&u32::from(row).to_le_bytes());
+        }
+    }
+    set.copy_to("filters", 0, &pim_host::pad_to_8(&filter_wire))?;
+    let lut = BnLut::for_conv3x3(&model.bn);
+    set.copy_to("lut", 0, &pim_host::pad_to_8(&lut.to_bytes()))?;
+    Ok(set)
 }
 
 #[cfg(test)]
@@ -635,41 +656,20 @@ impl Tier1Engine {
     ) -> Result<Self, HostError> {
         assert!(dpus > 0, "engine needs at least one DPU");
         assert!(buffers == 1 || buffers == 2, "1 or 2 buffers");
-        let filters = model.config.filters;
-        let l = WramLayout::new(filters);
-        let fpi = l.features_per_image() as usize;
-        let fpi_pad = fpi.div_ceil(8) * 8;
-
-        let mut set = DpuSet::allocate(dpus)?;
-        if trace {
-            set.enable_host_tracing();
-        }
-        set.define_symbol("params", 16)?;
-        set.define_symbol("images", 2048)?;
-        set.define_symbol("filters", 256)?;
-        set.define_symbol("lut", 312)?;
-        set.define_symbol("features", IMAGES_PER_DPU * fpi_pad)?;
+        let (fpi, fpi_pad) = feature_bytes(model);
         let mut img_base = vec![mram::IMAGES];
         let mut feat_base = vec![mram::FEATURES];
-        if buffers == 2 {
-            let alt_img = set.define_symbol("images_alt", 2048)?;
-            let alt_feat = set.define_symbol("features_alt", IMAGES_PER_DPU * fpi_pad)?;
-            img_base.push(alt_img.offset as u32);
-            feat_base.push(alt_feat.offset as u32);
-        }
-
         // Shared weights/LUT broadcast once for the life of the engine.
-        let mut filter_wire = vec![0u8; 16 * filters];
-        for (j, f) in model.filters.iter().enumerate() {
-            for (r, &row) in f.rows.iter().enumerate() {
-                filter_wire[j * 16 + 4 * r..j * 16 + 4 * r + 4]
-                    .copy_from_slice(&u32::from(row).to_le_bytes());
+        let mut set = model_set(model, dpus, trace, |set| {
+            if buffers == 2 {
+                let alt_img = set.define_symbol("images_alt", 2048)?;
+                let alt_feat = set.define_symbol("features_alt", IMAGES_PER_DPU * fpi_pad)?;
+                img_base.push(alt_img.offset as u32);
+                feat_base.push(alt_feat.offset as u32);
             }
-        }
-        set.copy_to("filters", 0, &pim_host::pad_to_8(&filter_wire))?;
-        let lut = BnLut::for_conv3x3(&model.bn);
-        set.copy_to("lut", 0, &pim_host::pad_to_8(&lut.to_bytes()))?;
-        set.load(&tier1_program(filters))?;
+            Ok(())
+        })?;
+        set.load(&tier1_program(model.config.filters))?;
 
         // Pristine weights-loaded state. Fault-armed launches can leave
         // quarantined DPUs' MRAM corrupted (their last failed attempt is

@@ -10,11 +10,11 @@
 
 use crate::error::Result;
 use crate::observe::LaunchObservation;
-use crate::pool::WorkerPool;
 use crate::resilient::{launch_core, LaunchReport, ResilientLaunchPolicy};
 use crate::set::{no_program_loaded, DpuSet};
 use dpu_sim::{ExecProgram, PimSystem, Profiler, Program, RunResult};
 use pim_trace::{MetricsRegistry, TraceBuffer};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Results of one launch across a DPU set.
@@ -131,8 +131,9 @@ pub struct LaunchSpec<'a> {
     /// DPU under the default cycle budget, nothing injected, nothing
     /// re-dispatched — observationally what a zero-fault policy does.
     pub policy: Option<&'a ResilientLaunchPolicy>,
-    /// Feed the launch, the engine residency of its runs and — when the
-    /// pool ran it — the steal distribution into this observation.
+    /// Feed the launch, the engine residency of its runs and — when
+    /// worker threads ran it — the steal distribution into this
+    /// observation.
     pub observe: Option<&'a mut LaunchObservation>,
 }
 
@@ -154,8 +155,8 @@ impl DpuSet {
     /// Run a program on every DPU of the set and wait for completion
     /// (`dpu_launch`): the one entry every launch goes through.
     ///
-    /// DPUs are simulated in parallel on the set's worker pool when the
-    /// set is large enough for the hand-off to pay off. Per-DPU faults are
+    /// DPUs are simulated in parallel on one worker thread per core when
+    /// the set is large enough for the spawn to pay off. Per-DPU faults are
     /// reported in the [`LaunchReport`], not as `Err`;
     /// [`LaunchReport::into_launch_result`] turns the first of them into
     /// one. The trace buffers are empty unless [`LaunchSpec::trace`].
@@ -170,7 +171,8 @@ impl DpuSet {
     ) -> Result<(LaunchReport, Vec<TraceBuffer>)> {
         let LaunchSpec { program, tasklets, trace, policy, observe } = spec;
         let engine = self.engine();
-        let (system, loaded, sched) = self.launch_parts();
+        let threshold = self.parallel_threshold();
+        let (system, loaded) = self.launch_parts();
         let adhoc;
         let exec = match program {
             LaunchProgram::Loaded => loaded.ok_or_else(no_program_loaded)?,
@@ -181,7 +183,7 @@ impl DpuSet {
         };
         let engine_before = observe.as_ref().map(|_| system.engine_stats());
         let (report, buffers, steal) =
-            launch_core(system, tasklets, trace, engine, policy, &sched, |dpu, run| {
+            launch_core(system, tasklets, trace, engine, policy, threshold, |dpu, run| {
                 dpu.execute(exec, run)
             });
         // A plain launch that faulted is an error to its caller, not a
@@ -249,50 +251,13 @@ impl DpuSet {
     }
 }
 
-/// Below the threshold a launch runs on the calling thread: handing the
-/// batch to the pool costs more than it saves on tiny sets. The effective
-/// value is a per-set tunable ([`DpuSet::set_parallel_threshold`]) with a
+/// Below the threshold a launch runs on the calling thread: spawning a
+/// worker costs more than it saves on tiny sets. The effective value is a
+/// per-set tunable ([`DpuSet::set_parallel_threshold`]) with a
 /// process-wide environment override ([`DpuSet::PARALLEL_THRESHOLD_ENV`]),
 /// mirroring [`dpu_sim::Engine::effective`]; this constant is the fallback, picked
 /// by the sweep recorded in `docs/PERFORMANCE.md`.
 pub(crate) const DEFAULT_PARALLEL_THRESHOLD: usize = 4;
-
-/// DPUs per rank — the natural shard size at rank scale (UPMEM allocates
-/// whole ranks, and one rank is 64 DPUs on the evaluated server).
-pub(crate) const RANK_DPUS: usize =
-    dpu_sim::params::DPUS_PER_DIMM / dpu_sim::params::RANKS_PER_DIMM;
-
-/// Shard size for an `n`-job batch: whole ranks once the set spans at
-/// least two of them (so workers stay rank-affine), else an even split
-/// over the pool's workers.
-fn rank_shard_size(n: usize, workers: usize) -> usize {
-    if n >= 2 * RANK_DPUS {
-        RANK_DPUS
-    } else {
-        n.div_ceil(workers.max(1)).max(1)
-    }
-}
-
-/// Scheduling context for one launch: the owning set's persistent worker
-/// pool (when it has one) and its parallel threshold.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Sched<'a> {
-    /// The set's persistent pool; `None` forces the sequential path.
-    pub pool: Option<&'a WorkerPool>,
-    /// Minimum set size that engages the pool.
-    pub threshold: usize,
-}
-
-impl Sched<'_> {
-    /// The pool `n` jobs should run on, or `None` for the sequential path.
-    pub fn pool_for(&self, n: usize) -> Option<&WorkerPool> {
-        if n >= self.threshold {
-            self.pool
-        } else {
-            None
-        }
-    }
-}
 
 /// How the work-stealing scheduler distributed one launch's DPU jobs
 /// over its worker threads.
@@ -301,20 +266,18 @@ impl Sched<'_> {
 /// which DPU depends on host thread timing, so these numbers vary from
 /// run to run (unlike every simulated figure) and are excluded from the
 /// deterministic launch results. [`crate::LaunchObservation`] aggregates
-/// them under `obs.steal.*`.
+/// them under `obs.steal.*` and `obs.pool.*`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StealStats {
-    /// Jobs claimed by each worker thread (index = worker).
+    /// Jobs claimed by each worker thread (index = worker; the calling
+    /// thread is the last).
     pub claims: Vec<u64>,
-    /// Shards the batch was split into (one per rank at rank scale).
-    pub shards: usize,
-    /// Jobs handed to the pool (= DPUs simulated) — the launch's queue
-    /// depth at enqueue time.
+    /// Jobs the launch handed out (= DPUs simulated) — its queue depth.
     pub queued: u64,
 }
 
 impl StealStats {
-    /// Worker threads in the pool.
+    /// Worker threads that ran the launch, the calling thread included.
     #[must_use]
     pub fn workers(&self) -> usize {
         self.claims.len()
@@ -327,21 +290,21 @@ impl StealStats {
     }
 }
 
-/// Run `job` once per DPU, in DPU order on the calling thread or — when
-/// `sched` hands out a pool for this many DPUs — work-stealing: pool
-/// workers claim DPUs one at a time off their home shard's cursor
-/// (stealing from other shards once it drains), so a few expensive DPUs
-/// cannot idle the rest of the pool the way static chunking did. The one
-/// place a launch chooses between the two.
+/// Run `job` once per DPU: in DPU order on the calling thread below
+/// `threshold` DPUs, else as one fork-join — one worker per available
+/// core (capped at the set size), the calling thread the last of them,
+/// every worker claiming DPUs one at a time off one shared cursor so a
+/// few expensive DPUs cannot idle the rest. The one place a launch
+/// chooses between the two; no thread outlives the call.
 ///
 /// `job` receives the DPU index, the DPU and its element of `buffers`
 /// (`None` past the end: an untraced launch passes no buffers at all
 /// rather than build 2,560 to throw away), and must not unwind. Outcomes
 /// come back in DPU order regardless of which worker ran what, with the
-/// pool's distribution of the jobs when it ran them.
+/// workers' claims when there were workers.
 pub(crate) fn dispatch<R, F>(
     system: &mut PimSystem,
-    sched: &Sched<'_>,
+    threshold: usize,
     buffers: &mut [TraceBuffer],
     job: F,
 ) -> (Vec<R>, Option<StealStats>)
@@ -358,20 +321,37 @@ where
     let n = system.len();
     let mut buffers = buffers.iter_mut();
     let dpus = system.iter_mut().map(|(_, dpu)| (dpu, buffers.next()));
-    let Some(pool) = sched.pool_for(n) else {
+    if n < threshold {
         return (dpus.enumerate().map(|(i, (dpu, buf))| job(i, dpu, buf)).collect(), None);
-    };
+    }
     let slots: Vec<Mutex<Slot<R>>> =
         dpus.map(|(dpu, buf)| Mutex::new(Slot { dpu, buf, outcome: None })).collect();
-    let runner = |i: usize, _w: usize| {
-        // Each index is claimed exactly once, so the lock is always
-        // uncontended; it exists to hand the `&mut` state to whichever
-        // worker drew the index.
-        let mut slot = slots[i].lock().expect("job mutex poisoned");
-        let Slot { dpu, buf, outcome } = &mut *slot;
-        *outcome = Some(job(i, dpu, buf.as_deref_mut()));
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut claimed = 0;
+        loop {
+            // `Relaxed`: the cursor only hands out indexes; the state they
+            // name passes through the slot mutexes and the scope's joins.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(i) else { return claimed };
+            // Each index is claimed exactly once, so the lock is always
+            // uncontended; it exists to hand the `&mut` state to whichever
+            // worker drew the index.
+            let mut slot = slot.lock().expect("job mutex poisoned");
+            let Slot { dpu, buf, outcome } = &mut *slot;
+            *outcome = Some(job(i, dpu, buf.as_deref_mut()));
+            claimed += 1;
+        }
     };
-    let stats = pool.run_batch(n, rank_shard_size(n, pool.workers()), &runner);
+    let workers = std::thread::available_parallelism().map_or(4, usize::from).min(n);
+    let claims = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+        let own = worker();
+        let mut claims: Vec<u64> =
+            spawned.into_iter().map(|h| h.join().expect("jobs do not unwind")).collect();
+        claims.push(own);
+        claims
+    });
     let outcomes = slots
         .into_iter()
         .map(|m| {
@@ -379,7 +359,7 @@ where
             slot.outcome.expect("every DPU index was claimed by a worker")
         })
         .collect();
-    (outcomes, Some(StealStats { claims: stats.claims, shards: stats.shards, queued: n as u64 }))
+    (outcomes, Some(StealStats { claims, queued: n as u64 }))
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -600,7 +580,8 @@ mod scheduler_equivalence_tests {
         /// The satellite invariant: the work-stealing scheduler is
         /// observationally identical to the sequential path — per-DPU
         /// results and trace buffers, in DPU order — for random programs,
-        /// skews and set sizes, traced and untraced.
+        /// skews and set sizes, traced and untraced; and it runs every DPU
+        /// exactly once.
         #[test]
         fn work_stealing_matches_sequential_exactly(
             dpus in 1usize..9,
@@ -612,33 +593,36 @@ mod scheduler_equivalence_tests {
             let program = build_program(&ops, barrier_sel == 1);
             let exec = ExecProgram::compile(&program).unwrap();
 
-            let pool = crate::pool::WorkerPool::for_dpus(dpus);
-            let run = |pool: Option<&crate::pool::WorkerPool>, trace: bool| {
+            let run = |threshold: usize, trace: bool| {
                 let mut set = skewed_set(dpus, &counts);
-                let sched = Sched { pool, threshold: 0 };
                 let engine = Some(Engine::default());
+                let runs = AtomicUsize::new(0);
                 let (report, bufs, steal) =
-                    launch_core(set.system_mut(), tasklets, trace, engine, None, &sched, |dpu, run| {
+                    launch_core(set.system_mut(), tasklets, trace, engine, None, threshold, |dpu, run| {
+                        runs.fetch_add(1, Ordering::Relaxed);
                         dpu.execute(&exec, run)
                     });
-                (report.into_launch_result().unwrap(), bufs, steal)
+                (report.into_launch_result().unwrap(), bufs, steal, runs.into_inner())
             };
-            let (seq, seq_bufs, none) = run(None, true);
-            let (steal, steal_bufs, stats) = run(Some(&pool), true);
+            let (seq, seq_bufs, none, _) = run(usize::MAX, true);
+            let (steal, steal_bufs, stats, runs) = run(0, true);
             prop_assert_eq!(seq_bufs.len(), dpus);
             prop_assert_eq!(&seq_bufs, &steal_bufs);
             prop_assert_eq!(&seq, &steal);
             prop_assert!(none.is_none());
-            let stats = stats.expect("the pool ran the launch");
+            let stats = stats.expect("the launch forked");
             // Untraced launches: the same results, and no buffers built.
-            for pool in [None, Some(&pool)] {
-                let (untraced, bufs, _) = run(pool, false);
+            for threshold in [usize::MAX, 0] {
+                let (untraced, bufs, _, _) = run(threshold, false);
                 prop_assert_eq!(&untraced, &seq);
                 prop_assert!(bufs.is_empty());
             }
+            // Every index once: as many runs as DPUs, every DPU served.
+            prop_assert_eq!(runs, dpus);
             prop_assert_eq!(stats.total_claims(), dpus as u64);
             prop_assert_eq!(stats.queued, dpus as u64);
-            prop_assert!(stats.shards >= 1);
+            let workers = std::thread::available_parallelism().map_or(4, usize::from).min(dpus);
+            prop_assert_eq!(stats.workers(), workers);
         }
     }
 
@@ -650,18 +634,15 @@ mod scheduler_equivalence_tests {
     #[test]
     fn relaunch_after_worker_panic_reads_clean_state() {
         let mut set = skewed_set(6, &[0, 0, 1, 0, 0, 0]);
-        let pool = crate::pool::WorkerPool::for_dpus(6);
         let arming =
             ExecProgram::compile(&dpu_sim::asm::assemble("perf.config\nhalt\n").unwrap()).unwrap();
-        let sched = Sched { pool: Some(&pool), threshold: 0 };
-        let (report, _, _) =
-            launch_core(set.system_mut(), 1, false, None, None, &sched, |dpu, run| {
-                let r = dpu.execute(&arming, run);
-                if dpu.mram.read_u32(0).unwrap() == 1 {
-                    panic!("injected mid-launch failure");
-                }
-                r
-            });
+        let (report, _, _) = launch_core(set.system_mut(), 1, false, None, None, 0, |dpu, run| {
+            let r = dpu.execute(&arming, run);
+            if dpu.mram.read_u32(0).unwrap() == 1 {
+                panic!("injected mid-launch failure");
+            }
+            r
+        });
         assert_eq!(report.quarantined, [dpu_sim::DpuId(2)]);
         assert!(matches!(report.into_launch_result(), Err(HostError::WorkerPanic { .. })));
 
@@ -692,7 +673,6 @@ mod scheduler_equivalence_tests {
 mod launch_matrix_tests {
     use super::*;
     use crate::error::HostError;
-    use crate::pool::WorkerPool;
     use dpu_sim::asm::assemble;
     use dpu_sim::{DpuId, Engine, FaultPlan};
 
@@ -743,7 +723,7 @@ mod launch_matrix_tests {
     }
 
     /// A set whose DPU `i` holds `i + 1` at MRAM offset 0, `program`
-    /// loaded, launching sequentially or on the pool.
+    /// loaded, launching sequentially or forked.
     fn seeded_set(program: &Program, pooled: bool) -> DpuSet {
         let mut set = DpuSet::allocate(DPUS).unwrap();
         for (i, (_, dpu)) in set.system_mut().iter_mut().enumerate() {
@@ -858,18 +838,17 @@ mod launch_matrix_tests {
     }
 
     /// A panic inside one DPU's simulation is that DPU's error — on the
-    /// calling thread as on the pool, with or without a policy — and the
-    /// other DPUs are served.
+    /// calling thread as on the workers, with or without a policy — and
+    /// the other DPUs are served.
     #[test]
     fn a_panicking_simulation_is_a_worker_panic_on_both_dispatch_paths() {
         let exec = ExecProgram::compile(&work_program()).unwrap();
-        let pool = WorkerPool::for_dpus(DPUS);
         let default = ResilientLaunchPolicy::default();
-        for pool in [None, Some(&pool)] {
+        for pooled in [false, true] {
             for policy in [None, Some(&default)] {
-                let cell = format!("pooled={} policy={}", pool.is_some(), policy.is_some());
+                let cell = format!("pooled={pooled} policy={}", policy.is_some());
                 let mut set = seeded_set(&work_program(), false);
-                let sched = Sched { pool, threshold: 0 };
+                let threshold = if pooled { 0 } else { usize::MAX };
                 let engine = Some(Engine::default());
                 let (report, _, steal) = launch_core(
                     set.system_mut(),
@@ -877,13 +856,13 @@ mod launch_matrix_tests {
                     false,
                     engine,
                     policy,
-                    &sched,
+                    threshold,
                     |dpu, run| {
                         assert!(dpu.mram.read_u32(0).unwrap() != 4, "injected failure on DPU 3");
                         dpu.execute(&exec, run)
                     },
                 );
-                assert_eq!(steal.is_some(), pool.is_some(), "{cell}");
+                assert_eq!(steal.is_some(), pooled, "{cell}");
                 assert_eq!(report.quarantined, [DpuId(3)], "{cell}");
                 assert_eq!(report.per_dpu[3].attempts, if policy.is_some() { 3 } else { 1 });
                 assert_eq!(report.per_dpu.iter().filter(|r| r.result.is_some()).count(), DPUS - 1);

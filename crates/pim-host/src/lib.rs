@@ -21,10 +21,7 @@
 //!   [`dpu_sim::cost::OpCounts`] per tasklet and get a pipeline-law cycle
 //!   estimate.
 
-// `deny` rather than `forbid`: the persistent worker pool (`pool`) uses
-// one audited unsafe construction (lifetime-erased scoped jobs) behind a
-// module-level allow; everything else stays safe Rust.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod align;
@@ -34,7 +31,6 @@ pub mod exec;
 pub mod launch;
 pub mod link;
 pub mod observe;
-mod pool;
 pub mod resilient;
 pub mod set;
 pub mod snapshot;

@@ -41,9 +41,9 @@
 //! Scheduling telemetry (host-thread timing dependent — **not**
 //! deterministic, perf gates must ignore them): `obs.steal.launches`,
 //! `obs.steal.claims` counters, `obs.steal.workers` gauge,
-//! `obs.steal.claims_per_worker` histogram; and for the persistent worker
-//! pool, `obs.pool.batches` counter, `obs.pool.workers` / `obs.pool.shards`
-//! gauges, `obs.pool.queue_depth` / `obs.pool.occupancy` histograms.
+//! `obs.steal.claims_per_worker` histogram; and for the forked launches'
+//! workers, `obs.pool.batches` counter, `obs.pool.workers` gauge,
+//! `obs.pool.queue_depth` / `obs.pool.occupancy` histograms.
 
 use crate::launch::{LaunchResult, StealStats};
 use crate::resilient::LaunchReport;
@@ -128,8 +128,8 @@ impl LaunchObservation {
         }
     }
 
-    /// Record how the persistent pool's work-stealing scheduler spread one
-    /// launch over its workers. Scheduling-dependent: see the module docs.
+    /// Record how the work-stealing scheduler spread one forked launch
+    /// over its workers. Scheduling-dependent: see the module docs.
     #[allow(clippy::cast_precision_loss)]
     pub fn record_steal(&mut self, stats: &StealStats) {
         self.registry.counter_add("obs.steal.launches", 1);
@@ -138,11 +138,10 @@ impl LaunchObservation {
         for &claimed in &stats.claims {
             self.registry.observe("obs.steal.claims_per_worker", claimed as f64);
         }
-        // Pool shape: one batch per launch, its queue depth at enqueue,
-        // and the fraction of workers that claimed at least one job.
+        // Worker shape: one batch per launch, its queue depth, and the
+        // fraction of workers that claimed at least one job.
         self.registry.counter_add("obs.pool.batches", 1);
         self.registry.gauge_set("obs.pool.workers", stats.workers() as f64);
-        self.registry.gauge_set("obs.pool.shards", stats.shards as f64);
         self.registry.observe("obs.pool.queue_depth", stats.queued as f64);
         if stats.workers() > 0 {
             let occupied = stats.claims.iter().filter(|&&c| c > 0).count();

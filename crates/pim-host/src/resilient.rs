@@ -43,7 +43,7 @@
 //! host simulates DPUs sequentially or work-steals them across threads.
 
 use crate::error::{HostError, Result};
-use crate::launch::{dispatch, launch_metrics, panic_detail, LaunchResult, Sched, StealStats};
+use crate::launch::{dispatch, launch_metrics, panic_detail, LaunchResult, StealStats};
 use dpu_sim::faults::{FaultPlan, InjectedFault};
 use dpu_sim::machine::DEFAULT_CYCLE_BUDGET;
 use dpu_sim::{
@@ -487,8 +487,8 @@ where
 /// The launch core: `run` the program on every DPU of `system` under
 /// `policy` ([`PLAIN`] when `None`) and collect the report — plus, when
 /// `trace` is set, one trace buffer per DPU in DPU order (none otherwise)
-/// and, when the pool ran the wave, how it spread the DPUs over its
-/// workers.
+/// and, when the set reached `threshold` DPUs and the wave forked, how it
+/// spread the DPUs over the workers.
 ///
 /// `engine` pins the execution tier for every DPU; `None` resolves the
 /// ambient [`Engine::effective`] selection **once** here, so all DPUs of
@@ -501,7 +501,7 @@ pub(crate) fn launch_core<F>(
     trace: bool,
     engine: Option<Engine>,
     policy: Option<&ResilientLaunchPolicy>,
-    sched: &Sched<'_>,
+    threshold: usize,
     run: F,
 ) -> (LaunchReport, Vec<TraceBuffer>, Option<StealStats>)
 where
@@ -522,7 +522,7 @@ where
     };
     let mut buffers = if trace { vec![TraceBuffer::new(); n] } else { Vec::new() };
     let (mut per_dpu, steal) =
-        dispatch(system, sched, &mut buffers, |i, dpu, buf| wave.serve_one(i, dpu, buf));
+        dispatch(system, threshold, &mut buffers, |i, dpu, buf| wave.serve_one(i, dpu, buf));
 
     let quarantined: Vec<DpuId> = per_dpu
         .iter()
@@ -755,9 +755,8 @@ mod tests {
         // DPU 0's first simulation panics mid-attempt; its retry is clean.
         let panicked = std::sync::atomic::AtomicBool::new(false);
         let policy = ResilientLaunchPolicy::default();
-        let sched = Sched { pool: None, threshold: usize::MAX };
         let (report, _, _) =
-            launch_core(set.system_mut(), 1, false, None, Some(&policy), &sched, |dpu, run| {
+            launch_core(set.system_mut(), 1, false, None, Some(&policy), usize::MAX, |dpu, run| {
                 let first = dpu.mram.read_u32(0).unwrap() == 1
                     && !panicked.swap(true, std::sync::atomic::Ordering::SeqCst);
                 assert!(!first, "injected mid-attempt failure");

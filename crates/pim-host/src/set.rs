@@ -9,9 +9,8 @@
 
 use crate::crc32c::crc32c;
 use crate::error::{HostError, Result};
-use crate::launch::{Sched, DEFAULT_PARALLEL_THRESHOLD};
+use crate::launch::DEFAULT_PARALLEL_THRESHOLD;
 use crate::link::{LinkPolicy, LinkStats};
-use crate::pool::WorkerPool;
 use crate::symbol::{Symbol, SymbolTable};
 use dpu_sim::{
     DpuId, DpuParams, Engine, ExecProgram, Observe, PimSystem, RunSpec, ScrubReport,
@@ -27,10 +26,6 @@ pub struct DpuSet {
     symbols: SymbolTable,
     loaded: Option<ExecProgram>,
     engine: Option<Engine>,
-    // The persistent worker pool launches run on, created lazily by the
-    // first launch that crosses the parallel threshold and reused for the
-    // life of the set.
-    pool: Option<WorkerPool>,
     parallel_threshold: Option<usize>,
     xfer_stats: std::collections::BTreeMap<String, TransferStats>,
     // `RefCell` because gather paths (`copy_from_dpu`) take `&self`; host
@@ -101,7 +96,6 @@ impl DpuSet {
             symbols: SymbolTable::new(),
             loaded: None,
             engine: None,
-            pool: None,
             parallel_threshold: None,
             xfer_stats: std::collections::BTreeMap::new(),
             host_trace: None,
@@ -284,7 +278,7 @@ impl DpuSet {
     /// Pin this set's parallel-launch threshold (`None` restores the
     /// ambient default, which honors [`DpuSet::PARALLEL_THRESHOLD_ENV`]).
     /// Sets smaller than the threshold launch sequentially on the calling
-    /// thread; larger sets run on the persistent worker pool.
+    /// thread; larger sets fork one worker per core for the launch.
     pub fn set_parallel_threshold(&mut self, threshold: Option<usize>) {
         self.parallel_threshold = threshold;
     }
@@ -301,16 +295,10 @@ impl DpuSet {
         })
     }
 
-    /// Split-borrow everything one launch needs: the system, the loaded
-    /// program, and the scheduling context. Creates the persistent worker
-    /// pool on the first launch that crosses the parallel threshold.
-    pub(crate) fn launch_parts(&mut self) -> (&mut PimSystem, Option<&ExecProgram>, Sched<'_>) {
-        let threshold = self.parallel_threshold();
-        if self.system.len() >= threshold && self.pool.is_none() {
-            self.pool = Some(WorkerPool::for_dpus(self.system.len()));
-        }
-        let sched = Sched { pool: self.pool.as_ref(), threshold };
-        (&mut self.system, self.loaded.as_ref(), sched)
+    /// Split-borrow what one launch needs: the system and the loaded
+    /// program.
+    pub(crate) fn launch_parts(&mut self) -> (&mut PimSystem, Option<&ExecProgram>) {
+        (&mut self.system, self.loaded.as_ref())
     }
 
     /// Load a program onto every DPU of the set (`dpu_load`): validates
@@ -1071,26 +1059,31 @@ mod host_trace_tests {
 
     #[test]
     fn parallel_threshold_resolves_pin_then_env_then_default() {
+        // The variable may be set for the whole run (CI's dispatch axis):
+        // assert the default only when it is not, and put it back after.
+        let ambient = std::env::var(DpuSet::PARALLEL_THRESHOLD_ENV).ok();
         let mut set = DpuSet::allocate(2).unwrap();
-        assert_eq!(set.parallel_threshold(), crate::launch::DEFAULT_PARALLEL_THRESHOLD);
+        if ambient.is_none() {
+            assert_eq!(set.parallel_threshold(), crate::launch::DEFAULT_PARALLEL_THRESHOLD);
+        }
         set.set_parallel_threshold(Some(9));
         assert_eq!(set.parallel_threshold(), 9);
-        set.set_parallel_threshold(None);
-        assert_eq!(set.parallel_threshold(), crate::launch::DEFAULT_PARALLEL_THRESHOLD);
 
         // Env override sits between the pin and the default. Scheduling
         // never changes results, so a transient env read elsewhere is
         // harmless.
         std::env::set_var(DpuSet::PARALLEL_THRESHOLD_ENV, "13");
-        assert_eq!(set.parallel_threshold(), 13);
-        set.set_parallel_threshold(Some(2));
-        assert_eq!(set.parallel_threshold(), 2, "pin wins over env");
-        std::env::remove_var(DpuSet::PARALLEL_THRESHOLD_ENV);
+        assert_eq!(set.parallel_threshold(), 9, "pin wins over env");
         set.set_parallel_threshold(None);
+        assert_eq!(set.parallel_threshold(), 13);
+        match ambient {
+            Some(value) => std::env::set_var(DpuSet::PARALLEL_THRESHOLD_ENV, value),
+            None => std::env::remove_var(DpuSet::PARALLEL_THRESHOLD_ENV),
+        }
     }
 
     #[test]
-    fn threshold_gates_pool_scheduling() {
+    fn threshold_gates_the_fork_join() {
         fn observed<'a>(
             program: &'a dpu_sim::Program,
             obs: &'a mut crate::LaunchObservation,
@@ -1106,7 +1099,7 @@ mod host_trace_tests {
         seq.launch_with(observed(&program, &mut obs)).unwrap();
         assert!(obs.metrics().counters().all(|(k, _)| k != "obs.steal.launches"));
 
-        // Pinned low: even a 2-DPU set goes through the pool.
+        // Pinned low: even a 2-DPU set forks.
         let mut par = DpuSet::allocate(2).unwrap();
         par.set_parallel_threshold(Some(1));
         let mut obs = crate::LaunchObservation::new();

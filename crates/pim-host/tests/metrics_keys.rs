@@ -157,10 +157,7 @@ fn observation_metrics_key_set_is_stable() {
             "obs.unserved",
         ]
     );
-    assert_eq!(
-        gauges,
-        ["obs.dpus", "obs.pool.shards", "obs.pool.workers", "obs.steal.workers", "obs.tasklets"]
-    );
+    assert_eq!(gauges, ["obs.dpus", "obs.pool.workers", "obs.steal.workers", "obs.tasklets"]);
     assert_eq!(
         histograms,
         [

@@ -1,9 +1,9 @@
 //! Parallel-threshold sweep: re-derive `DEFAULT_PARALLEL_THRESHOLD`.
 //!
 //! Run with `cargo test --release -p pim-host --test threshold_sweep --
-//! --ignored --nocapture` to print sequential vs pooled launch wall-clock
-//! at each set size. The default threshold should sit at the crossover:
-//! below it the pool's hand-off overhead outweighs the parallelism. The
+//! --ignored --nocapture` to print sequential vs pooled (forked) launch
+//! wall-clock at each set size. The default threshold should sit at the
+//! crossover: below it spawning the workers outweighs the parallelism. The
 //! sweep backing the current default (4) is recorded in
 //! docs/PERFORMANCE.md.
 

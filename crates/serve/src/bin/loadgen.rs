@@ -11,6 +11,8 @@
 //! with the same arguments print byte-identical `--json` output, which
 //! the CI `serve-smoke` job asserts.
 
+#![forbid(unsafe_code)]
+
 use ebnn::codegen::encode_slot;
 use ebnn::model::{EbnnModel, ModelConfig};
 use pim_serve::{

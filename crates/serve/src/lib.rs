@@ -23,7 +23,7 @@
 //! closed-loop traffic against the eBNN engine and reports (or gates,
 //! `--compare`) the pipelined-vs-serial speedup. See `docs/SERVING.md`.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod breaker;

@@ -281,20 +281,46 @@ fn tier1_layer_stage(
     trace: bool,
 ) -> Result<DpuSet, HostError> {
     assert_eq!(a.len(), dims.m * dims.k, "A shape mismatch");
+    let mut set = row_set(dims, alpha, b, dims.m, tasklets, trace)?;
+    let mut batch = pim_host::XferBatch::new();
+    for i in 0..dims.m {
+        batch.prepare(pim_host::to_wire(&a[i * dims.k..(i + 1) * dims.k]).data);
+    }
+    batch.push(&mut set, "a_row", 0, a_row_cap(dims))?;
+    Ok(set)
+}
+
+/// Bytes of one `A` row on the wire: `K` halfwords, padded to the 8-byte
+/// transfer granule.
+fn a_row_cap(dims: GemmDims) -> usize {
+    (dims.k * 2).div_ceil(8) * 8
+}
+
+/// A set of `dpus` DPUs ready for `A` rows: the four MRAM symbols defined
+/// in [`mram`] order, the params record and `B` broadcast, and
+/// [`gemm_row_program`] loaded.
+///
+/// # Panics
+/// When `b` doesn't match `dims`, `tasklets` is outside `1..=24`, or the
+/// WRAM layout overflows.
+fn row_set(
+    dims: GemmDims,
+    alpha: i32,
+    b: &[i16],
+    dpus: usize,
+    tasklets: usize,
+    trace: bool,
+) -> Result<DpuSet, HostError> {
     assert_eq!(b.len(), dims.k * dims.n, "B shape mismatch");
     assert!((1..=24).contains(&tasklets), "tasklets must be 1..=24");
-    let a_cap = (dims.k * 2).div_ceil(8) * 8;
-    let b_cap = (dims.k * dims.n * 2).div_ceil(8) * 8;
-    let c_cap = (dims.n * 2).div_ceil(8) * 8;
-
-    let mut set = DpuSet::allocate(dims.m)?;
+    let mut set = DpuSet::allocate(dpus)?;
     if trace {
         set.enable_host_tracing();
     }
     set.define_symbol("params", 16)?;
-    set.define_symbol("a_row", a_cap)?;
-    set.define_symbol("b", b_cap)?;
-    set.define_symbol("c_row", c_cap)?;
+    set.define_symbol("a_row", a_row_cap(dims))?;
+    set.define_symbol("b", (dims.k * dims.n * 2).div_ceil(8) * 8)?;
+    set.define_symbol("c_row", (dims.n * 2).div_ceil(8) * 8)?;
 
     let mut params = Vec::with_capacity(16);
     for v in [dims.n as u32, dims.k as u32, alpha as u32, tasklets as u32] {
@@ -302,12 +328,6 @@ fn tier1_layer_stage(
     }
     set.copy_to("params", 0, &params)?;
     set.copy_values_to("b", b)?;
-    let mut batch = pim_host::XferBatch::new();
-    for i in 0..dims.m {
-        batch.prepare(pim_host::to_wire(&a[i * dims.k..(i + 1) * dims.k]).data);
-    }
-    batch.push(&mut set, "a_row", 0, a_cap)?;
-
     set.load(&gemm_row_program(dims))?;
     Ok(set)
 }
@@ -358,25 +378,7 @@ impl RowEngine {
         tasklets: usize,
     ) -> Result<Self, HostError> {
         assert!(dpus > 0, "engine needs at least one DPU");
-        assert_eq!(b.len(), dims.k * dims.n, "B shape mismatch");
-        assert!((1..=24).contains(&tasklets), "tasklets must be 1..=24");
-        let a_cap = (dims.k * 2).div_ceil(8) * 8;
-        let b_cap = (dims.k * dims.n * 2).div_ceil(8) * 8;
-        let c_cap = (dims.n * 2).div_ceil(8) * 8;
-
-        let mut set = DpuSet::allocate(dpus)?;
-        set.define_symbol("params", 16)?;
-        set.define_symbol("a_row", a_cap)?;
-        set.define_symbol("b", b_cap)?;
-        set.define_symbol("c_row", c_cap)?;
-
-        let mut params = Vec::with_capacity(16);
-        for v in [dims.n as u32, dims.k as u32, alpha as u32, tasklets as u32] {
-            params.extend_from_slice(&v.to_le_bytes());
-        }
-        set.copy_to("params", 0, &params)?;
-        set.copy_values_to("b", b)?;
-        set.load(&gemm_row_program(dims))?;
+        let set = row_set(dims, alpha, b, dpus, tasklets, false)?;
         let golden = set.snapshot();
         Ok(Self { set, dims, dpus, tasklets, staged_rows: 0, golden })
     }
@@ -431,7 +433,7 @@ impl RowEngine {
         assert_eq!(rows.len() % self.dims.k, 0, "A rows must be whole");
         let n_rows = rows.len() / self.dims.k;
         assert!(n_rows <= self.dpus, "batch exceeds engine capacity");
-        let a_cap = (self.dims.k * 2).div_ceil(8) * 8;
+        let a_cap = a_row_cap(self.dims);
         let mut batch = pim_host::XferBatch::new();
         for i in 0..n_rows {
             batch.prepare(pim_host::to_wire(&rows[i * self.dims.k..(i + 1) * self.dims.k]).data);
