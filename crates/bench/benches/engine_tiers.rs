@@ -1,23 +1,21 @@
 //! The execution-tier ladder, measured side by side: the per-instruction
-//! reference loop, the superblock engine, and the compiled threaded-code
-//! tier all run the same kernels from identical machines, so one criterion
-//! report shows what each tier buys on each shape.
+//! reference loop and the superblock engine run the same kernels from
+//! identical machines, so one criterion report shows what the fast tier
+//! buys on each shape.
 //!
 //! Three synthetic shapes bracket the tier's reach:
 //!
-//! * `alu_loop` — the headline kernel (one self-chaining branch block):
-//!   the compiled tier should win by a wide margin, and with 11 lockstep
-//!   tasklets the chain replicates whole rounds at once;
-//! * `sync_heavy` — mutex/barrier bound: every lock is a deopt boundary,
-//!   so the tiers should be close (the gate in `profiler_overhead.rs`
-//!   bounds the allowed gap);
+//! * `alu_loop` — one short loop block; with 11 lockstep tasklets whole
+//!   rounds replay from a single fetch;
+//! * `sync_heavy` — mutex/barrier bound: every lock is a boundary
+//!   instruction, so the tiers should be close;
 //! * `divergent` — a `tasklet_id`-seeded loop where register files differ
-//!   per tasklet: replication is off, but per-tasklet chains still run.
+//!   per tasklet, so rounds stay lockstep in pc only.
 //!
 //! The paper's own kernels sit next to them (`pim_bench::kernels`):
 //! `ebnn_tier1_{1,6,11,16}t`, the generated eBNN conv-pool program with
 //! one image per tasklet — divergent pcs and register files, WRAM loads
-//! in the inner loop, so the fast tiers live off tasklet-major chunks —
+//! in the inner loop, so the fast tier lives off tasklet-major chunks —
 //! and `yolo_row_11t`, the Algorithm-2 GEMM row with a DMA per multiply
 //! (chunks stand off; burst batching carries it). The ratio gates on
 //! these shapes are in `profiler_overhead.rs`.
@@ -70,7 +68,7 @@ fn bench_tiers(c: &mut Criterion) {
         let exec = ExecProgram::compile(&program).expect("bench program compiles");
         let mut g = c.benchmark_group(format!("engine_tiers/{name}"));
         g.sample_size(10);
-        for engine in [Engine::Reference, Engine::Superblock, Engine::Compiled] {
+        for engine in [Engine::Reference, Engine::Superblock] {
             g.bench_function(engine.name(), |b| {
                 let mut m = Machine::default();
                 b.iter(|| black_box(m.run_exec_engine(&exec, tasklets, engine).unwrap().cycles));
@@ -81,7 +79,7 @@ fn bench_tiers(c: &mut Criterion) {
     for shape in paper_kernel_shapes() {
         let mut g = c.benchmark_group(format!("engine_tiers/{}", shape.name));
         g.sample_size(10);
-        for engine in [Engine::Reference, Engine::Superblock, Engine::Compiled] {
+        for engine in [Engine::Reference, Engine::Superblock] {
             g.bench_function(engine.name(), |b| {
                 b.iter(|| {
                     let mut m = shape.staged.clone();

@@ -400,13 +400,11 @@ fn emit_engine_residency(json: bool) {
         yolo_row(11),
     ];
     for shape in shapes {
-        for engine in [Engine::Superblock, Engine::Compiled] {
-            let mut m = shape.staged.clone();
-            let before = m.engine_stats();
-            m.run_exec_engine(&shape.exec, shape.tasklets, engine).expect("kernel runs");
-            let stats = m.engine_stats().since(&before);
-            rows.push((format!("{}/{}", shape.name, engine.name()), stats, String::new()));
-        }
+        let mut m = shape.staged.clone();
+        let before = m.engine_stats();
+        m.run_exec_engine(&shape.exec, shape.tasklets, Engine::Superblock).expect("kernel runs");
+        let stats = m.engine_stats().since(&before);
+        rows.push((format!("{}/superblock", shape.name), stats, String::new()));
     }
     rows.push(sparse_rank_residency());
     let payload = serde_json::Value::Object(
@@ -704,8 +702,8 @@ mod perf_snapshot {
             ("interpreter/alu_loop_1t", bench_interpreter(&alu, 1, samples)),
             ("interpreter/alu_loop_11t", bench_interpreter(&alu, 11, samples)),
             // The tier ladder on the headline scenario: the same kernel
-            // pinned to each engine, so BENCH_*.json records how much each
-            // tier buys (reference → superblock → compiled).
+            // pinned to each engine, so BENCH_*.json records how much the
+            // fast tier buys over the reference loop.
             (
                 "interpreter/alu_loop_11t_reference",
                 bench_kernel(&alu_11t, Engine::Reference, samples),
@@ -713,10 +711,6 @@ mod perf_snapshot {
             (
                 "interpreter/alu_loop_11t_superblock",
                 bench_kernel(&alu_11t, Engine::Superblock, samples),
-            ),
-            (
-                "interpreter/alu_loop_11t_compiled",
-                bench_kernel(&alu_11t, Engine::Compiled, samples),
             ),
             ("interpreter/sync_heavy_16t", bench_interpreter(&sync_heavy_program(), 16, samples)),
             ("multi_dpu/skewed_32", bench_skewed_launch(32, samples)),
@@ -731,7 +725,7 @@ mod perf_snapshot {
         let mut scenarios: Vec<(String, (u128, u64))> =
             scenarios.into_iter().map(|(name, s)| (name.to_owned(), s)).collect();
         for shape in pim_bench::kernels::paper_kernel_shapes() {
-            for engine in [Engine::Reference, Engine::Superblock, Engine::Compiled] {
+            for engine in [Engine::Reference, Engine::Superblock] {
                 scenarios.push((
                     format!("paper_kernel/{}_{}", shape.name, engine.name()),
                     bench_kernel(&shape, engine, samples),

@@ -73,8 +73,8 @@ engine_stats! {
     chunk_slots => "slots.chunk",
     /// Whole rounds of subroutine-burst slots retired in one step.
     burst_batch_slots => "slots.burst_batch",
-    /// Whole lockstep rounds from a single fetch: compiled-chain
-    /// replication, block replay and uniform single-instruction rounds.
+    /// Whole lockstep rounds from a single fetch: block replay and
+    /// uniform single-instruction rounds.
     lockstep_slots => "slots.lockstep",
     /// Slots of runs replayed from a recording ("Recorded launches" in
     /// `docs/PERFORMANCE.md`): reported by the `RunResult`, issued

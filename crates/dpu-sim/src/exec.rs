@@ -15,9 +15,7 @@
 //! `DpuSet::launch_loaded`) validates and decodes exactly once instead of
 //! per launch.
 
-use crate::compile::CompiledProgram;
 use crate::isa::{Instr, Program};
-use crate::profiler::CycleAttribution;
 use crate::replay::ReplayTable;
 use std::sync::Arc;
 
@@ -306,14 +304,9 @@ pub struct ExecProgram {
     source: Program,
     code: Vec<ExecInstr>,
     superblocks: Superblocks,
-    /// Threaded-code translation of the superblocks (see
-    /// [`crate::compile`]); behind an [`Arc`] so cloning the program for
-    /// parallel launches shares the compiled closures.
-    compiled: Arc<CompiledProgram>,
     /// Recorded launches of this program (see [`crate::replay`]). Shared
-    /// by clones — a recording depends on the instruction stream, which
-    /// clones share, not on what is compiled — and freed with the last
-    /// of them.
+    /// by clones — a recording depends only on the instruction stream,
+    /// which clones share — and freed with the last of them.
     replay: Arc<ReplayTable>,
 }
 
@@ -339,40 +332,11 @@ impl ExecProgram {
         let code: Vec<ExecInstr> =
             program.instrs.iter().map(|&instr| ExecInstr { instr, op: op_id(&instr) }).collect();
         let superblocks = Superblocks::analyze(&code);
-        let compiled = Arc::new(CompiledProgram::compile_all(&code, &superblocks));
-        Self { source: program.clone(), code, superblocks, compiled, replay: Arc::default() }
+        Self { source: program.clone(), code, superblocks, replay: Arc::default() }
     }
 
     pub(crate) fn replay(&self) -> &ReplayTable {
         &self.replay
-    }
-
-    /// The threaded-code translation of the superblocks, used by the
-    /// compiled execution tier ([`crate::machine::Engine::Compiled`]).
-    #[must_use]
-    pub fn compiled(&self) -> &CompiledProgram {
-        &self.compiled
-    }
-
-    /// Recompile only the blocks whose profiled entry count meets
-    /// `min_entries`, using the attribution gathered by a prior
-    /// [`crate::machine::Observe::Profile`] run. Cold blocks fall
-    /// back to the superblock engine at run time.
-    pub fn recompile_hot(&mut self, attr: &CycleAttribution, min_entries: u64) {
-        self.compiled = Arc::new(CompiledProgram::compile_hot(
-            &self.code,
-            &self.superblocks,
-            attr,
-            min_entries,
-        ));
-    }
-
-    /// Recompile keeping only the blocks for which `keep(start_pc)` returns
-    /// true. Test hook for forcing deopt at arbitrary block boundaries.
-    #[doc(hidden)]
-    pub fn recompile_filtered(&mut self, keep: impl FnMut(u32) -> bool) {
-        self.compiled =
-            Arc::new(CompiledProgram::compile_filtered(&self.code, &self.superblocks, keep));
     }
 
     /// The source program this execution form was decoded from.

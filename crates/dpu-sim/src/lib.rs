@@ -42,7 +42,6 @@
 
 pub mod asm;
 mod chunk;
-pub mod compile;
 pub mod cost;
 pub mod ecc;
 pub mod engine_stats;
@@ -60,7 +59,6 @@ mod replay;
 pub mod subroutines;
 pub mod system;
 
-pub use compile::{CompiledProgram, DEFAULT_HOT_THRESHOLD};
 pub use engine_stats::EngineStats;
 pub use error::{Error, Result};
 pub use exec::ExecProgram;

@@ -19,7 +19,6 @@
 //! totals reproduce Table 3.1 within ~1.5 % (see [`crate::subroutines`]).
 
 use crate::chunk::{ChunkPolicy, Shadow, MAX_TRACKED_TASKLETS};
-use crate::compile::{CompiledProgram, Link, Term};
 use crate::engine_stats::{ChunkAbort, EngineStats};
 use crate::error::{Error, Result};
 use crate::exec::{self, ExecInstr, ExecProgram, Superblocks, OP_COUNT};
@@ -37,36 +36,38 @@ use pim_trace::{DmaDirection, NullSink, TraceEvent, TraceSink};
 /// kernel in the repository while still catching infinite loops.
 pub const DEFAULT_CYCLE_BUDGET: u64 = 50_000_000_000;
 
-/// Interpreter engine tiers, slowest first. Every tier produces
-/// bit-identical observable results — cycles, histograms, traces, memory,
-/// error sites — which the golden and proptest identity suites pin; the
-/// selection only trades simplicity of the executing loop for speed.
+/// Interpreter engine tiers: the reference loop and one fast tier. Both
+/// produce bit-identical observable results — cycles, histograms, traces,
+/// memory, error sites — which the golden and proptest identity suites
+/// pin; the selection only trades simplicity of the executing loop for
+/// speed.
 ///
 /// Selection is explicit via [`RunSpec::engine`] (and `pim-host`'s
 /// `DpuSet::set_engine`) or ambient via
 /// [`Engine::effective`], which consults the `PIM_SIM_ENGINE` environment
-/// variable and otherwise defaults to the compiled tier. Traced and
-/// profiled runs always take the reference loop regardless of selection,
-/// and armed fault injection deoptimizes the compiled tier onto the
-/// superblock engine (see `Machine::run_code`).
+/// variable and otherwise defaults to the superblock engine. Traced and
+/// profiled runs always take the reference loop regardless of selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// The per-instruction reference loop: one pick, one budget check,
     /// one fetch-dispatch per issue slot — the semantic source of truth
     /// every observable figure is defined by.
     Reference,
-    /// The superblock engine: memoized straight-line blocks and batched
-    /// periodic rotations over the pre-decoded stream.
-    Superblock,
-    /// The compiled tier: hot superblocks as threaded-code closures
-    /// chained by direct block ids (see [`crate::compile`]), deoptimizing
-    /// onto the superblock engine at everything the compiled universe
-    /// does not cover.
+    /// The superblock engine: memoized straight-line blocks, batched
+    /// periodic rotations and tasklet-major chunks over the pre-decoded
+    /// stream.
     #[default]
-    Compiled,
+    Superblock,
 }
 
 impl Engine {
+    /// An alias of [`Engine::Superblock`], kept only because the frozen
+    /// `benchmark/src/probes.rs` names it; the benchmark-contract change
+    /// of ROADMAP item 1 deletes it. [`Engine::from_name`] does not parse
+    /// `compiled`.
+    #[allow(non_upper_case_globals)]
+    pub const Compiled: Self = Self::Superblock;
+
     /// Environment variable consulted by [`Engine::effective`]; valid
     /// values are the [`Engine::name`]s.
     pub const ENV_VAR: &'static str = "PIM_SIM_ENGINE";
@@ -77,18 +78,16 @@ impl Engine {
         match name.trim().to_ascii_lowercase().as_str() {
             "reference" => Some(Self::Reference),
             "superblock" => Some(Self::Superblock),
-            "compiled" => Some(Self::Compiled),
             _ => None,
         }
     }
 
-    /// The canonical name: `reference`, `superblock` or `compiled`.
+    /// The canonical name: `reference` or `superblock`.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             Self::Reference => "reference",
             Self::Superblock => "superblock",
-            Self::Compiled => "compiled",
         }
     }
 
@@ -143,7 +142,7 @@ impl RunResult {
 /// What watches a run slot by slot. The two observers are exclusive — a
 /// profiled run records no events — so one run takes at most one.
 pub enum Observe<'a> {
-    /// Nothing: the only choice the fast tiers and replay serve.
+    /// Nothing: the only choice the fast tier and replay serve.
     Off,
     /// Record cycle-stamped [`TraceEvent`]s into the sink as the kernel
     /// executes. A disabled sink (see [`TraceSink::is_enabled`]) is `Off`.
@@ -396,7 +395,7 @@ impl Machine {
     }
 
     /// [`Machine::run_exec`] on an explicit engine tier instead of the
-    /// ambient [`Engine::effective`] selection. All tiers are
+    /// ambient [`Engine::effective`] selection. Both tiers are
     /// observationally identical; see [`Engine`].
     ///
     /// # Errors
@@ -420,19 +419,12 @@ impl Machine {
     ///   take it regardless of `engine`, so the existing
     ///   traced-vs-untraced equality tests double as fast-vs-reference
     ///   identity checks;
-    /// * the **superblock engine** ([`Interp::run_fast`] with no compiled
-    ///   program) — fast-forwards whole straight-line blocks and
-    ///   closed-form tasklet rotations in one dispatch, observationally
-    ///   invisible by construction (see the per-method proofs and
-    ///   `docs/PERFORMANCE.md`);
-    /// * the **compiled tier** (the same loop with `compiled` wired in) —
-    ///   additionally executes threaded-code block chains
-    ///   ([`Interp::run_compiled`]) inside the batched modes, deopting
-    ///   onto the superblock paths everywhere else. Armed fault injection
-    ///   downgrades this tier to the superblock engine so injected-fault
-    ///   runs stay on the thoroughly-pinned paths.
+    /// * the **superblock engine** ([`Interp::run_fast`]) — fast-forwards
+    ///   whole straight-line blocks and closed-form tasklet rotations in
+    ///   one dispatch, observationally invisible by construction (see the
+    ///   per-method proofs and `docs/PERFORMANCE.md`).
     ///
-    /// A plain launch on a fast tier first looks in the program's replay
+    /// A plain launch on the fast tier first looks in the program's replay
     /// table for a recorded run of the same key whose read set equals this
     /// machine's memory, and on a match applies its write set and returns
     /// its result without setting up an [`Interp`] at all; a short run
@@ -485,22 +477,6 @@ impl Machine {
             }
         }
 
-        // Armed faults deoptimize the compiled tier onto the superblock
-        // engine: injection is rare and every injection site (DMA, hang
-        // clamp) lives on boundary instructions, so keeping armed runs off
-        // the threaded code costs nothing while keeping fault logs and
-        // error sites on the longest-pinned paths. An empty compilation
-        // (nothing hot, or everything filtered) downgrades too — every
-        // dispatch would probe and deopt, so skipping the probes makes the
-        // uncompilable case exactly the superblock engine.
-        let engine = if engine == Engine::Compiled
-            && (self.faults.is_some() || exec.compiled().is_empty())
-        {
-            Engine::Superblock
-        } else {
-            engine
-        };
-
         // Recorded launches, on the plain path only. Armed faults, a live
         // sink, the profiler and MRAM ECC all observe or perturb the run
         // slot by slot, and the reference loop stays the definition the
@@ -512,7 +488,6 @@ impl Machine {
         .then(|| {
             let key = ReplayKey {
                 tasklets,
-                engine,
                 params: self.params,
                 dma_timing: self.dma.timing(),
                 wram_len: self.wram.len(),
@@ -570,7 +545,6 @@ impl Machine {
             chunk_saved: Vec::new(),
             code,
             sb,
-            compiled: (engine == Engine::Compiled).then(|| exec.compiled()),
             budget,
             machine: self,
             sink,
@@ -658,9 +632,6 @@ struct Interp<'a> {
     sink: &'a mut dyn TraceSink,
     code: &'a [ExecInstr],
     sb: &'a Superblocks,
-    /// Threaded-code tier for this run; `None` on reference/superblock
-    /// runs and under armed fault injection (see [`Machine::run_code`]).
-    compiled: Option<&'a CompiledProgram>,
     budget: u64,
     pipeline: Pipeline,
     threads: Vec<Tasklet>,
@@ -1010,12 +981,6 @@ impl Interp<'_> {
     /// clock already jumps over windows where every runnable tasklet is
     /// DMA-stalled; the fast paths above remove the *per-instruction
     /// re-picking* that remained.
-    ///
-    /// With a compiled program wired in (the [`Engine::Compiled`] tier)
-    /// the sole and rotation batch loops additionally dispatch whole
-    /// threaded-code chains via [`Interp::run_compiled`]; everything the
-    /// chains exit on deoptimizes to the superblock paths below, so this
-    /// loop *is* the deopt fallback.
     fn run_fast(&mut self) -> Result<()> {
         loop {
             if !self.single && self.parked > 0 && self.parked == self.live {
@@ -1166,12 +1131,10 @@ impl Interp<'_> {
 
     /// Run tasklet `t` *on its own* for up to `quota >= 1` inline
     /// instructions without touching the pipeline — the inner dispatch
-    /// shared by sole mode and the tasklet-major chunks. Threaded-code
-    /// chains run first (whole block sequences per dispatch), then
-    /// memoized superblocks, then single inline ops; a chain or block
-    /// that would overrun the quota is skipped (`run_compiled` returns 0
-    /// with pc unchanged), so the per-op path below it guarantees
-    /// progress and the quota is met exactly.
+    /// shared by sole mode and the tasklet-major chunks. Memoized
+    /// superblocks run first, then single inline ops; a block that would
+    /// overrun the quota is skipped, so the per-op path below it
+    /// guarantees progress and the quota is met exactly.
     ///
     /// Returns the instructions retired and how the run ended:
     /// `Advanced` when the quota was met, otherwise the classification of
@@ -1187,13 +1150,6 @@ impl Interp<'_> {
         let mut k: u64 = 0;
         while k < quota {
             let pc = self.threads[t].pc as usize;
-            if let Some(bid) = self.compiled.and_then(|cp| cp.block_id_at(pc)) {
-                let ran = self.run_compiled(t, bid, quota - k, 1, false);
-                if ran > 0 {
-                    k += ran;
-                    continue;
-                }
-            }
             let len = u64::from(self.sb.len_at(pc));
             if len >= 2 && k + len <= quota {
                 self.apply_block(t, pc, len as usize);
@@ -1313,11 +1269,6 @@ impl Interp<'_> {
         // under its own mode in `stats`); the rest went slot by slot.
         let mut bulk: u64 = 0;
         let mut pos: usize = 0;
-        // Lockstep chain replication is probed until the first divergent
-        // register file: the compare is per-register and would tax every
-        // round of a divergent SIMT batch, while reconvergent workloads
-        // get re-probed on the next batch entry.
-        let mut try_replicate = true;
         let outcome = loop {
             if m >= m_allowed {
                 break Ok(());
@@ -1335,54 +1286,15 @@ impl Interp<'_> {
                 // tasklet-private and the histogram commutes.
                 let pc0 = self.threads[order[0]].pc;
                 if order.iter().all(|&t| self.threads[t].pc == pc0 && self.threads[t].burst == 0) {
-                    // Threaded-code chains with full register lockstep —
-                    // the SIMT common case — execute ONCE on the lead
-                    // tasklet and replicate the end state to the rest.
-                    // Sound because compiled bodies are deterministic
-                    // functions of the private register file alone
-                    // (tasklet-sensitive blocks stop the chain), so
-                    // identical inputs give identical per-tasklet traces,
-                    // and reordering slots within the flushed bulk is
-                    // unobservable for the same reason `apply_block_all`
-                    // may reorder: effects are tasklet-private and the
-                    // histogram commutes. The chain is capped at whole
-                    // rounds, so `pos` stays at the round boundary.
-                    let mut retired = 0;
-                    if try_replicate {
-                        if let Some(bid) = self.compiled.and_then(|cp| cp.block_id_at(pc0 as usize))
-                        {
-                            let cap = (m_allowed - m) / r as u64;
-                            if cap > 0 {
-                                if self.regs_identical(order) {
-                                    let lead = order[0];
-                                    let ran = self.run_compiled(lead, bid, cap, r as u64, true);
-                                    if ran > 0 {
-                                        let pc_after = self.threads[lead].pc;
-                                        let regs_after = self.threads[lead].regs;
-                                        for &t in &order[1..] {
-                                            let th = &mut self.threads[t];
-                                            th.regs = regs_after;
-                                            th.pc = pc_after;
-                                        }
-                                        retired = ran * r as u64;
-                                    }
-                                } else {
-                                    try_replicate = false;
-                                }
-                            }
-                        }
-                    }
-                    if retired == 0 {
-                        let len = u64::from(self.sb.len_at(pc0 as usize));
-                        if len >= 2 && m + len * r as u64 <= m_allowed {
-                            self.apply_block_all(order, pc0 as usize, len as usize);
-                            retired = len * r as u64;
-                        } else if m + r as u64 <= m_allowed
-                            && self.dispatch_round_uniform(order, pc0)
-                        {
-                            retired = r as u64;
-                        }
-                    }
+                    let len = u64::from(self.sb.len_at(pc0 as usize));
+                    let retired = if len >= 2 && m + len * r as u64 <= m_allowed {
+                        self.apply_block_all(order, pc0 as usize, len as usize);
+                        len * r as u64
+                    } else if m + r as u64 <= m_allowed && self.dispatch_round_uniform(order, pc0) {
+                        r as u64
+                    } else {
+                        0
+                    };
                     if retired > 0 {
                         self.stats.lockstep_slots += retired;
                         bulk += retired;
@@ -1776,84 +1688,6 @@ impl Interp<'_> {
             apply_pure(th, t, &slot.instr);
         }
         th.pc = (pc + count) as u32;
-    }
-
-    /// Execute a threaded-code chain for tasklet `t` starting at compiled
-    /// block `bid`, consuming at most `cap` issue slots; returns the
-    /// slots consumed (the caller has reserved them and flushes the
-    /// pipeline update for the whole batch, exactly as for the other
-    /// batched dispatches).
-    ///
-    /// The chain runs block to block through compiled links — no fetch,
-    /// no decode, no per-instruction classify — folding each block's
-    /// memoized issue-slot and histogram counts per entry. It stops, with
-    /// the tasklet's pc parked on the next block's start so any engine
-    /// resumes exactly where the reference would be, when the next block
-    /// would overrun `cap` (budget exactness) or when a link exits
-    /// compiled code (a deopt: cold block, side-exit boundary op,
-    /// mid-block `jr` target, or end of IRAM — the out-of-range pc then
-    /// faults at the next fetch exactly like the reference).
-    ///
-    /// `replicas` scales the histogram folds and `replicate` guards
-    /// tasklet-sensitive blocks for the rotation engine's lockstep
-    /// replication (see `try_rotation`); sole mode passes `1, false`.
-    /// Compiled bodies touch only the private register file and pc, are
-    /// deterministic, cannot fault and cannot observe scheduling, so the
-    /// chain needs no budget or scheduler probes mid-flight.
-    fn run_compiled(
-        &mut self,
-        t: usize,
-        bid: u32,
-        cap: u64,
-        replicas: u64,
-        replicate: bool,
-    ) -> u64 {
-        let Some(cp) = self.compiled else { return 0 };
-        let mut bid = bid;
-        let mut k: u64 = 0;
-        loop {
-            let b = cp.block(bid);
-            let slots = u64::from(b.slots());
-            if k + slots > cap || (replicate && b.tasklet_sensitive()) {
-                self.threads[t].pc = b.start();
-                return k;
-            }
-            b.run(&mut self.threads[t].regs, t as u32);
-            for &(op, c) in b.op_counts() {
-                self.op_counts[op as usize] += u64::from(c) * replicas;
-            }
-            k += slots;
-            let link = match *b.term() {
-                Term::Next(link) | Term::Jump(link) => link,
-                Term::Jal { rd, ret, link } => {
-                    self.threads[t].set(rd, ret);
-                    link
-                }
-                Term::Jr { ra } => cp.link_of(self.threads[t].get(ra)),
-                Term::Branch { cond, ra, rb, taken, fall } => {
-                    let th = &self.threads[t];
-                    if cond.eval(th.get(ra), th.get(rb)) {
-                        taken
-                    } else {
-                        fall
-                    }
-                }
-            };
-            match link {
-                Link::Block(next) => bid = next,
-                Link::Exit(pc) => {
-                    self.threads[t].pc = pc;
-                    return k;
-                }
-            }
-        }
-    }
-
-    /// Do all tasklets in `order` carry the lead tasklet's register file
-    /// bit for bit? (The precondition for lockstep chain replication.)
-    fn regs_identical(&self, order: &[usize]) -> bool {
-        let lead = &self.threads[order[0]].regs;
-        order[1..].iter().all(|&t| self.threads[t].regs == *lead)
     }
 
     /// Fetch and dispatch one instruction for tasklet `t`. The caller has
@@ -3161,26 +2995,6 @@ mod fault_injection_tests {
             r
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn compiled_tier_deopts_under_armed_faults_with_identical_results() {
-        // A zero plan armed forces the Compiled→Superblock downgrade in
-        // `run_code` without injecting anything, so the downgraded run
-        // must stay bit-identical to the compiled tier proper.
-        let p = dma_program();
-        let exec = ExecProgram::compile(&p).unwrap();
-        let mut plain = Machine::default();
-        plain.mram.write(0, &21u64.to_le_bytes()).unwrap();
-        let unarmed = plain.run_exec_engine(&exec, 3, Engine::Compiled).unwrap();
-        let mut armed = Machine::default();
-        armed.mram.write(0, &21u64.to_le_bytes()).unwrap();
-        armed.arm_faults(FaultPlan::none().attempt(0, 0));
-        let downgraded = armed.run_exec_engine(&exec, 3, Engine::Compiled).unwrap();
-        assert_eq!(unarmed, downgraded);
-        let wram = plain.params.wram_bytes;
-        assert_eq!(plain.wram.slice(0, wram).unwrap(), armed.wram.slice(0, wram).unwrap());
-        assert_eq!(plain.mram, armed.mram);
     }
 
     #[test]

@@ -816,9 +816,9 @@ mod tests {
 
     #[test]
     fn long_whole_round_rotations_match_repeated_picks() {
-        // The compiled tier's lockstep replication flushes thousands of
-        // whole rounds through a single `advance_periodic` call; the state
-        // must stay bit-identical to the equivalent pick-by-pick schedule.
+        // Lockstep block replay and chunks flush thousands of whole rounds
+        // through a single `advance_periodic` call; the state must stay
+        // bit-identical to the equivalent pick-by-pick schedule.
         let tasklets = 11usize;
         let runnable = vec![true; tasklets];
         let mut a = Pipeline::new(tasklets);

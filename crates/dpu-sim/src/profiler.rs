@@ -272,15 +272,6 @@ impl CycleAttribution {
         &self.blocks
     }
 
-    /// Start pcs (ascending) of the pieces entered at least `min_entries`
-    /// times across the accumulated runs. This is the hotness signal the
-    /// compiled tier uses to decide which superblocks are worth translating
-    /// to threaded code ([`crate::compile::CompiledProgram::compile_hot`]).
-    #[must_use]
-    pub fn hot_starts(&self, min_entries: u64) -> Vec<u32> {
-        self.blocks.iter().filter(|b| b.entries >= min_entries).map(|b| b.start).collect()
-    }
-
     /// Per-call-site subroutine stats, keyed by `(piece index, symbol)`.
     pub fn subroutines(&self) -> impl Iterator<Item = (u32, &'static str, SubroutineCycles)> + '_ {
         self.subs.iter().map(|(&(piece, symbol), &s)| (piece, symbol, s))

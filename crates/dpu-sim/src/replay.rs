@@ -20,7 +20,7 @@
 //! slot and byte caps below. See `docs/PERFORMANCE.md` ("Recorded
 //! launches") for the contract and the designs this replaced.
 
-use crate::machine::{Engine, RunResult};
+use crate::machine::RunResult;
 use crate::memory::{Mram, Wram};
 use crate::params::DpuParams;
 use crate::perfcounter::PerfCounter;
@@ -44,10 +44,6 @@ const MAX_RECORDINGS_PER_KEY: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct ReplayKey {
     pub tasklets: usize,
-    /// The tier that would execute the run, after `run_code`'s downgrades.
-    /// Results do not depend on it; keying by it keeps every cross-tier
-    /// comparison a comparison of two real executions.
-    pub engine: Engine,
     pub params: DpuParams,
     /// `Machine::{dma, wram, mram}` are public fields, so their timing and
     /// capacities are part of the machine's identity, not of `params`.

@@ -394,7 +394,8 @@ pub struct Aftermath {
 
 /// Run `run` on `machine` and collect what it leaves behind, plus the
 /// machine's engine residency (the run's own, on a fresh machine) — kept
-/// apart because it differs across tiers by design.
+/// apart because it differs between the reference loop and the fast
+/// engine by design.
 pub fn aftermath(
     mut machine: dpu_sim::Machine,
     run: impl FnOnce(&mut dpu_sim::Machine) -> Result<dpu_sim::RunResult, dpu_sim::Error>,
@@ -411,18 +412,18 @@ pub fn aftermath(
 }
 
 /// The recorded-launch contract on one program: a run on the reference
-/// loop, then three runs per fast tier — a first sighting (plain), a
+/// loop, then three on the superblock engine — a first sighting (plain), a
 /// second (recorded, when the first finished inside the slot cap) and a
 /// third (replayed, when the recording was kept) — each on a machine
 /// fresh from `prepare`, must all leave the same [`Aftermath`]. `exec`
-/// must not have run before. Returns the reference aftermath and, per
-/// tier (superblock, compiled), the residency of the third run.
+/// must not have run before. Returns the reference aftermath and the
+/// residency of the third run.
 pub fn assert_replay_invisible(
     exec: &dpu_sim::ExecProgram,
     tasklets: usize,
     budget: u64,
     prepare: &dyn Fn() -> dpu_sim::Machine,
-) -> (Aftermath, [dpu_sim::EngineStats; 2]) {
+) -> (Aftermath, dpu_sim::EngineStats) {
     use dpu_sim::{Engine, RunSpec};
     let run = |engine| {
         aftermath(prepare(), |m| {
@@ -430,15 +431,13 @@ pub fn assert_replay_invisible(
         })
     };
     let (reference, _) = run(Engine::Reference);
-    let third = [Engine::Superblock, Engine::Compiled].map(|engine| {
-        ["plain", "recorded", "replayed"].map(|sighting| {
-            let (after, stats) = run(engine);
-            assert_eq!(after, reference, "{} tier, {sighting} run diverged", engine.name());
-            if let Ok(r) = &after.outcome {
-                assert_eq!(stats.slots(), r.instructions, "{sighting}: modes partition the slots");
-            }
-            stats
-        })[2]
-    });
+    let third = ["plain", "recorded", "replayed"].map(|sighting| {
+        let (after, stats) = run(Engine::Superblock);
+        assert_eq!(after, reference, "{sighting} run diverged");
+        if let Ok(r) = &after.outcome {
+            assert_eq!(stats.slots(), r.instructions, "{sighting}: modes partition the slots");
+        }
+        stats
+    })[2];
     (reference, third)
 }

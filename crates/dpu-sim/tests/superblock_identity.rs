@@ -1,13 +1,13 @@
-//! Identity tests for the fast engines: the superblock engine and the
-//! compiled threaded-code tier (and whatever the ambient `Machine::run_exec`
-//! selection resolves to, including a `PIM_SIM_ENGINE` override) must all
-//! match the per-instruction reference loop
-//! (`Machine::execute` pinned to `Engine::Reference`) bit-for-bit — same
-//! `RunResult`, same error at the same point, same final memory image —
-//! on random programs, on DMA-stall-heavy kernels, on the
-//! mutex/barrier-heavy shape the `sync_heavy_16t` bench measures, and on
-//! multi-tasklet loops that race on WRAM (the tasklet-major chunks' commit
-//! and rollback paths) at every tasklet count from 2 up: saturated
+//! Identity tests for the fast engine: the superblock engine (and
+//! whatever the ambient `Machine::run_exec` selection resolves to,
+//! including a `PIM_SIM_ENGINE` override) must match the per-instruction
+//! reference loop (`Machine::execute` pinned to `Engine::Reference`)
+//! bit-for-bit — same `RunResult`, same error at the same point, same
+//! final memory image — on random programs (fault-armed too), on
+//! DMA-stall-heavy kernels, on lockstep ALU loops and computed jumps, on
+//! the mutex/barrier-heavy shape the `sync_heavy_16t` bench measures, and
+//! on multi-tasklet loops that race on WRAM (the tasklet-major chunks'
+//! commit and rollback paths) at every tasklet count from 2 up: saturated
 //! rotations, under-saturated ones, and the serving shape where most of
 //! the launched tasklets halt at once. Runs short enough to be recorded
 //! for replay must also match it on their second (recorded) and third
@@ -51,8 +51,9 @@ fn lived_in_machine() -> Machine {
     m
 }
 
-/// Run `program` on every engine tier from identical fresh machines and
-/// assert complete observable equality with the reference loop.
+/// Run `program` on the fast engine, pinned and ambient, from identical
+/// fresh machines and assert complete observable equality with the
+/// reference loop.
 fn assert_engines_agree(
     program: &Program,
     tasklets: usize,
@@ -81,12 +82,6 @@ fn assert_engines_agree(
         m.execute(
             &exec,
             RunSpec { budget, engine: Some(Engine::Superblock), ..RunSpec::new(tasklets) },
-        )
-    });
-    check("compiled tier", &mut |m| {
-        m.execute(
-            &exec,
-            RunSpec { budget, engine: Some(Engine::Compiled), ..RunSpec::new(tasklets) },
         )
     });
     // The ambient selection (`PIM_SIM_ENGINE` or the default): what every
@@ -195,6 +190,48 @@ proptest! {
             prop_assert_eq!(total, meta.len, "memoized histogram covers the block");
         }
     }
+
+    /// Fault-armed random programs: the injected faults and everything
+    /// downstream of them match a reference run armed with the identical
+    /// per-attempt plan.
+    #[test]
+    fn fault_armed_random_programs_match_fault_armed_reference(
+        instrs in prop::collection::vec(instr_strategy(24), 1..24),
+        tasklets in 1usize..9,
+        seed in 0u64..64,
+    ) {
+        let exec = ExecProgram::decode(&Program::new(instrs));
+        let plan = FaultPlan::new(FaultConfig {
+            seed,
+            dma_fail_prob: 0.3,
+            bit_flip_prob: 0.3,
+            hang_prob: 0.2,
+            ..FaultConfig::default()
+        });
+        prop_assert_eq!(
+            armed_run(&exec, tasklets, &plan, Engine::Superblock),
+            armed_run(&exec, tasklets, &plan, Engine::Reference)
+        );
+    }
+}
+
+/// A run of `exec` armed with `plan`'s first attempt: the outcome, the
+/// faults injected and the WRAM image left behind.
+fn armed_run(
+    exec: &ExecProgram,
+    tasklets: usize,
+    plan: &FaultPlan,
+    engine: Engine,
+) -> (Result<RunResult, dpu_sim::Error>, Vec<InjectedFault>, Vec<u8>) {
+    let mut m = seeded_machine();
+    m.arm_faults(plan.attempt(0, 0));
+    let outcome = m.execute(
+        exec,
+        RunSpec { budget: TEST_BUDGET, engine: Some(engine), ..RunSpec::new(tasklets) },
+    );
+    let log = m.disarm_faults().expect("armed");
+    let wram = m.params.wram_bytes;
+    (outcome, log.injected().to_vec(), m.wram.slice(0, wram).unwrap().to_vec())
 }
 
 proptest! {
@@ -251,6 +288,85 @@ proptest! {
         let program = racy_program(&body, iters, event);
         let launched = if full_dpu { 16 } else { working };
         assert_engines_agree_whole_and_cut(&program, launched, budget_permille);
+    }
+
+    /// Fault-armed racy programs take the same chunked `run_fast`; every
+    /// injection site is a boundary op, so a chunk can never swallow one.
+    #[test]
+    fn fault_armed_racy_programs_match_fault_armed_reference(
+        body in prop::collection::vec(racy_op_strategy(), 3..14),
+        tasklets in 2usize..=24,
+        iters in 24i32..64,
+        event in (0i32..64, 0i32..24, 1i32..24),
+        seed in 0u64..64,
+    ) {
+        let event = Event::from_draws(event, tasklets, iters);
+        let exec = ExecProgram::decode(&racy_program(&body, iters, event));
+        let plan = FaultPlan::new(FaultConfig {
+            seed,
+            dma_fail_prob: 0.05,
+            bit_flip_prob: 0.3,
+            hang_prob: 0.1,
+            ..FaultConfig::default()
+        });
+        prop_assert_eq!(
+            armed_run(&exec, tasklets, &plan, Engine::Superblock),
+            armed_run(&exec, tasklets, &plan, Engine::Reference)
+        );
+    }
+}
+
+/// Lockstep ALU loops — uniform, and diverging through `TaskletId` — and
+/// `jal`/`jr` computed jumps at the bench tasklet counts.
+#[test]
+fn lockstep_loops_and_computed_jumps_match_reference() {
+    let r = Reg;
+    let alu_loop = Program::new(vec![
+        Instr::Movi { rd: r(1), imm: 30_000 },
+        Instr::Movi { rd: r(2), imm: 0 },
+        Instr::Addi { rd: r(2), ra: r(2), imm: 3 },
+        Instr::Addi { rd: r(1), ra: r(1), imm: -1 },
+        Instr::Branch { cond: Cond::Ne, ra: r(1), rb: r(0), target: 2 },
+        Instr::Trace { ra: r(2) },
+        Instr::Halt,
+    ]);
+    for tasklets in [1usize, 11, 16] {
+        let result = assert_engines_agree(&alu_loop, tasklets, u64::MAX).expect("completes");
+        assert_eq!(result.trace.len(), tasklets);
+        assert!(result.trace.iter().all(|&(_, v)| v == 90_000));
+    }
+    let divergent = Program::new(vec![
+        Instr::Movi { rd: r(1), imm: 500 },
+        Instr::Movi { rd: r(2), imm: 0 },
+        Instr::TaskletId { rd: r(3) },
+        Instr::Add { rd: r(2), ra: r(2), rb: r(3) },
+        Instr::Addi { rd: r(2), ra: r(2), imm: 1 },
+        Instr::Addi { rd: r(1), ra: r(1), imm: -1 },
+        Instr::Branch { cond: Cond::Ne, ra: r(1), rb: r(0), target: 2 },
+        Instr::Trace { ra: r(2) },
+        Instr::Halt,
+    ]);
+    for tasklets in [2usize, 11] {
+        let result = assert_engines_agree(&divergent, tasklets, u64::MAX).expect("completes");
+        for &(t, v) in &result.trace {
+            assert_eq!(v, 500 * (t as u32) + 500, "tasklet {t} retired the wrong sum");
+        }
+    }
+    // Ten calls of the "subroutine" at 6, which returns through `jr r7`.
+    let jal_jr = Program::new(vec![
+        Instr::Movi { rd: r(5), imm: 10 },
+        Instr::Jal { rd: r(7), target: 6 },
+        Instr::Addi { rd: r(5), ra: r(5), imm: -1 },
+        Instr::Branch { cond: Cond::Ne, ra: r(5), rb: r(0), target: 1 },
+        Instr::Trace { ra: r(6) },
+        Instr::Halt,
+        Instr::Addi { rd: r(6), ra: r(6), imm: 7 },
+        Instr::Xor { rd: r(6), ra: r(6), rb: r(5) },
+        Instr::Jr { ra: r(7) },
+    ]);
+    for tasklets in [1usize, 3, 11] {
+        let result = assert_engines_agree(&jal_jr, tasklets, u64::MAX).expect("completes");
+        assert_eq!(result.trace.len(), tasklets);
     }
 }
 
@@ -455,7 +571,7 @@ fn dma_stalled_tasklet_bounds_the_rotation_of_the_others() {
 
 /// A budget that runs out on every slot — and in every idle gap — of an
 /// under-saturated round leaves the identical `CycleBudgetExceeded`
-/// partial state on all three tiers, fault-armed runs included.
+/// partial state on both tiers, fault-armed runs included.
 #[test]
 fn budget_cut_on_every_slot_of_an_undersaturated_round_matches_reference() {
     for (launched, working) in [(5, 5), (16, 6)] {
@@ -492,7 +608,7 @@ fn armed_aftermath(
 }
 
 /// Under every budget of `budgets` — all of which must cut the run short —
-/// the three tiers stop in the identical partial state, fault-armed runs
+/// both tiers stop in the identical partial state, fault-armed runs
 /// included.
 fn assert_every_budget_cuts_identically(
     program: &Program,
@@ -505,10 +621,8 @@ fn assert_every_budget_cuts_identically(
         assert_eq!(cut, Err(dpu_sim::Error::CycleBudgetExceeded { budget }));
         let reference = armed_aftermath(&exec, tasklets, budget, Engine::Reference);
         assert!(reference.0.outcome.is_err());
-        for engine in [Engine::Superblock, Engine::Compiled] {
-            let armed = armed_aftermath(&exec, tasklets, budget, engine);
-            assert!(armed == reference, "{}, armed, budget {budget}", engine.name());
-        }
+        let armed = armed_aftermath(&exec, tasklets, budget, Engine::Superblock);
+        assert!(armed == reference, "armed, budget {budget}");
     }
 }
 
@@ -529,26 +643,24 @@ fn every_working_count_behind_a_dma_skew_runs_batched_and_matches_reference() {
             let (reference, _) = run(Engine::Reference);
             let instructions = reference.outcome.as_ref().expect("completes").instructions;
             let armed_reference = armed_aftermath(&exec, launched, u64::MAX, Engine::Reference);
-            for engine in [Engine::Superblock, Engine::Compiled] {
-                let label = format!("{working} of {launched}, {}", engine.name());
-                let (after, s) = run(engine);
-                assert!(after == reference, "{label}: diverged");
-                assert_eq!(s.slots(), instructions, "{label}: modes partition the slots");
-                assert!(s.reference_slots * 100 <= instructions, "{label}: {s:?}");
-                if working > 11 {
-                    assert!(s.orbit_slots * 10 > instructions * 8, "{label}: {s:?}");
-                } else {
-                    assert_eq!(s.orbit_probes, 0, "{label}: closed forms cover {working}");
-                }
-                let armed = armed_aftermath(&exec, launched, u64::MAX, engine);
-                assert!(armed == armed_reference, "{label}: fault-armed run diverged");
+            let label = format!("{working} of {launched}");
+            let (after, s) = run(Engine::Superblock);
+            assert!(after == reference, "{label}: diverged");
+            assert_eq!(s.slots(), instructions, "{label}: modes partition the slots");
+            assert!(s.reference_slots * 100 <= instructions, "{label}: {s:?}");
+            if working > 11 {
+                assert!(s.orbit_slots * 10 > instructions * 8, "{label}: {s:?}");
+            } else {
+                assert_eq!(s.orbit_probes, 0, "{label}: closed forms cover {working}");
             }
+            let armed = armed_aftermath(&exec, launched, u64::MAX, Engine::Superblock);
+            assert!(armed == armed_reference, "{label}: fault-armed run diverged");
         }
     }
 }
 
 /// A budget that runs out on every cycle of three rounds of a verified
-/// orbit (period = the working count) cuts all three tiers identically.
+/// orbit (period = the working count) cuts both tiers identically.
 #[test]
 fn budget_cut_on_every_slot_of_an_orbit_round_matches_reference() {
     for (launched, working) in [(12, 12), (16, 13), (14, 14)] {
@@ -661,7 +773,7 @@ proptest! {
     /// recorded — DMA, `perf`, `trace`, bursts, faults and early halts
     /// included — leave the same result, memories, DMA statistics and
     /// perf counter on their first (plain), second (recorded) and third
-    /// (replayed) run per tier as on the reference loop; then again, with
+    /// (replayed) run as on the reference loop; then again, with
     /// whatever the table now holds, under a budget that may cut the run.
     #[test]
     fn short_racy_programs_record_and_replay_identically(
@@ -676,12 +788,10 @@ proptest! {
         let (whole, third) = assert_replay_invisible(&exec, tasklets, TEST_BUDGET, &lived_in_machine);
         if let Ok(r) = &whole.outcome {
             prop_assert!(r.instructions <= 1024, "the generator outgrew the slot cap: {r:?}");
-            for stats in third {
-                // Kept and replayed, or abandoned again: never a fourth way.
-                prop_assert_eq!(stats.replay_hits + stats.replay_abandoned, 1, "{:?}", stats);
-            }
+            // Kept and replayed, or abandoned again: never a fourth way.
+            prop_assert_eq!(third.replay_hits + third.replay_abandoned, 1, "{:?}", third);
         } else {
-            prop_assert_eq!(third.map(|s| s.replay_hits + s.replay_records), [0, 0]);
+            prop_assert_eq!(third.replay_hits + third.replay_records, 0);
         }
         let cycles = whole.outcome.map_or(TEST_BUDGET, |r| r.cycles);
         assert_replay_invisible(&exec, tasklets, cycles * budget_permille / 1000, &lived_in_machine);
@@ -711,14 +821,14 @@ fn replay_probe_program() -> Program {
     .unwrap()
 }
 
-/// Run `exec` on the compiled tier on `machine`; the aftermath and the
-/// run's residency.
-fn compiled_run(
+/// Run `exec` on the superblock engine on `machine`; the aftermath and
+/// the run's residency.
+fn fast_run(
     exec: &ExecProgram,
     tasklets: usize,
     machine: Machine,
 ) -> (Aftermath, dpu_sim::EngineStats) {
-    aftermath(machine, |m| m.run_exec_engine(exec, tasklets, Engine::Compiled))
+    aftermath(machine, |m| m.run_exec_engine(exec, tasklets, Engine::Superblock))
 }
 
 /// The same run on the reference loop.
@@ -726,13 +836,13 @@ fn reference_run(exec: &ExecProgram, tasklets: usize, machine: Machine) -> After
     aftermath(machine, |m| m.run_exec_engine(exec, tasklets, Engine::Reference)).0
 }
 
-/// `exec` with a recording of its compiled-tier run on a
+/// `exec` with a recording of its superblock-engine run on a
 /// [`lived_in_machine`] in the table (first sighting, then recorded).
 fn recorded(program: &Program, tasklets: usize) -> ExecProgram {
     let exec = ExecProgram::decode(program);
-    let (_, first) = compiled_run(&exec, tasklets, lived_in_machine());
+    let (_, first) = fast_run(&exec, tasklets, lived_in_machine());
     assert_eq!((first.replay_records, first.replay_hits), (0, 0), "first sighting runs plain");
-    let (_, second) = compiled_run(&exec, tasklets, lived_in_machine());
+    let (_, second) = fast_run(&exec, tasklets, lived_in_machine());
     assert_eq!((second.replay_records, second.replay_abandoned), (1, 0), "{second:?}");
     exec
 }
@@ -749,7 +859,7 @@ fn replay_is_validated_against_the_read_set() {
         let mut machine = lived_in_machine();
         disturb(&mut machine);
         let reference = reference_run(&exec, 1, machine.clone());
-        let (after, stats) = compiled_run(&exec, 1, machine);
+        let (after, stats) = fast_run(&exec, 1, machine);
         assert_eq!(after, reference, "{label}");
         assert_eq!(stats.replay_hits, u64::from(expect_hit), "{label}: {stats:?}");
         let r = after.outcome.expect("completes");
@@ -789,12 +899,12 @@ fn recorder_orders_reads_and_writes_per_byte() {
     let run = |source: &str, disturb: &dyn Fn(&mut Machine)| {
         let program = dpu_sim::asm::assemble(source).unwrap();
         let exec = ExecProgram::decode(&program);
-        compiled_run(&exec, 1, lived_in_machine());
-        let (_, second) = compiled_run(&exec, 1, lived_in_machine());
+        fast_run(&exec, 1, lived_in_machine());
+        let (_, second) = fast_run(&exec, 1, lived_in_machine());
         let mut machine = lived_in_machine();
         disturb(&mut machine);
         let reference = reference_run(&exec, 1, machine.clone());
-        let (third, stats) = compiled_run(&exec, 1, machine);
+        let (third, stats) = fast_run(&exec, 1, machine);
         assert_eq!(third, reference, "{source}");
         (second, stats)
     };
@@ -836,8 +946,8 @@ fn budget_below_the_recorded_cycles_cuts_the_run_for_real() {
             })
         };
         let (reference, _) = with_budget(&exec, Engine::Reference);
-        let (no_table, _) = with_budget(&ExecProgram::decode(&program), Engine::Compiled);
-        let (after, stats) = with_budget(&exec, Engine::Compiled);
+        let (no_table, _) = with_budget(&ExecProgram::decode(&program), Engine::Superblock);
+        let (after, stats) = with_budget(&exec, Engine::Superblock);
         assert_eq!(after, reference, "budget {budget}");
         assert_eq!(after, no_table, "budget {budget}");
         assert_eq!(stats.replay_hits, u64::from(budget == full.cycles), "budget {budget}");
@@ -858,7 +968,7 @@ fn erroring_runs_are_never_recorded() {
         let exec = ExecProgram::decode(&dpu_sim::asm::assemble(source).unwrap());
         for _ in 0..4 {
             let reference = reference_run(&exec, 2, lived_in_machine());
-            let (after, stats) = compiled_run(&exec, 2, lived_in_machine());
+            let (after, stats) = fast_run(&exec, 2, lived_in_machine());
             assert!(after.outcome.is_err(), "{source}");
             assert_eq!(after, reference, "{source}");
             assert_eq!(
@@ -870,10 +980,10 @@ fn erroring_runs_are_never_recorded() {
     }
 }
 
-/// Recordings are keyed: another tasklet count, tier or parameter set
-/// never replays this one's.
+/// Recordings are keyed: another tasklet count or parameter set never
+/// replays this one's, and the reference loop never replays at all.
 #[test]
-fn recordings_are_not_shared_across_tasklets_tiers_or_params() {
+fn recordings_are_not_shared_across_tasklets_or_params() {
     let program = replay_probe_program();
     let exec = recorded(&program, 2);
     let hits = |tasklets: usize, engine: Engine, machine: Machine| {
@@ -889,14 +999,13 @@ fn recordings_are_not_shared_across_tasklets_tiers_or_params() {
         m.mram = fresh.mram;
         m
     };
-    assert_eq!(hits(3, Engine::Compiled, lived_in_machine()), 0, "other tasklet count");
-    assert_eq!(hits(2, Engine::Superblock, lived_in_machine()), 0, "other tier");
-    assert_eq!(hits(2, Engine::Compiled, announced()), 0, "other device parameters");
+    assert_eq!(hits(3, Engine::Superblock, lived_in_machine()), 0, "other tasklet count");
+    assert_eq!(hits(2, Engine::Superblock, announced()), 0, "other device parameters");
     assert_eq!(hits(2, Engine::Reference, lived_in_machine()), 0, "reference never replays");
-    assert_eq!(hits(2, Engine::Compiled, lived_in_machine()), 1);
-    // Each of those was a first sighting of its own key, run plain.
-    assert_eq!(hits(2, Engine::Superblock, lived_in_machine()), 0, "second sighting records");
     assert_eq!(hits(2, Engine::Superblock, lived_in_machine()), 1);
+    // Each miss was a first sighting of its own key, run plain.
+    assert_eq!(hits(3, Engine::Superblock, lived_in_machine()), 0, "second sighting records");
+    assert_eq!(hits(3, Engine::Superblock, lived_in_machine()), 1);
 }
 
 /// Fault-armed (even with nothing to inject), traced, profiled and
@@ -917,7 +1026,7 @@ fn observed_and_guarded_launches_bypass_the_table() {
     for _ in 0..3 {
         let (armed, stats) = aftermath(lived_in_machine(), |m| {
             m.arm_faults(FaultPlan::none().attempt(0, 0));
-            let outcome = m.run_exec_engine(&exec, 2, Engine::Compiled);
+            let outcome = m.run_exec_engine(&exec, 2, Engine::Superblock);
             assert!(m.disarm_faults().expect("armed").injected().is_empty());
             outcome
         });
@@ -930,7 +1039,7 @@ fn observed_and_guarded_launches_bypass_the_table() {
                 &exec,
                 RunSpec {
                     budget: TEST_BUDGET,
-                    engine: Some(Engine::Compiled),
+                    engine: Some(Engine::Superblock),
                     observe: Observe::Trace(&mut events),
                     ..RunSpec::new(2)
                 },
@@ -953,13 +1062,13 @@ fn observed_and_guarded_launches_bypass_the_table() {
             m
         };
         let ecc_reference = reference_run(&exec, 2, ecc_machine());
-        let (ecc, stats) = compiled_run(&exec, 2, ecc_machine());
+        let (ecc, stats) = fast_run(&exec, 2, ecc_machine());
         assert_eq!(ecc, ecc_reference, "ECC on");
         untouched(stats, "ECC on");
         assert_eq!(ecc.outcome, reference.outcome);
     }
     // And the recording they all walked past still replays.
-    assert_eq!(compiled_run(&exec, 2, lived_in_machine()).1.replay_hits, 1);
+    assert_eq!(fast_run(&exec, 2, lived_in_machine()).1.replay_hits, 1);
 }
 
 /// `Machine::run` decodes per call, so its table never sees a key twice:
@@ -981,7 +1090,7 @@ fn undecoded_and_long_runs_never_touch_the_table() {
     let exec = ExecProgram::decode(&long);
     let mut m = lived_in_machine();
     for _ in 0..3 {
-        assert!(m.run_exec_engine(&exec, 1, Engine::Compiled).unwrap().instructions > 1024);
+        assert!(m.run_exec_engine(&exec, 1, Engine::Superblock).unwrap().instructions > 1024);
     }
     let s = m.engine_stats();
     assert_eq!((s.replay_hits, s.replay_records, s.replay_abandoned), (0, 0, 0), "{s:?}");

@@ -865,19 +865,6 @@ impl Tier1Engine {
         self.set.launch_with(spec).map(|(report, _)| report)
     }
 
-    /// Profile the loaded program on DPU 0 (which must have staged work),
-    /// recompile its hot superblocks, and pin the compiled engine — the
-    /// serving path's profile-guided warmup. Results of subsequent
-    /// launches are bit-identical (the engine tier is observationally
-    /// invisible); only host wall-clock changes. Returns the number of
-    /// blocks hot enough to compile.
-    ///
-    /// # Errors
-    /// Simulator faults during the profiling replay.
-    pub fn recompile_hot(&mut self, min_entries: u64) -> Result<usize, HostError> {
-        self.set.recompile_hot_loaded(DpuId(0), self.tasklets, min_entries)
-    }
-
     /// Images per DPU chunk staged on `buf`, or `None` when nothing is.
     #[must_use]
     pub fn staged_chunks(&self, buf: usize) -> Option<&[usize]> {

@@ -17,7 +17,7 @@ fn idle_dpus_of_a_sparse_batch_replay_and_traced_launches_do_not() {
     let mut engine = Tier1Engine::new(&model, DPUS).expect("eBNN engine");
     // Pinned: the CI engine matrix may force the ambient tier to the
     // reference loop, which never replays.
-    engine.set_mut().set_engine(Some(dpu_sim::Engine::Compiled));
+    engine.set_mut().set_engine(Some(dpu_sim::Engine::Superblock));
     let idle_instructions = |launch: &pim_host::LaunchResult| launch.per_dpu[1].instructions;
 
     let mut first = None;

@@ -8,10 +8,10 @@
 //! *makespan* (slowest DPU — the batch completes "at the max time for one
 //! DPU", §4.1.3) and a merged subroutine profile.
 
-use crate::error::Result;
+use crate::error::{HostError, Result};
 use crate::observe::LaunchObservation;
 use crate::resilient::{launch_core, LaunchReport, ResilientLaunchPolicy};
-use crate::set::{no_program_loaded, DpuSet};
+use crate::set::DpuSet;
 use dpu_sim::{ExecProgram, PimSystem, Profiler, Program, RunResult};
 use pim_trace::{MetricsRegistry, TraceBuffer};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -175,7 +175,10 @@ impl DpuSet {
         let (system, loaded) = self.launch_parts();
         let adhoc;
         let exec = match program {
-            LaunchProgram::Loaded => loaded.ok_or_else(no_program_loaded)?,
+            LaunchProgram::Loaded => loaded.ok_or_else(|| HostError::Symbol {
+                name: "<program>".to_owned(),
+                problem: "no program loaded; call DpuSet::load first",
+            })?,
             LaunchProgram::Adhoc(program) => {
                 adhoc = ExecProgram::compile(program)?;
                 &adhoc

@@ -383,10 +383,6 @@ where
         if let Some((plan, index)) = armed {
             dpu.arm_faults(plan.attempt(index, attempt));
         }
-        // Fault-armed attempts deoptimize the compiled tier to the
-        // superblock engine inside `run_code`; the engine choice still
-        // matters for the clean attempts and re-dispatches sharing this
-        // path.
         let spec = RunSpec {
             budget: self.policy.watchdog_budget,
             engine: Some(self.engine),

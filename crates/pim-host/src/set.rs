@@ -12,10 +12,7 @@ use crate::error::{HostError, Result};
 use crate::launch::DEFAULT_PARALLEL_THRESHOLD;
 use crate::link::{LinkPolicy, LinkStats};
 use crate::symbol::{Symbol, SymbolTable};
-use dpu_sim::{
-    DpuId, DpuParams, Engine, ExecProgram, Observe, PimSystem, RunSpec, ScrubReport,
-    MRAM_PAGE_BYTES,
-};
+use dpu_sim::{DpuId, DpuParams, Engine, ExecProgram, PimSystem, ScrubReport, MRAM_PAGE_BYTES};
 use pim_trace::{HostDirection, TraceBuffer, TraceEvent, TraceSink};
 use std::sync::Arc;
 
@@ -34,15 +31,6 @@ pub struct DpuSet {
     // Checked-transfer state (CRC framing + link fault injection), same
     // `RefCell` rationale as `host_trace`.
     link: Option<std::cell::RefCell<LinkState>>,
-}
-
-/// What launching (or profiling) the loaded program says when there is
-/// none.
-pub(crate) fn no_program_loaded() -> HostError {
-    HostError::Symbol {
-        name: "<program>".to_owned(),
-        problem: "no program loaded; call DpuSet::load first",
-    }
 }
 
 /// Mutable state of the checked-transfer layer.
@@ -342,43 +330,6 @@ impl DpuSet {
     #[must_use]
     pub fn engine(&self) -> Option<Engine> {
         self.engine
-    }
-
-    /// Profile-guided recompilation of the loaded program: replay it once
-    /// on `dpu` through the profiled reference path (accumulating a
-    /// [`dpu_sim::CycleAttribution`]), recompile only the superblocks
-    /// whose entry count meets `min_entries`
-    /// ([`dpu_sim::DEFAULT_HOT_THRESHOLD`] is the conventional floor),
-    /// and pin [`Engine::Compiled`] on the set. Returns the number of
-    /// blocks hot enough to stay compiled.
-    ///
-    /// The replay runs the program for real on `dpu` — deterministic
-    /// programs leave the same memory state a launch would, so on a
-    /// warmed-up serving set this is idempotent. Results of subsequent
-    /// launches are bit-identical to any other engine tier (the identity
-    /// tests pin this); only host wall-clock changes.
-    ///
-    /// # Errors
-    /// [`HostError::Symbol`] when no program is loaded,
-    /// [`HostError::NoSuchDpu`] when `dpu` is outside the set, or
-    /// [`HostError::Dpu`] when the profiling replay faults.
-    pub fn recompile_hot_loaded(
-        &mut self,
-        dpu: DpuId,
-        tasklets: usize,
-        min_entries: u64,
-    ) -> Result<usize> {
-        self.check_dpu(dpu)?;
-        let exec = self.loaded.as_ref().ok_or_else(no_program_loaded)?;
-        let mut attr = dpu_sim::CycleAttribution::new();
-        self.system.dpu_mut(dpu).execute(
-            exec,
-            RunSpec { observe: Observe::Profile(&mut attr), ..RunSpec::new(tasklets) },
-        )?;
-        let hot = attr.hot_starts(min_entries).len();
-        self.loaded.as_mut().expect("checked above").recompile_hot(&attr, min_entries);
-        self.engine = Some(Engine::Compiled);
-        Ok(hot)
     }
 
     fn check_dpu(&self, dpu: DpuId) -> Result<()> {

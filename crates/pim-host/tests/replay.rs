@@ -75,8 +75,8 @@ fn launch(set: &mut DpuSet) -> (LaunchResult, EngineStats) {
 #[test]
 fn sequential_and_pooled_launches_share_one_table_and_match_the_reference() {
     let mut reference = staged_set(usize::MAX, Engine::Reference);
-    let mut sequential = staged_set(usize::MAX, Engine::Compiled);
-    let mut pooled = staged_set(1, Engine::Compiled);
+    let mut sequential = staged_set(usize::MAX, Engine::Superblock);
+    let mut pooled = staged_set(1, Engine::Superblock);
     for n in 1..=5 {
         let (expected, ref_stats) = launch(&mut reference);
         assert_eq!(ref_stats.replay_hits + ref_stats.replay_records, 0, "reference never replays");
@@ -106,7 +106,7 @@ fn sequential_and_pooled_launches_share_one_table_and_match_the_reference() {
 #[test]
 fn host_copies_restores_and_raw_flips_need_no_invalidation() {
     let mut reference = staged_set(usize::MAX, Engine::Reference);
-    let mut set = staged_set(usize::MAX, Engine::Compiled);
+    let mut set = staged_set(usize::MAX, Engine::Superblock);
     let golden = set.snapshot();
     let ref_golden = reference.snapshot();
     {
@@ -142,7 +142,7 @@ fn host_copies_restores_and_raw_flips_need_no_invalidation() {
 #[test]
 fn guarded_and_observed_launches_bypass_the_table() {
     let mut reference = staged_set(usize::MAX, Engine::Reference);
-    let mut set = staged_set(usize::MAX, Engine::Compiled);
+    let mut set = staged_set(usize::MAX, Engine::Superblock);
     for _ in 0..2 {
         launch(&mut reference);
         launch(&mut set);
@@ -197,7 +197,7 @@ fn a_table_lives_and_dies_with_its_decoded_program() {
     // `DpuSet::launch` decodes the program per call: every launch starts
     // from an empty table and learns the same things again.
     let mut reference = staged_set(usize::MAX, Engine::Reference);
-    let mut set = staged_set(usize::MAX, Engine::Compiled);
+    let mut set = staged_set(usize::MAX, Engine::Superblock);
     let program = double_program();
     for n in 1..=3 {
         let expected = reference.launch(&program, TASKLETS).unwrap();

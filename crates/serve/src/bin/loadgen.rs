@@ -37,7 +37,6 @@ struct Args {
     queue_depth: usize,
     delay: u64,
     bw: u64,
-    pgo_warmup: Option<u64>,
     fault_offline: f64,
     fault_dma: f64,
     fault_flip: f64,
@@ -68,7 +67,6 @@ impl Default for Args {
             queue_depth: 64,
             delay: 500_000,
             bw: pim_serve::DEFAULT_SERVE_LINK_BYTES_PER_SEC,
-            pgo_warmup: None,
             fault_offline: 0.0,
             fault_dma: 0.0,
             fault_flip: 0.0,
@@ -89,7 +87,7 @@ fn usage() -> ! {
         "usage: loadgen [--mode open|closed] [--seed N] [--requests N] [--gap CYCLES]\n\
          \x20              [--clients N] [--think CYCLES] [--items LO..HI] [--dpus N]\n\
          \x20              [--filters N] [--pipeline serial|double] [--queue-depth N]\n\
-         \x20              [--delay CYCLES] [--bw BYTES_PER_SEC] [--pgo-warmup BATCHES]\n\
+         \x20              [--delay CYCLES] [--bw BYTES_PER_SEC]\n\
          \x20              [--fault-offline P] [--fault-dma P] [--fault-flip P]\n\
          \x20              [--fault-hang P] [--fault-forced CSV] [--fault-seed N]\n\
          \x20              [--chaos] [--json] [--compare [--min-speedup X] [--bench-json PATH]]\n\
@@ -100,68 +98,81 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
+/// Parse the command line. Every malformed or out-of-range flag is an
+/// `Err` naming it, so `main` prints the usage text and exits 2 instead of
+/// panicking inside the engine.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    fn num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+        v.parse().map_err(|_| format!("{flag}: cannot parse {v:?}"))
+    }
     let mut a = Args::default();
-    let mut argv = std::env::args().skip(1);
+    let mut argv = argv.into_iter();
     while let Some(flag) = argv.next() {
-        let mut val = |flag: &str| argv.next().unwrap_or_else(|| panic!("{flag} needs a value"));
-        match flag.as_str() {
-            "--mode" => a.mode = val("--mode"),
-            "--seed" => a.seed = val("--seed").parse().expect("--seed"),
-            "--requests" => a.requests = val("--requests").parse().expect("--requests"),
-            "--gap" => a.gap = val("--gap").parse().expect("--gap"),
-            "--clients" => a.clients = val("--clients").parse().expect("--clients"),
-            "--think" => a.think = val("--think").parse().expect("--think"),
-            "--items" => {
-                let v = val("--items");
-                let (lo, hi) = v.split_once("..").unwrap_or((v.as_str(), v.as_str()));
-                a.items_lo = lo.parse().expect("--items lo");
-                a.items_hi = hi.parse().expect("--items hi");
-            }
-            "--dpus" => a.dpus = val("--dpus").parse().expect("--dpus"),
-            "--filters" => a.filters = val("--filters").parse().expect("--filters"),
-            "--pipeline" => {
-                a.pipeline = match val("--pipeline").as_str() {
-                    "serial" => PipelineMode::Serial,
-                    "double" => PipelineMode::Double,
-                    _ => usage(),
+        let flag = flag.as_str();
+        let mut val = || argv.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag {
+            "--mode" => {
+                a.mode = val()?;
+                if a.mode != "open" && a.mode != "closed" {
+                    return Err(format!("--mode: expected open or closed, got {:?}", a.mode));
                 }
             }
-            "--queue-depth" => {
-                a.queue_depth = val("--queue-depth").parse().expect("--queue-depth");
+            "--seed" => a.seed = num(flag, &val()?)?,
+            "--requests" => a.requests = num(flag, &val()?)?,
+            "--gap" => a.gap = num(flag, &val()?)?,
+            "--clients" => a.clients = num(flag, &val()?)?,
+            "--think" => a.think = num(flag, &val()?)?,
+            "--items" => {
+                let v = val()?;
+                let (lo, hi) = v.split_once("..").unwrap_or((v.as_str(), v.as_str()));
+                a.items_lo = num(flag, lo)?;
+                a.items_hi = num(flag, hi)?;
             }
-            "--delay" => a.delay = val("--delay").parse().expect("--delay"),
-            "--bw" => a.bw = val("--bw").parse().expect("--bw"),
-            "--pgo-warmup" => {
-                a.pgo_warmup = Some(val("--pgo-warmup").parse().expect("--pgo-warmup"));
+            "--dpus" => a.dpus = num(flag, &val()?)?,
+            "--filters" => a.filters = num(flag, &val()?)?,
+            "--pipeline" => {
+                a.pipeline = match val()?.as_str() {
+                    "serial" => PipelineMode::Serial,
+                    "double" => PipelineMode::Double,
+                    other => return Err(format!("--pipeline: unknown mode {other:?}")),
+                }
             }
-            "--fault-offline" => a.fault_offline = val("--fault-offline").parse().expect("P"),
-            "--fault-dma" => a.fault_dma = val("--fault-dma").parse().expect("P"),
-            "--fault-flip" => a.fault_flip = val("--fault-flip").parse().expect("P"),
-            "--fault-hang" => a.fault_hang = val("--fault-hang").parse().expect("P"),
+            "--queue-depth" => a.queue_depth = num(flag, &val()?)?,
+            "--delay" => a.delay = num(flag, &val()?)?,
+            "--bw" => a.bw = num(flag, &val()?)?,
+            "--fault-offline" => a.fault_offline = num(flag, &val()?)?,
+            "--fault-dma" => a.fault_dma = num(flag, &val()?)?,
+            "--fault-flip" => a.fault_flip = num(flag, &val()?)?,
+            "--fault-hang" => a.fault_hang = num(flag, &val()?)?,
             "--fault-forced" => {
-                a.fault_forced = val("--fault-forced")
+                a.fault_forced = val()?
                     .split(',')
                     .filter(|s| !s.is_empty())
-                    .map(|s| s.parse().expect("--fault-forced"))
-                    .collect();
+                    .map(|s| num(flag, s))
+                    .collect::<Result<_, _>>()?;
             }
-            "--fault-seed" => a.fault_seed = val("--fault-seed").parse().expect("--fault-seed"),
+            "--fault-seed" => a.fault_seed = num(flag, &val()?)?,
             "--chaos" => a.chaos = true,
             "--json" => a.json = true,
             "--compare" => a.compare = true,
-            "--min-speedup" => {
-                a.min_speedup = val("--min-speedup").parse().expect("--min-speedup");
-            }
-            "--bench-json" => a.bench_json = Some(val("--bench-json")),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag: {other}");
-                usage();
-            }
+            "--min-speedup" => a.min_speedup = num(flag, &val()?)?,
+            "--bench-json" => a.bench_json = Some(val()?),
+            "--help" | "-h" => return Err(String::new()),
+            other => return Err(format!("unknown flag: {other}")),
         }
     }
-    a
+    let max_dpus = dpu_sim::params::SYSTEM_DPUS;
+    if !(1..=max_dpus).contains(&a.dpus) {
+        return Err(format!("--dpus: expected 1..={max_dpus}, got {}", a.dpus));
+    }
+    // `ebnn::codegen::WramLayout` fits at most 8 filters in WRAM.
+    if !(1..=8).contains(&a.filters) {
+        return Err(format!("--filters: expected 1..=8, got {}", a.filters));
+    }
+    if a.clients == 0 {
+        return Err("--clients: expected at least 1".to_owned());
+    }
+    Ok(a)
 }
 
 fn policy(a: &Args) -> Option<pim_host::ResilientLaunchPolicy> {
@@ -220,14 +231,12 @@ fn run_once(a: &Args, pipeline: PipelineMode) -> (ServeReport<Vec<u8>>, Option<s
         max_batch_delay: a.delay,
         pipeline,
         link: LinkModel { bytes_per_sec: a.bw, ..LinkModel::default() },
-        pgo_warmup_batches: a.pgo_warmup,
         record_outputs: false,
         // Small ranks (4 per set by default) so the breaker can actually
         // eject under the chaos campaign's fault rates.
         breaker: a
             .chaos
             .then(|| BreakerConfig { rank_dpus: (a.dpus / 4).max(1), ..BreakerConfig::default() }),
-        ..ServeConfig::default()
     }
     .with_env();
     let (lo, hi) = (a.items_lo.max(1), a.items_hi.max(a.items_lo.max(1)));
@@ -302,14 +311,13 @@ fn summarize(tag: &str, r: &ServeReport<Vec<u8>>) -> String {
     );
     let _ = writeln!(
         s,
-        "[{tag}] batches={} cuts(full/deadline/drain)={}/{}/{} splits={} redispatched={} pgo={}",
+        "[{tag}] batches={} cuts(full/deadline/drain)={}/{}/{} splits={} redispatched={}",
         m.counter(k::SERVE_BATCHES),
         m.counter(k::SERVE_CUTS_FULL),
         m.counter(k::SERVE_CUTS_DEADLINE),
         m.counter(k::SERVE_CUTS_DRAIN),
         m.counter(k::SERVE_SPLITS),
         m.counter(k::SERVE_REDISPATCHED_ITEMS),
-        m.counter(k::SERVE_PGO_RECOMPILES),
     );
     let _ = writeln!(
         s,
@@ -325,7 +333,12 @@ fn summarize(tag: &str, r: &ServeReport<Vec<u8>>) -> String {
 }
 
 fn main() {
-    let a = parse_args();
+    let a = parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| {
+        if !msg.is_empty() {
+            eprintln!("{msg}");
+        }
+        usage()
+    });
     if a.compare {
         let (serial, _) = run_once(&a, PipelineMode::Serial);
         let (double, _) = run_once(&a, PipelineMode::Double);

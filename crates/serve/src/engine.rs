@@ -90,12 +90,16 @@ pub trait BatchEngine {
     /// Host-runtime failures.
     fn restore(&mut self) -> Result<(), HostError>;
 
-    /// Profile-guided warmup: recompile hot superblocks from a profiling
-    /// replay and pin the compiled engine. Returns hot-block count.
+    /// Does nothing and reports no recompiled blocks. Kept only because
+    /// the frozen `benchmark/src/decor.rs` overrides it; the
+    /// benchmark-contract change of ROADMAP item 1 deletes it.
     ///
     /// # Errors
-    /// Simulator faults during the replay.
-    fn recompile_hot(&mut self, min_entries: u64) -> Result<usize, HostError>;
+    /// None.
+    fn recompile_hot(&mut self, min_entries: u64) -> Result<usize, HostError> {
+        let _ = min_entries;
+        Ok(0)
+    }
 }
 
 /// Derive a per-batch policy: same retry/backoff knobs, fault seed mixed
@@ -265,10 +269,6 @@ impl BatchEngine for EbnnServeEngine {
         self.dirty = false;
         Ok(())
     }
-
-    fn recompile_hot(&mut self, min_entries: u64) -> Result<usize, HostError> {
-        self.inner.recompile_hot(min_entries)
-    }
 }
 
 /// YOLO row-GEMM serving engine: items are `A` rows (`k` values each),
@@ -366,9 +366,5 @@ impl BatchEngine for YoloServeEngine {
         self.served = None;
         self.dirty = false;
         Ok(())
-    }
-
-    fn recompile_hot(&mut self, min_entries: u64) -> Result<usize, HostError> {
-        self.inner.recompile_hot(min_entries)
     }
 }

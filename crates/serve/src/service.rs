@@ -32,11 +32,6 @@ pub struct ServeConfig {
     pub pipeline: PipelineMode,
     /// Host-link cost model for staging/readback accounting.
     pub link: LinkModel,
-    /// `Some(n)`: after `n` launched batches, profile-guided-recompile
-    /// the loaded program and pin the compiled engine.
-    pub pgo_warmup_batches: Option<u64>,
-    /// Hot-block entry threshold for the PGO recompile.
-    pub pgo_min_entries: u64,
     /// Keep per-request outputs in the report (identity tests; costs
     /// memory on big runs).
     pub record_outputs: bool,
@@ -53,8 +48,6 @@ impl Default for ServeConfig {
             max_batch_delay: 500_000,
             pipeline: PipelineMode::Double,
             link: LinkModel::default(),
-            pgo_warmup_batches: None,
-            pgo_min_entries: dpu_sim::DEFAULT_HOT_THRESHOLD,
             record_outputs: false,
             breaker: None,
         }
@@ -137,7 +130,6 @@ struct RunState<I, O> {
     first_arrival: Option<u64>,
     last_finish: u64,
     served_items: u64,
-    pgo_done: bool,
 }
 
 impl<I, O> RunState<I, O> {
@@ -160,7 +152,6 @@ impl<I, O> RunState<I, O> {
             first_arrival: None,
             last_finish: 0,
             served_items: 0,
-            pgo_done: false,
         }
     }
 
@@ -318,19 +309,6 @@ where
     let mut breaker = cfg.breaker.map(|b| CircuitBreaker::new(b, engine.dpus()));
 
     'rounds: loop {
-        // Profile-guided warmup: after the configured number of batches,
-        // recompile the hot superblocks and pin the compiled engine. The
-        // replay costs no simulated time (host-side optimization) and the
-        // engine-tier identity guarantee keeps results bit-identical.
-        if !st.pgo_done {
-            if let Some(w) = cfg.pgo_warmup_batches {
-                if st.seq >= w && st.seq > 0 {
-                    engine.recompile_hot(cfg.pgo_min_entries)?;
-                    st.metrics.counter_add(keys::SERVE_PGO_RECOMPILES, 1);
-                    st.pgo_done = true;
-                }
-            }
-        }
         // A fault-armed launch that quarantined DPUs leaves their MRAM
         // dirty: read back what is in flight, then restore the golden
         // weights-loaded snapshot before staging anything new.

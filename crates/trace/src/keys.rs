@@ -32,8 +32,6 @@ pub const SERVE_CUTS_DEADLINE: &str = "serve.cuts.deadline";
 pub const SERVE_CUTS_DRAIN: &str = "serve.cuts.drain";
 /// Items recomputed on a survivor DPU after their home was quarantined.
 pub const SERVE_REDISPATCHED_ITEMS: &str = "serve.redispatched_items";
-/// Profile-guided `recompile_hot` recompilations performed after warmup.
-pub const SERVE_PGO_RECOMPILES: &str = "serve.pgo_recompiles";
 /// DPU quarantine events across all launched batches.
 pub const SERVE_QUARANTINED_DPUS: &str = "serve.quarantined_dpus";
 /// DPU serves classified healthy-after-repair (retries consumed or
@@ -87,7 +85,6 @@ pub const ALL_SERVE_KEYS: &[&str] = &[
     SERVE_CUTS_DEADLINE,
     SERVE_CUTS_DRAIN,
     SERVE_REDISPATCHED_ITEMS,
-    SERVE_PGO_RECOMPILES,
     SERVE_QUARANTINED_DPUS,
     SERVE_REPAIRED_DPUS,
     SERVE_BREAKER_TRIPS,
@@ -129,7 +126,6 @@ mod tests {
             "serve.cuts.deadline",
             "serve.cuts.drain",
             "serve.redispatched_items",
-            "serve.pgo_recompiles",
             "serve.quarantined_dpus",
             "serve.repaired_dpus",
             "serve.breaker.trips",

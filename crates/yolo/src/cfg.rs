@@ -95,11 +95,14 @@ fn resolve_index(v: i64, current: usize, line: usize) -> Result<usize, CfgError>
     Ok(abs as usize)
 }
 
-/// Parse Darknet `.cfg` text into a [`NetworkConfig`].
+/// Parse Darknet `.cfg` text into a [`NetworkConfig`]. Every layer's
+/// output shape is checked as it is parsed, so [`NetworkConfig::shapes`]
+/// on the result cannot panic.
 ///
 /// # Errors
 /// [`CfgError`] with a line number on any malformed section, key, or layer
-/// reference.
+/// reference, and on any layer whose shape does not follow from its input
+/// (see [`LayerSpec::try_out_shape`]).
 pub fn parse_cfg(name: &str, text: &str) -> Result<NetworkConfig, CfgError> {
     let sections = split_sections(text)?;
     let mut iter = sections.into_iter();
@@ -113,8 +116,13 @@ pub fn parse_cfg(name: &str, text: &str) -> Result<NetworkConfig, CfgError> {
     if width != height {
         return Err(CfgError { line: net.line, msg: "only square inputs supported".into() });
     }
+    if width == 0 || channels == 0 {
+        return Err(CfgError { line: net.line, msg: "input must be non-empty".into() });
+    }
+    let input = Shape { c: channels, h: height, w: width };
 
     let mut layers = Vec::new();
+    let mut shapes: Vec<Shape> = Vec::new();
     for s in iter {
         let current = layers.len();
         match s.name.as_str() {
@@ -206,12 +214,13 @@ pub fn parse_cfg(name: &str, text: &str) -> Result<NetworkConfig, CfgError> {
                 })
             }
         }
+        let prev = shapes.last().copied().unwrap_or(input);
+        let layer = layers.last().expect("a layer was just pushed");
+        let shape =
+            layer.try_out_shape(prev, &shapes).map_err(|msg| CfgError { line: s.line, msg })?;
+        shapes.push(shape);
     }
-    Ok(NetworkConfig {
-        name: name.to_owned(),
-        input: Shape { c: channels, h: height, w: width },
-        layers,
-    })
+    Ok(NetworkConfig { name: name.to_owned(), input, layers })
 }
 
 /// Emit a [`NetworkConfig`] as Darknet `.cfg` text (relative indices for
@@ -286,7 +295,7 @@ mod tests {
             activation=leaky\n\
             \n\
             [convolutional]\n\
-            filters=4\n\
+            filters=8\n\
             size=1\n\
             stride=1\n\
             activation=linear\n\
@@ -295,11 +304,11 @@ mod tests {
             from=-2\n\
             # a comment\n\
             \n\
-            [upsample]\n\
-            stride=2\n\
-            \n\
             [route]\n\
             layers = -1, 0\n\
+            \n\
+            [upsample]\n\
+            stride=2\n\
             \n\
             [yolo]\n\
             mask = 0,1\n\
@@ -308,18 +317,34 @@ mod tests {
         assert_eq!(net.input, Shape { c: 3, h: 32, w: 32 });
         assert_eq!(net.layers.len(), 6);
         assert!(matches!(net.layers[2], LayerSpec::Shortcut { from: 0 }));
-        assert!(matches!(&net.layers[4], LayerSpec::Route { layers } if layers == &vec![3, 0]));
+        assert!(matches!(&net.layers[3], LayerSpec::Route { layers } if layers == &vec![2, 0]));
         match &net.layers[5] {
             LayerSpec::Yolo { anchors } => {
                 assert_eq!(anchors, &vec![(10.0, 14.0), (23.0, 27.0)]);
             }
             other => panic!("expected yolo, got {other:?}"),
         }
-        // Shapes resolve (shortcut of conv0's 8ch output vs conv1's 4ch
-        // would panic — but conv1 has 4 filters vs conv0 8: the shortcut
-        // *should* fail shape-check downstream, which we don't trigger
-        // here) — instead verify the route concatenation works.
-        let _ = net.layers.len();
+        // The route concatenates channels; the upsample doubles the edge.
+        assert_eq!(net.shapes()[5], Shape { c: 16, h: 64, w: 64 });
+    }
+
+    #[test]
+    fn rejects_shapes_that_do_not_follow_with_the_line() {
+        let net = "[net]\nwidth=8\nheight=8\n";
+        let err = |layers: &str| parse_cfg("x", &format!("{net}{layers}")).unwrap_err();
+        let e = err("[convolutional]\nfilters=4\nsize=3\nstride=0\n");
+        assert_eq!(e.line, 4);
+        assert!(e.msg.contains("stride"), "{e}");
+        assert!(err("[maxpool]\nsize=2\nstride=0\n").msg.contains("stride"));
+        let e = err("[convolutional]\nfilters=4\nsize=3\n[convolutional]\nsize=9\n");
+        assert_eq!(e.line, 7);
+        assert!(e.msg.contains("does not fit"), "{e}");
+        let route = "[convolutional]\nfilters=4\n[maxpool]\nsize=2\n[route]\nlayers=-1,0\n";
+        assert!(err(route).msg.contains("route spatial mismatch"));
+        let shortcut =
+            "[convolutional]\nfilters=4\n[convolutional]\nfilters=2\n[shortcut]\nfrom=-2\n";
+        assert!(err(shortcut).msg.contains("shortcut shapes must match"));
+        assert!(parse_cfg("x", "[net]\nwidth=0\nheight=0\n").unwrap_err().msg.contains("empty"));
     }
 
     #[test]

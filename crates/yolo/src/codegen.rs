@@ -459,15 +459,6 @@ impl RowEngine {
         self.set.launch_with(spec).map(|(report, _)| report)
     }
 
-    /// Profile-guided warmup: see the eBNN engine's `recompile_hot`.
-    /// Returns the number of blocks hot enough to compile.
-    ///
-    /// # Errors
-    /// Simulator faults during the profiling replay.
-    pub fn recompile_hot(&mut self, min_entries: u64) -> Result<usize, HostError> {
-        self.set.recompile_hot_loaded(DpuId(0), self.tasklets, min_entries)
-    }
-
     /// Gather the staged rows' `C` outputs (row `i` from DPU `i`), plus
     /// the bytes read over the host link.
     ///

@@ -88,15 +88,48 @@ pub struct ConvSpec {
     pub activation: Activation,
 }
 
+/// Output edge of a `size`-wide window sliding by `stride` over `edge`
+/// plus `pad` total padding; `None` when the window does not fit or the
+/// padded edge overflows.
+fn window_out(edge: usize, pad: usize, size: usize, stride: usize) -> Option<usize> {
+    Some(edge.checked_add(pad)?.checked_sub(size)? / stride + 1)
+}
+
 impl ConvSpec {
     /// Output shape given an input shape.
+    ///
+    /// # Panics
+    /// When [`ConvSpec::try_out_shape`] rejects the geometry.
     #[must_use]
     pub fn out_shape(&self, input: Shape) -> Shape {
-        Shape {
-            c: self.filters,
-            h: (input.h + 2 * self.pad - self.size) / self.stride + 1,
-            w: (input.w + 2 * self.pad - self.size) / self.stride + 1,
+        self.try_out_shape(input).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`ConvSpec::out_shape`], or why the layer cannot run on `input`: a
+    /// zero filter count, kernel or stride, a kernel wider than the padded
+    /// input, or GEMM dimensions that overflow.
+    ///
+    /// # Errors
+    /// A description of the first problem found.
+    pub fn try_out_shape(&self, input: Shape) -> Result<Shape, String> {
+        let Self { filters, size, stride, pad, .. } = *self;
+        if filters == 0 || size == 0 || stride == 0 {
+            return Err(format!(
+                "conv needs non-zero filters, size and stride (got {filters}, {size}, {stride})"
+            ));
         }
+        let edge = |x: usize| {
+            pad.checked_mul(2).and_then(|p| window_out(x, p, size, stride)).ok_or_else(|| {
+                format!("conv kernel {size} does not fit input {x} padded by {pad} per side")
+            })
+        };
+        let out = Shape { c: filters, h: edge(input.h)?, w: edge(input.w)? };
+        // The GEMM view multiplies these out (see `ConvSpec::gemm_dims`).
+        let k = size.checked_mul(size).and_then(|s| s.checked_mul(input.c));
+        if k.is_none() || out.h.checked_mul(out.w).is_none() {
+            return Err(format!("conv GEMM dimensions of {input:?} -> {out:?} overflow"));
+        }
+        Ok(out)
     }
 
     /// GEMM dimensions of this layer on a given input.
@@ -174,35 +207,62 @@ impl LayerSpec {
     /// layer's output.
     ///
     /// # Panics
-    /// When a route/shortcut index is out of range or shapes mismatch.
+    /// When [`LayerSpec::try_out_shape`] rejects the layer.
     #[must_use]
     pub fn out_shape(&self, input: Shape, shapes: &[Shape]) -> Shape {
+        self.try_out_shape(input, shapes).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`LayerSpec::out_shape`], or why the layer cannot follow `input`
+    /// and `shapes`: a route/shortcut index that is not an earlier layer,
+    /// mismatched shortcut or route shapes, a zero kernel or stride, a
+    /// window wider than its padded input, or an overflowing size.
+    ///
+    /// # Errors
+    /// A description of the first problem found.
+    pub fn try_out_shape(&self, input: Shape, shapes: &[Shape]) -> Result<Shape, String> {
+        let earlier = |l: usize| {
+            shapes.get(l).copied().ok_or_else(|| format!("layer {l} is not an earlier layer"))
+        };
         match self {
-            LayerSpec::Conv(c) => c.out_shape(input),
+            LayerSpec::Conv(c) => c.try_out_shape(input),
             LayerSpec::Shortcut { from } => {
-                let other = shapes[*from];
-                assert_eq!(other, input, "shortcut shapes must match");
-                input
+                let other = earlier(*from)?;
+                if other != input {
+                    return Err(format!("shortcut shapes must match: {other:?} vs {input:?}"));
+                }
+                Ok(input)
             }
             LayerSpec::Route { layers } => {
-                let first = shapes[layers[0]];
-                let c = layers
-                    .iter()
-                    .map(|&l| {
-                        let s = shapes[l];
-                        assert_eq!((s.h, s.w), (first.h, first.w), "route spatial mismatch");
-                        s.c
-                    })
-                    .sum();
-                Shape { c, h: first.h, w: first.w }
+                let first = earlier(*layers.first().ok_or("route needs at least one layer")?)?;
+                let mut c = 0usize;
+                for &l in layers {
+                    let s = earlier(l)?;
+                    if (s.h, s.w) != (first.h, first.w) {
+                        return Err(format!("route spatial mismatch: {s:?} vs {first:?}"));
+                    }
+                    c = c.checked_add(s.c).ok_or("route channel count overflows")?;
+                }
+                Ok(Shape { c, h: first.h, w: first.w })
             }
-            LayerSpec::MaxPool { size, stride, pad } => Shape {
-                c: input.c,
-                h: (input.h + pad - size) / stride + 1,
-                w: (input.w + pad - size) / stride + 1,
+            &LayerSpec::MaxPool { size, stride, pad } => {
+                if size == 0 || stride == 0 {
+                    return Err(format!(
+                        "maxpool needs non-zero size and stride (got {size}, {stride})"
+                    ));
+                }
+                let edge = |x: usize| {
+                    window_out(x, pad, size, stride).ok_or_else(|| {
+                        format!("maxpool window {size} does not fit input {x} padded by {pad}")
+                    })
+                };
+                Ok(Shape { c: input.c, h: edge(input.h)?, w: edge(input.w)? })
+            }
+            LayerSpec::Upsample => match (input.h.checked_mul(2), input.w.checked_mul(2)) {
+                (Some(h), Some(w)) => Ok(Shape { c: input.c, h, w }),
+                _ => Err(format!("upsample of {input:?} overflows")),
             },
-            LayerSpec::Upsample => Shape { c: input.c, h: input.h * 2, w: input.w * 2 },
-            LayerSpec::Yolo { .. } => input,
+            LayerSpec::Yolo { .. } => Ok(input),
         }
     }
 }

@@ -83,10 +83,10 @@ fn yolo_tier1_layer_is_bit_identical_to_seed() {
     assert_eq!(prints, vec![(1_763, 968, 264_648); 6], "trace buffers drifted");
 }
 
-/// Every engine tier pinned through the host API (`DpuSet::set_engine`)
-/// reproduces the identical launch: the golden YOLO layer figures cannot
-/// depend on whether the reference loop, the superblock engine, or the
-/// compiled threaded-code tier retired the instructions.
+/// Both engine tiers pinned through the host API (`DpuSet::set_engine`)
+/// reproduce the identical launch: the golden YOLO layer figures cannot
+/// depend on whether the reference loop or the superblock engine retired
+/// the instructions.
 #[test]
 fn pinned_engine_tiers_reproduce_identical_launches() {
     use dpu_sim::Engine;
@@ -95,7 +95,7 @@ fn pinned_engine_tiers_reproduce_identical_launches() {
     let a: Vec<i16> = (0..dims.m * dims.k).map(|i| ((i * 7 % 13) as i16) - 6).collect();
     let b: Vec<i16> = (0..dims.k * dims.n).map(|i| ((i * 5 % 11) as i16) - 5).collect();
     let mut runs = Vec::new();
-    for engine in [Engine::Reference, Engine::Superblock, Engine::Compiled] {
+    for engine in [Engine::Reference, Engine::Superblock] {
         let (c, launch) =
             yolo_pim::codegen::run_tier1_layer_with_engine(dims, 1, &a, &b, 3, engine)
                 .expect("tiered run");
@@ -167,7 +167,7 @@ fn staged_gemm_row() -> (dpu_sim::Machine, dpu_sim::ExecProgram) {
 /// (exactly `stages` of them, DMA-skewed out of round-robin order;
 /// subroutine bursts retired in whole rounds) — leave the same
 /// `RunResult`, the same WRAM and the same MRAM (features / the C row
-/// included) on all three engine tiers.
+/// included) on both engine tiers.
 #[test]
 fn paper_kernels_leave_identical_machines_on_every_engine_tier() {
     use dpu_sim::{DpuId, Engine, ExecProgram, Machine};
@@ -203,22 +203,20 @@ fn paper_kernels_leave_identical_machines_on_every_engine_tier() {
             (result, m)
         };
         let (reference, ref_machine) = run(Engine::Reference);
-        for engine in [Engine::Superblock, Engine::Compiled] {
-            let (result, machine) = run(engine);
-            assert_eq!(result, reference, "{name}: {engine:?} RunResult diverged");
-            assert!(machine.wram == ref_machine.wram, "{name}: {engine:?} WRAM diverged");
-            assert!(machine.mram == ref_machine.mram, "{name}: {engine:?} MRAM diverged");
-            // The fast tiers really did take their batched modes.
-            let stats = machine.engine_stats().since(&staged.engine_stats());
-            assert_eq!(stats.slots(), reference.instructions, "{name}: modes partition the slots");
-            assert!(stats.reference_slots * 4 < reference.instructions, "{name}: {stats:?}");
-            if name.starts_with("eBNN x6") {
-                assert!(stats.undersaturated_slots * 10 > reference.instructions * 9, "{name}");
-            }
-            if orbit {
-                assert!(stats.orbit_slots * 10 > reference.instructions * 9, "{name}: {stats:?}");
-                assert!(stats.reference_slots * 100 <= reference.instructions, "{name}");
-            }
+        let (result, machine) = run(Engine::Superblock);
+        assert_eq!(result, reference, "{name}: RunResult diverged");
+        assert!(machine.wram == ref_machine.wram, "{name}: WRAM diverged");
+        assert!(machine.mram == ref_machine.mram, "{name}: MRAM diverged");
+        // The fast tier really did take its batched modes.
+        let stats = machine.engine_stats().since(&staged.engine_stats());
+        assert_eq!(stats.slots(), reference.instructions, "{name}: modes partition the slots");
+        assert!(stats.reference_slots * 4 < reference.instructions, "{name}: {stats:?}");
+        if name.starts_with("eBNN x6") {
+            assert!(stats.undersaturated_slots * 10 > reference.instructions * 9, "{name}");
+        }
+        if orbit {
+            assert!(stats.orbit_slots * 10 > reference.instructions * 9, "{name}: {stats:?}");
+            assert!(stats.reference_slots * 100 <= reference.instructions, "{name}");
         }
     }
 
@@ -236,8 +234,8 @@ fn paper_kernels_leave_identical_machines_on_every_engine_tier() {
 /// One run entry, one invariant: the eBNN kernel (16 images, 16 tasklets)
 /// and a GEMM row (11 tasklets) through `Machine::execute` leave the same
 /// `RunResult`, WRAM, MRAM and perf counter whether nothing observes the
-/// run, a trace sink does, or the profiler does — asked of each of the
-/// three engine tiers — and every traced run records the same events,
+/// run, a trace sink does, or the profiler does — asked of both engine
+/// tiers — and every traced run records the same events,
 /// every profiled one the same attribution.
 #[test]
 fn paper_kernels_run_the_same_under_every_observer_on_every_engine_tier() {
@@ -259,7 +257,7 @@ fn paper_kernels_run_the_same_under_every_observer_on_every_engine_tier() {
         let spec = RunSpec { engine: Some(Engine::Reference), ..RunSpec::new(tasklets) };
         let expected = reference.execute(exec, spec).expect("kernel completes");
         let (mut events, mut attribution) = (None, None);
-        for engine in [Engine::Reference, Engine::Superblock, Engine::Compiled] {
+        for engine in [Engine::Reference, Engine::Superblock] {
             for observer in ["off", "trace", "profile"] {
                 let cell = format!("{name}, {engine:?}, {observer}");
                 let mut m = staged.clone();
@@ -309,7 +307,7 @@ fn sparse_rank_replays_idle_dpus_and_matches_the_reference_loop() {
     let mut fast = Tier1Engine::new(&model, DPUS).expect("eBNN engine");
     let mut reference = Tier1Engine::new(&model, DPUS).expect("eBNN engine");
     // Both pinned: the CI engine matrix forces the ambient tier.
-    fast.set_mut().set_engine(Some(Engine::Compiled));
+    fast.set_mut().set_engine(Some(Engine::Superblock));
     reference.set_mut().set_engine(Some(Engine::Reference));
 
     let mut last_hits = 0;
