@@ -5,12 +5,12 @@
 //!
 //! Three synthetic shapes bracket the tier's reach:
 //!
-//! * `alu_loop` — one short loop block; with 11 lockstep tasklets whole
-//!   rounds replay from a single fetch;
+//! * `alu_loop` — one short loop block; with 11 tasklets at the same pc
+//!   the fast tier runs it as tasklet-major chunks of memoized blocks;
 //! * `sync_heavy` — mutex/barrier bound: every lock is a boundary
 //!   instruction, so the tiers should be close;
 //! * `divergent` — a `tasklet_id`-seeded loop where register files differ
-//!   per tasklet, so rounds stay lockstep in pc only.
+//!   per tasklet while the pcs stay together: the same chunks.
 //!
 //! The paper's own kernels sit next to them (`pim_bench::kernels`):
 //! `ebnn_tier1_{1,6,11,16}t`, the generated eBNN conv-pool program with

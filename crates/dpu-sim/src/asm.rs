@@ -81,18 +81,25 @@ fn parse_reg(line: usize, tok: &str) -> Result<Reg> {
     Ok(Reg(n))
 }
 
+/// An immediate: an optional `-`, an optional `0x`, then digits — one sign
+/// at most, and only in front.
 fn parse_imm(line: usize, tok: &str) -> Result<i32> {
     let tok = tok.trim();
+    let bad = || err(line, format!("bad immediate `{tok}`"));
     let (neg, body) = match tok.strip_prefix('-') {
         Some(b) => (true, b),
         None => (false, tok),
     };
-    let v: i64 = if let Some(hex) = body.strip_prefix("0x") {
-        i64::from_str_radix(hex, 16).map_err(|_| err(line, format!("bad immediate `{tok}`")))?
-    } else {
-        body.parse().map_err(|_| err(line, format!("bad immediate `{tok}`")))?
+    let (digits, radix) = match body.strip_prefix("0x") {
+        Some(hex) => (hex, 16),
+        None => (body, 10),
     };
-    let v = if neg { -v } else { v };
+    // `from_str_radix` would take a sign of its own.
+    if digits.starts_with(['+', '-']) {
+        return Err(bad());
+    }
+    let v = i64::from_str_radix(digits, radix).map_err(|_| bad())?;
+    let v = if neg { v.checked_neg().ok_or_else(bad)? } else { v };
     // Allow the full u32 range written as unsigned (e.g. 0xffffffff).
     if v > u32::MAX as i64 || v < i32::MIN as i64 {
         return Err(err(line, format!("immediate `{tok}` out of 32-bit range")));

@@ -28,9 +28,9 @@ macro_rules! engine_stats {
     ($( $(#[$doc:meta])* $field:ident => $key:literal, )+) => {
         /// Issue slots retired per execution mode, plus chunk outcomes.
         ///
-        /// The seven `slots.*` counters partition every issued slot of
-        /// every run the machine has executed (reference, traced and
-        /// profiled runs count under `reference_slots` entirely, replayed
+        /// The six `slots.*` counters partition every issued slot of
+        /// every run the machine has executed (reference and profiled
+        /// runs count under `reference_slots` entirely, replayed
         /// runs under `replayed_slots`); `undersaturated_slots` and
         /// `orbit_slots` cut across them.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,18 +73,15 @@ engine_stats! {
     chunk_slots => "slots.chunk",
     /// Whole rounds of subroutine-burst slots retired in one step.
     burst_batch_slots => "slots.burst_batch",
-    /// Whole lockstep rounds from a single fetch: block replay and
-    /// uniform single-instruction rounds.
-    lockstep_slots => "slots.lockstep",
     /// Slots of runs replayed from a recording ("Recorded launches" in
     /// `docs/PERFORMANCE.md`): reported by the `RunResult`, issued
     /// through no engine mode.
     replayed_slots => "slots.replayed",
-    /// Of the rotation, chunk, burst-batch and lockstep slots, those
-    /// retired while fewer tasklets than pipeline stages were rotating
-    /// (idle cycles every round) — not a seventh mode.
+    /// Of the rotation, chunk and burst-batch slots, those retired while
+    /// fewer tasklets than pipeline stages were rotating (idle cycles
+    /// every round) — not a seventh mode.
     undersaturated_slots => "rotation.undersaturated_slots",
-    /// Of the same four modes' slots, those retired on a schedule that
+    /// Of the same three modes' slots, those retired on a schedule that
     /// [`crate::pipeline::Pipeline::orbit_schedule`] verified because no
     /// closed form fit (more runnable tasklets than stages in a permuted
     /// rotation) — not a mode either.
@@ -128,11 +125,7 @@ impl EngineStats {
     /// Slots an engine retired by anything other than the per-slot
     /// reference path.
     pub(crate) fn batched_slots(&self) -> u64 {
-        self.sole_slots
-            + self.rotation_slots
-            + self.chunk_slots
-            + self.burst_batch_slots
-            + self.lockstep_slots
+        self.sole_slots + self.rotation_slots + self.chunk_slots + self.burst_batch_slots
     }
 
     pub(crate) fn record_abort(&mut self, reason: ChunkAbort, wasted_slots: u64) {

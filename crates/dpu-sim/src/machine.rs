@@ -7,6 +7,13 @@
 //! for it, and reports total cycles, instruction count, DMA statistics, a
 //! subroutine profile and every performance-counter reading.
 //!
+//! Every instruction has one definition. The boundary ops (`halt`, DMA,
+//! `call`, perf counter, barrier, mutex) live in `Interp::step`; every
+//! inline op — loads and stores, control flow and `trace` — lives in
+//! `Interp::exec_inline`, which both the reference loop and the batched
+//! fast paths call, and the register-file ops among them in `match_pure!`,
+//! which `exec_inline` and the superblock replay share.
+//!
 //! ## The Fig. 3.1 microbenchmark harness
 //!
 //! [`crate::asm::profile_harness`] reproduces the paper's
@@ -45,8 +52,9 @@ pub const DEFAULT_CYCLE_BUDGET: u64 = 50_000_000_000;
 /// Selection is explicit via [`RunSpec::engine`] (and `pim-host`'s
 /// `DpuSet::set_engine`) or ambient via
 /// [`Engine::effective`], which consults the `PIM_SIM_ENGINE` environment
-/// variable and otherwise defaults to the superblock engine. Traced and
-/// profiled runs always take the reference loop regardless of selection.
+/// variable and otherwise defaults to the superblock engine. Profiled runs
+/// always take the reference loop regardless of selection; traced runs
+/// take the selected tier but never replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// The per-instruction reference loop: one pick, one budget check,
@@ -142,7 +150,7 @@ impl RunResult {
 /// What watches a run slot by slot. The two observers are exclusive — a
 /// profiled run records no events — so one run takes at most one.
 pub enum Observe<'a> {
-    /// Nothing: the only choice the fast tier and replay serve.
+    /// Nothing: the only choice replay serves.
     Off,
     /// Record cycle-stamped [`TraceEvent`]s into the sink as the kernel
     /// executes. A disabled sink (see [`TraceSink::is_enabled`]) is `Off`.
@@ -361,9 +369,9 @@ impl Machine {
     /// Tracing and profiling are purely observational — the returned
     /// [`RunResult`] (cycles, instructions, histograms, DPU log) is
     /// bit-identical to an unobserved run, which the identity tests pin —
-    /// and unobserved runs share none of their bookkeeping. Observed runs
-    /// take the per-instruction reference loop, so they trade the fast
-    /// tiers' speed for events or attribution.
+    /// and unobserved runs share none of their bookkeeping. Profiled runs
+    /// take the per-instruction reference loop, trading the fast tier's
+    /// speed for per-slot attribution; traced runs keep the fast tier.
     ///
     /// # Errors
     /// Any interpreter fault ([`Error::PcOutOfRange`], memory bounds,
@@ -415,14 +423,14 @@ impl Machine {
     ///
     /// * the **reference loop** ([`Interp::run_reference`]) — one
     ///   `Pipeline::pick` per issue slot, exactly the semantics every
-    ///   observable figure is defined by. Traced and profiled runs always
-    ///   take it regardless of `engine`, so the existing
-    ///   traced-vs-untraced equality tests double as fast-vs-reference
-    ///   identity checks;
+    ///   observable figure is defined by. Profiled runs always take it
+    ///   regardless of `engine`, since they attribute every slot;
     /// * the **superblock engine** ([`Interp::run_fast`]) — fast-forwards
     ///   whole straight-line blocks and closed-form tasklet rotations in
     ///   one dispatch, observationally invisible by construction (see the
-    ///   per-method proofs and `docs/PERFORMANCE.md`).
+    ///   per-method proofs and `docs/PERFORMANCE.md`). Traced runs take it
+    ///   too: their events come from boundary ops, which it executes in
+    ///   reference-identical slots.
     ///
     /// A plain launch on the fast tier first looks in the program's replay
     /// table for a recorded run of the same key whose read set equals this
@@ -554,15 +562,16 @@ impl Machine {
             interp.sink.record(TraceEvent::KernelLaunch { tasklets: tasklets as u8, cycle: 0 });
         }
 
-        // Traced and profiled runs take the reference path:
-        // per-instruction stepping trivially emits identical events and
-        // per-slot attribution, and the traced-vs-untraced identity tests
-        // then pin the fast engine against the reference.
+        // Profiled runs take the reference path, which attributes every
+        // slot. Traced runs need no such thing: every event is recorded by
+        // a boundary op inside `step`, and the fast engine flushes the
+        // pipeline before each boundary slot, so the events carry the
+        // reference loop's cycles.
         let outcome = if let Some(attr) = profile {
             attr.prepare(sb, tasklets);
             let mut slots = AttributedSlots::new(attr, code, interp.pipeline.elapsed());
             interp.run_reference::<false, _>(&mut slots)
-        } else if engine == Engine::Reference || interp.sink.is_enabled() {
+        } else if engine == Engine::Reference {
             interp.run_reference::<false, _>(&mut ())
         } else if recording {
             // Reference-identical slots while the recording stays open; if
@@ -741,8 +750,8 @@ const MUTEX_IDS: usize = 256;
 /// Opcode classes the batched fast paths may dispatch with a *deferred*
 /// pipeline update: ops that always occupy exactly one issue slot and
 /// cannot change the runnable set, stall, start a burst, or observe the
-/// clock. Indexed by [`exec::op_id`]; kept in sync with the dispatch in
-/// [`Interp::dispatch_slot_inline`] (enforced by a unit test).
+/// clock. Indexed by [`exec::op_id`]; kept in sync with the arms of
+/// [`Interp::exec_inline`] (enforced by a unit test).
 const INLINE_OP: [bool; OP_COUNT] = [
     true,  // nop
     false, // halt — ends the tasklet, changes the runnable set
@@ -771,6 +780,82 @@ const INLINE_OP: [bool; OP_COUNT] = [
     false, // barrier — parks the tasklet
     false, // mutex — may block or wake tasklets
 ];
+
+/// A `match` on `$instr` whose first arms apply the register-file ops —
+/// the superblock ops, which touch nothing but tasklet `$th`'s own
+/// registers (`$t` is its index) — followed by the caller's `$rest` arms.
+/// The only definition of those ops: a macro rather than a call, so that
+/// [`Interp::exec_inline`] dispatches every inline op from one jump table.
+macro_rules! match_pure {
+    ($instr:expr, $th:ident, $t:ident, { $($rest:tt)* }) => {
+        match $instr {
+            Instr::Nop => {}
+            Instr::Movi { rd, imm } => $th.set(rd, imm as u32),
+            Instr::Mov { rd, ra } => {
+                let v = $th.get(ra);
+                $th.set(rd, v);
+            }
+            Instr::Add { rd, ra, rb } => {
+                let v = $th.get(ra).wrapping_add($th.get(rb));
+                $th.set(rd, v);
+            }
+            Instr::Addi { rd, ra, imm } => {
+                let v = $th.get(ra).wrapping_add(imm as u32);
+                $th.set(rd, v);
+            }
+            Instr::Sub { rd, ra, rb } => {
+                let v = $th.get(ra).wrapping_sub($th.get(rb));
+                $th.set(rd, v);
+            }
+            Instr::And { rd, ra, rb } => {
+                let v = $th.get(ra) & $th.get(rb);
+                $th.set(rd, v);
+            }
+            Instr::Or { rd, ra, rb } => {
+                let v = $th.get(ra) | $th.get(rb);
+                $th.set(rd, v);
+            }
+            Instr::Xor { rd, ra, rb } => {
+                let v = $th.get(ra) ^ $th.get(rb);
+                $th.set(rd, v);
+            }
+            Instr::Lsl { rd, ra, rb } => {
+                let v = $th.get(ra) << ($th.get(rb) & 31);
+                $th.set(rd, v);
+            }
+            Instr::Lsr { rd, ra, rb } => {
+                let v = $th.get(ra) >> ($th.get(rb) & 31);
+                $th.set(rd, v);
+            }
+            Instr::Asr { rd, ra, rb } => {
+                let v = (($th.get(ra) as i32) >> ($th.get(rb) & 31)) as u32;
+                $th.set(rd, v);
+            }
+            Instr::Lsli { rd, ra, sh } => {
+                let v = $th.get(ra) << (sh & 31);
+                $th.set(rd, v);
+            }
+            Instr::Lsri { rd, ra, sh } => {
+                let v = $th.get(ra) >> (sh & 31);
+                $th.set(rd, v);
+            }
+            Instr::Asri { rd, ra, sh } => {
+                let v = (($th.get(ra) as i32) >> (sh & 31)) as u32;
+                $th.set(rd, v);
+            }
+            Instr::Mul8 { rd, ra, rb } => {
+                let v = ($th.get(ra) & 0xff) * ($th.get(rb) & 0xff);
+                $th.set(rd, v);
+            }
+            Instr::Popcount { rd, ra } => {
+                let v = $th.get(ra).count_ones();
+                $th.set(rd, v);
+            }
+            Instr::TaskletId { rd } => $th.set(rd, $t as u32),
+            $($rest)*
+        }
+    };
+}
 
 /// What [`Interp::run_reference`] tells of each issue slot, before the
 /// slot executes. `now` is the makespan after the slot's pick.
@@ -943,8 +1028,8 @@ impl Interp<'_> {
 
     /// Feed one memory access to the open recording, if any; an access the
     /// recorder cannot take abandons it. Called from the memory arms of
-    /// [`Interp::step`] only: while a recording is open every instruction
-    /// goes through `step`.
+    /// [`Interp::step`] and the untracked [`Interp::exec_inline`]: while a
+    /// recording is open every instruction goes through `step`.
     fn record(&mut self, access: impl FnOnce(&mut Recorder, &Wram) -> bool) {
         if let Some(rec) = self.recorder.as_deref_mut() {
             if !access(rec, &self.machine.wram) {
@@ -1188,10 +1273,10 @@ impl Interp<'_> {
     /// Because only the *number* of slots each tasklet retires reaches the
     /// pipeline, whole rounds may be retired in any internal order whose
     /// functional effects match the slot-by-slot one. At a round boundary
-    /// the loop tries, in turn: lockstep rounds from a single fetch, whole
-    /// rounds of burst slots, and a tasklet-major chunk
-    /// ([`Interp::try_chunk`]); the per-slot dispatch below them is both
-    /// the general case and the path every rolled-back chunk replays on.
+    /// the loop tries whole rounds of burst slots, then a tasklet-major
+    /// chunk ([`Interp::try_chunk`]); the per-slot dispatch below them is
+    /// both the general case and the path every rolled-back chunk replays
+    /// on.
     fn try_rotation(&mut self) -> Result<Rotation> {
         let stages = self.pipeline.stages();
         // A pick at cycle `c` leaves `elapsed = c + stages`.
@@ -1274,34 +1359,6 @@ impl Interp<'_> {
                 break Ok(());
             }
             if pos == 0 {
-                // At a round boundary with every tasklet in lockstep (same
-                // pc, no bursts) — the common SIMT shape — whole rounds
-                // dispatch from a single fetch: a memoized superblock
-                // replays for each tasklet in one go, and any other
-                // schedule-neutral instruction executes once per tasklet
-                // without per-slot fetch/classify overhead. Reordering
-                // slots within the bulk block (all instructions per
-                // tasklet vs. all tasklets per instruction) is
-                // unobservable because superblock effects are
-                // tasklet-private and the histogram commutes.
-                let pc0 = self.threads[order[0]].pc;
-                if order.iter().all(|&t| self.threads[t].pc == pc0 && self.threads[t].burst == 0) {
-                    let len = u64::from(self.sb.len_at(pc0 as usize));
-                    let retired = if len >= 2 && m + len * r as u64 <= m_allowed {
-                        self.apply_block_all(order, pc0 as usize, len as usize);
-                        len * r as u64
-                    } else if m + r as u64 <= m_allowed && self.dispatch_round_uniform(order, pc0) {
-                        r as u64
-                    } else {
-                        0
-                    };
-                    if retired > 0 {
-                        self.stats.lockstep_slots += retired;
-                        bulk += retired;
-                        m += retired;
-                        continue;
-                    }
-                }
                 // Whole rounds the budget still covers.
                 let rounds_left = (m_allowed - m) / r as u64;
                 if self.threads[order[0]].burst > 0 {
@@ -1429,180 +1486,42 @@ impl Interp<'_> {
         true
     }
 
-    /// Replay `len` superblock instructions at `pc` for every tasklet in
-    /// `order` (the lockstep bulk path), hoisting the memoized-head lookup
-    /// and the histogram fold out of the per-tasklet loop.
-    fn apply_block_all(&mut self, order: &[usize], pc: usize, len: usize) {
-        let code = self.code;
-        let slice = &code[pc..pc + len];
-        let replicas = order.len() as u64;
-        let memoized = match self.sb.head_meta(pc) {
-            Some(meta) if meta.len as usize == len => {
-                for &(op, c) in &meta.op_counts {
-                    self.op_counts[op as usize] += u64::from(c) * replicas;
-                }
-                true
-            }
-            _ => false,
-        };
-        if !memoized {
-            for slot in slice {
-                self.op_counts[slot.op as usize] += replicas;
-            }
-        }
-        for &t in order {
-            let th = &mut self.threads[t];
-            for slot in slice {
-                apply_pure(th, t, &slot.instr);
-            }
-            th.pc = (pc + len) as u32;
-        }
-    }
-
-    /// Dispatch the instruction at `pc0` once for every tasklet in `order`
-    /// — all of them sit at that pc — from a single fetch and classify.
-    /// Returns false (no state touched) for instructions that can fault or
-    /// leave the inline class; the caller falls back to per-slot dispatch.
-    fn dispatch_round_uniform(&mut self, order: &[usize], pc0: u32) -> bool {
-        let Some(&ExecInstr { instr, op }) = self.code.get(pc0 as usize) else {
-            return false;
-        };
-        let next = pc0.wrapping_add(1);
-        if exec::is_superblock_op(&instr) {
-            for &t in order {
-                let th = &mut self.threads[t];
-                apply_pure(th, t, &instr);
-                th.pc = next;
-            }
-        } else {
-            match instr {
-                Instr::Branch { cond, ra, rb, target } => {
-                    for &t in order {
-                        let th = &mut self.threads[t];
-                        th.pc = if cond.eval(th.get(ra), th.get(rb)) { target } else { next };
-                    }
-                }
-                Instr::Jump { target } => {
-                    for &t in order {
-                        self.threads[t].pc = target;
-                    }
-                }
-                Instr::Jal { rd, target } => {
-                    for &t in order {
-                        let th = &mut self.threads[t];
-                        th.set(rd, next);
-                        th.pc = target;
-                    }
-                }
-                Instr::Jr { ra } => {
-                    for &t in order {
-                        let th = &mut self.threads[t];
-                        th.pc = th.get(ra);
-                    }
-                }
-                Instr::Trace { ra } => {
-                    for &t in order {
-                        let th = &mut self.threads[t];
-                        let v = th.get(ra);
-                        th.pc = next;
-                        self.result.trace.push((t, v));
-                    }
-                }
-                _ => return false,
-            }
-        }
-        self.op_counts[op as usize] += order.len() as u64;
-        true
-    }
-
     /// Dispatch one instruction for tasklet `t` *without touching the
     /// pipeline*, for the batched fast paths: the caller has reserved the
     /// issue slot and will flush the pipeline update for the whole batch.
-    /// Only [`INLINE_OP`] classes execute; anything else returns
-    /// [`SlotKind::Boundary`] untouched. A fault (bad load/store address)
-    /// leaves pc on the faulting instruction with its op counted, exactly
-    /// like [`Interp::step`].
-    ///
-    /// With `TRACK` (inside a tasklet-major chunk) every load and store
-    /// first registers with the chunk's [`Shadow`] and reports
-    /// [`SlotKind::Conflict`] instead of racing another tasklet, stores
-    /// log what they overwrite, and `trace` reports [`SlotKind::Trace`]
-    /// unexecuted. The op is already counted in those cases; the rollback
-    /// that always follows restores the histogram.
+    /// Only [`INLINE_OP`] classes execute ([`Interp::exec_inline`]);
+    /// anything else returns [`SlotKind::Boundary`] untouched.
     fn dispatch_slot_inline<const TRACK: bool>(&mut self, t: usize) -> Result<SlotKind> {
         let pc = self.threads[t].pc as usize;
-        let &ExecInstr { instr, op } =
-            self.code.get(pc).ok_or(Error::PcOutOfRange { pc, len: self.code.len() })?;
-        if !INLINE_OP[op as usize] {
+        let code = self.code;
+        let slot = code.get(pc).ok_or(Error::PcOutOfRange { pc, len: code.len() })?;
+        if !INLINE_OP[slot.op as usize] {
             return Ok(SlotKind::Boundary);
         }
-        self.op_counts[op as usize] += 1;
+        self.op_counts[slot.op as usize] += 1;
+        self.exec_inline::<TRACK>(t, &slot.instr)
+    }
+
+    /// Execute `instr` for tasklet `t` if it is an [`INLINE_OP`], its op
+    /// already counted: the one definition of every inline instruction,
+    /// shared by [`Interp::step`] and the batched fast paths. Any other
+    /// instruction returns [`SlotKind::Boundary`] untouched; classifying
+    /// here lets `step` reach every inline op through one jump table. A
+    /// fault (bad load/store address) leaves pc on the faulting
+    /// instruction.
+    ///
+    /// Without `TRACK`, loads and stores feed the open replay recording,
+    /// if any. With `TRACK` (inside a tasklet-major chunk) every load and
+    /// store first registers with the chunk's [`Shadow`] and reports
+    /// [`SlotKind::Conflict`] instead of racing another tasklet, stores
+    /// log what they overwrite, and `trace` reports [`SlotKind::Trace`]
+    /// unexecuted; the rollback that always follows restores the
+    /// histogram.
+    #[inline(always)]
+    fn exec_inline<const TRACK: bool>(&mut self, t: usize, instr: &Instr) -> Result<SlotKind> {
         let th = &mut self.threads[t];
         let mut next_pc = th.pc.wrapping_add(1);
-        match instr {
-            Instr::Nop => {}
-            Instr::Movi { rd, imm } => th.set(rd, imm as u32),
-            Instr::Mov { rd, ra } => {
-                let v = th.get(ra);
-                th.set(rd, v);
-            }
-            Instr::Add { rd, ra, rb } => {
-                let v = th.get(ra).wrapping_add(th.get(rb));
-                th.set(rd, v);
-            }
-            Instr::Addi { rd, ra, imm } => {
-                let v = th.get(ra).wrapping_add(imm as u32);
-                th.set(rd, v);
-            }
-            Instr::Sub { rd, ra, rb } => {
-                let v = th.get(ra).wrapping_sub(th.get(rb));
-                th.set(rd, v);
-            }
-            Instr::And { rd, ra, rb } => {
-                let v = th.get(ra) & th.get(rb);
-                th.set(rd, v);
-            }
-            Instr::Or { rd, ra, rb } => {
-                let v = th.get(ra) | th.get(rb);
-                th.set(rd, v);
-            }
-            Instr::Xor { rd, ra, rb } => {
-                let v = th.get(ra) ^ th.get(rb);
-                th.set(rd, v);
-            }
-            Instr::Lsl { rd, ra, rb } => {
-                let v = th.get(ra) << (th.get(rb) & 31);
-                th.set(rd, v);
-            }
-            Instr::Lsr { rd, ra, rb } => {
-                let v = th.get(ra) >> (th.get(rb) & 31);
-                th.set(rd, v);
-            }
-            Instr::Asr { rd, ra, rb } => {
-                let v = ((th.get(ra) as i32) >> (th.get(rb) & 31)) as u32;
-                th.set(rd, v);
-            }
-            Instr::Lsli { rd, ra, sh } => {
-                let v = th.get(ra) << (sh & 31);
-                th.set(rd, v);
-            }
-            Instr::Lsri { rd, ra, sh } => {
-                let v = th.get(ra) >> (sh & 31);
-                th.set(rd, v);
-            }
-            Instr::Asri { rd, ra, sh } => {
-                let v = ((th.get(ra) as i32) >> (sh & 31)) as u32;
-                th.set(rd, v);
-            }
-            Instr::Mul8 { rd, ra, rb } => {
-                let v = (th.get(ra) & 0xff) * (th.get(rb) & 0xff);
-                th.set(rd, v);
-            }
-            Instr::Popcount { rd, ra } => {
-                let v = th.get(ra).count_ones();
-                th.set(rd, v);
-            }
-            Instr::TaskletId { rd } => th.set(rd, t as u32),
+        match_pure!(*instr, th, t, {
             Instr::Load { width, rd, ra, off } => {
                 let addr = th.get(ra).wrapping_add(off as u32) as usize;
                 let v = match width {
@@ -1610,8 +1529,15 @@ impl Interp<'_> {
                     Width::H => self.machine.wram.read_u16(addr)?,
                     Width::W => self.machine.wram.read_u32(addr)?,
                 };
-                if TRACK && !self.shadow.read(addr, width.bytes(), t) {
-                    return Ok(SlotKind::Conflict);
+                if TRACK {
+                    if !self.shadow.read(addr, width.bytes(), t) {
+                        return Ok(SlotKind::Conflict);
+                    }
+                } else {
+                    self.record(|rec, wram| {
+                        let loaded = wram.slice(addr, width.bytes());
+                        loaded.is_ok_and(|now| rec.read(Space::Wram, addr, now))
+                    });
                 }
                 self.threads[t].set(rd, v);
             }
@@ -1634,6 +1560,9 @@ impl Interp<'_> {
                     Width::H => self.machine.wram.write_u16(addr, v)?,
                     Width::W => self.machine.wram.write_u32(addr, v)?,
                 }
+                if !TRACK {
+                    self.record(|rec, _| rec.write(Space::Wram, addr, width.bytes()));
+                }
             }
             Instr::Branch { cond, ra, rb, target } => {
                 if cond.eval(th.get(ra), th.get(rb)) {
@@ -1642,7 +1571,7 @@ impl Interp<'_> {
             }
             Instr::Jump { target } => next_pc = target,
             Instr::Jal { rd, target } => {
-                th.set(rd, th.pc.wrapping_add(1));
+                th.set(rd, next_pc);
                 next_pc = target;
             }
             Instr::Jr { ra } => next_pc = th.get(ra),
@@ -1650,11 +1579,11 @@ impl Interp<'_> {
                 if TRACK {
                     return Ok(SlotKind::Trace);
                 }
-                let v = self.threads[t].get(ra);
+                let v = th.get(ra);
                 self.result.trace.push((t, v));
             }
-            _ => unreachable!("INLINE_OP out of sync with dispatch_slot_inline"),
-        }
+            _ => return Ok(SlotKind::Boundary),
+        });
         self.threads[t].pc = next_pc;
         Ok(SlotKind::Advanced)
     }
@@ -1691,106 +1620,26 @@ impl Interp<'_> {
     }
 
     /// Fetch and dispatch one instruction for tasklet `t`. The caller has
-    /// already picked the issue slot and checked the budget.
+    /// already picked the issue slot and checked the budget. Inline ops
+    /// execute in [`Interp::exec_inline`]; the boundary ops are defined
+    /// here.
     fn step(&mut self, t: usize) -> Result<()> {
         let pc = self.threads[t].pc as usize;
-        let &ExecInstr { instr, op } =
-            self.code.get(pc).ok_or(Error::PcOutOfRange { pc, len: self.code.len() })?;
-
-        self.op_counts[op as usize] += 1;
+        let code = self.code;
+        let slot = code.get(pc).ok_or(Error::PcOutOfRange { pc, len: code.len() })?;
+        self.op_counts[slot.op as usize] += 1;
+        if let SlotKind::Advanced = self.exec_inline::<false>(t, &slot.instr)? {
+            return Ok(());
+        }
         let th = &mut self.threads[t];
         let mut next_pc = th.pc.wrapping_add(1);
+        let instr = slot.instr;
         match instr {
-            Instr::Nop => {}
             Instr::Halt => {
                 self.runnable[t] = false;
                 self.runnable_count -= 1;
                 self.live -= 1;
                 self.active_remove(t);
-            }
-            Instr::Movi { rd, imm } => th.set(rd, imm as u32),
-            Instr::Mov { rd, ra } => {
-                let v = th.get(ra);
-                th.set(rd, v);
-            }
-            Instr::Add { rd, ra, rb } => {
-                let v = th.get(ra).wrapping_add(th.get(rb));
-                th.set(rd, v);
-            }
-            Instr::Addi { rd, ra, imm } => {
-                let v = th.get(ra).wrapping_add(imm as u32);
-                th.set(rd, v);
-            }
-            Instr::Sub { rd, ra, rb } => {
-                let v = th.get(ra).wrapping_sub(th.get(rb));
-                th.set(rd, v);
-            }
-            Instr::And { rd, ra, rb } => {
-                let v = th.get(ra) & th.get(rb);
-                th.set(rd, v);
-            }
-            Instr::Or { rd, ra, rb } => {
-                let v = th.get(ra) | th.get(rb);
-                th.set(rd, v);
-            }
-            Instr::Xor { rd, ra, rb } => {
-                let v = th.get(ra) ^ th.get(rb);
-                th.set(rd, v);
-            }
-            Instr::Lsl { rd, ra, rb } => {
-                let v = th.get(ra) << (th.get(rb) & 31);
-                th.set(rd, v);
-            }
-            Instr::Lsr { rd, ra, rb } => {
-                let v = th.get(ra) >> (th.get(rb) & 31);
-                th.set(rd, v);
-            }
-            Instr::Asr { rd, ra, rb } => {
-                let v = ((th.get(ra) as i32) >> (th.get(rb) & 31)) as u32;
-                th.set(rd, v);
-            }
-            Instr::Lsli { rd, ra, sh } => {
-                let v = th.get(ra) << (sh & 31);
-                th.set(rd, v);
-            }
-            Instr::Lsri { rd, ra, sh } => {
-                let v = th.get(ra) >> (sh & 31);
-                th.set(rd, v);
-            }
-            Instr::Asri { rd, ra, sh } => {
-                let v = ((th.get(ra) as i32) >> (sh & 31)) as u32;
-                th.set(rd, v);
-            }
-            Instr::Mul8 { rd, ra, rb } => {
-                let v = (th.get(ra) & 0xff) * (th.get(rb) & 0xff);
-                th.set(rd, v);
-            }
-            Instr::Popcount { rd, ra } => {
-                let v = th.get(ra).count_ones();
-                th.set(rd, v);
-            }
-            Instr::Load { width, rd, ra, off } => {
-                let addr = th.get(ra).wrapping_add(off as u32) as usize;
-                let v = match width {
-                    Width::B => self.machine.wram.read_u8(addr)?,
-                    Width::H => self.machine.wram.read_u16(addr)?,
-                    Width::W => self.machine.wram.read_u32(addr)?,
-                };
-                self.record(|rec, wram| {
-                    let loaded = wram.slice(addr, width.bytes());
-                    loaded.is_ok_and(|now| rec.read(Space::Wram, addr, now))
-                });
-                self.threads[t].set(rd, v);
-            }
-            Instr::Store { width, ra, off, rs } => {
-                let addr = th.get(ra).wrapping_add(off as u32) as usize;
-                let v = th.get(rs);
-                match width {
-                    Width::B => self.machine.wram.write_u8(addr, v)?,
-                    Width::H => self.machine.wram.write_u16(addr, v)?,
-                    Width::W => self.machine.wram.write_u32(addr, v)?,
-                }
-                self.record(|rec, _| rec.write(Space::Wram, addr, width.bytes()));
             }
             Instr::MramRead { wram, mram, len } | Instr::MramWrite { wram, mram, len } => {
                 let w = th.get(wram) as usize;
@@ -1886,17 +1735,6 @@ impl Interp<'_> {
                     });
                 }
             }
-            Instr::Branch { cond, ra, rb, target } => {
-                if cond.eval(th.get(ra), th.get(rb)) {
-                    next_pc = target;
-                }
-            }
-            Instr::Jump { target } => next_pc = target,
-            Instr::Jal { rd, target } => {
-                th.set(rd, th.pc.wrapping_add(1));
-                next_pc = target;
-            }
-            Instr::Jr { ra } => next_pc = th.get(ra),
             Instr::CallSub { sub, rd, ra, rb } => {
                 let a = th.get(ra);
                 let b = th.get(rb);
@@ -1928,11 +1766,6 @@ impl Interp<'_> {
                 let v = self.machine.perf.read(pipeline_issue_cycle(&self.pipeline));
                 self.threads[t].set(rd, (v & 0xffff_ffff) as u32);
                 self.result.perf_reads.push(v);
-            }
-            Instr::TaskletId { rd } => th.set(rd, t as u32),
-            Instr::Trace { ra } => {
-                let v = self.threads[t].get(ra);
-                self.result.trace.push((t, v));
             }
             Instr::Barrier => {
                 if self.single {
@@ -1997,6 +1830,7 @@ impl Interp<'_> {
                     }
                 }
             }
+            _ => unreachable!("exec_inline executes every inline op"),
         }
         self.threads[t].pc = next_pc;
         Ok(())
@@ -2004,75 +1838,12 @@ impl Interp<'_> {
 }
 
 /// Apply one superblock instruction to tasklet `th` (= tasklet index `t`).
-/// Exactly the register-file arms of [`Interp::step`]; the superblock
-/// classifier guarantees no other variant reaches here.
+/// The superblock classifier guarantees no other variant reaches here.
+#[inline(always)]
 fn apply_pure(th: &mut Tasklet, t: usize, instr: &Instr) {
-    match *instr {
-        Instr::Nop => {}
-        Instr::Movi { rd, imm } => th.set(rd, imm as u32),
-        Instr::Mov { rd, ra } => {
-            let v = th.get(ra);
-            th.set(rd, v);
-        }
-        Instr::Add { rd, ra, rb } => {
-            let v = th.get(ra).wrapping_add(th.get(rb));
-            th.set(rd, v);
-        }
-        Instr::Addi { rd, ra, imm } => {
-            let v = th.get(ra).wrapping_add(imm as u32);
-            th.set(rd, v);
-        }
-        Instr::Sub { rd, ra, rb } => {
-            let v = th.get(ra).wrapping_sub(th.get(rb));
-            th.set(rd, v);
-        }
-        Instr::And { rd, ra, rb } => {
-            let v = th.get(ra) & th.get(rb);
-            th.set(rd, v);
-        }
-        Instr::Or { rd, ra, rb } => {
-            let v = th.get(ra) | th.get(rb);
-            th.set(rd, v);
-        }
-        Instr::Xor { rd, ra, rb } => {
-            let v = th.get(ra) ^ th.get(rb);
-            th.set(rd, v);
-        }
-        Instr::Lsl { rd, ra, rb } => {
-            let v = th.get(ra) << (th.get(rb) & 31);
-            th.set(rd, v);
-        }
-        Instr::Lsr { rd, ra, rb } => {
-            let v = th.get(ra) >> (th.get(rb) & 31);
-            th.set(rd, v);
-        }
-        Instr::Asr { rd, ra, rb } => {
-            let v = ((th.get(ra) as i32) >> (th.get(rb) & 31)) as u32;
-            th.set(rd, v);
-        }
-        Instr::Lsli { rd, ra, sh } => {
-            let v = th.get(ra) << (sh & 31);
-            th.set(rd, v);
-        }
-        Instr::Lsri { rd, ra, sh } => {
-            let v = th.get(ra) >> (sh & 31);
-            th.set(rd, v);
-        }
-        Instr::Asri { rd, ra, sh } => {
-            let v = ((th.get(ra) as i32) >> (sh & 31)) as u32;
-            th.set(rd, v);
-        }
-        Instr::Mul8 { rd, ra, rb } => {
-            let v = (th.get(ra) & 0xff) * (th.get(rb) & 0xff);
-            th.set(rd, v);
-        }
-        Instr::Popcount { rd, ra } => {
-            let v = th.get(ra).count_ones();
-            th.set(rd, v);
-        }
-        Instr::TaskletId { rd } => th.set(rd, t as u32),
+    match_pure!(*instr, th, t, {
         _ => debug_assert!(false, "non-superblock op {instr:?} in a superblock"),
-    }
+    });
 }
 
 /// The cycle at which the most recent instruction issued.

@@ -93,11 +93,41 @@ fn assert_engines_agree(
 }
 
 /// [`assert_engines_agree`] to completion (or `TEST_BUDGET`), then again
-/// under a budget of `permille` thousandths of that run's cycles.
+/// under a budget of `permille` thousandths of that run's cycles. Both
+/// budgets are traced too: the superblock engine must record the reference
+/// loop's event list, and tracing must not change the outcome.
 fn assert_engines_agree_whole_and_cut(program: &Program, tasklets: usize, permille: u64) {
     let full = assert_engines_agree(program, tasklets, TEST_BUDGET);
-    let cycles = full.map_or(TEST_BUDGET, |r| r.cycles);
-    let _cut = assert_engines_agree(program, tasklets, cycles * permille / 1000);
+    let cut_budget = full.as_ref().map_or(TEST_BUDGET, |r| r.cycles) * permille / 1000;
+    let cut = assert_engines_agree(program, tasklets, cut_budget);
+    let exec = ExecProgram::decode(program);
+    for (budget, untraced) in [(TEST_BUDGET, full), (cut_budget, cut)] {
+        let reference = traced_run(&exec, tasklets, budget, Engine::Reference);
+        assert_eq!(reference.0, untraced, "tracing changed the outcome of {program:?}");
+        let fast = traced_run(&exec, tasklets, budget, Engine::Superblock);
+        assert_eq!(fast, reference, "traced superblock run diverged on {program:?}");
+    }
+}
+
+/// A traced run of `exec` on a fresh [`seeded_machine`]: the outcome and
+/// the recorded events.
+fn traced_run(
+    exec: &ExecProgram,
+    tasklets: usize,
+    budget: u64,
+    engine: Engine,
+) -> (Result<RunResult, dpu_sim::Error>, pim_trace::TraceBuffer) {
+    let mut events = pim_trace::TraceBuffer::new();
+    let outcome = seeded_machine().execute(
+        exec,
+        RunSpec {
+            budget,
+            engine: Some(engine),
+            observe: Observe::Trace(&mut events),
+            ..RunSpec::new(tasklets)
+        },
+    );
+    (outcome, events)
 }
 
 /// A strategy over instructions, weighted toward superblock ALU runs with
@@ -244,7 +274,8 @@ proptest! {
     /// iteration (so they land mid-chunk after conflict-free stretches
     /// have committed; a DMA gated onto one tasklet leaves it stalled
     /// outside the others' rotation) match the reference — to completion
-    /// and under a budget that cuts the run somewhere in the middle.
+    /// and under a budget that cuts the run somewhere in the middle,
+    /// traced and untraced.
     #[test]
     fn racy_wram_programs_match_reference(
         body in prop::collection::vec(racy_op_strategy(), 3..14),
@@ -273,8 +304,8 @@ proptest! {
 
     /// Twelve to fourteen working tasklets entering the loop a DMA apart:
     /// more than the pipeline has stages, in the permuted rotation only a
-    /// verified orbit batches — racing, diverging and cut short like the
-    /// rest.
+    /// verified orbit batches — racing, diverging, cut short and traced
+    /// like the rest.
     #[test]
     fn racy_wram_programs_match_reference_on_dma_skewed_rotations(
         body in prop::collection::vec(racy_op_strategy(), 3..14),

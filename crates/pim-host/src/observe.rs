@@ -24,7 +24,7 @@
 //!
 //! Engine residency (deterministic for a fixed engine tier, but it
 //! *differs across tiers* by design — perf gates must ignore it):
-//! `obs.engine.slots.{reference,sole,rotation,chunk,burst_batch,lockstep}`
+//! `obs.engine.slots.{reference,sole,rotation,chunk,burst_batch,replayed}`
 //! count the issue slots each execution mode of the simulator retired,
 //! `obs.engine.rotation.undersaturated_slots` those of them retired by
 //! rotations of fewer tasklets than pipeline stages,

@@ -135,7 +135,6 @@ fn observation_metrics_key_set_is_stable() {
             "obs.engine.rotation.undersaturated_slots",
             "obs.engine.slots.burst_batch",
             "obs.engine.slots.chunk",
-            "obs.engine.slots.lockstep",
             "obs.engine.slots.reference",
             "obs.engine.slots.replayed",
             "obs.engine.slots.rotation",

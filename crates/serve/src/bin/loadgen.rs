@@ -237,8 +237,7 @@ fn run_once(a: &Args, pipeline: PipelineMode) -> (ServeReport<Vec<u8>>, Option<s
         breaker: a
             .chaos
             .then(|| BreakerConfig { rank_dpus: (a.dpus / 4).max(1), ..BreakerConfig::default() }),
-    }
-    .with_env();
+    };
     let (lo, hi) = (a.items_lo.max(1), a.items_hi.max(a.items_lo.max(1)));
     let gen = move |rng: &mut Rng64, _id: u64| -> Vec<Vec<u8>> {
         let n = rng.range(lo, hi) as usize;

@@ -39,5 +39,5 @@ pub use engine::{BatchEngine, BatchRun, EbnnServeEngine, Gathered, YoloServeEngi
 pub use pipeline::{LinkModel, PipelineMode, DEFAULT_SERVE_LINK_BYTES_PER_SEC};
 pub use queue::AdmissionQueue;
 pub use request::{Completion, CutKind, Overloaded, Request};
-pub use service::{serve, ServeConfig, ServeReport, MAX_BATCH_DELAY_ENV, QUEUE_DEPTH_ENV};
+pub use service::{serve, ServeConfig, ServeReport};
 pub use traffic::{splitmix64, ClosedLoop, OpenLoop, Rng64, Traffic, TrafficStep};

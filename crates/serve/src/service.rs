@@ -14,11 +14,6 @@ use crate::request::{Completion, CutKind, Overloaded, Request};
 use crate::traffic::{Traffic, TrafficStep};
 use pim_trace::{keys, MetricsRegistry};
 
-/// Environment override for [`ServeConfig::max_batch_delay`] (cycles).
-pub const MAX_BATCH_DELAY_ENV: &str = "PIM_SERVE_MAX_BATCH_DELAY";
-/// Environment override for [`ServeConfig::queue_capacity`] (requests).
-pub const QUEUE_DEPTH_ENV: &str = "PIM_SERVE_QUEUE_DEPTH";
-
 /// Serving-loop knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -51,21 +46,6 @@ impl Default for ServeConfig {
             record_outputs: false,
             breaker: None,
         }
-    }
-}
-
-impl ServeConfig {
-    /// Apply the `PIM_SERVE_MAX_BATCH_DELAY` / `PIM_SERVE_QUEUE_DEPTH`
-    /// environment overrides (unparseable values are ignored).
-    #[must_use]
-    pub fn with_env(mut self) -> Self {
-        if let Some(v) = std::env::var(MAX_BATCH_DELAY_ENV).ok().and_then(|s| s.parse().ok()) {
-            self.max_batch_delay = v;
-        }
-        if let Some(v) = std::env::var(QUEUE_DEPTH_ENV).ok().and_then(|s| s.parse().ok()) {
-            self.queue_capacity = v;
-        }
-        self
     }
 }
 
@@ -441,30 +421,22 @@ where
         if double {
             // Read back batch k-1 while batch k computes.
             st.flush(engine, traffic)?;
-            let run = engine.launch(st.seq)?;
-            let compute_start = stage_end.max(st.compute_end_last);
-            let compute_end = compute_start + run.compute_cycles;
-            st.compute_end_last = compute_end;
-            st.metrics.observe(keys::SERVE_COMPUTE_CYCLES, run.compute_cycles as f64);
-            st.metrics.counter_add(keys::SERVE_REDISPATCHED_ITEMS, run.redispatched_items as u64);
-            st.metrics.counter_add(keys::SERVE_QUARANTINED_DPUS, run.quarantined_dpus.len() as u64);
-            st.metrics.counter_add(keys::SERVE_REPAIRED_DPUS, run.repaired_dpus.len() as u64);
-            if let Some(b) = &mut breaker {
-                b.observe(&run);
-            }
-            st.pending = Some(Pending { buf, compute_end, slices });
-        } else {
-            let run = engine.launch(st.seq)?;
-            let compute_end = stage_end + run.compute_cycles;
-            st.compute_end_last = compute_end;
-            st.metrics.observe(keys::SERVE_COMPUTE_CYCLES, run.compute_cycles as f64);
-            st.metrics.counter_add(keys::SERVE_REDISPATCHED_ITEMS, run.redispatched_items as u64);
-            st.metrics.counter_add(keys::SERVE_QUARANTINED_DPUS, run.quarantined_dpus.len() as u64);
-            st.metrics.counter_add(keys::SERVE_REPAIRED_DPUS, run.repaired_dpus.len() as u64);
-            if let Some(b) = &mut breaker {
-                b.observe(&run);
-            }
-            st.pending = Some(Pending { buf, compute_end, slices });
+        }
+        let run = engine.launch(st.seq)?;
+        // Serial mode read batch k-1 back before staging this one, so there
+        // `compute_end_last <= stage_end` and the batch computes from
+        // `stage_end`.
+        let compute_end = stage_end.max(st.compute_end_last) + run.compute_cycles;
+        st.compute_end_last = compute_end;
+        st.metrics.observe(keys::SERVE_COMPUTE_CYCLES, run.compute_cycles as f64);
+        st.metrics.counter_add(keys::SERVE_REDISPATCHED_ITEMS, run.redispatched_items as u64);
+        st.metrics.counter_add(keys::SERVE_QUARANTINED_DPUS, run.quarantined_dpus.len() as u64);
+        st.metrics.counter_add(keys::SERVE_REPAIRED_DPUS, run.repaired_dpus.len() as u64);
+        if let Some(b) = &mut breaker {
+            b.observe(&run);
+        }
+        st.pending = Some(Pending { buf, compute_end, slices });
+        if !double {
             st.flush(engine, traffic)?;
         }
         st.seq += 1;

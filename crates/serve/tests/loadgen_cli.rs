@@ -38,3 +38,23 @@ fn good_flags_still_serve() {
     let stdout = String::from_utf8(out.stdout).expect("utf-8");
     assert!(stdout.contains("[serve] requests=4"), "{stdout}");
 }
+
+/// Flags are the only serving knobs: `PIM_SERVE_QUEUE_DEPTH` and
+/// `PIM_SERVE_MAX_BATCH_DELAY` in the environment override neither
+/// `--queue-depth` nor `--delay`, and change nothing.
+#[test]
+fn serving_env_vars_do_not_override_flags() {
+    let args = ["--requests", "12", "--dpus", "2", "--items", "1..4", "--gap", "1", "--json"];
+    let run = |env: &[(&str, &str)]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_loadgen"))
+            .args(args)
+            .envs(env.iter().copied())
+            .output()
+            .expect("loadgen runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    let plain = run(&[]);
+    let with_env = run(&[("PIM_SERVE_QUEUE_DEPTH", "1"), ("PIM_SERVE_MAX_BATCH_DELAY", "1")]);
+    assert_eq!(String::from_utf8_lossy(&with_env), String::from_utf8_lossy(&plain));
+}
