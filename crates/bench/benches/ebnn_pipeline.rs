@@ -26,8 +26,9 @@ fn bench_fig_4_4(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("tier1_generated_program", |b| {
         b.iter(|| {
-            let (_, res) = ebnn::codegen::run_tier1_batch(&model, &images).expect("tier1");
-            black_box(res.makespan_cycles())
+            let spec = ebnn::BatchSpec::default();
+            let run = ebnn::codegen::run_tier1_batch(&model, &images, spec).expect("tier1");
+            black_box(run.report.makespan_cycles())
         });
     });
     g.finish();

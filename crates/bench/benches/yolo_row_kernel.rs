@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use yolo_pim::codegen::run_tier1_layer;
+use yolo_pim::codegen::{run_tier1_layer, LayerRunSpec};
 use yolo_pim::gemm::GemmDims;
 
 /// Deterministic small-magnitude test matrices (values in -8..8 keep the
@@ -39,7 +39,9 @@ fn bench_yolo_row_kernel(c: &mut Criterion) {
     ] {
         let a = matrix(dims.m * dims.k, 7);
         let b = matrix(dims.k * dims.n, 11);
-        let (_, launch) = run_tier1_layer(dims, 1, &a, &b, tasklets).expect("row kernel runs");
+        let spec = LayerRunSpec::new(tasklets);
+        let run = run_tier1_layer(dims, 1, &a, &b, spec).expect("row kernel runs");
+        let launch = run.report.into_launch_result().expect("every row served");
         println!(
             "{name}: {} instructions, {} cycles (max DPU) per run",
             launch.total_instructions(),
@@ -47,9 +49,8 @@ fn bench_yolo_row_kernel(c: &mut Criterion) {
         );
         g.bench_function(name, |bench| {
             bench.iter(|| {
-                let (c_row, launch) =
-                    run_tier1_layer(dims, 1, &a, &b, tasklets).expect("row kernel runs");
-                black_box((c_row, launch.makespan_cycles()))
+                let run = run_tier1_layer(dims, 1, &a, &b, spec).expect("row kernel runs");
+                black_box((run.c, run.report.makespan_cycles()))
             });
         });
     }

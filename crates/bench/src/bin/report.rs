@@ -462,7 +462,7 @@ fn sparse_rank_residency() -> (String, dpu_sim::EngineStats, String) {
     let launch = |engine: &mut ebnn::codegen::Tier1Engine| {
         engine.stage(&model, &batch, 0).expect("stage eBNN images");
         let before = (engine.set().system().engine_stats(), busy_reference_slots(engine));
-        engine.launch().expect("sparse launch");
+        engine.launch(false, None).expect("sparse launch");
         (
             engine.set().system().engine_stats().since(&before.0),
             busy_reference_slots(engine) - before.1,
@@ -492,16 +492,17 @@ fn emit_trace_metrics(json: bool) {
     use ebnn::{EbnnModel as M, ModelConfig as C};
     let small = M::generate(C { filters: 2, ..C::default() });
     let imgs: Vec<_> = (0..24).map(|i| ebnn::mnist::synth_digit(i % 10, (i / 10) as u64)).collect();
-    let traced =
-        ebnn::codegen::run_tier1_batch_multi_dpu_traced(&small, &imgs).expect("traced run");
-    let mut metrics = traced.launch.metrics();
+    let spec = ebnn::BatchSpec { trace: true, ..ebnn::BatchSpec::default() };
+    let traced = ebnn::codegen::run_tier1_batch(&small, &imgs, spec).expect("traced run");
+    let launch = traced.report.into_launch_result().expect("every DPU served");
+    let mut metrics = launch.metrics();
     metrics.counter_add("host.transfer.events", traced.host_trace.len() as u64);
     emit(json, "trace_metrics", &metrics.to_json(), || {
-        let profile: exp::ProfilerSummary = (&traced.launch.merged_profile()).into();
+        let profile: exp::ProfilerSummary = (&launch.merged_profile()).into();
         format!(
             "Traced Tier-1 eBNN batch ({} images, {} DPUs)\n\n{}\n{}",
             imgs.len(),
-            traced.launch.per_dpu.len(),
+            launch.per_dpu.len(),
             pim_trace::cycle_breakdown(&traced.dpu_traces),
             render::render_profile("Merged subroutine profile (Fig. 3.2 format)", &profile)
         )

@@ -439,10 +439,11 @@ impl TierValidation {
 #[must_use]
 pub fn tier_validation(model: &EbnnModel) -> TierValidation {
     let images: Vec<_> = (0..16).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
-    let (features, tier1) = ebnn::codegen::run_tier1_batch(model, &images).expect("tier1 run");
+    let tier1 = ebnn::codegen::run_tier1_batch(model, &images, ebnn::BatchSpec::default())
+        .expect("tier1 run");
     let bit_exact = images
         .iter()
-        .zip(&features)
+        .zip(&tier1.features)
         .all(|(img, f)| *f == model.features(&model.binarize(&img.pixels)));
     let o0 = EbnnPipeline::new(model.clone()).infer(&images).expect("o0").makespan_cycles;
     let o3 = EbnnPipeline::new(model.clone())
@@ -451,7 +452,7 @@ pub fn tier_validation(model: &EbnnModel) -> TierValidation {
         .expect("o3")
         .makespan_cycles;
     TierValidation {
-        tier1_cycles: tier1.makespan_cycles(),
+        tier1_cycles: tier1.report.makespan_cycles(),
         tier2_o0_cycles: o0,
         tier2_o3_cycles: o3,
         bit_exact,
@@ -467,9 +468,10 @@ pub fn tier_validation(model: &EbnnModel) -> TierValidation {
 pub fn fig_4_7a_tier1(model: &EbnnModel, tasklet_counts: &[usize]) -> Vec<(usize, f64)> {
     let images: Vec<_> = (0..16).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
     let cycles = |t: usize| {
-        ebnn::codegen::run_tier1_batch_with_tasklets(model, &images, t)
+        let spec = ebnn::BatchSpec { tasklets: Some(t), ..ebnn::BatchSpec::default() };
+        ebnn::codegen::run_tier1_batch(model, &images, spec)
             .expect("tier1 run")
-            .1
+            .report
             .makespan_cycles()
     };
     let base = cycles(1) as f64;

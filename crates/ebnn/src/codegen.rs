@@ -33,7 +33,7 @@ use crate::model::EbnnModel;
 use crate::{IMAGES_PER_DPU, IMAGE_DIM, IMAGE_SLOT_BYTES, POOLED_DIM};
 use dpu_sim::asm::assemble;
 use dpu_sim::{DpuId, Program};
-use pim_host::{DpuSet, HostError, LaunchResult, LaunchSpec};
+use pim_host::{DpuSet, HostError, LaunchReport, LaunchSpec, ResilientLaunchPolicy};
 use pim_trace::TraceBuffer;
 
 /// WRAM addresses used by the generated program.
@@ -308,105 +308,75 @@ pub fn encode_slot(model: &EbnnModel, image: &GrayImage) -> Vec<u8> {
     slot
 }
 
-/// Run a batch (≤ 16 images) through the generated Tier-1 program on one
-/// simulated DPU, returning per-image feature vectors and the launch
-/// result (cycles, DMA stats, trace).
+/// How [`run_tier1_batch`] runs a batch: the choices a
+/// [`pim_host::LaunchSpec`] carries, plus the tasklet count.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BatchSpec<'a> {
+    /// Tasklets per DPU, tasklet `t` taking the DPU's images `t, t+T,
+    /// t+2T, …` — the knob behind the instruction-level Fig. 4.7(a)
+    /// measurement. `None` launches one tasklet per image of the fullest
+    /// DPU.
+    pub tasklets: Option<usize>,
+    /// Record one simulator trace per DPU and the host-transfer log.
+    /// Observational: features and report are those of an untraced run.
+    pub trace: bool,
+    /// Launch under this fault-tolerance policy: a DPU that keeps faulting
+    /// is quarantined and its chunk recomputed on a survivor. `None` is
+    /// the plain launch, the policy's zero-fault case.
+    pub policy: Option<&'a ResilientLaunchPolicy>,
+}
+
+/// A Tier-1 batch run by [`run_tier1_batch`].
+#[derive(Debug, Clone)]
+pub struct Tier1Batch {
+    /// Per-image binary feature vectors, in input order — the same even
+    /// when some images were computed on a stand-in DPU.
+    pub features: Vec<Vec<u8>>,
+    /// The launch: per-DPU results (every DPU's work was served),
+    /// attempts, injected faults, quarantines and re-dispatches.
+    pub report: LaunchReport,
+    /// One cycle-stamped trace per DPU, in DPU order (empty unless
+    /// [`BatchSpec::trace`]).
+    pub dpu_traces: Vec<TraceBuffer>,
+    /// Host↔MRAM transfers in order: weight and LUT broadcast, params and
+    /// image scatter, feature gather (empty unless [`BatchSpec::trace`]).
+    pub host_trace: TraceBuffer,
+    /// Input-order indices of images whose home DPU was quarantined and
+    /// whose features a surviving DPU computed.
+    pub redispatched: Vec<usize>,
+}
+
+/// Run a batch of any size through the generated Tier-1 program on a
+/// one-shot [`Tier1Engine`]: images are chunked 16 per DPU over as many
+/// DPUs as that takes (every DPU runs the same program — the
+/// SIMD-across-DPUs model of §3.1), launched once and gathered.
 ///
 /// # Errors
-/// Host-runtime failures.
+/// Host-runtime failures, or — when some DPU's work went unserved (any
+/// fault without a policy; with one, a chunk even re-dispatch could not
+/// serve) — the first unserved DPU's error.
 ///
 /// # Panics
-/// When `images` is empty or exceeds [`IMAGES_PER_DPU`], or the model has
-/// more than 8 filters.
+/// When `images` is empty, the model has more than 8 filters, or
+/// [`BatchSpec::tasklets`] is outside `1..=24`.
 pub fn run_tier1_batch(
     model: &EbnnModel,
     images: &[GrayImage],
-) -> Result<(Vec<Vec<u8>>, LaunchResult), HostError> {
-    run_tier1_batch_with_tasklets(model, images, images.len().min(IMAGES_PER_DPU))
-}
-
-/// Like [`run_tier1_batch`] with an explicit tasklet count: tasklet `t`
-/// processes images `t, t+T, t+2T, …` — the configuration knob behind the
-/// instruction-level Fig. 4.7(a) measurement.
-///
-/// # Errors
-/// Host-runtime failures.
-///
-/// # Panics
-/// See [`run_tier1_batch`]; additionally when `tasklets` is outside
-/// `1..=24`.
-pub fn run_tier1_batch_with_tasklets(
-    model: &EbnnModel,
-    images: &[GrayImage],
-    tasklets: usize,
-) -> Result<(Vec<Vec<u8>>, LaunchResult), HostError> {
-    tier1_single_impl(model, images, tasklets, false).map(|t| (t.features, t.launch))
-}
-
-/// A Tier-1 batch run with full tracing: per-DPU simulator traces plus the
-/// host-transfer log, alongside the functional outputs.
-#[derive(Debug)]
-pub struct TracedBatch {
-    /// Per-image binary feature vectors, in input order.
-    pub features: Vec<Vec<u8>>,
-    /// The launch result (identical to an untraced run).
-    pub launch: LaunchResult,
-    /// One cycle-stamped trace per DPU, in DPU order.
-    pub dpu_traces: Vec<TraceBuffer>,
-    /// Host↔MRAM transfers (scatter, broadcast and gather), in order.
-    pub host_trace: TraceBuffer,
-}
-
-/// [`run_tier1_batch_with_tasklets`] with tracing enabled: the same
-/// inference, plus one simulator [`TraceBuffer`] per DPU and the
-/// host-transfer log.
-///
-/// # Errors
-/// Host-runtime failures.
-///
-/// # Panics
-/// See [`run_tier1_batch_with_tasklets`].
-pub fn run_tier1_batch_traced(
-    model: &EbnnModel,
-    images: &[GrayImage],
-    tasklets: usize,
-) -> Result<TracedBatch, HostError> {
-    tier1_single_impl(model, images, tasklets, true)
-}
-
-fn tier1_single_impl(
-    model: &EbnnModel,
-    images: &[GrayImage],
-    tasklets: usize,
-    trace: bool,
-) -> Result<TracedBatch, HostError> {
-    assert!(!images.is_empty() && images.len() <= IMAGES_PER_DPU, "1..=16 images per DPU");
-    assert!((1..=24).contains(&tasklets), "tasklets must be 1..=24");
-    let (fpi, fpi_pad) = feature_bytes(model);
-    let mut set = model_set(model, 1, trace, |set| {
-        let params =
-            params_wire(images.len() as u32, tasklets as u32, mram::IMAGES, mram::FEATURES);
-        set.copy_to("params", 0, &params)?;
-        for (i, g) in images.iter().enumerate() {
-            let slot = encode_slot(model, g);
-            set.copy_to_dpu(DpuId(0), "images", i * IMAGE_SLOT_BYTES, &slot)?;
-        }
-        Ok(())
-    })?;
-
-    let program = tier1_program(model.config.filters);
-    let (report, dpu_traces) =
-        set.launch_with(LaunchSpec { trace, ..LaunchSpec::adhoc(&program, tasklets) })?;
-    let launch = report.into_launch_result()?;
-
-    let mut features = Vec::with_capacity(images.len());
-    for i in 0..images.len() {
-        let mut wire = vec![0u8; fpi_pad];
-        set.copy_from_dpu(DpuId(0), "features", i * fpi_pad, &mut wire)?;
-        features.push(wire[..fpi].to_vec());
+    spec: BatchSpec<'_>,
+) -> Result<Tier1Batch, HostError> {
+    assert!(!images.is_empty(), "empty batch");
+    let dpus = images.len().div_ceil(IMAGES_PER_DPU);
+    let mut engine = Tier1Engine::with_buffers(model, dpus, 1, spec.trace)?;
+    let slots: Vec<Vec<u8>> = images.iter().map(|g| encode_slot(model, g)).collect();
+    engine.stage_slots(&slots, 0, &vec![true; dpus], spec.tasklets)?;
+    let (report, dpu_traces) = engine.launch(spec.trace, spec.policy)?;
+    if !report.fully_served() {
+        return Err(report.into_launch_result().expect_err("a DPU went unserved"));
     }
-    let host_trace = set.take_host_trace().unwrap_or_default();
-    Ok(TracedBatch { features, launch, dpu_traces, host_trace })
+    let (features, _) = engine.gather(0)?;
+    let redispatched = report.items(engine.staged_chunks(0).expect("batch staged")).redispatched;
+    let host_trace = engine.set.take_host_trace().unwrap_or_default();
+    Ok(Tier1Batch { features, report, dpu_traces, host_trace, redispatched })
 }
 
 /// Feature bytes per image for `model`, and the same padded to the 8-byte
@@ -414,42 +384,6 @@ fn tier1_single_impl(
 fn feature_bytes(model: &EbnnModel) -> (usize, usize) {
     let fpi = WramLayout::new(model.config.filters).features_per_image() as usize;
     (fpi, fpi.div_ceil(8) * 8)
-}
-
-/// A set of `dpus` DPUs laid out for [`tier1_program`]: the five MRAM
-/// symbols defined in order — so they land at the offsets in [`mram`],
-/// which the program hard-codes — then `stage` run on the set, then the
-/// filters and the LUT broadcast. A traced set's host-transfer log
-/// records `stage`'s transfers before the broadcasts.
-fn model_set(
-    model: &EbnnModel,
-    dpus: usize,
-    trace: bool,
-    stage: impl FnOnce(&mut DpuSet) -> Result<(), HostError>,
-) -> Result<DpuSet, HostError> {
-    let filters = model.config.filters;
-    let mut set = DpuSet::allocate(dpus)?;
-    if trace {
-        set.enable_host_tracing();
-    }
-    set.define_symbol("params", 16)?;
-    set.define_symbol("images", 2048)?;
-    set.define_symbol("filters", 256)?;
-    set.define_symbol("lut", 312)?;
-    set.define_symbol("features", IMAGES_PER_DPU * feature_bytes(model).1)?;
-    stage(&mut set)?;
-
-    let mut filter_wire = vec![0u8; 16 * filters];
-    for (j, f) in model.filters.iter().enumerate() {
-        for (r, &row) in f.rows.iter().enumerate() {
-            filter_wire[j * 16 + 4 * r..j * 16 + 4 * r + 4]
-                .copy_from_slice(&u32::from(row).to_le_bytes());
-        }
-    }
-    set.copy_to("filters", 0, &pim_host::pad_to_8(&filter_wire))?;
-    let lut = BnLut::for_conv3x3(&model.bn);
-    set.copy_to("lut", 0, &pim_host::pad_to_8(&lut.to_bytes()))?;
-    Ok(set)
 }
 
 #[cfg(test)]
@@ -488,17 +422,17 @@ mod tests {
     fn tier1_features_match_model_single_image() {
         let m = model(4);
         let imgs = vec![crate::mnist::synth_digit(7, 1)];
-        let (features, result) = run_tier1_batch(&m, &imgs).unwrap();
+        let run = run_tier1_batch(&m, &imgs, BatchSpec::default()).unwrap();
         let expected = m.features(&m.binarize(&imgs[0].pixels));
-        assert_eq!(features[0], expected);
-        assert!(result.makespan_cycles() > 0);
+        assert_eq!(run.features[0], expected);
+        assert!(run.report.makespan_cycles() > 0);
     }
 
     #[test]
     fn tier1_features_match_model_full_batch() {
         let m = model(2);
         let imgs: Vec<_> = (0..16).map(|i| crate::mnist::synth_digit(i % 10, i as u64)).collect();
-        let (features, _) = run_tier1_batch(&m, &imgs).unwrap();
+        let features = run_tier1_batch(&m, &imgs, BatchSpec::default()).unwrap().features;
         for (i, img) in imgs.iter().enumerate() {
             let expected = m.features(&m.binarize(&img.pixels));
             assert_eq!(features[i], expected, "image {i}");
@@ -509,7 +443,7 @@ mod tests {
     fn partial_batches_leave_idle_tasklets_quiet() {
         let m = model(2);
         let imgs: Vec<_> = (0..3).map(|i| crate::mnist::synth_digit(i, 0)).collect();
-        let (features, _) = run_tier1_batch(&m, &imgs).unwrap();
+        let features = run_tier1_batch(&m, &imgs, BatchSpec::default()).unwrap().features;
         assert_eq!(features.len(), 3);
         for (i, img) in imgs.iter().enumerate() {
             assert_eq!(features[i], m.features(&m.binarize(&img.pixels)));
@@ -529,7 +463,8 @@ mod tasklet_scaling_tests {
         let expected: Vec<Vec<u8>> =
             imgs.iter().map(|g| m.features(&m.binarize(&g.pixels))).collect();
         for t in [1usize, 2, 3, 7, 11] {
-            let (features, _) = run_tier1_batch_with_tasklets(&m, &imgs, t).unwrap();
+            let spec = BatchSpec { tasklets: Some(t), ..BatchSpec::default() };
+            let features = run_tier1_batch(&m, &imgs, spec).unwrap().features;
             assert_eq!(features, expected, "tasklets = {t}");
         }
     }
@@ -539,8 +474,10 @@ mod tasklet_scaling_tests {
         // Instruction-level Fig. 4.7(a): 16 images, varying tasklets.
         let m = EbnnModel::generate(ModelConfig { filters: 1, ..ModelConfig::default() });
         let imgs: Vec<_> = (0..16).map(|i| crate::mnist::synth_digit(i % 10, i as u64)).collect();
-        let cycles =
-            |t: usize| run_tier1_batch_with_tasklets(&m, &imgs, t).unwrap().1.makespan_cycles();
+        let cycles = |t: usize| {
+            let spec = BatchSpec { tasklets: Some(t), ..BatchSpec::default() };
+            run_tier1_batch(&m, &imgs, spec).unwrap().report.makespan_cycles()
+        };
         let c1 = cycles(1) as f64;
         let (s8, s11, s16) =
             (c1 / cycles(8) as f64, c1 / cycles(11) as f64, c1 / cycles(16) as f64);
@@ -551,42 +488,6 @@ mod tasklet_scaling_tests {
     }
 }
 
-/// Run an arbitrarily large batch at Tier 1 across multiple DPUs: images
-/// are chunked 16 per DPU (every DPU has the same MRAM symbol layout and
-/// runs the same program — the SIMD-across-DPUs model of §3.1).
-///
-/// Returns per-image features in input order plus the launch result
-/// (the makespan is the slowest DPU).
-///
-/// # Errors
-/// Host-runtime failures.
-///
-/// # Panics
-/// When `images` is empty or the model has more than 8 filters.
-pub fn run_tier1_batch_multi_dpu(
-    model: &EbnnModel,
-    images: &[GrayImage],
-) -> Result<(Vec<Vec<u8>>, LaunchResult), HostError> {
-    tier1_multi_impl(model, images, false).map(|t| (t.features, t.launch))
-}
-
-/// [`run_tier1_batch_multi_dpu`] with tracing enabled: per-DPU simulator
-/// traces (one [`TraceBuffer`] per DPU, in DPU order) plus the
-/// host-transfer log covering the weight broadcast, image scatter and
-/// feature gather.
-///
-/// # Errors
-/// Host-runtime failures.
-///
-/// # Panics
-/// See [`run_tier1_batch_multi_dpu`].
-pub fn run_tier1_batch_multi_dpu_traced(
-    model: &EbnnModel,
-    images: &[GrayImage],
-) -> Result<TracedBatch, HostError> {
-    tier1_multi_impl(model, images, true)
-}
-
 /// Images staged onto one buffer of a [`Tier1Engine`].
 #[derive(Debug, Clone)]
 struct StagedMeta {
@@ -595,17 +496,12 @@ struct StagedMeta {
     chunk_lens: Vec<usize>,
 }
 
-/// Per-item gathered features (`None` = unserved item) plus bytes read
-/// on the host link.
-pub type ServedFeatures = (Vec<Option<Vec<u8>>>, u64);
-
 /// A persistent multi-DPU Tier-1 executor: the DPU set is allocated once,
 /// the weights and LUT are broadcast once (as shared COW pages), and the
 /// program is loaded once — each batch afterwards stages only its params
-/// and image slots, launches, and gathers features. This is the
-/// batch-slicing entry point the `pim-serve` runtime builds on; the
-/// one-shot [`run_tier1_batch_multi_dpu`] family is a thin wrapper that
-/// stages a single batch and throws the engine away.
+/// and image slots, launches, and gathers features. Every Tier-1 eBNN
+/// batch runs on one: the `pim-serve` runtime keeps it for the life of the
+/// service, [`run_tier1_batch`] builds one per batch.
 ///
 /// With `buffers == 2` the engine holds two image/feature MRAM regions
 /// and the params record (staged per batch) selects which one a launch
@@ -620,9 +516,6 @@ pub struct Tier1Engine {
     img_base: Vec<u32>,
     feat_base: Vec<u32>,
     staged: Vec<Option<StagedMeta>>,
-    /// Buffer the most recent [`Tier1Engine::stage`] wrote — the one the
-    /// next launch runs on.
-    active: usize,
     tasklets: usize,
     golden: pim_host::SetSnapshot,
 }
@@ -640,7 +533,10 @@ impl Tier1Engine {
     }
 
     /// Build an engine with `buffers` (1 or 2) image/feature buffer pairs,
-    /// optionally recording host transfers.
+    /// optionally recording host transfers. The MRAM symbols are defined
+    /// in order — so they land at the offsets in [`mram`], which the
+    /// program hard-codes — then the filters and the LUT are broadcast
+    /// and [`tier1_program`] is loaded.
     ///
     /// # Errors
     /// Host-runtime failures.
@@ -656,20 +552,37 @@ impl Tier1Engine {
     ) -> Result<Self, HostError> {
         assert!(dpus > 0, "engine needs at least one DPU");
         assert!(buffers == 1 || buffers == 2, "1 or 2 buffers");
+        let filters = model.config.filters;
         let (fpi, fpi_pad) = feature_bytes(model);
+        let mut set = DpuSet::allocate(dpus)?;
+        if trace {
+            set.enable_host_tracing();
+        }
+        set.define_symbol("params", 16)?;
+        set.define_symbol("images", 2048)?;
+        set.define_symbol("filters", 256)?;
+        set.define_symbol("lut", 312)?;
+        set.define_symbol("features", IMAGES_PER_DPU * fpi_pad)?;
         let mut img_base = vec![mram::IMAGES];
         let mut feat_base = vec![mram::FEATURES];
+        if buffers == 2 {
+            img_base.push(set.define_symbol("images_alt", 2048)?.offset as u32);
+            feat_base
+                .push(set.define_symbol("features_alt", IMAGES_PER_DPU * fpi_pad)?.offset as u32);
+        }
+
         // Shared weights/LUT broadcast once for the life of the engine.
-        let mut set = model_set(model, dpus, trace, |set| {
-            if buffers == 2 {
-                let alt_img = set.define_symbol("images_alt", 2048)?;
-                let alt_feat = set.define_symbol("features_alt", IMAGES_PER_DPU * fpi_pad)?;
-                img_base.push(alt_img.offset as u32);
-                feat_base.push(alt_feat.offset as u32);
+        let mut filter_wire = vec![0u8; 16 * filters];
+        for (j, f) in model.filters.iter().enumerate() {
+            for (r, &row) in f.rows.iter().enumerate() {
+                filter_wire[j * 16 + 4 * r..j * 16 + 4 * r + 4]
+                    .copy_from_slice(&u32::from(row).to_le_bytes());
             }
-            Ok(())
-        })?;
-        set.load(&tier1_program(model.config.filters))?;
+        }
+        set.copy_to("filters", 0, &pim_host::pad_to_8(&filter_wire))?;
+        let lut = BnLut::for_conv3x3(&model.bn);
+        set.copy_to("lut", 0, &pim_host::pad_to_8(&lut.to_bytes()))?;
+        set.load(&tier1_program(filters))?;
 
         // Pristine weights-loaded state. Fault-armed launches can leave
         // quarantined DPUs' MRAM corrupted (their last failed attempt is
@@ -684,7 +597,6 @@ impl Tier1Engine {
             img_base,
             feat_base,
             staged: vec![None; buffers],
-            active: 0,
             tasklets: 1,
             golden,
         })
@@ -783,12 +695,27 @@ impl Tier1Engine {
         buf: usize,
         live: &[bool],
     ) -> Result<u64, HostError> {
+        self.stage_slots(slots, buf, live, None)
+    }
+
+    /// [`Tier1Engine::stage_encoded_live`] with the launch's tasklet
+    /// count: `Some(t)` strides every DPU's images over `t` tasklets (see
+    /// [`BatchSpec::tasklets`]), `None` gives each image of the fullest
+    /// chunk its own.
+    fn stage_slots(
+        &mut self,
+        slots: &[Vec<u8>],
+        buf: usize,
+        live: &[bool],
+        tasklets: Option<usize>,
+    ) -> Result<u64, HostError> {
         assert!(!slots.is_empty(), "empty batch");
         assert_eq!(live.len(), self.dpus, "live mask must cover every DPU");
         let targets: Vec<usize> = (0..self.dpus).filter(|&d| live[d]).collect();
         assert!(!targets.is_empty(), "at least one DPU must be live");
         assert!(slots.len() <= targets.len() * IMAGES_PER_DPU, "batch exceeds live capacity");
         assert!(buf < self.buffers(), "no such buffer");
+        assert!(tasklets.is_none_or(|t| (1..=24).contains(&t)), "tasklets must be 1..=24");
         let img_sym = if buf == 0 { "images" } else { "images_alt" };
         let mut chunk_lens = vec![0usize; self.dpus];
         for (chunk, &d) in slots.chunks(IMAGES_PER_DPU).zip(&targets) {
@@ -796,8 +723,9 @@ impl Tier1Engine {
         }
         let mut bytes = 0u64;
         for (d, &n) in chunk_lens.iter().enumerate() {
+            let stride = tasklets.unwrap_or(n.max(1));
             let params =
-                params_wire(n as u32, n.max(1) as u32, self.img_base[buf], self.feat_base[buf]);
+                params_wire(n as u32, stride as u32, self.img_base[buf], self.feat_base[buf]);
             self.set.copy_to_dpu(DpuId(d as u32), "params", 0, &params)?;
             bytes += 16;
         }
@@ -809,9 +737,9 @@ impl Tier1Engine {
                 bytes += IMAGE_SLOT_BYTES as u64;
             }
         }
-        self.tasklets = chunk_lens.iter().copied().max().unwrap_or(1).max(1);
+        self.tasklets =
+            tasklets.unwrap_or_else(|| chunk_lens.iter().copied().max().unwrap_or(1).max(1));
         self.staged[buf] = Some(StagedMeta { chunk_lens });
-        self.active = buf;
         Ok(bytes)
     }
 
@@ -833,36 +761,20 @@ impl Tier1Engine {
         self.stage_encoded(&slots, buf)
     }
 
-    /// Launch the most recently staged buffer's batch.
-    ///
-    /// # Errors
-    /// The first DPU fault encountered.
-    pub fn launch(&mut self) -> Result<LaunchResult, HostError> {
-        self.set.launch_loaded(self.tasklets)
-    }
-
-    /// [`Tier1Engine::launch`] with per-DPU tracing.
-    ///
-    /// # Errors
-    /// The first DPU fault encountered.
-    pub fn launch_traced(&mut self) -> Result<(LaunchResult, Vec<TraceBuffer>), HostError> {
-        self.set.launch_loaded_traced(self.tasklets)
-    }
-
-    /// [`Tier1Engine::launch`] in report form, under a fault-tolerance
-    /// policy if given (see [`pim_host::ResilientLaunchPolicy`]):
-    /// quarantined DPUs' chunks are re-dispatched to survivors when the
-    /// policy allows.
+    /// Launch the most recently staged batch, traced (see
+    /// [`LaunchSpec::trace`]) and under a fault-tolerance policy if asked
+    /// (see [`LaunchSpec::policy`]). [`LaunchReport::items`] maps the
+    /// report onto the staged images.
     ///
     /// # Errors
     /// Host-runtime failures (DPU faults, injected or not, are *reported*,
     /// not returned as errors).
-    pub fn launch_report(
+    pub fn launch(
         &mut self,
-        policy: Option<&pim_host::ResilientLaunchPolicy>,
-    ) -> Result<pim_host::LaunchReport, HostError> {
-        let spec = LaunchSpec { policy, ..LaunchSpec::loaded(self.tasklets) };
-        self.set.launch_with(spec).map(|(report, _)| report)
+        trace: bool,
+        policy: Option<&ResilientLaunchPolicy>,
+    ) -> Result<(LaunchReport, Vec<TraceBuffer>), HostError> {
+        self.set.launch_with(LaunchSpec { trace, policy, ..LaunchSpec::loaded(self.tasklets) })
     }
 
     /// Images per DPU chunk staged on `buf`, or `None` when nothing is.
@@ -873,9 +785,8 @@ impl Tier1Engine {
 
     /// Gather per-image features (in input order) from buffer `buf` after
     /// a launch, plus the bytes read over the host link. DPUs whose
-    /// result is missing (`unserved` in a degraded resilient launch) still
-    /// gather — callers that care pass the launch report to
-    /// [`Tier1Engine::gather_served`] instead.
+    /// result is missing (unserved in a degraded resilient launch) still
+    /// gather: [`LaunchReport::items`] says which images were served.
     ///
     /// # Errors
     /// Host-runtime failures.
@@ -897,111 +808,6 @@ impl Tier1Engine {
         }
         Ok((features, bytes))
     }
-
-    /// [`Tier1Engine::gather`] masked by a resilient launch report:
-    /// images whose chunk was never served (home DPU quarantined and not
-    /// re-dispatched) come back as `None`.
-    ///
-    /// # Errors
-    /// Host-runtime failures.
-    ///
-    /// # Panics
-    /// When `buf` has no staged batch.
-    pub fn gather_served(
-        &self,
-        buf: usize,
-        report: &pim_host::LaunchReport,
-    ) -> Result<ServedFeatures, HostError> {
-        let meta = self.staged[buf].as_ref().expect("no batch staged on this buffer");
-        let (all, bytes) = self.gather(buf)?;
-        let mut out = Vec::with_capacity(all.len());
-        let mut it = all.into_iter();
-        for (d, &len) in meta.chunk_lens.iter().enumerate() {
-            let served = report.per_dpu.get(d).is_some_and(|r| r.result.is_some());
-            for _ in 0..len {
-                let f = it.next().expect("gather length matches chunks");
-                out.push(if served { Some(f) } else { None });
-            }
-        }
-        Ok((out, bytes))
-    }
-}
-
-fn tier1_multi_stage(
-    model: &EbnnModel,
-    images: &[GrayImage],
-    trace: bool,
-) -> Result<Tier1Engine, HostError> {
-    assert!(!images.is_empty(), "empty batch");
-    let dpus = images.len().div_ceil(IMAGES_PER_DPU);
-    let mut engine = Tier1Engine::with_buffers(model, dpus, 1, trace)?;
-    engine.stage(model, images, 0)?;
-    Ok(engine)
-}
-
-fn tier1_multi_impl(
-    model: &EbnnModel,
-    images: &[GrayImage],
-    trace: bool,
-) -> Result<TracedBatch, HostError> {
-    let mut engine = tier1_multi_stage(model, images, trace)?;
-    let (launch, dpu_traces) =
-        if trace { engine.launch_traced()? } else { (engine.launch()?, Vec::new()) };
-    let (features, _) = engine.gather(0)?;
-    let host_trace = engine.set_mut().take_host_trace().unwrap_or_default();
-    Ok(TracedBatch { features, launch, dpu_traces, host_trace })
-}
-
-/// Outcome of a fault-tolerant multi-DPU batch (see
-/// [`run_tier1_batch_multi_dpu_resilient`]).
-#[derive(Debug, Clone)]
-pub struct ResilientBatch {
-    /// Per-image features in input order — identical to what
-    /// [`run_tier1_batch_multi_dpu`] returns, even when some images were
-    /// computed on a stand-in DPU.
-    pub features: Vec<Vec<u8>>,
-    /// The full fault-tolerance record: per-DPU attempts, injected
-    /// faults, quarantines and re-dispatches.
-    pub report: pim_host::LaunchReport,
-    /// Input-order indices of images whose home DPU was quarantined and
-    /// whose features therefore came from a surviving DPU.
-    pub redispatched_images: Vec<usize>,
-}
-
-/// Fault-tolerant variant of [`run_tier1_batch_multi_dpu`]: runs the same
-/// staged batch under a [`pim_host::ResilientLaunchPolicy`]. A DPU that
-/// keeps faulting is quarantined and its 16-image chunk is recomputed on a
-/// surviving DPU, so the returned features are complete and correct as
-/// long as at least one DPU survives.
-///
-/// # Errors
-/// Host-runtime staging failures, or — when even re-dispatch could not
-/// serve some chunk — the last per-DPU error from the report.
-///
-/// # Panics
-/// When `images` is empty or the model has more than 8 filters.
-pub fn run_tier1_batch_multi_dpu_resilient(
-    model: &EbnnModel,
-    images: &[GrayImage],
-    policy: &pim_host::ResilientLaunchPolicy,
-) -> Result<ResilientBatch, HostError> {
-    let mut engine = tier1_multi_stage(model, images, false)?;
-    let report = engine.launch_report(Some(policy))?;
-    if !report.fully_served() {
-        return Err(report.into_launch_result().expect_err("a DPU went unserved"));
-    }
-    let (features, _) = engine.gather(0)?;
-    let chunks = engine.staged_chunks(0).expect("batch staged").to_vec();
-    let redispatched_images = report
-        .degraded
-        .iter()
-        .flat_map(|d| {
-            let q = d.from.0 as usize;
-            let start = q * IMAGES_PER_DPU;
-            start..start + chunks[q]
-        })
-        .collect();
-    Ok(ResilientBatch { features, report, redispatched_images })
 }
 
 #[cfg(test)]
@@ -1014,7 +820,8 @@ mod multi_dpu_tests {
         let m = EbnnModel::generate(ModelConfig { filters: 2, ..ModelConfig::default() });
         let imgs: Vec<_> =
             (0..40).map(|i| crate::mnist::synth_digit(i % 10, (i / 10) as u64)).collect();
-        let (features, result) = run_tier1_batch_multi_dpu(&m, &imgs).unwrap();
+        let run = run_tier1_batch(&m, &imgs, BatchSpec::default()).unwrap();
+        let (features, result) = (run.features, run.report.into_launch_result().unwrap());
         assert_eq!(result.per_dpu.len(), 3);
         for (i, img) in imgs.iter().enumerate() {
             assert_eq!(features[i], m.features(&m.binarize(&img.pixels)), "image {i}");
@@ -1036,11 +843,14 @@ mod traced_tests {
         let m = EbnnModel::generate(ModelConfig { filters: 2, ..ModelConfig::default() });
         let imgs: Vec<_> =
             (0..24).map(|i| crate::mnist::synth_digit(i % 10, (i / 10) as u64)).collect();
-        let (features, launch) = run_tier1_batch_multi_dpu(&m, &imgs).unwrap();
-        let traced = run_tier1_batch_multi_dpu_traced(&m, &imgs).unwrap();
+        let plain = run_tier1_batch(&m, &imgs, BatchSpec::default()).unwrap();
+        let traced =
+            run_tier1_batch(&m, &imgs, BatchSpec { trace: true, ..BatchSpec::default() }).unwrap();
         // Tracing is observational: same features, same cycle counts.
-        assert_eq!(traced.features, features);
-        assert_eq!(traced.launch, launch);
+        assert_eq!(traced.features, plain.features);
+        assert_eq!(traced.report, plain.report);
+        assert!(plain.dpu_traces.is_empty() && plain.host_trace.is_empty());
+        let launch = plain.report.into_launch_result().unwrap();
         assert_eq!(traced.dpu_traces.len(), 2);
         for (d, buf) in traced.dpu_traces.iter().enumerate() {
             assert_eq!(
@@ -1069,10 +879,12 @@ mod traced_tests {
     fn traced_single_dpu_matches_untraced() {
         let m = EbnnModel::generate(ModelConfig { filters: 1, ..ModelConfig::default() });
         let imgs: Vec<_> = (0..4).map(|i| crate::mnist::synth_digit(i, 1)).collect();
-        let (features, launch) = run_tier1_batch_with_tasklets(&m, &imgs, 2).unwrap();
-        let traced = run_tier1_batch_traced(&m, &imgs, 2).unwrap();
-        assert_eq!(traced.features, features);
-        assert_eq!(traced.launch, launch);
+        let spec = BatchSpec { tasklets: Some(2), ..BatchSpec::default() };
+        let plain = run_tier1_batch(&m, &imgs, spec).unwrap();
+        let traced = run_tier1_batch(&m, &imgs, BatchSpec { trace: true, ..spec }).unwrap();
+        assert_eq!(traced.features, plain.features);
+        assert_eq!(traced.report, plain.report);
+        let launch = plain.report.into_launch_result().unwrap();
         assert_eq!(traced.dpu_traces.len(), 1);
         assert_eq!(traced.dpu_traces[0].dma_bytes(), launch.per_dpu[0].dma_bytes);
     }

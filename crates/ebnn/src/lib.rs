@@ -41,7 +41,7 @@ pub mod wide;
 
 pub use bconv::{BinaryFilter, BinaryImage, ConvPoolOutput};
 pub use bnorm::BatchNorm;
-pub use codegen::{run_tier1_batch_multi_dpu_resilient, ResilientBatch};
+pub use codegen::{run_tier1_batch, BatchSpec, Tier1Batch};
 pub use deep::{DeepConfig, DeepEbnn};
 pub use dpu_kernel::{conv_pool_block, BnMode, KernelOutput};
 pub use lut::BnLut;

@@ -28,7 +28,7 @@ fn idle_dpus_of_a_sparse_batch_replay_and_traced_launches_do_not() {
     for n in 1..=4 {
         engine.stage(&model, &image, 0).expect("stage one image");
         let before = engine.set().system().engine_stats();
-        let launch = engine.launch().expect("launch");
+        let launch = engine.launch(false, None).expect("launch").0.into_launch_result().unwrap();
         let stats = engine.set().system().engine_stats().since(&before);
         assert_eq!(engine.gather(0).expect("gather").0, vec![expected.clone()], "launch {n}");
         assert_eq!(stats.slots(), launch.total_instructions(), "launch {n}");
@@ -41,7 +41,8 @@ fn idle_dpus_of_a_sparse_batch_replay_and_traced_launches_do_not() {
 
     engine.stage(&model, &image, 0).expect("stage one image");
     let before = engine.set().system().engine_stats();
-    let (traced, buffers) = engine.launch_traced().expect("traced launch");
+    let (report, buffers) = engine.launch(true, None).expect("traced launch");
+    let traced = report.into_launch_result().expect("every DPU served");
     let stats = engine.set().system().engine_stats().since(&before);
     assert_eq!(Some(&traced), first.as_ref(), "tracing is observational");
     assert_eq!((stats.replay_hits, stats.replayed_slots), (0, 0), "{stats:?}");

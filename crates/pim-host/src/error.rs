@@ -42,6 +42,16 @@ pub enum HostError {
         /// DPUs in the set.
         dpus: usize,
     },
+    /// A scatter batch was pushed with a length longer than one of its
+    /// buffers.
+    XferShort {
+        /// DPU the short buffer was prepared for.
+        dpu: u32,
+        /// Bytes the buffer holds.
+        len: usize,
+        /// Bytes the push sends to every DPU.
+        push: usize,
+    },
     /// An operation addressed a DPU outside the set.
     NoSuchDpu {
         /// The requested DPU index.
@@ -93,6 +103,9 @@ impl fmt::Display for HostError {
             ),
             HostError::XferArity { prepared, dpus } => {
                 write!(f, "xfer batch has {prepared} buffers for {dpus} DPUs")
+            }
+            HostError::XferShort { dpu, len, push } => {
+                write!(f, "xfer buffer for DPU {dpu} holds {len} bytes but the push sends {push}")
             }
             HostError::NoSuchDpu { index, len } => {
                 write!(f, "DPU {index} outside set of {len}")
@@ -172,6 +185,7 @@ mod tests {
                 &["features", "640", "512"],
             ),
             (HostError::XferArity { prepared: 3, dpus: 8 }, &["3", "8", "buffers"]),
+            (HostError::XferShort { dpu: 1, len: 4, push: 8 }, &["DPU 1", "4 bytes", "sends 8"]),
             (HostError::NoSuchDpu { index: 9, len: 4 }, &["DPU 9", "4"]),
             (HostError::BadAllocation { requested: 0 }, &["allocate", "0"]),
             (

@@ -46,7 +46,9 @@ pub use exec::KernelRun;
 pub use launch::{LaunchProgram, LaunchResult, LaunchSpec, StealStats};
 pub use link::{LinkFaultPlan, LinkPolicy, LinkStats};
 pub use observe::LaunchObservation;
-pub use resilient::{DpuServeReport, LaunchReport, Redispatch, ResilientLaunchPolicy, ServeHealth};
+pub use resilient::{
+    DpuServeReport, ItemOutcome, LaunchReport, Redispatch, ResilientLaunchPolicy, ServeHealth,
+};
 pub use set::{DpuSet, TransferStats};
 pub use snapshot::{RankSnapshot, SetSnapshot};
 pub use symbol::{Symbol, SymbolTable};

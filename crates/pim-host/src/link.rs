@@ -63,8 +63,9 @@ pub struct LinkPolicy {
     /// Additional attempts after the first failure (0 = fail fast).
     pub max_retries: u32,
     /// Backoff charged before retry `k` (1-based) is `base << (k - 1)`
-    /// cycles — exponential, accumulated in [`LinkStats`] (the host link
-    /// has no DPU cycle counter to charge).
+    /// cycles — exponential, saturating at `u64::MAX` (see
+    /// [`LinkPolicy::cumulative_backoff`]), accumulated in [`LinkStats`]
+    /// (the host link has no DPU cycle counter to charge).
     pub backoff_base_cycles: u64,
     /// Link faults to inject, if any. `None` keeps transfers checked but
     /// fault-free (pure verify-on-read).
@@ -122,15 +123,15 @@ impl LinkStats {
         self.crc_mismatches == 0 && self.aborted_attempts == 0 && self.exhausted == 0
     }
 
-    /// Fold another stats block into this one.
+    /// Fold another stats block into this one, saturating.
     pub fn merge(&mut self, other: &LinkStats) {
-        self.transfers += other.transfers;
-        self.bytes_verified += other.bytes_verified;
-        self.crc_mismatches += other.crc_mismatches;
-        self.aborted_attempts += other.aborted_attempts;
-        self.retries += other.retries;
-        self.backoff_cycles += other.backoff_cycles;
-        self.exhausted += other.exhausted;
+        self.transfers = self.transfers.saturating_add(other.transfers);
+        self.bytes_verified = self.bytes_verified.saturating_add(other.bytes_verified);
+        self.crc_mismatches = self.crc_mismatches.saturating_add(other.crc_mismatches);
+        self.aborted_attempts = self.aborted_attempts.saturating_add(other.aborted_attempts);
+        self.retries = self.retries.saturating_add(other.retries);
+        self.backoff_cycles = self.backoff_cycles.saturating_add(other.backoff_cycles);
+        self.exhausted = self.exhausted.saturating_add(other.exhausted);
     }
 }
 
@@ -213,6 +214,8 @@ mod tests {
         assert_eq!(a.retries, 4);
         assert_eq!(a.backoff_cycles, 700);
         assert!(!a.clean());
+        a.merge(&LinkStats { backoff_cycles: u64::MAX, ..Default::default() });
+        assert_eq!(a.backoff_cycles, u64::MAX, "merging saturates instead of overflowing");
         assert!(LinkStats::default().clean());
     }
 }

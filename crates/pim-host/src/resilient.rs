@@ -207,6 +207,18 @@ pub struct Redispatch {
     pub cycles: u64,
 }
 
+/// What one launch did to the items staged on its DPUs (see
+/// [`LaunchReport::items`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ItemOutcome {
+    /// Per item, in staging order: whether its DPU's work was served, in
+    /// place or by a survivor.
+    pub served: Vec<bool>,
+    /// Staging-order indices of the items whose home DPU was quarantined
+    /// and whose work a survivor re-ran, in quarantine order.
+    pub redispatched: Vec<usize>,
+}
+
 /// Outcome of a fault-tolerant launch: per-DPU serve reports plus the
 /// quarantine and degradation record. Returned `Ok` even when some work
 /// could not be served — graceful degradation is the point; check
@@ -271,6 +283,30 @@ impl LaunchReport {
             .max()
             .unwrap_or(0);
         wave + self.degraded.iter().map(|d| d.cycles).sum::<u64>()
+    }
+
+    /// Map this launch onto staged work items: DPU `d` held `chunks[d]`
+    /// consecutive items in staging order (DPUs past `chunks` held none).
+    /// The one place a model engine or the serving loop learns which
+    /// items were served and which a survivor re-ran.
+    #[must_use]
+    pub fn items(&self, chunks: &[usize]) -> ItemOutcome {
+        let mut starts = Vec::with_capacity(chunks.len());
+        let mut served = Vec::with_capacity(chunks.iter().sum());
+        for (d, &len) in chunks.iter().enumerate() {
+            starts.push(served.len());
+            served.resize(served.len() + len, self.per_dpu[d].result.is_some());
+        }
+        let redispatched = self
+            .degraded
+            .iter()
+            .filter_map(|r| {
+                let d = r.from.0 as usize;
+                chunks.get(d).map(|&len| starts[d]..starts[d] + len)
+            })
+            .flatten()
+            .collect();
+        ItemOutcome { served, redispatched }
     }
 
     /// Every served result, in DPU order regardless of which DPU

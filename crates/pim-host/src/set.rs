@@ -12,7 +12,9 @@ use crate::error::{HostError, Result};
 use crate::launch::DEFAULT_PARALLEL_THRESHOLD;
 use crate::link::{LinkPolicy, LinkStats};
 use crate::symbol::{Symbol, SymbolTable};
-use dpu_sim::{DpuId, DpuParams, Engine, ExecProgram, PimSystem, ScrubReport, MRAM_PAGE_BYTES};
+use dpu_sim::{
+    DpuId, DpuParams, Engine, ExecProgram, Mram, PimSystem, ScrubReport, MRAM_PAGE_BYTES,
+};
 use pim_trace::{HostDirection, TraceBuffer, TraceEvent, TraceSink};
 use std::sync::Arc;
 
@@ -113,23 +115,6 @@ impl DpuSet {
     #[must_use]
     pub fn link_stats(&self) -> LinkStats {
         self.link.as_ref().map(|cell| cell.borrow().stats).unwrap_or_default()
-    }
-
-    /// Begin one logical checked transfer: claim a sequence number and
-    /// copy out the policy. `None` when transfers are unchecked.
-    fn link_begin(&self) -> Option<(LinkPolicy, u64)> {
-        self.link.as_ref().map(|cell| {
-            let mut st = cell.borrow_mut();
-            let seq = st.seq;
-            st.seq += 1;
-            (st.policy, seq)
-        })
-    }
-
-    fn link_account(&self, f: impl FnOnce(&mut LinkStats)) {
-        if let Some(cell) = &self.link {
-            f(&mut cell.borrow_mut().stats);
-        }
     }
 
     /// Turn the MRAM SEC-DED sidecar on (or off) for every DPU of the
@@ -350,13 +335,32 @@ impl DpuSet {
     /// LUT image costs one copy of itself instead of one per DPU; a DPU
     /// that later writes such a page gets its own copy transparently.
     ///
+    /// Checked, the shared page-install fast path runs first; each DPU's
+    /// leg then injects and verifies its copy independently. A DPU whose
+    /// copy fails verification rewrites only its own range (copy-on-write
+    /// privatizes just that DPU's pages), so the common clean case keeps
+    /// one shared image across the whole set.
+    ///
     /// # Errors
     /// Alignment, symbol and bounds violations.
     pub fn copy_to(&mut self, symbol: &str, symbol_offset: usize, src: &[u8]) -> Result<()> {
         let addr = self.symbols.resolve(symbol, symbol_offset, src.len())?;
         self.broadcast_write(addr, src)?;
-        if let Some((policy, seq)) = self.link_begin() {
-            self.verify_broadcast(addr, src, symbol, &policy, seq)?;
+        if let Some(link) = &self.link {
+            let mut link = link.borrow_mut();
+            let seq = link.begin();
+            let frame = crc32c(src);
+            for (id, dpu) in self.system.iter_mut() {
+                let mram = &mut dpu.mram;
+                link.leg(seq, id.0, src.len(), symbol, |n, attempt| {
+                    if n > 0 {
+                        // Relaunch this DPU's leg from the host image.
+                        mram.write(addr, src)?;
+                    }
+                    let Attempt::Landed(corrupt) = attempt else { return Ok(false) };
+                    landed_verifies(mram, addr, src.len(), corrupt, frame)
+                })?;
+            }
         }
         let dpus = self.system.len() as u64;
         self.count_transfer(symbol, src.len() as u64 * dpus, dpus);
@@ -406,176 +410,12 @@ impl DpuSet {
         Ok(())
     }
 
-    /// One checked write leg: write, apply any injected link fault to the
-    /// landed bytes, read back and verify the CRC-32C frame, retrying
-    /// with exponential backoff. The corrupting write goes through the
-    /// normal write path, so with ECC enabled the sidecar is refreshed
-    /// over the corrupt byte — a link error is *not* a storage error, and
-    /// only the CRC frame (never the ECC) may catch it.
-    fn checked_write(
-        &mut self,
-        dpu: DpuId,
-        addr: usize,
-        src: &[u8],
-        symbol: &str,
-        policy: &LinkPolicy,
-        seq: u64,
-    ) -> Result<()> {
-        let frame = crc32c(src);
-        for attempt in 0..=policy.max_retries {
-            if attempt > 0 {
-                self.link_account(|s| {
-                    s.retries += 1;
-                    s.backoff_cycles += policy.backoff_base_cycles << (attempt - 1);
-                });
-            }
-            if policy.faults.is_some_and(|p| p.fails(seq, dpu.0, attempt)) {
-                self.link_account(|s| s.aborted_attempts += 1);
-                continue;
-            }
-            let mram = &mut self.system.dpu_mut(dpu).mram;
-            mram.write(addr, src)?;
-            if let Some((byte, bit)) =
-                policy.faults.and_then(|p| p.corrupts(seq, dpu.0, attempt, src.len()))
-            {
-                let mut b = [0u8];
-                mram.read(addr + byte, &mut b)?;
-                b[0] ^= 1 << bit;
-                mram.write(addr + byte, &b)?;
-            }
-            let mut back = vec![0u8; src.len()];
-            mram.read(addr, &mut back)?;
-            if crc32c(&back) == frame {
-                self.link_account(|s| {
-                    s.transfers += 1;
-                    s.bytes_verified += src.len() as u64;
-                });
-                return Ok(());
-            }
-            self.link_account(|s| s.crc_mismatches += 1);
-        }
-        self.link_account(|s| s.exhausted += 1);
-        Err(HostError::LinkIntegrity {
-            symbol: symbol.to_owned(),
-            dpu: dpu.0,
-            attempts: policy.max_retries + 1,
-        })
-    }
-
-    /// One checked read leg: the sender frames the true MRAM bytes with
-    /// their CRC, the link may corrupt the received copy in `dst`, and
-    /// the receiver verifies before accepting. On exhaustion `dst` is
-    /// zeroed so a caller that ignores the error cannot consume the
-    /// corrupt payload.
-    fn checked_read(
-        &self,
-        dpu: DpuId,
-        addr: usize,
-        dst: &mut [u8],
-        symbol: &str,
-        policy: &LinkPolicy,
-        seq: u64,
-    ) -> Result<()> {
-        for attempt in 0..=policy.max_retries {
-            if attempt > 0 {
-                self.link_account(|s| {
-                    s.retries += 1;
-                    s.backoff_cycles += policy.backoff_base_cycles << (attempt - 1);
-                });
-            }
-            if policy.faults.is_some_and(|p| p.fails(seq, dpu.0, attempt)) {
-                self.link_account(|s| s.aborted_attempts += 1);
-                continue;
-            }
-            self.system.dpu(dpu).mram.read(addr, dst)?;
-            let frame = crc32c(dst);
-            if let Some((byte, bit)) =
-                policy.faults.and_then(|p| p.corrupts(seq, dpu.0, attempt, dst.len()))
-            {
-                dst[byte] ^= 1 << bit;
-            }
-            if crc32c(dst) == frame {
-                self.link_account(|s| {
-                    s.transfers += 1;
-                    s.bytes_verified += dst.len() as u64;
-                });
-                return Ok(());
-            }
-            self.link_account(|s| s.crc_mismatches += 1);
-        }
-        dst.fill(0);
-        self.link_account(|s| s.exhausted += 1);
-        Err(HostError::LinkIntegrity {
-            symbol: symbol.to_owned(),
-            dpu: dpu.0,
-            attempts: policy.max_retries + 1,
-        })
-    }
-
-    /// Per-DPU verification pass behind a checked broadcast. The shared
-    /// page-install fast path runs first; this leg then injects and
-    /// verifies each DPU's copy independently. A DPU whose copy fails
-    /// verification rewrites only its own range (copy-on-write privatizes
-    /// just that DPU's pages), so the common clean case keeps one shared
-    /// image across the whole set.
-    fn verify_broadcast(
-        &mut self,
-        addr: usize,
-        src: &[u8],
-        symbol: &str,
-        policy: &LinkPolicy,
-        seq: u64,
-    ) -> Result<()> {
-        let frame = crc32c(src);
-        for i in 0..self.system.len() as u32 {
-            let mut verified = false;
-            for attempt in 0..=policy.max_retries {
-                if attempt > 0 {
-                    self.link_account(|s| {
-                        s.retries += 1;
-                        s.backoff_cycles += policy.backoff_base_cycles << (attempt - 1);
-                    });
-                    // Relaunch this DPU's leg from the host image.
-                    self.system.dpu_mut(DpuId(i)).mram.write(addr, src)?;
-                }
-                if policy.faults.is_some_and(|p| p.fails(seq, i, attempt)) {
-                    self.link_account(|s| s.aborted_attempts += 1);
-                    continue;
-                }
-                let mram = &mut self.system.dpu_mut(DpuId(i)).mram;
-                if let Some((byte, bit)) =
-                    policy.faults.and_then(|p| p.corrupts(seq, i, attempt, src.len()))
-                {
-                    let mut b = [0u8];
-                    mram.read(addr + byte, &mut b)?;
-                    b[0] ^= 1 << bit;
-                    mram.write(addr + byte, &b)?;
-                }
-                let mut back = vec![0u8; src.len()];
-                mram.read(addr, &mut back)?;
-                if crc32c(&back) == frame {
-                    verified = true;
-                    break;
-                }
-                self.link_account(|s| s.crc_mismatches += 1);
-            }
-            if !verified {
-                self.link_account(|s| s.exhausted += 1);
-                return Err(HostError::LinkIntegrity {
-                    symbol: symbol.to_owned(),
-                    dpu: i,
-                    attempts: policy.max_retries + 1,
-                });
-            }
-            self.link_account(|s| {
-                s.transfers += 1;
-                s.bytes_verified += src.len() as u64;
-            });
-        }
-        Ok(())
-    }
-
     /// Copy `src` to a single DPU's `symbol` at `symbol_offset`.
+    ///
+    /// Checked, an injected link fault lands through the normal write
+    /// path, so with ECC enabled the sidecar is refreshed over the
+    /// corrupt byte — a link error is *not* a storage error, and only the
+    /// CRC frame (never the ECC) may catch it.
     ///
     /// # Errors
     /// Alignment, symbol, bounds, or unknown-DPU violations.
@@ -588,9 +428,18 @@ impl DpuSet {
     ) -> Result<()> {
         self.check_dpu(dpu)?;
         let addr = self.symbols.resolve(symbol, symbol_offset, src.len())?;
-        match self.link_begin() {
-            Some((policy, seq)) => self.checked_write(dpu, addr, src, symbol, &policy, seq)?,
-            None => self.system.dpu_mut(dpu).mram.write(addr, src)?,
+        let mram = &mut self.system.dpu_mut(dpu).mram;
+        match &self.link {
+            Some(link) => {
+                let mut link = link.borrow_mut();
+                let (seq, frame) = (link.begin(), crc32c(src));
+                link.leg(seq, dpu.0, src.len(), symbol, |_, attempt| {
+                    let Attempt::Landed(corrupt) = attempt else { return Ok(false) };
+                    mram.write(addr, src)?;
+                    landed_verifies(mram, addr, src.len(), corrupt, frame)
+                })?;
+            }
+            None => mram.write(addr, src)?,
         }
         self.count_transfer(symbol, src.len() as u64, 1);
         self.record_host(HostDirection::HostToMram, symbol, src.len() as u64, Some(dpu.0));
@@ -599,6 +448,11 @@ impl DpuSet {
 
     /// Read `dst.len()` bytes from a single DPU's `symbol` at
     /// `symbol_offset` (`dpu_copy_from`).
+    ///
+    /// Checked, the sender frames the true MRAM bytes with their CRC, the
+    /// link may corrupt the received copy in `dst`, and the receiver
+    /// verifies before accepting. On failure `dst` is zeroed so a caller
+    /// that ignores the error cannot consume the corrupt payload.
     ///
     /// # Errors
     /// Alignment, symbol, bounds, or unknown-DPU violations.
@@ -611,9 +465,26 @@ impl DpuSet {
     ) -> Result<()> {
         self.check_dpu(dpu)?;
         let addr = self.symbols.resolve(symbol, symbol_offset, dst.len())?;
-        match self.link_begin() {
-            Some((policy, seq)) => self.checked_read(dpu, addr, dst, symbol, &policy, seq)?,
-            None => self.system.dpu(dpu).mram.read(addr, dst)?,
+        let mram = &self.system.dpu(dpu).mram;
+        match &self.link {
+            Some(link) => {
+                let mut link = link.borrow_mut();
+                let seq = link.begin();
+                let verified = link.leg(seq, dpu.0, dst.len(), symbol, |_, attempt| {
+                    let Attempt::Landed(corrupt) = attempt else { return Ok(false) };
+                    mram.read(addr, dst)?;
+                    let frame = crc32c(dst);
+                    if let Some((byte, bit)) = corrupt {
+                        dst[byte] ^= 1 << bit;
+                    }
+                    Ok(crc32c(dst) == frame)
+                });
+                if verified.is_err() {
+                    dst.fill(0);
+                }
+                verified?;
+            }
+            None => mram.read(addr, dst)?,
         }
         // `xfer_stats` counts only the host→DPU direction (it dominates
         // every workload here, and this method is `&self`); the trace log,
@@ -673,6 +544,86 @@ impl DpuSet {
         self.copy_from_dpu(dpu, symbol, 0, &mut b)?;
         Ok(u64::from_le_bytes(b))
     }
+}
+
+/// How one attempt of a checked transfer leg fared on the link.
+enum Attempt {
+    /// Aborted before landing (the SDK's transient `DPU_ERR_DRIVER`).
+    Aborted,
+    /// Landed, with the `(byte, bit)` the link flipped on the way, if any.
+    Landed(Option<(usize, u8)>),
+}
+
+impl LinkState {
+    /// Begin one logical checked transfer: claim the sequence number all
+    /// its legs draw their faults at.
+    fn begin(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    /// The retry loop every checked transfer leg of `len` bytes to `dpu`
+    /// runs. Attempt `n` first charges retry `n`'s backoff — so a leg's
+    /// charges sum to [`LinkPolicy::cumulative_backoff`] of its retries,
+    /// saturating — then draws whether it aborts and, if not, which bit it
+    /// corrupts, and hands that to `leg`, which moves the bytes and
+    /// reports whether the CRC-32C frame verified. Every draw and every
+    /// [`LinkStats`] field is accounted here.
+    fn leg(
+        &mut self,
+        seq: u64,
+        dpu: u32,
+        len: usize,
+        symbol: &str,
+        mut leg: impl FnMut(u32, Attempt) -> Result<bool>,
+    ) -> Result<()> {
+        let (policy, stats) = (self.policy, &mut self.stats);
+        for n in 0..=policy.max_retries {
+            if n > 0 {
+                stats.retries += 1;
+                let charge = policy.cumulative_backoff(n) - policy.cumulative_backoff(n - 1);
+                stats.backoff_cycles = stats.backoff_cycles.saturating_add(charge);
+            }
+            if policy.faults.is_some_and(|p| p.fails(seq, dpu, n)) {
+                leg(n, Attempt::Aborted)?;
+                stats.aborted_attempts += 1;
+                continue;
+            }
+            let corrupt = policy.faults.and_then(|p| p.corrupts(seq, dpu, n, len));
+            if leg(n, Attempt::Landed(corrupt))? {
+                stats.transfers += 1;
+                stats.bytes_verified += len as u64;
+                return Ok(());
+            }
+            stats.crc_mismatches += 1;
+        }
+        stats.exhausted += 1;
+        Err(HostError::LinkIntegrity {
+            symbol: symbol.to_owned(),
+            dpu,
+            attempts: policy.max_retries + 1,
+        })
+    }
+}
+
+/// Flip the link's corrupted bit, if any, in the `len` bytes that landed
+/// at `addr`, then read them back and check them against `frame`.
+fn landed_verifies(
+    mram: &mut Mram,
+    addr: usize,
+    len: usize,
+    corrupt: Option<(usize, u8)>,
+    frame: u32,
+) -> Result<bool> {
+    if let Some((byte, bit)) = corrupt {
+        let mut b = [0u8];
+        mram.read(addr + byte, &mut b)?;
+        b[0] ^= 1 << bit;
+        mram.write(addr + byte, &b)?;
+    }
+    let mut back = vec![0u8; len];
+    mram.read(addr, &mut back)?;
+    Ok(crc32c(&back) == frame)
 }
 
 #[cfg(test)]
@@ -783,6 +734,29 @@ mod checked_transfer_tests {
         set.set_link_policy(None);
         set.copy_from_dpu(DpuId(0), "buf", 0, &mut back).unwrap();
         assert_eq!(back, payload);
+    }
+
+    #[test]
+    fn dead_link_with_seventy_retries_exhausts_and_saturates_backoff() {
+        // 70 retries double the backoff past 2^64: the charges must
+        // saturate, not shift out of range.
+        let mut set = DpuSet::allocate(1).unwrap();
+        set.define_symbol("buf", 64).unwrap();
+        let dead = LinkFaultPlan { seed: 1, corrupt_prob: 0.0, fail_prob: 1.0 };
+        let policy = LinkPolicy { max_retries: 70, ..LinkPolicy::with_faults(dead) };
+        set.set_link_policy(Some(policy));
+        for _ in 0..2 {
+            let r = set.copy_to_dpu(DpuId(0), "buf", 0, &filled(32, 5));
+            assert!(
+                matches!(r, Err(HostError::LinkIntegrity { dpu: 0, attempts: 71, .. })),
+                "{r:?}"
+            );
+        }
+        let s = set.link_stats();
+        assert_eq!((s.retries, s.aborted_attempts, s.exhausted), (140, 142, 2));
+        assert_eq!(policy.cumulative_backoff(70), u64::MAX);
+        assert_eq!(s.backoff_cycles, u64::MAX, "{s:?}");
+        assert_eq!(s.transfers, 0);
     }
 
     #[test]

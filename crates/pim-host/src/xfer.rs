@@ -78,8 +78,9 @@ impl XferBatch {
     ///
     /// # Errors
     /// [`HostError::XferArity`] when the batch size differs from the set
-    /// size; alignment/symbol/bounds errors as usual; and an arity error if
-    /// any buffer is shorter than `len`.
+    /// size, [`HostError::XferShort`] when a buffer is shorter than `len`
+    /// — both found before any DPU is written — and alignment, symbol and
+    /// bounds errors as usual.
     pub fn push(
         &self,
         set: &mut DpuSet,
@@ -88,10 +89,11 @@ impl XferBatch {
         len: usize,
     ) -> Result<()> {
         self.check_arity(set)?;
+        if let Some(i) = self.buffers.iter().position(|buf| buf.len() < len) {
+            let short = self.buffers[i].len();
+            return Err(HostError::XferShort { dpu: i as u32, len: short, push: len });
+        }
         for (i, buf) in self.buffers.iter().enumerate() {
-            if buf.len() < len {
-                return Err(HostError::XferArity { prepared: buf.len(), dpus: len });
-            }
             set.copy_to_dpu(DpuId(i as u32), symbol, symbol_offset, &buf[..len])?;
         }
         Ok(())
@@ -178,6 +180,19 @@ mod tests {
         let mut b = XferBatch::new();
         b.prepare(vec![7u8; 4]);
         assert!(b.push(&mut set, "row", 0, 8).is_err());
+    }
+
+    #[test]
+    fn short_second_buffer_is_reported_before_any_dpu_is_written() {
+        let mut set = DpuSet::allocate(2).unwrap();
+        set.define_symbol("row", 8).unwrap();
+        let mut b = XferBatch::new();
+        b.prepare(vec![7u8; 8]).prepare(vec![9u8; 4]);
+        let err = b.push(&mut set, "row", 0, 8).unwrap_err();
+        assert_eq!(err, HostError::XferShort { dpu: 1, len: 4, push: 8 });
+        let mut out = [0xAAu8; 8];
+        set.copy_from_dpu(DpuId(0), "row", 0, &mut out).unwrap();
+        assert_eq!(out, [0u8; 8], "DPU 0's symbol is untouched");
     }
 
     #[test]

@@ -116,9 +116,9 @@ fn per_batch_policy(base: &ResilientLaunchPolicy, seq: u64) -> ResilientLaunchPo
 }
 
 /// What `report` — the launch of a batch whose DPU `d` held `chunks[d]`
-/// items — means to the scheduler, and which DPUs' items were served.
-/// An engine without a policy does not degrade (`degrades` unset): its
-/// first DPU fault fails the batch.
+/// items — means to the scheduler, and which items were served (in
+/// staging order). An engine without a policy does not degrade
+/// (`degrades` unset): its first DPU fault fails the batch.
 fn account(
     report: LaunchReport,
     chunks: &[usize],
@@ -127,16 +127,12 @@ fn account(
     if !degrades && !report.fully_served() {
         return Err(report.into_launch_result().expect_err("a DPU went unserved"));
     }
-    let served: Vec<bool> = (0..chunks.len()).map(|d| report.per_dpu[d].result.is_some()).collect();
+    let items = report.items(chunks);
     let dpu = |d: usize| u32::try_from(d).expect("dpu index fits");
     let run = BatchRun {
         compute_cycles: report.makespan_cycles(),
-        redispatched_items: report
-            .degraded
-            .iter()
-            .map(|d| chunks.get(d.from.0 as usize).copied().unwrap_or(0))
-            .sum(),
-        lost_items: served.iter().zip(chunks).filter_map(|(ok, &len)| (!ok).then_some(len)).sum(),
+        redispatched_items: items.redispatched.len(),
+        lost_items: items.served.iter().filter(|&&ok| !ok).count(),
         quarantined_dpus: report.quarantined.iter().map(|d| d.0).collect(),
         repaired_dpus: (0..report.per_dpu.len())
             .filter(|&d| report.per_dpu[d].health() == ServeHealth::HealthyAfterRepair)
@@ -144,7 +140,16 @@ fn account(
             .collect(),
         active_dpus: (0..chunks.len()).filter(|&d| chunks[d] > 0).map(dpu).collect(),
     };
-    Ok((run, served))
+    Ok((run, items.served))
+}
+
+/// Pair gathered outputs with the served mask of their launch (`None`:
+/// no launch masked them); unserved items come back `None`.
+fn mask<O>(all: Vec<O>, served: Option<&Vec<bool>>) -> Vec<Option<O>> {
+    match served {
+        Some(served) => all.into_iter().zip(served).map(|(o, &ok)| ok.then_some(o)).collect(),
+        None => all.into_iter().map(Some).collect(),
+    }
 }
 
 /// eBNN tier-1 serving engine: items are 128-byte encoded image slots
@@ -153,7 +158,7 @@ fn account(
 pub struct EbnnServeEngine {
     inner: Tier1Engine,
     policy: Option<ResilientLaunchPolicy>,
-    /// Per-buffer per-chunk served mask from the last launch into it.
+    /// Per-buffer per-item served mask from the last launch into it.
     served: Vec<Option<Vec<bool>>>,
     active: usize,
     dirty: bool,
@@ -235,7 +240,7 @@ impl BatchEngine for EbnnServeEngine {
         let chunks =
             self.inner.staged_chunks(self.active).expect("launch without staging").to_vec();
         let policy = self.policy.as_ref().map(|base| per_batch_policy(base, seq));
-        let report = self.inner.launch_report(policy.as_ref())?;
+        let (report, _) = self.inner.launch(false, policy.as_ref())?;
         let (run, served) = account(report, &chunks, policy.is_some())?;
         self.dirty |= !run.quarantined_dpus.is_empty();
         self.served[self.active] = Some(served);
@@ -243,18 +248,8 @@ impl BatchEngine for EbnnServeEngine {
     }
 
     fn gather(&mut self, buf: usize) -> Result<Gathered<Vec<u8>>, HostError> {
-        let chunks = self.inner.staged_chunks(buf).expect("gather without staging").to_vec();
-        let mask = self.served[buf].clone().unwrap_or_else(|| vec![true; chunks.len()]);
         let (all, bytes) = self.inner.gather(buf)?;
-        let mut out = Vec::with_capacity(all.len());
-        let mut it = all.into_iter();
-        for (d, &len) in chunks.iter().enumerate() {
-            for _ in 0..len {
-                let f = it.next().expect("gather matches staged chunks");
-                out.push(mask[d].then_some(f));
-            }
-        }
-        Ok((out, bytes))
+        Ok((mask(all, self.served[buf].as_ref()), bytes))
     }
 
     fn dirty(&self) -> bool {
@@ -340,7 +335,7 @@ impl BatchEngine for YoloServeEngine {
         // One row per DPU holding one.
         let chunks = vec![1; self.inner.staged_rows()];
         let policy = self.policy.as_ref().map(|base| per_batch_policy(base, seq));
-        let report = self.inner.launch_report(policy.as_ref())?;
+        let (report, _) = self.inner.launch(false, policy.as_ref())?;
         let (run, served) = account(report, &chunks, policy.is_some())?;
         self.dirty |= !run.quarantined_dpus.is_empty();
         self.served = Some(served);
@@ -349,12 +344,9 @@ impl BatchEngine for YoloServeEngine {
 
     fn gather(&mut self, buf: usize) -> Result<Gathered<Vec<i16>>, HostError> {
         assert_eq!(buf, 0, "row engine is single-buffered");
-        let n = self.inner.dims().n;
-        let n_rows = self.inner.staged_rows();
-        let mask = self.served.clone().unwrap_or_else(|| vec![true; n_rows]);
         let (flat, bytes) = self.inner.gather()?;
-        let out = (0..n_rows).map(|i| mask[i].then(|| flat[i * n..(i + 1) * n].to_vec())).collect();
-        Ok((out, bytes))
+        let rows = flat.chunks(self.inner.dims().n).map(<[i16]>::to_vec).collect();
+        Ok((mask(rows, self.served.as_ref()), bytes))
     }
 
     fn dirty(&self) -> bool {

@@ -2,7 +2,7 @@
 //! degradation, and bit-identity of zero-fault serving
 //! against the plain batch pipeline.
 
-use ebnn::codegen::{encode_slot, run_tier1_batch_multi_dpu};
+use ebnn::codegen::{encode_slot, run_tier1_batch, BatchSpec};
 use ebnn::mnist::synth_digit;
 use ebnn::model::{EbnnModel, ModelConfig};
 use ebnn::IMAGES_PER_DPU;
@@ -67,7 +67,7 @@ fn zero_fault_serving_is_bit_identical_to_batch_pipeline() {
     let sl = slots(&m, &imgs);
 
     // Reference: the plain batch pipeline over the same images.
-    let (want, _) = run_tier1_batch_multi_dpu(&m, &imgs).expect("batch pipeline");
+    let want = run_tier1_batch(&m, &imgs, BatchSpec::default()).expect("batch pipeline").features;
 
     for pipeline in [PipelineMode::Serial, PipelineMode::Double] {
         // One request carrying everything: the serving path packs the same
@@ -106,8 +106,8 @@ fn oversize_request_splits_across_launches_and_stays_correct() {
     // The split slices reassemble to the batch pipeline's output.
     let mut want = Vec::new();
     for chunk in imgs.chunks(IMAGES_PER_DPU) {
-        let (features, _) = run_tier1_batch_multi_dpu(&m, chunk).expect("batch pipeline");
-        want.extend(features);
+        let run = run_tier1_batch(&m, chunk, BatchSpec::default()).expect("batch pipeline");
+        want.extend(run.features);
     }
     let got = flat_outputs(&report);
     assert_eq!(got.len(), want.len());
@@ -221,7 +221,7 @@ fn redispatch_recovers_offline_dpus_results_exactly() {
     let m = model();
     let imgs = images(2 * IMAGES_PER_DPU, 77);
     let sl = slots(&m, &imgs);
-    let (want, _) = run_tier1_batch_multi_dpu(&m, &imgs).expect("batch pipeline");
+    let want = run_tier1_batch(&m, &imgs, BatchSpec::default()).expect("batch pipeline").features;
 
     let policy = pim_host::ResilientLaunchPolicy::with_faults(dpu_sim::FaultPlan::new(
         dpu_sim::FaultConfig { forced_offline: vec![0], ..dpu_sim::FaultConfig::default() },

@@ -19,7 +19,7 @@
 use crate::gemm::GemmDims;
 use dpu_sim::asm::assemble;
 use dpu_sim::{DpuId, Program};
-use pim_host::{DpuSet, HostError, LaunchResult};
+use pim_host::{DpuSet, HostError, LaunchReport, LaunchSpec, ResilientLaunchPolicy};
 use pim_trace::TraceBuffer;
 
 /// MRAM symbol offsets (sequential `define_symbol` order).
@@ -195,99 +195,83 @@ pub fn gemm_row_program(dims: GemmDims) -> Program {
     program
 }
 
-/// Execute one conv layer's GEMM at instruction level under the Fig. 4.6
-/// mapping: `dims.m` DPUs, each loaded with its `A` row and the whole `B`,
-/// running [`gemm_row_program`] with `tasklets` threads.
-///
-/// # Errors
-/// Host-runtime failures.
-///
-/// # Panics
-/// When slice shapes don't match `dims` or the layout overflows WRAM.
-pub fn run_tier1_layer(
-    dims: GemmDims,
-    alpha: i32,
-    a: &[i16],
-    b: &[i16],
-    tasklets: usize,
-) -> Result<(Vec<i16>, LaunchResult), HostError> {
-    tier1_layer_impl(dims, alpha, a, b, tasklets, false).map(|t| (t.c, t.launch))
+/// How [`run_tier1_layer`] runs a layer: its tasklet count and the choices
+/// a [`pim_host::LaunchSpec`] carries.
+#[derive(Debug, Clone, Copy)]
+pub struct LayerRunSpec<'a> {
+    /// Tasklets per DPU; tasklet `t` computes columns `t, t+T, …`.
+    pub tasklets: usize,
+    /// Record one simulator trace per DPU and the host-transfer log.
+    /// Observational: `C` and the report are those of an untraced run.
+    pub trace: bool,
+    /// Launch under this fault-tolerance policy: a quarantined DPU's row
+    /// is recomputed on a survivor. `None` is the plain launch, the
+    /// policy's zero-fault case.
+    pub policy: Option<&'a ResilientLaunchPolicy>,
 }
 
-/// A Tier-1 GEMM layer run with full tracing enabled.
-#[derive(Debug)]
-pub struct TracedLayer {
-    /// The `M×N` output matrix, row-major.
+impl LayerRunSpec<'_> {
+    /// A plain, untraced run on `tasklets` tasklets.
+    #[must_use]
+    pub fn new(tasklets: usize) -> Self {
+        Self { tasklets, trace: false, policy: None }
+    }
+}
+
+/// A Tier-1 GEMM layer run by [`run_tier1_layer`].
+#[derive(Debug, Clone)]
+pub struct Tier1Layer {
+    /// The `M×N` output matrix, row-major — the same even when some rows
+    /// were computed on a stand-in DPU.
     pub c: Vec<i16>,
-    /// The launch result (identical to an untraced run).
-    pub launch: LaunchResult,
-    /// One cycle-stamped simulator trace per DPU (= per `A` row).
+    /// The launch: per-DPU results (every DPU's row was served),
+    /// attempts, injected faults, quarantines and re-dispatches.
+    pub report: LaunchReport,
+    /// One cycle-stamped trace per DPU (= per `A` row), empty unless
+    /// [`LayerRunSpec::trace`].
     pub dpu_traces: Vec<TraceBuffer>,
-    /// Host↔MRAM transfers: `B` broadcast, `A`-row scatter, `C`-row gather.
+    /// Host↔MRAM transfers: `B` broadcast, `A`-row scatter, `C`-row
+    /// gather (empty unless [`LayerRunSpec::trace`]).
     pub host_trace: TraceBuffer,
+    /// Output rows whose home DPU was quarantined and whose values a
+    /// surviving DPU computed.
+    pub redispatched: Vec<usize>,
     /// COW MRAM arena accounting after the gather: the broadcast `B`
     /// matrix's whole pages are stored once across the row-per-DPU set.
     pub mram_residency: dpu_sim::MramResidency,
 }
 
-/// [`run_tier1_layer`] with tracing: per-DPU simulator traces plus the
-/// host-transfer log of the Fig. 4.6 orchestration.
+/// Execute one conv layer's GEMM at instruction level under the Fig. 4.6
+/// mapping on a one-shot [`RowEngine`]: `dims.m` DPUs, each loaded with
+/// its `A` row and the whole `B`, running [`gemm_row_program`] once.
 ///
 /// # Errors
-/// Host-runtime failures.
+/// Host-runtime failures, or — when some DPU's row went unserved (any
+/// fault without a policy; with one, a row even re-dispatch could not
+/// serve) — the first unserved DPU's error.
 ///
 /// # Panics
-/// See [`run_tier1_layer`].
-pub fn run_tier1_layer_traced(
+/// When slice shapes don't match `dims`, `tasklets` is outside `1..=24`,
+/// or the layout overflows WRAM.
+pub fn run_tier1_layer(
     dims: GemmDims,
     alpha: i32,
     a: &[i16],
     b: &[i16],
-    tasklets: usize,
-) -> Result<TracedLayer, HostError> {
-    tier1_layer_impl(dims, alpha, a, b, tasklets, true)
-}
-
-/// [`run_tier1_layer`] with the execution engine tier pinned instead of
-/// the ambient selection — the hook the cross-tier identity tests use to
-/// prove the tier cannot be observed from the host side.
-///
-/// # Errors
-/// Host-runtime failures.
-///
-/// # Panics
-/// See [`run_tier1_layer`].
-pub fn run_tier1_layer_with_engine(
-    dims: GemmDims,
-    alpha: i32,
-    a: &[i16],
-    b: &[i16],
-    tasklets: usize,
-    engine: dpu_sim::Engine,
-) -> Result<(Vec<i16>, LaunchResult), HostError> {
-    let mut set = tier1_layer_stage(dims, alpha, a, b, tasklets, false)?;
-    set.set_engine(Some(engine));
-    let launch = set.launch_loaded(tasklets)?;
-    let c = gather_c(&set, dims)?;
-    Ok((c, launch))
-}
-
-fn tier1_layer_stage(
-    dims: GemmDims,
-    alpha: i32,
-    a: &[i16],
-    b: &[i16],
-    tasklets: usize,
-    trace: bool,
-) -> Result<DpuSet, HostError> {
+    spec: LayerRunSpec<'_>,
+) -> Result<Tier1Layer, HostError> {
     assert_eq!(a.len(), dims.m * dims.k, "A shape mismatch");
-    let mut set = row_set(dims, alpha, b, dims.m, tasklets, trace)?;
-    let mut batch = pim_host::XferBatch::new();
-    for i in 0..dims.m {
-        batch.prepare(pim_host::to_wire(&a[i * dims.k..(i + 1) * dims.k]).data);
+    let mut engine = RowEngine::build(dims, alpha, b, dims.m, spec.tasklets, spec.trace)?;
+    engine.stage(a)?;
+    let (report, dpu_traces) = engine.launch(spec.trace, spec.policy)?;
+    if !report.fully_served() {
+        return Err(report.into_launch_result().expect_err("a DPU went unserved"));
     }
-    batch.push(&mut set, "a_row", 0, a_row_cap(dims))?;
-    Ok(set)
+    let (c, _) = engine.gather()?;
+    let redispatched = report.items(&vec![1; dims.m]).redispatched;
+    let host_trace = engine.set.take_host_trace().unwrap_or_default();
+    let mram_residency = engine.set.system().mram_residency();
+    Ok(Tier1Layer { c, report, dpu_traces, host_trace, redispatched, mram_residency })
 }
 
 /// Bytes of one `A` row on the wire: `K` halfwords, padded to the 8-byte
@@ -296,60 +280,15 @@ fn a_row_cap(dims: GemmDims) -> usize {
     (dims.k * 2).div_ceil(8) * 8
 }
 
-/// A set of `dpus` DPUs ready for `A` rows: the four MRAM symbols defined
-/// in [`mram`] order, the params record and `B` broadcast, and
-/// [`gemm_row_program`] loaded.
-///
-/// # Panics
-/// When `b` doesn't match `dims`, `tasklets` is outside `1..=24`, or the
-/// WRAM layout overflows.
-fn row_set(
-    dims: GemmDims,
-    alpha: i32,
-    b: &[i16],
-    dpus: usize,
-    tasklets: usize,
-    trace: bool,
-) -> Result<DpuSet, HostError> {
-    assert_eq!(b.len(), dims.k * dims.n, "B shape mismatch");
-    assert!((1..=24).contains(&tasklets), "tasklets must be 1..=24");
-    let mut set = DpuSet::allocate(dpus)?;
-    if trace {
-        set.enable_host_tracing();
-    }
-    set.define_symbol("params", 16)?;
-    set.define_symbol("a_row", a_row_cap(dims))?;
-    set.define_symbol("b", (dims.k * dims.n * 2).div_ceil(8) * 8)?;
-    set.define_symbol("c_row", (dims.n * 2).div_ceil(8) * 8)?;
-
-    let mut params = Vec::with_capacity(16);
-    for v in [dims.n as u32, dims.k as u32, alpha as u32, tasklets as u32] {
-        params.extend_from_slice(&v.to_le_bytes());
-    }
-    set.copy_to("params", 0, &params)?;
-    set.copy_values_to("b", b)?;
-    set.load(&gemm_row_program(dims))?;
-    Ok(set)
-}
-
-/// Gather the `M×N` output matrix after a launch (row `i` from DPU `i`).
-fn gather_c(set: &DpuSet, dims: GemmDims) -> Result<Vec<i16>, HostError> {
-    let mut c = vec![0i16; dims.m * dims.n];
-    for i in 0..dims.m {
-        let row: Vec<i16> = set.copy_values_from_dpu(DpuId(i as u32), "c_row", 0, dims.n)?;
-        c[i * dims.n..(i + 1) * dims.n].copy_from_slice(&row);
-    }
-    Ok(c)
-}
-
 /// A persistent row-GEMM executor: the DPU set is allocated once, the
 /// shared `B` matrix and params are broadcast once (COW pages shared
 /// across the set), and the program is loaded once — each batch then only
-/// scatters its `A` rows, launches, and gathers `C` rows. This is the
-/// batch-slicing entry point the `pim-serve` runtime builds on; unlike
-/// the eBNN-side `Tier1Engine` it has a single A/C buffer pair (the
-/// GEMM program bakes its MRAM bases), so the serving pipeline schedules
-/// it serially.
+/// scatters its `A` rows, launches, and gathers `C` rows. Every Tier-1
+/// YOLO layer runs on one: the `pim-serve` runtime keeps it for the life
+/// of the service, [`run_tier1_layer`] builds one per layer. Unlike the
+/// eBNN-side `Tier1Engine` it has a single A/C buffer pair (the GEMM
+/// program bakes its MRAM bases), so the serving pipeline schedules it
+/// serially.
 #[derive(Debug)]
 pub struct RowEngine {
     set: DpuSet,
@@ -377,8 +316,39 @@ impl RowEngine {
         dpus: usize,
         tasklets: usize,
     ) -> Result<Self, HostError> {
+        Self::build(dims, alpha, b, dpus, tasklets, false)
+    }
+
+    /// [`RowEngine::new`], optionally recording host transfers: the four
+    /// MRAM symbols defined in [`mram`] order, the params record and `B`
+    /// broadcast, and [`gemm_row_program`] loaded.
+    fn build(
+        dims: GemmDims,
+        alpha: i32,
+        b: &[i16],
+        dpus: usize,
+        tasklets: usize,
+        trace: bool,
+    ) -> Result<Self, HostError> {
         assert!(dpus > 0, "engine needs at least one DPU");
-        let set = row_set(dims, alpha, b, dpus, tasklets, false)?;
+        assert_eq!(b.len(), dims.k * dims.n, "B shape mismatch");
+        assert!((1..=24).contains(&tasklets), "tasklets must be 1..=24");
+        let mut set = DpuSet::allocate(dpus)?;
+        if trace {
+            set.enable_host_tracing();
+        }
+        set.define_symbol("params", 16)?;
+        set.define_symbol("a_row", a_row_cap(dims))?;
+        set.define_symbol("b", (dims.k * dims.n * 2).div_ceil(8) * 8)?;
+        set.define_symbol("c_row", (dims.n * 2).div_ceil(8) * 8)?;
+
+        let mut params = Vec::with_capacity(16);
+        for v in [dims.n as u32, dims.k as u32, alpha as u32, tasklets as u32] {
+            params.extend_from_slice(&v.to_le_bytes());
+        }
+        set.copy_to("params", 0, &params)?;
+        set.copy_values_to("b", b)?;
+        set.load(&gemm_row_program(dims))?;
         let golden = set.snapshot();
         Ok(Self { set, dims, dpus, tasklets, staged_rows: 0, golden })
     }
@@ -419,9 +389,9 @@ impl RowEngine {
     }
 
     /// Scatter up to [`RowEngine::capacity`] `A` rows (`rows.len()` must
-    /// be a multiple of `dims.k`). DPUs beyond the staged rows rerun
-    /// whatever row they last held; their `C` rows are not gathered.
-    /// Returns the bytes written over the host link.
+    /// be a multiple of `dims.k`). DPUs beyond the staged rows get an
+    /// all-zero row; their `C` rows are not gathered. Returns the bytes
+    /// written over the host link.
     ///
     /// # Errors
     /// Host-runtime failures.
@@ -446,17 +416,20 @@ impl RowEngine {
         Ok((a_cap * self.dpus) as u64)
     }
 
-    /// Launch the staged batch, under a fault-tolerance policy if given.
+    /// Launch the staged batch, traced (see [`LaunchSpec::trace`]) and
+    /// under a fault-tolerance policy if asked (see
+    /// [`LaunchSpec::policy`]). [`LaunchReport::items`] maps the report
+    /// onto the staged rows, one per DPU.
     ///
     /// # Errors
     /// Host-runtime failures (DPU faults, injected or not, are reported,
     /// not returned as errors).
-    pub fn launch_report(
+    pub fn launch(
         &mut self,
-        policy: Option<&pim_host::ResilientLaunchPolicy>,
-    ) -> Result<pim_host::LaunchReport, HostError> {
-        let spec = pim_host::LaunchSpec { policy, ..pim_host::LaunchSpec::loaded(self.tasklets) };
-        self.set.launch_with(spec).map(|(report, _)| report)
+        trace: bool,
+        policy: Option<&ResilientLaunchPolicy>,
+    ) -> Result<(LaunchReport, Vec<TraceBuffer>), HostError> {
+        self.set.launch_with(LaunchSpec { trace, policy, ..LaunchSpec::loaded(self.tasklets) })
     }
 
     /// Gather the staged rows' `C` outputs (row `i` from DPU `i`), plus
@@ -482,70 +455,6 @@ impl RowEngine {
     }
 }
 
-fn tier1_layer_impl(
-    dims: GemmDims,
-    alpha: i32,
-    a: &[i16],
-    b: &[i16],
-    tasklets: usize,
-    trace: bool,
-) -> Result<TracedLayer, HostError> {
-    let mut set = tier1_layer_stage(dims, alpha, a, b, tasklets, trace)?;
-    let (launch, dpu_traces) = if trace {
-        set.launch_loaded_traced(tasklets)?
-    } else {
-        (set.launch_loaded(tasklets)?, Vec::new())
-    };
-    let c = gather_c(&set, dims)?;
-    let host_trace = set.take_host_trace().unwrap_or_default();
-    let mram_residency = set.system().mram_residency();
-    Ok(TracedLayer { c, launch, dpu_traces, host_trace, mram_residency })
-}
-
-/// Outcome of a fault-tolerant Tier-1 GEMM layer (see
-/// [`run_tier1_layer_resilient`]).
-#[derive(Debug, Clone)]
-pub struct ResilientLayer {
-    /// The `M×N` output matrix, row-major — identical to what
-    /// [`run_tier1_layer`] returns, even when some rows were computed on
-    /// a stand-in DPU.
-    pub c: Vec<i16>,
-    /// The full fault-tolerance record for the launch.
-    pub report: pim_host::LaunchReport,
-    /// Output rows whose home DPU was quarantined and whose values
-    /// therefore came from a surviving DPU.
-    pub redispatched_rows: Vec<usize>,
-}
-
-/// Fault-tolerant variant of [`run_tier1_layer`]: one DPU per `A` row, run
-/// under a [`pim_host::ResilientLaunchPolicy`]. A quarantined DPU's row is
-/// recomputed on a survivor, so `c` is complete and correct as long as at
-/// least one DPU survives.
-///
-/// # Errors
-/// Host-runtime staging failures, or — when even re-dispatch could not
-/// serve some row — the last per-DPU error from the report.
-///
-/// # Panics
-/// See [`run_tier1_layer`].
-pub fn run_tier1_layer_resilient(
-    dims: GemmDims,
-    alpha: i32,
-    a: &[i16],
-    b: &[i16],
-    tasklets: usize,
-    policy: &pim_host::ResilientLaunchPolicy,
-) -> Result<ResilientLayer, HostError> {
-    let mut set = tier1_layer_stage(dims, alpha, a, b, tasklets, false)?;
-    let report = set.launch_loaded_resilient(tasklets, policy)?;
-    if !report.fully_served() {
-        return Err(report.into_launch_result().expect_err("a DPU went unserved"));
-    }
-    let c = gather_c(&set, dims)?;
-    let redispatched_rows = report.degraded.iter().map(|d| d.from.0 as usize).collect();
-    Ok(ResilientLayer { c, report, redispatched_rows })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,9 +473,9 @@ mod tests {
         let b: Vec<i16> = (0..dims.k * dims.n).map(|_| pseudo(&mut s)).collect();
         let mut want = vec![0i16; dims.m * dims.n];
         gemm(dims, 2, &a, &b, &mut want);
-        let (got, result) = run_tier1_layer(dims, 2, &a, &b, 4).unwrap();
-        assert_eq!(got, want);
-        assert_eq!(result.per_dpu.len(), 3);
+        let run = run_tier1_layer(dims, 2, &a, &b, LayerRunSpec::new(4)).unwrap();
+        assert_eq!(run.c, want);
+        assert_eq!(run.report.per_dpu.len(), 3);
     }
 
     #[test]
@@ -578,7 +487,7 @@ mod tests {
         let mut want = vec![0i16; dims.m * dims.n];
         gemm(dims, 1, &a, &b, &mut want);
         for t in [1usize, 2, 3, 7, 11] {
-            let (got, _) = run_tier1_layer(dims, 1, &a, &b, t).unwrap();
+            let got = run_tier1_layer(dims, 1, &a, &b, LayerRunSpec::new(t)).unwrap().c;
             assert_eq!(got, want, "tasklets = {t}");
         }
     }
@@ -590,7 +499,8 @@ mod tests {
         let dims = GemmDims { m: 1, n: 64, k: 32 };
         let a: Vec<i16> = (0..dims.k).map(|i| (i as i16 % 20) - 10).collect();
         let b: Vec<i16> = (0..dims.k * dims.n).map(|i| (i as i16 % 30) - 15).collect();
-        let (_, result) = run_tier1_layer(dims, 1, &a, &b, 11).unwrap();
+        let run = run_tier1_layer(dims, 1, &a, &b, LayerRunSpec::new(11)).unwrap();
+        let result = run.report.into_launch_result().unwrap();
         let r = &result.per_dpu[0];
         assert!(r.dma_transfers as usize >= dims.k * dims.n, "per-element B DMAs");
     }
@@ -613,10 +523,12 @@ mod traced_tests {
         let dims = GemmDims { m: 2, k: 4, n: 3 };
         let a: Vec<i16> = (0..8).map(|v| v - 3).collect();
         let b: Vec<i16> = (0..12).map(|v| 2 - v).collect();
-        let (c, launch) = run_tier1_layer(dims, 1, &a, &b, 2).unwrap();
-        let traced = run_tier1_layer_traced(dims, 1, &a, &b, 2).unwrap();
-        assert_eq!(traced.c, c);
-        assert_eq!(traced.launch, launch);
+        let plain = run_tier1_layer(dims, 1, &a, &b, LayerRunSpec::new(2)).unwrap();
+        let spec = LayerRunSpec { trace: true, ..LayerRunSpec::new(2) };
+        let traced = run_tier1_layer(dims, 1, &a, &b, spec).unwrap();
+        assert_eq!(traced.c, plain.c);
+        assert_eq!(traced.report, plain.report);
+        let launch = plain.report.into_launch_result().unwrap();
         assert_eq!(traced.dpu_traces.len(), dims.m);
         for (d, buf) in traced.dpu_traces.iter().enumerate() {
             assert_eq!(buf.max_end_cycle(), launch.per_dpu[d].cycles, "DPU {d}");

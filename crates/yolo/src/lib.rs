@@ -36,7 +36,7 @@ pub mod quant;
 pub mod reference;
 
 pub use cfg::{parse_cfg, to_cfg, CfgError};
-pub use codegen::{run_tier1_layer_resilient, ResilientLayer};
+pub use codegen::{run_tier1_layer, LayerRunSpec, Tier1Layer};
 pub use darknet::{darknet53_yolov3, tiny_config, NetworkConfig};
 pub use detect::{decode_and_nms, Detection};
 pub use gemm::{gemm, GemmDims};

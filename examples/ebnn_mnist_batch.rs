@@ -58,10 +58,12 @@ fn main() {
     println!("    throughput:     {:.0} frames/s", report.frames_per_second());
 
     // --- Tier-1: the generated DPU program, instruction by instruction ---
-    let (t1_features, t1) = ebnn::codegen::run_tier1_batch(&model, batch16).expect("tier1");
+    let run =
+        ebnn::codegen::run_tier1_batch(&model, batch16, ebnn::BatchSpec::default()).expect("tier1");
+    let t1 = run.report.into_launch_result().expect("every DPU served");
     let exact = batch16
         .iter()
-        .zip(&t1_features)
+        .zip(&run.features)
         .all(|(img, f)| *f == model.features(&model.binarize(&img.pixels)));
     println!("\nTier-1 generated DPU program (16 images, {} tasklets):", batch16.len());
     println!(

@@ -24,21 +24,22 @@ fn main() {
     let images: Vec<_> =
         (0..24).map(|i| ebnn::mnist::synth_digit(i % 10, (i / 10) as u64)).collect();
 
-    let traced =
-        ebnn::codegen::run_tier1_batch_multi_dpu_traced(&model, &images).expect("traced run");
+    let spec = ebnn::BatchSpec { trace: true, ..ebnn::BatchSpec::default() };
+    let traced = ebnn::codegen::run_tier1_batch(&model, &images, spec).expect("traced run");
+    let launch = traced.report.into_launch_result().expect("every DPU served");
 
     println!(
         "Traced {} images over {} DPUs: {} cycles makespan, {} trace events\n",
         images.len(),
-        traced.launch.per_dpu.len(),
-        traced.launch.makespan_cycles(),
+        launch.per_dpu.len(),
+        launch.makespan_cycles(),
         traced.dpu_traces.iter().map(pim_trace::TraceBuffer::len).sum::<usize>()
             + traced.host_trace.len(),
     );
 
     println!("{}", pim_trace::cycle_breakdown(&traced.dpu_traces));
 
-    let mut metrics = traced.launch.metrics();
+    let mut metrics = launch.metrics();
     metrics.counter_add("host.transfer.events", traced.host_trace.len() as u64);
     let metrics_json = serde_json::to_string(&metrics.to_json()).expect("metrics serialize");
     println!("metrics registry:\n{metrics_json}\n");

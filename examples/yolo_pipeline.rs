@@ -58,8 +58,9 @@ fn main() {
     let dims = GemmDims { m: 4, n: 64, k: 36 };
     let a: Vec<i16> = (0..dims.m * dims.k).map(|i| ((i * 13) % 41) as i16 - 20).collect();
     let b: Vec<i16> = (0..dims.k * dims.n).map(|i| ((i * 7) % 61) as i16 - 30).collect();
-    let (c_t1, launch) =
-        yolo_pim::codegen::run_tier1_layer(dims, 1, &a, &b, 11).expect("tier-1 layer");
+    let run = yolo_pim::run_tier1_layer(dims, 1, &a, &b, yolo_pim::LayerRunSpec::new(11))
+        .expect("tier-1 layer");
+    let (c_t1, launch) = (run.c, run.report.into_launch_result().expect("every row served"));
     let mut c_host = vec![0i16; dims.m * dims.n];
     yolo_pim::gemm(dims, 1, &a, &b, &mut c_host);
     println!("\nTier-1 GEMM layer (M={} DPUs, 11 tasklets):", dims.m);

@@ -128,12 +128,13 @@ fn ebnn_batch_survives_a_whole_dpu_fault_via_redispatch() {
     let plan = FaultPlan::new(FaultConfig { forced_offline: vec![1], ..FaultConfig::default() });
     let policy =
         ResilientLaunchPolicy { max_retries: 1, ..ResilientLaunchPolicy::with_faults(plan) };
-    let batch = ebnn::run_tier1_batch_multi_dpu_resilient(&m, &imgs, &policy).unwrap();
+    let spec = ebnn::BatchSpec { policy: Some(&policy), ..ebnn::BatchSpec::default() };
+    let batch = ebnn::run_tier1_batch(&m, &imgs, spec).unwrap();
 
     assert_eq!(batch.report.quarantined, vec![DpuId(1)]);
     assert!(batch.report.fully_served());
     assert_eq!(batch.report.degraded.len(), 1);
-    assert_eq!(batch.redispatched_images, (16..32).collect::<Vec<_>>());
+    assert_eq!(batch.redispatched, (16..32).collect::<Vec<_>>());
     // Every image classifies from the correct features — including the 16
     // that lived on the dead DPU.
     for (i, img) in imgs.iter().enumerate() {
@@ -151,14 +152,16 @@ fn ebnn_resilient_batch_with_no_faults_matches_plain_batch() {
     let m =
         ebnn::EbnnModel::generate(ebnn::ModelConfig { filters: 2, ..ebnn::ModelConfig::default() });
     let imgs: Vec<_> = (0..24).map(|i| ebnn::synth_digit(i % 10, (i / 10) as u64)).collect();
-    let (plain_features, plain_launch) =
-        ebnn::codegen::run_tier1_batch_multi_dpu(&m, &imgs).unwrap();
-    let batch =
-        ebnn::run_tier1_batch_multi_dpu_resilient(&m, &imgs, &ResilientLaunchPolicy::default())
-            .unwrap();
-    assert_eq!(batch.features, plain_features);
-    assert!(batch.redispatched_images.is_empty());
-    assert_eq!(batch.report.into_launch_result().unwrap(), plain_launch);
+    let plain = ebnn::run_tier1_batch(&m, &imgs, ebnn::BatchSpec::default()).unwrap();
+    let policy = ResilientLaunchPolicy::default();
+    let spec = ebnn::BatchSpec { policy: Some(&policy), ..ebnn::BatchSpec::default() };
+    let batch = ebnn::run_tier1_batch(&m, &imgs, spec).unwrap();
+    assert_eq!(batch.features, plain.features);
+    assert!(batch.redispatched.is_empty());
+    assert_eq!(
+        batch.report.into_launch_result().unwrap(),
+        plain.report.into_launch_result().unwrap()
+    );
 }
 
 /// YOLO row-per-DPU GEMM survives multiple simultaneous whole-DPU faults.
@@ -178,9 +181,10 @@ fn yolo_layer_survives_dpu_faults_with_redispatch() {
     let plan = FaultPlan::new(FaultConfig { forced_offline: vec![0, 3], ..FaultConfig::default() });
     let policy =
         ResilientLaunchPolicy { max_retries: 0, ..ResilientLaunchPolicy::with_faults(plan) };
-    let layer = yolo_pim::run_tier1_layer_resilient(dims, 2, &a, &b, 3, &policy).unwrap();
+    let spec = yolo_pim::LayerRunSpec { policy: Some(&policy), ..yolo_pim::LayerRunSpec::new(3) };
+    let layer = yolo_pim::run_tier1_layer(dims, 2, &a, &b, spec).unwrap();
     assert_eq!(layer.c, want, "every output row correct despite two dead DPUs");
-    assert_eq!(layer.redispatched_rows, vec![0, 3]);
+    assert_eq!(layer.redispatched, vec![0, 3]);
     assert_eq!(
         layer.report.quarantined,
         vec![DpuId(0), DpuId(3)],

@@ -3,11 +3,15 @@
 //! barrier accounting and the work-stealing launch path must all be
 //! *observationally invisible*. These tests pin exact `RunResult` and
 //! trace-buffer figures from the eBNN and YOLO Tier-1 pipelines (recorded
-//! on the pre-overhaul interpreter) and cross-check every launch pathway
-//! against every other.
+//! on the pre-overhaul interpreter) and cross-check every way of running
+//! them against every other.
 
+use dpu_sim::Engine;
+use ebnn::codegen::{run_tier1_batch, BatchSpec, Tier1Engine};
 use ebnn::{EbnnModel, ModelConfig};
-use pim_trace::TraceBuffer;
+use pim_host::{LaunchReport, ResilientLaunchPolicy};
+use pim_trace::{HostDirection, TraceBuffer, TraceEvent};
+use yolo_pim::codegen::{run_tier1_layer, LayerRunSpec, RowEngine};
 use yolo_pim::gemm::GemmDims;
 
 /// A compact, order-sensitive fingerprint of a trace buffer.
@@ -20,129 +24,209 @@ fn fingerprint(buf: &TraceBuffer) -> (usize, u64, u64) {
 // kernel ABI itself changes (last: the params record grew to 16 bytes
 // carrying the image/feature MRAM bases for double buffering, +8 DMA
 // bytes and +4 cycles per DPU).
-const GOLDEN_EBNN_INSTRS_0: u64 = 990_629;
-const GOLDEN_EBNN_INSTRS_1: u64 = 990_777;
-const GOLDEN_EBNN_INSTRS_2: u64 = 495_365;
+const GOLDEN_EBNN_CYCLES: [u64; 3] = [993_098, 993_643, 682_723];
+const GOLDEN_EBNN_INSTRS: [u64; 3] = [990_629, 990_777, 495_365];
 const GOLDEN_EBNN_HIST_TOTAL: u64 = 989_093;
 const GOLDEN_EBNN_TRACE: [(usize, u64, u64); 3] =
     [(85, 8_408, 993_098), (85, 8_408, 993_643), (53, 4_248, 682_723)];
 
-#[test]
-fn ebnn_multi_dpu_pipeline_is_bit_identical_to_seed() {
-    // 40 images over 3 DPUs (16 + 16 + 8): unequal chunks exercise the
-    // skew the work-stealing scheduler must keep invisible.
-    let model = EbnnModel::generate(ModelConfig { filters: 2, ..ModelConfig::default() });
-    let images: Vec<_> = (0..40).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
-
-    let (features, launch) =
-        ebnn::codegen::run_tier1_batch_multi_dpu(&model, &images).expect("untraced run");
-    let traced =
-        ebnn::codegen::run_tier1_batch_multi_dpu_traced(&model, &images).expect("traced run");
-
-    // Tracing and scheduling must not perturb results.
-    assert_eq!(features, traced.features);
-    assert_eq!(launch, traced.launch);
-
-    // Golden figures for the current kernel (see the constants above).
-    assert_eq!(launch.per_dpu.len(), 3);
-    let cycles: Vec<u64> = launch.per_dpu.iter().map(|r| r.cycles).collect();
-    let instrs: Vec<u64> = launch.per_dpu.iter().map(|r| r.instructions).collect();
-    assert_eq!(cycles, vec![993_098, 993_643, 682_723], "per-DPU cycles drifted");
-    assert_eq!(instrs, vec![GOLDEN_EBNN_INSTRS_0, GOLDEN_EBNN_INSTRS_1, GOLDEN_EBNN_INSTRS_2]);
-    assert_eq!(launch.makespan_cycles(), 993_643, "makespan drifted");
-    let prints: Vec<(usize, u64, u64)> = traced.dpu_traces.iter().map(fingerprint).collect();
-    assert_eq!(prints, GOLDEN_EBNN_TRACE, "trace buffers drifted");
-
-    // The histogram fold must reproduce the exact per-mnemonic counts.
-    let h = &launch.per_dpu[0].op_histogram;
-    assert_eq!(h.values().sum::<u64>(), GOLDEN_EBNN_HIST_TOTAL);
+/// One way of running a Tier-1 batch: the one-shot runner plain, traced
+/// or under a zero-fault policy, or a persistent engine pinned to one
+/// execution tier.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Path {
+    Plain,
+    Traced,
+    ZeroFault,
+    Pinned(Engine),
 }
 
+const PATHS: [Path; 5] = [
+    Path::Plain,
+    Path::Traced,
+    Path::ZeroFault,
+    Path::Pinned(Engine::Reference),
+    Path::Pinned(Engine::Superblock),
+];
+
+impl Path {
+    /// The one-shot's `(trace, policy)` for this path.
+    fn choices(self, policy: &ResilientLaunchPolicy) -> (bool, Option<&ResilientLaunchPolicy>) {
+        (self == Path::Traced, (self == Path::ZeroFault).then_some(policy))
+    }
+}
+
+/// Every path of the golden eBNN batch — 40 images over 3 DPUs (16 + 16 +
+/// 8: unequal chunks exercise the skew the work-stealing scheduler must
+/// keep invisible) — computes the model's features with the golden
+/// per-DPU figures, and the traced path records the golden traces.
 #[test]
-fn yolo_tier1_layer_is_bit_identical_to_seed() {
-    // 6 DPUs (>= the parallel threshold), 3 tasklets, deterministic data.
+fn ebnn_tier1_batch_is_bit_identical_on_every_path() {
+    let model = EbnnModel::generate(ModelConfig { filters: 2, ..ModelConfig::default() });
+    let images: Vec<_> = (0..40).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
+    let policy = ResilientLaunchPolicy::default();
+    let mut first = None;
+    for path in PATHS {
+        let (features, report, traces): (_, LaunchReport, _) = if let Path::Pinned(tier) = path {
+            let mut engine = Tier1Engine::new(&model, 3).expect("eBNN engine");
+            engine.set_mut().set_engine(Some(tier));
+            engine.stage(&model, &images, 0).expect("stage images");
+            let (report, _) = engine.launch(false, None).expect("launch");
+            (engine.gather(0).expect("gather").0, report, Vec::new())
+        } else {
+            let (trace, policy) = path.choices(&policy);
+            let spec = BatchSpec { trace, policy, ..BatchSpec::default() };
+            let run = run_tier1_batch(&model, &images, spec).expect("one-shot run");
+            assert!(run.redispatched.is_empty(), "{path:?}");
+            (run.features, run.report, run.dpu_traces)
+        };
+        for (i, image) in images.iter().enumerate() {
+            assert_eq!(features[i], model.features(&model.binarize(&image.pixels)), "{path:?} {i}");
+        }
+        assert!(report.quarantined.is_empty() && report.degraded.is_empty(), "{path:?}");
+        assert_eq!(report.makespan_cycles(), 993_643, "{path:?}: makespan drifted");
+        let launch = report.into_launch_result().expect("fully served");
+        let cycles: Vec<u64> = launch.per_dpu.iter().map(|r| r.cycles).collect();
+        let instrs: Vec<u64> = launch.per_dpu.iter().map(|r| r.instructions).collect();
+        assert_eq!(cycles, GOLDEN_EBNN_CYCLES, "{path:?}: per-DPU cycles drifted");
+        assert_eq!(instrs, GOLDEN_EBNN_INSTRS, "{path:?}: per-DPU instructions drifted");
+        // The histogram fold must reproduce the exact per-mnemonic counts.
+        let h = &launch.per_dpu[0].op_histogram;
+        assert_eq!(h.values().sum::<u64>(), GOLDEN_EBNN_HIST_TOTAL, "{path:?}");
+        let prints: Vec<(usize, u64, u64)> = traces.iter().map(fingerprint).collect();
+        if path == Path::Traced {
+            assert_eq!(prints, GOLDEN_EBNN_TRACE, "trace buffers drifted");
+        } else {
+            assert!(prints.is_empty(), "{path:?} traced nothing");
+        }
+        assert_eq!(first.get_or_insert_with(|| launch.clone()), &launch, "{path:?} diverged");
+    }
+}
+
+/// Every path of the golden YOLO layer — 6 DPUs (>= the parallel
+/// threshold), 3 tasklets, deterministic data — computes Algorithm 2's
+/// `C` with the figures recorded from the seed interpreter (PR 1 state),
+/// whichever tier retired the instructions.
+#[test]
+fn yolo_tier1_layer_is_bit_identical_on_every_path() {
     let dims = GemmDims { m: 6, n: 24, k: 18 };
     let a: Vec<i16> = (0..dims.m * dims.k).map(|i| ((i * 7 % 13) as i16) - 6).collect();
     let b: Vec<i16> = (0..dims.k * dims.n).map(|i| ((i * 5 % 11) as i16) - 5).collect();
-
-    let (c, launch) = yolo_pim::codegen::run_tier1_layer(dims, 1, &a, &b, 3).expect("untraced run");
-    let traced = yolo_pim::codegen::run_tier1_layer_traced(dims, 1, &a, &b, 3).expect("traced run");
-    assert_eq!(c, traced.c);
-    assert_eq!(launch, traced.launch);
-
-    // Functional check against the reference GEMM (Algorithm 2).
     let mut expect = vec![0i16; dims.m * dims.n];
     yolo_pim::gemm::gemm(dims, 1, &a, &b, &mut expect);
-    assert_eq!(c, expect);
-
-    // Golden figures recorded from the seed interpreter (PR 1 state).
-    let cycles: Vec<u64> = launch.per_dpu.iter().map(|r| r.cycles).collect();
-    assert_eq!(cycles, vec![264_648; 6], "per-DPU cycles drifted");
-    assert_eq!(launch.total_instructions(), 428_988, "total instructions drifted");
-    let prints: Vec<(usize, u64, u64)> = traced.dpu_traces.iter().map(fingerprint).collect();
-    assert_eq!(prints, vec![(1_763, 968, 264_648); 6], "trace buffers drifted");
-}
-
-/// Both engine tiers pinned through the host API (`DpuSet::set_engine`)
-/// reproduce the identical launch: the golden YOLO layer figures cannot
-/// depend on whether the reference loop or the superblock engine retired
-/// the instructions.
-#[test]
-fn pinned_engine_tiers_reproduce_identical_launches() {
-    use dpu_sim::Engine;
-
-    let dims = GemmDims { m: 6, n: 24, k: 18 };
-    let a: Vec<i16> = (0..dims.m * dims.k).map(|i| ((i * 7 % 13) as i16) - 6).collect();
-    let b: Vec<i16> = (0..dims.k * dims.n).map(|i| ((i * 5 % 11) as i16) - 5).collect();
-    let mut runs = Vec::new();
-    for engine in [Engine::Reference, Engine::Superblock] {
-        let (c, launch) =
-            yolo_pim::codegen::run_tier1_layer_with_engine(dims, 1, &a, &b, 3, engine)
-                .expect("tiered run");
+    let policy = ResilientLaunchPolicy::default();
+    let mut first = None;
+    for path in PATHS {
+        let (c, report, traces) = if let Path::Pinned(tier) = path {
+            let mut engine = RowEngine::new(dims, 1, &b, dims.m, 3).expect("row engine");
+            engine.set_mut().set_engine(Some(tier));
+            engine.stage(&a).expect("stage A rows");
+            let (report, _) = engine.launch(false, None).expect("launch");
+            (engine.gather().expect("gather").0, report, Vec::new())
+        } else {
+            let (trace, policy) = path.choices(&policy);
+            let spec = LayerRunSpec { trace, policy, ..LayerRunSpec::new(3) };
+            let run = run_tier1_layer(dims, 1, &a, &b, spec).expect("one-shot run");
+            assert!(run.redispatched.is_empty(), "{path:?}");
+            (run.c, run.report, run.dpu_traces)
+        };
+        assert_eq!(c, expect, "{path:?}: C differs from the host GEMM");
+        assert!(report.quarantined.is_empty() && report.degraded.is_empty(), "{path:?}");
+        let launch = report.into_launch_result().expect("fully served");
         let cycles: Vec<u64> = launch.per_dpu.iter().map(|r| r.cycles).collect();
-        assert_eq!(cycles, vec![264_648; 6], "{engine:?} drifted from the golden figures");
-        runs.push((c, launch));
+        assert_eq!(cycles, vec![264_648; 6], "{path:?}: per-DPU cycles drifted");
+        assert_eq!(launch.total_instructions(), 428_988, "{path:?}: instructions drifted");
+        let prints: Vec<(usize, u64, u64)> = traces.iter().map(fingerprint).collect();
+        if path == Path::Traced {
+            assert_eq!(prints, vec![(1_763, 968, 264_648); 6], "trace buffers drifted");
+        } else {
+            assert!(prints.is_empty(), "{path:?} traced nothing");
+        }
+        assert_eq!(first.get_or_insert_with(|| launch.clone()), &launch, "{path:?} diverged");
     }
-    assert!(runs.windows(2).all(|w| w[0] == w[1]), "tiers disagree");
 }
 
-/// The fault-tolerant launch path with faults disabled must reproduce the
-/// same golden figures as the plain path: the retry/quarantine machinery
-/// (snapshots, arming, watchdog) must be completely inert on the zero-fault
-/// fast path.
+/// The instruction-level Fig. 4.7(a) path: 16 images on one DPU, tasklet
+/// `t` taking images `t, t+T, …`, at the golden cycle and instruction
+/// counts for each tasklet count.
 #[test]
-fn zero_fault_resilient_pipelines_reproduce_the_golden_figures() {
-    use pim_host::ResilientLaunchPolicy;
+fn strided_fig_4_7a_batches_hold_their_golden_figures() {
+    let model = EbnnModel::generate(ModelConfig { filters: 1, ..ModelConfig::default() });
+    let images: Vec<_> = (0..16).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
+    for (tasklets, cycles, instructions) in [
+        (1, 5_460_836, 496_154),
+        (4, 1_366_281, 496_190),
+        (11, 684_080, 496_274),
+        (16, 497_719, 496_334),
+    ] {
+        let spec = BatchSpec { tasklets: Some(tasklets), ..BatchSpec::default() };
+        let run = run_tier1_batch(&model, &images, spec).expect("strided run");
+        for (i, image) in images.iter().enumerate() {
+            let want = model.features(&model.binarize(&image.pixels));
+            assert_eq!(run.features[i], want, "{tasklets} tasklets, image {i}");
+        }
+        let launch = run.report.into_launch_result().expect("fully served");
+        assert_eq!(launch.tasklets, tasklets);
+        assert_eq!(launch.makespan_cycles(), cycles, "{tasklets} tasklets: cycles drifted");
+        assert_eq!(launch.total_instructions(), instructions, "{tasklets} tasklets");
+    }
+}
 
-    // eBNN: 40 images over 3 DPUs, default (fault-free) policy.
-    let model = EbnnModel::generate(ModelConfig { filters: 2, ..ModelConfig::default() });
-    let images: Vec<_> = (0..40).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
-    let batch = ebnn::run_tier1_batch_multi_dpu_resilient(
-        &model,
-        &images,
-        &ResilientLaunchPolicy::default(),
-    )
-    .expect("resilient run");
-    assert_eq!(batch.report.makespan_cycles(), 993_643);
-    assert!(batch.report.quarantined.is_empty() && batch.redispatched_images.is_empty());
-    let launch = batch.report.into_launch_result().expect("fully served");
-    let cycles: Vec<u64> = launch.per_dpu.iter().map(|r| r.cycles).collect();
-    assert_eq!(cycles, vec![993_098, 993_643, 682_723], "resilient eBNN cycles drifted");
-    assert_eq!(launch.makespan_cycles(), 993_643);
+/// A traced one-shot's host log in order: direction, symbol and target
+/// DPU (`None` for a broadcast) of every host↔MRAM transfer.
+fn host_log(buf: &TraceBuffer) -> Vec<(HostDirection, String, Option<u32>)> {
+    let transfer = |event: &TraceEvent| match event {
+        TraceEvent::HostTransfer { direction, symbol, dpu, .. } => {
+            Some((*direction, symbol.clone(), *dpu))
+        }
+        _ => None,
+    };
+    buf.events().iter().filter_map(transfer).collect()
+}
 
-    // YOLO: 6 DPUs, 3 tasklets, same deterministic data as above.
-    let dims = GemmDims { m: 6, n: 24, k: 18 };
-    let a: Vec<i16> = (0..dims.m * dims.k).map(|i| ((i * 7 % 13) as i16) - 6).collect();
-    let b: Vec<i16> = (0..dims.k * dims.n).map(|i| ((i * 5 % 11) as i16) - 5).collect();
-    let (c_plain, _) = yolo_pim::codegen::run_tier1_layer(dims, 1, &a, &b, 3).expect("plain run");
-    let layer =
-        yolo_pim::run_tier1_layer_resilient(dims, 1, &a, &b, 3, &ResilientLaunchPolicy::default())
-            .expect("resilient run");
-    assert_eq!(layer.c, c_plain);
-    let yl = layer.report.into_launch_result().expect("fully served");
-    let ycycles: Vec<u64> = yl.per_dpu.iter().map(|r| r.cycles).collect();
-    assert_eq!(ycycles, vec![264_648; 6], "resilient YOLO cycles drifted");
-    assert_eq!(yl.total_instructions(), 428_988);
+/// `n` transfers of `symbol` to (or from) each of `dpus`.
+fn transfers(
+    direction: HostDirection,
+    symbol: &str,
+    dpus: impl IntoIterator<Item = Option<u32>>,
+    n: usize,
+) -> Vec<(HostDirection, String, Option<u32>)> {
+    dpus.into_iter().flat_map(|d| vec![(direction, symbol.to_owned(), d); n]).collect()
+}
+
+/// Both models' traced one-shots follow the paper's host program: the
+/// shared operands are broadcast once (eBNN weights and LUT, YOLO params
+/// and `B`), then each DPU's own inputs are scattered, then the outputs
+/// are gathered DPU by DPU — the single-DPU eBNN batch included.
+#[test]
+fn traced_host_logs_broadcast_before_they_scatter_and_gather() {
+    use HostDirection::{HostToMram as To, MramToHost as From};
+    let model = EbnnModel::generate(ModelConfig { filters: 1, ..ModelConfig::default() });
+    let images: Vec<_> = (0..5).map(|i| ebnn::mnist::synth_digit(i, 1)).collect();
+    let spec = BatchSpec { tasklets: Some(2), trace: true, ..BatchSpec::default() };
+    let run = run_tier1_batch(&model, &images, spec).expect("traced batch");
+    let want = [
+        transfers(To, "filters", [None], 1),
+        transfers(To, "lut", [None], 1),
+        transfers(To, "params", [Some(0)], 1),
+        transfers(To, "images", [Some(0)], 5),
+        transfers(From, "features", [Some(0)], 5),
+    ];
+    assert_eq!(host_log(&run.host_trace), want.concat());
+
+    let dims = GemmDims { m: 3, n: 8, k: 6 };
+    let a: Vec<i16> = (0..dims.m * dims.k).map(|i| i as i16 - 9).collect();
+    let b: Vec<i16> = (0..dims.k * dims.n).map(|i| 5 - i as i16).collect();
+    let spec = LayerRunSpec { trace: true, ..LayerRunSpec::new(2) };
+    let run = run_tier1_layer(dims, 1, &a, &b, spec).expect("traced layer");
+    let rows = || (0..3).map(Some);
+    let want = [
+        transfers(To, "params", [None], 1),
+        transfers(To, "b", [None], 1),
+        transfers(To, "a_row", rows(), 1),
+        transfers(From, "c_row", rows(), 1),
+    ];
+    assert_eq!(host_log(&run.host_trace), want.concat());
 }
 
 /// One DPU holding a staged 24×40 GEMM row for 11 tasklets, and the row
@@ -151,7 +235,7 @@ fn staged_gemm_row() -> (dpu_sim::Machine, dpu_sim::ExecProgram) {
     let dims = GemmDims { m: 1, n: 40, k: 24 };
     let a: Vec<i16> = (0..dims.k).map(|i| ((i * 7 % 13) as i16) - 6).collect();
     let b: Vec<i16> = (0..dims.k * dims.n).map(|i| ((i * 5 % 11) as i16) - 5).collect();
-    let mut row_engine = yolo_pim::codegen::RowEngine::new(dims, 1, &b, 1, 11).expect("row engine");
+    let mut row_engine = RowEngine::new(dims, 1, &b, 1, 11).expect("row engine");
     row_engine.stage(&a).expect("stage A row");
     let row_dpu = row_engine.set().system().dpu(dpu_sim::DpuId(0)).clone();
     let program = yolo_pim::codegen::gemm_row_program(dims);
@@ -170,11 +254,11 @@ fn staged_gemm_row() -> (dpu_sim::Machine, dpu_sim::ExecProgram) {
 /// included) on both engine tiers.
 #[test]
 fn paper_kernels_leave_identical_machines_on_every_engine_tier() {
-    use dpu_sim::{DpuId, Engine, ExecProgram, Machine};
+    use dpu_sim::{DpuId, ExecProgram, Machine};
 
     let model = EbnnModel::generate(ModelConfig { filters: 1, ..ModelConfig::default() });
     let images: Vec<_> = (0..16).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
-    let mut ebnn_engine = ebnn::codegen::Tier1Engine::new(&model, 1).expect("eBNN engine");
+    let mut ebnn_engine = Tier1Engine::new(&model, 1).expect("eBNN engine");
     ebnn_engine.stage(&model, &images, 0).expect("stage images");
     let ebnn_dpu = ebnn_engine.set().system().dpu(DpuId(0)).clone();
     let mut partial = |n: usize| {
@@ -239,11 +323,11 @@ fn paper_kernels_leave_identical_machines_on_every_engine_tier() {
 /// every profiled one the same attribution.
 #[test]
 fn paper_kernels_run_the_same_under_every_observer_on_every_engine_tier() {
-    use dpu_sim::{CycleAttribution, DpuId, Engine, ExecProgram, Observe, RunSpec};
+    use dpu_sim::{CycleAttribution, DpuId, ExecProgram, Observe, RunSpec};
 
     let model = EbnnModel::generate(ModelConfig { filters: 1, ..ModelConfig::default() });
     let images: Vec<_> = (0..16).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
-    let mut ebnn_engine = ebnn::codegen::Tier1Engine::new(&model, 1).expect("eBNN engine");
+    let mut ebnn_engine = Tier1Engine::new(&model, 1).expect("eBNN engine");
     ebnn_engine.stage(&model, &images, 0).expect("stage images");
     let ebnn_dpu = ebnn_engine.set().system().dpu(DpuId(0)).clone();
     let ebnn_exec = ExecProgram::compile(&ebnn::codegen::tier1_program(1)).expect("eBNN program");
@@ -298,9 +382,6 @@ fn paper_kernels_run_the_same_under_every_observer_on_every_engine_tier() {
 /// for DPU, while its 62 idle DPUs stop being interpreted.
 #[test]
 fn sparse_rank_replays_idle_dpus_and_matches_the_reference_loop() {
-    use dpu_sim::Engine;
-    use ebnn::codegen::Tier1Engine;
-
     const DPUS: usize = 64;
     let model = EbnnModel::generate(ModelConfig { filters: 1, ..ModelConfig::default() });
     let images: Vec<_> = (0..32).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
@@ -315,8 +396,9 @@ fn sparse_rank_replays_idle_dpus_and_matches_the_reference_loop() {
         fast.stage(&model, batch, 0).expect("stage images");
         reference.stage(&model, batch, 0).expect("stage images");
         let before = fast.set().system().engine_stats();
-        let launch = fast.launch().expect("launch");
-        assert_eq!(launch, reference.launch().expect("reference launch"));
+        let launch = fast.launch(false, None).expect("launch").0;
+        assert_eq!(launch, reference.launch(false, None).expect("reference launch").0);
+        let launch = launch.into_launch_result().expect("fully served");
         for ((id, m), (_, r)) in fast.set().system().iter().zip(reference.set().system().iter()) {
             assert!(m.wram == r.wram, "WRAM of {id:?} diverged");
             assert!(m.mram == r.mram, "MRAM of {id:?} diverged");

@@ -179,12 +179,12 @@ fn generated_full_program_matches_model_and_tier2_costs() {
     let model = EbnnModel::generate(ModelConfig::default()); // 8 filters
     let imgs: Vec<_> = (0..16).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
 
-    let (features, tier1) = ebnn::codegen::run_tier1_batch(&model, &imgs).unwrap();
+    let tier1 = ebnn::codegen::run_tier1_batch(&model, &imgs, ebnn::BatchSpec::default()).unwrap();
     for (i, img) in imgs.iter().enumerate() {
-        assert_eq!(features[i], model.features(&model.binarize(&img.pixels)), "image {i}");
+        assert_eq!(tier1.features[i], model.features(&model.binarize(&img.pixels)), "image {i}");
     }
 
-    let t1 = tier1.makespan_cycles();
+    let t1 = tier1.report.makespan_cycles();
     let t2_o0 = EbnnPipeline::new(model.clone()).infer(&imgs).unwrap().makespan_cycles;
     let t2_o3 = EbnnPipeline::new(model)
         .with_opt(pim_host::OptLevel::O3)
