@@ -1,15 +1,17 @@
-//! Every steady state a served eBNN DPU can be in must have a batched
-//! mode: for each chunk size 1..=16 (a batch ends in a remainder chunk of
-//! `len % 16` images), launched on as many tasklets as images or on all
-//! 16, at most 1 % of the issue slots may go pick by pick on the fast
-//! engine. A rotation shape no schedule probe covers runs ~9× slower and
-//! would otherwise only show as a p90 of the serving benchmark.
+//! Every steady state a served paper kernel can be in must have a batched
+//! mode: at most 1 % of the issue slots may go pick by pick on the fast
+//! engine. For eBNN that is each chunk size 1..=16 (a batch ends in a
+//! remainder chunk of `len % 16` images), launched on as many tasklets as
+//! images or on all 16; for YOLO it is the GEMM row on 11 tasklets, whose
+//! three `__mulsi3` calls per multiply must retire inside the rotations. A
+//! rotation shape no schedule probe covers runs ~9× slower and would
+//! otherwise only show as a p90 of the serving benchmark.
 //!
 //! `cargo test --release -p pim-bench --test kernel_residency -- --nocapture`
 //! prints the sweep with host time per instruction.
 
-use dpu_sim::Engine;
-use pim_bench::kernels::{ebnn_tier1_launched, KernelShape};
+use dpu_sim::{Engine, RunSpec};
+use pim_bench::kernels::{ebnn_tier1_launched, yolo_row, KernelShape};
 use std::time::Instant;
 
 /// Slots, per-slot picks and host nanoseconds per instruction (best of
@@ -20,10 +22,9 @@ fn run(shape: &KernelShape) -> (u64, u64, f64) {
     for _ in 0..3 {
         let mut m = shape.staged.clone();
         let before = m.engine_stats();
+        let spec = RunSpec { engine: Some(Engine::Superblock), ..RunSpec::new(shape.tasklets) };
         let start = Instant::now();
-        let result = m
-            .run_exec_engine(&shape.exec, shape.tasklets, Engine::Superblock)
-            .expect("kernel runs");
+        let result = m.execute(&shape.exec, spec).expect("kernel runs");
         best = best.min(start.elapsed().as_nanos() as f64 / result.instructions as f64);
         let stats = m.engine_stats().since(&before);
         assert_eq!(stats.slots(), result.instructions, "{}: modes partition the slots", shape.name);
@@ -32,19 +33,33 @@ fn run(shape: &KernelShape) -> (u64, u64, f64) {
     (counts.0, counts.1, best)
 }
 
+fn print_header() {
+    println!("{:<24} {:>9} {:>12} {:>9}", "shape", "slots", "per-slot", "ns/instr");
+}
+
+/// Print `shape`'s row of the sweep and fail above 1 % per-slot picks.
+fn assert_runs_batched(shape: &KernelShape) {
+    let (slots, per_slot, ns) = run(shape);
+    println!("{:<24} {slots:>9} {per_slot:>12} {ns:>9.2}", shape.name);
+    assert!(
+        per_slot * 100 <= slots,
+        "{}: {per_slot} of {slots} slots went pick by pick",
+        shape.name
+    );
+}
+
 #[test]
 fn every_ebnn_chunk_size_runs_batched() {
-    println!("{:<24} {:>9} {:>12} {:>9}", "shape", "slots", "per-slot", "ns/instr");
+    print_header();
     for images in 1..=16 {
         for tasklets in if images == 16 { vec![16] } else { vec![images, 16] } {
-            let shape = ebnn_tier1_launched(images, tasklets);
-            let (slots, per_slot, ns) = run(&shape);
-            println!("{:<24} {slots:>9} {per_slot:>12} {ns:>9.2}", shape.name);
-            assert!(
-                per_slot * 100 <= slots,
-                "{}: {per_slot} of {slots} slots went pick by pick",
-                shape.name
-            );
+            assert_runs_batched(&ebnn_tier1_launched(images, tasklets));
         }
     }
+}
+
+#[test]
+fn yolo_gemm_row_runs_batched() {
+    print_header();
+    assert_runs_batched(&yolo_row(11));
 }

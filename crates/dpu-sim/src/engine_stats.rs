@@ -10,8 +10,8 @@
 /// Why a tasklet-major chunk was rolled back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ChunkAbort {
-    /// A tasklet reached a scheduling boundary (`mram.*`, `call`,
-    /// `barrier`, `mutex.*`, `perf.*`, `halt`) before its quota.
+    /// A tasklet reached a scheduling boundary (`mram.*`, `barrier`,
+    /// `mutex.*`, `perf.*`, `halt`) or a `call` before its quota.
     Boundary,
     /// Two tasklets touched one WRAM word, at least one of them storing.
     Conflict,

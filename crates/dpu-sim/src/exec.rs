@@ -390,52 +390,54 @@ pub fn fold_histogram(counts: &[u64; OP_COUNT]) -> std::collections::BTreeMap<&'
     map
 }
 
+/// One instance of every instruction variant.
+#[cfg(test)]
+pub(crate) fn all_variants() -> Vec<Instr> {
+    use crate::isa::{Cond, Reg, Width};
+    use crate::subroutines::Subroutine;
+    let r = Reg(1);
+    vec![
+        Instr::Nop,
+        Instr::Halt,
+        Instr::Movi { rd: r, imm: 1 },
+        Instr::Mov { rd: r, ra: r },
+        Instr::Add { rd: r, ra: r, rb: r },
+        Instr::Addi { rd: r, ra: r, imm: 1 },
+        Instr::Sub { rd: r, ra: r, rb: r },
+        Instr::And { rd: r, ra: r, rb: r },
+        Instr::Or { rd: r, ra: r, rb: r },
+        Instr::Xor { rd: r, ra: r, rb: r },
+        Instr::Lsl { rd: r, ra: r, rb: r },
+        Instr::Lsr { rd: r, ra: r, rb: r },
+        Instr::Asr { rd: r, ra: r, rb: r },
+        Instr::Lsli { rd: r, ra: r, sh: 1 },
+        Instr::Lsri { rd: r, ra: r, sh: 1 },
+        Instr::Asri { rd: r, ra: r, sh: 1 },
+        Instr::Mul8 { rd: r, ra: r, rb: r },
+        Instr::Popcount { rd: r, ra: r },
+        Instr::Load { width: Width::W, rd: r, ra: r, off: 0 },
+        Instr::Store { width: Width::W, ra: r, off: 0, rs: r },
+        Instr::MramRead { wram: r, mram: r, len: r },
+        Instr::MramWrite { wram: r, mram: r, len: r },
+        Instr::Branch { cond: Cond::Ne, ra: r, rb: r, target: 0 },
+        Instr::Jump { target: 0 },
+        Instr::Jal { rd: r, target: 0 },
+        Instr::Jr { ra: r },
+        Instr::CallSub { sub: Subroutine::Mulsi3, rd: r, ra: r, rb: r },
+        Instr::PerfConfig,
+        Instr::PerfRead { rd: r },
+        Instr::TaskletId { rd: r },
+        Instr::Trace { ra: r },
+        Instr::Barrier,
+        Instr::MutexLock { id: 0 },
+        Instr::MutexUnlock { id: 0 },
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{Cond, Reg, Width};
-    use crate::subroutines::Subroutine;
-
-    /// One instance of every instruction variant.
-    fn all_variants() -> Vec<Instr> {
-        let r = Reg(1);
-        vec![
-            Instr::Nop,
-            Instr::Halt,
-            Instr::Movi { rd: r, imm: 1 },
-            Instr::Mov { rd: r, ra: r },
-            Instr::Add { rd: r, ra: r, rb: r },
-            Instr::Addi { rd: r, ra: r, imm: 1 },
-            Instr::Sub { rd: r, ra: r, rb: r },
-            Instr::And { rd: r, ra: r, rb: r },
-            Instr::Or { rd: r, ra: r, rb: r },
-            Instr::Xor { rd: r, ra: r, rb: r },
-            Instr::Lsl { rd: r, ra: r, rb: r },
-            Instr::Lsr { rd: r, ra: r, rb: r },
-            Instr::Asr { rd: r, ra: r, rb: r },
-            Instr::Lsli { rd: r, ra: r, sh: 1 },
-            Instr::Lsri { rd: r, ra: r, sh: 1 },
-            Instr::Asri { rd: r, ra: r, sh: 1 },
-            Instr::Mul8 { rd: r, ra: r, rb: r },
-            Instr::Popcount { rd: r, ra: r },
-            Instr::Load { width: Width::W, rd: r, ra: r, off: 0 },
-            Instr::Store { width: Width::W, ra: r, off: 0, rs: r },
-            Instr::MramRead { wram: r, mram: r, len: r },
-            Instr::MramWrite { wram: r, mram: r, len: r },
-            Instr::Branch { cond: Cond::Ne, ra: r, rb: r, target: 0 },
-            Instr::Jump { target: 0 },
-            Instr::Jal { rd: r, target: 0 },
-            Instr::Jr { ra: r },
-            Instr::CallSub { sub: Subroutine::Mulsi3, rd: r, ra: r, rb: r },
-            Instr::PerfConfig,
-            Instr::PerfRead { rd: r },
-            Instr::TaskletId { rd: r },
-            Instr::Trace { ra: r },
-            Instr::Barrier,
-            Instr::MutexLock { id: 0 },
-            Instr::MutexUnlock { id: 0 },
-        ]
-    }
+    use crate::isa::{Cond, Reg};
 
     #[test]
     fn op_ids_agree_with_mnemonics_for_every_variant() {

@@ -8,8 +8,8 @@
 //! subroutine profile and every performance-counter reading.
 //!
 //! Every instruction has one definition. The boundary ops (`halt`, DMA,
-//! `call`, perf counter, barrier, mutex) live in `Interp::step`; every
-//! inline op — loads and stores, control flow and `trace` — lives in
+//! perf counter, barrier, mutex) live in `Interp::step`; every inline op —
+//! loads and stores, control flow, `call` and `trace` — lives in
 //! `Interp::exec_inline`, which both the reference loop and the batched
 //! fast paths call, and the register-file ops among them in `match_pure!`,
 //! which `exec_inline` and the superblock replay share.
@@ -37,6 +37,7 @@ use crate::perfcounter::PerfCounter;
 use crate::pipeline::Pipeline;
 use crate::profiler::{CycleAttribution, Profiler};
 use crate::replay::{Lookup, Recorder, ReplayKey, Space, REPLAY_MAX_SLOTS};
+use crate::subroutines::Subroutine;
 use pim_trace::{DmaDirection, NullSink, TraceEvent, TraceSink};
 
 /// Default cycle budget for [`Machine::run`]; generous enough for every
@@ -430,7 +431,8 @@ impl Machine {
     ///   one dispatch, observationally invisible by construction (see the
     ///   per-method proofs and `docs/PERFORMANCE.md`). Traced runs take it
     ///   too: their events come from boundary ops, which it executes in
-    ///   reference-identical slots.
+    ///   reference-identical slots, and from calls, which it stamps with
+    ///   their scheduled issue cycle.
     ///
     /// A plain launch on the fast tier first looks in the program's replay
     /// table for a recorded run of the same key whose read set equals this
@@ -521,52 +523,21 @@ impl Machine {
         }
         let recording = recorder.is_some();
 
-        let pipeline = Pipeline::with_stages(tasklets, u64::from(self.params.pipeline_stages));
-        let live = if code.is_empty() { 0 } else { tasklets };
         let dma_cycles_before = self.dma.total_cycles;
         let dma_transfers_before = self.dma.transfers;
         let dma_bytes_before = self.dma.total_bytes;
 
-        let mut interp = Interp {
-            pipeline,
-            threads: (0..tasklets).map(|_| Tasklet::new()).collect(),
-            dma_stream_free: 0,
-            single: tasklets == 1,
-            runnable: vec![!code.is_empty(); tasklets],
-            live,
-            runnable_count: live,
-            parked: 0,
-            at_barrier: vec![false; tasklets],
-            op_counts: [0; OP_COUNT],
-            mutex_owner: Vec::new(),
-            mutex_waiters: Vec::new(),
-            result: RunResult::default(),
-            order_scratch: Vec::new(),
-            at_scratch: Vec::new(),
-            active: if code.is_empty() { Vec::new() } else { (0..tasklets).collect() },
-            probe_hold: 0,
-            probe_backoff: 1,
-            sched_changed: false,
-            stats: EngineStats::default(),
-            shadow: Shadow::default(),
-            chunk_policy: ChunkPolicy::default(),
-            chunk_saved: Vec::new(),
-            code,
-            sb,
-            budget,
-            machine: self,
-            sink,
-            recorder,
-        };
+        let mut interp = Interp::new(self, sink, exec, tasklets, budget, recorder);
         if interp.sink.is_enabled() {
             interp.sink.record(TraceEvent::KernelLaunch { tasklets: tasklets as u8, cycle: 0 });
         }
 
         // Profiled runs take the reference path, which attributes every
-        // slot. Traced runs need no such thing: every event is recorded by
-        // a boundary op inside `step`, and the fast engine flushes the
-        // pipeline before each boundary slot, so the events carry the
-        // reference loop's cycles.
+        // slot. Traced runs need no such thing: every event but subroutine
+        // entry is recorded by a boundary op inside `step`, and the fast
+        // engine flushes the pipeline before each boundary slot; a `call`
+        // stamps its entry with its issue cycle in the batch schedule. So
+        // the events carry the reference loop's cycles.
         let outcome = if let Some(attr) = profile {
             attr.prepare(sb, tasklets);
             let mut slots = AttributedSlots::new(attr, code, interp.pipeline.elapsed());
@@ -713,8 +684,8 @@ enum SlotKind {
     /// is accounted to the current batch.
     Advanced,
     /// The instruction needs scheduler or timing machinery (it can change
-    /// the runnable set, stall, burst, or read the clock); nothing was
-    /// executed and no pick was consumed.
+    /// the runnable set, stall, or read the clock), or is a `call` inside a
+    /// tasklet-major chunk; nothing was executed and no pick was consumed.
     Boundary,
     /// Race-tracked dispatch only: the load or store overlaps another
     /// tasklet's access to the same WRAM word within the current chunk.
@@ -749,9 +720,11 @@ const MUTEX_IDS: usize = 256;
 
 /// Opcode classes the batched fast paths may dispatch with a *deferred*
 /// pipeline update: ops that always occupy exactly one issue slot and
-/// cannot change the runnable set, stall, start a burst, or observe the
-/// clock. Indexed by [`exec::op_id`]; kept in sync with the arms of
-/// [`Interp::exec_inline`] (enforced by a unit test).
+/// cannot change the runnable set, stall, or observe the clock. A `call`
+/// qualifies: its burst is picks of the same tasklet that execute nothing,
+/// which every batched mode retires, and its trace event is stamped from
+/// the batch schedule. Indexed by [`exec::op_id`]; exactly the ops
+/// [`Interp::exec_inline`] executes (enforced by a unit test).
 const INLINE_OP: [bool; OP_COUNT] = [
     true,  // nop
     false, // halt — ends the tasklet, changes the runnable set
@@ -773,7 +746,7 @@ const INLINE_OP: [bool; OP_COUNT] = [
     false, // mram.write
     true,  // branch — control flow is data, not scheduling
     true,  // jump (+ jal, jr)
-    false, // call — starts a subroutine burst
+    true,  // call — one slot, then a burst of picks that execute nothing
     false, // perf — reads the pipeline clock at its own issue slot
     true,  // me (tasklet id)
     true,  // trace
@@ -928,7 +901,52 @@ impl SlotObserver for AttributedSlots<'_> {
     }
 }
 
-impl Interp<'_> {
+impl<'a> Interp<'a> {
+    /// A run of `exec` on `tasklets` fresh tasklets of `machine`, nothing
+    /// issued yet.
+    fn new(
+        machine: &'a mut Machine,
+        sink: &'a mut dyn TraceSink,
+        exec: &'a ExecProgram,
+        tasklets: usize,
+        budget: u64,
+        recorder: Option<Box<Recorder>>,
+    ) -> Self {
+        let code = exec.code();
+        let live = if code.is_empty() { 0 } else { tasklets };
+        Interp {
+            pipeline: Pipeline::with_stages(tasklets, u64::from(machine.params.pipeline_stages)),
+            threads: vec![Tasklet::new(); tasklets],
+            dma_stream_free: 0,
+            single: tasklets == 1,
+            runnable: vec![live > 0; tasklets],
+            live,
+            runnable_count: live,
+            parked: 0,
+            at_barrier: vec![false; tasklets],
+            op_counts: [0; OP_COUNT],
+            mutex_owner: Vec::new(),
+            mutex_waiters: Vec::new(),
+            result: RunResult::default(),
+            order_scratch: Vec::new(),
+            at_scratch: Vec::new(),
+            active: (0..live).collect(),
+            probe_hold: 0,
+            probe_backoff: 1,
+            sched_changed: false,
+            stats: EngineStats::default(),
+            shadow: Shadow::default(),
+            chunk_policy: ChunkPolicy::default(),
+            chunk_saved: Vec::new(),
+            code,
+            sb: exec.superblocks(),
+            budget,
+            machine,
+            sink,
+            recorder,
+        }
+    }
+
     /// Release a full barrier when every live tasklet is parked. (A lone
     /// tasklet never parks — its barriers release at the issue slot.)
     fn release_full_barrier(&mut self) {
@@ -1043,9 +1061,10 @@ impl Interp<'_> {
     ///
     /// * **sole mode** — exactly one runnable tasklet (the other tasklets
     ///   halted, parked, or blocked; DMA-stalled tasklets stay runnable,
-    ///   so one runnable truly means one issuer): inline instructions and
-    ///   memoized superblocks dispatch in a batch whose picks flush as one
-    ///   `advance_periodic`, and the `pick` probe is skipped entirely;
+    ///   so one runnable truly means one issuer): inline instructions,
+    ///   burst slots and memoized superblocks dispatch in a batch whose
+    ///   picks flush as one `advance_periodic`, and the `pick` probe is
+    ///   skipped entirely;
     /// * **rotation mode** — two or more runnable tasklets whose next
     ///   picks follow a closed-form periodic schedule
     ///   ([`Pipeline::periodic_schedule`]: at least `stages` of them each
@@ -1138,13 +1157,15 @@ impl Interp<'_> {
 
     /// Sole-runnable mode: tasklet `t` is the only one the dispatcher can
     /// pick, so every issue lands exactly `stages` after the previous one
-    /// and the pipeline update for a run of inline instructions is a
-    /// closed form. The batch loop dispatches inline instructions (whole
-    /// memoized superblocks at a time where possible) with the pipeline
-    /// untouched, then flushes the accumulated `k` picks as one
-    /// `advance_periodic`; boundary instructions flush first and take a
-    /// reference-identical slot. Inline ops cannot change the runnable
-    /// set, so the mode only needs re-checking after a boundary dispatch.
+    /// and the pipeline update for a run of inline instructions and burst
+    /// slots is a closed form: pick `k` of the batch issues at
+    /// `first + k * stages`. The batch loop dispatches them (whole
+    /// memoized superblocks and burst remainders at a time where
+    /// possible) with the pipeline untouched, then flushes the accumulated
+    /// `k` picks as one `advance_periodic`; boundary instructions flush
+    /// first and take a reference-identical slot. Inline ops cannot change
+    /// the runnable set, so the mode only needs re-checking after a
+    /// boundary dispatch.
     ///
     /// Budget semantics match the reference exactly: after `k` issues the
     /// reference's post-pick check sees `elapsed = first + k*stages`, so
@@ -1160,27 +1181,13 @@ impl Interp<'_> {
                 .budget
                 .checked_sub(stages)
                 .map_or(0, |limit| Pipeline::periodic_slots_through(&[first], stages, limit));
-            let burst = self.threads[t].burst;
-            if burst > 0 {
-                if burst <= k_cap {
-                    self.flush_sole(t, burst);
-                    self.threads[t].burst = 0;
-                } else {
-                    self.pipeline.pick_sole(t);
-                    if self.pipeline.elapsed() > self.budget {
-                        return Err(Error::CycleBudgetExceeded { budget: self.budget });
-                    }
-                    self.threads[t].burst -= 1;
-                }
-                continue;
-            }
             if k_cap == 0 {
                 // The next pick overruns the budget no matter what the
                 // instruction is; issue it singly and surface the error.
                 self.pipeline.pick_sole(t);
                 return Err(Error::CycleBudgetExceeded { budget: self.budget });
             }
-            let (k, last) = self.advance_inline::<false>(t, k_cap);
+            let (k, last) = self.advance_inline::<false>(t, k_cap, |k| first + k * stages);
             match last {
                 Ok(SlotKind::Advanced) => self.flush_sole(t, k),
                 Ok(SlotKind::Boundary) => {
@@ -1214,26 +1221,37 @@ impl Interp<'_> {
         self.stats.sole_slots += k;
     }
 
-    /// Run tasklet `t` *on its own* for up to `quota >= 1` inline
-    /// instructions without touching the pipeline — the inner dispatch
-    /// shared by sole mode and the tasklet-major chunks. Memoized
-    /// superblocks run first, then single inline ops; a block that would
-    /// overrun the quota is skipped, so the per-op path below it
-    /// guarantees progress and the quota is met exactly.
+    /// Run tasklet `t` *on its own* for up to `quota >= 1` issue slots
+    /// without touching the pipeline — the inner dispatch shared by sole
+    /// mode and the tasklet-major chunks. Pending burst slots retire
+    /// first, then memoized superblocks, then single inline ops; a block
+    /// that would overrun the quota is skipped, so the per-op path below
+    /// it guarantees progress and the quota is met exactly. `issue_at(k)`
+    /// is the cycle the batch's pick `k` issues at, read only by a traced
+    /// `call`.
     ///
-    /// Returns the instructions retired and how the run ended:
-    /// `Advanced` when the quota was met, otherwise the classification of
-    /// the instruction that stopped it (not retired, except that a fault
-    /// leaves its op counted and pc on the faulting instruction, like
-    /// [`Interp::step`]). With `TRACK`, loads and stores go through the
-    /// chunk's [`Shadow`].
+    /// Returns the slots retired and how the run ended: `Advanced` when
+    /// the quota was met, otherwise the classification of the instruction
+    /// that stopped it (not retired, except that a fault leaves its op
+    /// counted and pc on the faulting instruction, like [`Interp::step`]).
+    /// With `TRACK`, loads and stores go through the chunk's [`Shadow`],
+    /// and no burst is pending: a chunk starts with none and ends at a
+    /// `call`.
     fn advance_inline<const TRACK: bool>(
         &mut self,
         t: usize,
         quota: u64,
+        issue_at: impl Fn(u64) -> u64,
     ) -> (u64, Result<SlotKind>) {
         let mut k: u64 = 0;
         while k < quota {
+            let burst = self.threads[t].burst;
+            if !TRACK && burst > 0 {
+                let slots = burst.min(quota - k);
+                self.threads[t].burst -= slots;
+                k += slots;
+                continue;
+            }
             let pc = self.threads[t].pc as usize;
             let len = u64::from(self.sb.len_at(pc));
             if len >= 2 && k + len <= quota {
@@ -1241,7 +1259,7 @@ impl Interp<'_> {
                 k += len;
                 continue;
             }
-            match self.dispatch_slot_inline::<TRACK>(t) {
+            match self.dispatch_slot_inline::<TRACK>(t, |_| issue_at(k)) {
                 Ok(SlotKind::Advanced) => k += 1,
                 last => return (k, last),
             }
@@ -1395,7 +1413,9 @@ impl Interp<'_> {
                 self.threads[t].burst -= 1;
                 m += 1;
             } else {
-                match self.dispatch_slot_inline::<false>(t) {
+                // Pick `m` of the batch, position `m % r` of its round.
+                let issue_at = |_: &Pipeline| at[pos] + (m / r as u64) * period;
+                match self.dispatch_slot_inline::<false>(t, issue_at) {
                     Ok(SlotKind::Advanced) => m += 1,
                     Ok(SlotKind::Boundary) => break Ok(()),
                     Ok(SlotKind::Conflict | SlotKind::Trace) => {
@@ -1431,10 +1451,11 @@ impl Interp<'_> {
     /// whether the chunk committed; if not, every architectural effect
     /// has been undone and the caller replays the slots one by one.
     ///
-    /// **Why reordering is sound.** Inside a rotation batch every
-    /// dispatched instruction is an [`INLINE_OP`]: one slot, no effect on
-    /// scheduling. The pipeline update therefore depends only on how many
-    /// slots each tasklet retires, which `k` rounds fix at `k` each.
+    /// **Why reordering is sound.** Inside a chunk every dispatched
+    /// instruction is an [`INLINE_OP`] other than `call`: one slot, no
+    /// effect on scheduling, no burst. The pipeline update therefore
+    /// depends only on how many slots each tasklet retires, which `k`
+    /// rounds fix at `k` each.
     /// Register files and pcs are private, and the histogram is a sum, so
     /// the only cross-tasklet channels are WRAM and the DPU log. If no
     /// WRAM word is stored by one tasklet and accessed by another within
@@ -1446,8 +1467,8 @@ impl Interp<'_> {
     /// exactly that, at word granularity, as the accesses happen.
     ///
     /// **Rollback contract.** A chunk commits only if every tasklet
-    /// retired exactly `k` instructions. A boundary instruction, a
-    /// conflict, a `trace`, a memory fault or an out-of-range pc restores
+    /// retired exactly `k` instructions. A boundary instruction, a `call`,
+    /// a conflict, a `trace`, a memory fault or an out-of-range pc restores
     /// the register files and `op_counts` from the checkpoint and replays
     /// the store log backwards; nothing else is mutable from inline ops.
     /// The per-slot loop then reaches the same instruction in reference
@@ -1465,7 +1486,7 @@ impl Interp<'_> {
         self.shadow.begin(self.machine.wram.len());
         let mut executed = 0;
         for &t in order {
-            let (ran, last) = self.advance_inline::<true>(t, k);
+            let (ran, last) = self.advance_inline::<true>(t, k, |_| unreachable!("no call runs"));
             executed += ran;
             let reason = match last {
                 Ok(SlotKind::Advanced) => continue,
@@ -1489,9 +1510,14 @@ impl Interp<'_> {
     /// Dispatch one instruction for tasklet `t` *without touching the
     /// pipeline*, for the batched fast paths: the caller has reserved the
     /// issue slot and will flush the pipeline update for the whole batch.
-    /// Only [`INLINE_OP`] classes execute ([`Interp::exec_inline`]);
-    /// anything else returns [`SlotKind::Boundary`] untouched.
-    fn dispatch_slot_inline<const TRACK: bool>(&mut self, t: usize) -> Result<SlotKind> {
+    /// Only [`INLINE_OP`] classes execute ([`Interp::exec_inline`], which
+    /// reads the slot's issue cycle off `issue_cycle`); anything else
+    /// returns [`SlotKind::Boundary`] untouched.
+    fn dispatch_slot_inline<const TRACK: bool>(
+        &mut self,
+        t: usize,
+        issue_cycle: impl FnOnce(&Pipeline) -> u64,
+    ) -> Result<SlotKind> {
         let pc = self.threads[t].pc as usize;
         let code = self.code;
         let slot = code.get(pc).ok_or(Error::PcOutOfRange { pc, len: code.len() })?;
@@ -1499,7 +1525,7 @@ impl Interp<'_> {
             return Ok(SlotKind::Boundary);
         }
         self.op_counts[slot.op as usize] += 1;
-        self.exec_inline::<TRACK>(t, &slot.instr)
+        self.exec_inline::<TRACK>(t, &slot.instr, issue_cycle)
     }
 
     /// Execute `instr` for tasklet `t` if it is an [`INLINE_OP`], its op
@@ -1510,15 +1536,26 @@ impl Interp<'_> {
     /// fault (bad load/store address) leaves pc on the faulting
     /// instruction.
     ///
+    /// A `call` sets the tasklet's burst to the rest of the subroutine's
+    /// slots, which the caller's loop retires as picks that execute
+    /// nothing; a traced one records its entry at `issue_cycle`, the
+    /// cycle the caller's schedule issues this slot at (evaluated only
+    /// then, so untraced runs never compute it).
+    ///
     /// Without `TRACK`, loads and stores feed the open replay recording,
     /// if any. With `TRACK` (inside a tasklet-major chunk) every load and
     /// store first registers with the chunk's [`Shadow`] and reports
     /// [`SlotKind::Conflict`] instead of racing another tasklet, stores
-    /// log what they overwrite, and `trace` reports [`SlotKind::Trace`]
-    /// unexecuted; the rollback that always follows restores the
-    /// histogram.
+    /// log what they overwrite, `trace` reports [`SlotKind::Trace`] and
+    /// `call` [`SlotKind::Boundary`], both unexecuted; the rollback that
+    /// always follows restores the histogram.
     #[inline(always)]
-    fn exec_inline<const TRACK: bool>(&mut self, t: usize, instr: &Instr) -> Result<SlotKind> {
+    fn exec_inline<const TRACK: bool>(
+        &mut self,
+        t: usize,
+        instr: &Instr,
+        issue_cycle: impl FnOnce(&Pipeline) -> u64,
+    ) -> Result<SlotKind> {
         let th = &mut self.threads[t];
         let mut next_pc = th.pc.wrapping_add(1);
         match_pure!(*instr, th, t, {
@@ -1582,6 +1619,28 @@ impl Interp<'_> {
                 let v = th.get(ra);
                 self.result.trace.push((t, v));
             }
+            Instr::CallSub { sub, rd, ra, rb } => {
+                if TRACK {
+                    // A chunk's tasklets run off the schedule, so its
+                    // burst would have no slots to retire in.
+                    return Ok(SlotKind::Boundary);
+                }
+                let (a, b) = (th.get(ra), th.get(rb));
+                if matches!(sub, Subroutine::Divsi3 | Subroutine::Modsi3) && b == 0 {
+                    return Err(Error::DivisionByZero { pc: th.pc as usize });
+                }
+                th.set(rd, sub.eval(a, b));
+                th.burst = sub.instruction_count().saturating_sub(1);
+                self.result.profile.record(sub);
+                if self.sink.is_enabled() {
+                    self.sink.record(TraceEvent::SubroutineEnter {
+                        tasklet: t as u8,
+                        symbol: sub.symbol(),
+                        cycle: issue_cycle(&self.pipeline),
+                        instructions: sub.instruction_count() as u32,
+                    });
+                }
+            }
             _ => return Ok(SlotKind::Boundary),
         });
         self.threads[t].pc = next_pc;
@@ -1628,7 +1687,9 @@ impl Interp<'_> {
         let code = self.code;
         let slot = code.get(pc).ok_or(Error::PcOutOfRange { pc, len: code.len() })?;
         self.op_counts[slot.op as usize] += 1;
-        if let SlotKind::Advanced = self.exec_inline::<false>(t, &slot.instr)? {
+        if let SlotKind::Advanced =
+            self.exec_inline::<false>(t, &slot.instr, pipeline_issue_cycle)?
+        {
             return Ok(());
         }
         let th = &mut self.threads[t];
@@ -1732,28 +1793,6 @@ impl Interp<'_> {
                         bytes: l as u32,
                         start_cycle: start,
                         cycles: setup + stream,
-                    });
-                }
-            }
-            Instr::CallSub { sub, rd, ra, rb } => {
-                let a = th.get(ra);
-                let b = th.get(rb);
-                if matches!(
-                    sub,
-                    crate::subroutines::Subroutine::Divsi3 | crate::subroutines::Subroutine::Modsi3
-                ) && b == 0
-                {
-                    return Err(Error::DivisionByZero { pc });
-                }
-                th.set(rd, sub.eval(a, b));
-                th.burst = sub.instruction_count().saturating_sub(1);
-                self.result.profile.record(sub);
-                if self.sink.is_enabled() {
-                    self.sink.record(TraceEvent::SubroutineEnter {
-                        tasklet: t as u8,
-                        symbol: sub.symbol(),
-                        cycle: pipeline_issue_cycle(&self.pipeline),
-                        instructions: sub.instruction_count() as u32,
                     });
                 }
             }
@@ -1864,60 +1903,21 @@ mod tests {
 
     #[test]
     fn inline_op_table_matches_classification() {
-        use crate::isa::Width;
-        // One instance of every instruction variant.
-        let variants = [
-            I::Nop,
-            I::Halt,
-            I::Movi { rd: r(1), imm: 0 },
-            I::Mov { rd: r(1), ra: r(2) },
-            I::Add { rd: r(1), ra: r(2), rb: r(3) },
-            I::Addi { rd: r(1), ra: r(2), imm: 1 },
-            I::Sub { rd: r(1), ra: r(2), rb: r(3) },
-            I::And { rd: r(1), ra: r(2), rb: r(3) },
-            I::Or { rd: r(1), ra: r(2), rb: r(3) },
-            I::Xor { rd: r(1), ra: r(2), rb: r(3) },
-            I::Lsl { rd: r(1), ra: r(2), rb: r(3) },
-            I::Lsr { rd: r(1), ra: r(2), rb: r(3) },
-            I::Asr { rd: r(1), ra: r(2), rb: r(3) },
-            I::Lsli { rd: r(1), ra: r(2), sh: 1 },
-            I::Lsri { rd: r(1), ra: r(2), sh: 1 },
-            I::Asri { rd: r(1), ra: r(2), sh: 1 },
-            I::Mul8 { rd: r(1), ra: r(2), rb: r(3) },
-            I::Popcount { rd: r(1), ra: r(2) },
-            I::Load { width: Width::W, rd: r(1), ra: r(2), off: 0 },
-            I::Store { width: Width::W, ra: r(1), off: 0, rs: r(2) },
-            I::MramRead { wram: r(1), mram: r(2), len: r(3) },
-            I::MramWrite { wram: r(1), mram: r(2), len: r(3) },
-            I::Branch { cond: Cond::Eq, ra: r(1), rb: r(2), target: 0 },
-            I::Jump { target: 0 },
-            I::Jal { rd: r(1), target: 0 },
-            I::Jr { ra: r(1) },
-            I::CallSub { sub: Subroutine::Mulsi3, rd: r(1), ra: r(2), rb: r(3) },
-            I::PerfConfig,
-            I::PerfRead { rd: r(1) },
-            I::TaskletId { rd: r(1) },
-            I::Trace { ra: r(1) },
-            I::Barrier,
-            I::MutexLock { id: 0 },
-            I::MutexUnlock { id: 0 },
-        ];
-        for instr in &variants {
-            let inline = exec::is_superblock_op(instr)
-                || matches!(
-                    instr,
-                    I::Load { .. }
-                        | I::Store { .. }
-                        | I::Branch { .. }
-                        | I::Jump { .. }
-                        | I::Jal { .. }
-                        | I::Jr { .. }
-                        | I::Trace { .. }
-                );
+        // Dispatch every variant on a fresh interpreter: exactly the
+        // `INLINE_OP` classes execute inline, both ways round.
+        let exec = ExecProgram::decode(&Program::new(vec![I::Halt]));
+        for instr in exec::all_variants() {
+            let mut machine = Machine::default();
+            let mut sink = NullSink;
+            let mut interp = Interp::new(&mut machine, &mut sink, &exec, 2, u64::MAX, None);
+            let advanced = match interp.exec_inline::<false>(0, &instr, pipeline_issue_cycle) {
+                Ok(kind) => matches!(kind, SlotKind::Advanced),
+                Err(e) => panic!("{instr:?} faulted: {e:?}"),
+            };
             assert_eq!(
-                INLINE_OP[exec::op_id(instr) as usize],
-                inline,
-                "INLINE_OP disagrees with classification for {instr:?}"
+                advanced,
+                INLINE_OP[exec::op_id(&instr) as usize],
+                "INLINE_OP disagrees with exec_inline for {instr:?}"
             );
         }
     }

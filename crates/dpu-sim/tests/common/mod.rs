@@ -87,8 +87,9 @@ pub enum Disruption {
     Trace(u8),
     /// DMA the private region in from MRAM.
     MramRead,
-    /// A software-multiply burst.
-    Call(u8),
+    /// `sub(count, me)` into a scratch register: a subroutine burst, or
+    /// for `__divsi3` a division by zero on tasklet 0.
+    Call(Subroutine, u8),
     /// Read the perf counter.
     PerfRead(u8),
     /// Load far outside WRAM.
@@ -137,12 +138,24 @@ fn race_strategy() -> impl Strategy<Value = Disruption> {
     ]
 }
 
+/// Subroutines of every burst shape: the GEMM kernels' multiply, a
+/// division whose divisor `me` is zero on tasklet 0, a burst shorter
+/// than most chunks (12 slots) and one longer than any (1,073).
+fn call_strategy() -> impl Strategy<Value = Subroutine> {
+    prop_oneof![
+        Just(Subroutine::Mulsi3),
+        Just(Subroutine::Divsi3),
+        Just(Subroutine::Ltsf2),
+        Just(Subroutine::Divsf3),
+    ]
+}
+
 /// Everything else a chunk cannot run through.
 fn boundary_strategy() -> impl Strategy<Value = Disruption> {
     prop_oneof![
         (0u8..3).prop_map(Disruption::Trace),
         Just(Disruption::MramRead),
-        (0u8..3).prop_map(Disruption::Call),
+        (call_strategy(), 0u8..3).prop_map(|(sub, rd)| Disruption::Call(sub, rd)),
         (0u8..3).prop_map(Disruption::PerfRead),
         Just(Disruption::WildLoad),
         Just(Disruption::Halt),
@@ -212,9 +225,7 @@ fn emit_disruption(out: &mut Vec<Instr>, op: Disruption) {
             out.push(Instr::Movi { rd: Reg(14), imm: 32 });
             Instr::MramRead { wram: MINE, mram: Reg(13), len: Reg(14) }
         }
-        Disruption::Call(rd) => {
-            Instr::CallSub { sub: Subroutine::Mulsi3, rd: scratch(rd), ra: COUNT, rb: ME }
-        }
+        Disruption::Call(sub, rd) => Instr::CallSub { sub, rd: scratch(rd), ra: COUNT, rb: ME },
         Disruption::PerfRead(rd) => Instr::PerfRead { rd: scratch(rd) },
         Disruption::WildLoad => Instr::Load { width: Width::W, rd: scratch(0), ra: WILD, off: 0 },
         Disruption::Halt => Instr::Halt,
