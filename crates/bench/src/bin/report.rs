@@ -114,7 +114,8 @@ fn main() {
             }
             "--samples" => {
                 i += 1;
-                samples = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+                let n = args.get(i).and_then(|s| s.parse().ok()).filter(|&n: &usize| n > 0);
+                samples = n.unwrap_or_else(|| {
                     eprintln!("--samples needs a positive integer");
                     std::process::exit(2);
                 });
@@ -128,19 +129,21 @@ fn main() {
     }
 
     if let Some(path) = bench_json {
-        perf_snapshot::run(&path, samples.max(1));
+        // Opened before the minute of sampling, not after it.
+        let out = create_or_exit(&path);
+        write_or_exit(out, &path, &perf_snapshot::run(samples));
         return;
     }
     if let Some(path) = obs_snapshot {
+        let out = create_or_exit(&path);
         let text =
             serde_json::to_string_pretty(&render::snapshot::snapshot()).expect("serializable");
-        std::fs::write(&path, text + "\n").expect("write observability snapshot");
-        eprintln!("wrote {path}");
+        write_or_exit(out, &path, &(text + "\n"));
         return;
     }
     if let Some(path) = folded {
-        std::fs::write(&path, render::snapshot::folded()).expect("write folded stacks");
-        eprintln!("wrote {path}");
+        let out = create_or_exit(&path);
+        write_or_exit(out, &path, &render::snapshot::folded());
         return;
     }
 
@@ -377,6 +380,28 @@ fn main() {
     if want("engine_residency") {
         emit_engine_residency(json);
     }
+}
+
+/// Open the output file `path` for writing, creating it but leaving an
+/// existing one intact until [`write_or_exit`] replaces its contents, or
+/// exit 2 with one line on stderr.
+fn create_or_exit(path: &str) -> std::fs::File {
+    let open = std::fs::OpenOptions::new().write(true).create(true).truncate(false).open(path);
+    open.unwrap_or_else(|e| {
+        eprintln!("cannot create `{path}`: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// Replace the contents of `out` (opened at `path`) with `text`, or exit
+/// 2 with one line on stderr.
+fn write_or_exit(mut out: std::fs::File, path: &str, text: &str) {
+    use std::io::Write;
+    if let Err(e) = out.set_len(0).and_then(|()| out.write_all(text.as_bytes())) {
+        eprintln!("cannot write `{path}`: {e}");
+        std::process::exit(2);
+    }
+    eprintln!("wrote {path}");
 }
 
 /// Which simulator execution mode retired the issue slots of the paper's
@@ -690,7 +715,7 @@ mod perf_snapshot {
     }
 
     #[allow(clippy::cast_precision_loss)]
-    pub fn run(path: &str, samples: usize) {
+    pub fn run(samples: usize) -> String {
         use dpu_sim::Engine;
         let alu = alu_loop_program();
         let alu_11t = pim_bench::kernels::KernelShape {
@@ -753,8 +778,6 @@ mod perf_snapshot {
             "build_profile": if cfg!(debug_assertions) { "debug" } else { "release" },
             "benches": serde_json::Value::Object(benches.into_iter().collect()),
         });
-        let text = serde_json::to_string_pretty(&doc).expect("serializable");
-        std::fs::write(path, text + "\n").expect("write bench snapshot");
-        eprintln!("wrote {path}");
+        serde_json::to_string_pretty(&doc).expect("serializable") + "\n"
     }
 }

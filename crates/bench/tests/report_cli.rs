@@ -27,3 +27,33 @@ fn known_experiment_still_runs() {
     let stdout = String::from_utf8(out.stdout).expect("utf-8");
     assert!(stdout.starts_with("{\"experiment\":\"eq3_4\""), "{stdout}");
 }
+
+/// A bad command line is one line on stderr and exit 2: an output path
+/// that cannot be created (checked before any work, so `--bench-json`
+/// does not sample for a minute first) and a sample count of zero.
+#[test]
+fn unwritable_outputs_and_zero_samples_exit_2_with_one_line() {
+    for args in [
+        &["--obs-snapshot", "/nonexistent/x.json"][..],
+        &["--folded", "/nonexistent/x.folded"],
+        &["--bench-json", "/nonexistent/x.json", "--samples", "1"],
+        &["--samples", "0", "--exp", "eq3_4"],
+    ] {
+        let out = report(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    }
+}
+
+/// An output file is replaced whole: nothing of a longer old one survives.
+#[test]
+fn an_existing_output_is_replaced_whole() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("report_cli.folded");
+    std::fs::write(&path, "stale\n".repeat(1 << 12)).expect("seed the old file");
+    let out = report(&["--folded", path.to_str().expect("utf-8 path")]);
+    assert!(out.status.success(), "{out:?}");
+    let text = std::fs::read_to_string(&path).expect("the new file");
+    assert!(!text.is_empty() && !text.contains("stale"), "{text}");
+}

@@ -453,6 +453,46 @@ mod tests {
         let prof = res.merged_profile();
         assert_eq!(prof.occurrences(dpu_sim::Subroutine::Mulsi3), 4);
     }
+
+    /// Regression: a worker panic mid-launch must not poison per-machine
+    /// state for subsequent launches. The panicked wave here leaves every
+    /// machine with an *armed* perf counter; before `run_code` reset the
+    /// counter at run start, the next launch's `perf.read` would observe
+    /// the stale armed epoch instead of its own.
+    #[test]
+    fn relaunch_after_worker_panic_reads_clean_state() {
+        let mut set = DpuSet::allocate(6).unwrap();
+        set.system_mut().dpu_mut(DpuId(2)).mram.write_u32(0, 1).unwrap();
+        let arming =
+            ExecProgram::compile(&dpu_sim::asm::assemble("perf.config\nhalt\n").unwrap()).unwrap();
+        let (report, _, _) = launch_core(set.system_mut(), 1, false, None, None, 0, |dpu, run| {
+            let r = dpu.execute(&arming, run);
+            if dpu.mram.read_u32(0).unwrap() == 1 {
+                panic!("injected mid-launch failure");
+            }
+            r
+        });
+        assert_eq!(report.quarantined, [DpuId(2)]);
+        assert!(matches!(report.into_launch_result(), Err(HostError::WorkerPanic { .. })));
+
+        // Relaunch on the same (partly poisoned) set: every DPU's perf
+        // read must start from zero, including the one whose worker died.
+        let reader = dpu_sim::asm::assemble(
+            "movi r1, 200\n\
+             loop:\n\
+             addi r1, r1, -1\n\
+             bne r1, r0, loop\n\
+             perf.read r4\n\
+             halt\n",
+        )
+        .unwrap();
+        set.load(&reader).unwrap();
+        let res = set.launch_loaded(1).unwrap();
+        assert_eq!(res.per_dpu.len(), 6);
+        for (i, r) in res.per_dpu.iter().enumerate() {
+            assert_eq!(r.perf_reads, vec![0], "DPU {i} leaked perf state across launches");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -529,149 +569,11 @@ mod trace_tests {
     }
 }
 
-#[cfg(test)]
-mod scheduler_equivalence_tests {
-    use super::*;
-    use crate::error::HostError;
-    use dpu_sim::isa::{Cond, Width};
-    use dpu_sim::Engine;
-    use dpu_sim::{Instr as I, Reg};
-    use proptest::prelude::*;
-
-    /// A program with a random ALU/trace prefix followed by a countdown
-    /// loop whose trip count comes from MRAM — so per-DPU cost is as skewed
-    /// as the seeded counts, the worst case for scheduling order bugs.
-    fn build_program(ops: &[(u8, i32)], barrier: bool) -> Program {
-        let mut v = vec![
-            I::Movi { rd: Reg(1), imm: 0 },
-            I::Movi { rd: Reg(2), imm: 0 },
-            I::Movi { rd: Reg(3), imm: 8 },
-            I::MramRead { wram: Reg(1), mram: Reg(2), len: Reg(3) },
-            I::Load { width: Width::W, rd: Reg(4), ra: Reg(1), off: 0 },
-        ];
-        for &(sel, imm) in ops {
-            v.push(match sel % 5 {
-                0 => I::Addi { rd: Reg(6), ra: Reg(6), imm },
-                1 => I::Xor { rd: Reg(6), ra: Reg(6), rb: Reg(4) },
-                2 => I::Lsli { rd: Reg(6), ra: Reg(6), sh: (imm as u8) & 7 },
-                3 => I::Trace { ra: Reg(6) },
-                _ => I::Mul8 { rd: Reg(6), ra: Reg(6), rb: Reg(4) },
-            });
-        }
-        let loop_top = v.len() as u32;
-        v.push(I::Addi { rd: Reg(4), ra: Reg(4), imm: -1 });
-        v.push(I::Branch { cond: Cond::Ne, ra: Reg(4), rb: Reg(0), target: loop_top });
-        if barrier {
-            v.push(I::Barrier);
-        }
-        v.push(I::Trace { ra: Reg(6) });
-        v.push(I::Halt);
-        Program::new(v)
-    }
-
-    /// A set whose DPU `i` holds `counts[i]` at MRAM offset 0.
-    fn skewed_set(dpus: usize, counts: &[u32]) -> DpuSet {
-        let mut set = DpuSet::allocate(dpus).unwrap();
-        for (i, (_, dpu)) in set.system_mut().iter_mut().enumerate() {
-            dpu.mram.write(0, &u64::from(counts[i]).to_le_bytes()).unwrap();
-        }
-        set
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-        /// The satellite invariant: the work-stealing scheduler is
-        /// observationally identical to the sequential path — per-DPU
-        /// results and trace buffers, in DPU order — for random programs,
-        /// skews and set sizes, traced and untraced; and it runs every DPU
-        /// exactly once.
-        #[test]
-        fn work_stealing_matches_sequential_exactly(
-            dpus in 1usize..9,
-            tasklets in 1usize..4,
-            ops in proptest::collection::vec((0u8..5, 1i32..64), 0..8),
-            counts in proptest::collection::vec(1u32..60, 9),
-            barrier_sel in 0u8..2,
-        ) {
-            let program = build_program(&ops, barrier_sel == 1);
-            let exec = ExecProgram::compile(&program).unwrap();
-
-            let run = |threshold: usize, trace: bool| {
-                let mut set = skewed_set(dpus, &counts);
-                let engine = Some(Engine::default());
-                let runs = AtomicUsize::new(0);
-                let (report, bufs, steal) =
-                    launch_core(set.system_mut(), tasklets, trace, engine, None, threshold, |dpu, run| {
-                        runs.fetch_add(1, Ordering::Relaxed);
-                        dpu.execute(&exec, run)
-                    });
-                (report.into_launch_result().unwrap(), bufs, steal, runs.into_inner())
-            };
-            let (seq, seq_bufs, none, _) = run(usize::MAX, true);
-            let (steal, steal_bufs, stats, runs) = run(0, true);
-            prop_assert_eq!(seq_bufs.len(), dpus);
-            prop_assert_eq!(&seq_bufs, &steal_bufs);
-            prop_assert_eq!(&seq, &steal);
-            prop_assert!(none.is_none());
-            let stats = stats.expect("the launch forked");
-            // Untraced launches: the same results, and no buffers built.
-            for threshold in [usize::MAX, 0] {
-                let (untraced, bufs, _, _) = run(threshold, false);
-                prop_assert_eq!(&untraced, &seq);
-                prop_assert!(bufs.is_empty());
-            }
-            // Every index once: as many runs as DPUs, every DPU served.
-            prop_assert_eq!(runs, dpus);
-            prop_assert_eq!(stats.total_claims(), dpus as u64);
-            prop_assert_eq!(stats.queued, dpus as u64);
-            let workers = std::thread::available_parallelism().map_or(4, usize::from).min(dpus);
-            prop_assert_eq!(stats.workers(), workers);
-        }
-    }
-
-    /// Regression: a worker panic mid-launch must not poison per-machine
-    /// state for subsequent launches. The panicked wave here leaves every
-    /// machine with an *armed* perf counter; before `run_code` reset the
-    /// counter at run start, the next launch's `perf.read` would observe
-    /// the stale armed epoch instead of its own.
-    #[test]
-    fn relaunch_after_worker_panic_reads_clean_state() {
-        let mut set = skewed_set(6, &[0, 0, 1, 0, 0, 0]);
-        let arming =
-            ExecProgram::compile(&dpu_sim::asm::assemble("perf.config\nhalt\n").unwrap()).unwrap();
-        let (report, _, _) = launch_core(set.system_mut(), 1, false, None, None, 0, |dpu, run| {
-            let r = dpu.execute(&arming, run);
-            if dpu.mram.read_u32(0).unwrap() == 1 {
-                panic!("injected mid-launch failure");
-            }
-            r
-        });
-        assert_eq!(report.quarantined, [dpu_sim::DpuId(2)]);
-        assert!(matches!(report.into_launch_result(), Err(HostError::WorkerPanic { .. })));
-
-        // Relaunch on the same (partly poisoned) set: every DPU's perf
-        // read must start from zero, including the one whose worker died.
-        let reader = dpu_sim::asm::assemble(
-            "movi r1, 200\n\
-             loop:\n\
-             addi r1, r1, -1\n\
-             bne r1, r0, loop\n\
-             perf.read r4\n\
-             halt\n",
-        )
-        .unwrap();
-        set.load(&reader).unwrap();
-        let res = set.launch_loaded(1).unwrap();
-        assert_eq!(res.per_dpu.len(), 6);
-        for (i, r) in res.per_dpu.iter().enumerate() {
-            assert_eq!(r.perf_reads, vec![0], "DPU {i} leaked perf state across launches");
-        }
-    }
-}
-
-/// One table over every way to spell a launch: the program form, tracing,
-/// the policy's zero point and the dispatch path may not show in the
-/// results.
+/// Faulting launches over every way to spell a launch: the program form,
+/// tracing, the policy's zero point and the dispatch path may not change
+/// which DPU's error a launch reports. (That a clean launch is one launch
+/// in every such cell is the differential oracle's set layer,
+/// `tests/oracle/set.rs`.)
 #[cfg(test)]
 mod launch_matrix_tests {
     use super::*;
@@ -739,10 +641,7 @@ mod launch_matrix_tests {
 
     /// Every cell of {loaded, ad hoc} × {untraced, traced} × {no policy,
     /// default policy, armed zero plan} × {sequential, pooled}.
-    fn cells(
-        program: &Program,
-        mut check: impl FnMut(&str, &mut DpuSet, bool, LaunchReport, Vec<TraceBuffer>),
-    ) {
+    fn cells(program: &Program, mut check: impl FnMut(&str, bool, LaunchReport, Vec<TraceBuffer>)) {
         let default = ResilientLaunchPolicy::default();
         let armed_zero = ResilientLaunchPolicy::with_faults(FaultPlan::none());
         let policies =
@@ -762,7 +661,7 @@ mod launch_matrix_tests {
                         };
                         let (report, bufs) =
                             set.launch_with(LaunchSpec { trace, policy, ..form }).unwrap();
-                        check(&cell, &mut set, trace, report, bufs);
+                        check(&cell, trace, report, bufs);
                     }
                 }
             }
@@ -770,54 +669,8 @@ mod launch_matrix_tests {
     }
 
     #[test]
-    fn every_spelling_of_a_clean_launch_is_one_launch() {
-        let program = work_program();
-        let mut expected: Option<(LaunchResult, Vec<Vec<u8>>)> = None;
-        let mut expected_bufs: Option<Vec<TraceBuffer>> = None;
-        cells(&program, |cell, set, trace, report, bufs| {
-            // The report of a launch nothing happened to.
-            assert!(report.fully_served(), "{cell}");
-            assert_eq!(report.retries(), 0, "{cell}");
-            assert!(report.quarantined.is_empty() && report.degraded.is_empty(), "{cell}");
-            for (i, r) in report.per_dpu.iter().enumerate() {
-                assert_eq!((r.attempts, r.served_by, r.backoff_cycles), (1, None, 0), "{cell} {i}");
-                assert!(r.faults.is_empty() && r.last_error.is_none(), "{cell} DPU {i}");
-            }
-            let makespan = report.makespan_cycles();
-            let result = report.into_launch_result().unwrap();
-            assert_eq!(result.makespan_cycles(), makespan, "{cell}");
-            assert_eq!((result.per_dpu.len(), result.tasklets), (DPUS, TASKLETS), "{cell}");
-
-            // One result and one memory image, whatever the cell.
-            let mram: Vec<Vec<u8>> = (0..DPUS)
-                .map(|i| {
-                    let mut image = vec![0; 64];
-                    set.system().dpu(DpuId(i as u32)).mram.read(0, &mut image).unwrap();
-                    image
-                })
-                .collect();
-            let (want, want_mram) = expected.get_or_insert_with(|| (result.clone(), mram.clone()));
-            assert_eq!(&result, want, "{cell}");
-            assert_eq!(&mram, want_mram, "{cell}");
-            assert_eq!(mram[2][8..12], 9u32.to_le_bytes(), "DPU 2 squared its 3");
-
-            // Buffers exist exactly when asked for, one per DPU in DPU
-            // order, the same events in every traced cell.
-            if trace {
-                assert_eq!(bufs.len(), DPUS, "{cell}");
-                for (r, b) in result.per_dpu.iter().zip(&bufs) {
-                    assert_eq!((b.max_end_cycle(), b.dma_bytes()), (r.cycles, r.dma_bytes));
-                }
-                assert_eq!(&bufs, expected_bufs.get_or_insert_with(|| bufs.clone()), "{cell}");
-            } else {
-                assert!(bufs.is_empty(), "{cell}: {} buffers built", bufs.len());
-            }
-        });
-    }
-
-    #[test]
     fn the_first_faulting_dpu_in_dpu_order_names_the_error() {
-        cells(&faulting_program(), |cell, _, trace, report, bufs| {
+        cells(&faulting_program(), |cell, trace, report, bufs| {
             assert_eq!(report.quarantined, [DpuId(1), DpuId(3)], "{cell}");
             assert!(report.degraded.is_empty(), "{cell}: a deterministic fault follows its image");
             for (i, r) in report.per_dpu.iter().enumerate() {

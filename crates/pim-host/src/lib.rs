@@ -50,7 +50,7 @@ pub use resilient::{
     DpuServeReport, ItemOutcome, LaunchReport, Redispatch, ResilientLaunchPolicy, ServeHealth,
 };
 pub use set::{DpuSet, TransferStats};
-pub use snapshot::{RankSnapshot, SetSnapshot};
+pub use snapshot::SetSnapshot;
 pub use symbol::{Symbol, SymbolTable};
 pub use typed::{from_wire, to_wire, Wire};
 pub use xfer::XferBatch;

@@ -826,25 +826,6 @@ mod tests {
     }
 
     #[test]
-    fn ecc_on_clean_resilient_run_is_bit_identical_to_ecc_off() {
-        let mut off = seeded_set(4);
-        let expected = off.launch_loaded_resilient(1, &ResilientLaunchPolicy::default()).unwrap();
-        let mut on = seeded_set(4);
-        on.enable_ecc(true);
-        let got = on.launch_loaded_resilient(1, &ResilientLaunchPolicy::default()).unwrap();
-        assert_eq!(got, expected, "ECC sidecar must not perturb a clean run");
-        for i in 0..4u32 {
-            assert_eq!(
-                on.copy_scalar_from(DpuId(i), "x").unwrap(),
-                off.copy_scalar_from(DpuId(i), "x").unwrap()
-            );
-        }
-        // Nothing to repair on a clean memory.
-        let rep = on.scrub_all();
-        assert_eq!((rep.corrected(), rep.uncorrectable.len()), (0, 0), "{rep:?}");
-    }
-
-    #[test]
     fn single_bit_flips_are_repaired_without_consuming_a_retry() {
         let mut clean = seeded_set(4);
         let expected = clean.launch_loaded(1).unwrap();
@@ -934,118 +915,6 @@ mod tests {
         // are correct despite the corrupted attempts in between.
         for i in 0..4u32 {
             assert_eq!(set.copy_scalar_from(DpuId(i), "x").unwrap(), u64::from(i + 1) * 2);
-        }
-    }
-}
-
-#[cfg(test)]
-mod identity_proptests {
-    use super::*;
-    use crate::{DpuSet, LaunchSpec};
-    use dpu_sim::asm::assemble;
-    use dpu_sim::Program;
-    use proptest::prelude::*;
-
-    /// A DMA-in, compute, DMA-out program whose cost skews with the seeded
-    /// per-DPU counter at MRAM offset 0.
-    fn skew_program() -> Program {
-        assemble(
-            "movi r1, 0\n\
-             movi r2, 0\n\
-             movi r3, 8\n\
-             mram.read r1, r2, r3\n\
-             lw r4, r1, 0\n\
-             top:\n\
-             addi r4, r4, -1\n\
-             bne r4, r0, top\n\
-             mram.write r1, r2, r3\n\
-             halt\n",
-        )
-        .unwrap()
-    }
-
-    fn counted_set(dpus: usize, counts: &[u32]) -> DpuSet {
-        let mut set = DpuSet::allocate(dpus).unwrap();
-        set.define_symbol("n", 8).unwrap();
-        for (i, &count) in counts.iter().enumerate().take(dpus) {
-            set.copy_to_dpu(DpuId(i as u32), "n", 0, &u64::from(count).to_le_bytes()).unwrap();
-        }
-        set.load(&skew_program()).unwrap();
-        set
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        /// Satellite invariant: with a zero-fault plan the resilient
-        /// launch is bit-identical to the plain launch — results, cycles
-        /// and traces — at any shape on both sides of the parallel
-        /// threshold.
-        #[test]
-        fn zero_fault_resilient_launch_is_bit_identical(
-            dpus in 1usize..8,
-            tasklets in 1usize..4,
-            counts in proptest::collection::vec(1u32..2_000, 8),
-        ) {
-            let mut plain = counted_set(dpus, &counts);
-            let (expected, expected_bufs) = plain.launch_loaded_traced(tasklets).unwrap();
-
-            let mut res = counted_set(dpus, &counts);
-            // An explicit zero plan (not just None) must also be invisible.
-            let policy = ResilientLaunchPolicy::with_faults(FaultPlan::none());
-            let spec =
-                LaunchSpec { trace: true, policy: Some(&policy), ..LaunchSpec::loaded(tasklets) };
-            let (report, bufs) = res.launch_with(spec).unwrap();
-
-            prop_assert!(report.fully_served());
-            prop_assert_eq!(report.into_launch_result().unwrap(), expected);
-            prop_assert_eq!(bufs, expected_bufs);
-            for i in 0..dpus as u32 {
-                prop_assert_eq!(
-                    res.copy_scalar_from(DpuId(i), "n").unwrap(),
-                    plain.copy_scalar_from(DpuId(i), "n").unwrap()
-                );
-            }
-        }
-
-        /// Satellite invariant: the same seed yields the same injected
-        /// fault sequence and the same `LaunchReport`, whether the host
-        /// runs 1-thread sequential or N-thread work-stealing.
-        #[test]
-        fn same_seed_same_report_across_scheduling(
-            seed in proptest::arbitrary::any::<u64>(),
-            dpus in 4usize..9,
-            counts in proptest::collection::vec(1u32..2_000, 9),
-            dma_fail in 0u8..2,
-            offline in 0u8..2,
-        ) {
-            let plan = FaultPlan::new(dpu_sim::faults::FaultConfig {
-                seed,
-                dma_fail_prob: if dma_fail == 1 { 0.35 } else { 0.0 },
-                dpu_offline_prob: if offline == 1 { 0.3 } else { 0.0 },
-                ..Default::default()
-            });
-            let policy = ResilientLaunchPolicy {
-                max_retries: 2,
-                backoff_cycles: 500,
-                ..ResilientLaunchPolicy::with_faults(plan)
-            };
-            let traced = || LaunchSpec { trace: true, policy: Some(&policy), ..LaunchSpec::loaded(2) };
-
-            let mut a = counted_set(dpus, &counts);
-            let (rep_par, bufs_par) = a.launch_with(traced()).unwrap();
-            let mut b = counted_set(dpus, &counts);
-            b.set_parallel_threshold(Some(usize::MAX));
-            let (rep_seq, bufs_seq) = b.launch_with(traced()).unwrap();
-
-            prop_assert_eq!(rep_par, rep_seq);
-            prop_assert_eq!(bufs_par, bufs_seq);
-            // Memory end-state agrees too.
-            for i in 0..dpus as u32 {
-                prop_assert_eq!(
-                    a.copy_scalar_from(DpuId(i), "n").unwrap(),
-                    b.copy_scalar_from(DpuId(i), "n").unwrap()
-                );
-            }
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Whole-set and whole-rank state capture for deterministic replay.
+//! Whole-set state capture for deterministic replay.
 //!
 //! A [`SetSnapshot`] freezes every DPU of a [`DpuSet`] — WRAM, the COW
 //! MRAM page table, DMA accounting and the perf counter — in O(resident
@@ -7,14 +7,10 @@
 //! same program, seed and engine re-executes bit-identically — results,
 //! traces, and fault reports ([`dpu_sim::faults`] draws are pure functions
 //! of `(seed, dpu, attempt)`, so they replay too).
-//!
-//! [`RankSnapshot`] scopes the same capture to one 64-DPU rank — the
-//! granularity real UPMEM hosts allocate and recover at — so a rank can be
-//! rolled back without disturbing the other 39.
 
 use crate::error::{HostError, Result};
 use crate::set::DpuSet;
-use dpu_sim::{DpuId, MachineSnapshot, Rank};
+use dpu_sim::MachineSnapshot;
 
 /// Frozen state of every DPU in a set. Capturing shares MRAM page storage
 /// with the live machines (copy-on-write), so holding a snapshot is cheap
@@ -36,27 +32,6 @@ impl SetSnapshot {
     #[must_use]
     pub fn mram_resident_pages(&self) -> usize {
         self.per_dpu.iter().map(MachineSnapshot::mram_resident_pages).sum()
-    }
-}
-
-/// Frozen state of one rank's DPUs.
-#[derive(Debug, Clone)]
-pub struct RankSnapshot {
-    rank: Rank,
-    per_dpu: Vec<MachineSnapshot>,
-}
-
-impl RankSnapshot {
-    /// The rank this snapshot covers.
-    #[must_use]
-    pub fn rank(&self) -> Rank {
-        self.rank
-    }
-
-    /// DPUs captured.
-    #[must_use]
-    pub fn dpus(&self) -> usize {
-        self.per_dpu.len()
     }
 }
 
@@ -85,47 +60,13 @@ impl DpuSet {
         }
         Ok(())
     }
-
-    /// Capture one rank's DPUs for later [`DpuSet::restore_rank`].
-    ///
-    /// # Errors
-    /// [`HostError::NoSuchDpu`] when `rank` is outside the set.
-    pub fn snapshot_rank(&self, rank: u32) -> Result<RankSnapshot> {
-        let ranks = self.system().ranks();
-        let Some(&r) = ranks.get(rank as usize) else {
-            return Err(HostError::NoSuchDpu { index: rank * 64, len: self.len() });
-        };
-        let per_dpu = (r.first_dpu..r.first_dpu + r.dpus)
-            .map(|i| self.system().dpu(DpuId(i)).snapshot())
-            .collect();
-        Ok(RankSnapshot { rank: r, per_dpu })
-    }
-
-    /// Roll one rank back to `snap`, leaving every other rank untouched.
-    ///
-    /// # Errors
-    /// [`HostError::SnapshotMismatch`] when the rank's shape in this set
-    /// differs from the captured one.
-    pub fn restore_rank(&mut self, snap: &RankSnapshot) -> Result<()> {
-        let ranks = self.system().ranks();
-        if ranks.get(snap.rank.index as usize) != Some(&snap.rank) {
-            return Err(HostError::SnapshotMismatch {
-                expected: self.len(),
-                actual: snap.per_dpu.len(),
-            });
-        }
-        for (k, s) in snap.per_dpu.iter().enumerate() {
-            self.system_mut().dpu_mut(DpuId(snap.rank.first_dpu + k as u32)).restore(s)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dpu_sim::asm::assemble;
-    use dpu_sim::Program;
+    use dpu_sim::{DpuId, Program};
 
     fn double_program() -> Program {
         assemble(
@@ -182,21 +123,6 @@ mod tests {
         ));
         // Nothing was restored.
         assert_eq!(set_b.copy_scalar_from(DpuId(0), "x").unwrap(), 1);
-    }
-
-    #[test]
-    fn rank_restore_only_touches_its_rank() {
-        // 100 DPUs = rank 0 (64 DPUs) + rank 1 (36 DPUs).
-        let mut set = seeded_set(100);
-        let snap = set.snapshot_rank(1).unwrap();
-        assert_eq!(snap.dpus(), 36);
-        set.launch_loaded(1).unwrap(); // doubles every DPU's scalar
-        set.restore_rank(&snap).unwrap();
-        for i in 0..100u32 {
-            let expected = if i < 64 { (u64::from(i) + 1) * 2 } else { u64::from(i) + 1 };
-            assert_eq!(set.copy_scalar_from(DpuId(i), "x").unwrap(), expected, "DPU {i}");
-        }
-        assert!(set.snapshot_rank(2).is_err());
     }
 
     #[test]

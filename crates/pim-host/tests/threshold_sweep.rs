@@ -32,42 +32,6 @@ fn min_launch_time(set: &mut DpuSet, rounds: usize) -> Duration {
     best
 }
 
-/// Fast CI smoke for the sweep's correctness premise: the sequential and
-/// pooled launch paths are interchangeable — identical `LaunchResult`s on
-/// set sizes straddling `DEFAULT_PARALLEL_THRESHOLD`. The wall-clock
-/// crossover itself stays in the `--ignored` diagnostic sweep below.
-#[test]
-fn smoke_sequential_and_pooled_launches_agree() {
-    let program = assemble(
-        "movi r4, 200\n\
-         top:\n\
-         addi r4, r4, -1\n\
-         bne r4, r0, top\n\
-         halt\n",
-    )
-    .unwrap();
-    for n in [1usize, 3, 6] {
-        let mut seq = DpuSet::allocate(n).unwrap();
-        seq.set_parallel_threshold(Some(usize::MAX));
-        seq.load(&program).unwrap();
-        let r_seq = seq.launch_loaded(2).expect("sequential launch");
-
-        let mut par = DpuSet::allocate(n).unwrap();
-        par.set_parallel_threshold(Some(1));
-        par.load(&program).unwrap();
-        let r_par = par.launch_loaded(2).expect("pooled launch");
-
-        let mut def = DpuSet::allocate(n).unwrap();
-        def.load(&program).unwrap();
-        let r_def = def.launch_loaded(2).expect("default-threshold launch");
-
-        assert_eq!(r_seq, r_par, "sequential vs pooled diverged at {n} DPUs");
-        assert_eq!(r_seq, r_def, "default threshold diverged at {n} DPUs");
-        assert_eq!(r_seq.per_dpu.len(), n);
-        assert!(r_seq.makespan_cycles() > 0);
-    }
-}
-
 #[test]
 #[ignore = "diagnostic sweep: run with --release -- --ignored --nocapture"]
 fn sweep_sequential_vs_pooled() {

@@ -4,7 +4,9 @@
 //! *observationally invisible*. These tests pin exact `RunResult` and
 //! trace-buffer figures from the eBNN and YOLO Tier-1 pipelines (recorded
 //! on the pre-overhaul interpreter) and cross-check every way of running
-//! them against every other.
+//! them against every other. Cell-by-cell identity of the paper's kernels
+//! on every engine, observer, fault, ECC and dispatch path is the
+//! differential oracle's (`tests/oracle/`).
 
 use dpu_sim::Engine;
 use ebnn::codegen::{run_tier1_batch, BatchSpec, Tier1Engine};
@@ -227,189 +229,4 @@ fn traced_host_logs_broadcast_before_they_scatter_and_gather() {
         transfers(From, "c_row", rows(), 1),
     ];
     assert_eq!(host_log(&run.host_trace), want.concat());
-}
-
-/// One DPU holding a staged 24×40 GEMM row for 11 tasklets, and the row
-/// program.
-fn staged_gemm_row() -> (dpu_sim::Machine, dpu_sim::ExecProgram) {
-    let dims = GemmDims { m: 1, n: 40, k: 24 };
-    let a: Vec<i16> = (0..dims.k).map(|i| ((i * 7 % 13) as i16) - 6).collect();
-    let b: Vec<i16> = (0..dims.k * dims.n).map(|i| ((i * 5 % 11) as i16) - 5).collect();
-    let mut row_engine = RowEngine::new(dims, 1, &b, 1, 11).expect("row engine");
-    row_engine.stage(&a).expect("stage A row");
-    let row_dpu = row_engine.set().system().dpu(dpu_sim::DpuId(0)).clone();
-    let program = yolo_pim::codegen::gemm_row_program(dims);
-    (row_dpu, dpu_sim::ExecProgram::compile(&program).expect("GEMM program"))
-}
-
-/// The shapes the fast engine's batched modes were built for — a full
-/// eBNN DPU (16 images on 16 tasklets: tasklet-major chunks), the last
-/// chunk of a served batch (6 images on 6 tasklets, and 6 images staged
-/// under 16 launched tasklets of which 10 halt at once: under-saturated
-/// rotations, idle cycles every round; 12, 13 and 14 images: a permuted
-/// rotation only a verified orbit schedules) and a GEMM row on 11 tasklets
-/// (exactly `stages` of them, DMA-skewed out of round-robin order;
-/// subroutine bursts retired in whole rounds) — leave the same
-/// `RunResult`, the same WRAM and the same MRAM (features / the C row
-/// included) on both engine tiers.
-#[test]
-fn paper_kernels_leave_identical_machines_on_every_engine_tier() {
-    use dpu_sim::{DpuId, ExecProgram, Machine};
-
-    let model = EbnnModel::generate(ModelConfig { filters: 1, ..ModelConfig::default() });
-    let images: Vec<_> = (0..16).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
-    let mut ebnn_engine = Tier1Engine::new(&model, 1).expect("eBNN engine");
-    ebnn_engine.stage(&model, &images, 0).expect("stage images");
-    let ebnn_dpu = ebnn_engine.set().system().dpu(DpuId(0)).clone();
-    let mut partial = |n: usize| {
-        ebnn_engine.stage(&model, &images[..n], 0).expect("stage a partial chunk");
-        ebnn_engine.set().system().dpu(DpuId(0)).clone()
-    };
-    let partial_dpu = partial(6);
-    let orbit_dpus = [partial(12), partial(13), partial(14)];
-    let ebnn_exec = ExecProgram::compile(&ebnn::codegen::tier1_program(1)).expect("eBNN program");
-
-    let (row_dpu, row_exec) = staged_gemm_row();
-
-    // (name, staged DPU, program, launched tasklets, rotates on an orbit)
-    for (name, staged, exec, tasklets, orbit) in [
-        ("eBNN x16", &ebnn_dpu, &ebnn_exec, 16, false),
-        ("eBNN x6", &partial_dpu, &ebnn_exec, 6, false),
-        ("eBNN x6 of 16 launched", &partial_dpu, &ebnn_exec, 16, false),
-        ("eBNN x12", &orbit_dpus[0], &ebnn_exec, 12, true),
-        ("eBNN x13 of 16 launched", &orbit_dpus[1], &ebnn_exec, 16, true),
-        ("eBNN x14", &orbit_dpus[2], &ebnn_exec, 14, true),
-        ("GEMM row x11", &row_dpu, &row_exec, 11, false),
-    ] {
-        let run = |engine: Engine| -> (dpu_sim::RunResult, Machine) {
-            let mut m = staged.clone();
-            let result = m.run_exec_engine(exec, tasklets, engine).expect("kernel completes");
-            (result, m)
-        };
-        let (reference, ref_machine) = run(Engine::Reference);
-        let (result, machine) = run(Engine::Superblock);
-        assert_eq!(result, reference, "{name}: RunResult diverged");
-        assert!(machine.wram == ref_machine.wram, "{name}: WRAM diverged");
-        assert!(machine.mram == ref_machine.mram, "{name}: MRAM diverged");
-        // The fast tier really did take its batched modes.
-        let stats = machine.engine_stats().since(&staged.engine_stats());
-        assert_eq!(stats.slots(), reference.instructions, "{name}: modes partition the slots");
-        assert!(stats.reference_slots * 4 < reference.instructions, "{name}: {stats:?}");
-        if name.starts_with("eBNN x6") {
-            assert!(stats.undersaturated_slots * 10 > reference.instructions * 9, "{name}");
-        }
-        if orbit {
-            assert!(stats.orbit_slots * 10 > reference.instructions * 9, "{name}: {stats:?}");
-            assert!(stats.reference_slots * 100 <= reference.instructions, "{name}");
-        }
-    }
-
-    // And the functional results are the right ones.
-    let mut served = ebnn_dpu.clone();
-    served.run_exec(&ebnn_exec, 16).expect("kernel completes");
-    let fpi_pad = ebnn_engine.features_per_image().div_ceil(8) * 8;
-    for (i, image) in images.iter().enumerate() {
-        let at = ebnn::codegen::mram::FEATURES as usize + i * fpi_pad;
-        let got = served.mram.to_vec(at, ebnn_engine.features_per_image()).expect("in range");
-        assert_eq!(got, model.features(&model.binarize(&image.pixels)), "image {i}");
-    }
-}
-
-/// One run entry, one invariant: the eBNN kernel (16 images, 16 tasklets)
-/// and a GEMM row (11 tasklets) through `Machine::execute` leave the same
-/// `RunResult`, WRAM, MRAM and perf counter whether nothing observes the
-/// run, a trace sink does, or the profiler does — asked of both engine
-/// tiers — and every traced run records the same events,
-/// every profiled one the same attribution.
-#[test]
-fn paper_kernels_run_the_same_under_every_observer_on_every_engine_tier() {
-    use dpu_sim::{CycleAttribution, DpuId, ExecProgram, Observe, RunSpec};
-
-    let model = EbnnModel::generate(ModelConfig { filters: 1, ..ModelConfig::default() });
-    let images: Vec<_> = (0..16).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
-    let mut ebnn_engine = Tier1Engine::new(&model, 1).expect("eBNN engine");
-    ebnn_engine.stage(&model, &images, 0).expect("stage images");
-    let ebnn_dpu = ebnn_engine.set().system().dpu(DpuId(0)).clone();
-    let ebnn_exec = ExecProgram::compile(&ebnn::codegen::tier1_program(1)).expect("eBNN program");
-
-    let (row_dpu, row_exec) = staged_gemm_row();
-
-    for (name, staged, exec, tasklets) in
-        [("eBNN x16", &ebnn_dpu, &ebnn_exec, 16), ("GEMM row x11", &row_dpu, &row_exec, 11)]
-    {
-        let mut reference = staged.clone();
-        let spec = RunSpec { engine: Some(Engine::Reference), ..RunSpec::new(tasklets) };
-        let expected = reference.execute(exec, spec).expect("kernel completes");
-        let (mut events, mut attribution) = (None, None);
-        for engine in [Engine::Reference, Engine::Superblock] {
-            for observer in ["off", "trace", "profile"] {
-                let cell = format!("{name}, {engine:?}, {observer}");
-                let mut m = staged.clone();
-                let mut buf = TraceBuffer::new();
-                let mut attr = CycleAttribution::new();
-                let observe = match observer {
-                    "off" => Observe::Off,
-                    "trace" => Observe::Trace(&mut buf),
-                    _ => Observe::Profile(&mut attr),
-                };
-                let spec = RunSpec { engine: Some(engine), observe, ..RunSpec::new(tasklets) };
-                let result = m.execute(exec, spec).expect("kernel completes");
-                assert_eq!(result, expected, "{cell}: RunResult diverged");
-                assert!(m.wram == reference.wram, "{cell}: WRAM diverged");
-                assert!(m.mram == reference.mram, "{cell}: MRAM diverged");
-                assert_eq!(m.perf(), reference.perf(), "{cell}: perf counter diverged");
-                match observer {
-                    "trace" => {
-                        assert_eq!(buf.max_end_cycle(), expected.cycles, "{cell}");
-                        assert_eq!(&buf, events.get_or_insert_with(|| buf.clone()), "{cell}");
-                    }
-                    "profile" => {
-                        assert_eq!(attr.total_cycles(), expected.cycles, "{cell}");
-                        let blocks = attr.blocks().to_vec();
-                        assert_eq!(&blocks, attribution.get_or_insert_with(|| blocks.clone()));
-                    }
-                    _ => assert!(buf.is_empty() && attr.runs() == 0, "{cell}: nothing observes"),
-                }
-            }
-        }
-    }
-}
-
-/// Recorded launches are invisible at serving scale: a 64-DPU eBNN set
-/// with two busy DPUs, staged and launched four times (alternating the
-/// tasklet count, as served batches do), matches the same set pinned to
-/// the reference loop — which never replays — launch for launch and DPU
-/// for DPU, while its 62 idle DPUs stop being interpreted.
-#[test]
-fn sparse_rank_replays_idle_dpus_and_matches_the_reference_loop() {
-    const DPUS: usize = 64;
-    let model = EbnnModel::generate(ModelConfig { filters: 1, ..ModelConfig::default() });
-    let images: Vec<_> = (0..32).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
-    let mut fast = Tier1Engine::new(&model, DPUS).expect("eBNN engine");
-    let mut reference = Tier1Engine::new(&model, DPUS).expect("eBNN engine");
-    // Both pinned: the CI engine matrix forces the ambient tier.
-    fast.set_mut().set_engine(Some(Engine::Superblock));
-    reference.set_mut().set_engine(Some(Engine::Reference));
-
-    let mut last_hits = 0;
-    for batch in [&images[..], &images[..19], &images[..], &images[..19]] {
-        fast.stage(&model, batch, 0).expect("stage images");
-        reference.stage(&model, batch, 0).expect("stage images");
-        let before = fast.set().system().engine_stats();
-        let launch = fast.launch(false, None).expect("launch").0;
-        assert_eq!(launch, reference.launch(false, None).expect("reference launch").0);
-        let launch = launch.into_launch_result().expect("fully served");
-        for ((id, m), (_, r)) in fast.set().system().iter().zip(reference.set().system().iter()) {
-            assert!(m.wram == r.wram, "WRAM of {id:?} diverged");
-            assert!(m.mram == r.mram, "MRAM of {id:?} diverged");
-            assert_eq!(m.dma, r.dma, "DMA statistics of {id:?} diverged");
-        }
-        assert_eq!(fast.gather(0).expect("gather"), reference.gather(0).expect("gather"));
-        let stats = fast.set().system().engine_stats().since(&before);
-        assert_eq!(stats.slots(), launch.total_instructions(), "modes partition the slots");
-        last_hits = stats.replay_hits;
-    }
-    assert!(last_hits >= 60, "idle DPUs replay: {last_hits} hits on the last launch");
-    let stats = reference.set().system().engine_stats();
-    assert_eq!((stats.replay_hits, stats.replay_records), (0, 0), "the reference never replays");
 }
