@@ -408,7 +408,8 @@ fn write_or_exit(mut out: std::fs::File, path: &str, text: &str) {
 /// two kernels (a full eBNN DPU, 13 images rotating on a verified orbit —
 /// launched on 13 tasklets and on 16 —, an exact-fit and an under-saturated
 /// one, and the GEMM row), and how the tasklet-major chunks fared, per fast tier
-/// — the `obs.engine.*` counters of `docs/OBSERVABILITY.md` — plus the
+/// — the `obs.engine.*` counters of `docs/OBSERVABILITY.md`, and the mean
+/// number of tasklets a lane group shares one decode between — plus the
 /// sparse serving shape (a 64-DPU eBNN launch with two busy DPUs), where
 /// the idle DPUs replay a recorded launch.
 #[allow(clippy::cast_precision_loss)]
@@ -460,6 +461,10 @@ fn emit_engine_residency(json: bool) {
                 "    rolled back: {:.3}% of attempted chunk slots, {:.3}% of all slots\n",
                 100.0 * wasted / (stats.chunk_slots as f64 + wasted).max(1.0),
                 100.0 * wasted / total,
+            ));
+            s.push_str(&format!(
+                "    mean lane width: {:.1} tasklets per decode\n",
+                stats.chunk_lane_slots as f64 / stats.chunk_lane_steps.max(1) as f64,
             ));
             s.push_str(note);
         }

@@ -1,15 +1,17 @@
 //! Race detection, rollback and pacing for tasklet-major rotation chunks.
 //!
 //! Inside a rotation batch the fast engine may let each tasklet run a
-//! whole *chunk* of inline instructions on its own instead of interleaving
-//! the tasklets slot by slot (see `Interp::try_chunk` in
-//! [`crate::machine`]). Register files are private, so the reordering is
+//! whole *chunk* of inline instructions off the round-robin order instead
+//! of interleaving the tasklets slot by slot (see `Interp::try_chunk` in
+//! [`crate::machine`], which runs them as the lane groups of
+//! [`crate::lanes`]). Register files are private, so the reordering is
 //! unobservable exactly when no WRAM word is written by one tasklet and
 //! touched by another within the chunk. [`Shadow`] proves that per chunk:
-//! every tracked load and store updates a per-word tag, a cross-tasklet
-//! read/write or write/write overlap is reported at the access that
-//! completes it, and every store is logged so an aborted chunk can be
-//! undone byte for byte. [`ChunkPolicy`] decides how long the next chunk
+//! every tracked load and store ([`Shadow::load`], [`Shadow::store`])
+//! updates a per-word tag, a cross-tasklet read/write or write/write
+//! overlap is reported at the access that completes it, whichever comes
+//! first, and every store is logged so an aborted chunk can be undone
+//! byte for byte. [`ChunkPolicy`] decides how long the next chunk
 //! is and how long to stay away after one aborted.
 //!
 //! ## The tag state machine
@@ -29,6 +31,7 @@
 //! Word granularity is conservative: two tasklets storing different bytes
 //! of one word conflict even though their effects commute.
 
+use crate::error::Result;
 use crate::isa::Width;
 use crate::memory::Wram;
 
@@ -84,7 +87,7 @@ impl Shadow {
     /// Record that tasklet `t` loaded `bytes` bytes at `addr` (an access
     /// the caller has already bounds-checked). False on a conflict.
     #[inline]
-    pub(crate) fn read(&mut self, addr: usize, bytes: usize, t: usize) -> bool {
+    fn read(&mut self, addr: usize, bytes: usize, t: usize) -> bool {
         let (first, last) = (addr >> 2, (addr + bytes - 1) >> 2);
         let ok = self.read_word(first, t as u16);
         if last == first {
@@ -99,7 +102,7 @@ impl Shadow {
     /// bounds-checked). False on a conflict, in which case nothing is
     /// logged and the caller must not perform the store.
     #[inline]
-    pub(crate) fn write(&mut self, addr: usize, width: Width, old: u32, t: usize) -> bool {
+    fn write(&mut self, addr: usize, width: Width, old: u32, t: usize) -> bool {
         let (first, last) = (addr >> 2, (addr + width.bytes() - 1) >> 2);
         if !self.write_word(first, t as u16) || (last != first && !self.write_word(last, t as u16))
         {
@@ -107,6 +110,47 @@ impl Shadow {
         }
         self.undo.push(Undo { addr: addr as u32, old, width });
         true
+    }
+
+    /// A tracked load: tasklet `t` loads `width` at `addr`. `Ok(None)` on
+    /// a conflict, with nothing loaded.
+    ///
+    /// # Errors
+    /// The load's out-of-bounds fault.
+    #[inline]
+    pub(crate) fn load(
+        &mut self,
+        wram: &Wram,
+        addr: usize,
+        width: Width,
+        t: usize,
+    ) -> Result<Option<u32>> {
+        let v = wram.load(addr, width)?;
+        Ok(self.read(addr, width.bytes(), t).then_some(v))
+    }
+
+    /// A tracked store: tasklet `t` stores the low `width` of `v` at
+    /// `addr`, logging the bytes it replaces. `Ok(false)` on a conflict,
+    /// with nothing stored.
+    ///
+    /// # Errors
+    /// The store's out-of-bounds fault.
+    #[inline]
+    pub(crate) fn store(
+        &mut self,
+        wram: &mut Wram,
+        addr: usize,
+        width: Width,
+        v: u32,
+        t: usize,
+    ) -> Result<bool> {
+        // The read doubles as the store's bounds check.
+        let old = wram.load(addr, width)?;
+        if !self.write(addr, width, old, t) {
+            return Ok(false);
+        }
+        wram.store(addr, width, v)?;
+        Ok(true)
     }
 
     #[inline]
@@ -151,12 +195,7 @@ impl Shadow {
     /// exactly as [`Shadow::begin`] found it.
     pub(crate) fn rollback(&mut self, wram: &mut Wram) {
         for u in self.undo.drain(..).rev() {
-            let addr = u.addr as usize;
-            let restored = match u.width {
-                Width::B => wram.write_u8(addr, u.old),
-                Width::H => wram.write_u16(addr, u.old),
-                Width::W => wram.write_u32(addr, u.old),
-            };
+            let restored = wram.store(u.addr as usize, u.width, u.old);
             restored.expect("a logged store was in bounds when it executed");
         }
     }
@@ -323,20 +362,11 @@ mod tests {
         for (addr, width, val) in
             [(8usize, Width::W, 0xdead_beefu32), (9, Width::B, 0x55), (10, Width::H, 0x7788)]
         {
-            let old = match width {
-                Width::B => wram.read_u8(addr),
-                Width::H => wram.read_u16(addr),
-                Width::W => wram.read_u32(addr),
-            }
-            .unwrap();
-            assert!(s.write(addr, width, old, 4));
-            match width {
-                Width::B => wram.write_u8(addr, val),
-                Width::H => wram.write_u16(addr, val),
-                Width::W => wram.write_u32(addr, val),
-            }
-            .unwrap();
+            assert!(s.store(&mut wram, addr, width, val, 4).unwrap());
         }
+        assert!(!s.store(&mut wram, 8, Width::B, 0, 5).unwrap(), "a foreign store conflicts");
+        assert_eq!(s.load(&wram, 8, Width::W, 4).unwrap(), Some(0x7788_55ef));
+        assert_eq!(s.load(&wram, 8, Width::W, 5).unwrap(), None, "a foreign load conflicts");
         assert!(wram != before);
         s.rollback(&mut wram);
         assert!(wram == before);

@@ -102,6 +102,13 @@ engine_stats! {
     chunk_aborts_trace => "chunk.aborts.trace",
     /// Chunks rolled back on a memory fault or out-of-range pc.
     chunk_aborts_fault => "chunk.aborts.fault",
+    /// Of the chunk slots, those retired in lane groups (see
+    /// `crate::lanes`) — not a seventh mode.
+    chunk_lane_slots => "chunk.lane_slots",
+    /// Lane-group dispatches of committed chunks, counted per
+    /// instruction: `chunk_lane_slots / chunk_lane_steps` is the mean
+    /// number of tasklets sharing one decode.
+    chunk_lane_steps => "chunk.lane_steps",
     /// Slots executed inside chunks that were then rolled back (host work
     /// thrown away; those slots retire again through another mode).
     chunk_rolled_back_slots => "chunk.rolled_back_slots",

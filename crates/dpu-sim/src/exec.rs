@@ -128,6 +128,74 @@ pub fn is_superblock_op(instr: &Instr) -> bool {
     )
 }
 
+/// A `match` on `$instr` whose first arms are the register-file ops — the
+/// [`is_superblock_op`] ops — and the control-flow ops, followed by the
+/// caller's `$rest` arms. The only definition of those ops: one row per
+/// op. A register-file row reads `pattern => $apply!(ctx; rd, ra, rb, |a,
+/// b, id| value)`: `rd` receives `value`, given the values `a` of `ra` and
+/// `b` of `rb` and the executing tasklet's index `id`. A control-flow row
+/// reads `pattern => $flow!(ctx; rd, ra, rb, |a, b, pc| (link, next))`:
+/// `rd` receives `link` and the tasklet moves to `next`, given its `pc`.
+/// The caller's two macros expand every row for one register file
+/// (`Interp::exec_inline`) or for a group of lanes at a time
+/// (`crate::lanes`), so each op is written once and dispatched from one
+/// jump table either way. Writes to `r0` are dropped.
+macro_rules! match_ops {
+    ($instr:expr, $apply:ident!($($ctx:tt)*), $flow:ident!($($fctx:tt)*), { $($rest:tt)* }) => {{
+        use $crate::isa::{Instr as I, Reg};
+        match $instr {
+            I::Nop => {}
+            I::Movi { rd, imm } => $apply!($($ctx)*; rd, Reg::ZERO, Reg::ZERO, |_, _, _| imm as u32),
+            I::Mov { rd, ra } => $apply!($($ctx)*; rd, ra, Reg::ZERO, |a, _, _| a),
+            I::Add { rd, ra, rb } => $apply!($($ctx)*; rd, ra, rb, |a, b, _| a.wrapping_add(b)),
+            I::Addi { rd, ra, imm } => {
+                $apply!($($ctx)*; rd, ra, Reg::ZERO, |a, _, _| a.wrapping_add(imm as u32))
+            }
+            I::Sub { rd, ra, rb } => $apply!($($ctx)*; rd, ra, rb, |a, b, _| a.wrapping_sub(b)),
+            I::And { rd, ra, rb } => $apply!($($ctx)*; rd, ra, rb, |a, b, _| a & b),
+            I::Or { rd, ra, rb } => $apply!($($ctx)*; rd, ra, rb, |a, b, _| a | b),
+            I::Xor { rd, ra, rb } => $apply!($($ctx)*; rd, ra, rb, |a, b, _| a ^ b),
+            I::Lsl { rd, ra, rb } => $apply!($($ctx)*; rd, ra, rb, |a, b, _| a << (b & 31)),
+            I::Lsr { rd, ra, rb } => $apply!($($ctx)*; rd, ra, rb, |a, b, _| a >> (b & 31)),
+            I::Asr { rd, ra, rb } => {
+                $apply!($($ctx)*; rd, ra, rb, |a, b, _| ((a as i32) >> (b & 31)) as u32)
+            }
+            I::Lsli { rd, ra, sh } => $apply!($($ctx)*; rd, ra, Reg::ZERO, |a, _, _| a << (sh & 31)),
+            I::Lsri { rd, ra, sh } => $apply!($($ctx)*; rd, ra, Reg::ZERO, |a, _, _| a >> (sh & 31)),
+            I::Asri { rd, ra, sh } => {
+                $apply!($($ctx)*; rd, ra, Reg::ZERO, |a, _, _| ((a as i32) >> (sh & 31)) as u32)
+            }
+            I::Mul8 { rd, ra, rb } => {
+                $apply!($($ctx)*; rd, ra, rb, |a, b, _| (a & 0xff) * (b & 0xff))
+            }
+            I::Popcount { rd, ra } => $apply!($($ctx)*; rd, ra, Reg::ZERO, |a, _, _| a.count_ones()),
+            I::TaskletId { rd } => $apply!($($ctx)*; rd, Reg::ZERO, Reg::ZERO, |_, _, id| id),
+            I::Branch { cond, ra, rb, target } => $flow!($($fctx)*; Reg::ZERO, ra, rb, |a, b, pc| {
+                (0, if cond.eval(a, b) { target } else { pc.wrapping_add(1) })
+            }),
+            I::Jump { target } => $flow!($($fctx)*; Reg::ZERO, Reg::ZERO, Reg::ZERO, |_, _, _| {
+                (0, target)
+            }),
+            I::Jal { rd, target } => $flow!($($fctx)*; rd, Reg::ZERO, Reg::ZERO, |_, _, pc| {
+                (pc.wrapping_add(1), target)
+            }),
+            I::Jr { ra } => $flow!($($fctx)*; Reg::ZERO, ra, Reg::ZERO, |a, _, _| (0, a)),
+            $($rest)*
+        }
+    }};
+}
+pub(crate) use match_ops;
+
+/// The [`match_ops!`] control-flow callback for superblock code, which
+/// holds none.
+macro_rules! no_flow {
+    (; $rd:expr, $ra:expr, $rb:expr, |$a:pat_param, $b:pat_param, $pc:pat_param| $value:expr) => {{
+        let _row = ($rd, $ra, $rb, |$a: u32, $b: u32, $pc: u32| $value);
+        unreachable!("superblocks hold register-file ops only")
+    }};
+}
+pub(crate) use no_flow;
+
 /// Sentinel in the pc → head index map: this pc does not start a block.
 const NO_HEAD: u32 = u32::MAX;
 

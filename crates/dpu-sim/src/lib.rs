@@ -49,6 +49,7 @@ pub mod error;
 pub mod exec;
 pub mod faults;
 pub mod isa;
+mod lanes;
 pub mod machine;
 pub mod memory;
 pub mod params;

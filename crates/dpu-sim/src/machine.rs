@@ -11,8 +11,9 @@
 //! perf counter, barrier, mutex) live in `Interp::step`; every inline op —
 //! loads and stores, control flow, `call` and `trace` — lives in
 //! `Interp::exec_inline`, which both the reference loop and the batched
-//! fast paths call, and the register-file ops among them in `match_pure!`,
-//! which `exec_inline` and the superblock replay share.
+//! fast paths call. The register-file and control-flow ops among them are
+//! rows of one table, `exec::match_ops!`, which `exec_inline`, the
+//! superblock replay and the lane groups of `crate::lanes` expand.
 //!
 //! ## The Fig. 3.1 microbenchmark harness
 //!
@@ -26,11 +27,12 @@
 //! totals reproduce Table 3.1 within ~1.5 % (see [`crate::subroutines`]).
 
 use crate::chunk::{ChunkPolicy, Shadow, MAX_TRACKED_TASKLETS};
-use crate::engine_stats::{ChunkAbort, EngineStats};
+use crate::engine_stats::EngineStats;
 use crate::error::{Error, Result};
-use crate::exec::{self, ExecInstr, ExecProgram, Superblocks, OP_COUNT};
+use crate::exec::{self, match_ops, no_flow, ExecInstr, ExecProgram, Superblocks, OP_COUNT};
 use crate::faults::{AttemptFaults, DmaFault, FaultKind};
-use crate::isa::{Instr, Program, Reg, Width};
+use crate::isa::{Instr, Program, Reg};
+use crate::lanes::{Aborted, Lanes};
 use crate::memory::{DmaEngine, Mram, Wram};
 use crate::params::{DpuParams, REGS_PER_TASKLET};
 use crate::perfcounter::PerfCounter;
@@ -670,8 +672,9 @@ struct Interp<'a> {
     shadow: Shadow,
     /// Chunk length and stand-off, persisted across rotation batches.
     chunk_policy: ChunkPolicy,
-    /// Register files as of the current chunk's start.
-    chunk_saved: Vec<Tasklet>,
+    /// The current chunk's register files as lanes, allocated by the
+    /// run's first chunk.
+    lanes: Option<Box<Lanes>>,
     /// The read and write sets of this run while it is being recorded for
     /// replay (see [`crate::replay`]). Last and boxed: one cold pointer,
     /// so the hot fields above keep their layout.
@@ -684,16 +687,9 @@ enum SlotKind {
     /// is accounted to the current batch.
     Advanced,
     /// The instruction needs scheduler or timing machinery (it can change
-    /// the runnable set, stall, or read the clock), or is a `call` inside a
-    /// tasklet-major chunk; nothing was executed and no pick was consumed.
+    /// the runnable set, stall, or read the clock); nothing was executed
+    /// and no pick was consumed.
     Boundary,
-    /// Race-tracked dispatch only: the load or store overlaps another
-    /// tasklet's access to the same WRAM word within the current chunk.
-    /// The access did not happen.
-    Conflict,
-    /// Race-tracked dispatch only: a `trace` op, whose position in the
-    /// DPU log depends on the slot interleaving. Nothing was executed.
-    Trace,
 }
 
 /// Outcome of one [`Interp::try_rotation`] attempt.
@@ -754,80 +750,26 @@ const INLINE_OP: [bool; OP_COUNT] = [
     false, // mutex — may block or wake tasklets
 ];
 
-/// A `match` on `$instr` whose first arms apply the register-file ops —
-/// the superblock ops, which touch nothing but tasklet `$th`'s own
-/// registers (`$t` is its index) — followed by the caller's `$rest` arms.
-/// The only definition of those ops: a macro rather than a call, so that
-/// [`Interp::exec_inline`] dispatches every inline op from one jump table.
-macro_rules! match_pure {
-    ($instr:expr, $th:ident, $t:ident, { $($rest:tt)* }) => {
-        match $instr {
-            Instr::Nop => {}
-            Instr::Movi { rd, imm } => $th.set(rd, imm as u32),
-            Instr::Mov { rd, ra } => {
-                let v = $th.get(ra);
-                $th.set(rd, v);
-            }
-            Instr::Add { rd, ra, rb } => {
-                let v = $th.get(ra).wrapping_add($th.get(rb));
-                $th.set(rd, v);
-            }
-            Instr::Addi { rd, ra, imm } => {
-                let v = $th.get(ra).wrapping_add(imm as u32);
-                $th.set(rd, v);
-            }
-            Instr::Sub { rd, ra, rb } => {
-                let v = $th.get(ra).wrapping_sub($th.get(rb));
-                $th.set(rd, v);
-            }
-            Instr::And { rd, ra, rb } => {
-                let v = $th.get(ra) & $th.get(rb);
-                $th.set(rd, v);
-            }
-            Instr::Or { rd, ra, rb } => {
-                let v = $th.get(ra) | $th.get(rb);
-                $th.set(rd, v);
-            }
-            Instr::Xor { rd, ra, rb } => {
-                let v = $th.get(ra) ^ $th.get(rb);
-                $th.set(rd, v);
-            }
-            Instr::Lsl { rd, ra, rb } => {
-                let v = $th.get(ra) << ($th.get(rb) & 31);
-                $th.set(rd, v);
-            }
-            Instr::Lsr { rd, ra, rb } => {
-                let v = $th.get(ra) >> ($th.get(rb) & 31);
-                $th.set(rd, v);
-            }
-            Instr::Asr { rd, ra, rb } => {
-                let v = (($th.get(ra) as i32) >> ($th.get(rb) & 31)) as u32;
-                $th.set(rd, v);
-            }
-            Instr::Lsli { rd, ra, sh } => {
-                let v = $th.get(ra) << (sh & 31);
-                $th.set(rd, v);
-            }
-            Instr::Lsri { rd, ra, sh } => {
-                let v = $th.get(ra) >> (sh & 31);
-                $th.set(rd, v);
-            }
-            Instr::Asri { rd, ra, sh } => {
-                let v = (($th.get(ra) as i32) >> (sh & 31)) as u32;
-                $th.set(rd, v);
-            }
-            Instr::Mul8 { rd, ra, rb } => {
-                let v = ($th.get(ra) & 0xff) * ($th.get(rb) & 0xff);
-                $th.set(rd, v);
-            }
-            Instr::Popcount { rd, ra } => {
-                let v = $th.get(ra).count_ones();
-                $th.set(rd, v);
-            }
-            Instr::TaskletId { rd } => $th.set(rd, $t as u32),
-            $($rest)*
-        }
-    };
+/// Expands a [`match_ops!`] register-file row for tasklet `$th` (index
+/// `$t`).
+macro_rules! on_tasklet {
+    ($th:ident, $t:ident;
+     $rd:ident, $ra:expr, $rb:expr, |$a:pat_param, $b:pat_param, $id:pat_param| $value:expr) => {{
+        let ($a, $b, $id): (u32, u32, u32) = ($th.get($ra), $th.get($rb), $t as u32);
+        $th.set($rd, $value)
+    }};
+}
+
+/// Expands a [`match_ops!`] control-flow row for tasklet `$th`, whose
+/// next pc goes to `$next`.
+macro_rules! jump_tasklet {
+    ($th:ident, $next:ident;
+     $rd:expr, $ra:expr, $rb:expr, |$a:pat_param, $b:pat_param, $pc:pat_param| $value:expr) => {{
+        let ($a, $b, $pc): (u32, u32, u32) = ($th.get($ra), $th.get($rb), $th.pc);
+        let (link, next) = $value;
+        $th.set($rd, link);
+        $next = next;
+    }};
 }
 
 /// What [`Interp::run_reference`] tells of each issue slot, before the
@@ -937,7 +879,7 @@ impl<'a> Interp<'a> {
             stats: EngineStats::default(),
             shadow: Shadow::default(),
             chunk_policy: ChunkPolicy::default(),
-            chunk_saved: Vec::new(),
+            lanes: None,
             code,
             sb: exec.superblocks(),
             budget,
@@ -1187,7 +1129,7 @@ impl<'a> Interp<'a> {
                 self.pipeline.pick_sole(t);
                 return Err(Error::CycleBudgetExceeded { budget: self.budget });
             }
-            let (k, last) = self.advance_inline::<false>(t, k_cap, |k| first + k * stages);
+            let (k, last) = self.advance_inline(t, k_cap, |k| first + k * stages);
             match last {
                 Ok(SlotKind::Advanced) => self.flush_sole(t, k),
                 Ok(SlotKind::Boundary) => {
@@ -1199,9 +1141,6 @@ impl<'a> Interp<'a> {
                         return Err(Error::CycleBudgetExceeded { budget: self.budget });
                     }
                     self.step(t)?;
-                }
-                Ok(SlotKind::Conflict | SlotKind::Trace) => {
-                    unreachable!("untracked dispatch never reports a race")
                 }
                 Err(e) => {
                     // The faulting instruction consumed its pick before
@@ -1222,22 +1161,18 @@ impl<'a> Interp<'a> {
     }
 
     /// Run tasklet `t` *on its own* for up to `quota >= 1` issue slots
-    /// without touching the pipeline — the inner dispatch shared by sole
-    /// mode and the tasklet-major chunks. Pending burst slots retire
-    /// first, then memoized superblocks, then single inline ops; a block
-    /// that would overrun the quota is skipped, so the per-op path below
-    /// it guarantees progress and the quota is met exactly. `issue_at(k)`
-    /// is the cycle the batch's pick `k` issues at, read only by a traced
-    /// `call`.
+    /// without touching the pipeline: sole mode's inner dispatch. Pending
+    /// burst slots retire first, then memoized superblocks, then single
+    /// inline ops; a block that would overrun the quota is skipped, so the
+    /// per-op path below it guarantees progress and the quota is met
+    /// exactly. `issue_at(k)` is the cycle the batch's pick `k` issues at,
+    /// read only by a traced `call`.
     ///
     /// Returns the slots retired and how the run ended: `Advanced` when
     /// the quota was met, otherwise the classification of the instruction
     /// that stopped it (not retired, except that a fault leaves its op
     /// counted and pc on the faulting instruction, like [`Interp::step`]).
-    /// With `TRACK`, loads and stores go through the chunk's [`Shadow`],
-    /// and no burst is pending: a chunk starts with none and ends at a
-    /// `call`.
-    fn advance_inline<const TRACK: bool>(
+    fn advance_inline(
         &mut self,
         t: usize,
         quota: u64,
@@ -1246,7 +1181,7 @@ impl<'a> Interp<'a> {
         let mut k: u64 = 0;
         while k < quota {
             let burst = self.threads[t].burst;
-            if !TRACK && burst > 0 {
+            if burst > 0 {
                 let slots = burst.min(quota - k);
                 self.threads[t].burst -= slots;
                 k += slots;
@@ -1259,7 +1194,7 @@ impl<'a> Interp<'a> {
                 k += len;
                 continue;
             }
-            match self.dispatch_slot_inline::<TRACK>(t, |_| issue_at(k)) {
+            match self.dispatch_slot_inline(t, |_| issue_at(k)) {
                 Ok(SlotKind::Advanced) => k += 1,
                 last => return (k, last),
             }
@@ -1415,12 +1350,9 @@ impl<'a> Interp<'a> {
             } else {
                 // Pick `m` of the batch, position `m % r` of its round.
                 let issue_at = |_: &Pipeline| at[pos] + (m / r as u64) * period;
-                match self.dispatch_slot_inline::<false>(t, issue_at) {
+                match self.dispatch_slot_inline(t, issue_at) {
                     Ok(SlotKind::Advanced) => m += 1,
                     Ok(SlotKind::Boundary) => break Ok(()),
-                    Ok(SlotKind::Conflict | SlotKind::Trace) => {
-                        unreachable!("untracked dispatch never reports a race")
-                    }
                     Err(e) => {
                         // Count the faulting instruction's pick, as above.
                         m += 1;
@@ -1443,11 +1375,11 @@ impl<'a> Interp<'a> {
         outcome.map(|()| if m > 0 { Rotation::Advanced(m) } else { Rotation::Blocked })
     }
 
-    /// Let every tasklet in `order` run `k` inline instructions *on its
-    /// own* — one instruction stream at a time instead of `order.len()`
-    /// interleaved ones — and commit the result if that is
-    /// indistinguishable from `k` round-robin rounds. `issued` is the
-    /// slot count retired so far (for the stand-off clock). Returns
+    /// Let every tasklet in `order` run `k` inline instructions off the
+    /// round-robin order — as lane groups ([`crate::lanes`]): the
+    /// tasklets at one pc share each decode — and commit the result if
+    /// that is indistinguishable from `k` round-robin rounds. `issued` is
+    /// the slot count retired so far (for the stand-off clock). Returns
     /// whether the chunk committed; if not, every architectural effect
     /// has been undone and the caller replays the slots one by one.
     ///
@@ -1464,13 +1396,16 @@ impl<'a> Interp<'a> {
     /// round-robin order: identical load values give identical
     /// instruction streams, hence identical access sets), and every word
     /// ends holding its single writer's last store. [`Shadow`] checks
-    /// exactly that, at word granularity, as the accesses happen.
+    /// exactly that, at word granularity, as the accesses happen, and
+    /// flags an overlap whichever access comes first — so it holds for
+    /// any interleaving of the chunk's tasklets, the lanes' included.
     ///
     /// **Rollback contract.** A chunk commits only if every tasklet
-    /// retired exactly `k` instructions. A boundary instruction, a `call`,
-    /// a conflict, a `trace`, a memory fault or an out-of-range pc restores
-    /// the register files and `op_counts` from the checkpoint and replays
-    /// the store log backwards; nothing else is mutable from inline ops.
+    /// retired exactly `k` instructions; only then are the lanes' register
+    /// files and pcs written back. A boundary instruction, a `call`, a
+    /// conflict, a `trace`, a memory fault or an out-of-range pc drops the
+    /// lanes, restores `op_counts` from the checkpoint and replays the
+    /// store log backwards; nothing else is mutable from inline ops.
     /// The per-slot loop then reaches the same instruction in reference
     /// order, so error sites and partial state are untouched by the
     /// attempt. Budget exactness is the caller's: `k` rounds fit.
@@ -1480,31 +1415,32 @@ impl<'a> Interp<'a> {
         {
             return false;
         }
-        self.chunk_saved.clear();
-        self.chunk_saved.extend_from_slice(&self.threads);
         let saved_counts = self.op_counts;
         self.shadow.begin(self.machine.wram.len());
-        let mut executed = 0;
-        for &t in order {
-            let (ran, last) = self.advance_inline::<true>(t, k, |_| unreachable!("no call runs"));
-            executed += ran;
-            let reason = match last {
-                Ok(SlotKind::Advanced) => continue,
-                Ok(SlotKind::Boundary) => ChunkAbort::Boundary,
-                Ok(SlotKind::Conflict) => ChunkAbort::Conflict,
-                Ok(SlotKind::Trace) => ChunkAbort::Trace,
-                Err(_) => ChunkAbort::Fault,
-            };
-            std::mem::swap(&mut self.threads, &mut self.chunk_saved);
-            self.op_counts = saved_counts;
-            self.shadow.rollback(&mut self.machine.wram);
-            self.stats.record_abort(reason, executed);
-            self.chunk_policy.aborted(issued);
-            return false;
+        let threads = &self.threads;
+        let lanes = self.lanes.get_or_insert_with(Lanes::new);
+        lanes.load(order, k, |t| (&threads[t].regs, threads[t].pc));
+        let wram = &mut self.machine.wram;
+        match lanes.run(self.code, self.sb, wram, &mut self.shadow, &mut self.op_counts) {
+            Ok(steps) => {
+                for (l, &t) in order.iter().enumerate() {
+                    let th = &mut self.threads[t];
+                    th.pc = lanes.store(l, &mut th.regs);
+                }
+                self.stats.chunk_lane_steps += steps;
+                self.stats.chunk_lane_slots += k * order.len() as u64;
+                self.stats.chunk_commits += 1;
+                self.chunk_policy.committed();
+                true
+            }
+            Err(Aborted { reason, slots }) => {
+                self.op_counts = saved_counts;
+                self.shadow.rollback(&mut self.machine.wram);
+                self.stats.record_abort(reason, slots);
+                self.chunk_policy.aborted(issued);
+                false
+            }
         }
-        self.stats.chunk_commits += 1;
-        self.chunk_policy.committed();
-        true
     }
 
     /// Dispatch one instruction for tasklet `t` *without touching the
@@ -1513,7 +1449,7 @@ impl<'a> Interp<'a> {
     /// Only [`INLINE_OP`] classes execute ([`Interp::exec_inline`], which
     /// reads the slot's issue cycle off `issue_cycle`); anything else
     /// returns [`SlotKind::Boundary`] untouched.
-    fn dispatch_slot_inline<const TRACK: bool>(
+    fn dispatch_slot_inline(
         &mut self,
         t: usize,
         issue_cycle: impl FnOnce(&Pipeline) -> u64,
@@ -1525,7 +1461,7 @@ impl<'a> Interp<'a> {
             return Ok(SlotKind::Boundary);
         }
         self.op_counts[slot.op as usize] += 1;
-        self.exec_inline::<TRACK>(t, &slot.instr, issue_cycle)
+        self.exec_inline(t, &slot.instr, issue_cycle)
     }
 
     /// Execute `instr` for tasklet `t` if it is an [`INLINE_OP`], its op
@@ -1542,15 +1478,11 @@ impl<'a> Interp<'a> {
     /// cycle the caller's schedule issues this slot at (evaluated only
     /// then, so untraced runs never compute it).
     ///
-    /// Without `TRACK`, loads and stores feed the open replay recording,
-    /// if any. With `TRACK` (inside a tasklet-major chunk) every load and
-    /// store first registers with the chunk's [`Shadow`] and reports
-    /// [`SlotKind::Conflict`] instead of racing another tasklet, stores
-    /// log what they overwrite, `trace` reports [`SlotKind::Trace`] and
-    /// `call` [`SlotKind::Boundary`], both unexecuted; the rollback that
-    /// always follows restores the histogram.
+    /// Loads and stores feed the open replay recording, if any. (Inside a
+    /// tasklet-major chunk the same instructions run as lane groups,
+    /// [`crate::lanes`].)
     #[inline(always)]
-    fn exec_inline<const TRACK: bool>(
+    fn exec_inline(
         &mut self,
         t: usize,
         instr: &Instr,
@@ -1558,73 +1490,27 @@ impl<'a> Interp<'a> {
     ) -> Result<SlotKind> {
         let th = &mut self.threads[t];
         let mut next_pc = th.pc.wrapping_add(1);
-        match_pure!(*instr, th, t, {
+        match_ops!(*instr, on_tasklet!(th, t), jump_tasklet!(th, next_pc), {
             Instr::Load { width, rd, ra, off } => {
                 let addr = th.get(ra).wrapping_add(off as u32) as usize;
-                let v = match width {
-                    Width::B => self.machine.wram.read_u8(addr)?,
-                    Width::H => self.machine.wram.read_u16(addr)?,
-                    Width::W => self.machine.wram.read_u32(addr)?,
-                };
-                if TRACK {
-                    if !self.shadow.read(addr, width.bytes(), t) {
-                        return Ok(SlotKind::Conflict);
-                    }
-                } else {
-                    self.record(|rec, wram| {
-                        let loaded = wram.slice(addr, width.bytes());
-                        loaded.is_ok_and(|now| rec.read(Space::Wram, addr, now))
-                    });
-                }
+                let v = self.machine.wram.load(addr, width)?;
+                self.record(|rec, wram| {
+                    let loaded = wram.slice(addr, width.bytes());
+                    loaded.is_ok_and(|now| rec.read(Space::Wram, addr, now))
+                });
                 self.threads[t].set(rd, v);
             }
             Instr::Store { width, ra, off, rs } => {
                 let addr = th.get(ra).wrapping_add(off as u32) as usize;
                 let v = th.get(rs);
-                if TRACK {
-                    // The read doubles as the store's bounds check.
-                    let old = match width {
-                        Width::B => self.machine.wram.read_u8(addr)?,
-                        Width::H => self.machine.wram.read_u16(addr)?,
-                        Width::W => self.machine.wram.read_u32(addr)?,
-                    };
-                    if !self.shadow.write(addr, width, old, t) {
-                        return Ok(SlotKind::Conflict);
-                    }
-                }
-                match width {
-                    Width::B => self.machine.wram.write_u8(addr, v)?,
-                    Width::H => self.machine.wram.write_u16(addr, v)?,
-                    Width::W => self.machine.wram.write_u32(addr, v)?,
-                }
-                if !TRACK {
-                    self.record(|rec, _| rec.write(Space::Wram, addr, width.bytes()));
-                }
+                self.machine.wram.store(addr, width, v)?;
+                self.record(|rec, _| rec.write(Space::Wram, addr, width.bytes()));
             }
-            Instr::Branch { cond, ra, rb, target } => {
-                if cond.eval(th.get(ra), th.get(rb)) {
-                    next_pc = target;
-                }
-            }
-            Instr::Jump { target } => next_pc = target,
-            Instr::Jal { rd, target } => {
-                th.set(rd, next_pc);
-                next_pc = target;
-            }
-            Instr::Jr { ra } => next_pc = th.get(ra),
             Instr::Trace { ra } => {
-                if TRACK {
-                    return Ok(SlotKind::Trace);
-                }
                 let v = th.get(ra);
                 self.result.trace.push((t, v));
             }
             Instr::CallSub { sub, rd, ra, rb } => {
-                if TRACK {
-                    // A chunk's tasklets run off the schedule, so its
-                    // burst would have no slots to retire in.
-                    return Ok(SlotKind::Boundary);
-                }
                 let (a, b) = (th.get(ra), th.get(rb));
                 if matches!(sub, Subroutine::Divsi3 | Subroutine::Modsi3) && b == 0 {
                     return Err(Error::DivisionByZero { pc: th.pc as usize });
@@ -1687,9 +1573,7 @@ impl<'a> Interp<'a> {
         let code = self.code;
         let slot = code.get(pc).ok_or(Error::PcOutOfRange { pc, len: code.len() })?;
         self.op_counts[slot.op as usize] += 1;
-        if let SlotKind::Advanced =
-            self.exec_inline::<false>(t, &slot.instr, pipeline_issue_cycle)?
-        {
+        if let SlotKind::Advanced = self.exec_inline(t, &slot.instr, pipeline_issue_cycle)? {
             return Ok(());
         }
         let th = &mut self.threads[t];
@@ -1880,7 +1764,7 @@ impl<'a> Interp<'a> {
 /// The superblock classifier guarantees no other variant reaches here.
 #[inline(always)]
 fn apply_pure(th: &mut Tasklet, t: usize, instr: &Instr) {
-    match_pure!(*instr, th, t, {
+    match_ops!(*instr, on_tasklet!(th, t), no_flow!(), {
         _ => debug_assert!(false, "non-superblock op {instr:?} in a superblock"),
     });
 }
@@ -1894,7 +1778,7 @@ fn pipeline_issue_cycle(p: &Pipeline) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{Cond, Instr as I, Reg};
+    use crate::isa::{Cond, Instr as I, Reg, Width};
     use crate::subroutines::Subroutine;
 
     fn r(i: u8) -> Reg {
@@ -1910,7 +1794,7 @@ mod tests {
             let mut machine = Machine::default();
             let mut sink = NullSink;
             let mut interp = Interp::new(&mut machine, &mut sink, &exec, 2, u64::MAX, None);
-            let advanced = match interp.exec_inline::<false>(0, &instr, pipeline_issue_cycle) {
+            let advanced = match interp.exec_inline(0, &instr, pipeline_issue_cycle) {
                 Ok(kind) => matches!(kind, SlotKind::Advanced),
                 Err(e) => panic!("{instr:?} faulted: {e:?}"),
             };

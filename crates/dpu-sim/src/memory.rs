@@ -28,6 +28,7 @@
 
 use crate::ecc;
 use crate::error::{Error, Result};
+use crate::isa::Width;
 use crate::params;
 use std::ops::Range;
 use std::sync::Arc;
@@ -875,6 +876,32 @@ impl Wram {
     #[must_use]
     pub fn new(bytes: usize) -> Self {
         Self(LinearMemory::new("WRAM", bytes))
+    }
+
+    /// Load `width` at `addr`, zero-extended: the pipeline's `lb`/`lh`/`lw`.
+    ///
+    /// # Errors
+    /// [`Error::OutOfBounds`] when out of range.
+    #[inline]
+    pub fn load(&self, addr: usize, width: Width) -> Result<u32> {
+        match width {
+            Width::B => self.read_u8(addr),
+            Width::H => self.read_u16(addr),
+            Width::W => self.read_u32(addr),
+        }
+    }
+
+    /// Store the low `width` of `val` at `addr`: `sb`/`sh`/`sw`.
+    ///
+    /// # Errors
+    /// [`Error::OutOfBounds`] when out of range.
+    #[inline]
+    pub fn store(&mut self, addr: usize, width: Width, val: u32) -> Result<()> {
+        match width {
+            Width::B => self.write_u8(addr, val),
+            Width::H => self.write_u16(addr, val),
+            Width::W => self.write_u32(addr, val),
+        }
     }
 }
 

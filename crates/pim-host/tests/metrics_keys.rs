@@ -125,6 +125,8 @@ fn observation_metrics_key_set_is_stable() {
             "obs.engine.chunk.aborts.fault",
             "obs.engine.chunk.aborts.trace",
             "obs.engine.chunk.commits",
+            "obs.engine.chunk.lane_slots",
+            "obs.engine.chunk.lane_steps",
             "obs.engine.chunk.rolled_back_slots",
             "obs.engine.replay.abandoned",
             "obs.engine.replay.hits",

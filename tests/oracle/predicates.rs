@@ -235,6 +235,29 @@ fn every_chunk_outcome_occurs() {
     assert!(matches!(outcome, Err(dpu_sim::Error::OutOfBounds { .. })), "{outcome:?}");
 }
 
+/// Generated racy inputs on four tasklets or more retire lane slots on
+/// the fast tier, several lanes to a decode, so the oracle's machine
+/// cells keep exercising lane groups.
+#[test]
+fn racy_inputs_with_many_tasklets_run_as_lanes() {
+    let mut rng = proptest::test_runner::deterministic_rng("racy inputs run as lanes");
+    let strategy = crate::generate::long_racy_programs();
+    let (mut inputs, mut laned, mut total) = (0, 0, EngineStats::default());
+    while inputs < 32 {
+        let g = strategy.generate(&mut rng);
+        if g.tasklets < 4 {
+            continue;
+        }
+        let exec = ExecProgram::decode(&g.program);
+        let s = plain(&exec, &seeded(0, false), g.tasklets, Engine::Superblock).stats;
+        inputs += 1;
+        laned += usize::from(s.chunk_lane_slots > 0);
+        total += s;
+    }
+    assert!(laned * 4 >= inputs * 3, "{laned} of {inputs} inputs retired lane slots");
+    assert!(total.chunk_lane_slots >= 4 * total.chunk_lane_steps, "{total:?}");
+}
+
 /// A run long enough to wrap the shadow tags' chunk epoch (one epoch per
 /// chunk attempt, 511 before the tag array is cleared): a perf read every
 /// ~30 instructions keeps chunks short, so commits and boundary rollbacks
@@ -260,7 +283,10 @@ fn chunk_epoch_wraps_mid_run() {
 
 /// The paper's kernels reach the batched modes built for them: at most a
 /// quarter of their slots go one at a time, the 6-image shapes rotate
-/// under-saturated, the 12- to 14-image shapes on a verified orbit.
+/// under-saturated, the 12- to 14-image shapes on a verified orbit. Every
+/// eBNN shape retires lane slots, and a full DPU's 16 images share a
+/// decode 8 lanes at a time or more, in lane groups that retire 90 % of
+/// its chunk slots.
 #[test]
 fn paper_kernels_take_their_batched_modes() {
     for input in crate::kernels::paper_kernels() {
@@ -269,6 +295,13 @@ fn paper_kernels_take_their_batched_modes() {
         let (name, s) = (&input.name, r.stats);
         let instructions = r.after.outcome.expect("completes").instructions;
         assert!(s.reference_slots * 4 < instructions, "{name}: {s:?}");
+        if name.starts_with("eBNN") {
+            assert!(s.chunk_lane_slots > 0, "{name}: {s:?}");
+        }
+        if name == "eBNN x16" {
+            assert!(s.chunk_lane_slots >= 8 * s.chunk_lane_steps, "{name}: {s:?}");
+            assert!(s.chunk_lane_slots * 10 >= s.chunk_slots * 9, "{name}: {s:?}");
+        }
         if name.starts_with("eBNN x6") {
             assert!(s.undersaturated_slots * 10 > instructions * 9, "{name}: {s:?}");
         }
