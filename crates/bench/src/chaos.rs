@@ -15,8 +15,10 @@
 //!
 //! The campaign is deterministic: same [`ChaosConfig`], same
 //! [`ChaosReport`]. The `chaos_soak` binary runs the full ≥10k-launch
-//! soak in CI; `tests/chaos_soak.rs` runs a shorter slice on every
-//! `cargo test`.
+//! soak in CI. The scenario table ([`SCENARIOS`], [`scenario_config`]),
+//! the retry terms ([`policy`]) and the soak kernel are public: the
+//! differential oracle (`tests/oracle/`) runs every scenario as a
+//! set-layer policy, so a fault class is defined here once.
 
 use dpu_sim::faults::{FaultConfig, FaultPlan};
 use dpu_sim::DpuId;
@@ -24,8 +26,7 @@ use pim_host::{DpuSet, ResilientLaunchPolicy};
 use pim_serve::Rng64;
 use serde::Serialize;
 
-/// Campaign shape: how many launches, how wide a set, how the retry
-/// policy is tuned.
+/// Campaign shape: how many launches, how wide a set.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosConfig {
     /// Launches in the campaign (each with freshly drawn faults).
@@ -36,31 +37,23 @@ pub struct ChaosConfig {
     pub dpus: usize,
     /// Tasklets per launch.
     pub tasklets: usize,
-    /// Retry budget per DPU per launch.
-    pub max_retries: u32,
-    /// Base backoff charged per retry (doubles per retry — the campaign
-    /// runs the exponential-backoff policy).
-    pub backoff_cycles: u64,
 }
 
 impl Default for ChaosConfig {
     fn default() -> Self {
-        Self {
-            launches: 10_000,
-            seed: 0xC4A0_5EED,
-            dpus: 8,
-            tasklets: 2,
-            max_retries: 3,
-            backoff_cycles: 200,
-        }
+        Self { launches: 10_000, seed: 0xC4A0_5EED, dpus: 8, tasklets: 2 }
     }
 }
 
-/// The fault scenarios a launch can draw, with their arming rates.
-const SCENARIOS: [&str; 7] =
+/// The fault scenarios a launch can draw, each armed by
+/// [`scenario_config`].
+pub const SCENARIOS: [&str; 7] =
     ["clean", "bit_flip", "double_flip", "dma_fail", "hang", "offline", "mixed"];
 
-fn scenario_config(scenario: usize, seed: u64) -> FaultConfig {
+/// The fault rates of scenario `scenario` (an index into [`SCENARIOS`]),
+/// drawn from `seed`.
+#[must_use]
+pub fn scenario_config(scenario: usize, seed: u64) -> FaultConfig {
     let base = FaultConfig { seed, ..FaultConfig::default() };
     match SCENARIOS[scenario] {
         "clean" => base,
@@ -77,6 +70,20 @@ fn scenario_config(scenario: usize, seed: u64) -> FaultConfig {
             dpu_offline_prob: 0.1,
             ..base
         },
+    }
+}
+
+/// The campaign's retry terms around `faults`: 3 retries per DPU,
+/// exponential backoff from 200 cycles, and a 5 M-cycle watchdog (so only
+/// injected hangs trip it), quarantined work re-dispatched.
+#[must_use]
+pub fn policy(faults: FaultConfig) -> ResilientLaunchPolicy {
+    ResilientLaunchPolicy {
+        max_retries: 3,
+        backoff_cycles: 200,
+        exponential_backoff: true,
+        watchdog_budget: 5_000_000,
+        ..ResilientLaunchPolicy::with_faults(FaultPlan::new(faults))
     }
 }
 
@@ -167,7 +174,8 @@ impl ChaosReport {
 
 /// The soak kernel: DMA the counter in, spin it down (so hangs have a
 /// window to fire), double it, DMA it out. Golden output = `2 * input`.
-fn soak_program() -> dpu_sim::Program {
+#[must_use]
+pub fn soak_program() -> dpu_sim::Program {
     dpu_sim::asm::assemble(
         "movi r1, 0\n\
          movi r2, 0\n\
@@ -186,6 +194,35 @@ fn soak_program() -> dpu_sim::Program {
     .expect("soak kernel assembles")
 }
 
+/// A set of `dpus` DPUs with the soak kernel loaded and its counter
+/// symbol `x` defined, MRAM ECC armed when asked.
+///
+/// # Panics
+/// On allocation failure (`dpus` outside the machine).
+#[must_use]
+pub fn soak_set(dpus: usize, ecc: bool) -> DpuSet {
+    let mut set = DpuSet::allocate(dpus).expect("allocate soak set");
+    set.define_symbol("x", 8).expect("define soak symbol");
+    set.load(&soak_program()).expect("load soak kernel");
+    set.enable_ecc(ecc);
+    set
+}
+
+/// Stage a fresh counter, drawn from `rng`, on every DPU of a
+/// [`soak_set`]; returns them in DPU order.
+///
+/// # Panics
+/// When `set` has no `x` symbol.
+pub fn stage_soak_inputs(set: &mut DpuSet, rng: &mut Rng64) -> Vec<u64> {
+    let dpus = set.len() as u32;
+    let stage = |d| {
+        let input = 200 + rng.next_u64() % 1800;
+        set.copy_to_dpu(DpuId(d), "x", 0, &input.to_le_bytes()).expect("stage soak input");
+        input
+    };
+    (0..dpus).map(stage).collect()
+}
+
 /// Run a chaos campaign and report. Deterministic in `cfg`.
 ///
 /// # Panics
@@ -193,10 +230,7 @@ fn soak_program() -> dpu_sim::Program {
 /// — never on injected faults; those land in the report.
 #[must_use]
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    let mut set = DpuSet::allocate(cfg.dpus).expect("allocate soak set");
-    set.define_symbol("x", 8).expect("define soak symbol");
-    set.load(&soak_program()).expect("load soak kernel");
-    set.enable_ecc(true);
+    let mut set = soak_set(cfg.dpus, true);
     // Pristine image (COW page-table clone): restored before every
     // launch so one campaign's uncorrectable leftovers cannot leak into
     // the next launch's golden check.
@@ -210,25 +244,12 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
 
     for launch in 0..cfg.launches {
         set.restore(&pristine).expect("pristine image restores");
-        let mut inputs = Vec::with_capacity(cfg.dpus);
-        for d in 0..cfg.dpus {
-            let input = 200 + rng.next_u64() % 1800;
-            set.copy_to_dpu(DpuId(d as u32), "x", 0, &input.to_le_bytes())
-                .expect("stage soak input");
-            inputs.push(input);
-        }
+        let inputs = stage_soak_inputs(&mut set, &mut rng);
 
         let scenario = (rng.next_u64() % SCENARIOS.len() as u64) as usize;
         rep.per_scenario[scenario].1 += 1;
         let fault_seed = pim_serve::splitmix64(cfg.seed ^ launch);
-        let plan = FaultPlan::new(scenario_config(scenario, fault_seed));
-        let policy = ResilientLaunchPolicy {
-            max_retries: cfg.max_retries,
-            backoff_cycles: cfg.backoff_cycles,
-            exponential_backoff: true,
-            watchdog_budget: 5_000_000,
-            ..ResilientLaunchPolicy::with_faults(plan)
-        };
+        let policy = policy(scenario_config(scenario, fault_seed));
         let report =
             set.launch_loaded_resilient(cfg.tasklets, &policy).expect("launch never errors");
 

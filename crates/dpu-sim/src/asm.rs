@@ -623,82 +623,14 @@ mod tests {
     }
 }
 
-/// Disassemble a program back into assembler-accepted source text.
+/// Disassemble a program back into assembler-accepted source text: one
+/// [`Instr`] `Display` line per instruction.
 ///
 /// The output round-trips: `assemble(&disassemble(p))` reproduces `p`
 /// instruction-for-instruction (labels are rendered as absolute targets).
 #[must_use]
 pub fn disassemble(program: &Program) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    for instr in &program.instrs {
-        let line = match *instr {
-            Instr::Nop => "nop".to_owned(),
-            Instr::Halt => "halt".to_owned(),
-            Instr::Movi { rd, imm } => format!("movi {rd}, {imm}"),
-            Instr::Mov { rd, ra } => format!("mov {rd}, {ra}"),
-            Instr::Add { rd, ra, rb } => format!("add {rd}, {ra}, {rb}"),
-            Instr::Addi { rd, ra, imm } => format!("addi {rd}, {ra}, {imm}"),
-            Instr::Sub { rd, ra, rb } => format!("sub {rd}, {ra}, {rb}"),
-            Instr::And { rd, ra, rb } => format!("and {rd}, {ra}, {rb}"),
-            Instr::Or { rd, ra, rb } => format!("or {rd}, {ra}, {rb}"),
-            Instr::Xor { rd, ra, rb } => format!("xor {rd}, {ra}, {rb}"),
-            Instr::Lsl { rd, ra, rb } => format!("lsl {rd}, {ra}, {rb}"),
-            Instr::Lsr { rd, ra, rb } => format!("lsr {rd}, {ra}, {rb}"),
-            Instr::Asr { rd, ra, rb } => format!("asr {rd}, {ra}, {rb}"),
-            Instr::Lsli { rd, ra, sh } => format!("lsli {rd}, {ra}, {sh}"),
-            Instr::Lsri { rd, ra, sh } => format!("lsri {rd}, {ra}, {sh}"),
-            Instr::Asri { rd, ra, sh } => format!("asri {rd}, {ra}, {sh}"),
-            Instr::Mul8 { rd, ra, rb } => format!("mul8 {rd}, {ra}, {rb}"),
-            Instr::Popcount { rd, ra } => format!("popcount {rd}, {ra}"),
-            Instr::Load { width, rd, ra, off } => {
-                let w = match width {
-                    Width::B => "lb",
-                    Width::H => "lh",
-                    Width::W => "lw",
-                };
-                format!("{w} {rd}, {ra}, {off}")
-            }
-            Instr::Store { width, ra, off, rs } => {
-                let w = match width {
-                    Width::B => "sb",
-                    Width::H => "sh",
-                    Width::W => "sw",
-                };
-                format!("{w} {ra}, {off}, {rs}")
-            }
-            Instr::MramRead { wram, mram, len } => format!("mram.read {wram}, {mram}, {len}"),
-            Instr::MramWrite { wram, mram, len } => format!("mram.write {wram}, {mram}, {len}"),
-            Instr::Branch { cond, ra, rb, target } => {
-                let c = match cond {
-                    Cond::Eq => "beq",
-                    Cond::Ne => "bne",
-                    Cond::Lt => "blt",
-                    Cond::Ge => "bge",
-                    Cond::Ltu => "bltu",
-                    Cond::Geu => "bgeu",
-                };
-                format!("{c} {ra}, {rb}, {target}")
-            }
-            Instr::Jump { target } => format!("jmp {target}"),
-            Instr::Jal { rd, target } => format!("jal {rd}, {target}"),
-            Instr::Jr { ra } => format!("jr {ra}"),
-            Instr::CallSub { sub, rd, ra, rb } => {
-                let sym =
-                    if sub == Subroutine::Mulsi3Short { "__mulsi3.short" } else { sub.symbol() };
-                format!("call {sym} {rd}, {ra}, {rb}")
-            }
-            Instr::PerfConfig => "perf.config".to_owned(),
-            Instr::PerfRead { rd } => format!("perf.read {rd}"),
-            Instr::TaskletId { rd } => format!("me {rd}"),
-            Instr::Trace { ra } => format!("trace {ra}"),
-            Instr::Barrier => "barrier".to_owned(),
-            Instr::MutexLock { id } => format!("mutex.lock {id}"),
-            Instr::MutexUnlock { id } => format!("mutex.unlock {id}"),
-        };
-        writeln!(s, "{line}").expect("writing to String cannot fail");
-    }
-    s
+    program.instrs.iter().map(|instr| format!("{instr}\n")).collect()
 }
 
 #[cfg(test)]

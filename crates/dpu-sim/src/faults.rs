@@ -24,8 +24,12 @@
 //! simulated sequentially or work-stolen across threads, and retries see
 //! fresh (but reproducible) draws.
 
-/// One splitmix64 scramble step (public-domain constants).
-fn splitmix64(x: u64) -> u64 {
+/// One splitmix64 scramble step (public-domain constants): the seeded mix
+/// behind every fault draw here, the host link's, and the serving
+/// layer's traffic.
+#[inline]
+#[must_use]
+pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -41,8 +45,10 @@ fn mix(seed: u64, stream: u64, dpu: u32, attempt: u32, idx: u64) -> u64 {
 }
 
 /// Map a scrambled word onto `[0, 1)`.
+#[inline]
+#[must_use]
 #[allow(clippy::cast_precision_loss)]
-fn unit(x: u64) -> f64 {
+pub fn unit(x: u64) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 

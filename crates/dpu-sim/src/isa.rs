@@ -268,6 +268,8 @@ impl Instr {
     }
 }
 
+/// Assembler syntax: [`crate::asm::assemble`] reads back what this
+/// prints (branch and jump targets as absolute indices).
 impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -295,7 +297,7 @@ impl fmt::Display for Instr {
                     Width::H => "lh",
                     Width::W => "lw",
                 };
-                write!(f, "{w} {rd}, [{ra}{off:+}]")
+                write!(f, "{w} {rd}, {ra}, {off}")
             }
             Instr::Store { width, ra, off, rs } => {
                 let w = match width {
@@ -303,7 +305,7 @@ impl fmt::Display for Instr {
                     Width::H => "sh",
                     Width::W => "sw",
                 };
-                write!(f, "{w} [{ra}{off:+}], {rs}")
+                write!(f, "{w} {ra}, {off}, {rs}")
             }
             Instr::MramRead { wram, mram, len } => write!(f, "mram.read {wram}, {mram}, {len}"),
             Instr::MramWrite { wram, mram, len } => write!(f, "mram.write {wram}, {mram}, {len}"),
@@ -311,7 +313,11 @@ impl fmt::Display for Instr {
             Instr::Jump { target } => write!(f, "jmp {target}"),
             Instr::Jal { rd, target } => write!(f, "jal {rd}, {target}"),
             Instr::Jr { ra } => write!(f, "jr {ra}"),
-            Instr::CallSub { sub, rd, ra, rb } => write!(f, "call {sub} {rd}, {ra}, {rb}"),
+            Instr::CallSub { sub, rd, ra, rb } => {
+                let sym =
+                    if sub == Subroutine::Mulsi3Short { "__mulsi3.short" } else { sub.symbol() };
+                write!(f, "call {sym} {rd}, {ra}, {rb}")
+            }
             Instr::PerfConfig => write!(f, "perf.config"),
             Instr::PerfRead { rd } => write!(f, "perf.read {rd}"),
             Instr::TaskletId { rd } => write!(f, "me {rd}"),
@@ -407,7 +413,7 @@ mod tests {
     #[test]
     fn display_round_trips_common_shapes() {
         let i = Instr::Load { width: Width::W, rd: Reg(5), ra: Reg(2), off: -8 };
-        assert_eq!(i.to_string(), "lw r5, [r2-8]");
+        assert_eq!(i.to_string(), "lw r5, r2, -8");
         let b = Instr::Branch { cond: Cond::Ne, ra: Reg(1), rb: Reg(0), target: 3 };
         assert_eq!(b.to_string(), "bne r1, r0, 3");
     }

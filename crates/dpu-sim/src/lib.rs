@@ -68,9 +68,7 @@ pub use isa::{Instr, Program, Reg};
 pub use machine::{
     Engine, IntegrityCounters, Machine, MachineSnapshot, Observe, RunResult, RunSpec,
 };
-pub use memory::{
-    CowMemory, DmaEngine, MemorySnapshot, Mram, ScrubReport, Scrubber, Wram, MRAM_PAGE_BYTES,
-};
+pub use memory::{CowMemory, DmaEngine, MemorySnapshot, Mram, ScrubReport, Wram, MRAM_PAGE_BYTES};
 pub use params::DpuParams;
 pub use pipeline::Pipeline;
 pub use profiler::{BlockCycles, CycleAttribution, Profiler, SubroutineCycles};

@@ -804,69 +804,6 @@ impl PartialEq for CowMemory {
 
 impl Eq for CowMemory {}
 
-/// Cadenced background scrubber: sweeps a [`CowMemory`]'s resident pages
-/// every `interval` launches, correcting single-bit upsets before they
-/// can accumulate into uncorrectable double faults.
-///
-/// The serving layer drives one of these per DPU between batches; lower
-/// intervals trade more sweep work for a smaller window in which a second
-/// upset can land on an already-damaged word.
-#[derive(Debug, Clone)]
-pub struct Scrubber {
-    interval: u64,
-    since: u64,
-    sweeps: u64,
-    total: ScrubReport,
-}
-
-impl Scrubber {
-    /// A scrubber that sweeps every `interval` launches. An interval of 0
-    /// is clamped to 1 (sweep after every launch).
-    #[must_use]
-    pub fn new(interval: u64) -> Self {
-        Self { interval: interval.max(1), since: 0, sweeps: 0, total: ScrubReport::default() }
-    }
-
-    /// Configured sweep cadence in launches.
-    #[must_use]
-    pub fn interval(&self) -> u64 {
-        self.interval
-    }
-
-    /// Number of full sweeps performed so far.
-    #[must_use]
-    pub fn sweeps(&self) -> u64 {
-        self.sweeps
-    }
-
-    /// Accumulated totals across every sweep this scrubber has run.
-    #[must_use]
-    pub fn total(&self) -> &ScrubReport {
-        &self.total
-    }
-
-    /// Record one completed launch; when the cadence fires, sweep `mram`
-    /// and return that sweep's report. Off-cadence launches return `None`
-    /// and cost nothing.
-    pub fn on_launch(&mut self, mram: &mut CowMemory) -> Option<ScrubReport> {
-        self.since += 1;
-        if self.since < self.interval {
-            return None;
-        }
-        Some(self.force(mram))
-    }
-
-    /// Sweep immediately regardless of cadence, resetting the since-last
-    /// counter.
-    pub fn force(&mut self, mram: &mut CowMemory) -> ScrubReport {
-        self.since = 0;
-        self.sweeps += 1;
-        let report = mram.scrub();
-        self.total.merge(&report);
-        report
-    }
-}
-
 /// 64 KiB working RAM (single-cycle access from the pipeline).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Wram(pub LinearMemory);
@@ -1401,53 +1338,6 @@ mod tests {
         assert!(m.ecc_enabled());
         assert!(m.scrub().clean(), "restored sidecar matches restored data");
         assert_eq!(m.to_vec(0, 64).unwrap(), vec![3; 64]);
-    }
-
-    #[test]
-    fn scrubber_sweeps_on_cadence_and_accumulates_totals() {
-        let mut m = CowMemory::new("MRAM", MRAM_PAGE_BYTES);
-        m.set_ecc(true);
-        m.write(0, &[0x11; 64]).unwrap();
-        let golden = m.to_vec(0, 64).unwrap();
-        let mut s = Scrubber::new(3);
-        assert_eq!(s.interval(), 3);
-        // Launches 1 and 2 are off-cadence: no sweep, a latent flip survives.
-        m.flip_bit_raw(8, 5).unwrap();
-        assert!(s.on_launch(&mut m).is_none());
-        assert!(s.on_launch(&mut m).is_none());
-        assert_ne!(m.to_vec(0, 64).unwrap(), golden);
-        // Launch 3 fires the cadence and repairs it.
-        let rep = s.on_launch(&mut m).expect("cadence fires on the third launch");
-        assert_eq!(rep.corrected_data, 1);
-        assert_eq!(m.to_vec(0, 64).unwrap(), golden);
-        assert_eq!(s.sweeps(), 1);
-        // The counter reset: the next two launches are off-cadence again.
-        assert!(s.on_launch(&mut m).is_none());
-        assert!(s.on_launch(&mut m).is_none());
-        let rep = s.on_launch(&mut m).expect("second cadence");
-        assert!(rep.clean());
-        assert_eq!(s.sweeps(), 2);
-        assert_eq!(s.total().corrected_data, 1, "totals accumulate across sweeps");
-    }
-
-    #[test]
-    fn scrubber_force_resets_cadence_and_interval_zero_clamps() {
-        let mut m = CowMemory::new("MRAM", MRAM_PAGE_BYTES);
-        m.set_ecc(true);
-        m.write(0, &[0x42; 32]).unwrap();
-        let mut s = Scrubber::new(2);
-        assert!(s.on_launch(&mut m).is_none());
-        m.flip_bit_raw(4, 1).unwrap();
-        let rep = s.force(&mut m);
-        assert_eq!(rep.corrected_data, 1);
-        // Forcing reset the since-counter, so the next launch is off-cadence.
-        assert!(s.on_launch(&mut m).is_none());
-        assert!(s.on_launch(&mut m).is_some());
-        // Interval 0 clamps to sweep-every-launch.
-        let mut every = Scrubber::new(0);
-        assert_eq!(every.interval(), 1);
-        assert!(every.on_launch(&mut m).is_some());
-        assert!(every.on_launch(&mut m).is_some());
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! attempt)` — the same splitmix64 discipline as the DPU injector — so a
 //! chaos campaign replays bit-identically from its seed.
 
+use dpu_sim::faults::{splitmix64, unit};
+
 /// Seeded fault model for the host↔DPU link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFaultPlan {
@@ -89,11 +91,7 @@ impl LinkPolicy {
     /// (geometric sum: `base * (2^retries - 1)`).
     #[must_use]
     pub fn cumulative_backoff(&self, retries: u32) -> u64 {
-        if retries == 0 {
-            return 0;
-        }
-        let doublings = 1u64.checked_shl(retries).map_or(u64::MAX, |d| d - 1);
-        self.backoff_base_cycles.saturating_mul(doublings)
+        geometric_backoff(self.backoff_base_cycles, retries)
     }
 }
 
@@ -139,22 +137,17 @@ const STREAM_FAIL: u64 = 0x4C4E_4B46_0000_0001; // "LNKF"
 const STREAM_CORRUPT: u64 = 0x4C4E_4B43_0000_0002; // "LNKC"
 const STREAM_SITE: u64 = 0x4C4E_4B53_0000_0003; // "LNKS"
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 fn mix(seed: u64, stream: u64, seq: u64, dpu: u32, attempt: u32) -> u64 {
     let a = splitmix64(seed ^ stream);
     let b = splitmix64(a ^ seq);
     splitmix64(b ^ (u64::from(dpu) << 32 | u64::from(attempt)))
 }
 
-#[allow(clippy::cast_precision_loss)]
-fn unit(x: u64) -> f64 {
-    (x >> 11) as f64 / (1u64 << 53) as f64
+/// Total backoff after `retries` retries that double from `base`:
+/// `base · (2^retries − 1)`, saturating at `u64::MAX`.
+pub(crate) fn geometric_backoff(base: u64, retries: u32) -> u64 {
+    let doublings = 1u64.checked_shl(retries).map_or(u64::MAX, |d| d - 1);
+    base.saturating_mul(doublings)
 }
 
 #[cfg(test)]

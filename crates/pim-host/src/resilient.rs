@@ -114,8 +114,7 @@ impl ResilientLaunchPolicy {
     #[must_use]
     pub fn cumulative_backoff(&self, retries: u32) -> u64 {
         if self.exponential_backoff {
-            let doublings = 1u64.checked_shl(retries).map_or(u64::MAX, |d| d - 1);
-            self.backoff_cycles.saturating_mul(doublings)
+            crate::link::geometric_backoff(self.backoff_cycles, retries)
         } else {
             u64::from(retries).saturating_mul(self.backoff_cycles)
         }

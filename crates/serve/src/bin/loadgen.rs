@@ -172,6 +172,12 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     if a.clients == 0 {
         return Err("--clients: expected at least 1".to_owned());
     }
+    // A schedule must fit the simulated clock: every draw is at most twice
+    // its mean, so the mode's `requests` draws stay under 2^48 cycles.
+    let (flag, mean) = if a.mode == "closed" { ("--think", a.think) } else { ("--gap", a.gap) };
+    if a.requests.checked_mul(mean).and_then(|c| c.checked_mul(2)).is_none_or(|c| c > 1 << 48) {
+        return Err(format!("{flag}: {} requests of mean {mean} overrun 2^48 cycles", a.requests));
+    }
     Ok(a)
 }
 

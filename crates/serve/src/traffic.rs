@@ -6,17 +6,10 @@
 //! bit-determinism guarantee rests on this.
 
 use crate::request::{Completion, Overloaded, Request};
+/// The fault injector's splitmix64 step (re-exported: the serve engine
+/// derives per-batch fault seeds with it).
+pub use dpu_sim::faults::splitmix64;
 use std::collections::{BTreeMap, BinaryHeap};
-
-/// One splitmix64 step (public: the serve engine reuses it to derive
-/// per-batch fault seeds).
-#[must_use]
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A tiny seeded integer RNG (splitmix64 stream).
 #[derive(Debug, Clone)]
@@ -33,11 +26,9 @@ impl Rng64 {
 
     /// Next raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
+        let z = splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        z
     }
 
     /// Uniform draw in `lo..=hi` (modulo bias is irrelevant for traffic
@@ -49,10 +40,11 @@ impl Rng64 {
         lo + self.next_u64() % (hi - lo + 1)
     }
 
-    /// A positive gap with mean ≈ `mean` (uniform on `1..=2·mean−1`).
+    /// A positive gap with mean ≈ `mean` (uniform on `1..=2·mean−1`, the
+    /// bound saturating for a mean past `u64::MAX / 2`).
     pub fn gap(&mut self, mean: u64) -> u64 {
         let m = mean.max(1);
-        self.range(1, 2 * m - 1)
+        self.range(1, m.saturating_add(m - 1))
     }
 }
 

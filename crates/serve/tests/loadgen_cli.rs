@@ -9,7 +9,10 @@ fn loadgen(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn bad_flags_print_usage_and_exit_2() {
-    let cases: [&[&str]; 10] = [
+    let cases: [&[&str]; 13] = [
+        &["--gap", "18446744073709551615", "--requests", "3", "--dpus", "2"],
+        &["--gap", "9223372036854775808", "--requests", "3", "--dpus", "2"],
+        &["--mode", "closed", "--think", "18446744073709551615", "--requests", "3"],
         &["--seed", "x"],
         &["--items", "3..x"],
         &["--requests"],

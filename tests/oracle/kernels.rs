@@ -1,11 +1,14 @@
 //! The fixed inputs: the paper's kernels at the shapes a served DPU runs
-//! them, staged by the same engines that serve them.
+//! them, staged by the same engines that serve them, and the chaos soak's
+//! kernel as its campaign stages it.
 
 use crate::machine::Input;
 use crate::set::SetInput;
-use dpu_sim::DpuId;
-use ebnn::codegen::Tier1Engine;
+use dpu_sim::{DpuId, Machine};
+use ebnn::codegen::{Tier1Engine, WramLayout};
 use ebnn::{EbnnModel, ModelConfig};
+use pim_bench::chaos;
+use pim_host::{DpuSet, LinkPolicy, LinkStats};
 use yolo_pim::codegen::RowEngine;
 use yolo_pim::gemm::GemmDims;
 
@@ -17,23 +20,32 @@ fn ebnn_batch() -> (EbnnModel, Vec<ebnn::mnist::GrayImage>) {
 }
 
 /// An eBNN engine over `dpus` DPUs with `images` staged, ECC armed first
-/// when asked.
-fn ebnn_engine(dpus: usize, images: usize, ecc: bool) -> Tier1Engine {
+/// when asked, through checked transfers under `link` if given.
+fn ebnn_engine(dpus: usize, images: usize, ecc: bool, link: Option<LinkPolicy>) -> Tier1Engine {
     let (model, batch) = ebnn_batch();
     let mut engine = Tier1Engine::new(&model, dpus).expect("eBNN engine");
     engine.enable_ecc(ecc);
+    engine.set_mut().set_link_policy(link);
     engine.stage(&model, &batch[..images], 0).expect("stage images");
     engine
 }
 
 /// A GEMM row engine over `dpus` DPUs for `tasklets`, `rows` rows of a
-/// 24 × 40 `A` staged, ECC armed first when asked.
-fn row_engine(dpus: usize, rows: usize, tasklets: usize, ecc: bool) -> RowEngine {
+/// 24 × 40 `A` staged, ECC armed first when asked, through checked
+/// transfers under `link` if given.
+fn row_engine(
+    dpus: usize,
+    rows: usize,
+    tasklets: usize,
+    ecc: bool,
+    link: Option<LinkPolicy>,
+) -> RowEngine {
     let dims = GemmDims { m: rows, n: 40, k: 24 };
     let a: Vec<i16> = (0..rows * dims.k).map(|i| ((i * 7 % 13) as i16) - 6).collect();
     let b: Vec<i16> = (0..dims.k * dims.n).map(|i| ((i * 5 % 11) as i16) - 5).collect();
     let mut engine = RowEngine::new(dims, 1, &b, dpus, tasklets).expect("row engine");
     engine.set_mut().enable_ecc(ecc);
+    engine.set_mut().set_link_policy(link);
     engine.stage(&a).expect("stage A rows");
     engine
 }
@@ -63,11 +75,11 @@ pub fn paper_kernels() -> Vec<Input> {
     .into_iter()
     .map(|(name, images, tasklets, cut)| {
         let staged = [false, true]
-            .map(|ecc| ebnn_engine(1, images, ecc).set().system().dpu(DpuId(0)).clone());
+            .map(|ecc| ebnn_engine(1, images, ecc, None).set().system().dpu(DpuId(0)).clone());
         Input::staged(name, ebnn.clone(), tasklets, staged, FIRST_INPUT, cut)
     })
     .collect();
-    let row = |ecc| row_engine(1, 1, 11, ecc);
+    let row = |ecc| row_engine(1, 1, 11, ecc, None);
     let staged = [false, true].map(|ecc| row(ecc).set().system().dpu(DpuId(0)).clone());
     let program = row(false).set().loaded_program().expect("loaded").clone();
     inputs.push(Input::staged("GEMM row x11", program, 11, staged, FIRST_INPUT, 557));
@@ -77,13 +89,51 @@ pub fn paper_kernels() -> Vec<Input> {
 /// A multi-DPU eBNN batch whose last chunk is partial: 16 + 2 images on 5
 /// DPUs, three of them idle (the serving shape whose idle DPUs replay).
 pub fn ebnn_set() -> SetInput {
-    let ebnn = [false, true].map(|ecc| ebnn_engine(5, 18, ecc));
-    SetInput::staged("eBNN 16 + 2 images on 5 DPUs", 16, [ebnn[0].set(), ebnn[1].set()], 11)
+    let ebnn = [false, true].map(|ecc| ebnn_engine(5, 18, ecc, None));
+    // Each staged image's features, without the record's padding (which
+    // the write-back DMA fills from WRAM past them).
+    let base = ebnn[0].set().symbols().get("features").unwrap().offset;
+    let fpi = WramLayout::new(1).features_per_image() as usize;
+    let record = fpi.div_ceil(8) * 8;
+    let chunks = ebnn[0].staged_chunks(0).expect("a staged batch");
+    let images = |&n| (0..n).map(|i| base + i * record..base + i * record + fpi).collect();
+    let outputs = chunks.iter().map(images).collect();
+    let sets = [ebnn[0].set(), ebnn[1].set()];
+    SetInput::staged("eBNN 16 + 2 images on 5 DPUs", 16, sets, 11, outputs)
 }
 
 /// Four GEMM rows on 5 DPUs at 11 tasklets, the fifth DPU's row all
 /// zeros.
 pub fn gemm_set() -> SetInput {
-    let rows = [false, true].map(|ecc| row_engine(5, 4, 11, ecc));
-    SetInput::staged("GEMM 4 rows on 5 DPUs", 11, [rows[0].set(), rows[1].set()], 12)
+    let rows = [false, true].map(|ecc| row_engine(5, 4, 11, ecc, None));
+    let sets = [rows[0].set(), rows[1].set()];
+    SetInput::staged("GEMM 4 rows on 5 DPUs", 11, sets, 12, answers(sets[0], "c_row", 2 * 40))
+}
+
+/// The DPUs of [`ebnn_set`] and [`gemm_set`], staged with ECC `ecc`
+/// through checked transfers under `link` if given, with the link's
+/// statistics.
+pub fn kernel_sets_through(ecc: bool, link: Option<LinkPolicy>) -> [(Vec<Machine>, LinkStats); 2] {
+    let take =
+        |set: &DpuSet| (set.system().iter().map(|(_, m)| m.clone()).collect(), set.link_stats());
+    [take(ebnn_engine(5, 18, ecc, link).set()), take(row_engine(5, 4, 11, ecc, link).set())]
+}
+
+/// The chaos soak's kernel on 8 DPUs at its 2 tasklets, staged with the
+/// counters of the campaign's first launch.
+pub fn soak_set() -> SetInput {
+    let cfg = chaos::ChaosConfig::default();
+    let sets = [false, true].map(|ecc| {
+        let mut set = chaos::soak_set(cfg.dpus, ecc);
+        chaos::stage_soak_inputs(&mut set, &mut pim_serve::Rng64::new(cfg.seed));
+        set
+    });
+    let outputs = answers(&sets[0], "x", 8);
+    SetInput::staged("chaos soak kernel on 8 DPUs", cfg.tasklets, [&sets[0], &sets[1]], 13, outputs)
+}
+
+/// The first `len` bytes of `symbol` as every DPU's answer.
+fn answers(set: &DpuSet, symbol: &str, len: usize) -> Vec<Vec<std::ops::Range<usize>>> {
+    let at = set.symbols().get(symbol).expect("an output symbol").offset;
+    vec![vec![at..at + len]; set.len()]
 }

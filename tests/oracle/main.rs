@@ -11,13 +11,19 @@
 //! - [`machine`]: `Machine::execute` over engine × sighting × faults ×
 //!   ECC × observer, to completion and cut short by a budget;
 //! - [`set`]: `DpuSet::launch_with` on one to eight DPUs over form ×
-//!   dispatch × policy × ECC × trace, three launches per cell.
+//!   dispatch × policy × ECC × trace, three launches per cell, where the
+//!   policy axis includes the fault classes: every scenario of the chaos
+//!   campaign's table (`pim_bench::chaos`).
 //!
 //! What a cell must leave is an [`machine::Aftermath`]: the outcome, WRAM,
-//! MRAM, DMA totals, perf counter and injected faults. [`predicates`]
-//! holds the hand-written checks that are not identities: that replay
-//! fires exactly when a read set matches, that the fast tier reaches its
-//! batched modes, and how attribution and the replay table behave.
+//! MRAM, DMA totals, perf counter and injected faults; a fault-armed set
+//! cell must also keep the fault contract — an exact answer or a surfaced,
+//! explained loss, the same on every dispatch. [`predicates`] holds the
+//! hand-written checks that are not identities: that replay fires exactly
+//! when a read set matches, that the fast tier reaches its batched modes,
+//! how attribution and the replay table behave, that the fault classes
+//! reach every fault kind and outcome, and that link faults (CRC-checked
+//! staging) never reach memory.
 
 mod generate;
 mod kernels;

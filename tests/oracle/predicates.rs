@@ -2,19 +2,25 @@
 //! exactly when the read set matches, that the fast tier really reaches
 //! each batched mode on the shapes built for it (and agrees with the
 //! reference at every budget there), how attribution merges and folds,
-//! how long a replay table lives, and that host copies and restores need
-//! no invalidation hook.
+//! how long a replay table lives, that host copies and restores need
+//! no invalidation hook, that the fault-class axis reaches every fault and
+//! every outcome, and that link faults never reach staged memory.
 
 use crate::generate::{racy_program, random_programs, Disruption, Event, Gate, RacyOp};
 use crate::machine::{run, seeded, Aftermath, Cell, Faults, Run, Watch};
+use crate::set::{self, Policy};
 use dpu_sim::asm::assemble;
 use dpu_sim::exec::is_superblock_op;
 use dpu_sim::isa::{Instr, Program, Reg, Width};
 use dpu_sim::{
-    CycleAttribution, DpuId, Engine, EngineStats, ExecProgram, Machine, Observe, RunSpec,
+    CycleAttribution, DpuId, Engine, EngineStats, ExecProgram, FaultConfig, Machine, Observe,
+    RunSpec,
 };
-use pim_host::{DpuSet, LaunchResult, LaunchSpec, ResilientLaunchPolicy};
+use pim_host::{
+    DpuSet, LaunchResult, LaunchSpec, LinkFaultPlan, LinkPolicy, ResilientLaunchPolicy, ServeHealth,
+};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// The plain launch of `exec` on a copy of `machine` on `engine`.
 fn plain(exec: &ExecProgram, machine: &Machine, tasklets: usize, engine: Engine) -> Run {
@@ -647,4 +653,82 @@ fn attribution_merges_and_folds() {
     assert!(top.windows(2).all(|w| w[0].cycles >= w[1].cycles), "not sorted: {top:?}");
     let hottest_total: u64 = attr.top_blocks(usize::MAX).iter().map(|b| b.cycles).sum();
     assert_eq!(hottest_total, result.cycles);
+}
+
+/// The chaos soak's kernel through the fault-class axis, plus three
+/// scenarios composed from the campaign's table: `offline` with DPU 3
+/// offline on every attempt, and two pairs of classes at certainty (a flip
+/// riding a failing DMA; a hang on an offline DPU). Together they fire
+/// every fault kind and reach every serve health — a survivor serving a
+/// quarantined DPU's work among them, its answer checked by
+/// `set::check_with` like every served DPU's. A flip is repaired
+/// somewhere, and a double flip surfaces as an uncorrectable word. The
+/// pairs quarantine every DPU in four attempts each, with nothing left to
+/// re-dispatch onto.
+#[test]
+fn fault_classes_reach_every_kind_and_health() {
+    let input = crate::kernels::soak_set();
+    let composed = |name, base, config: fn(FaultConfig) -> FaultConfig| {
+        Policy::scenario(name, config(set::scenario_config(base, input.seed)))
+    };
+    let pairs = ["flip + DMA at certainty", "hang + offline at certainty"];
+    let mut policies = set::scenarios(input.seed);
+    policies.extend([
+        composed("offline, DPU 3 forced", "offline", |c| FaultConfig {
+            forced_offline: vec![3],
+            ..c
+        }),
+        composed(pairs[0], "bit_flip", |c| FaultConfig {
+            bit_flip_prob: 1.0,
+            dma_fail_prob: 1.0,
+            ..c
+        }),
+        composed(pairs[1], "hang", |c| FaultConfig { hang_prob: 1.0, dpu_offline_prob: 1.0, ..c }),
+    ]);
+    let launched = set::check_with(&input, &policies);
+
+    let dpus = input.staged[0].len();
+    for l in launched.iter().filter(|l| pairs.contains(&l.policy.as_str())) {
+        let r = &l.report;
+        assert_eq!(r.quarantined.len(), dpus, "{}: every DPU quarantined", l.policy);
+        assert!(r.degraded.is_empty(), "{}: no survivor to re-dispatch onto", l.policy);
+        assert!(r.per_dpu.iter().all(|d| d.attempts == 4 && d.result.is_none()), "{r:?}");
+    }
+    let dpu_reports = || launched.iter().flat_map(|l| &l.report.per_dpu);
+    let kinds: BTreeSet<&str> =
+        dpu_reports().flat_map(|d| &d.faults).map(|f| f.kind.label()).collect();
+    let every = ["dma_fail", "dpu_offline", "mram_bit_flip", "tasklet_hang", "wram_bit_flip"];
+    assert_eq!(kinds, BTreeSet::from(every), "fault kinds fired");
+    use ServeHealth::{Degraded, Healthy, HealthyAfterRepair, Unserved};
+    for health in [Healthy, HealthyAfterRepair, Degraded, Unserved] {
+        assert!(dpu_reports().any(|d| d.health() == health), "{health:?} never occurs");
+    }
+    assert!(dpu_reports().any(|d| d.repairs() > 0), "no flip was repaired");
+    let double_flips = launched.iter().filter(|l| l.policy == "double_flip" && l.ecc);
+    let mut surfaced = double_flips.flat_map(|l| &l.report.per_dpu);
+    assert!(surfaced.any(|d| !d.scrub.uncorrectable.is_empty()), "no uncorrectable word");
+}
+
+/// Link faults on staging: every frame the link corrupts or aborts is
+/// retried until one verifies, so both kernel sets stage exactly as over a
+/// clean link — with ECC off and on, where the link's error never becomes
+/// a storage error — and the same draws give the same statistics.
+#[test]
+fn link_faults_retry_to_the_clean_staging() {
+    let plan = LinkFaultPlan { seed: 5, corrupt_prob: 0.3, fail_prob: 0.1 };
+    let link = LinkPolicy { max_retries: 16, ..LinkPolicy::with_faults(plan) };
+    for ecc in [false, true] {
+        let clean = crate::kernels::kernel_sets_through(ecc, None);
+        let [first, second] = [0, 1].map(|_| crate::kernels::kernel_sets_through(ecc, Some(link)));
+        for (k, ((clean, _), ((faulty, stats), (_, again)))) in
+            clean.iter().zip(first.iter().zip(&second)).enumerate()
+        {
+            assert_eq!(stats, again, "set {k}, ecc={ecc}: same draws, same statistics");
+            assert!(stats.crc_mismatches > 0 && stats.exhausted == 0, "set {k}: {stats:?}");
+            for (d, (m, c)) in faulty.iter().zip(clean).enumerate() {
+                assert!(m.wram == c.wram && m.mram == c.mram, "set {k}, DPU {d}, ecc={ecc}");
+                assert!(m.mram.clone().scrub().clean(), "set {k}, DPU {d}: a storage error");
+            }
+        }
+    }
 }

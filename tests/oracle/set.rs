@@ -5,25 +5,42 @@
 //! staging, and each DPU's machine-layer reference is the reference loop
 //! run three times on its staged machine. Every cell of form {loaded, ad
 //! hoc} × dispatch {sequential, forked} × policy {none, zero-fault,
-//! default, default terms with a zero plan, seeded} × ECC {off, on} ×
-//! trace {off, on} then launches a fresh copy of the set three times, so
-//! workers share recordings across DPUs and launches (once for the ad hoc
-//! form, whose decoded program lives for one launch). Without a policy and
-//! under a zero-fault one — and under default terms on an input whose
-//! every DPU is served — every launch reports the same [`LaunchReport`]
-//! (the whole report, not just its results) and leaves every DPU as its
-//! reference left it; default terms that retry, and a seeded policy,
-//! agree with their own kind in report, trace buffers and memory.
+//! default, default terms with a zero plan} × ECC {off, on} × trace {off,
+//! on} then launches a fresh copy of the set three times, so workers share
+//! recordings across DPUs and launches (once for the ad hoc form, whose
+//! decoded program lives for one launch).
+//!
+//! The fault-class axis adds the chaos campaign's scenarios
+//! ([`pim_bench::chaos::SCENARIOS`], under the campaign's retry terms) as
+//! policies: `mixed` over that whole grid, every other scenario loaded and
+//! untraced, over dispatch × ECC, launched once (a plan draws the same
+//! faults at every launch).
+//!
+//! Without a policy and under a zero-fault one — and under any zero plan
+//! on an input whose every DPU is served within the watchdog — every
+//! launch reports the same [`LaunchReport`] (the whole report, not just
+//! its results) and leaves every DPU as its reference left it; default
+//! terms that retry, and each armed scenario, agree with their own kind in
+//! report, trace buffers and memory. Every report balances its books
+//! ([`books_balance`]). On an input whose outputs depend only on its MRAM
+//! ([`SetInput::outputs`]) the fault contract holds too: with ECC on, or
+//! under a flip-free plan, every DPU served (in place or by a survivor)
+//! holds exactly its reference's answer, and single-bit flips under ECC
+//! consume no retry.
 
 use crate::generate::Generated;
 use crate::machine::{replay_counters, same, seeded, Aftermath};
-use dpu_sim::faults::FaultConfig;
-use dpu_sim::{DmaEngine, Engine, ExecProgram, FaultPlan, Machine, Mram, Program, RunSpec, Wram};
+use dpu_sim::{
+    DmaEngine, DpuId, Engine, ExecProgram, FaultConfig, FaultPlan, Machine, Mram, Program, RunSpec,
+    Wram,
+};
+use pim_bench::chaos;
 use pim_host::{
     DpuSet, HostError, LaunchObservation, LaunchReport, LaunchSpec, ResilientLaunchPolicy,
 };
 use pim_trace::TraceBuffer;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Launches per cell.
 const LAUNCHES: usize = 3;
@@ -35,8 +52,13 @@ pub struct SetInput {
     pub tasklets: usize,
     /// Every DPU as staged: with ECC off, and with ECC armed first.
     pub staged: [Vec<Machine>; 2],
-    /// Seed of the seeded policy's fault plan.
+    /// Seed of the scenarios' fault plans.
     pub seed: u64,
+    /// Per DPU, the MRAM spans holding its answer, which depends only on
+    /// its MRAM (a kernel's). None for a generated program: its answer
+    /// also depends on WRAM, which a failed attempt leaves dirty for the
+    /// retry.
+    pub outputs: Vec<Vec<Range<usize>>>,
 }
 
 impl SetInput {
@@ -45,14 +67,22 @@ impl SetInput {
     pub fn generated(g: Generated, dpus: usize, seed: u64) -> Self {
         let staged = [false, true].map(|ecc| (0..dpus as u32).map(|i| seeded(i, ecc)).collect());
         let name = format!("{dpus} DPUs, {} tasklets, {:?}", g.tasklets, g.program);
-        Self { name, program: g.program, tasklets: g.tasklets, staged, seed }
+        let outputs = Vec::new();
+        Self { name, program: g.program, tasklets: g.tasklets, staged, seed, outputs }
     }
 
-    /// The DPUs of `set` as staged (`[ECC off, ECC on]`).
-    pub fn staged(name: &str, tasklets: usize, sets: [&DpuSet; 2], seed: u64) -> Self {
+    /// The DPUs of a kernel's `sets` as staged (`[ECC off, ECC on]`), with
+    /// the spans of each DPU's answer.
+    pub fn staged(
+        name: &str,
+        tasklets: usize,
+        sets: [&DpuSet; 2],
+        seed: u64,
+        outputs: Vec<Vec<Range<usize>>>,
+    ) -> Self {
         let program = sets[0].loaded_program().expect("a loaded program").clone();
         let staged = sets.map(|set| set.system().iter().map(|(_, m)| m.clone()).collect());
-        Self { name: name.to_owned(), program, tasklets, staged, seed }
+        Self { name: name.to_owned(), program, tasklets, staged, seed, outputs }
     }
 
     /// A fresh set holding the staged DPUs, the program loaded.
@@ -67,21 +97,50 @@ impl SetInput {
     }
 }
 
-/// The seeded policy: DMA failures, offline DPUs and bit flips, retried
-/// and re-dispatched.
-fn seeded_policy(seed: u64) -> ResilientLaunchPolicy {
-    let plan = FaultPlan::new(FaultConfig {
-        seed,
-        dma_fail_prob: 0.2,
-        dpu_offline_prob: 0.2,
-        bit_flip_prob: 0.3,
-        ..FaultConfig::default()
-    });
-    ResilientLaunchPolicy {
-        max_retries: 2,
-        backoff_cycles: 500,
-        ..ResilientLaunchPolicy::with_faults(plan)
+/// One value of the policy axis.
+pub struct Policy {
+    pub name: String,
+    pub policy: Option<ResilientLaunchPolicy>,
+    /// Launches under policies of one group agree with one another;
+    /// `"plain"` ones also with the reference.
+    group: String,
+    /// Whether it runs over form × trace too.
+    grid: bool,
+}
+
+impl Policy {
+    /// `policy` over the whole grid, agreeing with `group`.
+    fn new(name: &str, policy: Option<ResilientLaunchPolicy>, group: &str) -> Self {
+        Self { name: name.to_owned(), policy, group: group.to_owned(), grid: true }
     }
+
+    /// The campaign's terms around `faults`, loaded and untraced.
+    pub fn scenario(name: &str, faults: FaultConfig) -> Self {
+        let policy = Some(chaos::policy(faults));
+        Self { name: name.to_owned(), policy, group: name.to_owned(), grid: false }
+    }
+}
+
+/// The chaos campaign's scenario `name`, drawn from `seed`.
+pub fn scenario_config(name: &str, seed: u64) -> FaultConfig {
+    let index = chaos::SCENARIOS.iter().position(|&s| s == name).expect("a chaos scenario");
+    chaos::scenario_config(index, seed)
+}
+
+/// The fault-class axis: every chaos scenario, drawn from `seed`.
+pub fn scenarios(seed: u64) -> Vec<Policy> {
+    let scenario = |&name| {
+        let p = Policy::scenario(name, scenario_config(name, seed));
+        Policy { grid: name == "mixed", ..p }
+    };
+    chaos::SCENARIOS.iter().map(scenario).collect()
+}
+
+/// One launch of a cell.
+pub struct Served {
+    pub policy: String,
+    pub ecc: bool,
+    pub report: LaunchReport,
 }
 
 /// Each DPU's memory after a launch.
@@ -99,19 +158,61 @@ fn memory(set: &DpuSet) -> Memory {
     set.system().iter().map(|(_, m)| (m.wram.clone(), m.mram.clone(), m.dma)).collect()
 }
 
-/// Which launches must agree: every plain-terms launch (none, zero-fault,
-/// and default terms on an input whose every DPU is served) with the
-/// reference; default terms that retry, and a seeded policy, with their
-/// own kind across the other axes.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Group {
-    Plain,
-    Retrying,
-    Seeded,
+/// The books of any report of any launch: attempts within `1..=max + 1`;
+/// quarantined exactly when a DPU exhausted them without a home result; a
+/// stand-in only for a quarantined DPU; an error on every unserved DPU; a
+/// re-dispatch only from a quarantined victim to a live survivor, taking
+/// cycles; the quarantine list ascending; the metrics agreeing.
+fn books_balance(report: &LaunchReport, max_retries: u32, cell: &str) {
+    for (i, r) in report.per_dpu.iter().enumerate() {
+        let quarantined = report.quarantined.contains(&DpuId(i as u32));
+        let (attempts, max) = (r.attempts, max_retries + 1);
+        assert!((1..=max).contains(&attempts), "{cell}, DPU {i}: {attempts} attempts");
+        let exhausted = attempts == max && (r.result.is_none() || r.served_by.is_some());
+        assert_eq!(quarantined, exhausted, "{cell}, DPU {i}: quarantine books: {r:?}");
+        assert!(r.served_by.is_none() || r.result.is_some() && quarantined, "{cell}, DPU {i}");
+        assert!(quarantined || r.last_error.is_none(), "{cell}, DPU {i}: {r:?}");
+        assert!(r.result.is_some() || r.last_error.is_some(), "{cell}, DPU {i}: unexplained");
+    }
+    for d in &report.degraded {
+        let pairs = report.quarantined.contains(&d.from) && !report.quarantined.contains(&d.to);
+        assert!(pairs && d.cycles > 0, "{cell}: re-dispatch {d:?}");
+    }
+    assert!(report.quarantined.windows(2).all(|w| w[0] < w[1]), "{cell}: quarantine order");
+    let m = report.metrics();
+    let books = [
+        ("resilient.retries", report.retries()),
+        ("resilient.quarantined", report.quarantined.len() as u64),
+        ("resilient.redispatched", report.degraded.len() as u64),
+        ("resilient.faults_injected", report.faults_injected() as u64),
+    ];
+    for (key, want) in books {
+        assert_eq!(m.counter(key), want, "{cell}: {key}");
+    }
 }
 
-/// Every cell of `input`.
-pub fn check(input: &SetInput) {
+/// Every cell of `input`, over the plain policies and the fault-class
+/// axis; returns every launch.
+pub fn check(input: &SetInput) -> Vec<Served> {
+    // The plain launch's own terms, with a plan that injects nothing.
+    let zero = ResilientLaunchPolicy {
+        max_retries: 0,
+        redispatch: false,
+        ..ResilientLaunchPolicy::with_faults(FaultPlan::none())
+    };
+    let armed_zero = ResilientLaunchPolicy::with_faults(FaultPlan::none());
+    let mut policies = vec![
+        Policy::new("none", None, "plain"),
+        Policy::new("zero-fault", Some(zero), "plain"),
+        Policy::new("default", Some(ResilientLaunchPolicy::default()), "default"),
+        Policy::new("default terms, armed zero", Some(armed_zero), "default"),
+    ];
+    policies.extend(scenarios(input.seed));
+    check_with(input, &policies)
+}
+
+/// Every cell of `input` under `policies`; returns every launch.
+pub fn check_with(input: &SetInput, policies: &[Policy]) -> Vec<Served> {
     let dpus = input.staged[0].len();
     // Machine-layer references, per ECC setting, launch and DPU.
     let exec = ExecProgram::decode(&input.program);
@@ -131,59 +232,61 @@ pub fn check(input: &SetInput) {
             (0..LAUNCHES).map(|_| launch()).collect()
         })
         .collect();
-    // Whether every DPU is served in every launch: then a policy's retries
-    // and re-dispatch have nothing to do.
-    let served = references.iter().map(|l| l.iter().flatten().all(|a| a.outcome.is_ok()));
-    let served: Vec<bool> = served.collect();
+    // The longest run, if every DPU is served in every launch: then a
+    // policy whose watchdog it fits under has nothing to retry or
+    // re-dispatch.
+    let longest: Vec<Option<u64>> = references
+        .iter()
+        .map(|l| {
+            l.iter().flatten().try_fold(0, |max, a| Some(a.outcome.as_ref().ok()?.cycles.max(max)))
+        })
+        .collect();
 
-    // The plain launch's own terms, with a plan that injects nothing.
-    let zero = ResilientLaunchPolicy {
-        max_retries: 0,
-        redispatch: false,
-        ..ResilientLaunchPolicy::with_faults(FaultPlan::none())
-    };
-    let default = ResilientLaunchPolicy::default();
-    let armed_zero = ResilientLaunchPolicy::with_faults(FaultPlan::none());
-    let seeded = seeded_policy(input.seed);
-    let policies = [
-        ("none", None),
-        ("zero-fault", Some(&zero)),
-        ("default", Some(&default)),
-        ("default terms, armed zero", Some(&armed_zero)),
-        ("seeded", Some(&seeded)),
-    ];
     let mut cells = Vec::new();
     for ecc in [false, true] {
-        for policy in policies {
-            for trace in [false, true] {
-                for adhoc in [false, true] {
-                    cells.extend([false, true].map(|forked| (ecc, policy, trace, adhoc, forked)));
+        for p in policies {
+            let grid: &[bool] = if p.grid { &[false, true] } else { &[false] };
+            for &trace in grid {
+                for &adhoc in grid {
+                    cells.extend([false, true].map(|forked| (ecc, p, trace, adhoc, forked)));
                 }
             }
         }
     }
     // What each launch must report, trace and leave behind: one for every
-    // plain-terms launch, one per ECC setting for the others.
-    let mut expected: BTreeMap<(Group, bool, usize), Expected> = BTreeMap::new();
-    for (ecc, (policy_name, policy), trace, adhoc, forked) in cells {
+    // plain launch, one per group and ECC setting for the others.
+    let mut expected: BTreeMap<(String, bool, usize), Expected> = BTreeMap::new();
+    let mut launched = Vec::new();
+    for (ecc, p, trace, adhoc, forked) in cells {
+        let policy = p.policy.as_ref();
+        let max_retries = policy.map_or(0, |p| p.max_retries);
+        let plan = policy.and_then(|p| p.faults.as_ref());
+        let zero_plan = plan.is_none_or(FaultPlan::is_zero);
+        let in_time = |p: &ResilientLaunchPolicy| {
+            longest[usize::from(ecc)].is_some_and(|cycles| cycles < p.watchdog_budget)
+        };
+        let plain = p.group == "plain" || zero_plan && policy.is_some_and(in_time);
+        let group = if plain { "plain" } else { p.group.as_str() };
+        // Whether the fault contract pins a served DPU's answer to its
+        // reference's: with ECC on, every flip is repaired.
+        let flip_free = plan
+            .map(FaultPlan::config)
+            .is_none_or(|c| c.bit_flip_prob == 0.0 && c.double_flip_prob == 0.0);
+        let exact = ecc || flip_free;
         let mut set = input.set(ecc);
         set.set_parallel_threshold(Some(if forked { 1 } else { usize::MAX }));
         // An ad hoc launch decodes its program afresh, so a second one
-        // shares no recording with the first: one launch is its cell.
-        let launches = if adhoc { 1 } else { LAUNCHES };
+        // shares no recording with the first: one launch is its cell. So
+        // is a scenario's off the grid: its plan would draw again what it
+        // drew at the first.
+        let launches = if adhoc || !p.grid { 1 } else { LAUNCHES };
+        // DPUs served in every launch so far.
+        let mut intact = vec![true; dpus];
         for (launch, references) in references[usize::from(ecc)].iter().enumerate().take(launches) {
             let cell = format!(
-                "{}: ecc={ecc} policy={policy_name} trace={trace} adhoc={adhoc} forked={forked} \
-                 launch {launch}",
-                input.name
+                "{}: ecc={ecc} policy={} trace={trace} adhoc={adhoc} forked={forked} launch {launch}",
+                input.name, p.name
             );
-            let group = match policy_name {
-                "seeded" => Group::Seeded,
-                "default" | "default terms, armed zero" if !served[usize::from(ecc)] => {
-                    Group::Retrying
-                }
-                _ => Group::Plain,
-            };
             let mut obs = LaunchObservation::new();
             let before = set.system().engine_stats();
             let form = if adhoc {
@@ -195,9 +298,11 @@ pub fn check(input: &SetInput) {
             let (report, buffers) = set.launch_with(spec).expect("launch");
             let stats = set.system().engine_stats().since(&before);
             assert_eq!(buffers.len(), if trace { dpus } else { 0 }, "{cell}");
+            books_balance(&report, max_retries, &cell);
+            launched.push(Served { policy: p.name.clone(), ecc, report: report.clone() });
             // Armed attempts bypass the table; only a re-dispatch pass
             // (after a quarantine) runs clean.
-            if trace || ecc || (group == Group::Seeded && report.quarantined.is_empty()) {
+            if trace || ecc || (!zero_plan && report.quarantined.is_empty()) {
                 assert_eq!(replay_counters(&stats), [0; 4], "{cell}: bypasses the table");
             }
             if policy.is_some() || report.fully_served() {
@@ -209,20 +314,29 @@ pub fn check(input: &SetInput) {
                 let want = forked.then_some(workers as f64);
                 assert_eq!(m.gauge("obs.steal.workers"), want, "{cell}");
             }
-            let key = (group, group != Group::Plain && ecc, launch);
+            let key = (group.to_owned(), !plain && ecc, launch);
             let want = expected.entry(key).or_default();
             assert!(same(&mut want.report, &report), "{cell}: report");
             assert!(!trace || same(&mut want.buffers, &buffers), "{cell}: trace buffers");
-            if group != Group::Plain {
+            if !plain {
                 assert!(same(&mut want.memory, &memory(&set)), "{cell}: memory");
-                if launch == 0 {
+                let dpus = set.system().iter().zip(&report.per_dpu).zip(references);
+                for (d, (((_, m), served), r)) in dpus.enumerate() {
                     // A first attempt nothing was injected into is a plain run.
-                    for (d, (served, r)) in report.per_dpu.iter().zip(references).enumerate() {
-                        if served.attempts == 1 && served.faults.is_empty() {
-                            let want = r.outcome.as_ref().ok();
-                            assert_eq!(served.result.as_ref(), want, "{cell}, DPU {d}: silent");
-                        }
+                    if launch == 0 && served.attempts == 1 && served.faults.is_empty() {
+                        let want = r.outcome.as_ref().ok();
+                        assert_eq!(served.result.as_ref(), want, "{cell}, DPU {d}: silent");
                     }
+                    intact[d] &= served.result.is_some();
+                    let answer = input.outputs.get(d).filter(|_| exact && intact[d]);
+                    for span in answer.into_iter().flatten() {
+                        let [got, want] =
+                            [&m.mram, &r.mram].map(|m| m.to_vec(span.start, span.len()));
+                        assert_eq!(got, want, "{cell}, DPU {d}: silent corruption at {span:?}");
+                    }
+                }
+                if !input.outputs.is_empty() && ecc && p.name == "bit_flip" {
+                    assert_eq!(report.retries(), 0, "{cell}: the scrub repairs flips");
                 }
                 continue;
             }
@@ -254,9 +368,12 @@ pub fn check(input: &SetInput) {
                 Aftermath::of(m, r.outcome.clone()).assert_is(r, &cell);
             }
         }
-        if ecc && policy_name != "seeded" {
+        // Every flip a served attempt left behind was scrubbed; only an
+        // unserved DPU may keep one.
+        if ecc && (zero_plan || intact.iter().all(|&i| i)) {
             let scrub = set.scrub_all();
-            assert!(scrub.clean(), "{}: the scrub repaired {scrub:?}", input.name);
+            assert!(scrub.clean(), "{}, {}: the scrub repaired {scrub:?}", input.name, p.name);
         }
     }
+    launched
 }
