@@ -5,6 +5,7 @@
 //! report --bench-json <path> [--samples <n>]
 //! report --obs-snapshot <path>
 //! report --folded <path>
+//! report --loc
 //! ```
 //!
 //! With no arguments all experiments run (the YOLO/CPU ones take a few
@@ -21,6 +22,9 @@
 //! writes flamegraph-folded cycle-attribution stacks
 //! (`inferno-flamegraph`/`flamegraph.pl` input) for the profiled ALU
 //! loop. See `docs/OBSERVABILITY.md`.
+//!
+//! `--loc` prints the non-test lines ([`pim_bench::loc`]) of every `.rs`
+//! file under `crates/*/src` of the workspace it runs in, and the total.
 
 #![forbid(unsafe_code)]
 
@@ -71,6 +75,7 @@ fn main() {
     let mut bench_json: Option<String> = None;
     let mut obs_snapshot: Option<String> = None;
     let mut folded: Option<String> = None;
+    let mut loc = false;
     let mut samples = 7usize;
     let mut i = 0;
     while i < args.len() {
@@ -112,6 +117,7 @@ fn main() {
                     std::process::exit(2);
                 }
             }
+            "--loc" => loc = true,
             "--samples" => {
                 i += 1;
                 let n = args.get(i).and_then(|s| s.parse().ok()).filter(|&n: &usize| n > 0);
@@ -128,6 +134,17 @@ fn main() {
         i += 1;
     }
 
+    if loc {
+        let counts = render::loc::count_crates(".".as_ref()).unwrap_or_else(|e| {
+            eprintln!("--loc: cannot read crates/*/src here: {e}");
+            std::process::exit(2);
+        });
+        for (file, lines) in &counts {
+            println!("{lines:>6}  {file}");
+        }
+        println!("{:>6}  total", counts.iter().map(|(_, n)| n).sum::<usize>());
+        return;
+    }
     if let Some(path) = bench_json {
         // Opened before the minute of sampling, not after it.
         let out = create_or_exit(&path);
@@ -524,7 +541,7 @@ fn emit_trace_metrics(json: bool) {
     let imgs: Vec<_> = (0..24).map(|i| ebnn::mnist::synth_digit(i % 10, (i / 10) as u64)).collect();
     let spec = ebnn::BatchSpec { trace: true, ..ebnn::BatchSpec::default() };
     let traced = ebnn::codegen::run_tier1_batch(&small, &imgs, spec).expect("traced run");
-    let launch = traced.report.into_launch_result().expect("every DPU served");
+    let launch = traced.report;
     let mut metrics = launch.metrics();
     metrics.counter_add("host.transfer.events", traced.host_trace.len() as u64);
     emit(json, "trace_metrics", &metrics.to_json(), || {

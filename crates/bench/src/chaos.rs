@@ -258,11 +258,11 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         }
         rep.faults_injected += report.faults_injected() as u64;
         rep.retries += report.retries();
-        rep.quarantined += report.quarantined.len() as u64;
-        rep.redispatched += report.degraded.len() as u64;
+        rep.quarantined += report.quarantined().len() as u64;
+        rep.redispatched += report.degraded().count() as u64;
         rep.healthy_after_repair +=
             report.count_health(pim_host::ServeHealth::HealthyAfterRepair) as u64;
-        for r in &report.per_dpu {
+        for r in &report.incidents {
             rep.scrub_corrected += r.scrub.corrected();
             rep.dma_corrected += r.dma_corrected;
             rep.uncorrectable_words += r.scrub.uncorrectable.len() as u64;
@@ -273,17 +273,13 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
 
         // The golden check: every DPU either serves the exact
         // host-computed answer or is explicitly unserved with an error.
-        for (d, r) in report.per_dpu.iter().enumerate() {
-            if r.result.is_some() {
-                let got = set.copy_scalar_from(DpuId(d as u32), "x").expect("read soak output");
-                if got != inputs[d] * 2 {
-                    rep.violations_silent_corruption += 1;
-                }
-            } else {
+        for (d, &input) in inputs.iter().enumerate() {
+            if let Some(r) = report.incident(d).filter(|r| !r.served) {
                 rep.unserved += 1;
-                if r.last_error.is_none() {
-                    rep.violations_unexplained_unserved += 1;
-                }
+                rep.violations_unexplained_unserved += u64::from(r.last_error.is_none());
+            } else {
+                let got = set.copy_scalar_from(DpuId(d as u32), "x").expect("read soak output");
+                rep.violations_silent_corruption += u64::from(got != input * 2);
             }
         }
         rep.launches += 1;

@@ -12,6 +12,7 @@ use pim_model::ModelReport;
 
 pub mod chaos;
 pub mod kernels;
+pub mod loc;
 pub mod snapshot;
 
 /// Render Table 3.1 (cycles per operation) with relative errors.

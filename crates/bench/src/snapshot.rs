@@ -94,15 +94,15 @@ pub fn observation() -> LaunchObservation {
     let mut small = DpuSet::allocate(2).expect("alloc");
     for tasklets in [1usize, 11] {
         let r = small.launch(&alu, tasklets).expect("alu launch");
-        obs.record(&r);
+        obs.record(&r, false);
     }
     let r = small.launch(&sync_program(), 16).expect("sync launch");
-    obs.record(&r);
+    obs.record(&r, false);
 
     // A skewed 8-DPU launch: the load-balance picture.
     let mut skewed = skewed_set(8);
     let r = skewed.launch(&skewed_program(), 4).expect("skewed launch");
-    obs.record(&r);
+    obs.record(&r, false);
 
     // The paper's full machine: a uniform 2,560-DPU / 40-rank launch
     // through one forked launch. Light per-DPU work — the gate watches
@@ -112,7 +112,7 @@ pub fn observation() -> LaunchObservation {
     rank.define_symbol("n", 8).expect("symbol");
     rank.copy_to("n", 0, &200u64.to_le_bytes()).expect("broadcast");
     let r = rank.launch(&skewed_program(), 4).expect("rank launch");
-    obs.record(&r);
+    obs.record(&r, false);
 
     // A scripted fault campaign: DPU 1 permanently offline, no retries,
     // work re-dispatched to a survivor.
@@ -123,7 +123,7 @@ pub fn observation() -> LaunchObservation {
     let skewed = skewed_program();
     let resilient = |policy| LaunchSpec { policy: Some(policy), ..LaunchSpec::adhoc(&skewed, 4) };
     let (report, _) = faulty.launch_with(resilient(&policy)).expect("resilient launch");
-    obs.record_report(&report);
+    obs.record(&report, true);
 
     // A scripted integrity campaign: seeded single-bit DMA flips under an
     // armed SEC-DED sidecar. Verify-on-read and the post-launch scrub
@@ -136,7 +136,7 @@ pub fn observation() -> LaunchObservation {
         FaultPlan::new(FaultConfig { seed: 7, bit_flip_prob: 0.5, ..FaultConfig::default() });
     let policy = ResilientLaunchPolicy::with_faults(plan);
     let (report, _) = ecc.launch_with(resilient(&policy)).expect("ecc launch");
-    obs.record_report(&report);
+    obs.record(&report, true);
 
     obs
 }

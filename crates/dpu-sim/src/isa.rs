@@ -247,12 +247,6 @@ impl Instr {
         }
     }
 
-    /// Whether this instruction ends the tasklet.
-    #[must_use]
-    pub fn is_halt(&self) -> bool {
-        matches!(self, Instr::Halt)
-    }
-
     /// Number of pipeline issue slots the instruction occupies.
     ///
     /// Regular instructions take one slot; a subroutine call takes one slot
@@ -376,13 +370,6 @@ impl Program {
             .get(name)
             .copied()
             .ok_or_else(|| crate::Error::UnknownSymbol { name: name.to_owned() })
-    }
-
-    /// Total issue slots if executed straight-line (no branches); used by
-    /// tests to cross-check the pipeline model.
-    #[must_use]
-    pub fn straight_line_slots(&self) -> u64 {
-        self.instrs.iter().map(Instr::issue_slots).sum()
     }
 }
 

@@ -322,12 +322,6 @@ impl CowMemory {
         self.len == 0
     }
 
-    /// Number of pages in the page table.
-    #[must_use]
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Byte length of page `page` (the last page of a non-multiple
     /// capacity is short).
     fn page_len(&self, page: usize) -> usize {
@@ -633,17 +627,6 @@ impl CowMemory {
     #[must_use]
     pub fn ecc_resident_bytes(&self) -> usize {
         self.codes.iter().flatten().map(|p| p.len()).sum()
-    }
-
-    /// The stored sidecar byte for the word containing `addr`, if ECC is
-    /// on (missing sidecar pages read as zero codes).
-    #[must_use]
-    pub fn code_at(&self, addr: usize) -> Option<u8> {
-        if !self.ecc || addr >= self.len {
-            return None;
-        }
-        let (page, off) = (addr / MRAM_PAGE_BYTES, addr % MRAM_PAGE_BYTES);
-        Some(self.codes[page].as_ref().map_or(0, |c| c[off / ecc::WORD_BYTES]))
     }
 
     /// Check every word overlapping `[addr, addr+len)` against the

@@ -18,7 +18,8 @@
 //!                       the conv its −1 padding for free)
 //! 0x0840  filters       F × 16 B (3 packed u32 rows + pad)
 //! ....    LUT           19 × F bytes
-//! ....    features      16 × F×196 bytes (one byte per feature bit)
+//! ....    features      16 records of F×196 bytes (one byte per feature
+//!                       bit), each padded to 8 bytes as written back
 //! ```
 //!
 //! The image and feature **MRAM** base addresses travel in the params
@@ -72,7 +73,8 @@ impl WramLayout {
         let filters_base = images + (IMAGES_PER_DPU * IMAGE_SLOT_BYTES) as u32;
         let lut = filters_base + 16 * filters as u32;
         let features = (lut + 19 * filters as u32 + 7) & !7;
-        let end = features + (IMAGES_PER_DPU * filters * POOLED_DIM * POOLED_DIM) as u32;
+        let record = (filters * POOLED_DIM * POOLED_DIM).div_ceil(8) * 8;
+        let end = features + (IMAGES_PER_DPU * record) as u32;
         assert!(end <= 48 * 1024, "layout overflows the WRAM data region: {end:#x}");
         Self { params, images, filters: filters_base, lut, features, n_filters: filters as u32 }
     }
@@ -138,8 +140,7 @@ fn emit_window(idx: usize) -> String {
 #[must_use]
 pub fn tier1_program(filters: usize) -> Program {
     let l = WramLayout::new(filters);
-    let fpi = l.features_per_image();
-    let fpi_pad = (fpi as usize).div_ceil(8) * 8;
+    let fpi_pad = (l.features_per_image() as usize).div_ceil(8) * 8;
     let mut s = String::new();
 
     // ---- phase 1: shared loads (tasklet 0), then a barrier ----
@@ -178,7 +179,7 @@ pub fn tier1_program(filters: usize) -> Program {
         mram.read r3, r4, r5\n\
         ; r3 = image rows base (+4 past guard), r4 = feature base\n\
         addi r3, r3, 4\n\
-        movi r11, {fpi}\n\
+        movi r11, {fpi_pad}\n\
         call __mulsi3 r4, r31, r11\n\
         addi r4, r4, {feat_w}\n\
         movi r5, 0\n\
@@ -207,7 +208,7 @@ pub fn tier1_program(filters: usize) -> Program {
         nf = filters,
         img_w = l.images,
         slot = IMAGE_SLOT_BYTES,
-        fpi = fpi,
+        fpi_pad = fpi_pad,
         feat_w = l.features,
     ));
 
@@ -370,9 +371,7 @@ pub fn run_tier1_batch(
     let slots: Vec<Vec<u8>> = images.iter().map(|g| encode_slot(model, g)).collect();
     engine.stage_slots(&slots, 0, &vec![true; dpus], spec.tasklets)?;
     let (report, dpu_traces) = engine.launch(spec.trace, spec.policy)?;
-    if !report.fully_served() {
-        return Err(report.into_launch_result().expect_err("a DPU went unserved"));
-    }
+    let report = report.served()?;
     let (features, _) = engine.gather(0)?;
     let redispatched = report.items(engine.staged_chunks(0).expect("batch staged")).redispatched;
     let host_trace = engine.set.take_host_trace().unwrap_or_default();
@@ -821,7 +820,7 @@ mod multi_dpu_tests {
         let imgs: Vec<_> =
             (0..40).map(|i| crate::mnist::synth_digit(i % 10, (i / 10) as u64)).collect();
         let run = run_tier1_batch(&m, &imgs, BatchSpec::default()).unwrap();
-        let (features, result) = (run.features, run.report.into_launch_result().unwrap());
+        let (features, result) = (run.features, run.report);
         assert_eq!(result.per_dpu.len(), 3);
         for (i, img) in imgs.iter().enumerate() {
             assert_eq!(features[i], m.features(&m.binarize(&img.pixels)), "image {i}");
@@ -850,7 +849,7 @@ mod traced_tests {
         assert_eq!(traced.features, plain.features);
         assert_eq!(traced.report, plain.report);
         assert!(plain.dpu_traces.is_empty() && plain.host_trace.is_empty());
-        let launch = plain.report.into_launch_result().unwrap();
+        let launch = plain.report;
         assert_eq!(traced.dpu_traces.len(), 2);
         for (d, buf) in traced.dpu_traces.iter().enumerate() {
             assert_eq!(
@@ -884,8 +883,7 @@ mod traced_tests {
         let traced = run_tier1_batch(&m, &imgs, BatchSpec { trace: true, ..spec }).unwrap();
         assert_eq!(traced.features, plain.features);
         assert_eq!(traced.report, plain.report);
-        let launch = plain.report.into_launch_result().unwrap();
         assert_eq!(traced.dpu_traces.len(), 1);
-        assert_eq!(traced.dpu_traces[0].dma_bytes(), launch.per_dpu[0].dma_bytes);
+        assert_eq!(traced.dpu_traces[0].dma_bytes(), plain.report.per_dpu[0].dma_bytes);
     }
 }

@@ -217,12 +217,6 @@ pub struct InferenceReport {
 }
 
 impl InferenceReport {
-    /// End-to-end completion time: concurrent DPUs, then serial host work.
-    #[must_use]
-    pub fn completion_seconds(&self) -> f64 {
-        self.dpu_seconds + self.host_seconds
-    }
-
     /// Throughput in frames per second of DPU time.
     #[must_use]
     pub fn frames_per_second(&self) -> f64 {

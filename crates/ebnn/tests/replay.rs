@@ -22,13 +22,14 @@ fn idle_dpus_of_a_sparse_batch_replay_and_traced_launches_do_not() {
     // Sequential: two forked workers can both meet a key before either has
     // recorded it (replay counts are thread-timing dependent when forked).
     engine.set_mut().set_parallel_threshold(Some(usize::MAX));
-    let idle_instructions = |launch: &pim_host::LaunchResult| launch.per_dpu[1].instructions;
+    let idle_instructions = |launch: &pim_host::LaunchReport| launch.per_dpu[1].instructions;
 
     let mut first = None;
     for n in 1..=4 {
         engine.stage(&model, &image, 0).expect("stage one image");
         let before = engine.set().system().engine_stats();
-        let launch = engine.launch(false, None).expect("launch").0.into_launch_result().unwrap();
+        let launch = engine.launch(false, None).expect("launch").0;
+        assert!(launch.incidents.is_empty(), "launch {n}: {launch:?}");
         let stats = engine.set().system().engine_stats().since(&before);
         assert_eq!(engine.gather(0).expect("gather").0, vec![expected.clone()], "launch {n}");
         assert_eq!(stats.slots(), launch.total_instructions(), "launch {n}");
@@ -42,7 +43,7 @@ fn idle_dpus_of_a_sparse_batch_replay_and_traced_launches_do_not() {
     engine.stage(&model, &image, 0).expect("stage one image");
     let before = engine.set().system().engine_stats();
     let (report, buffers) = engine.launch(true, None).expect("traced launch");
-    let traced = report.into_launch_result().expect("every DPU served");
+    let traced = report.served().expect("every DPU served");
     let stats = engine.set().system().engine_stats().since(&before);
     assert_eq!(Some(&traced), first.as_ref(), "tracing is observational");
     assert_eq!((stats.replay_hits, stats.replayed_slots), (0, 0), "{stats:?}");

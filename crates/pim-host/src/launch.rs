@@ -12,96 +12,10 @@ use crate::error::{HostError, Result};
 use crate::observe::LaunchObservation;
 use crate::resilient::{launch_core, LaunchReport, ResilientLaunchPolicy};
 use crate::set::DpuSet;
-use dpu_sim::{ExecProgram, PimSystem, Profiler, Program, RunResult};
-use pim_trace::{MetricsRegistry, TraceBuffer};
+use dpu_sim::{ExecProgram, PimSystem, Program};
+use pim_trace::TraceBuffer;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Results of one launch across a DPU set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaunchResult {
-    /// Per-DPU run results, in DPU order.
-    pub per_dpu: Vec<RunResult>,
-    /// Tasklets the program ran with.
-    pub tasklets: usize,
-}
-
-impl LaunchResult {
-    /// Cycles until the slowest DPU finished (the set's completion time —
-    /// all DPUs run concurrently).
-    #[must_use]
-    pub fn makespan_cycles(&self) -> u64 {
-        self.per_dpu.iter().map(|r| r.cycles).max().unwrap_or(0)
-    }
-
-    /// Completion time in seconds for the given device parameters.
-    #[must_use]
-    pub fn makespan_seconds(&self, params: &dpu_sim::DpuParams) -> f64 {
-        params.cycles_to_seconds(self.makespan_cycles())
-    }
-
-    /// Total instructions issued across all DPUs.
-    #[must_use]
-    pub fn total_instructions(&self) -> u64 {
-        self.per_dpu.iter().map(|r| r.instructions).sum()
-    }
-
-    /// Merged subroutine profile of all DPUs.
-    #[must_use]
-    pub fn merged_profile(&self) -> Profiler {
-        let mut p = Profiler::new();
-        for r in &self.per_dpu {
-            p.merge(&r.profile);
-        }
-        p
-    }
-
-    /// Snapshot this launch into a [`MetricsRegistry`]: set-level counters
-    /// (instructions, DMA traffic), gauges (makespan, IPC, shape) and
-    /// per-DPU/per-tasklet distributions (cycles, instructions, tasklet
-    /// occupancy — the load-balance picture behind Fig. 4.7(a)).
-    #[must_use]
-    pub fn metrics(&self) -> MetricsRegistry {
-        launch_metrics(self.per_dpu.iter(), self.tasklets)
-    }
-}
-
-/// [`LaunchResult::metrics`] over borrowed per-DPU results in DPU order,
-/// so a fully served [`LaunchReport`] snapshots its results where they lie.
-#[allow(clippy::cast_precision_loss)]
-pub(crate) fn launch_metrics<'a>(
-    per_dpu: impl Iterator<Item = &'a RunResult> + Clone,
-    tasklets: usize,
-) -> MetricsRegistry {
-    let mut m = MetricsRegistry::new();
-    let instructions: u64 = per_dpu.clone().map(|r| r.instructions).sum();
-    m.counter_add("launch.instructions", instructions);
-    m.counter_add("launch.dma.bytes", per_dpu.clone().map(|r| r.dma_bytes).sum());
-    m.counter_add("launch.dma.transfers", per_dpu.clone().map(|r| r.dma_transfers).sum());
-    m.counter_add("launch.dma.cycles", per_dpu.clone().map(|r| r.dma_cycles).sum());
-    m.gauge_set("launch.dpus", per_dpu.clone().count() as f64);
-    m.gauge_set("launch.tasklets", tasklets as f64);
-    let makespan = per_dpu.clone().map(|r| r.cycles).max().unwrap_or(0);
-    m.gauge_set("launch.makespan_cycles", makespan as f64);
-    if makespan > 0 {
-        m.gauge_set("launch.ipc", instructions as f64 / makespan as f64);
-    }
-    for r in per_dpu {
-        m.observe("dpu.cycles", r.cycles as f64);
-        m.observe("dpu.instructions", r.instructions as f64);
-        if r.cycles > 0 {
-            m.observe("dpu.ipc", r.instructions as f64 / r.cycles as f64);
-        }
-        // Occupancy: each tasklet's share of the DPU's issue slots.
-        // Perfect balance over T tasklets reads as a flat 1/T.
-        if r.instructions > 0 {
-            for &issued in &r.issue_per_tasklet {
-                m.observe("tasklet.occupancy", issued as f64 / r.instructions as f64);
-            }
-        }
-    }
-    m
-}
 
 /// The program a launch runs.
 #[derive(Debug, Clone, Copy)]
@@ -158,8 +72,8 @@ impl DpuSet {
     /// DPUs are simulated in parallel on one worker thread per core when
     /// the set is large enough for the spawn to pay off. Per-DPU faults are
     /// reported in the [`LaunchReport`], not as `Err`;
-    /// [`LaunchReport::into_launch_result`] turns the first of them into
-    /// one. The trace buffers are empty unless [`LaunchSpec::trace`].
+    /// [`LaunchReport::served`] turns the first of them into one. The
+    /// trace buffers are empty unless [`LaunchSpec::trace`].
     ///
     /// # Errors
     /// [`crate::HostError::Symbol`] when [`LaunchProgram::Loaded`] finds
@@ -193,11 +107,7 @@ impl DpuSet {
         // launch to account.
         let accounted = policy.is_some() || report.fully_served();
         if let Some((obs, before)) = observe.zip(engine_before).filter(|_| accounted) {
-            if policy.is_some() {
-                obs.record_report(&report);
-            } else {
-                obs.record_served(&report);
-            }
+            obs.record(&report, policy.is_some());
             obs.record_engine(&system.engine_stats().since(&before));
             if let Some(stats) = steal {
                 obs.record_steal(&stats);
@@ -211,8 +121,8 @@ impl DpuSet {
     ///
     /// # Errors
     /// The first DPU fault encountered (in DPU order).
-    pub fn launch(&mut self, program: &Program, tasklets: usize) -> Result<LaunchResult> {
-        self.launch_with(LaunchSpec::adhoc(program, tasklets))?.0.into_launch_result()
+    pub fn launch(&mut self, program: &Program, tasklets: usize) -> Result<LaunchReport> {
+        self.launch_with(LaunchSpec::adhoc(program, tasklets))?.0.served()
     }
 
     /// Launch the program previously installed with [`DpuSet::load`].
@@ -220,8 +130,8 @@ impl DpuSet {
     /// # Errors
     /// [`crate::HostError::Symbol`] when nothing is loaded; otherwise as
     /// [`DpuSet::launch`].
-    pub fn launch_loaded(&mut self, tasklets: usize) -> Result<LaunchResult> {
-        self.launch_with(LaunchSpec::loaded(tasklets))?.0.into_launch_result()
+    pub fn launch_loaded(&mut self, tasklets: usize) -> Result<LaunchReport> {
+        self.launch_with(LaunchSpec::loaded(tasklets))?.0.served()
     }
 
     /// [`DpuSet::launch_loaded`] with per-DPU tracing (see
@@ -232,10 +142,10 @@ impl DpuSet {
     pub fn launch_loaded_traced(
         &mut self,
         tasklets: usize,
-    ) -> Result<(LaunchResult, Vec<TraceBuffer>)> {
+    ) -> Result<(LaunchReport, Vec<TraceBuffer>)> {
         let (report, buffers) =
             self.launch_with(LaunchSpec { trace: true, ..LaunchSpec::loaded(tasklets) })?;
-        Ok((report.into_launch_result()?, buffers))
+        Ok((report.served()?, buffers))
     }
 
     /// Fault-tolerant launch of the loaded program under `policy` — the
@@ -472,8 +382,8 @@ mod tests {
             }
             r
         });
-        assert_eq!(report.quarantined, [DpuId(2)]);
-        assert!(matches!(report.into_launch_result(), Err(HostError::WorkerPanic { .. })));
+        assert_eq!(report.quarantined(), [DpuId(2)]);
+        assert!(matches!(report.served(), Err(HostError::WorkerPanic { .. })));
 
         // Relaunch on the same (partly poisoned) set: every DPU's perf
         // read must start from zero, including the one whose worker died.
@@ -569,17 +479,15 @@ mod trace_tests {
     }
 }
 
-/// Faulting launches over every way to spell a launch: the program form,
-/// tracing, the policy's zero point and the dispatch path may not change
-/// which DPU's error a launch reports. (That a clean launch is one launch
-/// in every such cell is the differential oracle's set layer,
-/// `tests/oracle/set.rs`.)
+/// A DPU whose simulation panics, on both dispatch paths. (Which DPU's
+/// error a faulting launch reports, in every way to spell a launch, is the
+/// differential oracle's set layer, `tests/oracle/set.rs`.)
 #[cfg(test)]
 mod launch_matrix_tests {
     use super::*;
     use crate::error::HostError;
     use dpu_sim::asm::assemble;
-    use dpu_sim::{DpuId, Engine, FaultPlan};
+    use dpu_sim::{DpuId, Engine};
 
     const DPUS: usize = 6;
     const TASKLETS: usize = 3;
@@ -608,89 +516,13 @@ mod launch_matrix_tests {
         .unwrap()
     }
 
-    /// Divides by `scalar - 2` and, on the DPU holding 4, loads from far
-    /// outside WRAM: DPU 1 and DPU 3 fault, differently.
-    fn faulting_program() -> Program {
-        assemble(
-            "movi r3, 8\n\
-             mram.read r0, r0, r3\n\
-             lw r4, r0, 0\n\
-             addi r5, r4, -2\n\
-             call __divsi3 r6, r4, r5\n\
-             addi r7, r4, -4\n\
-             bne r7, r0, done\n\
-             movi r8, 0x7fff0000\n\
-             lw r9, r8, 0\n\
-             done:\n\
-             halt\n",
-        )
-        .unwrap()
-    }
-
-    /// A set whose DPU `i` holds `i + 1` at MRAM offset 0, `program`
-    /// loaded, launching sequentially or forked.
-    fn seeded_set(program: &Program, pooled: bool) -> DpuSet {
+    /// A set whose DPU `i` holds `i + 1` at MRAM offset 0.
+    fn seeded_set() -> DpuSet {
         let mut set = DpuSet::allocate(DPUS).unwrap();
         for (i, (_, dpu)) in set.system_mut().iter_mut().enumerate() {
             dpu.mram.write(0, &(i as u64 + 1).to_le_bytes()).unwrap();
         }
-        set.load(program).unwrap();
-        set.set_parallel_threshold(Some(if pooled { 0 } else { usize::MAX }));
         set
-    }
-
-    /// Every cell of {loaded, ad hoc} × {untraced, traced} × {no policy,
-    /// default policy, armed zero plan} × {sequential, pooled}.
-    fn cells(program: &Program, mut check: impl FnMut(&str, bool, LaunchReport, Vec<TraceBuffer>)) {
-        let default = ResilientLaunchPolicy::default();
-        let armed_zero = ResilientLaunchPolicy::with_faults(FaultPlan::none());
-        let policies =
-            [("no policy", None), ("default", Some(&default)), ("zero", Some(&armed_zero))];
-        for adhoc in [false, true] {
-            for trace in [false, true] {
-                for (policy_name, policy) in policies {
-                    for pooled in [false, true] {
-                        let cell = format!(
-                            "adhoc={adhoc} trace={trace} policy={policy_name} pooled={pooled}"
-                        );
-                        let mut set = seeded_set(program, pooled);
-                        let form = if adhoc {
-                            LaunchSpec::adhoc(program, TASKLETS)
-                        } else {
-                            LaunchSpec::loaded(TASKLETS)
-                        };
-                        let (report, bufs) =
-                            set.launch_with(LaunchSpec { trace, policy, ..form }).unwrap();
-                        check(&cell, trace, report, bufs);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn the_first_faulting_dpu_in_dpu_order_names_the_error() {
-        cells(&faulting_program(), |cell, trace, report, bufs| {
-            assert_eq!(report.quarantined, [DpuId(1), DpuId(3)], "{cell}");
-            assert!(report.degraded.is_empty(), "{cell}: a deterministic fault follows its image");
-            for (i, r) in report.per_dpu.iter().enumerate() {
-                assert_eq!(r.result.is_some(), i != 1 && i != 3, "{cell}: every DPU ran");
-            }
-            assert!(
-                matches!(
-                    report.per_dpu[3].last_error,
-                    Some(HostError::Dpu(dpu_sim::Error::OutOfBounds { .. }))
-                ),
-                "{cell}: {:?}",
-                report.per_dpu[3].last_error
-            );
-            assert_eq!(bufs.len(), if trace { DPUS } else { 0 }, "{cell}");
-            let err = report.into_launch_result().unwrap_err();
-            assert!(
-                matches!(err, HostError::Dpu(dpu_sim::Error::DivisionByZero { .. })),
-                "{cell}: {err}"
-            );
-        });
     }
 
     /// A panic inside one DPU's simulation is that DPU's error — on the
@@ -703,7 +535,7 @@ mod launch_matrix_tests {
         for pooled in [false, true] {
             for policy in [None, Some(&default)] {
                 let cell = format!("pooled={pooled} policy={}", policy.is_some());
-                let mut set = seeded_set(&work_program(), false);
+                let mut set = seeded_set();
                 let threshold = if pooled { 0 } else { usize::MAX };
                 let engine = Some(Engine::default());
                 let (report, _, steal) = launch_core(
@@ -719,10 +551,10 @@ mod launch_matrix_tests {
                     },
                 );
                 assert_eq!(steal.is_some(), pooled, "{cell}");
-                assert_eq!(report.quarantined, [DpuId(3)], "{cell}");
-                assert_eq!(report.per_dpu[3].attempts, if policy.is_some() { 3 } else { 1 });
-                assert_eq!(report.per_dpu.iter().filter(|r| r.result.is_some()).count(), DPUS - 1);
-                match report.into_launch_result() {
+                assert_eq!(report.quarantined(), [DpuId(3)], "{cell}");
+                assert_eq!(report.incidents.len(), 1, "{cell}: the other DPUs are served");
+                assert_eq!(report.incidents[0].attempts, if policy.is_some() { 3 } else { 1 });
+                match report.served() {
                     Err(HostError::WorkerPanic { detail }) => {
                         assert!(detail.contains("injected failure on DPU 3"), "{cell}: {detail}");
                     }

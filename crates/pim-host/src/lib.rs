@@ -43,12 +43,10 @@ pub use crc32c::{crc32c, Crc32c};
 pub use dpu_sim::cost::{CycleModel, KernelEstimate, OpCounts, OptLevel};
 pub use error::{HostError, Result};
 pub use exec::KernelRun;
-pub use launch::{LaunchProgram, LaunchResult, LaunchSpec, StealStats};
+pub use launch::{LaunchProgram, LaunchSpec, StealStats};
 pub use link::{LinkFaultPlan, LinkPolicy, LinkStats};
 pub use observe::LaunchObservation;
-pub use resilient::{
-    DpuServeReport, ItemOutcome, LaunchReport, Redispatch, ResilientLaunchPolicy, ServeHealth,
-};
+pub use resilient::{Incident, ItemOutcome, LaunchReport, ResilientLaunchPolicy, ServeHealth};
 pub use set::{DpuSet, TransferStats};
 pub use snapshot::SetSnapshot;
 pub use symbol::{Symbol, SymbolTable};

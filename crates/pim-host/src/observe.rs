@@ -1,54 +1,113 @@
-//! Unified launch telemetry: one accumulator for everything the host
-//! observes across a run of launches.
+//! Launch telemetry: the snapshot of one launch and one accumulator for
+//! everything the host observes across a run of launches.
 //!
-//! [`LaunchResult::metrics`] and [`LaunchReport::metrics`] snapshot a
-//! *single* launch. Real experiments launch many times (one wave per
-//! batch of inputs), and the figures the paper quotes — makespan
-//! distributions, per-DPU load balance, retry pressure — only mean
-//! something aggregated over the whole run. [`LaunchObservation`] is that
-//! aggregate: feed it every launch (plain or resilient) plus the
-//! scheduler's [`StealStats`], and it maintains one [`MetricsRegistry`]
-//! under the `obs.*` namespace, exportable as deterministic JSON
-//! ([`LaunchObservation::to_json`]) or Prometheus text exposition
-//! ([`LaunchObservation::prometheus`]).
+//! [`LaunchReport::metrics`] snapshots a *single* launch (the `launch.*`,
+//! `dpu.*` and `tasklet.*` keys); [`LaunchReport::resilient_metrics`]
+//! adds the `resilient.*`, `faults.*` and `integrity.*` keys of a launch
+//! under a policy. Real experiments launch many times (one wave per batch
+//! of inputs), and the figures the paper quotes — makespan distributions,
+//! per-DPU load balance, retry pressure — only mean something aggregated
+//! over the whole run. [`LaunchObservation`] is that aggregate: feed it
+//! every launch (plain or resilient) plus the scheduler's [`StealStats`],
+//! and it maintains one [`MetricsRegistry`] under the `obs.*` namespace,
+//! exportable as deterministic JSON ([`LaunchObservation::to_json`]) or
+//! Prometheus text exposition ([`LaunchObservation::prometheus`]).
 //!
-//! ## Key catalog
-//!
-//! Counters (monotone, deterministic for a fixed workload):
-//! `obs.launches`, `obs.instructions`, `obs.dma.bytes`,
-//! `obs.dma.transfers`, `obs.dma.cycles`, `obs.retries`,
-//! `obs.quarantined`, `obs.redispatched`, `obs.faults_injected`,
-//! `obs.faults.<kind>`, `obs.unserved`, `obs.healthy_after_repair`,
-//! `obs.integrity.dma_corrected`, `obs.integrity.scrub_corrected`,
-//! `obs.integrity.scrub_uncorrectable`.
-//!
-//! Engine residency (deterministic for a fixed engine tier, but it
-//! *differs across tiers* by design — perf gates must ignore it):
-//! `obs.engine.slots.{reference,sole,rotation,chunk,burst_batch,replayed}`
-//! count the issue slots each execution mode of the simulator retired,
-//! `obs.engine.rotation.undersaturated_slots` those of them retired by
-//! rotations of fewer tasklets than pipeline stages,
-//! `obs.engine.chunk.commits`,
-//! `obs.engine.chunk.aborts.{boundary,conflict,trace,fault}` and
-//! `obs.engine.chunk.rolled_back_slots` say how the tasklet-major chunks
-//! fared (see `docs/PERFORMANCE.md`). Fed by launches with a
-//! [`crate::LaunchSpec::observe`].
-//!
-//! Histograms (quantile summaries, deterministic): `obs.launch.makespan_cycles`,
-//! `obs.dpu.cycles`, `obs.dpu.instructions`, `obs.dpu.ipc`,
-//! `obs.tasklet.occupancy`.
-//!
-//! Scheduling telemetry (host-thread timing dependent — **not**
-//! deterministic, perf gates must ignore them): `obs.steal.launches`,
-//! `obs.steal.claims` counters, `obs.steal.workers` gauge,
-//! `obs.steal.claims_per_worker` histogram; and for the forked launches'
-//! workers, `obs.pool.batches` counter, `obs.pool.workers` gauge,
-//! `obs.pool.queue_depth` / `obs.pool.occupancy` histograms.
+//! The key catalog, with which keys are deterministic (the simulated
+//! figures), which differ across engine tiers (`obs.engine.*`) and which
+//! depend on host-thread timing (`obs.steal.*`, `obs.pool.*`), is
+//! `docs/OBSERVABILITY.md`; `tests/metrics_keys.rs` pins the exact sets.
 
-use crate::launch::{LaunchResult, StealStats};
-use crate::resilient::LaunchReport;
-use dpu_sim::RunResult;
+use crate::launch::StealStats;
+use crate::resilient::{Incident, LaunchReport, ServeHealth};
 use pim_trace::{prometheus_text, MetricsRegistry};
+
+impl LaunchReport {
+    /// Snapshot this launch into a [`MetricsRegistry`]: set-level counters
+    /// (instructions, DMA traffic), gauges (makespan, IPC, shape) and
+    /// per-DPU/per-tasklet distributions (cycles, instructions, tasklet
+    /// occupancy — the load-balance picture behind Fig. 4.7(a)). Empty
+    /// unless every DPU's work was served.
+    #[must_use]
+    #[allow(clippy::cast_precision_loss)]
+    pub fn metrics(&self) -> MetricsRegistry {
+        let mut m = MetricsRegistry::new();
+        if self.fully_served() {
+            self.dpu_block(&mut m, "launch.", "");
+            let makespan = self.per_dpu.iter().map(|r| r.cycles).max().unwrap_or(0);
+            m.gauge_set("launch.makespan_cycles", makespan as f64);
+            if makespan > 0 {
+                m.gauge_set("launch.ipc", self.total_instructions() as f64 / makespan as f64);
+            }
+        }
+        m
+    }
+
+    /// [`LaunchReport::metrics`] plus the resilience block of a launch
+    /// under a policy: retries, quarantines, re-dispatches, per-class
+    /// injected-fault counts and the integrity repairs.
+    #[must_use]
+    #[allow(clippy::cast_precision_loss)]
+    pub fn resilient_metrics(&self) -> MetricsRegistry {
+        let mut m = self.metrics();
+        self.resilience_block(&mut m, "resilient.", "");
+        m.gauge_set("resilient.makespan_cycles", self.makespan_cycles() as f64);
+        m.gauge_set("resilient.unserved", self.count_health(ServeHealth::Unserved) as f64);
+        m.counter_add("integrity.scrub_words", self.incidents.iter().map(|i| i.scrub.words).sum());
+        m
+    }
+
+    /// The per-DPU figures: instruction and DMA counters and the shape
+    /// gauges named under `set`, the per-DPU and per-tasklet histograms
+    /// under `dpu`.
+    #[allow(clippy::cast_precision_loss)]
+    fn dpu_block(&self, m: &mut MetricsRegistry, set: &str, dpu: &str) {
+        let sum = |field: fn(&dpu_sim::RunResult) -> u64| self.per_dpu.iter().map(field).sum();
+        m.counter_add(&format!("{set}instructions"), self.total_instructions());
+        m.counter_add(&format!("{set}dma.bytes"), sum(|r| r.dma_bytes));
+        m.counter_add(&format!("{set}dma.transfers"), sum(|r| r.dma_transfers));
+        m.counter_add(&format!("{set}dma.cycles"), sum(|r| r.dma_cycles));
+        m.gauge_set(&format!("{set}dpus"), self.per_dpu.len() as f64);
+        m.gauge_set(&format!("{set}tasklets"), self.tasklets as f64);
+        let key = |name: &str| format!("{dpu}{name}");
+        let [cycles, instructions, ipc, occupancy] =
+            ["dpu.cycles", "dpu.instructions", "dpu.ipc", "tasklet.occupancy"].map(key);
+        for r in &self.per_dpu {
+            m.observe(&cycles, r.cycles as f64);
+            m.observe(&instructions, r.instructions as f64);
+            if r.cycles > 0 {
+                m.observe(&ipc, r.instructions as f64 / r.cycles as f64);
+            }
+            // Occupancy: each tasklet's share of the DPU's issue slots.
+            // Perfect balance over T tasklets reads as a flat 1/T.
+            if r.instructions > 0 {
+                for &issued in &r.issue_per_tasklet {
+                    m.observe(&occupancy, issued as f64 / r.instructions as f64);
+                }
+            }
+        }
+    }
+
+    /// The resilience counters, read off the incidents: the launch's own
+    /// named under `own` (`retries`, `quarantined`, …), the per-class
+    /// `faults.*` and the `integrity.*` repairs under `blocks`.
+    fn resilience_block(&self, m: &mut MetricsRegistry, own: &str, blocks: &str) {
+        m.counter_add(&format!("{own}retries"), self.retries());
+        m.counter_add(&format!("{own}quarantined"), self.quarantined().len() as u64);
+        m.counter_add(&format!("{own}redispatched"), self.degraded().count() as u64);
+        m.counter_add(&format!("{own}faults_injected"), self.faults_injected() as u64);
+        let repaired = self.count_health(ServeHealth::HealthyAfterRepair) as u64;
+        m.counter_add(&format!("{own}healthy_after_repair"), repaired);
+        for f in self.incidents.iter().flat_map(|i| &i.faults) {
+            m.counter_add(&format!("{blocks}faults.{}", f.kind.label()), 1);
+        }
+        let sum = |field: fn(&Incident) -> u64| self.incidents.iter().map(field).sum();
+        m.counter_add(&format!("{blocks}integrity.dma_corrected"), sum(|i| i.dma_corrected));
+        m.counter_add(&format!("{blocks}integrity.scrub_corrected"), sum(|i| i.scrub.corrected()));
+        let uncorrectable = sum(|i| i.scrub.uncorrectable.len() as u64);
+        m.counter_add(&format!("{blocks}integrity.scrub_uncorrectable"), uncorrectable);
+    }
+}
 
 /// Accumulated host-side telemetry over any number of launches.
 ///
@@ -67,64 +126,20 @@ impl LaunchObservation {
         Self::default()
     }
 
-    /// Record one completed plain launch.
-    pub fn record(&mut self, result: &LaunchResult) {
-        self.record_wave(result.makespan_cycles(), result.per_dpu.iter(), result.tasklets);
-    }
-
-    /// [`LaunchObservation::record`] for a plain launch still in report
-    /// form (every DPU served in place).
-    pub(crate) fn record_served(&mut self, report: &LaunchReport) {
-        self.record_wave(report.makespan_cycles(), report.served_results(), report.tasklets);
-    }
-
+    /// Record one completed launch: its count and makespan, the
+    /// resilience counters when `resilience` is set (a launch under a
+    /// policy) and, when every work item was served, the per-DPU figures.
     #[allow(clippy::cast_precision_loss)]
-    fn record_wave<'a>(
-        &mut self,
-        makespan: u64,
-        per_dpu: impl Iterator<Item = &'a RunResult> + Clone,
-        tasklets: usize,
-    ) {
-        self.registry.counter_add("obs.launches", 1);
-        self.registry.observe("obs.launch.makespan_cycles", makespan as f64);
-        self.record_dpus(per_dpu, tasklets);
-    }
-
-    /// Record one completed fault-tolerant launch: resilience counters
-    /// plus, when every work item was served, the usual per-DPU figures.
-    #[allow(clippy::cast_precision_loss)]
-    pub fn record_report(&mut self, report: &LaunchReport) {
-        self.registry.counter_add("obs.launches", 1);
-        self.registry.observe("obs.launch.makespan_cycles", report.makespan_cycles() as f64);
-        self.registry.counter_add("obs.retries", report.retries());
-        self.registry.counter_add("obs.quarantined", report.quarantined.len() as u64);
-        self.registry.counter_add("obs.redispatched", report.degraded.len() as u64);
-        self.registry.counter_add("obs.faults_injected", report.faults_injected() as u64);
-        for r in &report.per_dpu {
-            for f in &r.faults {
-                self.registry.counter_add(&format!("obs.faults.{}", f.kind.label()), 1);
-            }
+    pub fn record(&mut self, report: &LaunchReport, resilience: bool) {
+        let m = &mut self.registry;
+        m.counter_add("obs.launches", 1);
+        m.observe("obs.launch.makespan_cycles", report.makespan_cycles() as f64);
+        if resilience {
+            report.resilience_block(m, "obs.", "obs.");
+            m.counter_add("obs.unserved", report.count_health(ServeHealth::Unserved) as u64);
         }
-        let unserved = report.per_dpu.iter().filter(|r| r.result.is_none()).count();
-        self.registry.counter_add("obs.unserved", unserved as u64);
-        self.registry.counter_add(
-            "obs.healthy_after_repair",
-            report.count_health(crate::resilient::ServeHealth::HealthyAfterRepair) as u64,
-        );
-        self.registry.counter_add(
-            "obs.integrity.dma_corrected",
-            report.per_dpu.iter().map(|r| r.dma_corrected).sum(),
-        );
-        self.registry.counter_add(
-            "obs.integrity.scrub_corrected",
-            report.per_dpu.iter().map(|r| r.scrub.corrected()).sum(),
-        );
-        self.registry.counter_add(
-            "obs.integrity.scrub_uncorrectable",
-            report.per_dpu.iter().map(|r| r.scrub.uncorrectable.len() as u64).sum(),
-        );
         if report.fully_served() {
-            self.record_dpus(report.served_results(), report.tasklets);
+            report.dpu_block(m, "obs.", "obs.");
         }
     }
 
@@ -155,36 +170,6 @@ impl LaunchObservation {
     pub fn record_engine(&mut self, stats: &dpu_sim::EngineStats) {
         for (name, value) in stats.named() {
             self.registry.counter_add(&format!("obs.engine.{name}"), value);
-        }
-    }
-
-    /// The per-DPU figures shared by plain and fully-served resilient
-    /// launches (everything except the launch count and makespan, which
-    /// differ between the two paths).
-    #[allow(clippy::cast_precision_loss)]
-    fn record_dpus<'a>(
-        &mut self,
-        per_dpu: impl Iterator<Item = &'a RunResult> + Clone,
-        tasklets: usize,
-    ) {
-        let m = &mut self.registry;
-        m.counter_add("obs.instructions", per_dpu.clone().map(|r| r.instructions).sum());
-        m.counter_add("obs.dma.bytes", per_dpu.clone().map(|r| r.dma_bytes).sum());
-        m.counter_add("obs.dma.transfers", per_dpu.clone().map(|r| r.dma_transfers).sum());
-        m.counter_add("obs.dma.cycles", per_dpu.clone().map(|r| r.dma_cycles).sum());
-        m.gauge_set("obs.dpus", per_dpu.clone().count() as f64);
-        m.gauge_set("obs.tasklets", tasklets as f64);
-        for r in per_dpu {
-            m.observe("obs.dpu.cycles", r.cycles as f64);
-            m.observe("obs.dpu.instructions", r.instructions as f64);
-            if r.cycles > 0 {
-                m.observe("obs.dpu.ipc", r.instructions as f64 / r.cycles as f64);
-            }
-            if r.instructions > 0 {
-                for &issued in &r.issue_per_tasklet {
-                    m.observe("obs.tasklet.occupancy", issued as f64 / r.instructions as f64);
-                }
-            }
         }
     }
 
@@ -235,9 +220,9 @@ mod tests {
         program: &Program,
         tasklets: usize,
         obs: &mut LaunchObservation,
-    ) -> LaunchResult {
+    ) -> LaunchReport {
         let spec = LaunchSpec { observe: Some(obs), ..LaunchSpec::adhoc(program, tasklets) };
-        set.launch_with(spec).unwrap().0.into_launch_result().unwrap()
+        set.launch_with(spec).unwrap().0.served().unwrap()
     }
 
     fn work_program() -> Program {
@@ -290,7 +275,7 @@ mod tests {
         let (report, _) = set.launch_with(spec).unwrap();
         assert!(report.fully_served());
         let mut by_hand = LaunchObservation::new();
-        by_hand.record_report(&report);
+        by_hand.record(&report, true);
         assert!(by_hand.metrics().counters().all(|(k, v)| obs.metrics().counter(k) == v));
         let m = obs.metrics();
         assert_eq!(m.counter("obs.launches"), 1);
@@ -317,10 +302,10 @@ mod tests {
         let mut set = DpuSet::allocate(2).unwrap();
         let r1 = set.launch(&program, 3).unwrap();
         let r2 = set.launch(&program, 5).unwrap();
-        obs_a.record(&r1);
-        obs_b.record(&r2);
-        accumulated.record(&r1);
-        accumulated.record(&r2);
+        obs_a.record(&r1, false);
+        obs_b.record(&r2, false);
+        accumulated.record(&r1, false);
+        accumulated.record(&r2, false);
         obs_a.merge(&obs_b);
         // Counters and gauges must agree exactly; histogram sums may
         // differ by float-addition order, so compare them field-wise.

@@ -27,8 +27,8 @@
 //!    favor), and the results are copied back into the victim's MRAM so
 //!    the caller's normal gather paths see them in place.
 //!
-//! Every injected fault is listed in its DPU's [`DpuServeReport::faults`],
-//! counted in [`LaunchReport::metrics`] and — on a traced launch —
+//! Every injected fault is listed in its DPU's [`Incident::faults`],
+//! counted in [`LaunchReport::resilient_metrics`] and — on a traced launch —
 //! materialized as a [`pim_trace::TraceEvent::FaultInjected`] event in the
 //! owning DPU's trace buffer.
 //!
@@ -43,13 +43,14 @@
 //! host simulates DPUs sequentially or work-steals them across threads.
 
 use crate::error::{HostError, Result};
-use crate::launch::{dispatch, launch_metrics, panic_detail, LaunchResult, StealStats};
+use crate::launch::{dispatch, panic_detail, StealStats};
 use dpu_sim::faults::{FaultPlan, InjectedFault};
 use dpu_sim::machine::DEFAULT_CYCLE_BUDGET;
 use dpu_sim::{
-    DpuId, Engine, Machine, MemorySnapshot, Observe, PimSystem, RunResult, RunSpec, ScrubReport,
+    DpuId, Engine, Machine, MemorySnapshot, Observe, PimSystem, Profiler, RunResult, RunSpec,
+    ScrubReport,
 };
-use pim_trace::{MetricsRegistry, TraceBuffer, TraceEvent, TraceSink};
+use pim_trace::{TraceBuffer, TraceEvent, TraceSink};
 use std::sync::OnceLock;
 
 /// Policy governing a fault-tolerant launch.
@@ -140,12 +141,15 @@ pub enum ServeHealth {
     Unserved,
 }
 
-/// How one DPU's work item was ultimately served.
+/// What happened at one DPU whose serve was not a clean first attempt:
+/// it retried, had faults injected or its MRAM scrubbed, was served by a
+/// survivor, or went unserved. A clean launch has none.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DpuServeReport {
-    /// The run result for this DPU's work, or `None` when it could not be
-    /// served at all (quarantined with no redispatch or no survivors).
-    pub result: Option<RunResult>,
+pub struct Incident {
+    /// The DPU whose work this is.
+    pub dpu: DpuId,
+    /// Whether its work produced a result, in place or by a survivor.
+    pub served: bool,
     /// Attempts made on the home DPU (>= 1).
     pub attempts: u32,
     /// Total backoff cycles charged before the serving attempt.
@@ -166,7 +170,7 @@ pub struct DpuServeReport {
     pub dma_corrected: u64,
 }
 
-impl DpuServeReport {
+impl Incident {
     /// Retries consumed on the home DPU (attempts beyond the first).
     #[must_use]
     pub fn retries(&self) -> u32 {
@@ -180,10 +184,17 @@ impl DpuServeReport {
         self.scrub.corrected() + self.dma_corrected
     }
 
+    /// Whether the home DPU exhausted its attempts without a result (its
+    /// work then went to a survivor or unserved).
+    #[must_use]
+    pub fn quarantined(&self) -> bool {
+        !self.served || self.served_by.is_some()
+    }
+
     /// Health classification of this serve (see [`ServeHealth`]).
     #[must_use]
     pub fn health(&self) -> ServeHealth {
-        if self.result.is_none() {
+        if !self.served {
             ServeHealth::Unserved
         } else if self.served_by.is_some() {
             ServeHealth::Degraded
@@ -193,17 +204,6 @@ impl DpuServeReport {
             ServeHealth::Healthy
         }
     }
-}
-
-/// One work item moved from a quarantined DPU to a survivor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Redispatch {
-    /// The quarantined DPU whose work moved.
-    pub from: DpuId,
-    /// The surviving DPU that ran it.
-    pub to: DpuId,
-    /// Cycles the survivor spent on the favor.
-    pub cycles: u64,
 }
 
 /// What one launch did to the items staged on its DPUs (see
@@ -218,53 +218,88 @@ pub struct ItemOutcome {
     pub redispatched: Vec<usize>,
 }
 
-/// Outcome of a fault-tolerant launch: per-DPU serve reports plus the
-/// quarantine and degradation record. Returned `Ok` even when some work
+/// The result of one launch: each DPU's run result in DPU order, plus an
+/// incident for every DPU whose serve was not a clean first attempt.
+/// Returned `Ok` by [`crate::DpuSet::launch_with`] even when some work
 /// could not be served — graceful degradation is the point; check
 /// [`LaunchReport::fully_served`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaunchReport {
-    /// Per-DPU serve reports, in DPU order.
-    pub per_dpu: Vec<DpuServeReport>,
+    /// Per-DPU run results, in DPU order, each taken from whichever DPU
+    /// ran the work; [`RunResult::default`] for work that went unserved.
+    pub per_dpu: Vec<RunResult>,
     /// Tasklets the program ran with.
     pub tasklets: usize,
-    /// DPUs quarantined after exhausting their attempts, ascending.
-    pub quarantined: Vec<DpuId>,
-    /// Work items re-dispatched to survivors, in quarantine order.
-    pub degraded: Vec<Redispatch>,
+    /// Per-DPU incidents, ascending by DPU; empty on a clean launch.
+    pub incidents: Vec<Incident>,
 }
 
 impl LaunchReport {
+    /// DPU `dpu`'s incident, if its serve had one.
+    #[must_use]
+    pub fn incident(&self, dpu: usize) -> Option<&Incident> {
+        let at = self.incidents.binary_search_by_key(&dpu, |i| i.dpu.0 as usize).ok()?;
+        Some(&self.incidents[at])
+    }
+
     /// Whether every DPU's work produced a result (in place or via
     /// re-dispatch).
     #[must_use]
     pub fn fully_served(&self) -> bool {
-        self.per_dpu.iter().all(|r| r.result.is_some())
+        self.incidents.iter().all(|i| i.served)
+    }
+
+    /// This report when every DPU's work was served.
+    ///
+    /// # Errors
+    /// The error of the first DPU (in DPU order) whose work was not
+    /// served.
+    pub fn served(mut self) -> Result<Self> {
+        let Some(at) = self.incidents.iter().position(|i| !i.served) else { return Ok(self) };
+        Err(self.incidents.swap_remove(at).last_error.expect("an unserved DPU carries its error"))
+    }
+
+    /// DPUs quarantined after exhausting their attempts, ascending.
+    #[must_use]
+    pub fn quarantined(&self) -> Vec<DpuId> {
+        self.incidents.iter().filter(|i| i.quarantined()).map(|i| i.dpu).collect()
+    }
+
+    /// Incidents of the DPUs whose work a survivor re-ran, in quarantine
+    /// order; the favor's cycles are `per_dpu[dpu].cycles`.
+    pub fn degraded(&self) -> impl Iterator<Item = &Incident> {
+        self.incidents.iter().filter(|i| i.served_by.is_some())
     }
 
     /// Total retries consumed across the set.
     #[must_use]
     pub fn retries(&self) -> u64 {
-        self.per_dpu.iter().map(|r| u64::from(r.retries())).sum()
+        self.incidents.iter().map(|i| u64::from(i.retries())).sum()
     }
 
     /// Total faults injected across the set.
     #[must_use]
     pub fn faults_injected(&self) -> usize {
-        self.per_dpu.iter().map(|r| r.faults.len()).sum()
+        self.incidents.iter().map(|i| i.faults.len()).sum()
     }
 
     /// Total single-bit errors repaired across the set (ECC scrub plus
     /// inline DMA corrections).
     #[must_use]
     pub fn repairs(&self) -> u64 {
-        self.per_dpu.iter().map(DpuServeReport::repairs).sum()
+        self.incidents.iter().map(Incident::repairs).sum()
+    }
+
+    /// Health classification of DPU `dpu`'s serve.
+    #[must_use]
+    pub fn health(&self, dpu: usize) -> ServeHealth {
+        self.incident(dpu).map_or(ServeHealth::Healthy, Incident::health)
     }
 
     /// DPUs whose serve classified as a given health state.
     #[must_use]
     pub fn count_health(&self, health: ServeHealth) -> usize {
-        self.per_dpu.iter().filter(|r| r.health() == health).count()
+        (0..self.per_dpu.len()).filter(|&d| self.health(d) == health).count()
     }
 
     /// Completion time of the launch under this crate's accounting model:
@@ -274,14 +309,38 @@ impl LaunchReport {
     /// of the wave).
     #[must_use]
     pub fn makespan_cycles(&self) -> u64 {
-        let wave = self
-            .per_dpu
-            .iter()
-            .filter(|r| r.served_by.is_none())
-            .filter_map(|r| r.result.as_ref().map(|res| res.cycles + r.backoff_cycles))
-            .max()
-            .unwrap_or(0);
-        wave + self.degraded.iter().map(|d| d.cycles).sum::<u64>()
+        let (mut wave, mut favors) = (0, 0);
+        for (d, r) in self.per_dpu.iter().enumerate() {
+            match self.incident(d) {
+                None => wave = wave.max(r.cycles),
+                Some(i) if !i.served => {}
+                Some(i) if i.served_by.is_some() => favors += r.cycles,
+                Some(i) => wave = wave.max(r.cycles + i.backoff_cycles),
+            }
+        }
+        wave + favors
+    }
+
+    /// Completion time in seconds for the given device parameters.
+    #[must_use]
+    pub fn makespan_seconds(&self, params: &dpu_sim::DpuParams) -> f64 {
+        params.cycles_to_seconds(self.makespan_cycles())
+    }
+
+    /// Total instructions issued across all DPUs.
+    #[must_use]
+    pub fn total_instructions(&self) -> u64 {
+        self.per_dpu.iter().map(|r| r.instructions).sum()
+    }
+
+    /// Merged subroutine profile of all DPUs.
+    #[must_use]
+    pub fn merged_profile(&self) -> Profiler {
+        let mut p = Profiler::new();
+        for r in &self.per_dpu {
+            p.merge(&r.profile);
+        }
+        p
     }
 
     /// Map this launch onto staged work items: DPU `d` held `chunks[d]`
@@ -290,97 +349,16 @@ impl LaunchReport {
     /// items were served and which a survivor re-ran.
     #[must_use]
     pub fn items(&self, chunks: &[usize]) -> ItemOutcome {
-        let mut starts = Vec::with_capacity(chunks.len());
         let mut served = Vec::with_capacity(chunks.iter().sum());
+        let mut redispatched = Vec::new();
         for (d, &len) in chunks.iter().enumerate() {
-            starts.push(served.len());
-            served.resize(served.len() + len, self.per_dpu[d].result.is_some());
-        }
-        let redispatched = self
-            .degraded
-            .iter()
-            .filter_map(|r| {
-                let d = r.from.0 as usize;
-                chunks.get(d).map(|&len| starts[d]..starts[d] + len)
-            })
-            .flatten()
-            .collect();
-        ItemOutcome { served, redispatched }
-    }
-
-    /// Every served result, in DPU order regardless of which DPU
-    /// physically served it.
-    pub(crate) fn served_results(&self) -> impl Iterator<Item = &RunResult> + Clone {
-        self.per_dpu.iter().filter_map(|r| r.result.as_ref())
-    }
-
-    /// Collapse into a plain [`LaunchResult`], moving the per-DPU results
-    /// out. Results appear in DPU order regardless of which DPU physically
-    /// served them.
-    ///
-    /// # Errors
-    /// The error of the first DPU (in DPU order) whose work was not
-    /// served.
-    pub fn into_launch_result(self) -> Result<LaunchResult> {
-        // Collected rather than pushed: the results can take over the
-        // reports' allocation instead of faulting in one of their own.
-        let per_dpu = self
-            .per_dpu
-            .into_iter()
-            .map(|r| {
-                r.result.ok_or_else(|| {
-                    r.last_error.unwrap_or(HostError::WorkerPanic {
-                        detail: "unserved DPU carried no error".to_owned(),
-                    })
-                })
-            })
-            .collect::<Result<_>>()?;
-        Ok(LaunchResult { per_dpu, tasklets: self.tasklets })
-    }
-
-    /// Metrics snapshot: the resilience counters (retries, quarantines,
-    /// re-dispatches, per-class injected-fault counts) plus, when every
-    /// item was served, the underlying launch metrics.
-    #[must_use]
-    #[allow(clippy::cast_precision_loss)]
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut m = if self.fully_served() {
-            launch_metrics(self.served_results(), self.tasklets)
-        } else {
-            MetricsRegistry::default()
-        };
-        m.counter_add("resilient.retries", self.retries());
-        m.counter_add("resilient.quarantined", self.quarantined.len() as u64);
-        m.counter_add("resilient.redispatched", self.degraded.len() as u64);
-        m.counter_add("resilient.faults_injected", self.faults_injected() as u64);
-        for r in &self.per_dpu {
-            for f in &r.faults {
-                m.counter_add(&format!("faults.{}", f.kind.label()), 1);
+            let (start, incident) = (served.len(), self.incident(d));
+            served.resize(start + len, incident.is_none_or(|i| i.served));
+            if incident.is_some_and(|i| i.served_by.is_some()) {
+                redispatched.extend(start..start + len);
             }
         }
-        m.gauge_set("resilient.makespan_cycles", self.makespan_cycles() as f64);
-        m.gauge_set(
-            "resilient.unserved",
-            self.per_dpu.iter().filter(|r| r.result.is_none()).count() as f64,
-        );
-        m.counter_add(
-            "resilient.healthy_after_repair",
-            self.count_health(ServeHealth::HealthyAfterRepair) as u64,
-        );
-        m.counter_add(
-            "integrity.dma_corrected",
-            self.per_dpu.iter().map(|r| r.dma_corrected).sum(),
-        );
-        m.counter_add(
-            "integrity.scrub_corrected",
-            self.per_dpu.iter().map(|r| r.scrub.corrected()).sum(),
-        );
-        m.counter_add(
-            "integrity.scrub_uncorrectable",
-            self.per_dpu.iter().map(|r| r.scrub.uncorrectable.len() as u64).sum(),
-        );
-        m.counter_add("integrity.scrub_words", self.per_dpu.iter().map(|r| r.scrub.words).sum());
-        m
+        ItemOutcome { served, redispatched }
     }
 }
 
@@ -450,13 +428,14 @@ where
 
     /// The per-DPU job of every launch: snapshot (when faults can fire),
     /// attempt up to `1 + max_retries` runs restoring inputs between
-    /// attempts, and charge backoff per retry.
+    /// attempts, and charge backoff per retry. The incident is `None` on a
+    /// clean first attempt.
     fn serve_one(
         &self,
         index: usize,
         dpu: &mut Machine,
         mut buf: Option<&mut TraceBuffer>,
-    ) -> DpuServeReport {
+    ) -> (RunResult, Option<Incident>) {
         let policy = self.policy;
         let snapshot =
             self.snapshots.get(index).map(|slot| slot.get_or_init(|| dpu.mram.snapshot()));
@@ -465,8 +444,9 @@ where
         // ≤ 2% over ECC-off).
         let scrub_armed = self.plan.is_some() && dpu.mram.ecc_enabled();
         let dma_base = dpu.integrity.dma_corrected;
-        let mut report = DpuServeReport {
-            result: None,
+        let mut incident = Incident {
+            dpu: DpuId(index as u32),
+            served: false,
             attempts: policy.max_retries + 1,
             backoff_cycles: policy.cumulative_backoff(policy.max_retries),
             served_by: None,
@@ -475,6 +455,7 @@ where
             scrub: ScrubReport::default(),
             dma_corrected: 0,
         };
+        let mut result = RunResult::default();
         let armed = self.plan.map(|plan| (plan, index as u32));
         for attempt in 0..=policy.max_retries {
             if attempt > 0 {
@@ -482,8 +463,8 @@ where
                     dpu.mram.restore(s).expect("snapshot restores");
                 }
             }
-            match self.attempt(dpu, buf.as_deref_mut(), armed, attempt, &mut report.faults) {
-                Ok(result) => {
+            match self.attempt(dpu, buf.as_deref_mut(), armed, attempt, &mut incident.faults) {
+                Ok(r) => {
                     if scrub_armed {
                         // Between-launch scrub: repair single-bit storage
                         // errors the attempt left behind (MRAM write-side
@@ -494,24 +475,30 @@ where
                         // the next attempt restores from the snapshot.
                         let rep = dpu.mram.scrub();
                         let bad = rep.uncorrectable.first().copied();
-                        report.scrub.merge(&rep);
+                        incident.scrub.merge(&rep);
                         if let Some(addr) = bad {
-                            report.last_error =
+                            incident.last_error =
                                 Some(HostError::Dpu(dpu_sim::Error::EccUncorrectable { addr }));
                             continue;
                         }
                     }
-                    report.result = Some(result);
-                    report.attempts = attempt + 1;
-                    report.backoff_cycles = policy.cumulative_backoff(attempt);
-                    report.last_error = None;
+                    result = r;
+                    incident.served = true;
+                    incident.attempts = attempt + 1;
+                    incident.backoff_cycles = policy.cumulative_backoff(attempt);
+                    incident.last_error = None;
                     break;
                 }
-                Err(e) => report.last_error = Some(e),
+                Err(e) => incident.last_error = Some(e),
             }
         }
-        report.dma_corrected = dpu.integrity.dma_corrected - dma_base;
-        report
+        incident.dma_corrected = dpu.integrity.dma_corrected - dma_base;
+        let clean = incident.served
+            && incident.attempts == 1
+            && incident.faults.is_empty()
+            && incident.scrub == ScrubReport::default()
+            && incident.dma_corrected == 0;
+        (result, (!clean).then_some(incident))
     }
 }
 
@@ -552,14 +539,15 @@ where
         snapshots: plan.map_or_else(Vec::new, |_| (0..n).map(|_| OnceLock::new()).collect()),
     };
     let mut buffers = if trace { vec![TraceBuffer::new(); n] } else { Vec::new() };
-    let (mut per_dpu, steal) =
+    let (outcomes, steal) =
         dispatch(system, threshold, &mut buffers, |i, dpu, buf| wave.serve_one(i, dpu, buf));
-
-    let quarantined: Vec<DpuId> = per_dpu
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.result.is_none())
-        .map(|(i, _)| DpuId(i as u32))
+    let mut incidents = Vec::new();
+    let mut per_dpu: Vec<RunResult> = outcomes
+        .into_iter()
+        .map(|(result, incident)| {
+            incidents.extend(incident);
+            result
+        })
         .collect();
 
     // Graceful degradation: move each quarantined DPU's inputs onto a
@@ -567,13 +555,18 @@ where
     // own), and copy the outputs back into the victim's MRAM so the
     // caller's gather paths find them in place. Sequential and in DPU
     // order, so the report is scheduling-independent.
-    let mut degraded = Vec::new();
-    if policy.redispatch && !quarantined.is_empty() {
-        let survivors: Vec<usize> = (0..n).filter(|&i| per_dpu[i].result.is_some()).collect();
-        for (rr, &q) in quarantined.iter().enumerate() {
+    let victims: Vec<usize> = (0..incidents.len()).filter(|&k| !incidents[k].served).collect();
+    if policy.redispatch && !victims.is_empty() {
+        let mut live = vec![true; n];
+        for &k in &victims {
+            live[incidents[k].dpu.0 as usize] = false;
+        }
+        let survivors: Vec<usize> = (0..n).filter(|&d| live[d]).collect();
+        for (rr, &k) in victims.iter().enumerate() {
             if survivors.is_empty() {
                 break;
             }
+            let q = incidents[k].dpu;
             let qi = q.0 as usize;
             let to = DpuId(survivors[rr % survivors.len()] as u32);
             // The victim's pre-launch image: its snapshot when faults were
@@ -590,13 +583,13 @@ where
             let outcome = wave.attempt(host, buffers.get_mut(qi), None, 0, &mut Vec::new());
             let result_image = host.mram.snapshot();
             host.mram.restore(&saved).expect("restore fits");
-            let victim = &mut per_dpu[qi];
+            let victim = &mut incidents[k];
             match outcome {
                 Ok(r) => {
                     system.dpu_mut(q).mram.restore(&result_image).expect("result image fits");
-                    degraded.push(Redispatch { from: q, to, cycles: r.cycles });
+                    per_dpu[qi] = r;
+                    victim.served = true;
                     victim.served_by = Some(to);
-                    victim.result = Some(r);
                 }
                 // The survivor could not serve it either (deterministic
                 // program fault); record and move on.
@@ -605,7 +598,7 @@ where
         }
     }
 
-    (LaunchReport { per_dpu, tasklets, quarantined, degraded }, buffers, steal)
+    (LaunchReport { per_dpu, tasklets, incidents }, buffers, steal)
 }
 
 #[cfg(test)]
@@ -649,14 +642,15 @@ mod tests {
         let policy =
             ResilientLaunchPolicy { max_retries: 1, ..ResilientLaunchPolicy::with_faults(plan) };
         let report = set.launch_loaded_resilient(1, &policy).unwrap();
-        assert_eq!(report.quarantined, vec![DpuId(2)]);
+        assert_eq!(report.quarantined(), vec![DpuId(2)]);
         assert!(report.fully_served(), "survivor must serve the quarantined work");
-        assert_eq!(report.degraded.len(), 1);
-        assert_eq!(report.degraded[0].from, DpuId(2));
-        assert_eq!(report.per_dpu[2].served_by, Some(report.degraded[0].to));
-        assert_eq!(report.per_dpu[2].attempts, 2, "exhausted its retries first");
+        let [victim] = &report.incidents[..] else { panic!("{report:?}") };
+        assert_eq!((victim.dpu, report.degraded().count()), (DpuId(2), 1));
+        assert!(victim.served_by.is_some_and(|to| to != DpuId(2)));
+        assert_eq!(report.health(2), ServeHealth::Degraded);
+        assert_eq!(victim.attempts, 2, "exhausted its retries first");
         assert!(matches!(
-            report.per_dpu[2].last_error,
+            victim.last_error,
             None | Some(HostError::Dpu(dpu_sim::Error::DpuOffline))
         ));
         // The re-dispatched result landed in DPU 2's MRAM: gather works.
@@ -664,8 +658,8 @@ mod tests {
             assert_eq!(set.copy_scalar_from(DpuId(i), "x").unwrap(), u64::from(i + 1) * 2);
         }
         // Offline faults logged once per attempt.
-        assert_eq!(report.per_dpu[2].faults.len(), 2);
-        let m = report.metrics();
+        assert_eq!(victim.faults.len(), 2);
+        let m = report.resilient_metrics();
         assert_eq!(m.counter("resilient.quarantined"), 1);
         assert_eq!(m.counter("resilient.redispatched"), 1);
         assert_eq!(m.counter("faults.dpu_offline"), 2);
@@ -686,10 +680,10 @@ mod tests {
         let report = set.launch_loaded_resilient(1, &policy).unwrap();
         assert!(report.fully_served());
         assert!(report.retries() > 0, "seed 77 at 0.4 must fail at least one transfer");
-        for (i, r) in report.per_dpu.iter().enumerate() {
-            assert_eq!(r.backoff_cycles, u64::from(r.retries()) * 1_000, "DPU {i}");
+        for r in &report.incidents {
+            assert_eq!(r.backoff_cycles, u64::from(r.retries()) * 1_000, "{r:?}");
             // Each failed attempt logged exactly one DMA fail.
-            assert_eq!(r.faults.len(), r.retries() as usize, "DPU {i}: {:?}", r.faults);
+            assert_eq!(r.faults.len(), r.retries() as usize, "{r:?}");
         }
         // Inputs were restored between attempts: results are correct.
         for i in 0..4u32 {
@@ -705,15 +699,13 @@ mod tests {
         let policy = ResilientLaunchPolicy::with_faults(plan);
         let report = set.launch_loaded_resilient(1, &policy).unwrap();
         assert!(!report.fully_served());
-        assert_eq!(report.quarantined.len(), 3);
-        assert!(report.degraded.is_empty(), "no survivors to re-dispatch to");
-        for r in &report.per_dpu {
+        assert_eq!(report.quarantined().len(), 3);
+        assert_eq!(report.degraded().count(), 0, "no survivors to re-dispatch to");
+        for r in &report.incidents {
             assert!(matches!(r.last_error, Some(HostError::Dpu(dpu_sim::Error::DpuOffline))));
         }
-        assert!(matches!(
-            report.into_launch_result(),
-            Err(HostError::Dpu(dpu_sim::Error::DpuOffline))
-        ));
+        assert_eq!(report.per_dpu, vec![RunResult::default(); 3], "unserved work has no result");
+        assert!(matches!(report.served(), Err(HostError::Dpu(dpu_sim::Error::DpuOffline))));
     }
 
     #[test]
@@ -726,8 +718,8 @@ mod tests {
         let spec = LaunchSpec { policy: Some(&policy), ..LaunchSpec::adhoc(&p, 1) };
         let (report, _) = set.launch_with(spec).unwrap();
         assert!(!report.fully_served());
-        assert_eq!(report.quarantined.len(), 2);
-        for r in &report.per_dpu {
+        assert_eq!(report.quarantined().len(), 2);
+        for r in &report.incidents {
             assert_eq!(r.attempts, 2);
             assert!(matches!(
                 r.last_error,
@@ -771,7 +763,7 @@ mod tests {
         let spec = LaunchSpec { policy: Some(&policy), ..LaunchSpec::adhoc(&p, 1) };
         let (report, _) = set.launch_with(spec).unwrap();
         assert!(!report.fully_served());
-        for r in &report.per_dpu {
+        for r in &report.incidents {
             assert!(matches!(
                 r.last_error,
                 Some(HostError::Dpu(dpu_sim::Error::CycleBudgetExceeded { budget: 10_000 }))
@@ -794,8 +786,8 @@ mod tests {
                 dpu.execute(&exec, run)
             });
         assert!(report.fully_served());
-        assert_eq!(report.per_dpu[0].attempts, 2, "the panicked attempt consumed a retry");
-        assert_eq!(report.per_dpu[0].health(), ServeHealth::HealthyAfterRepair);
+        assert_eq!(report.incidents[0].attempts, 2, "the panicked attempt consumed a retry");
+        assert_eq!(report.health(0), ServeHealth::HealthyAfterRepair);
         assert_eq!(report.retries(), 1);
         // The set remains usable for a clean follow-up launch.
         for i in 0..4u32 {
@@ -844,18 +836,18 @@ mod tests {
         for i in 0..4u32 {
             assert_eq!(set.copy_scalar_from(DpuId(i), "x").unwrap(), u64::from(i + 1) * 2);
         }
-        for r in &report.per_dpu {
+        for r in &report.incidents {
             if !r.faults.is_empty() {
                 assert_eq!(r.health(), ServeHealth::HealthyAfterRepair, "{r:?}");
             }
         }
-        let m = report.metrics();
+        let m = report.resilient_metrics();
         assert_eq!(m.counter("integrity.scrub_uncorrectable"), 0);
         assert_eq!(
             m.counter("integrity.dma_corrected") + m.counter("integrity.scrub_corrected"),
             report.repairs()
         );
-        assert_eq!(report.into_launch_result().unwrap(), expected);
+        assert_eq!(report.per_dpu, expected.per_dpu);
     }
 
     #[test]
@@ -871,8 +863,8 @@ mod tests {
         };
         let report = set.launch_loaded_resilient(1, &policy).unwrap();
         assert!(!report.fully_served(), "every attempt's write lands a double flip");
-        assert_eq!(report.quarantined.len(), 3);
-        for r in &report.per_dpu {
+        assert_eq!(report.quarantined().len(), 3);
+        for r in &report.incidents {
             assert_eq!(r.attempts, 2, "both attempts consumed");
             assert!(
                 matches!(
@@ -885,7 +877,7 @@ mod tests {
             assert!(!r.scrub.uncorrectable.is_empty(), "scrub must report the bad word");
             assert_eq!(r.health(), ServeHealth::Unserved);
         }
-        assert!(report.metrics().counter("integrity.scrub_uncorrectable") >= 3);
+        assert!(report.resilient_metrics().counter("integrity.scrub_uncorrectable") >= 3);
     }
 
     #[test]
@@ -903,11 +895,11 @@ mod tests {
         let report = set.launch_loaded_resilient(1, &policy).unwrap();
         assert!(report.fully_served());
         assert!(report.retries() > 0, "seed 21 at 0.35 must hit at least one uncorrectable");
-        for (i, r) in report.per_dpu.iter().enumerate() {
+        for r in &report.incidents {
             assert_eq!(
                 r.backoff_cycles,
                 policy.cumulative_backoff(r.retries()),
-                "DPU {i}: geometric backoff accounting"
+                "{r:?}: geometric backoff accounting"
             );
         }
         // Snapshot restore between attempts keeps inputs exact: results

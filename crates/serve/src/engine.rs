@@ -124,18 +124,16 @@ fn account(
     chunks: &[usize],
     degrades: bool,
 ) -> Result<(BatchRun, Vec<bool>), HostError> {
-    if !degrades && !report.fully_served() {
-        return Err(report.into_launch_result().expect_err("a DPU went unserved"));
-    }
+    let report = if degrades { report } else { report.served()? };
     let items = report.items(chunks);
     let dpu = |d: usize| u32::try_from(d).expect("dpu index fits");
     let run = BatchRun {
         compute_cycles: report.makespan_cycles(),
         redispatched_items: items.redispatched.len(),
         lost_items: items.served.iter().filter(|&&ok| !ok).count(),
-        quarantined_dpus: report.quarantined.iter().map(|d| d.0).collect(),
+        quarantined_dpus: report.quarantined().into_iter().map(|d| d.0).collect(),
         repaired_dpus: (0..report.per_dpu.len())
-            .filter(|&d| report.per_dpu[d].health() == ServeHealth::HealthyAfterRepair)
+            .filter(|&d| report.health(d) == ServeHealth::HealthyAfterRepair)
             .map(dpu)
             .collect(),
         active_dpus: (0..chunks.len()).filter(|&d| chunks[d] > 0).map(dpu).collect(),

@@ -2,7 +2,7 @@
 //!
 //! The service accounts all time in **simulated cycles** so every gated
 //! number is deterministic. DPU compute time comes straight from the
-//! simulator ([`pim_host::LaunchResult::makespan_cycles`]); host↔MRAM
+//! simulator ([`pim_host::LaunchReport::makespan_cycles`]); host↔MRAM
 //! staging and readback are charged against a single shared link via
 //! [`LinkModel`], mirroring how one rank's bus serializes transfers.
 //!

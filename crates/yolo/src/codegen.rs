@@ -264,9 +264,7 @@ pub fn run_tier1_layer(
     let mut engine = RowEngine::build(dims, alpha, b, dims.m, spec.tasklets, spec.trace)?;
     engine.stage(a)?;
     let (report, dpu_traces) = engine.launch(spec.trace, spec.policy)?;
-    if !report.fully_served() {
-        return Err(report.into_launch_result().expect_err("a DPU went unserved"));
-    }
+    let report = report.served()?;
     let (c, _) = engine.gather()?;
     let redispatched = report.items(&vec![1; dims.m]).redispatched;
     let host_trace = engine.set.take_host_trace().unwrap_or_default();
@@ -500,8 +498,7 @@ mod tests {
         let a: Vec<i16> = (0..dims.k).map(|i| (i as i16 % 20) - 10).collect();
         let b: Vec<i16> = (0..dims.k * dims.n).map(|i| (i as i16 % 30) - 15).collect();
         let run = run_tier1_layer(dims, 1, &a, &b, LayerRunSpec::new(11)).unwrap();
-        let result = run.report.into_launch_result().unwrap();
-        let r = &result.per_dpu[0];
+        let r = &run.report.per_dpu[0];
         assert!(r.dma_transfers as usize >= dims.k * dims.n, "per-element B DMAs");
     }
 
@@ -528,10 +525,9 @@ mod traced_tests {
         let traced = run_tier1_layer(dims, 1, &a, &b, spec).unwrap();
         assert_eq!(traced.c, plain.c);
         assert_eq!(traced.report, plain.report);
-        let launch = plain.report.into_launch_result().unwrap();
         assert_eq!(traced.dpu_traces.len(), dims.m);
         for (d, buf) in traced.dpu_traces.iter().enumerate() {
-            assert_eq!(buf.max_end_cycle(), launch.per_dpu[d].cycles, "DPU {d}");
+            assert_eq!(buf.max_end_cycle(), plain.report.per_dpu[d].cycles, "DPU {d}");
             assert!(
                 buf.count_matching(|e| matches!(e, TraceEvent::DmaTransfer { .. })) > 0,
                 "DPU {d}"

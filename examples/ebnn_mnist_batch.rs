@@ -60,7 +60,7 @@ fn main() {
     // --- Tier-1: the generated DPU program, instruction by instruction ---
     let run =
         ebnn::codegen::run_tier1_batch(&model, batch16, ebnn::BatchSpec::default()).expect("tier1");
-    let t1 = run.report.into_launch_result().expect("every DPU served");
+    let t1 = &run.report;
     let exact = batch16
         .iter()
         .zip(&run.features)

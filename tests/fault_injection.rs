@@ -131,16 +131,16 @@ fn ebnn_batch_survives_a_whole_dpu_fault_via_redispatch() {
     let spec = ebnn::BatchSpec { policy: Some(&policy), ..ebnn::BatchSpec::default() };
     let batch = ebnn::run_tier1_batch(&m, &imgs, spec).unwrap();
 
-    assert_eq!(batch.report.quarantined, vec![DpuId(1)]);
+    assert_eq!(batch.report.quarantined(), vec![DpuId(1)]);
     assert!(batch.report.fully_served());
-    assert_eq!(batch.report.degraded.len(), 1);
+    assert_eq!(batch.report.degraded().count(), 1);
     assert_eq!(batch.redispatched, (16..32).collect::<Vec<_>>());
     // Every image classifies from the correct features — including the 16
     // that lived on the dead DPU.
     for (i, img) in imgs.iter().enumerate() {
         assert_eq!(batch.features[i], m.features(&m.binarize(&img.pixels)), "image {i}");
     }
-    let metrics = batch.report.metrics();
+    let metrics = batch.report.resilient_metrics();
     assert_eq!(metrics.counter("resilient.quarantined"), 1);
     assert_eq!(metrics.counter("faults.dpu_offline"), 2); // both attempts
 }
@@ -158,10 +158,7 @@ fn ebnn_resilient_batch_with_no_faults_matches_plain_batch() {
     let batch = ebnn::run_tier1_batch(&m, &imgs, spec).unwrap();
     assert_eq!(batch.features, plain.features);
     assert!(batch.redispatched.is_empty());
-    assert_eq!(
-        batch.report.into_launch_result().unwrap(),
-        plain.report.into_launch_result().unwrap()
-    );
+    assert_eq!(batch.report, plain.report);
 }
 
 /// YOLO row-per-DPU GEMM survives multiple simultaneous whole-DPU faults.
@@ -185,12 +182,7 @@ fn yolo_layer_survives_dpu_faults_with_redispatch() {
     let layer = yolo_pim::run_tier1_layer(dims, 2, &a, &b, spec).unwrap();
     assert_eq!(layer.c, want, "every output row correct despite two dead DPUs");
     assert_eq!(layer.redispatched, vec![0, 3]);
-    assert_eq!(
-        layer.report.quarantined,
-        vec![DpuId(0), DpuId(3)],
-        "{:?}",
-        layer.report.quarantined
-    );
+    assert_eq!(layer.report.quarantined(), vec![DpuId(0), DpuId(3)], "{:?}", layer.report);
 }
 
 proptest! {

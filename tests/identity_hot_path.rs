@@ -85,9 +85,9 @@ fn ebnn_tier1_batch_is_bit_identical_on_every_path() {
         for (i, image) in images.iter().enumerate() {
             assert_eq!(features[i], model.features(&model.binarize(&image.pixels)), "{path:?} {i}");
         }
-        assert!(report.quarantined.is_empty() && report.degraded.is_empty(), "{path:?}");
+        assert!(report.incidents.is_empty(), "{path:?}: {report:?}");
         assert_eq!(report.makespan_cycles(), 993_643, "{path:?}: makespan drifted");
-        let launch = report.into_launch_result().expect("fully served");
+        let launch = report;
         let cycles: Vec<u64> = launch.per_dpu.iter().map(|r| r.cycles).collect();
         let instrs: Vec<u64> = launch.per_dpu.iter().map(|r| r.instructions).collect();
         assert_eq!(cycles, GOLDEN_EBNN_CYCLES, "{path:?}: per-DPU cycles drifted");
@@ -133,8 +133,8 @@ fn yolo_tier1_layer_is_bit_identical_on_every_path() {
             (run.c, run.report, run.dpu_traces)
         };
         assert_eq!(c, expect, "{path:?}: C differs from the host GEMM");
-        assert!(report.quarantined.is_empty() && report.degraded.is_empty(), "{path:?}");
-        let launch = report.into_launch_result().expect("fully served");
+        assert!(report.incidents.is_empty(), "{path:?}: {report:?}");
+        let launch = report;
         let cycles: Vec<u64> = launch.per_dpu.iter().map(|r| r.cycles).collect();
         assert_eq!(cycles, vec![264_648; 6], "{path:?}: per-DPU cycles drifted");
         assert_eq!(launch.total_instructions(), 428_988, "{path:?}: instructions drifted");
@@ -167,7 +167,7 @@ fn strided_fig_4_7a_batches_hold_their_golden_figures() {
             let want = model.features(&model.binarize(&image.pixels));
             assert_eq!(run.features[i], want, "{tasklets} tasklets, image {i}");
         }
-        let launch = run.report.into_launch_result().expect("fully served");
+        let launch = run.report.served().expect("fully served");
         assert_eq!(launch.tasklets, tasklets);
         assert_eq!(launch.makespan_cycles(), cycles, "{tasklets} tasklets: cycles drifted");
         assert_eq!(launch.total_instructions(), instructions, "{tasklets} tasklets");

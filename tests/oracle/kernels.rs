@@ -90,14 +90,12 @@ pub fn paper_kernels() -> Vec<Input> {
 /// DPUs, three of them idle (the serving shape whose idle DPUs replay).
 pub fn ebnn_set() -> SetInput {
     let ebnn = [false, true].map(|ecc| ebnn_engine(5, 18, ecc, None));
-    // Each staged image's features, without the record's padding (which
-    // the write-back DMA fills from WRAM past them).
+    // Each DPU's feature records, padding included.
     let base = ebnn[0].set().symbols().get("features").unwrap().offset;
-    let fpi = WramLayout::new(1).features_per_image() as usize;
-    let record = fpi.div_ceil(8) * 8;
+    let record = (WramLayout::new(1).features_per_image() as usize).div_ceil(8) * 8;
     let chunks = ebnn[0].staged_chunks(0).expect("a staged batch");
-    let images = |&n| (0..n).map(|i| base + i * record..base + i * record + fpi).collect();
-    let outputs = chunks.iter().map(images).collect();
+    let records = |&n| std::iter::once(base..base + n * record).collect();
+    let outputs = chunks.iter().map(records).collect();
     let sets = [ebnn[0].set(), ebnn[1].set()];
     SetInput::staged("eBNN 16 + 2 images on 5 DPUs", 16, sets, 11, outputs)
 }

@@ -4,20 +4,22 @@
 //! reference at every budget there), how attribution merges and folds,
 //! how long a replay table lives, that host copies and restores need
 //! no invalidation hook, that the fault-class axis reaches every fault and
-//! every outcome, and that link faults never reach staged memory.
+//! every outcome, which DPU's error a faulting launch names, and that link
+//! faults never reach staged memory.
 
 use crate::generate::{racy_program, random_programs, Disruption, Event, Gate, RacyOp};
 use crate::machine::{run, seeded, Aftermath, Cell, Faults, Run, Watch};
-use crate::set::{self, Policy};
+use crate::set::{self, Policy, SetInput};
 use dpu_sim::asm::assemble;
 use dpu_sim::exec::is_superblock_op;
 use dpu_sim::isa::{Instr, Program, Reg, Width};
 use dpu_sim::{
-    CycleAttribution, DpuId, Engine, EngineStats, ExecProgram, FaultConfig, Machine, Observe,
-    RunSpec,
+    CycleAttribution, DpuId, Engine, EngineStats, Error, ExecProgram, FaultConfig, Machine,
+    Observe, RunSpec,
 };
 use pim_host::{
-    DpuSet, LaunchResult, LaunchSpec, LinkFaultPlan, LinkPolicy, ResilientLaunchPolicy, ServeHealth,
+    DpuSet, HostError, LaunchReport, LaunchSpec, LinkFaultPlan, LinkPolicy, ResilientLaunchPolicy,
+    ServeHealth,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -534,11 +536,11 @@ fn staged_set(threshold: usize) -> DpuSet {
 
 /// Launch `set`, plainly or under a zero-fault policy: the result and the
 /// launch's residency.
-fn launch(set: &mut DpuSet, zero_fault: bool) -> (LaunchResult, EngineStats) {
+fn launch(set: &mut DpuSet, zero_fault: bool) -> (LaunchReport, EngineStats) {
     let before = set.system().engine_stats();
     let policy = ResilientLaunchPolicy::default();
     let spec = LaunchSpec { policy: zero_fault.then_some(&policy), ..LaunchSpec::loaded(TASKLETS) };
-    let result = set.launch_with(spec).unwrap().0.into_launch_result().unwrap();
+    let result = set.launch_with(spec).unwrap().0.served().unwrap();
     (result, set.system().engine_stats().since(&before))
 }
 
@@ -690,23 +692,63 @@ fn fault_classes_reach_every_kind_and_health() {
     let dpus = input.staged[0].len();
     for l in launched.iter().filter(|l| pairs.contains(&l.policy.as_str())) {
         let r = &l.report;
-        assert_eq!(r.quarantined.len(), dpus, "{}: every DPU quarantined", l.policy);
-        assert!(r.degraded.is_empty(), "{}: no survivor to re-dispatch onto", l.policy);
-        assert!(r.per_dpu.iter().all(|d| d.attempts == 4 && d.result.is_none()), "{r:?}");
+        assert_eq!(r.quarantined().len(), dpus, "{}: every DPU quarantined", l.policy);
+        assert_eq!(r.degraded().count(), 0, "{}: no survivor to re-dispatch onto", l.policy);
+        assert_eq!(r.incidents.len(), dpus, "{r:?}");
+        assert!(r.incidents.iter().all(|d| d.attempts == 4 && !d.served), "{r:?}");
     }
-    let dpu_reports = || launched.iter().flat_map(|l| &l.report.per_dpu);
+    let incidents = || launched.iter().flat_map(|l| &l.report.incidents);
     let kinds: BTreeSet<&str> =
-        dpu_reports().flat_map(|d| &d.faults).map(|f| f.kind.label()).collect();
+        incidents().flat_map(|d| &d.faults).map(|f| f.kind.label()).collect();
     let every = ["dma_fail", "dpu_offline", "mram_bit_flip", "tasklet_hang", "wram_bit_flip"];
     assert_eq!(kinds, BTreeSet::from(every), "fault kinds fired");
     use ServeHealth::{Degraded, Healthy, HealthyAfterRepair, Unserved};
+    let healths = || launched.iter().flat_map(|l| (0..dpus).map(|d| l.report.health(d)));
     for health in [Healthy, HealthyAfterRepair, Degraded, Unserved] {
-        assert!(dpu_reports().any(|d| d.health() == health), "{health:?} never occurs");
+        assert!(healths().any(|h| h == health), "{health:?} never occurs");
     }
-    assert!(dpu_reports().any(|d| d.repairs() > 0), "no flip was repaired");
+    assert!(incidents().any(|d| d.repairs() > 0), "no flip was repaired");
     let double_flips = launched.iter().filter(|l| l.policy == "double_flip" && l.ecc);
-    let mut surfaced = double_flips.flat_map(|l| &l.report.per_dpu);
+    let mut surfaced = double_flips.flat_map(|l| &l.report.incidents);
     assert!(surfaced.any(|d| !d.scrub.uncorrectable.is_empty()), "no uncorrectable word");
+}
+
+/// Divides by `scalar - 2` and, on the DPU holding 4, loads from far
+/// outside WRAM: on a set whose DPU `i` holds `i + 1`, DPU 1 and DPU 3
+/// fault, differently.
+const FAULTING: &str = "movi r3, 8\nmram.read r0, r0, r3\nlw r4, r0, 0\naddi r5, r4, -2\n\
+    call __divsi3 r6, r4, r5\naddi r7, r4, -4\nbne r7, r0, done\nmovi r8, 0x7fff0000\n\
+    lw r9, r8, 0\ndone:\nhalt\n";
+
+/// A faulting launch in every cell of the plain policies: the set layer
+/// checks that each plain cell's launch names the first faulting DPU's
+/// error in DPU order. Under every policy DPUs 1 and 3 are quarantined,
+/// DPU 3 with its own error, nothing is re-dispatched (a deterministic
+/// fault follows its image to the survivor), and the launch's error is
+/// DPU 1's division by zero.
+#[test]
+fn the_first_faulting_dpu_in_dpu_order_names_the_error() {
+    let program = assemble(FAULTING).unwrap();
+    let sets = [false, true].map(|ecc| {
+        let mut set = DpuSet::allocate(6).unwrap();
+        set.enable_ecc(ecc);
+        for (i, (_, dpu)) in set.system_mut().iter_mut().enumerate() {
+            dpu.mram.write(0, &(i as u64 + 1).to_le_bytes()).unwrap();
+        }
+        set.load(&program).unwrap();
+        set
+    });
+    let input = SetInput::staged("DPUs 1 and 3 fault", 3, [&sets[0], &sets[1]], 14, Vec::new());
+    for l in set::check_with(&input, &set::plain_policies()) {
+        let (r, cell) = (&l.report, format!("{}, ecc={}", l.policy, l.ecc));
+        assert_eq!(r.quarantined(), [DpuId(1), DpuId(3)], "{cell}");
+        assert_eq!(r.degraded().count(), 0, "{cell}: a deterministic fault follows its image");
+        assert!(r.incidents.iter().all(|i| !i.served), "{cell}: every other DPU served");
+        let oob = &r.incidents[1].last_error;
+        assert!(matches!(oob, Some(HostError::Dpu(Error::OutOfBounds { .. }))), "{cell}: {r:?}");
+        let err = r.clone().served().unwrap_err();
+        assert!(matches!(err, HostError::Dpu(Error::DivisionByZero { .. })), "{cell}: {err}");
+    }
 }
 
 /// Link faults on staging: every frame the link corrupts or aborts is

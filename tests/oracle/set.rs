@@ -22,7 +22,8 @@
 //! its results) and leaves every DPU as its reference left it; default
 //! terms that retry, and each armed scenario, agree with their own kind in
 //! report, trace buffers and memory. Every report balances its books
-//! ([`books_balance`]). On an input whose outputs depend only on its MRAM
+//! ([`books_balance`]); a clean cell's report has no incident, and a plain
+//! cell's launch names the first faulting DPU's error in DPU order. On an input whose outputs depend only on its MRAM
 //! ([`SetInput::outputs`]) the fault contract holds too: with ECC on, or
 //! under a flip-free plan, every DPU served (in place or by a survivor)
 //! holds exactly its reference's answer, and single-bit flips under ECC
@@ -31,12 +32,12 @@
 use crate::generate::Generated;
 use crate::machine::{replay_counters, same, seeded, Aftermath};
 use dpu_sim::{
-    DmaEngine, DpuId, Engine, ExecProgram, FaultConfig, FaultPlan, Machine, Mram, Program, RunSpec,
-    Wram,
+    DmaEngine, Engine, ExecProgram, FaultConfig, FaultPlan, Machine, Mram, Program, RunResult,
+    RunSpec, ScrubReport, Wram,
 };
 use pim_bench::chaos;
 use pim_host::{
-    DpuSet, HostError, LaunchObservation, LaunchReport, LaunchSpec, ResilientLaunchPolicy,
+    DpuSet, HostError, Incident, LaunchObservation, LaunchReport, LaunchSpec, ResilientLaunchPolicy,
 };
 use pim_trace::TraceBuffer;
 use std::collections::BTreeMap;
@@ -158,42 +159,61 @@ fn memory(set: &DpuSet) -> Memory {
     set.system().iter().map(|(_, m)| (m.wram.clone(), m.mram.clone(), m.dma)).collect()
 }
 
-/// The books of any report of any launch: attempts within `1..=max + 1`;
-/// quarantined exactly when a DPU exhausted them without a home result; a
-/// stand-in only for a quarantined DPU; an error on every unserved DPU; a
-/// re-dispatch only from a quarantined victim to a live survivor, taking
-/// cycles; the quarantine list ascending; the metrics agreeing.
+/// DPU `d`'s result, unless its work went unserved.
+fn result(report: &LaunchReport, d: usize) -> Option<&RunResult> {
+    report.incident(d).is_none_or(|i| i.served).then(|| &report.per_dpu[d])
+}
+
+/// The books of any report of any launch: incidents ascending by DPU, none
+/// of them a clean first attempt; attempts within `1..=max + 1`, all of
+/// them spent by a quarantined DPU; a stand-in that served the work and is
+/// neither the victim nor quarantined, taking cycles; an error on every
+/// unserved DPU and none on a DPU served in place; no result for unserved
+/// work; the metrics agreeing.
 fn books_balance(report: &LaunchReport, max_retries: u32, cell: &str) {
-    for (i, r) in report.per_dpu.iter().enumerate() {
-        let quarantined = report.quarantined.contains(&DpuId(i as u32));
-        let (attempts, max) = (r.attempts, max_retries + 1);
-        assert!((1..=max).contains(&attempts), "{cell}, DPU {i}: {attempts} attempts");
-        let exhausted = attempts == max && (r.result.is_none() || r.served_by.is_some());
-        assert_eq!(quarantined, exhausted, "{cell}, DPU {i}: quarantine books: {r:?}");
-        assert!(r.served_by.is_none() || r.result.is_some() && quarantined, "{cell}, DPU {i}");
-        assert!(quarantined || r.last_error.is_none(), "{cell}, DPU {i}: {r:?}");
-        assert!(r.result.is_some() || r.last_error.is_some(), "{cell}, DPU {i}: unexplained");
+    let incidents = &report.incidents;
+    assert!(incidents.windows(2).all(|w| w[0].dpu < w[1].dpu), "{cell}: incident order");
+    let quarantined = report.quarantined();
+    for i in incidents {
+        let d = i.dpu.0 as usize;
+        let clean = i.served
+            && i.attempts == 1
+            && i.served_by.is_none()
+            && i.faults.is_empty()
+            && i.scrub == ScrubReport::default()
+            && i.dma_corrected == 0;
+        assert!(!clean, "{cell}: a clean first attempt is no incident: {i:?}");
+        let (attempts, max) = (i.attempts, max_retries + 1);
+        assert!((1..=max).contains(&attempts), "{cell}, DPU {d}: {attempts} attempts");
+        assert!(!i.quarantined() || attempts == max, "{cell}: quarantine books: {i:?}");
+        if let Some(to) = i.served_by {
+            let stand_in = i.served && to != i.dpu && !quarantined.contains(&to);
+            assert!(stand_in && report.per_dpu[d].cycles > 0, "{cell}: re-dispatch {i:?}");
+        }
+        assert!(i.quarantined() || i.last_error.is_none(), "{cell}: {i:?}");
+        assert!(i.served || i.last_error.is_some(), "{cell}: unexplained: {i:?}");
+        let no_result = report.per_dpu[d] == RunResult::default();
+        assert!(i.served || no_result, "{cell}, DPU {d}: unserved work has a result");
     }
-    for d in &report.degraded {
-        let pairs = report.quarantined.contains(&d.from) && !report.quarantined.contains(&d.to);
-        assert!(pairs && d.cycles > 0, "{cell}: re-dispatch {d:?}");
-    }
-    assert!(report.quarantined.windows(2).all(|w| w[0] < w[1]), "{cell}: quarantine order");
-    let m = report.metrics();
+    let m = report.resilient_metrics();
     let books = [
-        ("resilient.retries", report.retries()),
-        ("resilient.quarantined", report.quarantined.len() as u64),
-        ("resilient.redispatched", report.degraded.len() as u64),
-        ("resilient.faults_injected", report.faults_injected() as u64),
+        ("resilient.retries", incidents.iter().map(|i| u64::from(i.attempts) - 1).sum()),
+        ("resilient.quarantined", quarantined.len() as u64),
+        (
+            "resilient.redispatched",
+            incidents.iter().filter(|i| i.served_by.is_some()).count() as u64,
+        ),
+        ("resilient.faults_injected", incidents.iter().map(|i| i.faults.len() as u64).sum()),
     ];
     for (key, want) in books {
         assert_eq!(m.counter(key), want, "{cell}: {key}");
     }
 }
 
-/// Every cell of `input`, over the plain policies and the fault-class
-/// axis; returns every launch.
-pub fn check(input: &SetInput) -> Vec<Served> {
+/// The plain launch's own terms under four spellings: no policy, a policy
+/// that injects nothing, default terms, and default terms with a plan
+/// that injects nothing.
+pub fn plain_policies() -> Vec<Policy> {
     // The plain launch's own terms, with a plan that injects nothing.
     let zero = ResilientLaunchPolicy {
         max_retries: 0,
@@ -201,12 +221,18 @@ pub fn check(input: &SetInput) -> Vec<Served> {
         ..ResilientLaunchPolicy::with_faults(FaultPlan::none())
     };
     let armed_zero = ResilientLaunchPolicy::with_faults(FaultPlan::none());
-    let mut policies = vec![
+    vec![
         Policy::new("none", None, "plain"),
         Policy::new("zero-fault", Some(zero), "plain"),
         Policy::new("default", Some(ResilientLaunchPolicy::default()), "default"),
         Policy::new("default terms, armed zero", Some(armed_zero), "default"),
-    ];
+    ]
+}
+
+/// Every cell of `input`, over the plain policies and the fault-class
+/// axis; returns every launch.
+pub fn check(input: &SetInput) -> Vec<Served> {
+    let mut policies = plain_policies();
     policies.extend(scenarios(input.seed));
     check_with(input, &policies)
 }
@@ -266,6 +292,9 @@ pub fn check_with(input: &SetInput, policies: &[Policy]) -> Vec<Served> {
             longest[usize::from(ecc)].is_some_and(|cycles| cycles < p.watchdog_budget)
         };
         let plain = p.group == "plain" || zero_plan && policy.is_some_and(in_time);
+        // A clean cell: nothing injected and every DPU served at its
+        // first attempt.
+        let clean = zero_plan && policy.map_or(longest[usize::from(ecc)].is_some(), in_time);
         let group = if plain { "plain" } else { p.group.as_str() };
         // Whether the fault contract pins a served DPU's answer to its
         // reference's: with ECC on, every flip is repaired.
@@ -299,10 +328,11 @@ pub fn check_with(input: &SetInput, policies: &[Policy]) -> Vec<Served> {
             let stats = set.system().engine_stats().since(&before);
             assert_eq!(buffers.len(), if trace { dpus } else { 0 }, "{cell}");
             books_balance(&report, max_retries, &cell);
+            assert!(!clean || report.incidents.is_empty(), "{cell}: {:?}", report.incidents);
             launched.push(Served { policy: p.name.clone(), ecc, report: report.clone() });
             // Armed attempts bypass the table; only a re-dispatch pass
             // (after a quarantine) runs clean.
-            if trace || ecc || (!zero_plan && report.quarantined.is_empty()) {
+            if trace || ecc || (!zero_plan && report.quarantined().is_empty()) {
                 assert_eq!(replay_counters(&stats), [0; 4], "{cell}: bypasses the table");
             }
             if policy.is_some() || report.fully_served() {
@@ -320,14 +350,14 @@ pub fn check_with(input: &SetInput, policies: &[Policy]) -> Vec<Served> {
             assert!(!trace || same(&mut want.buffers, &buffers), "{cell}: trace buffers");
             if !plain {
                 assert!(same(&mut want.memory, &memory(&set)), "{cell}: memory");
-                let dpus = set.system().iter().zip(&report.per_dpu).zip(references);
-                for (d, (((_, m), served), r)) in dpus.enumerate() {
+                for (d, ((_, m), r)) in set.system().iter().zip(references).enumerate() {
                     // A first attempt nothing was injected into is a plain run.
-                    if launch == 0 && served.attempts == 1 && served.faults.is_empty() {
+                    let once = |i: &Incident| i.attempts == 1 && i.faults.is_empty();
+                    if launch == 0 && report.incident(d).is_none_or(once) {
                         let want = r.outcome.as_ref().ok();
-                        assert_eq!(served.result.as_ref(), want, "{cell}, DPU {d}: silent");
+                        assert_eq!(result(&report, d), want, "{cell}, DPU {d}: silent");
                     }
-                    intact[d] &= served.result.is_some();
+                    intact[d] &= result(&report, d).is_some();
                     let answer = input.outputs.get(d).filter(|_| exact && intact[d]);
                     for span in answer.into_iter().flatten() {
                         let [got, want] =
@@ -341,23 +371,25 @@ pub fn check_with(input: &SetInput, policies: &[Policy]) -> Vec<Served> {
                 continue;
             }
             if report.fully_served() {
-                let results = report.per_dpu.iter().filter_map(|r| r.result.as_ref());
-                let instructions: u64 = results.map(|r| r.instructions).sum();
+                let instructions = report.total_instructions();
                 assert_eq!(stats.slots(), instructions, "{cell}: modes partition the slots");
             }
-            assert!(report.degraded.is_empty(), "{cell}: nothing re-dispatched");
-            let dpus = set.system().iter().zip(&report.per_dpu).zip(references);
-            for (d, (((_, m), served), r)) in dpus.enumerate() {
+            // A plain launch names the first faulting DPU's error, in DPU
+            // order.
+            let first_error = references.iter().find_map(|r| r.outcome.clone().err());
+            let error = report.clone().served().err();
+            assert_eq!(error, first_error.map(HostError::Dpu), "{cell}: the launch's error");
+            for (d, ((_, m), r)) in set.system().iter().zip(references).enumerate() {
                 let cell = format!("{cell}, DPU {d}");
-                assert_eq!(served.result.as_ref(), r.outcome.as_ref().ok(), "{cell}");
-                assert_eq!(
-                    served.last_error,
-                    r.outcome.clone().err().map(HostError::Dpu),
-                    "{cell}"
-                );
-                let once = (served.attempts, served.served_by, served.backoff_cycles);
-                assert_eq!(once, (1, None, 0), "{cell}: one attempt");
-                assert!(served.faults.is_empty(), "{cell}: nothing injected");
+                assert_eq!(result(&report, d), r.outcome.as_ref().ok(), "{cell}");
+                // Only a faulting DPU has an incident: one attempt, its
+                // error, nothing injected, nothing re-dispatched.
+                let incident = report.incident(d).map(|i| {
+                    assert!(i.faults.is_empty(), "{cell}: nothing injected");
+                    (i.served, i.attempts, i.served_by, i.backoff_cycles, i.last_error.clone())
+                });
+                let error = r.outcome.clone().err().map(|e| Some(HostError::Dpu(e)));
+                assert_eq!(incident, error.map(|e| (false, 1, None, 0, e)), "{cell}");
                 if let (Some(b), Ok(r)) = (buffers.get(d), &r.outcome) {
                     assert_eq!(
                         (b.max_end_cycle(), b.dma_bytes()),
