@@ -45,10 +45,13 @@ fn main() {
     }
 
     let report = run_chaos(&cfg);
+    // A closed pipe must not turn a failed campaign into a pass.
+    let status = i32::from(!report.clean());
     if json {
-        println!("{}", serde_json::to_string_pretty(&report).expect("report serializes"));
+        let text = serde_json::to_string_pretty(&report).expect("report serializes");
+        pim_serve::write_stdout(&(text + "\n"), status);
     } else {
-        print!("{}", report.render());
+        pim_serve::write_stdout(&report.render(), status);
     }
     if !report.clean() {
         eprintln!("chaos soak FAILED: integrity violations detected");

@@ -139,10 +139,10 @@ fn main() {
             eprintln!("--loc: cannot read crates/*/src here: {e}");
             std::process::exit(2);
         });
-        for (file, lines) in &counts {
-            println!("{lines:>6}  {file}");
-        }
-        println!("{:>6}  total", counts.iter().map(|(_, n)| n).sum::<usize>());
+        let mut text: String =
+            counts.iter().map(|(file, lines)| format!("{lines:>6}  {file}\n")).collect();
+        text += &format!("{:>6}  total\n", counts.iter().map(|(_, n)| n).sum::<usize>());
+        pim_serve::write_stdout(&text, 0);
         return;
     }
     if let Some(path) = bench_json {
@@ -559,9 +559,10 @@ fn emit_trace_metrics(json: bool) {
 fn emit<T: serde::Serialize>(json: bool, id: &str, value: &T, text: impl FnOnce() -> String) {
     if json {
         let payload = serde_json::json!({ "experiment": id, "data": value });
-        println!("{}", serde_json::to_string(&payload).expect("serializable"));
+        let line = serde_json::to_string(&payload).expect("serializable");
+        pim_serve::write_stdout(&(line + "\n"), 0);
     } else {
-        println!("{}", text());
+        pim_serve::write_stdout(&(text() + "\n"), 0);
     }
 }
 

@@ -57,3 +57,26 @@ fn an_existing_output_is_replaced_whole() {
     let text = std::fs::read_to_string(&path).expect("the new file");
     assert!(!text.is_empty() && !text.contains("stale"), "{text}");
 }
+
+/// A reader that stops early (`report --json | head -c 300`) closes the
+/// pipe while experiments are still to come: the next write meets a
+/// closed pipe, and `report` exits 0 without a panic message.
+#[test]
+fn a_closed_stdout_pipe_is_a_quiet_exit() {
+    use std::io::Read;
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_report"))
+        .arg("--json")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("report starts");
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    let mut head = [0u8; 16];
+    stdout.read_exact(&mut head).expect("the first experiment's line");
+    drop(stdout);
+    let out = child.wait_with_output().expect("report exits");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

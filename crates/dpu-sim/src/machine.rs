@@ -41,6 +41,7 @@ use crate::profiler::{CycleAttribution, Profiler};
 use crate::replay::{Lookup, Recorder, ReplayKey, Space, REPLAY_MAX_SLOTS};
 use crate::subroutines::Subroutine;
 use pim_trace::{DmaDirection, NullSink, TraceEvent, TraceSink};
+use std::sync::Arc;
 
 /// Default cycle budget for [`Machine::run`]; generous enough for every
 /// kernel in the repository while still catching infinite loops.
@@ -376,10 +377,14 @@ impl Machine {
     /// take the per-instruction reference loop, trading the fast tier's
     /// speed for per-slot attribution; traced runs keep the fast tier.
     ///
+    /// The result is shared: a replayed run returns its recording's own
+    /// `Arc`, so the idle DPUs of a launch hold one result between them
+    /// instead of one deep copy each.
+    ///
     /// # Errors
     /// Any interpreter fault ([`Error::PcOutOfRange`], memory bounds,
     /// [`Error::CycleBudgetExceeded`] after `spec.budget` cycles, …).
-    pub fn execute(&mut self, exec: &ExecProgram, spec: RunSpec<'_>) -> Result<RunResult> {
+    pub fn execute(&mut self, exec: &ExecProgram, spec: RunSpec<'_>) -> Result<Arc<RunResult>> {
         self.run_code(exec, spec)
     }
 
@@ -402,7 +407,7 @@ impl Machine {
     /// # Errors
     /// See [`Machine::execute`].
     pub fn run_exec(&mut self, exec: &ExecProgram, tasklets: usize) -> Result<RunResult> {
-        self.execute(exec, RunSpec::new(tasklets))
+        self.execute(exec, RunSpec::new(tasklets)).map(Arc::unwrap_or_clone)
     }
 
     /// [`Machine::run_exec`] on an explicit engine tier instead of the
@@ -418,6 +423,7 @@ impl Machine {
         engine: Engine,
     ) -> Result<RunResult> {
         self.execute(exec, RunSpec { engine: Some(engine), ..RunSpec::new(tasklets) })
+            .map(Arc::unwrap_or_clone)
     }
 
     /// The interpreter core over a decoded instruction stream.
@@ -441,7 +447,7 @@ impl Machine {
     /// machine's memory, and on a match applies its write set and returns
     /// its result without setting up an [`Interp`] at all; a short run
     /// that finds none is recorded as it executes (see [`crate::replay`]).
-    fn run_code(&mut self, exec: &ExecProgram, spec: RunSpec<'_>) -> Result<RunResult> {
+    fn run_code(&mut self, exec: &ExecProgram, spec: RunSpec<'_>) -> Result<Arc<RunResult>> {
         let RunSpec { tasklets, budget, engine, observe } = spec;
         let (code, sb) = (exec.code(), exec.superblocks());
         let mut null = NullSink;
@@ -585,9 +591,10 @@ impl Machine {
                 instructions: result.instructions,
             });
         }
+        let result = Arc::new(result);
         if let Some((table, key)) = &replay {
             if let Some(recorder) = recorder {
-                let rec = recorder.finish(&self.wram, &self.mram, result.clone(), self.perf);
+                let rec = recorder.finish(&self.wram, &self.mram, Arc::clone(&result), self.perf);
                 table.insert(key, rec);
                 self.engine_stats.replay_records += 1;
             } else if !recording && result.instructions <= REPLAY_MAX_SLOTS {

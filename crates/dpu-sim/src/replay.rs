@@ -25,7 +25,7 @@ use crate::memory::{Mram, Wram};
 use crate::params::DpuParams;
 use crate::perfcounter::PerfCounter;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Issue slots after which an open recording is abandoned: a run this
 /// long repays interpretation, and its read set would not stay small.
@@ -74,12 +74,13 @@ impl Span {
 
 /// One finished run, reduced to what it read first, what it left behind
 /// and what it reported. The DMA-statistics delta is the result's own
-/// `dma_*` fields.
+/// `dma_*` fields. The result is shared with every launch it replays:
+/// a hit costs a reference count, not a copy of its histograms.
 #[derive(Debug)]
 pub(crate) struct Recording {
     reads: Vec<Span>,
     writes: Vec<Span>,
-    result: RunResult,
+    result: Arc<RunResult>,
     perf: PerfCounter,
 }
 
@@ -175,7 +176,7 @@ impl Recorder {
         self,
         wram: &Wram,
         mram: &Mram,
-        result: RunResult,
+        result: Arc<RunResult>,
         perf: PerfCounter,
     ) -> Recording {
         let mut writes = Vec::new();
@@ -193,13 +194,10 @@ impl Recorder {
     }
 }
 
-/// What [`ReplayTable::lookup`] found for a launch. Returned by value and
-/// matched at once, and the big variant is the hot one: boxing it would
-/// buy an allocation per replay.
-#[allow(clippy::large_enum_variant)]
+/// What [`ReplayTable::lookup`] found for a launch.
 pub(crate) enum Lookup {
     /// A recording matched and its write set has been applied.
-    Hit { result: RunResult, perf: PerfCounter },
+    Hit { result: Arc<RunResult>, perf: PerfCounter },
     /// The key is known to run short but nothing matched: record this run.
     Record,
     /// No run of this key has been seen to finish inside the slot cap:
@@ -250,7 +248,7 @@ impl ReplayTable {
             if rec.result.cycles <= budget && rec.matches(wram, mram) {
                 rec.apply(wram, mram);
                 slot.last_hit.store(i, Ordering::Relaxed);
-                return Lookup::Hit { result: rec.result.clone(), perf: rec.perf };
+                return Lookup::Hit { result: Arc::clone(&rec.result), perf: rec.perf };
             }
         }
         Lookup::Record

@@ -720,14 +720,15 @@ impl Tier1Engine {
         for (chunk, &d) in slots.chunks(IMAGES_PER_DPU).zip(&targets) {
             chunk_lens[d] = chunk.len();
         }
-        let mut bytes = 0u64;
-        for (d, &n) in chunk_lens.iter().enumerate() {
-            let stride = tasklets.unwrap_or(n.max(1));
-            let params =
-                params_wire(n as u32, stride as u32, self.img_base[buf], self.feat_base[buf]);
-            self.set.copy_to_dpu(DpuId(d as u32), "params", 0, &params)?;
-            bytes += 16;
-        }
+        let params: Vec<[u8; 16]> = chunk_lens
+            .iter()
+            .map(|&n| {
+                let stride = tasklets.unwrap_or(n.max(1));
+                params_wire(n as u32, stride as u32, self.img_base[buf], self.feat_base[buf])
+            })
+            .collect();
+        self.set.copy_each("params", 0, 16, |dpu| &params[dpu.0 as usize])?;
+        let mut bytes = 16 * self.dpus as u64;
         for (chunk, &d) in slots.chunks(IMAGES_PER_DPU).zip(&targets) {
             let dpu = DpuId(d as u32);
             for (i, slot) in chunk.iter().enumerate() {

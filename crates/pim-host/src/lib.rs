@@ -10,8 +10,8 @@
 //! * [`SymbolTable`] — named MRAM/WRAM regions, the moral equivalent of DPU
 //!   program symbols;
 //! * broadcast transfers ([`DpuSet::copy_to`], Eq. 3.1 of the paper) and
-//!   scatter/gather batches ([`XferBatch`], Eqs. 3.2–3.3:
-//!   `dpu_prepare_xfer` + `dpu_push_xfer`);
+//!   scatter/gather ([`DpuSet::copy_each`] and [`XferBatch`], Eqs.
+//!   3.2–3.3: `dpu_prepare_xfer` + `dpu_push_xfer`);
 //! * the **8-byte rule** ([`align`]): every host↔MRAM transfer must be
 //!   8-byte aligned and sized, so buffers are padded and the true length is
 //!   communicated separately — exactly the workaround the paper describes;

@@ -62,7 +62,8 @@ impl LaunchReport {
     /// under `dpu`.
     #[allow(clippy::cast_precision_loss)]
     fn dpu_block(&self, m: &mut MetricsRegistry, set: &str, dpu: &str) {
-        let sum = |field: fn(&dpu_sim::RunResult) -> u64| self.per_dpu.iter().map(field).sum();
+        let sum =
+            |field: fn(&dpu_sim::RunResult) -> u64| self.per_dpu.iter().map(|r| field(r)).sum();
         m.counter_add(&format!("{set}instructions"), self.total_instructions());
         m.counter_add(&format!("{set}dma.bytes"), sum(|r| r.dma_bytes));
         m.counter_add(&format!("{set}dma.transfers"), sum(|r| r.dma_transfers));

@@ -51,7 +51,7 @@ use dpu_sim::{
     ScrubReport,
 };
 use pim_trace::{TraceBuffer, TraceEvent, TraceSink};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Policy governing a fault-tolerant launch.
 #[derive(Debug, Clone, PartialEq)]
@@ -227,7 +227,9 @@ pub struct ItemOutcome {
 pub struct LaunchReport {
     /// Per-DPU run results, in DPU order, each taken from whichever DPU
     /// ran the work; [`RunResult::default`] for work that went unserved.
-    pub per_dpu: Vec<RunResult>,
+    /// Shared, not copied: the DPUs a recording replays all hold that
+    /// recording's one result (see [`Machine::execute`]).
+    pub per_dpu: Vec<Arc<RunResult>>,
     /// Tasklets the program ran with.
     pub tasklets: usize,
     /// Per-DPU incidents, ascending by DPU; empty on a clean launch.
@@ -379,7 +381,7 @@ struct Wave<'a, F> {
 
 impl<F> Wave<'_, F>
 where
-    F: Fn(&mut Machine, RunSpec<'_>) -> dpu_sim::Result<RunResult> + Sync,
+    F: Fn(&mut Machine, RunSpec<'_>) -> dpu_sim::Result<Arc<RunResult>> + Sync,
 {
     /// Run one attempt on `dpu`, traced into `buf` when there is one,
     /// arming the faults `armed` draws for it and appending whatever fired
@@ -392,7 +394,7 @@ where
         armed: Option<(&FaultPlan, u32)>,
         attempt: u32,
         faults: &mut Vec<InjectedFault>,
-    ) -> Result<RunResult> {
+    ) -> Result<Arc<RunResult>> {
         if let Some((plan, index)) = armed {
             dpu.arm_faults(plan.attempt(index, attempt));
         }
@@ -428,14 +430,15 @@ where
 
     /// The per-DPU job of every launch: snapshot (when faults can fire),
     /// attempt up to `1 + max_retries` runs restoring inputs between
-    /// attempts, and charge backoff per retry. The incident is `None` on a
-    /// clean first attempt.
+    /// attempts, and charge backoff per retry. The result is `None` when
+    /// no attempt served the work; the incident is `None` on a clean first
+    /// attempt.
     fn serve_one(
         &self,
         index: usize,
         dpu: &mut Machine,
         mut buf: Option<&mut TraceBuffer>,
-    ) -> (RunResult, Option<Incident>) {
+    ) -> (Option<Arc<RunResult>>, Option<Incident>) {
         let policy = self.policy;
         let snapshot =
             self.snapshots.get(index).map(|slot| slot.get_or_init(|| dpu.mram.snapshot()));
@@ -455,7 +458,7 @@ where
             scrub: ScrubReport::default(),
             dma_corrected: 0,
         };
-        let mut result = RunResult::default();
+        let mut result = None;
         let armed = self.plan.map(|plan| (plan, index as u32));
         for attempt in 0..=policy.max_retries {
             if attempt > 0 {
@@ -482,7 +485,7 @@ where
                             continue;
                         }
                     }
-                    result = r;
+                    result = Some(r);
                     incident.served = true;
                     incident.attempts = attempt + 1;
                     incident.backoff_cycles = policy.cumulative_backoff(attempt);
@@ -523,7 +526,7 @@ pub(crate) fn launch_core<F>(
     run: F,
 ) -> (LaunchReport, Vec<TraceBuffer>, Option<StealStats>)
 where
-    F: Fn(&mut Machine, RunSpec<'_>) -> dpu_sim::Result<RunResult> + Sync,
+    F: Fn(&mut Machine, RunSpec<'_>) -> dpu_sim::Result<Arc<RunResult>> + Sync,
 {
     let policy = policy.unwrap_or(&PLAIN);
     let n = system.len();
@@ -542,7 +545,7 @@ where
     let (outcomes, steal) =
         dispatch(system, threshold, &mut buffers, |i, dpu, buf| wave.serve_one(i, dpu, buf));
     let mut incidents = Vec::new();
-    let mut per_dpu: Vec<RunResult> = outcomes
+    let mut per_dpu: Vec<Option<Arc<RunResult>>> = outcomes
         .into_iter()
         .map(|(result, incident)| {
             incidents.extend(incident);
@@ -587,7 +590,7 @@ where
             match outcome {
                 Ok(r) => {
                     system.dpu_mut(q).mram.restore(&result_image).expect("result image fits");
-                    per_dpu[qi] = r;
+                    per_dpu[qi] = Some(r);
                     victim.served = true;
                     victim.served_by = Some(to);
                 }
@@ -598,6 +601,9 @@ where
         }
     }
 
+    // Work nobody served reports the default result, built once.
+    let unserved = Arc::new(RunResult::default());
+    let per_dpu = per_dpu.into_iter().map(|r| r.unwrap_or_else(|| Arc::clone(&unserved))).collect();
     (LaunchReport { per_dpu, tasklets, incidents }, buffers, steal)
 }
 
@@ -704,7 +710,11 @@ mod tests {
         for r in &report.incidents {
             assert!(matches!(r.last_error, Some(HostError::Dpu(dpu_sim::Error::DpuOffline))));
         }
-        assert_eq!(report.per_dpu, vec![RunResult::default(); 3], "unserved work has no result");
+        assert_eq!(
+            report.per_dpu,
+            vec![Arc::new(RunResult::default()); 3],
+            "unserved work has no result"
+        );
         assert!(matches!(report.served(), Err(HostError::Dpu(dpu_sim::Error::DpuOffline))));
     }
 

@@ -4,8 +4,9 @@
 //! `dpu_alloc` / `dpu_copy_to` / `dpu_copy_from` / `dpu_launch` from the
 //! UPMEM SDK. All DPUs of a set share the same symbol layout (they run the
 //! same program); broadcast copies ([`DpuSet::copy_to`], the paper's
-//! Eq. 3.1) write identical bytes to every DPU, while per-DPU copies and
-//! [`crate::xfer::XferBatch`] scatter distinct buffers.
+//! Eq. 3.1) write identical bytes to every DPU, while per-DPU copies
+//! ([`DpuSet::copy_to_dpu`], [`DpuSet::copy_each`] and
+//! [`crate::xfer::XferBatch`]) scatter distinct buffers.
 
 use crate::crc32c::crc32c;
 use crate::error::{HostError, Result};
@@ -428,6 +429,55 @@ impl DpuSet {
     ) -> Result<()> {
         self.check_dpu(dpu)?;
         let addr = self.symbols.resolve(symbol, symbol_offset, src.len())?;
+        self.write_leg(dpu, addr, symbol, src)?;
+        self.count_transfer(symbol, src.len() as u64, 1);
+        Ok(())
+    }
+
+    /// Copy a different `len`-byte buffer to `symbol` at `symbol_offset`
+    /// on every DPU (`dpu_prepare_xfer` + `dpu_push_xfer`, Eqs. 3.2–3.3):
+    /// DPU `d`, in DPU order, receives the first `len` bytes of `src(d)`.
+    ///
+    /// The symbol is resolved and the alignment checked once, and the
+    /// traffic counted once, with the totals of one
+    /// [`DpuSet::copy_to_dpu`] per DPU. Each DPU's leg is exactly
+    /// `copy_to_dpu`'s: checked, it claims its own transfer sequence
+    /// number and CRC frame in DPU order, and traced, it records its own
+    /// host-transfer event.
+    ///
+    /// # Errors
+    /// [`HostError::XferShort`] when some `src(d)` is shorter than `len`
+    /// (the first such DPU), and alignment, symbol and bounds violations,
+    /// all before any DPU is written. A link integrity failure stops the
+    /// copy at its DPU: the DPUs before it are written and counted.
+    pub fn copy_each<'a>(
+        &mut self,
+        symbol: &str,
+        symbol_offset: usize,
+        len: usize,
+        src: impl Fn(DpuId) -> &'a [u8],
+    ) -> Result<()> {
+        let mut dpus = (0..self.system.len() as u32).map(DpuId);
+        if let Some(dpu) = dpus.clone().find(|&dpu| src(dpu).len() < len) {
+            return Err(HostError::XferShort { dpu: dpu.0, len: src(dpu).len(), push: len });
+        }
+        let addr = self.symbols.resolve(symbol, symbol_offset, len)?;
+        let mut written = 0;
+        let outcome = dpus.try_for_each(|dpu| {
+            self.write_leg(dpu, addr, symbol, &src(dpu)[..len])?;
+            written += 1;
+            Ok(())
+        });
+        if written > 0 {
+            self.count_transfer(symbol, (len * written) as u64, written as u64);
+        }
+        outcome
+    }
+
+    /// One DPU's leg of a host → DPU copy of `src` to MRAM `addr`: the
+    /// write (checked under a link policy) and its host-trace event. Every
+    /// per-DPU copy runs it.
+    fn write_leg(&mut self, dpu: DpuId, addr: usize, symbol: &str, src: &[u8]) -> Result<()> {
         let mram = &mut self.system.dpu_mut(dpu).mram;
         match &self.link {
             Some(link) => {
@@ -441,7 +491,6 @@ impl DpuSet {
             }
             None => mram.write(addr, src)?,
         }
-        self.count_transfer(symbol, src.len() as u64, 1);
         self.record_host(HostDirection::HostToMram, symbol, src.len() as u64, Some(dpu.0));
         Ok(())
     }

@@ -89,14 +89,7 @@ impl XferBatch {
         len: usize,
     ) -> Result<()> {
         self.check_arity(set)?;
-        if let Some(i) = self.buffers.iter().position(|buf| buf.len() < len) {
-            let short = self.buffers[i].len();
-            return Err(HostError::XferShort { dpu: i as u32, len: short, push: len });
-        }
-        for (i, buf) in self.buffers.iter().enumerate() {
-            set.copy_to_dpu(DpuId(i as u32), symbol, symbol_offset, &buf[..len])?;
-        }
-        Ok(())
+        set.copy_each(symbol, symbol_offset, len, |dpu| &self.buffers[dpu.0 as usize])
     }
 
     /// Gather `len` bytes from `symbol` on every DPU of the set

@@ -16,8 +16,8 @@
 use ebnn::codegen::encode_slot;
 use ebnn::model::{EbnnModel, ModelConfig};
 use pim_serve::{
-    serve, BreakerConfig, ClosedLoop, EbnnServeEngine, LinkModel, OpenLoop, PipelineMode, Rng64,
-    ServeConfig, ServeReport,
+    serve, write_stdout, BreakerConfig, ClosedLoop, EbnnServeEngine, LinkModel, OpenLoop,
+    PipelineMode, Rng64, ServeConfig, ServeReport,
 };
 use std::fmt::Write as _;
 
@@ -347,11 +347,10 @@ fn main() {
     if a.compare {
         let (serial, _) = run_once(&a, PipelineMode::Serial);
         let (double, _) = run_once(&a, PipelineMode::Double);
-        print!("{}", summarize("serial", &serial));
-        print!("{}", summarize("double", &double));
         let speedup =
             if serial.goodput_ips > 0.0 { double.goodput_ips / serial.goodput_ips } else { 0.0 };
-        println!("pipelined-vs-serial goodput speedup: {speedup:.3}x");
+        let mut text = summarize("serial", &serial) + &summarize("double", &double);
+        text += &format!("pipelined-vs-serial goodput speedup: {speedup:.3}x\n");
         if let Some(path) = &a.bench_json {
             let v = serde_json::json!({
                 "schema": "pim-serve-compare-v1",
@@ -376,9 +375,12 @@ fn main() {
             });
             let body = serde_json::to_string_pretty(&v).expect("serialize bench json");
             std::fs::write(path, body + "\n").expect("write bench json");
-            println!("wrote {path}");
+            text += &format!("wrote {path}\n");
         }
-        if speedup < a.min_speedup {
+        // A closed pipe must not turn a failed gate into a pass.
+        let failed = speedup < a.min_speedup;
+        write_stdout(&text, i32::from(failed));
+        if failed {
             eprintln!("FAIL: speedup {speedup:.3} < required {:.3}", a.min_speedup);
             std::process::exit(1);
         }
@@ -386,13 +388,13 @@ fn main() {
     }
     let (report, health) = run_once(&a, a.pipeline);
     if let Some(health) = health {
-        println!("{}", serde_json::to_string_pretty(&health).expect("serialize health"));
+        let text = serde_json::to_string_pretty(&health).expect("serialize health");
+        write_stdout(&(text + "\n"), 0);
     } else if a.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report.metrics.to_json()).expect("serialize metrics")
-        );
+        let metrics = report.metrics.to_json();
+        let text = serde_json::to_string_pretty(&metrics).expect("serialize metrics");
+        write_stdout(&(text + "\n"), 0);
     } else {
-        print!("{}", summarize("serve", &report));
+        write_stdout(&summarize("serve", &report), 0);
     }
 }

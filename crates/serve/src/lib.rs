@@ -41,3 +41,22 @@ pub use queue::AdmissionQueue;
 pub use request::{Completion, CutKind, Overloaded, Request};
 pub use service::{serve, ServeConfig, ServeReport};
 pub use traffic::{splitmix64, ClosedLoop, OpenLoop, Rng64, Traffic, TrafficStep};
+
+/// Write `text` to stdout through its lock: how `loadgen`, `report` and
+/// `chaos_soak` print. A reader that closed the pipe (`report … | head`)
+/// wants no more output, so the process then exits quietly with
+/// `closed_pipe_status` where `print!` would panic.
+///
+/// # Panics
+/// On any other stdout write error, as `print!` does.
+pub fn write_stdout(text: &str, closed_pipe_status: i32) {
+    use std::io::Write as _;
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_all(text.as_bytes()).and_then(|()| stdout.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            std::process::exit(closed_pipe_status)
+        }
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}

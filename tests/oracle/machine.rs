@@ -26,6 +26,7 @@ use dpu_sim::{
     Machine, Mram, Observe, Program, RunResult, RunSpec, ScrubReport, Wram,
 };
 use pim_trace::{NullSink, TraceBuffer};
+use std::sync::Arc;
 
 /// Slots past which a run is never recorded for replay.
 const REPLAY_MAX_SLOTS: u64 = 1024;
@@ -239,7 +240,10 @@ pub fn run(
     let stats = m.engine_stats().since(&before);
     let faults = m.disarm_faults().map(|log| log.injected().to_vec());
     assert_eq!(faults.is_some(), cell.faults != Faults::Unarmed, "{cell:?}: armed state");
-    let after = Aftermath { faults: faults.unwrap_or_default(), ..Aftermath::of(&m, outcome) };
+    let after = Aftermath {
+        faults: faults.unwrap_or_default(),
+        ..Aftermath::of(&m, outcome.map(Arc::unwrap_or_clone))
+    };
     let scrub = m.mram.ecc_enabled().then(|| m.mram.scrub());
     Run { after, stats, events, attribution, scrub }
 }

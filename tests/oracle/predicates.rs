@@ -4,8 +4,9 @@
 //! reference at every budget there), how attribution merges and folds,
 //! how long a replay table lives, that host copies and restores need
 //! no invalidation hook, that the fault-class axis reaches every fault and
-//! every outcome, which DPU's error a faulting launch names, and that link
-//! faults never reach staged memory.
+//! every outcome, which DPU's error a faulting launch names, that link
+//! faults never reach staged memory, that the idle DPUs of a launch share
+//! one recorded result, and that a per-DPU scatter is a per-DPU copy loop.
 
 use crate::generate::{racy_program, random_programs, Disruption, Event, Gate, RacyOp};
 use crate::machine::{run, seeded, Aftermath, Cell, Faults, Run, Watch};
@@ -17,12 +18,15 @@ use dpu_sim::{
     CycleAttribution, DpuId, Engine, EngineStats, Error, ExecProgram, FaultConfig, Machine,
     Observe, RunSpec,
 };
+use ebnn::codegen::Tier1Engine;
+use ebnn::{EbnnModel, ModelConfig};
 use pim_host::{
     DpuSet, HostError, LaunchReport, LaunchSpec, LinkFaultPlan, LinkPolicy, ResilientLaunchPolicy,
-    ServeHealth,
+    ServeHealth, XferBatch,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The plain launch of `exec` on a copy of `machine` on `engine`.
 fn plain(exec: &ExecProgram, machine: &Machine, tasklets: usize, engine: Engine) -> Run {
@@ -773,4 +777,93 @@ fn link_faults_retry_to_the_clean_staging() {
             }
         }
     }
+}
+
+/// A replay hit hands out its recording's own result. An eBNN batch of one
+/// image leaves all DPUs but the first idle; once the table holds their
+/// recording (two launches: forked workers may spend both on first
+/// sightings), every idle DPU replays it, and the report holds one shared
+/// result for all of them, equal by value to the reference loop's.
+#[test]
+fn idle_dpus_share_one_recorded_result() {
+    let model = EbnnModel::generate(ModelConfig { filters: 1, ..ModelConfig::default() });
+    let image = [ebnn::mnist::synth_digit(3, 1)];
+    let launch = |engine: &mut Tier1Engine| {
+        engine.stage(&model, &image, 0).unwrap();
+        let before = engine.set().system().engine_stats();
+        let report = engine.launch(false, None).unwrap().0.served().unwrap();
+        (report, engine.set().system().engine_stats().since(&before))
+    };
+    let on = |tier, threshold| {
+        let mut engine = Tier1Engine::new(&model, DPUS).unwrap();
+        engine.set_mut().set_engine(Some(tier));
+        engine.set_mut().set_parallel_threshold(Some(threshold));
+        engine
+    };
+    let (want, _) = launch(&mut on(Engine::Reference, usize::MAX));
+    for threshold in [usize::MAX, 1] {
+        let mut engine = on(Engine::Superblock, threshold);
+        launch(&mut engine);
+        launch(&mut engine);
+        let (report, stats) = launch(&mut engine);
+        assert_eq!(stats.replay_hits, DPUS as u64 - 1, "threshold {threshold}: {stats:?}");
+        let idle = &report.per_dpu[1..];
+        assert!(idle.iter().all(|r| Arc::ptr_eq(r, &idle[0])), "threshold {threshold}: copies");
+        assert_eq!(report, want, "threshold {threshold}: the reference loop's results");
+    }
+}
+
+/// `DpuSet::copy_each` is one `copy_to_dpu` per DPU in DPU order: the same
+/// memory, traffic counts, link draws and statistics and host-trace
+/// events, over a plain link and over a faulty checked one. `XferBatch::
+/// push` runs on it and still refuses a wrong arity or a short buffer
+/// before any DPU is written.
+#[test]
+fn copy_each_is_a_copy_to_dpu_per_dpu() {
+    let buffers: Vec<Vec<u8>> =
+        (0..DPUS).map(|d| (0..24).map(|i| (d * 31 + i * 7) as u8).collect()).collect();
+    let plan = LinkFaultPlan { seed: 5, corrupt_prob: 0.3, fail_prob: 0.1 };
+    let faulty = LinkPolicy { max_retries: 16, ..LinkPolicy::with_faults(plan) };
+    let fresh = |link| {
+        let mut set = DpuSet::allocate(DPUS).unwrap();
+        set.define_symbol("x", 8).unwrap();
+        set.define_symbol("rows", 32).unwrap();
+        set.set_link_policy(link);
+        set.enable_host_tracing();
+        // A broadcast first: the scatter's sequence numbers continue it.
+        set.copy_scalar_to("x", 1).unwrap();
+        set
+    };
+    for link in [None, Some(faulty)] {
+        let (mut each, mut looped) = (fresh(link), fresh(link));
+        // Twice, the second over the first: each DPU's copy lands whole.
+        for _ in 0..2 {
+            each.copy_each("rows", 8, 16, |dpu| &buffers[dpu.0 as usize]).unwrap();
+            for (d, buffer) in buffers.iter().enumerate() {
+                looped.copy_to_dpu(DpuId(d as u32), "rows", 8, &buffer[..16]).unwrap();
+            }
+        }
+        for ((d, a), (_, b)) in each.system().iter().zip(looped.system().iter()) {
+            assert!(a.mram == b.mram, "{link:?}: DPU {d:?}'s MRAM");
+        }
+        assert_eq!(each.transfer_stats(), looped.transfer_stats(), "{link:?}");
+        assert_eq!(each.link_stats(), looped.link_stats(), "{link:?}");
+        assert!(link.is_none() || each.link_stats().crc_mismatches > 0, "no draw fired");
+        assert_eq!(each.take_host_trace(), looped.take_host_trace(), "{link:?}");
+    }
+
+    let mut set = fresh(None);
+    let stats = set.transfer_stats().clone();
+    let mut batch = XferBatch::new();
+    for buffer in &buffers[..DPUS - 1] {
+        batch.prepare(buffer.clone());
+    }
+    let arity = batch.push(&mut set, "rows", 8, 16).unwrap_err();
+    assert_eq!(arity, HostError::XferArity { prepared: DPUS - 1, dpus: DPUS });
+    batch.prepare(vec![0; 8]);
+    let short = batch.push(&mut set, "rows", 8, 16).unwrap_err();
+    assert_eq!(short, HostError::XferShort { dpu: DPUS as u32 - 1, len: 8, push: 16 });
+    assert_eq!(set.transfer_stats(), &stats, "nothing was counted");
+    let rows = XferBatch::gather(&set, "rows", 0, 32).unwrap();
+    assert!(rows.iter().all(|row| row.iter().all(|&b| b == 0)), "nothing was written");
 }

@@ -42,6 +42,7 @@ use pim_host::{
 use pim_trace::TraceBuffer;
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Launches per cell.
 const LAUNCHES: usize = 3;
@@ -161,7 +162,7 @@ fn memory(set: &DpuSet) -> Memory {
 
 /// DPU `d`'s result, unless its work went unserved.
 fn result(report: &LaunchReport, d: usize) -> Option<&RunResult> {
-    report.incident(d).is_none_or(|i| i.served).then(|| &report.per_dpu[d])
+    report.incident(d).is_none_or(|i| i.served).then(|| &*report.per_dpu[d])
 }
 
 /// The books of any report of any launch: incidents ascending by DPU, none
@@ -192,7 +193,7 @@ fn books_balance(report: &LaunchReport, max_retries: u32, cell: &str) {
         }
         assert!(i.quarantined() || i.last_error.is_none(), "{cell}: {i:?}");
         assert!(i.served || i.last_error.is_some(), "{cell}: unexplained: {i:?}");
-        let no_result = report.per_dpu[d] == RunResult::default();
+        let no_result = *report.per_dpu[d] == RunResult::default();
         assert!(i.served || no_result, "{cell}, DPU {d}: unserved work has a result");
     }
     let m = report.resilient_metrics();
@@ -251,7 +252,7 @@ pub fn check_with(input: &SetInput, policies: &[Policy]) -> Vec<Served> {
             let mut launch = || {
                 let run = |m: &mut Machine| {
                     let outcome = m.execute(&exec, spec());
-                    Aftermath::of(m, outcome)
+                    Aftermath::of(m, outcome.map(Arc::unwrap_or_clone))
                 };
                 machines.iter_mut().map(run).collect()
             };
