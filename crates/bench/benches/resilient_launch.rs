@@ -45,26 +45,37 @@ fn staged_set() -> DpuSet {
     set
 }
 
-/// Minimum wall-clock of two alternately-run workloads. Interleaving the
-/// pairs (and swapping which goes first each round) means slow drift in
-/// machine load hits both mins equally instead of biasing whichever loop
-/// happened to run during the noisy stretch.
-fn paired_min_time(n: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (Duration, Duration) {
-    let time = |f: &mut dyn FnMut()| {
+/// Minimum wall-clock of two alternately-run launches of one staged
+/// set: side `false` and side `true` of `launch`, each after an untimed
+/// `prepare` for its side. Interleaving the pairs (and swapping which
+/// goes first each round) means slow drift in machine load hits both mins
+/// equally instead of biasing whichever loop happened to run during the
+/// noisy stretch; one set for both sides means both launch the same
+/// memory placement, so the gap between them is the tax, not where two
+/// sets' pages happened to land.
+fn paired_min_time(
+    n: usize,
+    set: &mut DpuSet,
+    mut prepare: impl FnMut(&mut DpuSet, bool),
+    mut launch: impl FnMut(&mut DpuSet, bool),
+) -> (Duration, Duration) {
+    let mut time = |set: &mut DpuSet, side: bool| {
+        prepare(set, side);
         let start = Instant::now();
-        f();
+        launch(set, side);
         start.elapsed()
     };
-    a(); // warm-up
-    b();
+    time(set, false); // warm-up
+    time(set, true);
     let (mut min_a, mut min_b) = (Duration::MAX, Duration::MAX);
     for round in 0..n {
-        if round % 2 == 0 {
-            min_a = min_a.min(time(&mut a));
-            min_b = min_b.min(time(&mut b));
-        } else {
-            min_b = min_b.min(time(&mut b));
-            min_a = min_a.min(time(&mut a));
+        for side in [round % 2 == 1, round % 2 == 0] {
+            let t = time(set, side);
+            if side {
+                min_b = min_b.min(t);
+            } else {
+                min_a = min_a.min(t);
+            }
         }
     }
     (min_a, min_b)
@@ -115,18 +126,19 @@ fn bench_resilient_launch(c: &mut Criterion) {
     // Paired, interleaved min-of-N; 2% relative budget plus a small
     // absolute epsilon so scheduler jitter can't flake the gate.
     const RUNS: usize = 12;
-    let mut plain_set = staged_set();
-    let mut res_set = staged_set();
+    let mut set = staged_set();
     let policy = ResilientLaunchPolicy::default();
     let (min_plain, min_resilient) = paired_min_time(
         RUNS,
-        || {
-            black_box(plain_set.launch_loaded(TASKLETS).unwrap().makespan_cycles());
-        },
-        || {
-            black_box(
-                res_set.launch_loaded_resilient(TASKLETS, &policy).unwrap().makespan_cycles(),
-            );
+        &mut set,
+        |_, _| {},
+        |set, resilient| {
+            let report = if resilient {
+                set.launch_loaded_resilient(TASKLETS, &policy)
+            } else {
+                set.launch_loaded(TASKLETS)
+            };
+            black_box(report.unwrap().makespan_cycles());
         },
     );
     let budget = min_plain.mul_f64(1.02) + Duration::from_micros(500);
@@ -142,35 +154,28 @@ fn bench_resilient_launch(c: &mut Criterion) {
     // --- The ECC tax guard --------------------------------------------
     // Arming the SEC-DED sidecar on a zero-fault run touches only the
     // DMA edges (encode-on-write, verify-on-read) plus one lazy page
-    // encode per first touch; the interpreter itself is untouched. So
-    // ECC-on must stay within 2% of ECC-off wall-clock — and produce
+    // encode when it is armed (untimed: `enable_ecc` toggles between the
+    // timed launches); the interpreter itself is untouched. So ECC-on
+    // must stay within 2% of ECC-off wall-clock — and produce
     // bit-identical results, checked first so a correctness bug can't
     // hide behind a perf assertion.
-    let mut off_set = staged_set();
-    let mut on_set = staged_set();
-    on_set.enable_ecc(true);
-    let off_res = off_set.launch_loaded_resilient(TASKLETS, &policy).unwrap();
-    let on_res = on_set.launch_loaded_resilient(TASKLETS, &policy).unwrap();
-    assert_eq!(
-        off_res.makespan_cycles(),
-        on_res.makespan_cycles(),
-        "ECC must be invisible to simulated time on a clean run"
-    );
-    for i in 0..DPUS {
-        let d = DpuId(i as u32);
-        let off_out: u64 = off_set.copy_scalar_from(d, "n").unwrap();
-        let on_out: u64 = on_set.copy_scalar_from(d, "n").unwrap();
-        assert_eq!(off_out, on_out, "DPU {i}: ECC-on output diverged from ECC-off");
-    }
+    let mut set = staged_set();
+    let mut run = |ecc| {
+        set.enable_ecc(ecc);
+        let makespan = set.launch_loaded_resilient(TASKLETS, &policy).unwrap().makespan_cycles();
+        let out: Vec<u64> =
+            (0..DPUS).map(|i| set.copy_scalar_from(DpuId(i as u32), "n").unwrap()).collect();
+        (makespan, out)
+    };
+    let (off, on) = (run(false), run(true));
+    assert_eq!(off.0, on.0, "ECC must be invisible to simulated time on a clean run");
+    assert_eq!(off.1, on.1, "ECC-on output diverged from ECC-off");
     let (min_off, min_on) = paired_min_time(
         RUNS,
-        || {
-            black_box(
-                off_set.launch_loaded_resilient(TASKLETS, &policy).unwrap().makespan_cycles(),
-            );
-        },
-        || {
-            black_box(on_set.launch_loaded_resilient(TASKLETS, &policy).unwrap().makespan_cycles());
+        &mut set,
+        |set, ecc| set.enable_ecc(ecc),
+        |set, _| {
+            black_box(set.launch_loaded_resilient(TASKLETS, &policy).unwrap().makespan_cycles());
         },
     );
     let budget = min_off.mul_f64(1.02) + Duration::from_micros(500);

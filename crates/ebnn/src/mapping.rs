@@ -21,7 +21,7 @@ use crate::model::EbnnModel;
 use crate::IMAGES_PER_DPU;
 use dpu_sim::cost::KernelEstimate;
 use dpu_sim::{DpuId, DpuParams, Profiler};
-use pim_host::{DpuSet, HostError, KernelRun, OptLevel, PaddedBuf, XferBatch};
+use pim_host::{DpuSet, HostError, KernelRun, OptLevel, PaddedBuf};
 
 /// Whether the BN-BinAct block runs in floating point inside the DPU or
 /// via the host-built LUT.
@@ -109,7 +109,7 @@ impl EbnnPipeline {
         // 1. Scatter image batches (prepare/push protocol).
         let packed: Vec<crate::bconv::BinaryImage> =
             images.iter().map(|g| self.model.binarize(&g.pixels)).collect();
-        let mut batch = XferBatch::new();
+        let mut batches = Vec::with_capacity(dpus);
         let mut batch_sizes = Vec::with_capacity(dpus);
         for chunk in packed.chunks(batch_cap) {
             let mut buf = Vec::with_capacity(batch_cap * image_bytes);
@@ -120,9 +120,9 @@ impl EbnnPipeline {
             }
             batch_sizes.push(chunk.len());
             buf.resize(batch_cap * image_bytes, 0);
-            batch.prepare(buf);
+            batches.push(buf);
         }
-        batch.push(&mut set, "images", 0, batch_cap * image_bytes)?;
+        set.copy_each("images", 0, batch_cap * image_bytes, |dpu| &batches[dpu.0 as usize])?;
 
         // 2. Broadcast the LUT and per-DPU image counts.
         let lut = BnLut::for_conv3x3(&self.model.bn);

@@ -34,14 +34,6 @@ pub enum HostError {
         /// Symbol capacity.
         capacity: usize,
     },
-    /// A scatter/gather batch was pushed with a buffer count different from
-    /// the DPU count.
-    XferArity {
-        /// Buffers prepared.
-        prepared: usize,
-        /// DPUs in the set.
-        dpus: usize,
-    },
     /// A scatter batch was pushed with a length longer than one of its
     /// buffers.
     XferShort {
@@ -101,9 +93,6 @@ impl fmt::Display for HostError {
                 f,
                 "transfer to `{name}` reaches offset {requested} but capacity is {capacity}"
             ),
-            HostError::XferArity { prepared, dpus } => {
-                write!(f, "xfer batch has {prepared} buffers for {dpus} DPUs")
-            }
             HostError::XferShort { dpu, len, push } => {
                 write!(f, "xfer buffer for DPU {dpu} holds {len} bytes but the push sends {push}")
             }
@@ -184,7 +173,6 @@ mod tests {
                 },
                 &["features", "640", "512"],
             ),
-            (HostError::XferArity { prepared: 3, dpus: 8 }, &["3", "8", "buffers"]),
             (HostError::XferShort { dpu: 1, len: 4, push: 8 }, &["DPU 1", "4 bytes", "sends 8"]),
             (HostError::NoSuchDpu { index: 9, len: 4 }, &["DPU 9", "4"]),
             (HostError::BadAllocation { requested: 0 }, &["allocate", "0"]),

@@ -9,9 +9,10 @@
 //! * [`DpuSet`] — allocation and lifetime of a group of simulated DPUs;
 //! * [`SymbolTable`] — named MRAM/WRAM regions, the moral equivalent of DPU
 //!   program symbols;
-//! * broadcast transfers ([`DpuSet::copy_to`], Eq. 3.1 of the paper) and
-//!   scatter/gather ([`DpuSet::copy_each`] and [`XferBatch`], Eqs.
-//!   3.2–3.3: `dpu_prepare_xfer` + `dpu_push_xfer`);
+//! * broadcast transfers ([`DpuSet::copy_to`], Eq. 3.1 of the paper),
+//!   the per-DPU scatter ([`DpuSet::copy_each`], Eqs. 3.2–3.3:
+//!   `dpu_prepare_xfer` + `dpu_push_xfer`) and per-DPU reads
+//!   ([`DpuSet::copy_from_dpu`]);
 //! * the **8-byte rule** ([`align`]): every host↔MRAM transfer must be
 //!   8-byte aligned and sized, so buffers are padded and the true length is
 //!   communicated separately — exactly the workaround the paper describes;
@@ -36,7 +37,6 @@ pub mod set;
 pub mod snapshot;
 pub mod symbol;
 pub mod typed;
-pub mod xfer;
 
 pub use align::{pad_to_8, padded_len, PaddedBuf};
 pub use crc32c::{crc32c, Crc32c};
@@ -51,4 +51,3 @@ pub use set::{DpuSet, TransferStats};
 pub use snapshot::SetSnapshot;
 pub use symbol::{Symbol, SymbolTable};
 pub use typed::{from_wire, to_wire, Wire};
-pub use xfer::XferBatch;

@@ -5,8 +5,8 @@
 //! UPMEM SDK. All DPUs of a set share the same symbol layout (they run the
 //! same program); broadcast copies ([`DpuSet::copy_to`], the paper's
 //! Eq. 3.1) write identical bytes to every DPU, while per-DPU copies
-//! ([`DpuSet::copy_to_dpu`], [`DpuSet::copy_each`] and
-//! [`crate::xfer::XferBatch`]) scatter distinct buffers.
+//! ([`DpuSet::copy_to_dpu`] and the scatter [`DpuSet::copy_each`])
+//! write distinct buffers.
 
 use crate::crc32c::crc32c;
 use crate::error::{HostError, Result};
@@ -145,12 +145,6 @@ impl DpuSet {
         total
     }
 
-    /// Per-DPU scrub reports, in DPU order (the serving layer folds
-    /// these into per-rank health scores).
-    pub fn scrub_each(&mut self) -> Vec<ScrubReport> {
-        self.system.iter_mut().map(|(_, dpu)| dpu.mram.scrub()).collect()
-    }
-
     /// Total MRAM words repaired inline by DMA verify-on-read across the
     /// set (monotone; see [`dpu_sim::IntegrityCounters`]).
     #[must_use]
@@ -175,13 +169,6 @@ impl DpuSet {
     /// never enabled.
     pub fn take_host_trace(&mut self) -> Option<TraceBuffer> {
         self.host_trace.take().map(|cell| cell.into_inner().buffer)
-    }
-
-    /// Snapshot of the host transfers recorded so far (empty buffer when
-    /// tracing is disabled). Recording continues.
-    #[must_use]
-    pub fn host_trace_snapshot(&self) -> TraceBuffer {
-        self.host_trace.as_ref().map_or_else(TraceBuffer::new, |cell| cell.borrow().buffer.clone())
     }
 
     fn record_host(&self, direction: HostDirection, symbol: &str, bytes: u64, dpu: Option<u32>) {
@@ -576,14 +563,6 @@ impl DpuSet {
         self.xfer_stats.values().map(|s| s.to_dpu_bytes).sum()
     }
 
-    /// Host-link seconds for the traffic so far at `bytes_per_sec`
-    /// effective bandwidth (the Fig. 4.6 bottleneck, measured on the
-    /// functional path instead of estimated).
-    #[must_use]
-    pub fn transfer_seconds(&self, bytes_per_sec: f64) -> f64 {
-        self.total_bytes_to_dpus() as f64 / bytes_per_sec
-    }
-
     /// Read back a scalar from one DPU.
     ///
     /// # Errors
@@ -917,14 +896,9 @@ mod checked_transfer_tests {
         }
         // The scrubber repairs the victim from its (shared-at-install)
         // sidecar; afterwards all four DPUs agree again.
-        let reports = set.scrub_each();
-        assert_eq!(reports[2].corrected_data, 1, "{:?}", reports[2]);
-        for (i, r) in reports.iter().enumerate() {
-            assert!(r.uncorrectable.is_empty(), "DPU {i}: {r:?}");
-            if i != 2 {
-                assert_eq!(r.corrected(), 0, "DPU {i} had nothing to fix");
-            }
-        }
+        let report = set.scrub_all();
+        assert_eq!((report.corrected_data, report.corrected()), (1, 1), "{report:?}");
+        assert!(report.uncorrectable.is_empty(), "{report:?}");
         let mut back = vec![0u8; MRAM_PAGE_BYTES];
         set.copy_from_dpu(DpuId(2), "w", 0, &mut back).unwrap();
         assert_eq!(back, image, "scrub restored the victim bit-exactly");
@@ -956,8 +930,36 @@ mod transfer_stats_tests {
         assert_eq!(set.transfer_stats()["a"].to_dpu_bytes, 24);
         assert_eq!(set.transfer_stats()["b"].to_dpu_bytes, 8);
         assert_eq!(set.total_bytes_to_dpus(), 32);
-        // 32 bytes at 1 GB/s.
-        assert!((set.transfer_seconds(1e9) - 3.2e-8).abs() < 1e-12);
+    }
+
+    #[test]
+    fn copy_each_scatters_len_bytes_in_dpu_order() {
+        let mut set = DpuSet::allocate(3).unwrap();
+        set.define_symbol("row", 16).unwrap();
+        let rows: Vec<Vec<u8>> = (1..=3u8).map(|i| vec![i; 16]).collect();
+        set.copy_each("row", 0, 8, |dpu| &rows[dpu.0 as usize]).unwrap();
+        for i in 0..3u32 {
+            let mut out = [0u8; 16];
+            set.copy_from_dpu(DpuId(i), "row", 0, &mut out).unwrap();
+            assert_eq!(out[..8], [(i + 1) as u8; 8], "DPU {i} holds its own row");
+            assert_eq!(out[8..], [0u8; 8], "bytes past the push length are untouched");
+        }
+        assert_eq!(
+            (set.transfer_stats()["row"].to_dpu_bytes, set.transfer_stats()["row"].operations),
+            (24, 3)
+        );
+    }
+
+    #[test]
+    fn short_second_buffer_is_reported_before_any_dpu_is_written() {
+        let mut set = DpuSet::allocate(2).unwrap();
+        set.define_symbol("row", 8).unwrap();
+        let rows = [vec![7u8; 8], vec![9u8; 4]];
+        let err = set.copy_each("row", 0, 8, |dpu| &rows[dpu.0 as usize]).unwrap_err();
+        assert_eq!(err, HostError::XferShort { dpu: 1, len: 4, push: 8 });
+        let mut out = [0xAAu8; 8];
+        set.copy_from_dpu(DpuId(0), "row", 0, &mut out).unwrap();
+        assert_eq!(out, [0u8; 8], "DPU 0's symbol is untouched");
     }
 }
 
@@ -971,7 +973,6 @@ mod host_trace_tests {
         let mut set = DpuSet::allocate(2).unwrap();
         set.define_symbol("x", 8).unwrap();
         set.copy_scalar_to("x", 1).unwrap();
-        assert!(set.host_trace_snapshot().is_empty());
         assert!(set.take_host_trace().is_none());
     }
 
@@ -1008,15 +1009,15 @@ mod host_trace_tests {
     }
 
     #[test]
-    fn xfer_batches_are_traced_through_the_copy_paths() {
+    fn scatters_are_traced_through_the_copy_paths() {
         let mut set = DpuSet::allocate(2).unwrap();
         set.define_symbol("row", 8).unwrap();
         set.enable_host_tracing();
-        let mut b = crate::XferBatch::new();
-        b.prepare(vec![1u8; 8]);
-        b.prepare(vec![2u8; 8]);
-        b.push(&mut set, "row", 0, 8).unwrap();
-        let _ = crate::XferBatch::gather(&set, "row", 0, 8).unwrap();
+        let rows = [[1u8; 8], [2u8; 8]];
+        set.copy_each("row", 0, 8, |dpu| &rows[dpu.0 as usize]).unwrap();
+        for d in 0..2 {
+            set.copy_from_dpu(DpuId(d), "row", 0, &mut [0u8; 8]).unwrap();
+        }
         let trace = set.take_host_trace().expect("enabled");
         let to = trace.count_matching(|e| {
             matches!(e, TraceEvent::HostTransfer { direction: HostDirection::HostToMram, .. })

@@ -272,6 +272,7 @@ pub struct YoloServeEngine {
     policy: Option<ResilientLaunchPolicy>,
     served: Option<Vec<bool>>,
     dirty: bool,
+    live: Vec<bool>,
 }
 
 impl YoloServeEngine {
@@ -291,13 +292,19 @@ impl YoloServeEngine {
         policy: Option<ResilientLaunchPolicy>,
     ) -> Result<Self, HostError> {
         let inner = RowEngine::new(dims, alpha, b, dpus, tasklets)?;
-        Ok(Self { inner, policy, served: None, dirty: false })
+        Ok(Self { inner, policy, served: None, dirty: false, live: vec![true; dpus] })
     }
 
     /// The wrapped batch-slicing engine.
     #[must_use]
     pub fn inner(&self) -> &RowEngine {
         &self.inner
+    }
+
+    /// Arm (or disarm) the SEC-DED MRAM sidecar on the serving set —
+    /// delegates to [`RowEngine::enable_ecc`].
+    pub fn enable_ecc(&mut self, on: bool) {
+        self.inner.enable_ecc(on);
     }
 }
 
@@ -326,12 +333,16 @@ impl BatchEngine for YoloServeEngine {
             assert_eq!(row.len(), k, "row length must be k");
             flat.extend_from_slice(row);
         }
-        self.inner.stage(&flat)
+        self.inner.stage_live(&flat, &self.live)
+    }
+
+    fn set_live_mask(&mut self, live: &[bool]) {
+        assert_eq!(live.len(), self.live.len(), "mask must cover every DPU");
+        self.live.copy_from_slice(live);
     }
 
     fn launch(&mut self, seq: u64) -> Result<BatchRun, HostError> {
-        // One row per DPU holding one.
-        let chunks = vec![1; self.inner.staged_rows()];
+        let chunks = self.inner.staged_chunks().to_vec();
         let policy = self.policy.as_ref().map(|base| per_batch_policy(base, seq));
         let (report, _) = self.inner.launch(false, policy.as_ref())?;
         let (run, served) = account(report, &chunks, policy.is_some())?;

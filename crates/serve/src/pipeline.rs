@@ -15,9 +15,11 @@
 //!
 //! 1. **stage(k)** on the link, as soon as the cut time, the link, and
 //!    buffer `k mod 2` (whose previous results must have been read) allow;
-//! 2. **read(k−1)** on the link, right after — batch *k−1*'s compute may
-//!    still be running, so the read starts at
-//!    `max(compute_end(k−1), link free)`;
+//! 2. **read(k−1)** on the link from `max(compute_end(k−1), link free)`:
+//!    ahead of stage(k) exactly when it ends by the time stage(k) would
+//!    start (so the staging does not move — the sparse-traffic case, where
+//!    batch *k−1* finished long before the next cut), otherwise right
+//!    after stage(k);
 //! 3. **compute(k)** on the DPUs at `max(stage_end(k), compute_end(k−1))`.
 //!
 //! At steady state the makespan per batch is `max(compute, stage + read)`

@@ -7,7 +7,7 @@
 //! and the config — a fixed seed reproduces the run bit-for-bit.
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
-use crate::engine::BatchEngine;
+use crate::engine::{BatchEngine, Gathered};
 use crate::pipeline::{LinkModel, PipelineMode};
 use crate::queue::AdmissionQueue;
 use crate::request::{Completion, CutKind, Overloaded, Request};
@@ -203,8 +203,7 @@ impl<I, O> RunState<I, O> {
         }
     }
 
-    /// Read back the pending batch (if any): schedule the read on the
-    /// link, deliver per-request results, and complete finished requests.
+    /// Read back the pending batch (if any): see [`RunState::book`].
     fn flush<E, T>(&mut self, engine: &mut E, traffic: &mut T) -> Result<(), pim_host::HostError>
     where
         E: BatchEngine<Item = I, Output = O>,
@@ -212,10 +211,26 @@ impl<I, O> RunState<I, O> {
         O: Clone,
     {
         let Some(p) = self.pending.take() else { return Ok(()) };
-        let (outs, bytes) = engine.gather(p.buf)?;
+        let gathered = engine.gather(p.buf)?;
+        self.book(p, gathered, traffic);
+        Ok(())
+    }
+
+    /// When the link would finish reading back `p`'s `bytes`, starting
+    /// now.
+    fn read_end(&self, p: &Pending, bytes: u64) -> u64 {
+        p.compute_end.max(self.link_cursor) + self.link.cycles(bytes)
+    }
+
+    /// Schedule `p`'s readback on the link, deliver per-request results,
+    /// and complete finished requests.
+    fn book<T>(&mut self, p: Pending, (outs, bytes): Gathered<O>, traffic: &mut T)
+    where
+        T: Traffic<Item = I>,
+        O: Clone,
+    {
         let read_cycles = self.link.cycles(bytes);
-        let read_start = p.compute_end.max(self.link_cursor);
-        let read_end = read_start + read_cycles;
+        let read_end = self.read_end(&p, bytes);
         self.link_cursor = read_end;
         self.buf_free[p.buf] = read_end;
         self.last_finish = self.last_finish.max(read_end);
@@ -255,7 +270,6 @@ impl<I, O> RunState<I, O> {
             traffic.on_complete(&c);
             self.completions.push(c);
         }
-        Ok(())
     }
 }
 
@@ -401,6 +415,20 @@ where
         // ---- stage / read(k-1) / launch ---------------------------------
         let buf = if double { (st.seq % 2) as usize } else { 0 };
         let stage_start = cut.0.max(st.link_cursor).max(st.buf_free[buf]);
+        // Batch k-1's readback goes on the link first exactly when it
+        // finishes by the time this staging would start (so the staging
+        // does not move); otherwise it follows the staging while batch k
+        // computes.
+        let mut read_late = None;
+        if double && st.pending.as_ref().is_some_and(|p| p.compute_end <= stage_start) {
+            let p = st.pending.take().expect("pending batch");
+            let gathered = engine.gather(p.buf)?;
+            if st.read_end(&p, gathered.1) <= stage_start {
+                st.book(p, gathered, traffic);
+            } else {
+                read_late = Some((p, gathered));
+            }
+        }
         let stage_bytes = engine.stage(&items, buf)?;
         let stage_cycles = st.link.cycles(stage_bytes);
         let stage_end = stage_start + stage_cycles;
@@ -420,7 +448,10 @@ where
 
         if double {
             // Read back batch k-1 while batch k computes.
-            st.flush(engine, traffic)?;
+            match read_late {
+                Some((p, gathered)) => st.book(p, gathered, traffic),
+                None => st.flush(engine, traffic)?,
+            }
         }
         let run = engine.launch(st.seq)?;
         // Serial mode read batch k-1 back before staging this one, so there

@@ -293,7 +293,8 @@ pub struct RowEngine {
     dims: GemmDims,
     dpus: usize,
     tasklets: usize,
-    staged_rows: usize,
+    /// Rows staged on each DPU for the next launch (0 or 1).
+    chunks: Vec<usize>,
     golden: pim_host::SetSnapshot,
 }
 
@@ -348,7 +349,7 @@ impl RowEngine {
         set.copy_values_to("b", b)?;
         set.load(&gemm_row_program(dims))?;
         let golden = set.snapshot();
-        Ok(Self { set, dims, dpus, tasklets, staged_rows: 0, golden })
+        Ok(Self { set, dims, dpus, tasklets, chunks: vec![0; dpus], golden })
     }
 
     /// Rows one batch can hold (= DPUs).
@@ -382,14 +383,22 @@ impl RowEngine {
     /// Never in practice (the snapshot matches the set by construction).
     pub fn restore_golden(&mut self) -> Result<(), HostError> {
         self.set.restore(&self.golden)?;
-        self.staged_rows = 0;
+        self.chunks.fill(0);
         Ok(())
     }
 
+    /// Arm (or disarm) the SEC-DED MRAM sidecar on every DPU, then
+    /// refresh the golden snapshot so [`RowEngine::restore_golden`] keeps
+    /// the setting (as the eBNN engine's `enable_ecc` does).
+    pub fn enable_ecc(&mut self, on: bool) {
+        self.set.enable_ecc(on);
+        self.golden = self.set.snapshot();
+    }
+
     /// Scatter up to [`RowEngine::capacity`] `A` rows (`rows.len()` must
-    /// be a multiple of `dims.k`). DPUs beyond the staged rows get an
-    /// all-zero row; their `C` rows are not gathered. Returns the bytes
-    /// written over the host link.
+    /// be a multiple of `dims.k`), row `i` on DPU `i`. DPUs beyond the
+    /// staged rows get an all-zero row; their `C` rows are not gathered.
+    /// Returns the bytes written over the host link.
     ///
     /// # Errors
     /// Host-runtime failures.
@@ -397,20 +406,31 @@ impl RowEngine {
     /// # Panics
     /// When `rows` is empty, not a whole number of rows, or oversized.
     pub fn stage(&mut self, rows: &[i16]) -> Result<u64, HostError> {
+        self.stage_live(rows, &vec![true; self.dpus])
+    }
+
+    /// [`RowEngine::stage`] onto the DPUs marked live (the serving
+    /// circuit breaker's mask): row `i` on the `i`-th live DPU.
+    ///
+    /// # Errors
+    /// Host-runtime failures.
+    ///
+    /// # Panics
+    /// As [`RowEngine::stage`], or when `live` does not cover every DPU.
+    pub fn stage_live(&mut self, rows: &[i16], live: &[bool]) -> Result<u64, HostError> {
         assert!(!rows.is_empty(), "empty batch");
         assert_eq!(rows.len() % self.dims.k, 0, "A rows must be whole");
-        let n_rows = rows.len() / self.dims.k;
-        assert!(n_rows <= self.dpus, "batch exceeds engine capacity");
+        assert_eq!(live.len(), self.dpus, "live mask must cover every DPU");
+        let targets: Vec<usize> = (0..self.dpus).filter(|&d| live[d]).collect();
+        assert!(rows.len() / self.dims.k <= targets.len(), "batch exceeds live capacity");
         let a_cap = a_row_cap(self.dims);
-        let mut batch = pim_host::XferBatch::new();
-        for i in 0..n_rows {
-            batch.prepare(pim_host::to_wire(&rows[i * self.dims.k..(i + 1) * self.dims.k]).data);
+        let mut wire = vec![vec![0u8; a_cap]; self.dpus];
+        self.chunks.fill(0);
+        for (row, &d) in rows.chunks(self.dims.k).zip(&targets) {
+            wire[d] = pim_host::to_wire(row).data;
+            self.chunks[d] = 1;
         }
-        for _ in n_rows..self.dpus {
-            batch.prepare(vec![0u8; a_cap]);
-        }
-        batch.push(&mut self.set, "a_row", 0, a_cap)?;
-        self.staged_rows = n_rows;
+        self.set.copy_each("a_row", 0, a_cap, |dpu| &wire[dpu.0 as usize])?;
         Ok((a_cap * self.dpus) as u64)
     }
 
@@ -430,26 +450,26 @@ impl RowEngine {
         self.set.launch_with(LaunchSpec { trace, policy, ..LaunchSpec::loaded(self.tasklets) })
     }
 
-    /// Gather the staged rows' `C` outputs (row `i` from DPU `i`), plus
-    /// the bytes read over the host link.
+    /// Gather the staged rows' `C` outputs in staging order, plus the
+    /// bytes read over the host link.
     ///
     /// # Errors
     /// Host-runtime failures.
     pub fn gather(&self) -> Result<(Vec<i16>, u64), HostError> {
-        let mut c = vec![0i16; self.staged_rows * self.dims.n];
-        for i in 0..self.staged_rows {
-            let row: Vec<i16> =
-                self.set.copy_values_from_dpu(DpuId(i as u32), "c_row", 0, self.dims.n)?;
-            c[i * self.dims.n..(i + 1) * self.dims.n].copy_from_slice(&row);
+        let n = self.dims.n;
+        let mut c = Vec::new();
+        for d in (0..self.dpus).filter(|&d| self.chunks[d] > 0) {
+            c.extend(self.set.copy_values_from_dpu::<i16>(DpuId(d as u32), "c_row", 0, n)?);
         }
-        let bytes = (self.staged_rows * ((self.dims.n * 2).div_ceil(8) * 8)) as u64;
+        let bytes = (c.len() / n * ((n * 2).div_ceil(8) * 8)) as u64;
         Ok((c, bytes))
     }
 
-    /// Rows staged for the next launch.
+    /// Rows staged on each DPU for the next launch (0 or 1), in DPU
+    /// order: the `chunks` of [`LaunchReport::items`].
     #[must_use]
-    pub fn staged_rows(&self) -> usize {
-        self.staged_rows
+    pub fn staged_chunks(&self) -> &[usize] {
+        &self.chunks
     }
 }
 

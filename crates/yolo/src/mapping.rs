@@ -176,12 +176,8 @@ impl GemmMapping {
         set.define_symbol("n_cols", 8)?;
 
         // Scatter A rows; broadcast B (Eq. 3.1); send true N (8-byte rule).
-        let mut batch = pim_host::XferBatch::new();
-        for i in 0..dims.m {
-            let row = &a[i * dims.k..(i + 1) * dims.k];
-            batch.prepare(pim_host::to_wire(row).data);
-        }
-        batch.push(&mut set, "a_row", 0, a_row_bytes)?;
+        let rows: Vec<Vec<u8>> = a.chunks(dims.k).map(|row| pim_host::to_wire(row).data).collect();
+        set.copy_each("a_row", 0, a_row_bytes, |dpu| &rows[dpu.0 as usize])?;
         set.copy_values_to("b", b)?;
         set.copy_scalar_to("n_cols", dims.n as u64)?;
 

@@ -2,7 +2,7 @@
 //! runtime, the simulator, and the CNN pipelines for arbitrary inputs.
 
 use dpu_sim::DpuId;
-use pim_host::{pad_to_8, padded_len, DpuSet, PaddedBuf, XferBatch};
+use pim_host::{pad_to_8, padded_len, DpuSet, PaddedBuf};
 use proptest::prelude::*;
 
 proptest! {
@@ -33,12 +33,14 @@ proptest! {
         let buffers: Vec<Vec<u8>> = (0..n_dpus)
             .map(|d| (0..len).map(|i| ((seed as usize + d * 31 + i * 7) % 256) as u8).collect())
             .collect();
-        let mut batch = XferBatch::new();
-        for b in &buffers {
-            batch.prepare(b.clone());
-        }
-        batch.push(&mut set, "row", 0, len).unwrap();
-        let gathered = XferBatch::gather(&set, "row", 0, len).unwrap();
+        set.copy_each("row", 0, len, |dpu| &buffers[dpu.0 as usize]).unwrap();
+        let gathered: Vec<Vec<u8>> = (0..n_dpus as u32)
+            .map(|d| {
+                let mut row = vec![0u8; len];
+                set.copy_from_dpu(DpuId(d), "row", 0, &mut row).unwrap();
+                row
+            })
+            .collect();
         prop_assert_eq!(gathered, buffers);
     }
 

@@ -29,6 +29,7 @@ mod generate;
 mod kernels;
 mod machine;
 mod predicates;
+mod serve;
 mod set;
 
 use dpu_sim::asm::assemble;
@@ -133,6 +134,19 @@ fn ebnn_batch_agrees_in_every_set_cell() {
 #[test]
 fn gemm_rows_agree_in_every_set_cell() {
     set::check(&kernels::gemm_set());
+}
+
+/// The serve layer, one test per serving engine.
+#[test]
+fn ebnn_serving_keeps_the_serve_contract_in_every_cell() {
+    let side = serve::ebnn_side();
+    serve::inputs().iter().for_each(|input| serve::check(&side, input));
+}
+
+#[test]
+fn gemm_serving_keeps_the_serve_contract_in_every_cell() {
+    let side = serve::yolo_side();
+    serve::inputs().iter().for_each(|input| serve::check(&side, input));
 }
 
 /// What a hand-written input's reference run must show.

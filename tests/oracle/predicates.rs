@@ -22,7 +22,7 @@ use ebnn::codegen::Tier1Engine;
 use ebnn::{EbnnModel, ModelConfig};
 use pim_host::{
     DpuSet, HostError, LaunchReport, LaunchSpec, LinkFaultPlan, LinkPolicy, ResilientLaunchPolicy,
-    ServeHealth, XferBatch,
+    ServeHealth,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -815,9 +815,8 @@ fn idle_dpus_share_one_recorded_result() {
 
 /// `DpuSet::copy_each` is one `copy_to_dpu` per DPU in DPU order: the same
 /// memory, traffic counts, link draws and statistics and host-trace
-/// events, over a plain link and over a faulty checked one. `XferBatch::
-/// push` runs on it and still refuses a wrong arity or a short buffer
-/// before any DPU is written.
+/// events, over a plain link and over a faulty checked one; and it refuses
+/// a short buffer before any DPU is written.
 #[test]
 fn copy_each_is_a_copy_to_dpu_per_dpu() {
     let buffers: Vec<Vec<u8>> =
@@ -854,16 +853,14 @@ fn copy_each_is_a_copy_to_dpu_per_dpu() {
 
     let mut set = fresh(None);
     let stats = set.transfer_stats().clone();
-    let mut batch = XferBatch::new();
-    for buffer in &buffers[..DPUS - 1] {
-        batch.prepare(buffer.clone());
-    }
-    let arity = batch.push(&mut set, "rows", 8, 16).unwrap_err();
-    assert_eq!(arity, HostError::XferArity { prepared: DPUS - 1, dpus: DPUS });
-    batch.prepare(vec![0; 8]);
-    let short = batch.push(&mut set, "rows", 8, 16).unwrap_err();
-    assert_eq!(short, HostError::XferShort { dpu: DPUS as u32 - 1, len: 8, push: 16 });
+    let short =
+        |dpu: DpuId| if dpu.0 as usize == DPUS - 1 { &buffers[0][..8] } else { &buffers[0] };
+    let err = set.copy_each("rows", 8, 16, short).unwrap_err();
+    assert_eq!(err, HostError::XferShort { dpu: DPUS as u32 - 1, len: 8, push: 16 });
     assert_eq!(set.transfer_stats(), &stats, "nothing was counted");
-    let rows = XferBatch::gather(&set, "rows", 0, 32).unwrap();
-    assert!(rows.iter().all(|row| row.iter().all(|&b| b == 0)), "nothing was written");
+    for d in 0..DPUS as u32 {
+        let mut row = [0xAA; 32];
+        set.copy_from_dpu(DpuId(d), "rows", 0, &mut row).unwrap();
+        assert_eq!(row, [0; 32], "DPU {d}: nothing was written");
+    }
 }
