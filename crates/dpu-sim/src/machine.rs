@@ -248,13 +248,16 @@ pub struct IntegrityCounters {
 /// Full architectural state of one DPU, captured by [`Machine::snapshot`].
 ///
 /// MRAM is held as an O(pages) copy-on-write snapshot
-/// ([`crate::MemorySnapshot`]); WRAM, the DMA statistics and the perf
-/// counter are small and copied outright. Restoring one of these onto its
-/// machine and re-running the same program reproduces the original run
-/// bit-for-bit — the unit of deterministic replay.
+/// ([`crate::MemorySnapshot`]); WRAM is held by content — nothing when it
+/// is all zeros (a machine that never ran), else a dense copy — and the
+/// DMA statistics and the perf counter are copied outright. Restoring one
+/// of these onto its machine and re-running the same program reproduces
+/// the original run bit-for-bit — the unit of deterministic replay.
 #[derive(Debug, Clone)]
 pub struct MachineSnapshot {
-    wram: Wram,
+    /// WRAM's capacity, and its bytes unless they are all zero.
+    wram_len: usize,
+    wram: Option<Wram>,
     mram: crate::MemorySnapshot,
     dma: DmaEngine,
     perf: PerfCounter,
@@ -326,17 +329,22 @@ impl Machine {
         self.faults.take()
     }
 
-    /// Capture the machine's full architectural state. WRAM is copied
-    /// (64 KiB dense); MRAM costs O(pages) thanks to copy-on-write
-    /// ([`crate::CowMemory::snapshot`]); DMA statistics and the perf
-    /// counter ride along so a restored machine replays bit-identically.
+    /// Capture the machine's full architectural state. WRAM costs nothing
+    /// when it is all zeros and a 64 KiB dense copy otherwise; MRAM costs
+    /// O(pages) thanks to copy-on-write ([`crate::CowMemory::snapshot`]);
+    /// DMA statistics and the perf counter ride along so a restored
+    /// machine replays bit-identically.
     ///
     /// Armed faults are *not* captured: they are per-attempt transients
     /// armed by the host around each run.
     #[must_use]
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {
-            wram: self.wram.clone(),
+            wram_len: self.wram.len(),
+            // Folded per 4 KiB block, so the zero check vectorizes.
+            wram: (self.wram.slice(0, self.wram.len()).unwrap().chunks(4096))
+                .any(|block| block.iter().fold(0, |acc, &b| acc | b) != 0)
+                .then(|| self.wram.clone()),
             mram: self.mram.snapshot(),
             dma: self.dma,
             perf: self.perf,
@@ -352,16 +360,19 @@ impl Machine {
     /// [`Error::OutOfBounds`] when the snapshot came from a machine with
     /// different memory capacities.
     pub fn restore(&mut self, snap: &MachineSnapshot) -> Result<()> {
-        if snap.wram.len() != self.wram.len() {
+        if snap.wram_len != self.wram.len() {
             return Err(Error::OutOfBounds {
                 kind: "WRAM",
                 addr: 0,
-                len: snap.wram.len(),
+                len: snap.wram_len,
                 size: self.wram.len(),
             });
         }
         self.mram.restore(&snap.mram)?;
-        self.wram.clone_from(&snap.wram);
+        match &snap.wram {
+            Some(wram) => self.wram.clone_from(wram),
+            None => self.wram.clear(),
+        }
         self.dma = snap.dma;
         self.perf = snap.perf;
         self.faults = None;

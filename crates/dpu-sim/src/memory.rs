@@ -13,15 +13,16 @@
 //!
 //! A real rank's worth of MRAM (40 ranks × 64 DPUs × 64 MiB = 160 GiB)
 //! cannot live as dense `Vec<u8>`s. [`CowMemory`] stores MRAM as a page
-//! table of `Option<Arc<Vec<u8>>>`:
+//! table of `Option<Arc<Vec<u8>>>`, grown to the highest page written:
 //!
 //! * `None` is the **zero page** — untouched regions cost nothing and read
 //!   as zeros, exactly like the dense representation after allocation;
-//! * broadcast transfers install **one shared page** into every DPU of a
-//!   set (weight/LUT images are stored once per system, not per DPU);
-//! * writes go through [`Arc::make_mut`]: a page shared with a broadcast,
-//!   a snapshot, or another DPU is copied the first time one owner writes
-//!   it — O(dirty pages) isolation with no explicit bookkeeping;
+//! * set-wide writes ([`CowMemory::write_shared`]) store **one page** for
+//!   all DPUs that started from one page and receive the same bytes
+//!   (weight/LUT images and idle DPUs' records are stored once per set);
+//! * writes go through [`Arc::make_mut`]: a page shared with a set-wide
+//!   write, a snapshot, or another DPU is copied the first time one owner
+//!   writes it — O(dirty pages) isolation with no explicit bookkeeping;
 //! * [`CowMemory::snapshot`] / [`CowMemory::restore`] clone the page
 //!   *table* (pointer bumps), making whole-MRAM snapshots O(pages) instead
 //!   of O(capacity) — the resilient retry path leans on this.
@@ -30,7 +31,9 @@ use crate::ecc;
 use crate::error::{Error, Result};
 use crate::isa::Width;
 use crate::params;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
+use std::ptr;
 use std::sync::Arc;
 
 /// Byte-addressed little-endian memory with bounds checking.
@@ -177,10 +180,29 @@ impl LinearMemory {
 /// Page size of the copy-on-write MRAM arena.
 ///
 /// 64 KiB balances sharing granularity against page-table size: a 64 MiB
-/// MRAM is 1,024 table entries (8 KiB per DPU at `Option<Arc>` niche
-/// size), and one broadcast weight image spans whole pages after the
-/// first, so rank-wide broadcasts share all but the boundary pages.
+/// MRAM is at most 1,024 table entries (8 KiB per DPU at `Option<Arc>`
+/// niche size; the table only grows to the highest page written, so a
+/// kernel that touches page 0 alone costs one entry).
 pub const MRAM_PAGE_BYTES: usize = 64 * 1024;
+
+/// One page of storage (data or sidecar) and a table of them, whose
+/// entries past its end are `None`.
+type Page = Arc<Vec<u8>>;
+type PageTable = Vec<Option<Page>>;
+
+/// Entry `page` of `table`, growing the table to reach it.
+fn slot(table: &mut PageTable, page: usize) -> &mut Option<Page> {
+    if table.len() <= page {
+        table.resize(page + 1, None);
+    }
+    &mut table[page]
+}
+
+/// Page `page` of `table` for writing: materialized as `len` zero bytes
+/// if need be, and privatized ([`Arc::make_mut`]) if shared.
+fn writable(table: &mut PageTable, page: usize, len: usize) -> &mut Vec<u8> {
+    Arc::make_mut(slot(table, page).get_or_insert_with(|| Arc::new(vec![0u8; len])))
+}
 
 /// Byte-addressed little-endian memory backed by chunked copy-on-write
 /// pages.
@@ -194,13 +216,14 @@ pub const MRAM_PAGE_BYTES: usize = 64 * 1024;
 pub struct CowMemory {
     kind: &'static str,
     len: usize,
-    pages: Vec<Option<Arc<Vec<u8>>>>,
+    pages: PageTable,
     /// SEC-DED sidecar: one code byte per aligned 8-byte data word,
     /// stored page-parallel and COW-shared exactly like the data pages
-    /// (a broadcast page installed into 2,560 DPUs shares one sidecar).
-    /// `None` is the all-zero sidecar, which is correct for the zero
-    /// page ([`ecc::encode_word`] maps 0 to 0). Empty when ECC is off.
-    codes: Vec<Option<Arc<Vec<u8>>>>,
+    /// (DPUs that share a data page share its sidecar). `None` is the
+    /// all-zero sidecar, which is correct for the zero page
+    /// ([`ecc::encode_word`] maps 0 to 0). Empty when ECC is off; while
+    /// on, grown alongside `pages` by the writes that refresh it.
+    codes: PageTable,
     /// Whether writes maintain the SEC-DED sidecar. Off by default: the
     /// sidecar costs one encode per written word, gated ≤2% by bench.
     ecc: bool,
@@ -257,8 +280,8 @@ impl ScrubReport {
 #[derive(Debug, Clone)]
 pub struct MemorySnapshot {
     len: usize,
-    pages: Vec<Option<Arc<Vec<u8>>>>,
-    codes: Vec<Option<Arc<Vec<u8>>>>,
+    pages: PageTable,
+    codes: PageTable,
     ecc: bool,
 }
 
@@ -302,12 +325,11 @@ fn page_spans(addr: usize, len: usize) -> impl Iterator<Item = (usize, usize, Ra
 
 impl CowMemory {
     /// Create a zeroed memory of `size` bytes labelled `kind` for error
-    /// messages. Nothing is materialized: a fresh 64 MiB MRAM costs one
-    /// page-table allocation.
+    /// messages. Nothing is materialized, not even the page table: a fresh
+    /// 64 MiB MRAM costs nothing until it is written.
     #[must_use]
     pub fn new(kind: &'static str, size: usize) -> Self {
-        let table = size.div_ceil(MRAM_PAGE_BYTES);
-        Self { kind, len: size, pages: vec![None; table], codes: vec![None; table], ecc: false }
+        Self { kind, len: size, pages: Vec::new(), codes: Vec::new(), ecc: false }
     }
 
     /// Capacity in bytes.
@@ -328,6 +350,14 @@ impl CowMemory {
         MRAM_PAGE_BYTES.min(self.len - page * MRAM_PAGE_BYTES)
     }
 
+    /// Data (or sidecar) page `page`, if materialized.
+    fn page(&self, page: usize) -> Option<&Page> {
+        self.pages.get(page).and_then(Option::as_ref)
+    }
+    fn code(&self, page: usize) -> Option<&Page> {
+        self.codes.get(page).and_then(Option::as_ref)
+    }
+
     /// Bounds-check a byte range without touching it.
     ///
     /// # Errors
@@ -339,11 +369,15 @@ impl CowMemory {
         Ok(())
     }
 
-    /// Materialize (and privatize) page `page` for writing.
+    /// Materialize (and privatize) data (or sidecar) page `page` for
+    /// writing.
     fn page_mut(&mut self, page: usize) -> &mut Vec<u8> {
         let len = self.page_len(page);
-        let slot = &mut self.pages[page];
-        Arc::make_mut(slot.get_or_insert_with(|| Arc::new(vec![0u8; len])))
+        writable(&mut self.pages, page, len)
+    }
+    fn code_mut(&mut self, page: usize) -> &mut Vec<u8> {
+        let words = self.page_len(page).div_ceil(ecc::WORD_BYTES);
+        writable(&mut self.codes, page, words)
     }
 
     /// Read `buf.len()` bytes starting at `addr`. Zero pages read as
@@ -355,7 +389,7 @@ impl CowMemory {
         self.check_range(addr, buf.len())?;
         for (page, off, span) in page_spans(addr, buf.len()) {
             let dst = &mut buf[span];
-            match &self.pages[page] {
+            match self.page(page) {
                 Some(data) => dst.copy_from_slice(&data[off..off + dst.len()]),
                 None => dst.fill(0),
             }
@@ -370,7 +404,7 @@ impl CowMemory {
         self.check_range(addr, expect.len()).is_ok()
             && page_spans(addr, expect.len()).all(|(page, off, span)| {
                 let want = &expect[span];
-                match &self.pages[page] {
+                match self.page(page) {
                     Some(data) => data[off..off + want.len()] == *want,
                     None => want.iter().all(|&b| b == 0),
                 }
@@ -394,6 +428,51 @@ impl CowMemory {
         Ok(())
     }
 
+    /// A set-wide write: each `(memory, bytes)` leg, in order, writes its
+    /// bytes at `addr`. A leg whose touched pages are the storage the
+    /// previous leg started from (or both zero pages), writing the same
+    /// bytes with ECC in the same state, takes the previous leg's
+    /// resulting pages and sidecars by reference: writing would produce
+    /// them byte for byte. The other legs are [`CowMemory::write`]s. A
+    /// later differing write privatizes a shared page, so sharing is
+    /// invisible. `legs` must write no memory itself: then each page a leg
+    /// starts from lives until the next leg compares with it, so equal
+    /// addresses mean one storage.
+    ///
+    /// # Errors
+    /// [`Error::OutOfBounds`] when the range exceeds a leg's capacity; the
+    /// legs before it are written.
+    pub fn write_shared<'a, 'm>(
+        addr: usize,
+        legs: impl IntoIterator<Item = (&'m mut CowMemory, &'a [u8])>,
+    ) -> Result<()> {
+        let start = |m: &Self, page| m.page(page).map(|p| Arc::as_ptr(p) as usize);
+        // The previous leg's bytes and ECC state, and per page the storage
+        // it started from and the data page and sidecar it ended with.
+        let mut last: Option<(&[u8], bool)> = None;
+        let mut ended: Vec<(Option<usize>, Page, Option<Page>)> = Vec::new();
+        for (m, buf) in legs {
+            m.check_range(addr, buf.len())?;
+            let spans = || page_spans(addr, buf.len()).map(|(page, ..)| page);
+            let same = last.is_some_and(|(b, ecc)| ecc == m.ecc && (ptr::eq(b, buf) || b == buf));
+            if same && spans().zip(&ended).all(|(page, (from, ..))| start(m, page) == *from) {
+                for (page, (_, data, code)) in spans().zip(&ended) {
+                    *slot(&mut m.pages, page) = Some(Arc::clone(data));
+                    if m.ecc {
+                        *slot(&mut m.codes, page) = code.clone();
+                    }
+                }
+                continue;
+            }
+            let from: Vec<_> = spans().map(|page| start(m, page)).collect();
+            m.write(addr, buf)?;
+            let result = |(p, from)| (from, Arc::clone(m.page(p).unwrap()), m.code(p).cloned());
+            ended = spans().zip(from).map(result).collect();
+            last = Some((buf, m.ecc));
+        }
+        Ok(())
+    }
+
     /// Re-encode the sidecar for every word overlapping `[off, off+len)`
     /// of page `page` (which must already be materialized). The write
     /// path calls this after each legitimate store so the sidecar always
@@ -404,8 +483,7 @@ impl CowMemory {
         let w1 = (off + len).div_ceil(ecc::WORD_BYTES).min(words);
         let (pages, codes) = (&self.pages, &mut self.codes);
         let data = pages[page].as_deref().expect("data page materialized before code refresh");
-        let code = Arc::make_mut(codes[page].get_or_insert_with(|| Arc::new(vec![0u8; words])));
-        for (i, c) in code[w0..w1].iter_mut().enumerate() {
+        for (i, c) in writable(codes, page, words)[w0..w1].iter_mut().enumerate() {
             *c = ecc::encode_word(ecc::word_at(data, (w0 + i) * ecc::WORD_BYTES));
         }
     }
@@ -428,10 +506,9 @@ impl CowMemory {
     /// [`Error::OutOfBounds`] when out of range.
     pub fn read_u8(&self, addr: usize) -> Result<u32> {
         self.check_range(addr, 1)?;
-        Ok(match &self.pages[addr / MRAM_PAGE_BYTES] {
-            Some(data) => u32::from(data[addr % MRAM_PAGE_BYTES]),
-            None => 0,
-        })
+        Ok(self
+            .page(addr / MRAM_PAGE_BYTES)
+            .map_or(0, |data| u32::from(data[addr % MRAM_PAGE_BYTES])))
     }
 
     /// Read a little-endian halfword, zero-extended.
@@ -471,8 +548,8 @@ impl CowMemory {
     /// Invert one **stored** bit without maintaining the SEC-DED
     /// sidecar — the model of a storage-cell error (and the injector's
     /// entry point). The touched page is privatized first, so a flip on
-    /// a COW-shared broadcast page corrupts only this memory's mapping,
-    /// never the other DPUs sharing the storage.
+    /// a COW-shared page corrupts only this memory's mapping, never the
+    /// other DPUs sharing the storage.
     ///
     /// # Errors
     /// [`Error::OutOfBounds`] when `addr` is out of range.
@@ -502,8 +579,8 @@ impl CowMemory {
     /// Zero the whole memory by dropping every page back to the zero
     /// page — O(pages), and frees (or un-shares) the storage.
     pub fn clear(&mut self) {
-        self.pages.fill(None);
-        self.codes.fill(None);
+        self.pages.clear();
+        self.codes.clear();
     }
 
     /// Take an O(pages) snapshot: clones the page table (and the ECC
@@ -541,62 +618,6 @@ impl CowMemory {
         Ok(())
     }
 
-    /// Install `data` as page `page`, sharing it by reference.
-    ///
-    /// This is the broadcast fast path: the host builds one page and
-    /// installs it into every DPU of a set, so a rank-wide weight image
-    /// is stored once. A later write through any DPU privatizes only that
-    /// DPU's copy.
-    ///
-    /// # Errors
-    /// [`Error::OutOfBounds`] when `page` is outside the table or `data`
-    /// is not exactly the page's length.
-    pub fn install_page(&mut self, page: usize, data: &Arc<Vec<u8>>) -> Result<()> {
-        if page >= self.pages.len() || data.len() != self.page_len(page) {
-            return Err(Error::OutOfBounds {
-                kind: self.kind,
-                addr: page * MRAM_PAGE_BYTES,
-                len: data.len(),
-                size: self.len,
-            });
-        }
-        self.pages[page] = Some(Arc::clone(data));
-        if self.ecc {
-            self.codes[page] = Some(Arc::new(ecc::encode_page(data)));
-        }
-        Ok(())
-    }
-
-    /// [`CowMemory::install_page`] with a pre-computed SEC-DED sidecar,
-    /// shared by reference like the data page. The broadcast fast path
-    /// uses this so a rank-wide weight image carries **one** sidecar,
-    /// encoded once on the host, instead of re-encoding per DPU.
-    ///
-    /// # Errors
-    /// [`Error::OutOfBounds`] when `page` is outside the table, `data`
-    /// is not exactly the page's length, or `code` is not one byte per
-    /// 8-byte word of `data`.
-    pub fn install_page_with_code(
-        &mut self,
-        page: usize,
-        data: &Arc<Vec<u8>>,
-        code: &Arc<Vec<u8>>,
-    ) -> Result<()> {
-        if code.len() != data.len().div_ceil(ecc::WORD_BYTES) {
-            return Err(Error::OutOfBounds {
-                kind: self.kind,
-                addr: page * MRAM_PAGE_BYTES,
-                len: code.len(),
-                size: self.len,
-            });
-        }
-        self.install_page(page, data)?;
-        if self.ecc {
-            self.codes[page] = Some(Arc::clone(code));
-        }
-        Ok(())
-    }
-
     /// Whether the SEC-DED sidecar is being maintained.
     #[must_use]
     pub fn ecc_enabled(&self) -> bool {
@@ -605,20 +626,27 @@ impl CowMemory {
 
     /// Turn the SEC-DED sidecar on or off. Enabling encodes every
     /// resident page (a one-time O(resident bytes) sweep); disabling
-    /// drops the sidecar storage.
+    /// drops the sidecar storage and its table.
     pub fn set_ecc(&mut self, on: bool) {
-        if on == self.ecc {
-            return;
-        }
-        self.ecc = on;
-        if on {
-            for page in 0..self.pages.len() {
-                if let Some(data) = &self.pages[page] {
-                    self.codes[page] = Some(Arc::new(ecc::encode_page(data)));
-                }
-            }
-        } else {
-            self.codes.fill(None);
+        Self::set_ecc_shared(on, [self]);
+    }
+
+    /// [`CowMemory::set_ecc`] on every memory of `mems`, encoding each
+    /// distinct data page once: memories that share a page share its
+    /// sidecar.
+    pub fn set_ecc_shared<'m>(on: bool, mems: impl IntoIterator<Item = &'m mut CowMemory>) {
+        let mut encoded = HashMap::new();
+        for m in mems.into_iter().filter(|m| m.ecc != on) {
+            m.ecc = on;
+            let mut code = |data: &Page| {
+                let key = Arc::as_ptr(data) as usize;
+                Arc::clone(encoded.entry(key).or_insert_with(|| Arc::new(ecc::encode_page(data))))
+            };
+            m.codes = if on {
+                m.pages.iter().map(|p| p.as_ref().map(&mut code)).collect()
+            } else {
+                Vec::new()
+            };
         }
     }
 
@@ -652,7 +680,7 @@ impl CowMemory {
         while w <= last_word {
             let at = w * ecc::WORD_BYTES;
             let page = at / MRAM_PAGE_BYTES;
-            if self.pages[page].is_none() {
+            if self.page(page).is_none() {
                 // Zero page: sidecar is the (implicit) zero sidecar.
                 w = ((page + 1) * MRAM_PAGE_BYTES) / ecc::WORD_BYTES;
                 continue;
@@ -667,9 +695,9 @@ impl CowMemory {
     fn verify_word(&mut self, at: usize) -> Result<u64> {
         let (page, off) = (at / MRAM_PAGE_BYTES, at % MRAM_PAGE_BYTES);
         let w = off / ecc::WORD_BYTES;
-        let data = self.pages[page].as_deref().expect("resident page");
+        let data = self.page(page).expect("resident page");
         let word = ecc::word_at(data, off);
-        let code = self.codes[page].as_ref().map_or(0, |c| c[w]);
+        let code = self.code(page).map_or(0, |c| c[w]);
         match ecc::decode_word(word, code) {
             ecc::Decode::Clean => Ok(0),
             ecc::Decode::CorrectedData(bit) => {
@@ -683,10 +711,7 @@ impl CowMemory {
                 Ok(1)
             }
             ecc::Decode::CorrectedCode => {
-                let words = self.page_len(page).div_ceil(ecc::WORD_BYTES);
-                let code =
-                    Arc::make_mut(self.codes[page].get_or_insert_with(|| Arc::new(vec![0; words])));
-                code[w] = ecc::encode_word(word);
+                self.code_mut(page)[w] = ecc::encode_word(word);
                 Ok(1)
             }
             ecc::Decode::Uncorrectable => Err(Error::EccUncorrectable { addr: at }),
@@ -699,50 +724,62 @@ impl CowMemory {
     /// attempt) so storage errors are swept up without consuming a
     /// retry. No-op when ECC is off.
     pub fn scrub(&mut self) -> ScrubReport {
-        let mut rep = ScrubReport::default();
-        if !self.ecc {
-            return rep;
-        }
-        for page in 0..self.pages.len() {
-            let Some(data) = self.pages[page].as_deref() else { continue };
-            rep.pages += 1;
-            let words = data.len().div_ceil(ecc::WORD_BYTES);
-            rep.words += words as u64;
-            let code = self.codes[page].as_deref();
-            let mut fixes: Vec<(usize, ecc::Decode)> = Vec::new();
-            for w in 0..words {
-                let word = ecc::word_at(data, w * ecc::WORD_BYTES);
-                let stored = code.map_or(0, |c| c[w]);
-                match ecc::decode_word(word, stored) {
-                    ecc::Decode::Clean => {}
-                    d => fixes.push((w, d)),
+        Self::scrub_shared([self])
+    }
+
+    /// [`CowMemory::scrub`] on every memory of `mems`, merged, decoding
+    /// each distinct (data page, sidecar) pair once: a clean pair met
+    /// again counts without a decode, so the report reads what scrubbing
+    /// each memory alone reads. A repair privatizes its page.
+    pub fn scrub_shared<'m>(mems: impl IntoIterator<Item = &'m mut CowMemory>) -> ScrubReport {
+        let (mut swept, mut rep) = (HashSet::new(), ScrubReport::default());
+        for m in mems.into_iter().filter(|m| m.ecc) {
+            for page in 0..m.pages.len() {
+                let Some(data) = m.page(page) else { continue };
+                rep.pages += 1;
+                let words = data.len().div_ceil(ecc::WORD_BYTES);
+                rep.words += words as u64;
+                let code = m.code(page);
+                let pair =
+                    (Arc::as_ptr(data) as usize, code.map_or(0, |c| Arc::as_ptr(c) as usize));
+                if swept.contains(&pair) {
+                    continue;
                 }
-            }
-            for (w, d) in fixes {
-                let at = page * MRAM_PAGE_BYTES + w * ecc::WORD_BYTES;
-                match d {
-                    ecc::Decode::Clean => {}
-                    ecc::Decode::CorrectedData(bit) => {
-                        let off = w * ecc::WORD_BYTES + (bit / 8) as usize;
-                        if off >= self.page_len(page) {
-                            rep.uncorrectable.push(at);
-                            continue;
+                let mut fixes: Vec<(usize, ecc::Decode)> = Vec::new();
+                for w in 0..words {
+                    let word = ecc::word_at(data, w * ecc::WORD_BYTES);
+                    let stored = code.map_or(0, |c| c[w]);
+                    match ecc::decode_word(word, stored) {
+                        ecc::Decode::Clean => {}
+                        d => fixes.push((w, d)),
+                    }
+                }
+                if fixes.is_empty() {
+                    swept.insert(pair);
+                }
+                for (w, d) in fixes {
+                    let at = page * MRAM_PAGE_BYTES + w * ecc::WORD_BYTES;
+                    match d {
+                        ecc::Decode::Clean => {}
+                        ecc::Decode::CorrectedData(bit) => {
+                            let off = w * ecc::WORD_BYTES + (bit / 8) as usize;
+                            if off >= m.page_len(page) {
+                                rep.uncorrectable.push(at);
+                                continue;
+                            }
+                            m.page_mut(page)[off] ^= 1 << (bit % 8);
+                            rep.corrected_data += 1;
                         }
-                        self.page_mut(page)[off] ^= 1 << (bit % 8);
-                        rep.corrected_data += 1;
+                        ecc::Decode::CorrectedCode => {
+                            let word = ecc::word_at(
+                                m.page(page).expect("resident page"),
+                                w * ecc::WORD_BYTES,
+                            );
+                            m.code_mut(page)[w] = ecc::encode_word(word);
+                            rep.corrected_code += 1;
+                        }
+                        ecc::Decode::Uncorrectable => rep.uncorrectable.push(at),
                     }
-                    ecc::Decode::CorrectedCode => {
-                        let word = ecc::word_at(
-                            self.pages[page].as_deref().expect("resident page"),
-                            w * ecc::WORD_BYTES,
-                        );
-                        let code = Arc::make_mut(
-                            self.codes[page].get_or_insert_with(|| Arc::new(vec![0; words])),
-                        );
-                        code[w] = ecc::encode_word(word);
-                        rep.corrected_code += 1;
-                    }
-                    ecc::Decode::Uncorrectable => rep.uncorrectable.push(at),
                 }
             }
         }
@@ -766,21 +803,24 @@ impl CowMemory {
 
     /// Stable identities of the materialized pages (the page storage's
     /// address), for deduplicated accounting across DPUs that share
-    /// broadcast or snapshot pages.
+    /// pages written set-wide or restored from one snapshot.
     pub fn page_ids(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.pages.iter().flatten().map(|p| (std::sync::Arc::as_ptr(p) as usize, p.len()))
+        self.pages.iter().flatten().map(|p| (Arc::as_ptr(p) as usize, p.len()))
     }
 }
 
-/// Logical content equality: a zero page equals a materialized page of
-/// zeros, and shared pages short-circuit by pointer.
+/// Logical content equality: a zero page (or a missing table entry)
+/// equals a materialized page of zeros, and shared pages short-circuit by
+/// pointer.
 impl PartialEq for CowMemory {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len
-            && self.pages.iter().zip(&other.pages).all(|(a, b)| match (a, b) {
-                (None, None) => true,
-                (Some(x), Some(y)) => Arc::ptr_eq(x, y) || x == y,
-                (Some(x), None) | (None, Some(x)) => x.iter().all(|&byte| byte == 0),
+            && (0..self.pages.len().max(other.pages.len())).all(|p| {
+                match (self.page(p), other.page(p)) {
+                    (None, None) => true,
+                    (Some(x), Some(y)) => Arc::ptr_eq(x, y) || x == y,
+                    (Some(x), None) | (None, Some(x)) => x.iter().all(|&byte| byte == 0),
+                }
             })
     }
 }
@@ -1145,25 +1185,39 @@ mod tests {
         assert!(big.restore(&small.snapshot()).is_err());
     }
 
+    /// One set-wide write of `buf` at `addr` over `mems`, in order.
+    fn write_all<const N: usize>(mems: [&mut CowMemory; N], addr: usize, buf: &[u8]) {
+        CowMemory::write_shared(addr, mems.map(|m| (m, buf))).unwrap();
+    }
+
     #[test]
-    fn cow_install_page_shares_storage_until_written() {
-        let page = Arc::new(vec![0xCD; MRAM_PAGE_BYTES]);
+    fn shared_write_shares_storage_until_written() {
+        let page = vec![0xCD; MRAM_PAGE_BYTES];
         let mut a = CowMemory::new("MRAM", MRAM_PAGE_BYTES * 2);
         let mut b = CowMemory::new("MRAM", MRAM_PAGE_BYTES * 2);
-        a.install_page(0, &page).unwrap();
-        b.install_page(0, &page).unwrap();
+        let mut c = CowMemory::new("MRAM", MRAM_PAGE_BYTES * 2);
+        c.write_u8(MRAM_PAGE_BYTES + 12, 9).unwrap();
+        write_all([&mut a, &mut b, &mut c], 0, &page);
         let a_ids: Vec<_> = a.page_ids().collect();
-        let b_ids: Vec<_> = b.page_ids().collect();
-        assert_eq!(a_ids, b_ids, "one storage backs both DPUs");
+        assert_eq!(a_ids, b.page_ids().collect::<Vec<_>>(), "one storage backs both");
+        assert_eq!(a_ids.len(), 1, "the table grows only to the page written");
+        // A partial page shares too, while the DPUs start from one storage;
+        // `c`'s page 1 differs, so `c` writes its own.
+        write_all([&mut a, &mut b, &mut c], MRAM_PAGE_BYTES - 8, &[7; 16]);
+        assert_eq!(a.page_ids().collect::<Vec<_>>(), b.page_ids().collect::<Vec<_>>());
+        assert_ne!(a.page_ids().nth(1), c.page_ids().nth(1));
+        assert_eq!(c.read_u8(MRAM_PAGE_BYTES + 12).unwrap(), 9);
+        assert_eq!(a.read_u8(MRAM_PAGE_BYTES + 12).unwrap(), 0);
         // Writing through one memory privatizes its copy only.
         a.write_u8(5, 0x11).unwrap();
         assert_eq!(a.read_u8(5).unwrap(), 0x11);
         assert_eq!(b.read_u8(5).unwrap(), 0xCD);
         assert_ne!(a.page_ids().next(), b.page_ids().next());
-        // Wrong-sized installs are rejected.
-        let short = Arc::new(vec![0u8; 100]);
-        assert!(a.install_page(1, &short).is_err());
-        assert!(a.install_page(7, &page).is_err());
+        // Different bytes, or a different address, are written per memory.
+        let legs = [(&mut a, &[1u8; 8][..]), (&mut b, &[2; 8])];
+        CowMemory::write_shared(64, legs).unwrap();
+        assert_eq!((a.read_u8(64).unwrap(), b.read_u8(64).unwrap()), (1, 2));
+        assert!(CowMemory::write_shared(2 * MRAM_PAGE_BYTES, [(&mut a, &[1u8; 8][..])]).is_err());
     }
 
     #[test]
@@ -1325,39 +1379,41 @@ mod tests {
 
     #[test]
     fn raw_flip_on_shared_page_privatizes_before_corrupting() {
-        // Satellite regression: an injected storage flip on a broadcast
-        // page must corrupt only the faulted DPU's mapping.
-        let page = Arc::new(vec![0x33; MRAM_PAGE_BYTES]);
+        // An injected storage flip on a page written set-wide must corrupt
+        // only the faulted DPU's mapping.
         let mut a = CowMemory::new("MRAM", MRAM_PAGE_BYTES);
         let mut b = CowMemory::new("MRAM", MRAM_PAGE_BYTES);
-        a.install_page(0, &page).unwrap();
-        b.install_page(0, &page).unwrap();
+        write_all([&mut a, &mut b], 0, &[0x33; MRAM_PAGE_BYTES]);
         assert_eq!(a.page_ids().next(), b.page_ids().next(), "shared before the fault");
         a.flip_bit_raw(7, 0).unwrap();
         assert_eq!(a.read_u8(7).unwrap(), 0x32);
         assert_eq!(b.read_u8(7).unwrap(), 0x33, "sibling mapping untouched");
-        assert_eq!(page[7], 0x33, "shared storage untouched");
         assert_ne!(a.page_ids().next(), b.page_ids().next(), "COW broke on the flip");
     }
 
     #[test]
-    fn ecc_shared_sidecar_install_and_accounting() {
-        let data = Arc::new(vec![0xC4; MRAM_PAGE_BYTES]);
-        let code = Arc::new(crate::ecc::encode_page(&data));
+    fn ecc_shared_sidecar_encoding_and_accounting() {
         let mut a = CowMemory::new("MRAM", MRAM_PAGE_BYTES);
         let mut b = CowMemory::new("MRAM", MRAM_PAGE_BYTES);
-        a.set_ecc(true);
-        b.set_ecc(true);
-        a.install_page_with_code(0, &data, &code).unwrap();
-        b.install_page_with_code(0, &data, &code).unwrap();
+        write_all([&mut a, &mut b], 0, &[0xC4; MRAM_PAGE_BYTES]);
+        // Enabled together, the shared page gets one sidecar.
+        CowMemory::set_ecc_shared(true, [&mut a, &mut b]);
+        assert!(Arc::ptr_eq(a.code(0).unwrap(), b.code(0).unwrap()));
+        // A shared clean pair counts for both.
+        let both = CowMemory::scrub_shared([&mut a, &mut b]);
+        assert!(both.clean() && both.pages == 2, "{both:?}");
+        // A partial set-wide write carries the refreshed sidecar along.
+        write_all([&mut a, &mut b], 8, &[1; 8]);
+        assert!(Arc::ptr_eq(a.code(0).unwrap(), b.code(0).unwrap()));
         assert!(a.scrub().clean() && b.scrub().clean());
         assert_eq!(a.ecc_resident_bytes(), MRAM_PAGE_BYTES / 8);
-        // Wrong-sized sidecars are rejected.
-        let short = Arc::new(vec![0u8; 3]);
-        assert!(a.install_page_with_code(0, &data, &short).is_err());
-        // ECC off: no sidecar storage, scrub is a no-op.
+        // A repair privatizes: the sibling keeps the clean pair.
+        b.flip_bit_raw(40, 1).unwrap();
+        assert_eq!(CowMemory::scrub_shared([&mut a, &mut b]).corrected_data, 1);
+        assert_eq!(a, b);
+        // ECC off: no sidecar table, scrub is a no-op.
         a.set_ecc(false);
-        assert_eq!(a.ecc_resident_bytes(), 0);
+        assert_eq!((a.ecc_resident_bytes(), a.codes.len()), (0, 0));
         assert!(a.scrub().clean());
     }
 }

@@ -54,11 +54,12 @@ pub struct Rank {
 /// A simulated multi-DPU system.
 ///
 /// Instantiating all 2560 DPUs is cheap: MRAM is copy-on-write paged
-/// ([`crate::CowMemory`]), so an untouched DPU costs a page table, not
-/// 64 MiB, and broadcast images are stored once system-wide
-/// ([`PimSystem::mram_residency`] reports the real footprint). The DPUs
-/// are fully independent, which is exactly the property the paper's
-/// linear multi-DPU scaling rests on.
+/// ([`crate::CowMemory`]), so an untouched DPU's MRAM costs nothing (its
+/// WRAM is 64 KiB dense), and a set-wide write stores each page once for
+/// every DPU that holds the same bytes there
+/// ([`crate::CowMemory::write_shared`]; [`PimSystem::mram_residency`]
+/// reports the real footprint). The DPUs are fully independent, which is
+/// exactly the property the paper's linear multi-DPU scaling rests on.
 #[derive(Debug)]
 pub struct PimSystem {
     /// Device parameters shared by all DPUs.

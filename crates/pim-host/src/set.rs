@@ -13,11 +13,8 @@ use crate::error::{HostError, Result};
 use crate::launch::DEFAULT_PARALLEL_THRESHOLD;
 use crate::link::{LinkPolicy, LinkStats};
 use crate::symbol::{Symbol, SymbolTable};
-use dpu_sim::{
-    DpuId, DpuParams, Engine, ExecProgram, Mram, PimSystem, ScrubReport, MRAM_PAGE_BYTES,
-};
+use dpu_sim::{CowMemory, DpuId, DpuParams, Engine, ExecProgram, Mram, PimSystem, ScrubReport};
 use pim_trace::{HostDirection, TraceBuffer, TraceEvent, TraceSink};
-use std::sync::Arc;
 
 /// A host-allocated set of DPUs with a shared symbol table.
 #[derive(Debug)]
@@ -119,12 +116,11 @@ impl DpuSet {
     }
 
     /// Turn the MRAM SEC-DED sidecar on (or off) for every DPU of the
-    /// set. See [`dpu_sim::CowMemory::set_ecc`]: enabling back-fills
-    /// codes for resident pages; broadcast pages share one sidecar.
+    /// set. See [`CowMemory::set_ecc_shared`]: enabling back-fills codes
+    /// for resident pages, each distinct page encoded once, so DPUs that
+    /// share a page share its sidecar.
     pub fn enable_ecc(&mut self, on: bool) {
-        for (_, dpu) in self.system.iter_mut() {
-            dpu.mram.set_ecc(on);
-        }
+        CowMemory::set_ecc_shared(on, self.system.iter_mut().map(|(_, dpu)| &mut *dpu.mram));
     }
 
     /// Whether the set's MRAM ECC sidecar is enabled (uniform across the
@@ -136,13 +132,11 @@ impl DpuSet {
 
     /// Scrub every DPU's resident MRAM pages against the ECC sidecar,
     /// repairing single-bit errors in place, and return the merged
-    /// report. A no-op (empty report) when ECC is off.
+    /// report. Each distinct (page, sidecar) pair is decoded once
+    /// ([`CowMemory::scrub_shared`]). A no-op (empty report) when ECC is
+    /// off.
     pub fn scrub_all(&mut self) -> ScrubReport {
-        let mut total = ScrubReport::default();
-        for (_, dpu) in self.system.iter_mut() {
-            total.merge(&dpu.mram.scrub());
-        }
-        total
+        CowMemory::scrub_shared(self.system.iter_mut().map(|(_, dpu)| &mut *dpu.mram))
     }
 
     /// Total MRAM words repaired inline by DMA verify-on-read across the
@@ -317,23 +311,23 @@ impl DpuSet {
     /// (`dpu_copy_to`, Eq. 3.1). `src` must obey the 8-byte rule — use
     /// [`crate::align::PaddedBuf`] for arbitrary payloads.
     ///
-    /// MRAM pages wholly covered by the span are materialized **once** and
-    /// installed into every DPU's page table by reference
-    /// ([`dpu_sim::CowMemory::install_page`]), so a rank-wide weight or
-    /// LUT image costs one copy of itself instead of one per DPU; a DPU
-    /// that later writes such a page gets its own copy transparently.
+    /// The bytes land through one set-wide write
+    /// ([`CowMemory::write_shared`]): DPUs whose touched pages started out
+    /// as one storage end up holding one page between them, whole or
+    /// partial, so a rank-wide weight or LUT image costs one copy of
+    /// itself instead of one per DPU; a DPU that later writes such a page
+    /// gets its own copy transparently.
     ///
-    /// Checked, the shared page-install fast path runs first; each DPU's
-    /// leg then injects and verifies its copy independently. A DPU whose
-    /// copy fails verification rewrites only its own range (copy-on-write
-    /// privatizes just that DPU's pages), so the common clean case keeps
-    /// one shared image across the whole set.
+    /// Checked, each DPU's leg then injects and verifies its copy
+    /// independently. A DPU whose copy fails verification rewrites only
+    /// its own range (copy-on-write privatizes just that DPU's pages), so
+    /// the common clean case keeps one shared image across the whole set.
     ///
     /// # Errors
     /// Alignment, symbol and bounds violations.
     pub fn copy_to(&mut self, symbol: &str, symbol_offset: usize, src: &[u8]) -> Result<()> {
         let addr = self.symbols.resolve(symbol, symbol_offset, src.len())?;
-        self.broadcast_write(addr, src)?;
+        CowMemory::write_shared(addr, self.system.iter_mut().map(|(_, d)| (&mut *d.mram, src)))?;
         if let Some(link) = &self.link {
             let mut link = link.borrow_mut();
             let seq = link.begin();
@@ -359,42 +353,6 @@ impl DpuSet {
             (src.len() * self.system.len()) as u64,
             None,
         );
-        Ok(())
-    }
-
-    /// Write `src` at `addr` on every DPU, storing each fully covered MRAM
-    /// page once for the whole set. Partial head/tail pages fall back to
-    /// per-DPU writes (they may merge with bytes a DPU already holds).
-    fn broadcast_write(&mut self, addr: usize, src: &[u8]) -> Result<()> {
-        let end = addr + src.len();
-        let first_full = addr.div_ceil(MRAM_PAGE_BYTES);
-        let last_full = end / MRAM_PAGE_BYTES; // exclusive
-        if last_full <= first_full {
-            // No fully covered page: plain per-DPU writes.
-            for (_, dpu) in self.system.iter_mut() {
-                dpu.mram.write(addr, src)?;
-            }
-            return Ok(());
-        }
-        let shared: Vec<Arc<Vec<u8>>> = (first_full..last_full)
-            .map(|p| {
-                let off = p * MRAM_PAGE_BYTES - addr;
-                Arc::new(src[off..off + MRAM_PAGE_BYTES].to_vec())
-            })
-            .collect();
-        let head = first_full * MRAM_PAGE_BYTES - addr;
-        let tail = last_full * MRAM_PAGE_BYTES - addr;
-        for (_, dpu) in self.system.iter_mut() {
-            if head > 0 {
-                dpu.mram.write(addr, &src[..head])?;
-            }
-            for (k, page) in shared.iter().enumerate() {
-                dpu.mram.install_page(first_full + k, page)?;
-            }
-            if tail < src.len() {
-                dpu.mram.write(addr + tail, &src[tail..])?;
-            }
-        }
         Ok(())
     }
 
@@ -427,10 +385,13 @@ impl DpuSet {
     ///
     /// The symbol is resolved and the alignment checked once, and the
     /// traffic counted once, with the totals of one
-    /// [`DpuSet::copy_to_dpu`] per DPU. Each DPU's leg is exactly
-    /// `copy_to_dpu`'s: checked, it claims its own transfer sequence
-    /// number and CRC frame in DPU order, and traced, it records its own
-    /// host-transfer event.
+    /// [`DpuSet::copy_to_dpu`] per DPU, and traced, each DPU records its
+    /// own host-transfer event. Unchecked, the bytes land through one
+    /// set-wide write, so runs of DPUs that receive equal buffers — the
+    /// idle DPUs of a batch — share the pages they write. Checked, each
+    /// DPU's leg is exactly `copy_to_dpu`'s: it claims its own transfer
+    /// sequence number and CRC frame in DPU order, and may be corrupted
+    /// and retried on its own.
     ///
     /// # Errors
     /// [`HostError::XferShort`] when some `src(d)` is shorter than `len`
@@ -449,6 +410,16 @@ impl DpuSet {
             return Err(HostError::XferShort { dpu: dpu.0, len: src(dpu).len(), push: len });
         }
         let addr = self.symbols.resolve(symbol, symbol_offset, len)?;
+        if self.link.is_none() {
+            let legs = self.system.iter_mut().map(|(id, d)| (&mut *d.mram, &src(id)[..len]));
+            CowMemory::write_shared(addr, legs)?;
+            for dpu in dpus {
+                self.record_host(HostDirection::HostToMram, symbol, len as u64, Some(dpu.0));
+            }
+            let n = self.system.len();
+            self.count_transfer(symbol, (len * n) as u64, n as u64);
+            return Ok(());
+        }
         let mut written = 0;
         let outcome = dpus.try_for_each(|dpu| {
             self.write_leg(dpu, addr, symbol, &src(dpu)[..len])?;
@@ -462,8 +433,8 @@ impl DpuSet {
     }
 
     /// One DPU's leg of a host → DPU copy of `src` to MRAM `addr`: the
-    /// write (checked under a link policy) and its host-trace event. Every
-    /// per-DPU copy runs it.
+    /// write (checked under a link policy) and its host-trace event.
+    /// [`DpuSet::copy_to_dpu`] and checked scatters run it.
     fn write_leg(&mut self, dpu: DpuId, addr: usize, symbol: &str, src: &[u8]) -> Result<()> {
         let mram = &mut self.system.dpu_mut(dpu).mram;
         match &self.link {
@@ -717,6 +688,7 @@ mod tests {
 mod checked_transfer_tests {
     use super::*;
     use crate::link::{LinkFaultPlan, LinkPolicy};
+    use dpu_sim::MRAM_PAGE_BYTES;
 
     fn filled(len: usize, salt: u8) -> Vec<u8> {
         (0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(salt)).collect()
@@ -966,6 +938,7 @@ mod transfer_stats_tests {
 #[cfg(test)]
 mod host_trace_tests {
     use super::*;
+    use dpu_sim::MRAM_PAGE_BYTES;
     use pim_trace::TraceEvent;
 
     #[test]
@@ -1085,7 +1058,7 @@ mod host_trace_tests {
     }
 
     #[test]
-    fn broadcast_shares_full_pages_and_splits_unaligned_edges() {
+    fn broadcast_shares_every_page_it_writes_unaligned_edges_too() {
         // "pad" shifts "w" to a page-unaligned base address.
         let mut set = DpuSet::allocate(4).unwrap();
         set.define_symbol("pad", 8).unwrap();
@@ -1098,10 +1071,15 @@ mod host_trace_tests {
             set.copy_from_dpu(DpuId(i), "w", 0, &mut back).unwrap();
             assert_eq!(back, image, "DPU {i}");
         }
-        // One full page is covered and shared once; the unaligned head and
-        // tail spill into per-DPU pages (at most 2 per DPU).
+        // The image touches three pages — a partial head, one full page, a
+        // partial tail — and all four DPUs share each of them.
         let res = set.system().mram_residency();
-        assert!(res.distinct_pages <= 1 + 2 * 4, "{} distinct pages", res.distinct_pages);
-        assert!(res.resident_pages >= 3 * 4, "{} resident pages", res.resident_pages);
+        assert_eq!((res.distinct_pages, res.resident_pages), (3, 3 * 4), "{res:?}");
+        // A scatter's run of equal buffers shares its head page too: the
+        // odd one out writes its own, the other three one between them.
+        let rows = [[1u8; 8], [2; 8], [2; 8], [2; 8]];
+        set.copy_each("pad", 0, 8, |dpu| &rows[dpu.0 as usize]).unwrap();
+        let res = set.system().mram_residency();
+        assert_eq!((res.distinct_pages, res.resident_pages), (4, 3 * 4), "{res:?}");
     }
 }

@@ -13,7 +13,7 @@ use yolo_pim::codegen::RowEngine;
 use yolo_pim::gemm::GemmDims;
 
 /// One-filter eBNN model and 18 synthetic digits.
-fn ebnn_batch() -> (EbnnModel, Vec<ebnn::mnist::GrayImage>) {
+pub fn ebnn_batch() -> (EbnnModel, Vec<ebnn::mnist::GrayImage>) {
     let model = EbnnModel::generate(ModelConfig { filters: 1, ..ModelConfig::default() });
     let images = (0..18).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
     (model, images)

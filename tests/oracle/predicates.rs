@@ -6,7 +6,8 @@
 //! no invalidation hook, that the fault-class axis reaches every fault and
 //! every outcome, which DPU's error a faulting launch names, that link
 //! faults never reach staged memory, that the idle DPUs of a launch share
-//! one recorded result, and that a per-DPU scatter is a per-DPU copy loop.
+//! one recorded result, that a per-DPU scatter is a per-DPU copy loop,
+//! and that pages shared by set-wide writes are invisible.
 
 use crate::generate::{racy_program, random_programs, Disruption, Event, Gate, RacyOp};
 use crate::machine::{run, seeded, Aftermath, Cell, Faults, Run, Watch};
@@ -16,7 +17,7 @@ use dpu_sim::exec::is_superblock_op;
 use dpu_sim::isa::{Instr, Program, Reg, Width};
 use dpu_sim::{
     CycleAttribution, DpuId, Engine, EngineStats, Error, ExecProgram, FaultConfig, Machine,
-    Observe, RunSpec,
+    Observe, RunSpec, MRAM_PAGE_BYTES,
 };
 use ebnn::codegen::Tier1Engine;
 use ebnn::{EbnnModel, ModelConfig};
@@ -862,5 +863,243 @@ fn copy_each_is_a_copy_to_dpu_per_dpu() {
         let mut row = [0xAA; 32];
         set.copy_from_dpu(DpuId(d), "rows", 0, &mut row).unwrap();
         assert_eq!(row, [0; 32], "DPU {d}: nothing was written");
+    }
+}
+
+/// One step of a [`sharing_is_invisible`] sequence. Places `at` are
+/// 8-byte words of the `block` symbol: below 24 at its start in the
+/// engine's page 0, from 24 at the start of page 1, which it covers
+/// whole.
+#[derive(Debug, Clone)]
+enum Step {
+    /// `copy_to` of `words` words at `at`.
+    Broadcast {
+        at: usize,
+        words: usize,
+        salt: u8,
+    },
+    /// `copy_to` of the whole of page 1.
+    WholePage {
+        salt: u8,
+    },
+    /// `copy_each` of `words` words at `at`: DPU `d` gets the buffer of
+    /// salt `salts[d % len]`, so a short alphabet gives runs of equal
+    /// buffers.
+    Scatter {
+        at: usize,
+        words: usize,
+        salts: Vec<u8>,
+    },
+    /// `copy_to_dpu` to DPU `dpu % dpus`.
+    One {
+        dpu: usize,
+        at: usize,
+        words: usize,
+        salt: u8,
+    },
+    /// Stage the first `images` images on buffer `buf` (DPU 0 busy, the
+    /// rest idle) and launch the eBNN kernel.
+    Launch {
+        images: usize,
+        buf: usize,
+    },
+    Snapshot,
+    Restore,
+    Ecc(bool),
+    Scrub,
+    /// `flip_bit_raw` of bit `bit` in word `word` of `block` on DPU
+    /// `dpu % dpus`.
+    Flip {
+        dpu: usize,
+        word: usize,
+        bit: u8,
+    },
+}
+
+/// The dense per-DPU model of a set: each DPU's MRAM up to the end of
+/// `block` and its WRAM as plain bytes, the ECC state, and the raw flip
+/// while the sidecar can still repair it.
+#[derive(Debug, Clone)]
+struct Shadow {
+    mram: Vec<Vec<u8>>,
+    wram: Vec<Vec<u8>>,
+    ecc: bool,
+    /// `(DPU, MRAM address, bit)` of a flip made with ECC on and not yet
+    /// repaired, overwritten, or made permanent by turning ECC off.
+    flip: Option<(usize, usize, u8)>,
+}
+
+impl Shadow {
+    fn write(&mut self, dpu: usize, addr: usize, bytes: &[u8]) {
+        self.mram[dpu][addr..addr + bytes.len()].copy_from_slice(bytes);
+        let span = addr..addr + bytes.len();
+        if self.flip.is_some_and(|(d, at, _)| d == dpu && span.contains(&at)) {
+            self.flip = None;
+        }
+    }
+}
+
+/// Sequences per build profile: every launch also runs the reference
+/// loop on every DPU.
+const SHARING_CASES: u32 = if cfg!(debug_assertions) { 16 } else { 64 };
+
+fn sharing_steps() -> impl Strategy<Value = Vec<Step>> {
+    let (at, words, salt) = (0usize..48, 1usize..9, any::<u8>());
+    let step = prop_oneof![
+        (at.clone(), words.clone(), salt).prop_map(|(at, words, salt)| Step::Broadcast {
+            at,
+            words,
+            salt
+        }),
+        salt.prop_map(|salt| Step::WholePage { salt }),
+        (at.clone(), words.clone(), prop::collection::vec(0u8..3, 1..9))
+            .prop_map(|(at, words, salts)| Step::Scatter { at, words, salts }),
+        (0usize..8, at, words, salt).prop_map(|(dpu, at, words, salt)| Step::One {
+            dpu,
+            at,
+            words,
+            salt
+        }),
+        (1usize..4, 0usize..2).prop_map(|(images, buf)| Step::Launch { images, buf }),
+        Just(Step::Snapshot),
+        Just(Step::Restore),
+        any::<bool>().prop_map(Step::Ecc),
+        Just(Step::Scrub),
+    ];
+    let flip =
+        (0usize..8, 0usize..8, 0u8..8).prop_map(|(dpu, word, bit)| Step::Flip { dpu, word, bit });
+    (prop::collection::vec(step, 4..14), flip, 0usize..64).prop_map(|(mut steps, flip, at)| {
+        steps.insert(at % (steps.len() + 1), flip);
+        steps
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(SHARING_CASES))]
+
+    /// Sharing is invisible. Seeded sequences of broadcasts (partial-page and
+    /// whole-page), scatters with runs of equal and of distinct buffers,
+    /// per-DPU copies, launches of the oracle's eBNN kernel set, snapshots
+    /// and restores, ECC on and off, scrubs and one raw bit flip run on 1 to
+    /// 8 DPUs of a double-buffered engine, whose set-wide writes share pages.
+    /// After every step each DPU's MRAM and WRAM equal a dense per-DPU shadow
+    /// — whose launches run on the reference loop from the shadow's own
+    /// bytes — so a write or flip through one DPU changed no other; every
+    /// sidecar matches its data but for the pending flip; and a set-wide
+    /// scrub reports what scrubbing each DPU alone reports.
+    #[test]
+    fn sharing_is_invisible(dpus in 1usize..9, steps in sharing_steps()) {
+        use ebnn::codegen::{encode_slot, params_wire, tier1_program};
+        let (model, images) = crate::kernels::ebnn_batch();
+        let exec = ExecProgram::decode(&tier1_program(1));
+        let build = |dpus| {
+            let mut engine = Tier1Engine::with_buffers(&model, dpus, 2, false).unwrap();
+            let block = engine.set_mut().define_symbol("block", 2 * MRAM_PAGE_BYTES).unwrap();
+            (engine, block.offset)
+        };
+        let (mut engine, block) = build(dpus);
+        let end = block + 2 * MRAM_PAGE_BYTES;
+        let place = |at: usize| match at {
+            0..24 => 8 * at,
+            _ => MRAM_PAGE_BYTES - block + 8 * (at - 24),
+        };
+        let bytes = |salt: u8, words: usize| -> Vec<u8> {
+            (0..8 * words).map(|i| salt.wrapping_mul(31).wrapping_add(i as u8)).collect()
+        };
+        let at = |symbol| engine.set().symbols().get(symbol).unwrap().offset;
+        let params = at("params");
+        let buffers = [[at("images"), at("features")], [at("images_alt"), at("features_alt")]];
+        // A one-DPU engine stages with plain writes: its broadcasts are
+        // the shadow's start.
+        let start = build(1).0.set().system().dpu(DpuId(0)).mram.to_vec(0, end).unwrap();
+        let mut shadow = Shadow {
+            mram: vec![start; dpus],
+            wram: vec![vec![0; dpu_sim::params::WRAM_BYTES]; dpus],
+            ecc: false,
+            flip: None,
+        };
+        // The engine's golden shape: a snapshot taken before any launch.
+        let mut saved = (engine.set().snapshot(), shadow.clone());
+        for (n, step) in steps.iter().enumerate() {
+            let set = engine.set_mut();
+            match step {
+                Step::Broadcast { at, words, salt } => {
+                    let src = bytes(*salt, *words);
+                    set.copy_to("block", place(*at), &src).unwrap();
+                    (0..dpus).for_each(|d| shadow.write(d, block + place(*at), &src));
+                }
+                Step::WholePage { salt } => {
+                    let src = bytes(*salt, MRAM_PAGE_BYTES / 8);
+                    set.copy_to("block", place(24), &src).unwrap();
+                    (0..dpus).for_each(|d| shadow.write(d, MRAM_PAGE_BYTES, &src));
+                }
+                Step::Scatter { at, words, salts } => {
+                    let src: Vec<Vec<u8>> =
+                        (0..dpus).map(|d| bytes(salts[d % salts.len()], *words)).collect();
+                    set.copy_each("block", place(*at), 8 * words, |d| &src[d.0 as usize]).unwrap();
+                    (0..dpus).for_each(|d| shadow.write(d, block + place(*at), &src[d]));
+                }
+                Step::One { dpu, at, words, salt } => {
+                    let (d, src) = (dpu % dpus, bytes(*salt, *words));
+                    set.copy_to_dpu(DpuId(d as u32), "block", place(*at), &src).unwrap();
+                    shadow.write(d, block + place(*at), &src);
+                }
+                Step::Launch { images: count, buf } => {
+                    engine.stage(&model, &images[..*count], *buf).unwrap();
+                    engine.launch(false, None).unwrap().0.served().unwrap();
+                    let [img, feat] = buffers[*buf];
+                    for d in 0..dpus {
+                        let n = if d == 0 { *count } else { 0 };
+                        let [n, stride] = [n, n.max(1)].map(|v| v as u32);
+                        shadow.write(d, params, &params_wire(n, stride, img as u32, feat as u32));
+                        for (i, image) in images[..n as usize].iter().enumerate() {
+                            shadow.write(d, img + 128 * i, &encode_slot(&model, image));
+                        }
+                        let mut m = Machine::default();
+                        m.mram.write(0, &shadow.mram[d]).unwrap();
+                        m.wram.write(0, &shadow.wram[d]).unwrap();
+                        m.run_exec_engine(&exec, *count, Engine::Reference).unwrap();
+                        shadow.mram[d] = m.mram.to_vec(0, end).unwrap();
+                        shadow.wram[d] = m.wram.slice(0, m.wram.len()).unwrap().to_vec();
+                    }
+                }
+                Step::Snapshot => saved = (set.snapshot(), shadow.clone()),
+                Step::Restore => {
+                    set.restore(&saved.0).unwrap();
+                    shadow = saved.1.clone();
+                }
+                Step::Ecc(on) => {
+                    set.enable_ecc(*on);
+                    shadow.ecc = *on;
+                    shadow.flip = shadow.flip.filter(|_| *on);
+                }
+                Step::Scrub => {
+                    let mut alone = dpu_sim::ScrubReport::default();
+                    set.system().iter().for_each(|(_, m)| alone.merge(&m.mram.clone().scrub()));
+                    prop_assert_eq!(set.scrub_all(), alone, "step {}", n);
+                    if let Some((d, at, bit)) = shadow.flip.take() {
+                        shadow.mram[d][at] ^= 1 << bit;
+                    }
+                }
+                Step::Flip { dpu, word, bit } => {
+                    let (d, at) = (dpu % dpus, block + 8 * word);
+                    set.system_mut().dpu_mut(DpuId(d as u32)).mram.flip_bit_raw(at, *bit).unwrap();
+                    shadow.mram[d][at] ^= 1 << bit;
+                    shadow.flip = shadow.ecc.then_some((d, at, *bit));
+                }
+            }
+            for (id, m) in engine.set().system().iter() {
+                let d = id.0 as usize;
+                let mut dense = dpu_sim::Mram::default();
+                dense.write(0, &shadow.mram[d]).unwrap();
+                prop_assert!(m.mram == dense, "step {} {:?}: DPU {}'s MRAM", n, step, d);
+                let wram = m.wram.slice(0, m.wram.len()).unwrap();
+                prop_assert!(wram == shadow.wram[d].as_slice(), "step {}: DPU {}'s WRAM", n, d);
+                prop_assert_eq!(m.mram.ecc_enabled(), shadow.ecc);
+                let pending = shadow.flip.is_some_and(|(f, ..)| f == d);
+                let repairs = m.mram.clone().scrub().corrected_data;
+                prop_assert_eq!(repairs, u64::from(pending), "step {}: DPU {}'s sidecar", n, d);
+            }
+        }
     }
 }

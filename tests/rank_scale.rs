@@ -1,17 +1,20 @@
 //! Rank-scale simulation: the eBNN tier-1 conv kernel launched across
 //! hundreds-to-thousands of DPUs, with the COW MRAM arena keeping the
 //! footprint bounded (broadcast weight pages stored once) and whole-set
-//! snapshots replaying bit-identically.
+//! snapshots replaying bit-identically; and the serving shape, a
+//! double-buffered eBNN engine with one busy DPU, whose idle DPUs share
+//! the pages their staging writes.
 //!
 //! The paper's system is 2,560 DPUs over 40 ranks; the `#[ignore]`d smoke
 //! test runs that full shape under a peak-RSS ceiling (CI runs it in the
-//! `rank-scale` job with `--release -- --ignored`). The 256-DPU variant
-//! runs in the normal suite.
+//! `rank-scale` job with `--release -- --ignored`). The 256-DPU variants
+//! run in the normal suite.
 
 use dpu_sim::asm::assemble;
 use dpu_sim::{DpuId, MRAM_PAGE_BYTES};
 use ebnn::bconv::{conv3x3_packed, BinaryFilter, BinaryImage};
-use ebnn::IMAGE_DIM;
+use ebnn::codegen::Tier1Engine;
+use ebnn::{EbnnModel, ModelConfig, IMAGES_PER_DPU, IMAGE_DIM};
 use pim_host::DpuSet;
 
 const IMG_BASE: u32 = 0x100;
@@ -153,6 +156,35 @@ fn launch_at_scale(n: usize) -> (DpuSet, usize) {
     (set, WEIGHT_PAGES)
 }
 
+/// The serving shape on `n` DPUs: a double-buffered eBNN engine with
+/// one busy DPU, staged on both buffers and launched. Every idle DPU
+/// receives the same `n_images = 0` record, so after each staging the
+/// set holds at most one distinct MRAM page per busy DPU plus a few
+/// shared ones; the busy DPU's features match the host model.
+fn serving_shape(n: usize) {
+    let model = EbnnModel::generate(ModelConfig { filters: 2, ..ModelConfig::default() });
+    let images: Vec<_> =
+        (0..IMAGES_PER_DPU).map(|i| ebnn::mnist::synth_digit(i % 10, i as u64)).collect();
+    let mut engine = Tier1Engine::with_buffers(&model, n, 2, false).expect("engine builds");
+    let busy = 1;
+    for buf in 0..2 {
+        engine.stage(&model, &images, buf).expect("stage");
+        let res = engine.set().system().mram_residency();
+        assert!(res.distinct_pages <= busy + 4, "buffer {buf}: {res:?}");
+    }
+    let (report, _) = engine.launch(false, None).expect("launch");
+    assert!(report.incidents.is_empty(), "a clean launch");
+    let (features, _) = engine.gather(1).expect("gather");
+    for (image, got) in images.iter().zip(&features) {
+        assert_eq!(*got, model.features(&model.binarize(&image.pixels)));
+    }
+}
+
+#[test]
+fn rank_256_serving_shape_shares_idle_pages() {
+    serving_shape(256);
+}
+
 fn peak_rss_bytes() -> Option<usize> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let kb: usize = status
@@ -206,6 +238,7 @@ fn rank_256_launch_is_correct_bounded_and_replayable() {
 #[ignore = "full-scale smoke: run with --release -- --ignored"]
 fn rank_2560_smoke_under_memory_ceiling() {
     let n = 2560;
+    serving_shape(n);
     let (set, weight_pages) = launch_at_scale(n);
     assert_eq!(set.system().ranks().len(), 40, "2,560 DPUs = 40 ranks");
 
@@ -223,9 +256,13 @@ fn rank_2560_smoke_under_memory_ceiling() {
         res.distinct_bytes
     );
 
-    // Whole-process ceiling: well below dense 160 GiB — and below 2 GiB
-    // absolute, which bounds WRAM + arena + pool + harness.
+    // Whole-process ceiling: well below dense 160 GiB, and about 1.5× the
+    // 240 MiB this binary peaks at on x86-64 Linux with the 256-DPU tests
+    // running beside this one (190 MiB alone; 2,560 × 64 KiB of dense WRAM
+    // is 160 MiB of it), which bounds WRAM + arena + pool + harness.
+    const CEILING_MIB: usize = 360;
     if let Some(rss) = peak_rss_bytes() {
-        assert!(rss < 2 * 1024 * 1024 * 1024, "peak RSS {} B exceeds 2 GiB", rss);
+        eprintln!("peak RSS {} MiB", rss >> 20);
+        assert!(rss < CEILING_MIB << 20, "peak RSS {rss} B exceeds {CEILING_MIB} MiB");
     }
 }
