@@ -124,9 +124,13 @@ fn bench_resilient_launch(c: &mut Criterion) {
 
     // --- The zero-fault tax guard -------------------------------------
     // Paired, interleaved min-of-N; 2% relative budget plus a small
-    // absolute epsilon so scheduler jitter can't flake the gate.
+    // absolute epsilon so scheduler jitter can't flake the gate. Both
+    // gates launch on the calling thread: a forked launch adds the
+    // workers' wake-up and scheduling to each side's time, noise of the
+    // same order as the budget on a small machine.
     const RUNS: usize = 12;
     let mut set = staged_set();
+    set.set_parallel_threshold(Some(usize::MAX));
     let policy = ResilientLaunchPolicy::default();
     let (min_plain, min_resilient) = paired_min_time(
         RUNS,
@@ -160,6 +164,7 @@ fn bench_resilient_launch(c: &mut Criterion) {
     // bit-identical results, checked first so a correctness bug can't
     // hide behind a perf assertion.
     let mut set = staged_set();
+    set.set_parallel_threshold(Some(usize::MAX));
     let mut run = |ecc| {
         set.enable_ecc(ecc);
         let makespan = set.launch_loaded_resilient(TASKLETS, &policy).unwrap().makespan_cycles();

@@ -7,9 +7,9 @@
 //! the report binary runs the paper's configuration.
 
 use cpu_baseline::XeonModel;
-use dpu_sim::asm::{profile_harness, HarnessOp};
+use dpu_sim::asm::{assemble, profile_harness, HarnessOp};
 use dpu_sim::cost::OpCounts;
-use dpu_sim::{DpuParams, Machine, Profiler};
+use dpu_sim::{Machine, Profiler, Program};
 use ebnn::mapping::BnPlacement;
 use ebnn::{BnLut, EbnnModel, EbnnPipeline};
 use pim_host::OptLevel;
@@ -55,20 +55,33 @@ pub fn table_3_1() -> Vec<Table31Row> {
         .collect()
 }
 
-/// Eq. 3.4: MRAM→WRAM DMA cycle cost per transfer size, measured by
-/// executing the transfer on the simulated engine.
+/// The Eq. 3.4 kernel: one `mram.read` of `bytes` bytes into WRAM.
+///
+/// # Panics
+/// When `bytes` is not a legal transfer size (a multiple of 8 up to
+/// 2,048).
 #[must_use]
-pub fn eq_3_4(byte_sizes: &[usize]) -> Vec<(usize, u64)> {
-    let params = DpuParams::default();
-    byte_sizes.iter().map(|&b| (b, params.dma_cycles(b))).collect()
+pub fn eq_3_4_program(bytes: usize) -> Program {
+    assemble(&format!("movi r1, 0\nmovi r2, 0\nmovi r3, {bytes}\nmram.read r1, r2, r3\nhalt\n"))
+        .expect("Eq. 3.4 kernel assembles")
 }
 
-/// Fig. 3.2: subroutine occurrence profile of a DPU program with
-/// high-precision computations — a float harmonic-sum kernel touching the
-/// same routines the paper's screenshot lists (`__ltsf2`, `__divsf3`,
-/// `__floatsisf`, `__addsf3`, `__muldi3`).
+/// Eq. 3.4: MRAM→WRAM DMA cycle cost per transfer size, measured by
+/// executing [`eq_3_4_program`] on one tasklet of the simulated engine.
+///
+/// # Panics
+/// When a size is not a legal transfer size.
 #[must_use]
-pub fn fig_3_2() -> Profiler {
+pub fn eq_3_4(byte_sizes: &[usize]) -> Vec<(usize, u64)> {
+    let run = |b| Machine::default().run(&eq_3_4_program(b), 1).expect("Eq. 3.4 kernel runs");
+    byte_sizes.iter().map(|&b| (b, run(b).dma_cycles)).collect()
+}
+
+/// The Fig. 3.2 kernel: a float harmonic sum touching the same routines
+/// the paper's screenshot lists (`__ltsf2`, `__divsf3`, `__floatsisf`,
+/// `__addsf3`, `__muldi3`).
+#[must_use]
+pub fn fig_3_2_program() -> Program {
     let src = "\
         movi r1, 1          ; i\n\
         movi r2, 0          ; sum (f32 bits)\n\
@@ -84,9 +97,15 @@ pub fn fig_3_2() -> Profiler {
         bne r1, r4, loop\n\
         sw r0, 0, r2\n\
         halt\n";
-    let program = dpu_sim::asm::assemble(src).expect("fig 3.2 kernel assembles");
+    assemble(src).expect("fig 3.2 kernel assembles")
+}
+
+/// Fig. 3.2: subroutine occurrence profile of a DPU program with
+/// high-precision computations, [`fig_3_2_program`] on one tasklet.
+#[must_use]
+pub fn fig_3_2() -> Profiler {
     let mut m = Machine::default();
-    m.run(&program, 1).expect("fig 3.2 kernel runs").profile
+    m.run(&fig_3_2_program(), 1).expect("fig 3.2 kernel runs").profile
 }
 
 /// Fig. 4.3: distinct float subroutines with and without the LUT rewrite.
@@ -307,101 +326,6 @@ pub fn table_5_4_with_measured(model: &EbnnModel) -> Vec<BenchRow> {
         lat.ebnn_per_image,
         lat.yolo_frame,
     )))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ebnn::ModelConfig;
-
-    fn small_model() -> EbnnModel {
-        EbnnModel::generate(ModelConfig { filters: 4, ..ModelConfig::default() })
-    }
-
-    #[test]
-    fn table_3_1_within_two_percent() {
-        for row in table_3_1() {
-            assert!(row.rel_error() < 0.02, "{}: {:?}", row.op, row);
-        }
-    }
-
-    #[test]
-    fn eq_3_4_worked_example() {
-        let rows = eq_3_4(&[8, 64, 2048]);
-        assert_eq!(rows[2], (2048, 1049));
-        assert_eq!(rows[0], (8, 29));
-    }
-
-    #[test]
-    fn fig_3_2_lists_the_papers_routines() {
-        let p = fig_3_2();
-        for sym in ["__ltsf2", "__divsf3", "__floatsisf", "__addsf3", "__muldi3"] {
-            assert!(p.iter().any(|(s, c)| s == sym && c > 0), "missing {sym} in profile:\n{p}");
-        }
-    }
-
-    #[test]
-    fn fig_4_3_shows_the_reduction() {
-        let f = fig_4_3(&small_model());
-        assert!(f.float_profile.distinct >= 11, "float: {}", f.float_profile.distinct);
-        assert_eq!(f.lut_profile.distinct, 2);
-    }
-
-    #[test]
-    fn fig_4_4_speedup_in_paper_band() {
-        let f = fig_4_4(&small_model());
-        let s = f.speedup();
-        assert!(s > 1.2 && s < 2.5, "speedup {s} out of band (paper: 1.4)");
-    }
-
-    #[test]
-    fn fig_4_7a_shapes() {
-        let pts = fig_4_7a(&small_model(), &[1, 2, 8, 11, 16]);
-        // eBNN: 8 and 11 tasklets tie (2 waves of 16 images), 16 jumps.
-        let by_t = |t: usize| pts.iter().find(|p| p.tasklets == t).unwrap();
-        assert!(by_t(2).ebnn_speedup > 1.5);
-        let (e8, e11, e16) = (by_t(8).ebnn_speedup, by_t(11).ebnn_speedup, by_t(16).ebnn_speedup);
-        assert!((e8 - e11).abs() / e8 < 0.05, "plateau 8..11: {e8} vs {e11}");
-        assert!(e16 > e11 * 1.2, "16-tasklet jump: {e16} vs {e11}");
-        // YOLO: grows to 11, then flattens.
-        let (y11, y16) = (by_t(11).yolo_speedup, by_t(16).yolo_speedup);
-        assert!(y11 > 6.0);
-        assert!(y16 < y11 * 1.3);
-    }
-
-    #[test]
-    fn fig_4_7b_ordering() {
-        let rows = fig_4_7b();
-        let get = |opt: &str, t: usize| {
-            rows.iter().find(|r| r.opt == opt && r.tasklets == t).unwrap().seconds
-        };
-        // Worst: O0 unthreaded; best: O3 threaded; threading is the bigger
-        // lever (paper §4.3.3).
-        let (worst, best) = (get("O0", 1), get("O3", 11));
-        assert!(worst > 3.0 * best);
-        let threading_gain = get("O0", 1) / get("O0", 11);
-        let opt_gain = get("O0", 1) / get("O3", 1);
-        assert!(threading_gain > opt_gain, "threading is the bigger jump");
-    }
-
-    #[test]
-    fn fig_4_7c_linear() {
-        let pts = fig_4_7c(&small_model(), &XeonModel::default(), &[1, 4, 16, 64]);
-        let s1 = pts[0].1;
-        for &(d, s) in &pts {
-            assert!((s / (s1 * d as f64) - 1.0).abs() < 1e-9, "nonlinear at {d} DPUs");
-        }
-    }
-
-    #[test]
-    fn measured_table_5_4_keeps_other_rows() {
-        let rows = table_5_4_with_measured(&small_model());
-        assert_eq!(rows.len(), 7);
-        assert_eq!(rows[0].name, "UPMEM");
-        assert!(rows[0].ebnn_latency > 0.0);
-        let ppim = rows.iter().find(|r| r.name == "pPIM").unwrap();
-        assert!((ppim.ebnn_latency - 3.8e-7).abs() / 3.8e-7 < 0.01);
-    }
 }
 
 /// The two-tier validation summary: the generated Tier-1 eBNN program vs

@@ -146,10 +146,13 @@ impl GemmMapping {
         }
     }
 
-    /// Functionally execute one layer's GEMM on a simulated DPU set: scatter
-    /// `A` rows, broadcast `B`, run the row kernels, gather `C`. Data
-    /// really flows through each DPU's MRAM. Use with small dims; the
-    /// timing model is identical to [`GemmMapping::estimate_layer`].
+    /// Move one layer's GEMM through a simulated DPU set's MRAM without
+    /// executing a kernel: scatter `A` rows, broadcast `B`, compute each
+    /// `C` row on the host with [`gemm_row`] and write it into its DPU's
+    /// MRAM, then gather `C`. The report's host bytes are the transfers
+    /// that really happened; its timing is [`GemmMapping::estimate_layer`].
+    /// The row kernel itself runs in [`crate::codegen::RowEngine`]. Use
+    /// with small dims.
     ///
     /// # Errors
     /// Host-runtime failures (allocation beyond 2560 DPUs, transfer
@@ -181,7 +184,7 @@ impl GemmMapping {
         set.copy_values_to("b", b)?;
         set.copy_scalar_to("n_cols", dims.n as u64)?;
 
-        // Run the row kernel on every DPU (functional + write into MRAM).
+        // Each DPU's C row, computed on the host and written into MRAM.
         for i in 0..dims.m {
             let mut c_row = vec![0i16; dims.n];
             gemm_row(dims, alpha, &a[i * dims.k..(i + 1) * dims.k], b, &mut c_row);

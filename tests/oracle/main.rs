@@ -24,10 +24,16 @@
 //! how attribution and the replay table behave, that the fault classes
 //! reach every fault kind and outcome, and that link faults (CRC-checked
 //! staging) never reach memory.
+//!
+//! Two more layers hold contracts of their own: [`serve`] serves traffic
+//! through `pim_serve::serve` on both serving engines, and [`paper`]
+//! checks every figure of the paper once, each executed one on both
+//! engine tiers through the generated kernels.
 
 mod generate;
 mod kernels;
 mod machine;
+mod paper;
 mod predicates;
 mod serve;
 mod set;
@@ -41,13 +47,14 @@ use proptest::prelude::*;
 
 /// Generated programs per proptest: the counts of the suites the oracle
 /// replaced in release builds (CI runs `cargo test --release --test
-/// oracle`), fewer in debug builds, where every cell runs several times
-/// slower. Racy programs get 160 per launch shape; set inputs, which no
-/// replaced suite generated, 16.
-const CASES: u32 = if cfg!(debug_assertions) { 16 } else { 160 };
-const RACY_CASES: u32 = if cfg!(debug_assertions) { 16 } else { 3 * 160 };
-const SHORT_CASES: u32 = if cfg!(debug_assertions) { 16 } else { 128 };
-const SET_CASES: u32 = if cfg!(debug_assertions) { 4 } else { 16 };
+/// oracle`), fewer in debug builds (opt-level 1, debug assertions on),
+/// where every cell runs several times slower. Racy programs get 160 per
+/// launch shape; set inputs, which no replaced suite generated, 16 in
+/// both.
+const CASES: u32 = if cfg!(debug_assertions) { 64 } else { 160 };
+const RACY_CASES: u32 = if cfg!(debug_assertions) { 64 } else { 3 * 160 };
+const SHORT_CASES: u32 = if cfg!(debug_assertions) { 64 } else { 128 };
+const SET_CASES: u32 = 16;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]

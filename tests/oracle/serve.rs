@@ -48,8 +48,8 @@ use std::fmt::Debug;
 use std::hash::Hash;
 use yolo_pim::gemm::{gemm_row, GemmDims};
 
-/// Requests per generated input: a few batches' worth in debug builds.
-const REQUESTS: u64 = if cfg!(debug_assertions) { 6 } else { 24 };
+/// Requests per generated input.
+const REQUESTS: u64 = 24;
 /// DPUs each engine serves on.
 const DPUS: usize = 2;
 /// Seed of the traffic, the items and the scenario's fault plans.
