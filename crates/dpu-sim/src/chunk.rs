@@ -33,7 +33,7 @@
 
 use crate::error::Result;
 use crate::isa::Width;
-use crate::memory::Wram;
+use crate::memory::LinearMemory;
 
 const TASKLET_MASK: u16 = 0x1f;
 const STATE_MASK: u16 = 0x60;
@@ -120,7 +120,7 @@ impl Shadow {
     #[inline]
     pub(crate) fn load(
         &mut self,
-        wram: &Wram,
+        wram: &LinearMemory,
         addr: usize,
         width: Width,
         t: usize,
@@ -138,7 +138,7 @@ impl Shadow {
     #[inline]
     pub(crate) fn store(
         &mut self,
-        wram: &mut Wram,
+        wram: &mut LinearMemory,
         addr: usize,
         width: Width,
         v: u32,
@@ -193,7 +193,7 @@ impl Shadow {
 
     /// Undo every store of the current chunk, newest first, leaving WRAM
     /// exactly as [`Shadow::begin`] found it.
-    pub(crate) fn rollback(&mut self, wram: &mut Wram) {
+    pub(crate) fn rollback(&mut self, wram: &mut LinearMemory) {
         for u in self.undo.drain(..).rev() {
             let restored = wram.store(u.addr as usize, u.width, u.old);
             restored.expect("a logged store was in bounds when it executed");
@@ -355,7 +355,7 @@ mod tests {
 
     #[test]
     fn rollback_restores_overlapping_stores_in_reverse() {
-        let mut wram = Wram::new(64);
+        let mut wram = LinearMemory::new("WRAM", 64);
         wram.write_u32(8, 0x1122_3344).unwrap();
         let before = wram.clone();
         let mut s = shadow();

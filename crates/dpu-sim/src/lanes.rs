@@ -26,7 +26,7 @@ use crate::chunk::{Shadow, MAX_TRACKED_TASKLETS};
 use crate::engine_stats::ChunkAbort;
 use crate::exec::{match_ops, no_flow, ExecInstr, Superblocks, OP_COUNT};
 use crate::isa::Instr;
-use crate::memory::Wram;
+use crate::memory::LinearMemory;
 use crate::params::REGS_PER_TASKLET;
 
 /// Lane columns: every tasklet a chunk can track.
@@ -162,7 +162,7 @@ impl Lanes {
         &mut self,
         code: &[ExecInstr],
         sb: &Superblocks,
-        wram: &mut Wram,
+        wram: &mut LinearMemory,
         shadow: &mut Shadow,
         op_counts: &mut [u64; OP_COUNT],
     ) -> Result<u64, Aborted> {

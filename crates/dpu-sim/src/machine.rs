@@ -33,7 +33,7 @@ use crate::exec::{self, match_ops, no_flow, ExecInstr, ExecProgram, Superblocks,
 use crate::faults::{AttemptFaults, DmaFault, FaultKind};
 use crate::isa::{Instr, Program, Reg};
 use crate::lanes::{Aborted, Lanes};
-use crate::memory::{DmaEngine, Mram, Wram};
+use crate::memory::{DmaEngine, LinearMemory, Mram, Wram};
 use crate::params::{DpuParams, REGS_PER_TASKLET};
 use crate::perfcounter::PerfCounter;
 use crate::pipeline::Pipeline;
@@ -217,7 +217,8 @@ impl Tasklet {
 pub struct Machine {
     /// Device parameters in force.
     pub params: DpuParams,
-    /// Working RAM (shared by all tasklets).
+    /// Working RAM (shared by all tasklets): a copy-on-write image, which
+    /// a run privatizes once, at its start.
     pub wram: Wram,
     /// Main RAM (host-visible).
     pub mram: Mram,
@@ -248,16 +249,14 @@ pub struct IntegrityCounters {
 /// Full architectural state of one DPU, captured by [`Machine::snapshot`].
 ///
 /// MRAM is held as an O(pages) copy-on-write snapshot
-/// ([`crate::MemorySnapshot`]); WRAM is held by content — nothing when it
-/// is all zeros (a machine that never ran), else a dense copy — and the
-/// DMA statistics and the perf counter are copied outright. Restoring one
-/// of these onto its machine and re-running the same program reproduces
-/// the original run bit-for-bit — the unit of deterministic replay.
+/// ([`crate::MemorySnapshot`]) and WRAM as a reference to its
+/// copy-on-write image ([`Wram`]), so neither copies a byte; the DMA
+/// statistics and the perf counter are copied outright. Restoring one of
+/// these onto its machine and re-running the same program reproduces the
+/// original run bit-for-bit — the unit of deterministic replay.
 #[derive(Debug, Clone)]
 pub struct MachineSnapshot {
-    /// WRAM's capacity, and its bytes unless they are all zero.
-    wram_len: usize,
-    wram: Option<Wram>,
+    wram: Wram,
     mram: crate::MemorySnapshot,
     dma: DmaEngine,
     perf: PerfCounter,
@@ -329,50 +328,44 @@ impl Machine {
         self.faults.take()
     }
 
-    /// Capture the machine's full architectural state. WRAM costs nothing
-    /// when it is all zeros and a 64 KiB dense copy otherwise; MRAM costs
-    /// O(pages) thanks to copy-on-write ([`crate::CowMemory::snapshot`]);
-    /// DMA statistics and the perf counter ride along so a restored
-    /// machine replays bit-identically.
+    /// Capture the machine's full architectural state. WRAM costs a
+    /// reference to its image (the next write on either side copies it);
+    /// MRAM costs O(pages) thanks to copy-on-write
+    /// ([`crate::CowMemory::snapshot`]); DMA statistics and the perf
+    /// counter ride along so a restored machine replays bit-identically.
     ///
     /// Armed faults are *not* captured: they are per-attempt transients
     /// armed by the host around each run.
     #[must_use]
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {
-            wram_len: self.wram.len(),
-            // Folded per 4 KiB block, so the zero check vectorizes.
-            wram: (self.wram.slice(0, self.wram.len()).unwrap().chunks(4096))
-                .any(|block| block.iter().fold(0, |acc, &b| acc | b) != 0)
-                .then(|| self.wram.clone()),
+            wram: self.wram.clone(),
             mram: self.mram.snapshot(),
             dma: self.dma,
             perf: self.perf,
         }
     }
 
-    /// Restore the state captured by [`Machine::snapshot`]. Re-running the
-    /// same program (and, for resilient launches, the same fault seed)
-    /// from a restored snapshot reproduces results, cycle counts and
-    /// traces exactly. Clears any armed faults.
+    /// Restore the state captured by [`Machine::snapshot`], sharing its
+    /// WRAM image and MRAM pages. Re-running the same program (and, for
+    /// resilient launches, the same fault seed) from a restored snapshot
+    /// reproduces results, cycle counts and traces exactly. Clears any
+    /// armed faults.
     ///
     /// # Errors
     /// [`Error::OutOfBounds`] when the snapshot came from a machine with
     /// different memory capacities.
     pub fn restore(&mut self, snap: &MachineSnapshot) -> Result<()> {
-        if snap.wram_len != self.wram.len() {
+        if snap.wram.len() != self.wram.len() {
             return Err(Error::OutOfBounds {
                 kind: "WRAM",
                 addr: 0,
-                len: snap.wram_len,
+                len: snap.wram.len(),
                 size: self.wram.len(),
             });
         }
         self.mram.restore(&snap.mram)?;
-        match &snap.wram {
-            Some(wram) => self.wram.clone_from(wram),
-            None => self.wram.clear(),
-        }
+        self.wram.clone_from(&snap.wram);
         self.dma = snap.dma;
         self.perf = snap.perf;
         self.faults = None;
@@ -536,7 +529,7 @@ impl Machine {
                     self.engine_stats.replay_hits += 1;
                     return Ok(result);
                 }
-                Lookup::Record => recorder = Some(Box::default()),
+                Lookup::Record => recorder = Some(Box::new(Recorder::new(&self.wram))),
                 Lookup::Unseen => {}
             }
         }
@@ -587,12 +580,14 @@ impl Machine {
         }
 
         let recorder = interp.recorder.take();
-        let mut result = interp.result;
+        let mut result = std::mem::take(&mut interp.result);
         result.op_histogram = exec::fold_histogram(&interp.op_counts);
         result.cycles = interp.pipeline.elapsed();
         result.instructions = interp.pipeline.issued();
         result.idle_cycles = interp.pipeline.idle_cycles();
         result.issue_per_tasklet = interp.pipeline.issued_per_tasklet().to_vec();
+        // Hands the WRAM image back to the machine.
+        drop(interp);
         result.dma_cycles = self.dma.total_cycles - dma_cycles_before;
         result.dma_transfers = self.dma.transfers - dma_transfers_before;
         result.dma_bytes = self.dma.total_bytes - dma_bytes_before;
@@ -629,6 +624,11 @@ impl Machine {
 /// immediately and a lock can never block, so neither needs bookkeeping.
 struct Interp<'a> {
     machine: &'a mut Machine,
+    /// The machine's WRAM image for the run, privatized and moved out at
+    /// the start (`machine.wram` holds an empty placeholder meanwhile) and
+    /// handed back on drop, so loads and stores never see a reference
+    /// count.
+    wram: LinearMemory,
     sink: &'a mut dyn TraceSink,
     code: &'a [ExecInstr],
     sb: &'a Superblocks,
@@ -861,6 +861,15 @@ impl SlotObserver for AttributedSlots<'_> {
     }
 }
 
+impl Drop for Interp<'_> {
+    /// Hand the WRAM image back to the machine, also from a run that
+    /// faulted or panicked.
+    fn drop(&mut self) {
+        let dense = std::mem::replace(&mut self.wram, LinearMemory::new("WRAM", 0));
+        self.machine.wram.put(dense);
+    }
+}
+
 impl<'a> Interp<'a> {
     /// A run of `exec` on `tasklets` fresh tasklets of `machine`, nothing
     /// issued yet.
@@ -875,6 +884,7 @@ impl<'a> Interp<'a> {
         let code = exec.code();
         let live = if code.is_empty() { 0 } else { tasklets };
         Interp {
+            wram: machine.wram.take(),
             pipeline: Pipeline::with_stages(tasklets, u64::from(machine.params.pipeline_stages)),
             threads: vec![Tasklet::new(); tasklets],
             dma_stream_free: 0,
@@ -1008,9 +1018,9 @@ impl<'a> Interp<'a> {
     /// recorder cannot take abandons it. Called from the memory arms of
     /// [`Interp::step`] and the untracked [`Interp::exec_inline`]: while a
     /// recording is open every instruction goes through `step`.
-    fn record(&mut self, access: impl FnOnce(&mut Recorder, &Wram) -> bool) {
+    fn record(&mut self, access: impl FnOnce(&mut Recorder, &LinearMemory) -> bool) {
         if let Some(rec) = self.recorder.as_deref_mut() {
-            if !access(rec, &self.machine.wram) {
+            if !access(rec, &self.wram) {
                 self.abandon_recording();
             }
         }
@@ -1434,12 +1444,11 @@ impl<'a> Interp<'a> {
             return false;
         }
         let saved_counts = self.op_counts;
-        self.shadow.begin(self.machine.wram.len());
+        self.shadow.begin(self.wram.len());
         let threads = &self.threads;
         let lanes = self.lanes.get_or_insert_with(Lanes::new);
         lanes.load(order, k, |t| (&threads[t].regs, threads[t].pc));
-        let wram = &mut self.machine.wram;
-        match lanes.run(self.code, self.sb, wram, &mut self.shadow, &mut self.op_counts) {
+        match lanes.run(self.code, self.sb, &mut self.wram, &mut self.shadow, &mut self.op_counts) {
             Ok(steps) => {
                 for (l, &t) in order.iter().enumerate() {
                     let th = &mut self.threads[t];
@@ -1453,7 +1462,7 @@ impl<'a> Interp<'a> {
             }
             Err(Aborted { reason, slots }) => {
                 self.op_counts = saved_counts;
-                self.shadow.rollback(&mut self.machine.wram);
+                self.shadow.rollback(&mut self.wram);
                 self.stats.record_abort(reason, slots);
                 self.chunk_policy.aborted(issued);
                 false
@@ -1511,7 +1520,7 @@ impl<'a> Interp<'a> {
         match_ops!(*instr, on_tasklet!(th, t), jump_tasklet!(th, next_pc), {
             Instr::Load { width, rd, ra, off } => {
                 let addr = th.get(ra).wrapping_add(off as u32) as usize;
-                let v = self.machine.wram.load(addr, width)?;
+                let v = self.wram.load(addr, width)?;
                 self.record(|rec, wram| {
                     let loaded = wram.slice(addr, width.bytes());
                     loaded.is_ok_and(|now| rec.read(Space::Wram, addr, now))
@@ -1521,7 +1530,7 @@ impl<'a> Interp<'a> {
             Instr::Store { width, ra, off, rs } => {
                 let addr = th.get(ra).wrapping_add(off as u32) as usize;
                 let v = th.get(rs);
-                self.machine.wram.store(addr, width, v)?;
+                self.wram.store(addr, width, v)?;
                 self.record(|rec, _| rec.write(Space::Wram, addr, width.bytes()));
             }
             Instr::Trace { ra } => {
@@ -1621,9 +1630,9 @@ impl<'a> Interp<'a> {
                     return Err(Error::DmaFault { pc, bytes: l });
                 }
                 let cycles = if is_read {
-                    self.machine.dma.read(&self.machine.mram, &mut self.machine.wram, m, w, l)?
+                    self.machine.dma.read(&self.machine.mram, &mut self.wram, m, w, l)?
                 } else {
-                    self.machine.dma.write(&mut self.machine.mram, &self.machine.wram, m, w, l)?
+                    self.machine.dma.write(&mut self.machine.mram, &self.wram, m, w, l)?
                 };
                 self.record(|rec, wram| {
                     // In either direction the moved bytes now sit at `w`.
@@ -1658,8 +1667,7 @@ impl<'a> Interp<'a> {
                     for &bit in &bits[..n] {
                         let kind = if is_read {
                             let addr = w + byte;
-                            let v = self.machine.wram.read_u8(addr)?;
-                            self.machine.wram.write_u8(addr, v ^ (1 << bit))?;
+                            self.wram.flip_bit(addr, bit)?;
                             FaultKind::WramBitFlip { addr: addr as u32, bit }
                         } else {
                             let addr = m + byte;
@@ -1679,8 +1687,8 @@ impl<'a> Interp<'a> {
                     let repaired = self.machine.mram.verify_range(m, l)?;
                     self.machine.integrity.dma_corrected += repaired;
                     let src = self.machine.mram.to_vec(m, l)?;
-                    if self.machine.wram.slice(w, l)? != src.as_slice() {
-                        self.machine.wram.write(w, &src)?;
+                    if self.wram.slice(w, l)? != src.as_slice() {
+                        self.wram.write(w, &src)?;
                         self.machine.integrity.dma_corrected += 1;
                     }
                 }

@@ -1,7 +1,9 @@
 //! The three DPU memories and the MRAM DMA engine.
 //!
 //! * **WRAM** — 64 KiB working RAM inside the core; loads and stores cost a
-//!   single cycle (one pipeline slot). Dense storage ([`LinearMemory`]).
+//!   single cycle (one pipeline slot). A copy-on-write image ([`Wram`]) of
+//!   dense storage ([`LinearMemory`]): DPUs that never execute share one
+//!   image, and a running DPU owns its image outright.
 //! * **IRAM** — 24 KiB instruction RAM; the simulator stores the decoded
 //!   [`crate::isa::Program`] and only checks the byte footprint.
 //! * **MRAM** — 64 MiB DRAM bank outside the core; reachable exclusively via
@@ -26,6 +28,17 @@
 //! * [`CowMemory::snapshot`] / [`CowMemory::restore`] clone the page
 //!   *table* (pointer bumps), making whole-MRAM snapshots O(pages) instead
 //!   of O(capacity) — the resilient retry path leans on this.
+//!
+//! ## WRAM images
+//!
+//! WRAM follows the same rule with one 64 KiB page: a [`Wram`] is an
+//! `Arc` around its dense bytes. A fresh system's DPUs share one zero
+//! image, a snapshot or restore copies a reference, and a host write or a
+//! raw bit flip privatizes the image through [`Arc::make_mut`]. A run
+//! privatizes once, at its start, and then loads and stores a uniquely
+//! owned dense buffer: the interpreter never sees the reference count.
+//! A replayed run's write set shares its result between DPUs that started
+//! from one image (see `crate::replay`).
 
 use crate::ecc;
 use crate::error::{Error, Result};
@@ -38,8 +51,8 @@ use std::sync::Arc;
 
 /// Byte-addressed little-endian memory with bounds checking.
 ///
-/// Dense storage used for WRAM (always fully resident, hot in the
-/// interpreter loop).
+/// The dense storage behind a [`Wram`] image, and what a running DPU
+/// loads and stores (hot in the interpreter loop).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinearMemory {
     kind: &'static str,
@@ -169,6 +182,43 @@ impl LinearMemory {
     pub fn slice_mut(&mut self, addr: usize, len: usize) -> Result<&mut [u8]> {
         self.check(addr, len)?;
         Ok(&mut self.data[addr..addr + len])
+    }
+
+    /// Load `width` at `addr`, zero-extended: the pipeline's `lb`/`lh`/`lw`.
+    ///
+    /// # Errors
+    /// [`Error::OutOfBounds`] when out of range.
+    #[inline]
+    pub fn load(&self, addr: usize, width: Width) -> Result<u32> {
+        match width {
+            Width::B => self.read_u8(addr),
+            Width::H => self.read_u16(addr),
+            Width::W => self.read_u32(addr),
+        }
+    }
+
+    /// Store the low `width` of `val` at `addr`: `sb`/`sh`/`sw`.
+    ///
+    /// # Errors
+    /// [`Error::OutOfBounds`] when out of range.
+    #[inline]
+    pub fn store(&mut self, addr: usize, width: Width, val: u32) -> Result<()> {
+        match width {
+            Width::B => self.write_u8(addr, val),
+            Width::H => self.write_u16(addr, val),
+            Width::W => self.write_u32(addr, val),
+        }
+    }
+
+    /// Invert bit `bit & 7` of the byte at `addr`: a storage-cell error
+    /// (the fault injector's WRAM entry point).
+    ///
+    /// # Errors
+    /// [`Error::OutOfBounds`] when `addr` is out of range.
+    pub fn flip_bit(&mut self, addr: usize, bit: u8) -> Result<()> {
+        self.check(addr, 1)?;
+        self.data[addr] ^= 1 << (bit & 7);
+        Ok(())
     }
 
     /// Zero the whole memory.
@@ -827,41 +877,41 @@ impl PartialEq for CowMemory {
 
 impl Eq for CowMemory {}
 
-/// 64 KiB working RAM (single-cycle access from the pipeline).
+/// 64 KiB working RAM (single-cycle access from the pipeline) as a
+/// copy-on-write image.
+///
+/// Reads go straight through [`std::ops::Deref`] to the dense
+/// [`LinearMemory`]. Every mutable access goes through
+/// [`Arc::make_mut`], exactly like a write to a shared MRAM page: an
+/// image shared with a snapshot, a replayed result or another DPU is
+/// copied the first time one owner writes it. Cloning copies a reference.
+/// Equality compares content (`Arc`'s, which one image short-circuits).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Wram(pub LinearMemory);
+pub struct Wram(pub(crate) Arc<LinearMemory>);
 
 impl Wram {
-    /// A WRAM of the default 64 KiB capacity.
+    /// A zeroed WRAM of `bytes` capacity.
     #[must_use]
     pub fn new(bytes: usize) -> Self {
-        Self(LinearMemory::new("WRAM", bytes))
+        Self(Arc::new(LinearMemory::new("WRAM", bytes)))
     }
 
-    /// Load `width` at `addr`, zero-extended: the pipeline's `lb`/`lh`/`lw`.
-    ///
-    /// # Errors
-    /// [`Error::OutOfBounds`] when out of range.
-    #[inline]
-    pub fn load(&self, addr: usize, width: Width) -> Result<u32> {
-        match width {
-            Width::B => self.read_u8(addr),
-            Width::H => self.read_u16(addr),
-            Width::W => self.read_u32(addr),
-        }
+    /// Stable identity of the image (its storage's address), for
+    /// deduplicated accounting across DPUs that share one.
+    #[must_use]
+    pub fn image_id(&self) -> usize {
+        Arc::as_ptr(&self.0) as usize
     }
 
-    /// Store the low `width` of `val` at `addr`: `sb`/`sh`/`sw`.
-    ///
-    /// # Errors
-    /// [`Error::OutOfBounds`] when out of range.
-    #[inline]
-    pub fn store(&mut self, addr: usize, width: Width, val: u32) -> Result<()> {
-        match width {
-            Width::B => self.write_u8(addr, val),
-            Width::H => self.write_u16(addr, val),
-            Width::W => self.write_u32(addr, val),
-        }
+    /// Move the image out for a run: privatized (copied if shared), once,
+    /// and left as an empty placeholder until [`Wram::put`] returns it.
+    pub(crate) fn take(&mut self) -> LinearMemory {
+        std::mem::replace(Arc::make_mut(&mut self.0), LinearMemory::new("WRAM", 0))
+    }
+
+    /// Return the image [`Wram::take`] moved out.
+    pub(crate) fn put(&mut self, dense: LinearMemory) {
+        *Arc::make_mut(&mut self.0) = dense;
     }
 }
 
@@ -880,7 +930,7 @@ impl std::ops::Deref for Wram {
 
 impl std::ops::DerefMut for Wram {
     fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.0
+        Arc::make_mut(&mut self.0)
     }
 }
 
@@ -971,7 +1021,7 @@ impl DmaEngine {
     pub fn read(
         &mut self,
         mram: &Mram,
-        wram: &mut Wram,
+        wram: &mut LinearMemory,
         mram_addr: usize,
         wram_addr: usize,
         len: usize,
@@ -991,7 +1041,7 @@ impl DmaEngine {
     pub fn write(
         &mut self,
         mram: &mut Mram,
-        wram: &Wram,
+        wram: &LinearMemory,
         mram_addr: usize,
         wram_addr: usize,
         len: usize,
@@ -1291,6 +1341,59 @@ mod tests {
         // WRAM range bad on a write.
         let err = dma.write(&mut mram, &wram, 0, 60, 16).unwrap_err();
         assert!(matches!(err, Error::OutOfBounds { kind: "WRAM", .. }));
+    }
+
+    #[test]
+    fn wram_image_is_shared_until_written() {
+        let zero = Wram::new(64);
+        let a = zero.clone();
+        assert_eq!(a.image_id(), zero.image_id(), "a clone shares");
+        // A store, a write and a raw bit flip each privatize the image
+        // they go through, and leave the sibling's bytes alone.
+        let writes: [fn(&mut Wram); 3] = [
+            |w| w.store(8, Width::W, 0xdead_beef).unwrap(),
+            |w| w.write(8, &[1, 2, 3]).unwrap(),
+            |w| w.flip_bit(8, 3).unwrap(),
+        ];
+        for write in writes {
+            let mut b = a.clone();
+            write(&mut b);
+            assert_ne!(b.image_id(), a.image_id(), "{b:?}");
+            assert_ne!(b, a);
+            assert_eq!(a.slice(0, 64).unwrap(), &[0; 64][..], "the sibling is untouched");
+            assert_eq!(a.image_id(), zero.image_id());
+        }
+        // Equality compares content: a private image of the same bytes
+        // equals the shared one, and capacities must agree.
+        let mut c = a.clone();
+        c.write_u8(0, 7).unwrap();
+        c.write_u8(0, 0).unwrap();
+        assert_ne!(c.image_id(), a.image_id());
+        assert_eq!(c, a);
+        assert_ne!(Wram::new(32), a);
+        // A zero image restores to zeros: the clone taken before the
+        // writes is the snapshot.
+        let snapshot = zero.clone();
+        c.write(16, &[9; 16]).unwrap();
+        c.clone_from(&snapshot);
+        assert_eq!(c.image_id(), zero.image_id());
+        assert_eq!(c.slice(0, 64).unwrap(), &[0; 64][..]);
+    }
+
+    #[test]
+    fn a_run_takes_the_image_privately_and_puts_it_back() {
+        let shared = Wram::new(64);
+        let mut w = shared.clone();
+        let mut dense = w.take();
+        dense.write_u8(3, 5).unwrap();
+        w.put(dense);
+        assert_eq!((w.read_u8(3).unwrap(), shared.read_u8(3).unwrap()), (5, 0));
+        // A weak reference pins the content under its address: an image
+        // with one is moved away before it is written, even if unique.
+        let weak = Arc::downgrade(&w.0);
+        assert_eq!(w.image_id(), weak.as_ptr() as usize);
+        w.write_u8(3, 6).unwrap();
+        assert!(w.image_id() != weak.as_ptr() as usize && weak.upgrade().is_none());
     }
 
     #[test]

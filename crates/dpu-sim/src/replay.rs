@@ -13,7 +13,15 @@
 //!
 //! Nothing ever invalidates a recording: it is checked against the
 //! machine's real memory on every use, so host copies, snapshot restores,
-//! scrubs and raw bit flips need no hooks. The table lives in an
+//! scrubs and raw bit flips need no hooks.
+//!
+//! A hit's WRAM write set shares its result by the rule of
+//! [`crate::CowMemory::write_shared`]: a recording remembers the last
+//! image its write set was applied to and the image that produced (see
+//! [`Memo`]), and a DPU that holds that very input image takes the output
+//! by reference. So the idle DPUs of a launch, which start from one image
+//! and receive the same bytes, end holding one image; a DPU that started
+//! elsewhere writes its own copy. The table lives in an
 //! [`crate::ExecProgram`] (one per loaded program, shared by every DPU
 //! and pool worker of a set) and is bounded: [`MAX_KEYS`] keys,
 //! [`MAX_RECORDINGS_PER_KEY`] recordings each, every recording within the
@@ -21,11 +29,12 @@
 //! launches") for the contract and the designs this replaced.
 
 use crate::machine::RunResult;
-use crate::memory::{Mram, Wram};
+use crate::memory::{LinearMemory, Mram, Wram};
 use crate::params::DpuParams;
 use crate::perfcounter::PerfCounter;
+use std::ptr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, Weak};
 
 /// Issue slots after which an open recording is abandoned: a run this
 /// long repays interpretation, and its read set would not stay small.
@@ -82,6 +91,19 @@ pub(crate) struct Recording {
     writes: Vec<Span>,
     result: Arc<RunResult>,
     perf: PerfCounter,
+    memo: Mutex<Memo>,
+}
+
+/// The last application of a recording's WRAM write set: the image it
+/// was applied to and the image it produced. Weak, so the memo pins no
+/// bytes; and while a weak reference lives, its image's address names one
+/// content ([`Arc::make_mut`] moves an image with weak references away
+/// before writing it, and the allocation cannot be reused under the
+/// reference), so identity with `input` means these bytes.
+#[derive(Debug, Default)]
+struct Memo {
+    input: Weak<LinearMemory>,
+    output: Weak<LinearMemory>,
 }
 
 impl Recording {
@@ -92,14 +114,40 @@ impl Recording {
         })
     }
 
+    /// Apply the write set. An image nothing else refers to is written in
+    /// place: no other DPU can start from it. Any other goes through the
+    /// [`Memo`]: an image that is its output already holds these bytes (a
+    /// write set applied twice writes the same bytes), and one that is its
+    /// input takes the output by reference. The rest are written
+    /// privately and become the memo's new input and output.
     fn apply(&self, wram: &mut Wram, mram: &mut Mram) {
-        for s in &self.writes {
-            // In bounds: the key pins both capacities to the recorded run's.
-            match s.space {
-                Space::Wram => wram.write(s.addr, &s.bytes),
-                Space::Mram => mram.write(s.addr, &s.bytes),
+        // In bounds: the key pins both capacities to the recorded run's.
+        const IN_BOUNDS: &str = "recorded write span lies inside the keyed memory";
+        let spans = |space| self.writes.iter().filter(move |s| s.space == space);
+        let write = |dense: &mut LinearMemory| {
+            for s in spans(Space::Wram) {
+                dense.write(s.addr, &s.bytes).expect(IN_BOUNDS);
             }
-            .expect("recorded write span lies inside the keyed memory");
+        };
+        if spans(Space::Wram).next().is_some() {
+            match Arc::get_mut(&mut wram.0) {
+                Some(own) => write(own),
+                None => {
+                    let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+                    let image = Arc::as_ptr(&wram.0);
+                    let shared = ptr::eq(image, memo.input.as_ptr()).then(|| memo.output.upgrade());
+                    if let Some(output) = shared.flatten() {
+                        wram.0 = output;
+                    } else if !ptr::eq(image, memo.output.as_ptr()) {
+                        let input = Arc::downgrade(&wram.0);
+                        write(wram);
+                        *memo = Memo { input, output: Arc::downgrade(&wram.0) };
+                    }
+                }
+            }
+        }
+        for s in spans(Space::Mram) {
+            mram.write(s.addr, &s.bytes).expect(IN_BOUNDS);
         }
     }
 }
@@ -109,6 +157,8 @@ impl Recording {
 /// must be abandoned.
 #[derive(Debug, Default)]
 pub(crate) struct Recorder {
+    /// The WRAM image the run started from.
+    start: Weak<LinearMemory>,
     reads: Vec<Span>,
     read_bytes: usize,
     /// Written `[start, end)` intervals per [`Space`], sorted, disjoint
@@ -119,6 +169,11 @@ pub(crate) struct Recorder {
 }
 
 impl Recorder {
+    /// An empty recording of a run on `wram`.
+    pub(crate) fn new(wram: &Wram) -> Self {
+        Self { start: Arc::downgrade(&wram.0), ..Self::default() }
+    }
+
     /// The run read `now` (the bytes currently there) at `addr`.
     pub(crate) fn read(&mut self, space: Space, addr: usize, now: &[u8]) -> bool {
         let end = addr + now.len();
@@ -171,7 +226,9 @@ impl Recorder {
     }
 
     /// Close the recording of a run that halted cleanly: the write set is
-    /// whatever the written intervals hold now.
+    /// whatever the written intervals hold now. The run itself is the
+    /// write set's first application: it wrote exactly those bytes over
+    /// the image it started from, and left `wram`.
     pub(crate) fn finish(
         self,
         wram: &Wram,
@@ -190,7 +247,8 @@ impl Recorder {
                 writes.push(Span { space, addr: start, bytes });
             }
         }
-        Recording { reads: self.reads, writes, result, perf }
+        let memo = Mutex::new(Memo { input: self.start, output: Arc::downgrade(&wram.0) });
+        Recording { reads: self.reads, writes, result, perf, memo }
     }
 }
 

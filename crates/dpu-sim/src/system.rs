@@ -54,11 +54,13 @@ pub struct Rank {
 /// A simulated multi-DPU system.
 ///
 /// Instantiating all 2560 DPUs is cheap: MRAM is copy-on-write paged
-/// ([`crate::CowMemory`]), so an untouched DPU's MRAM costs nothing (its
-/// WRAM is 64 KiB dense), and a set-wide write stores each page once for
-/// every DPU that holds the same bytes there
-/// ([`crate::CowMemory::write_shared`]; [`PimSystem::mram_residency`]
-/// reports the real footprint). The DPUs are fully independent, which is
+/// ([`crate::CowMemory`]), so an untouched DPU's MRAM costs nothing, and
+/// a set-wide write stores each page once for every DPU that holds the
+/// same bytes there ([`crate::CowMemory::write_shared`];
+/// [`PimSystem::mram_residency`] reports the real footprint). WRAM is a
+/// copy-on-write image ([`crate::Wram`]): the DPUs start from one zero
+/// image, and those that only replay recorded runs keep sharing one
+/// ([`PimSystem::wram_images`]). The DPUs are fully independent, which is
 /// exactly the property the paper's linear multi-DPU scaling rests on.
 #[derive(Debug)]
 pub struct PimSystem {
@@ -96,11 +98,10 @@ impl MramResidency {
 }
 
 impl PimSystem {
-    /// Allocate a system of `n` DPUs.
+    /// Allocate a system of `n` DPUs, all sharing one zero WRAM image.
     #[must_use]
     pub fn new(n: usize, params: DpuParams) -> Self {
-        let dpus = (0..n).map(|_| Machine::new(params)).collect();
-        Self { params, dpus }
+        Self { params, dpus: vec![Machine::new(params); n] }
     }
 
     /// Number of simulated DPUs.
@@ -185,6 +186,15 @@ impl PimSystem {
         }
     }
 
+    /// Host-memory footprint of the system's WRAM: the number of distinct
+    /// images by identity, so an image every idle DPU shares counts once.
+    #[must_use]
+    pub fn wram_images(&self) -> usize {
+        let distinct: std::collections::HashSet<_> =
+            self.dpus.iter().map(|dpu| dpu.wram.image_id()).collect();
+        distinct.len()
+    }
+
     /// Engine residency summed over every DPU (see
     /// [`Machine::engine_stats`]); monotone, so callers diff two readings
     /// taken around a launch.
@@ -226,6 +236,7 @@ mod tests {
     #[test]
     fn dpus_are_independent() {
         let mut sys = PimSystem::new(4, DpuParams::default());
+        assert_eq!(sys.wram_images(), 1, "one image");
         let p = Program::new(vec![
             Instr::Movi { rd: Reg(1), imm: 7 },
             Instr::Store { width: crate::isa::Width::W, ra: Reg(0), off: 0, rs: Reg(1) },
@@ -234,6 +245,7 @@ mod tests {
         sys.dpu_mut(DpuId(2)).run(&p, 1).unwrap();
         assert_eq!(sys.dpu(DpuId(2)).wram.read_u32(0).unwrap(), 7);
         assert_eq!(sys.dpu(DpuId(0)).wram.read_u32(0).unwrap(), 0);
+        assert_eq!(sys.wram_images(), 2, "the DPU that ran owns its image");
     }
 
     #[test]

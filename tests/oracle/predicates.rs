@@ -7,7 +7,8 @@
 //! every outcome, which DPU's error a faulting launch names, that link
 //! faults never reach staged memory, that the idle DPUs of a launch share
 //! one recorded result, that a per-DPU scatter is a per-DPU copy loop,
-//! and that pages shared by set-wide writes are invisible.
+//! and that MRAM pages shared by set-wide writes and WRAM images shared
+//! by replayed launches are invisible.
 
 use crate::generate::{racy_program, random_programs, Disruption, Event, Gate, RacyOp};
 use crate::machine::{run, seeded, Aftermath, Cell, Faults, Run, Watch};
@@ -903,6 +904,15 @@ enum Step {
         images: usize,
         buf: usize,
     },
+    /// Stage the first `images` images on buffer `buf` of DPU `busy %
+    /// dpus` alone, every other DPU idle (`n_images = 0`), and launch the
+    /// eBNN kernel; three times, so a recording of the idle run exists
+    /// and hits.
+    IdleHeavy {
+        busy: usize,
+        images: usize,
+        buf: usize,
+    },
     Snapshot,
     Restore,
     Ecc(bool),
@@ -937,6 +947,34 @@ impl Shadow {
             self.flip = None;
         }
     }
+
+    /// Stage the encoded `slots` on DPU `busy` at `params` and buffer
+    /// `[img, feat]`, every other DPU idle, and launch `exec` on as many
+    /// tasklets: each DPU on the reference loop, from its own bytes.
+    fn launch(
+        &mut self,
+        exec: &ExecProgram,
+        params: usize,
+        [img, feat]: [usize; 2],
+        busy: usize,
+        slots: &[Vec<u8>],
+    ) {
+        for d in 0..self.mram.len() {
+            let n = if d == busy { slots.len() } else { 0 };
+            let [count, stride] = [n, n.max(1)].map(|v| v as u32);
+            let wire = ebnn::codegen::params_wire(count, stride, img as u32, feat as u32);
+            self.write(d, params, &wire);
+            for (i, slot) in slots[..n].iter().enumerate() {
+                self.write(d, img + 128 * i, slot);
+            }
+            let mut m = Machine::default();
+            m.mram.write(0, &self.mram[d]).unwrap();
+            m.wram.write(0, &self.wram[d]).unwrap();
+            m.run_exec_engine(exec, slots.len(), Engine::Reference).unwrap();
+            self.mram[d] = m.mram.to_vec(0, self.mram[d].len()).unwrap();
+            self.wram[d] = m.wram.slice(0, m.wram.len()).unwrap().to_vec();
+        }
+    }
 }
 
 /// Sequences per build profile: every launch also runs the reference
@@ -945,6 +983,8 @@ const SHARING_CASES: u32 = if cfg!(debug_assertions) { 16 } else { 64 };
 
 fn sharing_steps() -> impl Strategy<Value = Vec<Step>> {
     let (at, words, salt) = (0usize..48, 1usize..9, any::<u8>());
+    let idle_heavy = (0usize..8, 1usize..4, 0usize..2)
+        .prop_map(|(busy, images, buf)| Step::IdleHeavy { busy, images, buf });
     let step = prop_oneof![
         (at.clone(), words.clone(), salt).prop_map(|(at, words, salt)| Step::Broadcast {
             at,
@@ -961,6 +1001,7 @@ fn sharing_steps() -> impl Strategy<Value = Vec<Step>> {
             salt
         }),
         (1usize..4, 0usize..2).prop_map(|(images, buf)| Step::Launch { images, buf }),
+        idle_heavy.clone(),
         Just(Step::Snapshot),
         Just(Step::Restore),
         any::<bool>().prop_map(Step::Ecc),
@@ -968,8 +1009,11 @@ fn sharing_steps() -> impl Strategy<Value = Vec<Step>> {
     ];
     let flip =
         (0usize..8, 0usize..8, 0u8..8).prop_map(|(dpu, word, bit)| Step::Flip { dpu, word, bit });
-    (prop::collection::vec(step, 4..14), flip, 0usize..64).prop_map(|(mut steps, flip, at)| {
+    let placed = (flip, idle_heavy, 0usize..64, 0usize..64);
+    (prop::collection::vec(step, 4..14), placed).prop_map(|(mut steps, placed)| {
+        let (flip, idle_heavy, at, idle_at) = placed;
         steps.insert(at % (steps.len() + 1), flip);
+        steps.insert(idle_at % (steps.len() + 1), idle_heavy);
         steps
     })
 }
@@ -979,17 +1023,28 @@ proptest! {
 
     /// Sharing is invisible. Seeded sequences of broadcasts (partial-page and
     /// whole-page), scatters with runs of equal and of distinct buffers,
-    /// per-DPU copies, launches of the oracle's eBNN kernel set, snapshots
-    /// and restores, ECC on and off, scrubs and one raw bit flip run on 1 to
-    /// 8 DPUs of a double-buffered engine, whose set-wide writes share pages.
+    /// per-DPU copies, launches of the oracle's eBNN kernel set (idle-heavy
+    /// ones, whose idle DPUs replay one recorded run, among them),
+    /// snapshots and restores, ECC on and off, scrubs and one raw bit flip
+    /// run on 1 to 8 DPUs of a double-buffered engine, whose set-wide writes
+    /// share MRAM pages and whose replayed launches share WRAM images.
     /// After every step each DPU's MRAM and WRAM equal a dense per-DPU shadow
     /// — whose launches run on the reference loop from the shadow's own
     /// bytes — so a write or flip through one DPU changed no other; every
     /// sidecar matches its data but for the pending flip; and a set-wide
     /// scrub reports what scrubbing each DPU alone reports.
+    ///
+    /// Every step runs at the ambient parallel threshold but an idle-heavy
+    /// step's launches, which run in DPU order on the calling thread. There
+    /// the sharing is exact: when at least three idle DPUs enter the step
+    /// holding one WRAM image, at most the first of them leaves it (the run
+    /// that finds its key unseen), and the rest replay into one image. So
+    /// on the fast tier with ECC off, such a step on 4 or more DPUs must
+    /// leave fewer distinct images than DPUs: the check that WRAM sharing
+    /// happens here.
     #[test]
     fn sharing_is_invisible(dpus in 1usize..9, steps in sharing_steps()) {
-        use ebnn::codegen::{encode_slot, params_wire, tier1_program};
+        use ebnn::codegen::{encode_slot, tier1_program};
         let (model, images) = crate::kernels::ebnn_batch();
         let exec = ExecProgram::decode(&tier1_program(1));
         let build = |dpus| {
@@ -998,6 +1053,8 @@ proptest! {
             (engine, block.offset)
         };
         let (mut engine, block) = build(dpus);
+        // Only the fast tier replays, and an ECC-armed run never does.
+        let replays = Engine::effective() != Engine::Reference;
         let end = block + 2 * MRAM_PAGE_BYTES;
         let place = |at: usize| match at {
             0..24 => 8 * at,
@@ -1006,6 +1063,7 @@ proptest! {
         let bytes = |salt: u8, words: usize| -> Vec<u8> {
             (0..8 * words).map(|i| salt.wrapping_mul(31).wrapping_add(i as u8)).collect()
         };
+        let slots: Vec<Vec<u8>> = images.iter().map(|image| encode_slot(&model, image)).collect();
         let at = |symbol| engine.set().symbols().get(symbol).unwrap().offset;
         let params = at("params");
         let buffers = [[at("images"), at("features")], [at("images_alt"), at("features_alt")]];
@@ -1047,20 +1105,29 @@ proptest! {
                 Step::Launch { images: count, buf } => {
                     engine.stage(&model, &images[..*count], *buf).unwrap();
                     engine.launch(false, None).unwrap().0.served().unwrap();
-                    let [img, feat] = buffers[*buf];
-                    for d in 0..dpus {
-                        let n = if d == 0 { *count } else { 0 };
-                        let [n, stride] = [n, n.max(1)].map(|v| v as u32);
-                        shadow.write(d, params, &params_wire(n, stride, img as u32, feat as u32));
-                        for (i, image) in images[..n as usize].iter().enumerate() {
-                            shadow.write(d, img + 128 * i, &encode_slot(&model, image));
+                    shadow.launch(&exec, params, buffers[*buf], 0, &slots[..*count]);
+                }
+                Step::IdleHeavy { busy, images: count, buf } => {
+                    let busy = busy % dpus;
+                    // The largest group of idle DPUs holding one image.
+                    let mut groups = std::collections::HashMap::new();
+                    for (id, m) in engine.set().system().iter() {
+                        if id.0 as usize != busy {
+                            *groups.entry(m.wram.image_id()).or_insert(0) += 1;
                         }
-                        let mut m = Machine::default();
-                        m.mram.write(0, &shadow.mram[d]).unwrap();
-                        m.wram.write(0, &shadow.wram[d]).unwrap();
-                        m.run_exec_engine(&exec, *count, Engine::Reference).unwrap();
-                        shadow.mram[d] = m.mram.to_vec(0, end).unwrap();
-                        shadow.wram[d] = m.wram.slice(0, m.wram.len()).unwrap().to_vec();
+                    }
+                    let entered = groups.into_values().max().unwrap_or(0);
+                    let live: Vec<bool> = (0..dpus).map(|d| d == busy).collect();
+                    engine.set_mut().set_parallel_threshold(Some(usize::MAX));
+                    for _ in 0..3 {
+                        engine.stage_encoded_live(&slots[..*count], *buf, &live).unwrap();
+                        engine.launch(false, None).unwrap().0.served().unwrap();
+                        shadow.launch(&exec, params, buffers[*buf], busy, &slots[..*count]);
+                    }
+                    engine.set_mut().set_parallel_threshold(None);
+                    if dpus >= 4 && replays && !shadow.ecc && entered >= 3 {
+                        let wram = engine.set().system().wram_images();
+                        prop_assert!(wram < dpus, "step {}: {} WRAM images", n, wram);
                     }
                 }
                 Step::Snapshot => saved = (set.snapshot(), shadow.clone()),

@@ -3,7 +3,8 @@
 //! footprint bounded (pages every DPU holds alike stored once) and
 //! whole-set snapshots replaying bit-identically; and the serving shape, a
 //! double-buffered eBNN engine with one busy DPU, whose idle DPUs share
-//! the pages their staging writes.
+//! the pages their staging writes and, replaying one recorded run, one
+//! WRAM image.
 //!
 //! The paper's system is 2,560 DPUs over 40 ranks; the `#[ignore]`d smoke
 //! test runs that full shape under a peak-RSS ceiling (CI runs it in the
@@ -52,7 +53,10 @@ fn features(engine: &Tier1Engine, d: usize) -> Vec<u8> {
 /// one busy DPU, staged on both buffers and launched. Every idle DPU
 /// receives the same `n_images = 0` record, so after each staging the
 /// set holds at most one distinct MRAM page per busy DPU plus a few
-/// shared ones; the busy DPU's features match the host model.
+/// shared ones. The idle DPUs start from one zero WRAM image and replay
+/// one recorded run over it, so after the staging and the launch the set
+/// holds at most one WRAM image per busy DPU plus a few shared ones. The
+/// busy DPU's features match the host model.
 fn serving_shape(n: usize) {
     let model = EbnnModel::generate(ModelConfig { filters: 2, ..ModelConfig::default() });
     let images: Vec<_> =
@@ -63,9 +67,13 @@ fn serving_shape(n: usize) {
         engine.stage(&model, &images, buf).expect("stage");
         let res = engine.set().system().mram_residency();
         assert!(res.distinct_pages <= busy + 4, "buffer {buf}: {res:?}");
+        let wram = engine.set().system().wram_images();
+        assert!(wram <= busy + 4, "buffer {buf}: {wram} WRAM images");
     }
     let (report, _) = engine.launch(false, None).expect("launch");
     assert!(report.incidents.is_empty(), "a clean launch");
+    let wram = engine.set().system().wram_images();
+    assert!(wram <= busy + 4, "after the launch: {wram} WRAM images");
     let (features, _) = engine.gather(1).expect("gather");
     for (image, got) in images.iter().zip(&features) {
         assert_eq!(*got, model.features(&model.binarize(&image.pixels)));
@@ -142,11 +150,13 @@ fn rank_2560_smoke_under_memory_ceiling() {
     );
 
     // Whole-process ceiling: well below dense 160 GiB, and about 1.1× the
-    // 329 MiB this binary peaks at on x86-64 Linux, with or without the
-    // 256-DPU tests beside this one: 2,560 × 64 KiB of dense WRAM is 160
-    // MiB of it, and as much again each DPU's private MRAM page, which
-    // its launch copies whole when it writes its features over the shared
-    // staged page. That bounds WRAM + arena + pool + harness.
+    // 331 MiB this binary peaks at on x86-64 Linux, with or without the
+    // 256-DPU tests beside this one. The serving shape's idle DPUs share
+    // a few WRAM images; the peak is the launch above, on which every DPU
+    // executes: each owns a private 64 KiB WRAM image (160 MiB over 2,560
+    // DPUs) and as much again in its private MRAM page, which its launch
+    // copies whole when it writes its features over the shared staged
+    // page. That bounds WRAM + arena + pool + harness.
     const CEILING_MIB: usize = 360;
     if let Some(rss) = peak_rss_bytes() {
         eprintln!("peak RSS {} MiB", rss >> 20);
